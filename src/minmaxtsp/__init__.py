@@ -20,8 +20,9 @@ from .io import (instance_from_json, instance_to_json, load_instance,
                  save_instance)
 from .model import (DEPOT, CapacityError, InfeasibleAllocationError, Instance,
                     InvalidInstanceError, NoInsertionCandidateError,
-                    OracleBudgetError, Point, Solution, SolverError, Tour,
-                    Vehicle, tour_duration, travel_time, validate_solution)
+                    OracleBudgetError, Point, Solution, SolverError,
+                    StageCheckError, Tour, Vehicle, tour_duration, travel_time,
+                    validate_solution)
 from .oracle import OracleBudget, exact_minmax, oracle_feasible
 from .svgplot import render_tours
 from .tsp import (EXACT, HEURISTIC, TourRequest, TspCache, held_karp,
@@ -35,8 +36,8 @@ __all__ = [
     "InfeasibleAllocationError", "InsertionQuote", "Instance",
     "InvalidInstanceError", "MinCounts", "NoInsertionCandidateError",
     "OracleBudget", "OracleBudgetError", "Point", "ReportRow", "SavingsEntry",
-    "Solution", "SolverConfig", "SolverError", "StageTrace", "Tour",
-    "TourRequest", "TspCache", "Vehicle", "best_insertion",
+    "Solution", "SolverConfig", "SolverError", "StageCheckError", "StageTrace",
+    "Tour", "TourRequest", "TspCache", "Vehicle", "best_insertion",
     "build_initial_solution", "compute_savings", "exact_minmax",
     "generate_instance", "held_karp", "instance_from_json", "instance_to_json",
     "load_instance", "local_search", "min_target_counts", "oracle_feasible",

@@ -21,7 +21,7 @@ import numpy as np
 from .allocation import (Allocation, build_initial_solution, min_target_counts,
                          perturb_colocated_depots, solve_load_balancing)
 from .model import (Instance, NoInsertionCandidateError, Point, Solution,
-                    validate_solution)
+                    StageCheckError, validate_solution)
 from .tsp import EXACT_CAP_DEFAULT, HEURISTIC, TspCache, request_for, solve_tsp
 
 # One step of the depot displacement angle schedule: 144 degrees.
@@ -223,7 +223,7 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig,
 def _checked(inst: Instance, sol: Solution, stage: str) -> Solution:
     problems = validate_solution(inst, sol)
     if problems:
-        raise AssertionError(f"stage {stage} produced an infeasible plan: {problems}")
+        raise StageCheckError(f"stage {stage} produced an infeasible plan: {problems}")
     return sol
 
 

@@ -13,6 +13,7 @@ Vehicle ids are implicit list positions (1-based).  Floats are written with
 """
 
 import json
+import re
 
 from .model import Instance, InvalidInstanceError, Point, Vehicle
 
@@ -36,11 +37,27 @@ def instance_from_json(text: str) -> Instance:
             Vehicle(i, float(v["speed"]), Point(float(v["depot"][0]), float(v["depot"][1])))
             for i, v in enumerate(doc["vehicles"], start=1)
         )
-        required = {int(vid): [int(t) for t in ids]
+        required = {_vehicle_key(vid): [_target_index(t) for t in ids]
                     for vid, ids in doc.get("required", {}).items()}
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise InvalidInstanceError(f"malformed instance document: {exc}") from exc
     return Instance(targets, vehicles, required)
+
+
+def _vehicle_key(key: str) -> int:
+    # int() alone would also take " 1", "+1" and "0_1".
+    if not re.fullmatch(r"-?[0-9]+", key):
+        raise ValueError(f"vehicle key {key!r} is not an integer")
+    return int(key)
+
+
+def _target_index(value) -> int:
+    # int() alone would truncate 0.7 to 0 and take true as 1.
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"target index {value!r} is not an integer")
 
 
 def save_instance(inst: Instance, path) -> None:

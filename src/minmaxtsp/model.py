@@ -7,6 +7,7 @@ divided by the vehicle's speed, so the metric is symmetric and satisfies the
 triangle inequality for every vehicle.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,10 @@ class NoInsertionCandidateError(SolverError):
     """No receiving vehicle exists for a transfer (single-vehicle fleet)."""
 
 
+class StageCheckError(SolverError):
+    """A pipeline stage produced a plan that fails ``validate_solution``."""
+
+
 @dataclass(frozen=True)
 class Point:
     x: float
@@ -68,11 +73,25 @@ def travel_time(a: Point, b: Point, v: Vehicle) -> float:
     return a.dist(b) / v.speed
 
 
+# Largest accepted coordinate magnitude.  Distances and tour lengths are sums
+# of coordinate differences, and stage 3 moves a depot by at most half its
+# tour's two depot edges over the vehicle's speed, so all of them stay far
+# below float overflow (about 1.8e308) for any speed above 1e-150.
+COORD_LIMIT = 1e150
+
+
+def _coords_ok(p: Point) -> bool:
+    # NaN fails both comparisons, so this also rejects non-finite values.
+    return abs(p.x) <= COORD_LIMIT and abs(p.y) <= COORD_LIMIT
+
+
 @dataclass
 class Instance:
     """An immutable routing instance.
 
     targets:  planar target coordinates; a target is referred to by its index.
+              Target and depot coordinates lie within +-COORD_LIMIT, except
+              depots moved by ``with_depots``.
     vehicles: fleet ordered by id (ids are exactly 1..k).
     required: per-vehicle pre-assigned target sets, pairwise disjoint.
 
@@ -99,15 +118,19 @@ class Instance:
         if len(self.vehicles) < 1:
             raise InvalidInstanceError("instance needs at least one vehicle")
         for i, t in enumerate(self.targets):
-            if not (math.isfinite(t.x) and math.isfinite(t.y)):
-                raise InvalidInstanceError(f"target {i} has non-finite coordinates")
+            if not _coords_ok(t):
+                raise InvalidInstanceError(
+                    f"target {i} coordinates ({t.x}, {t.y}) are not finite"
+                    f" with magnitude at most {COORD_LIMIT:g}")
         for pos, v in enumerate(self.vehicles, start=1):
             if v.id != pos:
                 raise InvalidInstanceError("vehicle ids must be exactly 1..k in order")
             if not (v.speed > 0 and math.isfinite(v.speed)):
                 raise InvalidInstanceError(f"vehicle {v.id} has non-positive speed")
-            if not (math.isfinite(v.depot.x) and math.isfinite(v.depot.y)):
-                raise InvalidInstanceError(f"vehicle {v.id} depot has non-finite coordinates")
+            if not _coords_ok(v.depot):
+                raise InvalidInstanceError(
+                    f"vehicle {v.id} depot coordinates ({v.depot.x}, {v.depot.y}) are not"
+                    f" finite with magnitude at most {COORD_LIMIT:g}")
         seen = set()
         for vid, ids in self.required.items():
             if not 1 <= vid <= self.k:
@@ -168,11 +191,20 @@ class Instance:
         return self.vehicle(vid).depot if vertex == DEPOT else self.targets[vertex]
 
     def with_depots(self, depots: dict) -> "Instance":
-        """Copy of this instance with some vehicle depots replaced."""
-        vehicles = tuple(
+        """Copy of this instance with some vehicle depots replaced.
+
+        The new depots need only be finite: COORD_LIMIT bounds the input so
+        that stage 3, which may move a depot past the limit, stays finite.
+        """
+        for vid, p in depots.items():
+            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                raise InvalidInstanceError(f"vehicle {vid} moved depot is not finite")
+        moved = copy.copy(self)
+        moved.vehicles = tuple(
             Vehicle(v.id, v.speed, depots.get(v.id, v.depot)) for v in self.vehicles
         )
-        return Instance(self.targets, vehicles, dict(self.required))
+        moved._cache = {}
+        return moved
 
 
 @dataclass(frozen=True)

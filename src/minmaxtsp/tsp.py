@@ -4,6 +4,12 @@ Two modes share one entry point:
 
 * heuristic -- nearest-neighbor construction polished by 2-opt and Or-opt
   (segment lengths 1..3), both first-improvement with a fixed scan order.
+  Tours of VECTOR_MIN_TARGETS or more targets price all candidate moves of a
+  pass as one numpy array and apply the first improving one in scan order;
+  shorter tours use the plain Python scans.  The two make the same moves with
+  the same float expressions, so every tour, and every plan built from tours,
+  is identical whichever runs.  A move must gain more than _gain_tolerance,
+  which exceeds the rounding error of its price, so the polish always ends.
 * exact -- Held-Karp dynamic program over target subsets, capped at
   EXACT_CAP_DEFAULT targets.
 
@@ -11,6 +17,7 @@ All route decisions are made on raw distances; the vehicle speed only divides
 the final length, so the chosen order is invariant under speed scaling.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +28,21 @@ HEURISTIC = "heuristic"
 EXACT = "exact"
 EXACT_CAP_DEFAULT = 16
 
-# Improvement moves must beat this margin; blocks float ping-pong cycles.
+# Least gain an improvement move must show; _gain_tolerance raises it for
+# tours long enough that rounding noise exceeds it.
 _EPS = 1e-12
+
+# Tours of at least this many targets are polished by the numpy passes, shorter
+# ones by the Python scans; both make the same moves.  Polish time per tour
+# (nearest-neighbour start to fixpoint, best of 5 over 60 uniform random tours;
+# median cell of three runs, one Xeon core, numpy 2.4, Python 3.11; timings
+# varied by up to a third between runs, the per-run speed-ups less):
+#
+#   targets      2     3     4     6     8    10    12    15    20    30    40
+#   scan  us    16    42    87   238   488   838  1385  2503  4527 14196 21448
+#   numpy us    25    35    35    46    59    74   107    87   232   473   853
+#   speed-up  0.56  1.22  2.20  5.13  8.35  11.1  12.7  20.6  23.6  30.2  30.1
+VECTOR_MIN_TARGETS = 3
 
 
 @dataclass
@@ -104,7 +124,20 @@ def _nearest_neighbor(dist: np.ndarray) -> list:
     return order
 
 
-def _two_opt(order: list, dist: np.ndarray) -> list:
+def _gain_tolerance(dist: np.ndarray) -> float:
+    """Least gain a 2-opt or Or-opt move must show on this distance matrix.
+
+    Pricing a move rounds at most five sums no larger than 3 D, where D is
+    the largest distance, so the computed delta is within 11 D 2**-53 (below
+    D 2**-49.5) of the exact one.  The margin is _EPS up to D = 281 and
+    D 2**-48 beyond, so every move taken shortens the tour and the polish
+    ends; with _EPS alone, tours whose distances reach a few thousand could
+    reverse a pair of targets back and forth forever.
+    """
+    return max(_EPS, float(dist.max()) * 2.0 ** -48)
+
+
+def _two_opt(order: list, dist: np.ndarray, tol: float) -> list:
     """First-improvement 2-opt to a fixpoint, scanning i ascending then j."""
     m = len(order)
     dm = dist.shape[0] - 1
@@ -118,7 +151,7 @@ def _two_opt(order: list, dist: np.ndarray) -> list:
                 c = order[j]
                 d = dm if j == m - 1 else order[j + 1]
                 delta = dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d]
-                if delta < -_EPS:
+                if delta < -tol:
                     order[i:j + 1] = reversed(order[i:j + 1])
                     improved = True
                     break
@@ -127,7 +160,7 @@ def _two_opt(order: list, dist: np.ndarray) -> list:
     return order
 
 
-def _or_opt_once(order: list, dist: np.ndarray):
+def _or_opt_once(order: list, dist: np.ndarray, tol: float):
     """Relocate one segment (length 1..3, both orientations) if it helps.
 
     Returns (order, True) after the first improving move, (order, False) if
@@ -152,16 +185,132 @@ def _or_opt_once(order: list, dist: np.ndarray):
                 b = dm if q == len(rest) else rest[q]
                 for piece in (seg, seg[::-1]):
                     add = dist[a, piece[0]] + dist[piece[-1], b] - dist[a, b]
-                    if add - removal < -_EPS:
+                    if add - removal < -tol:
                         return rest[:q] + piece + rest[q:], True
     return order, False
 
 
-def _improve(order: list, dist: np.ndarray) -> list:
-    """Alternate 2-opt and Or-opt until neither move improves the cycle."""
+# The numpy passes below evaluate every candidate move of a pass at once, in
+# the scans' exact float expressions, and apply the first improving one in the
+# scans' order.  Tour position p of ``ext = [depot, *order, depot]`` is row p
+# of the gathered block ``ext_dist = dist[ext][:, ext]``; the cached index
+# tables hold flat positions into that block, so one pass is a few gathers.
+# The tables are cached per tour length m, at about 170 m^2 bytes each.
+def _index_table(columns) -> tuple:
+    table = tuple(np.asarray(col, dtype=np.intp) for col in columns)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _two_opt_table(m: int):
+    """Per 2-opt move (i, j), in scan order: i, j and the flat indices of the
+    edges (a, c), (b, d), (a, b), (c, d) in the (m+2)^2 ext_dist block."""
+    i, j = np.triu_indices(m, k=1)
+    w = m + 2
+    return _index_table((i, j, i * w + j + 1, (i + 1) * w + j + 2, i * w + i + 1,
+                         (j + 1) * w + j + 2))
+
+
+def _two_opt_np(order: list, dist: np.ndarray, tol: float) -> list:
+    """Same moves as ``_two_opt``, each pass priced as one numpy array.
+
+    Needs two or more targets, as does ``_or_opt_once_np``.
+    """
+    i_of, j_of, ac, bd, ab, cd = _two_opt_table(len(order))
+    dm = dist.shape[0] - 1
+    ext = np.array([dm, *order, dm])
     while True:
-        order = _two_opt(order, dist)
-        order, moved = _or_opt_once(order, dist)
+        block = dist.take(ext, 0).take(ext, 1).ravel()
+        delta = block[ac] + block[bd] - block[ab] - block[cd]
+        hits = delta < -tol
+        k = hits.argmax()
+        if not hits[k]:
+            return ext[1:-1].tolist()
+        lo, hi = int(i_of[k]) + 1, int(j_of[k]) + 2
+        ext[lo:hi] = ext[lo:hi][::-1].copy()
+
+
+def _or_opt_lengths(m: int):
+    return range(1, min(3, m - 1) + 1)  # segment lengths L < m, as in the scan
+
+
+@functools.lru_cache(maxsize=None)
+def _or_opt_table(m: int):
+    """Or-opt moves in scan order L -> s -> q -> (forward, reversed).
+
+    Per (L, s): the flat ext_dist indices of the removal edges (prev, first),
+    (last, next), (prev, next), and the count 2 (m - L) of its moves, which
+    are contiguous.  Per move: the indices of the insertion edges (a, head),
+    (tail, b), (a, b).  Removing ext positions s+1..s+L leaves gap q between
+    rest[q-1] and rest[q], the tour edge (e, e+1) with e = q below s and
+    q + L above.
+    """
+    w = m + 2
+    parts = []
+    for L in _or_opt_lengths(m):
+        n = m - L + 1
+        r = np.arange(n)
+        removal = (r * w + r + 1, (r + L) * w + r + L + 1, r * w + r + L + 1)
+        s, q = np.divmod(np.arange(n * n), n)
+        keep = s != q  # same slot: the scan skips both orientations
+        s, q = np.repeat(s[keep], 2), np.repeat(q[keep], 2)
+        rev = np.tile([False, True], s.size // 2)
+        e = np.where(q < s, q, q + L)
+        head = np.where(rev, s + L, s + 1)
+        tail = np.where(rev, s + 1, s + L)
+        parts.append((*removal, np.full(n, 2 * (n - 1)),
+                      e * w + head, tail * w + e + 1, e * w + e + 1))
+    return _index_table([np.concatenate(col) for col in zip(*parts)])
+
+
+def _or_opt_move(m: int, k: int):
+    """(L, s, q, reversed) of entry k of ``_or_opt_table(m)``."""
+    for L in _or_opt_lengths(m):
+        n = m - L + 1
+        if k < 2 * n * (n - 1):
+            pair, rev = divmod(k, 2)
+            s, q = divmod(pair, n - 1)
+            return L, s, q + (q >= s), bool(rev)
+        k -= 2 * n * (n - 1)
+    raise IndexError(k)
+
+
+def _or_opt_once_np(order: list, dist: np.ndarray, tol: float):
+    """Same move as ``_or_opt_once``, all candidates priced as one array."""
+    m = len(order)
+    ps, sn, pn, runs, ah, tb, ab = _or_opt_table(m)
+    dm = dist.shape[0] - 1
+    ext = np.array([dm, *order, dm])
+    block = dist.take(ext, 0).take(ext, 1).ravel()
+    removal = np.repeat(block[ps] + block[sn] - block[pn], runs)
+    add = block[ah] + block[tb] - block[ab]
+    hits = add - removal < -tol
+    k = hits.argmax()
+    if not hits[k]:
+        return order, False
+    L, s, q, rev = _or_opt_move(m, int(k))
+    seg = order[s:s + L]
+    rest = order[:s] + order[s + L:]
+    piece = seg[::-1] if rev else seg
+    return rest[:q] + piece + rest[q:], True
+
+
+def _improve(order: list, dist: np.ndarray) -> list:
+    """Alternate 2-opt and Or-opt until neither move improves the cycle.
+
+    Tours of VECTOR_MIN_TARGETS or more use the numpy passes, shorter ones the
+    scans; both make the same moves, so the order returned is the same.
+    """
+    if len(order) < VECTOR_MIN_TARGETS:
+        two_opt, or_opt_once = _two_opt, _or_opt_once
+    else:
+        two_opt, or_opt_once = _two_opt_np, _or_opt_once_np
+    tol = _gain_tolerance(dist)
+    while True:
+        order = two_opt(order, dist, tol)
+        order, moved = or_opt_once(order, dist, tol)
         if not moved:
             return order
 
@@ -274,6 +423,6 @@ def two_opt_improve(inst: Instance, tour: Tour) -> Tour:
     v = inst.vehicle(tour.vehicle_id)
     pts = inst.target_xy()[list(ids)]
     dist = _distance_matrix(pts, v.depot)
-    order = _two_opt(list(range(len(ids))), dist)
+    order = _two_opt(list(range(len(ids))), dist, _gain_tolerance(dist))
     seq = (DEPOT,) + tuple(ids[p] for p in order) + (DEPOT,)
     return Tour(tour.vehicle_id, seq, _cycle_length(order, dist) / v.speed)

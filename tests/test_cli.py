@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from minmaxtsp import generate_instance, load_instance, read_report, scenario1
+from minmaxtsp import heuristic
 from minmaxtsp.cli import main
 
 
@@ -109,6 +110,14 @@ class TestExitCodes:
         out = tmp_path / "missing-dir" / "report.csv"
         assert main(["bench", "--scenario", "1", "--n-targets", "6",
                      "--instances", "1", "--out", str(out)]) == 2
+
+    def test_failed_stage_check_is_an_error_not_a_traceback(
+            self, instance_file, monkeypatch, capsys):
+        monkeypatch.setattr(heuristic, "validate_solution", lambda inst, sol: ["forced"])
+        assert main(["solve", "--instance", str(instance_file)]) == 1
+        err = capsys.readouterr().err
+        assert "error: stage init produced an infeasible plan" in err
+        assert "Traceback" not in err
 
     def test_usage_errors(self, capsys):
         assert main([]) == 1

@@ -1,0 +1,68 @@
+"""Frozen plans: ``solve`` output on fixed seeds, recorded once and compared
+exactly.
+
+A change that claims to keep plans bit-identical (a faster tour polish, a
+refactor) must pass this file without re-recording it: every tour sequence,
+the ``repr`` of every objective and every perturbation iteration count must
+match ``frozen_plans.json``.  Re-record only in a change that moves plans on
+purpose, and say so in that change:
+
+    PYTHONPATH=src python tests/test_frozen_plans.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from minmaxtsp import SolverConfig, generate_instance, scenario1, solve
+from minmaxtsp.bench import ExperimentConfig
+
+FIXTURE = Path(__file__).with_name("frozen_plans.json")
+
+SEED = 2026
+
+# name -> (experiment config, solver config, instance indices).  Heuristic
+# tours throughout, so the 2-opt/Or-opt polish decides every plan; the n=60
+# and two-vehicle cases route tours long enough to cross the polish's
+# dispatch length.
+CASES = {
+    "s1_n10": (scenario1(n_targets=10, seed=SEED), SolverConfig(), range(4)),
+    "s1_n30": (scenario1(n_targets=30, seed=SEED), SolverConfig(), range(3)),
+    "s1_n60": (scenario1(n_targets=60, seed=SEED), SolverConfig(), range(2)),
+    "k2_n30_stop1": (ExperimentConfig(n_targets=30, speeds=(1.0, 1.0), seed=SEED),
+                     SolverConfig(no_improve_stop=1), range(4)),
+}
+
+
+def _record(name: str, index: int) -> dict:
+    exp, cfg, _ = CASES[name]
+    sol, trace = solve(generate_instance(exp, index), cfg, rng=index)
+    return {"case": name, "index": index,
+            "sequences": [list(t.sequence) for t in sol.tours],
+            "objective": repr(sol.objective),
+            "iterations": trace.iterations}
+
+
+def _frozen() -> dict:
+    rows = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    return {(e["case"], e["index"]): e for e in rows}
+
+
+_KEYS = [(name, i) for name, (_, _, idx) in CASES.items() for i in idx]
+
+
+@pytest.mark.parametrize("name,index", _KEYS, ids=[f"{n}-{i}" for n, i in _KEYS])
+def test_plan_matches_the_recorded_plan(name, index):
+    assert _record(name, index) == _frozen()[name, index]
+
+
+def test_fixture_holds_exactly_the_cases():
+    assert sorted(_frozen()) == sorted(_KEYS)
+
+
+if __name__ == "__main__":
+    rows = [_record(name, i) for name, i in _KEYS]
+    FIXTURE.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n",
+                       encoding="utf-8")
+    print(f"wrote {FIXTURE} ({len(rows)} plans)")

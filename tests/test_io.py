@@ -54,3 +54,24 @@ def test_structural_violations_rejected():
         instance_from_json('{"targets": [[0, 0]],'
                            ' "vehicles": [{"speed": 1.0, "depot": [0, 0]}],'
                            ' "required": {"1": [4]}}')
+
+
+@pytest.mark.parametrize("required", [
+    '{"1": [0.7]}',
+    '{"1": [true]}',
+    '{"1": ["0"]}',
+    '{"1.5": [0]}',
+    '{"0_1": [0]}',
+])
+def test_non_integral_indices_rejected(required):
+    with pytest.raises(InvalidInstanceError):
+        instance_from_json('{"targets": [[0, 0], [1, 1]],'
+                           ' "vehicles": [{"speed": 1.0, "depot": [0, 0]}],'
+                           f' "required": {required}}}')
+
+
+def test_integral_float_index_accepted():
+    inst = instance_from_json('{"targets": [[0, 0], [1, 1]],'
+                              ' "vehicles": [{"speed": 1.0, "depot": [0, 0]}],'
+                              ' "required": {"1": [1.0]}}')
+    assert inst.required == {1: frozenset({1})}

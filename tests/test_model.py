@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution,
-                       Tour, Vehicle, tour_duration, travel_time,
+                       Tour, Vehicle, solve, tour_duration, travel_time,
                        validate_solution)
+from minmaxtsp.model import COORD_LIMIT
 
 from conftest import line_instance
 
@@ -87,6 +88,22 @@ class TestInstanceValidation:
     def test_non_finite_coordinates_rejected(self):
         with pytest.raises(InvalidInstanceError):
             Instance((Point(math.nan, 0),), (v(1.0),))
+
+    def test_overflowing_coordinates_rejected_by_name(self):
+        fleet = (v(1.0), Vehicle(2, 1.0, Point(5, 5)))
+        with pytest.raises(InvalidInstanceError, match="target 1 "):
+            Instance((Point(0, 1), Point(1e308, 0)), fleet)
+        with pytest.raises(InvalidInstanceError, match="vehicle 2 depot"):
+            Instance((Point(0, 1),), (v(1.0), Vehicle(2, 1.0, Point(0, -1e200))))
+
+    def test_coordinates_at_the_limit_solve_to_a_finite_plan(self):
+        lim = COORD_LIMIT
+        targets = (Point(lim, 0), Point(-lim, lim), Point(0, -lim), Point(1, 1),
+                   Point(lim, lim))
+        inst = Instance(targets, (v(1.0), Vehicle(2, 0.5, Point(-lim, -lim))))
+        sol, _ = solve(inst, rng=3)
+        assert math.isfinite(sol.objective)
+        assert validate_solution(inst, sol) == []
 
     def test_required_disjoint_and_in_range(self):
         targets = (Point(0, 0), Point(1, 1))

@@ -1,15 +1,21 @@
 """Single-vehicle tour solver: exact DP vs. permutation enumeration, heuristic
-quality, 2-opt behavior, and the request cache."""
+quality, 2-opt behavior, the numpy polish against the scans, and the request
+cache."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmaxtsp import (DEPOT, EXACT, HEURISTIC, CapacityError, Instance,
                        Point, Tour, TspCache, Vehicle, held_karp, request_for,
                        solve_tsp, tour_duration, two_opt_improve)
-from minmaxtsp.tsp import best_cycle_lengths, held_karp_order
+from minmaxtsp.tsp import (_distance_matrix, _gain_tolerance, _improve,
+                           _nearest_neighbor, _or_opt_once, _or_opt_once_np,
+                           _two_opt, _two_opt_np, best_cycle_lengths,
+                           held_karp_order)
 
 from conftest import brute_cycle_length, euclid
 
@@ -68,6 +74,19 @@ class TestSolveBasics:
         assert tour.sequence[0] == DEPOT and tour.sequence[-1] == DEPOT
         assert sorted(tour.targets()) == list(range(8))
         assert tour_duration(inst, tour) == pytest.approx(tour.duration)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8, 1e149])
+    def test_large_coordinates_terminate(self, scale):
+        # With a fixed 1e-12 gain margin, rounding noise on distances of a few
+        # thousand passed for a gain, and 2-opt reversed two targets forever.
+        rng = np.random.default_rng(21)
+        for m in range(2, 9):
+            for _ in range(10):
+                xy = rng.uniform(0, scale, size=(m, 2))
+                depot = Point(*rng.uniform(0, scale, size=2))
+                inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, depot),))
+                tour = solve_tsp(request_for(inst, 1, range(m)))
+                assert sorted(tour.targets()) == list(range(m))
 
 
 class TestHeldKarp:
@@ -210,3 +229,63 @@ class TestCache:
         solve_tsp(request_for(here, 1, range(3)), cache)
         solve_tsp(request_for(there, 1, range(3)), cache)
         assert len(cache) == 2
+
+
+# Small integer grids make duplicate points and equal-length moves common, so
+# the first-improvement tie order is exercised; drawn floats add repeated
+# values, and seeded uniform draws the generic case of distinct points, at a
+# scale where the gain margin is _EPS and at one where it grows with distance.
+_GRID = st.integers(0, 3).map(float)
+_REAL = st.floats(0.0, 100.0)
+
+
+@st.composite
+def _tours(draw):
+    """(start order, distance matrix) for 2..40 targets, sometimes with the
+    depot on a target and sometimes starting from nearest neighbour."""
+    m = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["grid", "floats", "uniform"]))
+    if kind == "uniform":
+        seed = draw(st.integers(0, 2**32 - 1))
+        scale = draw(st.sampled_from([100.0, 1e6]))
+        xy = np.random.default_rng(seed).uniform(0.0, scale, size=(m + 1, 2))
+    else:
+        coord = _GRID if kind == "grid" else _REAL
+        xy = np.array(draw(st.lists(st.tuples(coord, coord),
+                                    min_size=m + 1, max_size=m + 1)))
+    if draw(st.booleans()):
+        xy[m] = xy[draw(st.integers(0, m - 1))]
+    dist = _distance_matrix(xy[:m], Point(*xy[m]))
+    if draw(st.booleans()):
+        return _nearest_neighbor(dist), dist
+    return list(draw(st.permutations(range(m)))), dist
+
+
+def _polish(two_opt, or_opt_once, order, dist):
+    tol = _gain_tolerance(dist)
+    while True:
+        order = two_opt(order, dist, tol)
+        order, moved = or_opt_once(order, dist, tol)
+        if not moved:
+            return order
+
+
+class TestVectorizedPolish:
+    """The numpy passes must make exactly the moves the scans make."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tours())
+    def test_single_passes_match_the_scans(self, tour):
+        order, dist = tour
+        tol = _gain_tolerance(dist)
+        assert _two_opt_np(list(order), dist, tol) == _two_opt(list(order), dist, tol)
+        assert (_or_opt_once_np(list(order), dist, tol)
+                == _or_opt_once(list(order), dist, tol))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tours())
+    def test_fixpoint_matches_the_scans(self, tour):
+        order, dist = tour
+        reference = _polish(_two_opt, _or_opt_once, list(order), dist)
+        assert _polish(_two_opt_np, _or_opt_once_np, list(order), dist) == reference
+        assert _improve(list(order), dist) == reference
