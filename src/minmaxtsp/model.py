@@ -73,11 +73,14 @@ def travel_time(a: Point, b: Point, v: Vehicle) -> float:
     return a.dist(b) / v.speed
 
 
-# Largest accepted coordinate magnitude.  Distances and tour lengths are sums
-# of coordinate differences, and stage 3 moves a depot by at most half its
-# tour's two depot edges over the vehicle's speed, so all of them stay far
-# below float overflow (about 1.8e308) for any speed above 1e-150.
+# Largest accepted coordinate magnitude C and least accepted vehicle speed S.
+# Every distance is then below 3 C, and stage 3 moves a depot by at most half
+# its tour's two depot edges over the speed, below 3 C / S.  Distances on the
+# displaced geometry stay below 9 C / S, and a tour of n targets there takes
+# below 9 (n + 1) C / S**2 = 9e250 (n + 1) time, far below float overflow
+# (about 1.8e308).
 COORD_LIMIT = 1e150
+SPEED_MIN = 1e-50
 
 
 def _coords_ok(p: Point) -> bool:
@@ -92,7 +95,8 @@ class Instance:
     targets:  planar target coordinates; a target is referred to by its index.
               Target and depot coordinates lie within +-COORD_LIMIT, except
               depots moved by ``with_depots``.
-    vehicles: fleet ordered by id (ids are exactly 1..k).
+    vehicles: fleet ordered by id (ids are exactly 1..k), each with a finite
+              speed of at least SPEED_MIN.
     required: per-vehicle pre-assigned target sets, pairwise disjoint.
 
     Instances are validated on construction and must not be mutated afterwards;
@@ -127,6 +131,9 @@ class Instance:
                 raise InvalidInstanceError("vehicle ids must be exactly 1..k in order")
             if not (v.speed > 0 and math.isfinite(v.speed)):
                 raise InvalidInstanceError(f"vehicle {v.id} has non-positive speed")
+            if v.speed < SPEED_MIN:
+                raise InvalidInstanceError(
+                    f"vehicle {v.id} speed {v.speed:g} is below {SPEED_MIN:g}")
             if not _coords_ok(v.depot):
                 raise InvalidInstanceError(
                     f"vehicle {v.id} depot coordinates ({v.depot.x}, {v.depot.y}) are not"

@@ -4,12 +4,13 @@ Two modes share one entry point:
 
 * heuristic -- nearest-neighbor construction polished by 2-opt and Or-opt
   (segment lengths 1..3), both first-improvement with a fixed scan order.
-  Tours of VECTOR_MIN_TARGETS or more targets price all candidate moves of a
-  pass as one numpy array and apply the first improving one in scan order;
-  shorter tours use the plain Python scans.  The two make the same moves with
-  the same float expressions, so every tour, and every plan built from tours,
-  is identical whichever runs.  A move must gain more than _gain_tolerance,
-  which exceeds the rounding error of its price, so the polish always ends.
+  Each pass prices all candidate moves as one numpy array and applies the
+  first improving one in the order of the plain Python scans, which stay as
+  the reference: the two make the same moves with the same float expressions,
+  so every tour, and every plan built from tours, is identical to the scans'.
+  A move must gain more than _gain_tolerance, which exceeds the rounding error
+  of its price, so the polish always ends; on tours of one or two targets
+  every move gives the same cycle, so those are left as built.
 * exact -- Held-Karp dynamic program over target subsets, capped at
   EXACT_CAP_DEFAULT targets.
 
@@ -31,18 +32,6 @@ EXACT_CAP_DEFAULT = 16
 # Least gain an improvement move must show; _gain_tolerance raises it for
 # tours long enough that rounding noise exceeds it.
 _EPS = 1e-12
-
-# Tours of at least this many targets are polished by the numpy passes, shorter
-# ones by the Python scans; both make the same moves.  Polish time per tour
-# (nearest-neighbour start to fixpoint, best of 5 over 60 uniform random tours;
-# median cell of three runs, one Xeon core, numpy 2.4, Python 3.11; timings
-# varied by up to a third between runs, the per-run speed-ups less):
-#
-#   targets      2     3     4     6     8    10    12    15    20    30    40
-#   scan  us    16    42    87   238   488   838  1385  2503  4527 14196 21448
-#   numpy us    25    35    35    46    59    74   107    87   232   473   853
-#   speed-up  0.56  1.22  2.20  5.13  8.35  11.1  12.7  20.6  23.6  30.2  30.1
-VECTOR_MIN_TARGETS = 3
 
 
 @dataclass
@@ -195,7 +184,12 @@ def _or_opt_once(order: list, dist: np.ndarray, tol: float):
 # scans' order.  Tour position p of ``ext = [depot, *order, depot]`` is row p
 # of the gathered block ``ext_dist = dist[ext][:, ext]``; the cached index
 # tables hold flat positions into that block, so one pass is a few gathers.
-# The tables are cached per tour length m, at about 170 m^2 bytes each.
+# The tables take about 170 m^2 bytes for a tour of m targets; the caches keep
+# the TABLE_CACHE_LENGTHS most recently used lengths, so memory stays bounded
+# however many tour lengths a process polishes.
+TABLE_CACHE_LENGTHS = 64
+
+
 def _index_table(columns) -> tuple:
     table = tuple(np.asarray(col, dtype=np.intp) for col in columns)
     for arr in table:
@@ -203,7 +197,7 @@ def _index_table(columns) -> tuple:
     return table
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=TABLE_CACHE_LENGTHS)
 def _two_opt_table(m: int):
     """Per 2-opt move (i, j), in scan order: i, j and the flat indices of the
     edges (a, c), (b, d), (a, b), (c, d) in the (m+2)^2 ext_dist block."""
@@ -236,7 +230,7 @@ def _or_opt_lengths(m: int):
     return range(1, min(3, m - 1) + 1)  # segment lengths L < m, as in the scan
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=TABLE_CACHE_LENGTHS)
 def _or_opt_table(m: int):
     """Or-opt moves in scan order L -> s -> q -> (forward, reversed).
 
@@ -300,17 +294,15 @@ def _or_opt_once_np(order: list, dist: np.ndarray, tol: float):
 def _improve(order: list, dist: np.ndarray) -> list:
     """Alternate 2-opt and Or-opt until neither move improves the cycle.
 
-    Tours of VECTOR_MIN_TARGETS or more use the numpy passes, shorter ones the
-    scans; both make the same moves, so the order returned is the same.
+    Every 2-opt or Or-opt move on a tour of one or two targets yields the
+    same cycle or its reverse, which gains nothing, so those return as given.
     """
-    if len(order) < VECTOR_MIN_TARGETS:
-        two_opt, or_opt_once = _two_opt, _or_opt_once
-    else:
-        two_opt, or_opt_once = _two_opt_np, _or_opt_once_np
+    if len(order) < 3:
+        return order
     tol = _gain_tolerance(dist)
     while True:
-        order = two_opt(order, dist, tol)
-        order, moved = or_opt_once(order, dist, tol)
+        order = _two_opt_np(order, dist, tol)
+        order, moved = _or_opt_once_np(order, dist, tol)
         if not moved:
             return order
 

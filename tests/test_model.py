@@ -8,7 +8,7 @@ import pytest
 from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution,
                        Tour, Vehicle, solve, tour_duration, travel_time,
                        validate_solution)
-from minmaxtsp.model import COORD_LIMIT
+from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 
 from conftest import line_instance
 
@@ -96,12 +96,19 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError, match="vehicle 2 depot"):
             Instance((Point(0, 1),), (v(1.0), Vehicle(2, 1.0, Point(0, -1e200))))
 
-    def test_coordinates_at_the_limit_solve_to_a_finite_plan(self):
+    def test_speed_below_the_minimum_rejected_by_name(self):
+        fleet = (v(1.0), Vehicle(2, SPEED_MIN / 10, Point(5, 5)))
+        with pytest.raises(InvalidInstanceError, match="vehicle 2 speed"):
+            Instance((Point(0, 1),), fleet)
+
+    @pytest.mark.parametrize("speed", [0.5, SPEED_MIN])
+    def test_coordinates_at_the_limit_solve_to_a_finite_plan(self, speed):
         lim = COORD_LIMIT
         targets = (Point(lim, 0), Point(-lim, lim), Point(0, -lim), Point(1, 1),
                    Point(lim, lim))
-        inst = Instance(targets, (v(1.0), Vehicle(2, 0.5, Point(-lim, -lim))))
-        sol, _ = solve(inst, rng=3)
+        inst = Instance(targets, (v(2 * speed), Vehicle(2, speed, Point(-lim, -lim))))
+        with np.errstate(over="raise", invalid="raise"):
+            sol, _ = solve(inst, rng=3)
         assert math.isfinite(sol.objective)
         assert validate_solution(inst, sol) == []
 

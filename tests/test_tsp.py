@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from minmaxtsp import (DEPOT, EXACT, HEURISTIC, CapacityError, Instance,
                        Point, Tour, TspCache, Vehicle, held_karp, request_for,
                        solve_tsp, tour_duration, two_opt_improve)
-from minmaxtsp.tsp import (_distance_matrix, _gain_tolerance, _improve,
-                           _nearest_neighbor, _or_opt_once, _or_opt_once_np,
-                           _two_opt, _two_opt_np, best_cycle_lengths,
-                           held_karp_order)
+from minmaxtsp.tsp import (TABLE_CACHE_LENGTHS, _distance_matrix,
+                           _gain_tolerance, _improve, _nearest_neighbor,
+                           _or_opt_once, _or_opt_once_np, _or_opt_table,
+                           _two_opt, _two_opt_np, _two_opt_table,
+                           best_cycle_lengths, held_karp_order)
 
 from conftest import brute_cycle_length, euclid
 
@@ -289,3 +290,23 @@ class TestVectorizedPolish:
         reference = _polish(_two_opt, _or_opt_once, list(order), dist)
         assert _polish(_two_opt_np, _or_opt_once_np, list(order), dist) == reference
         assert _improve(list(order), dist) == reference
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0, 1e6, 1e150])
+    def test_tours_of_one_or_two_targets_need_no_polish(self, scale):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            m = int(rng.integers(1, 3))
+            xy = rng.uniform(-scale, scale, size=(m + 1, 2))
+            dist = _distance_matrix(xy[:m], Point(*xy[m]))
+            for order in ([[0]] if m == 1 else [[0, 1], [1, 0]]):
+                assert _polish(_two_opt, _or_opt_once, list(order), dist) == order
+                assert _improve(list(order), dist) == order
+
+    def test_index_table_caches_stay_bounded(self):
+        rng = np.random.default_rng(3)
+        for m in range(3, TABLE_CACHE_LENGTHS + 20):
+            xy = rng.uniform(0.0, 100.0, size=(m + 1, 2))
+            dist = _distance_matrix(xy[:m], Point(*xy[m]))
+            _improve(_nearest_neighbor(dist), dist)
+        for table in (_two_opt_table, _or_opt_table):
+            assert table.cache_info().currsize == TABLE_CACHE_LENGTHS
