@@ -15,23 +15,35 @@ from pathlib import Path
 
 import pytest
 
-from minmaxtsp import SolverConfig, generate_instance, scenario1, solve
+from minmaxtsp import (EXACT, SolverConfig, generate_instance, scenario1,
+                       scenario2, solve)
 from minmaxtsp.bench import ExperimentConfig
 
 FIXTURE = Path(__file__).with_name("frozen_plans.json")
 
 SEED = 2026
 
-# name -> (experiment config, solver config, instance indices).  Heuristic
-# tours throughout, so the 2-opt/Or-opt polish decides every plan; the n=60
-# and two-vehicle cases route tours long enough to cross the polish's
-# dispatch length.
+# name -> (experiment config, solver config, instance indices).  The
+# heuristic-tour cases let the 2-opt/Or-opt polish decide the plan, from a few
+# targets per tour (s1_n10) up to long tours (s1_n60, the two-vehicle fleet).
+# s1_n10_exact routes with Held-Karp; s2_n30_pin20 has co-located depots and
+# pinned targets; fleet8_n64_pin10 quotes insertions over seven receivers,
+# where vehicles other than the donor can tie at the makespan.
 CASES = {
     "s1_n10": (scenario1(n_targets=10, seed=SEED), SolverConfig(), range(4)),
     "s1_n30": (scenario1(n_targets=30, seed=SEED), SolverConfig(), range(3)),
     "s1_n60": (scenario1(n_targets=60, seed=SEED), SolverConfig(), range(2)),
     "k2_n30_stop1": (ExperimentConfig(n_targets=30, speeds=(1.0, 1.0), seed=SEED),
                      SolverConfig(no_improve_stop=1), range(4)),
+    "s1_n10_exact": (scenario1(n_targets=10, seed=SEED), SolverConfig(tour_mode=EXACT),
+                     range(3)),
+    "s2_n30_pin20": (scenario2(n_targets=30, assign_fraction=0.2, seed=SEED),
+                     SolverConfig(), range(4)),
+    "fleet8_n64_pin10": (ExperimentConfig(n_targets=64,
+                                          speeds=(1.0, 1.0, 1.5, 1.5, 2.0, 2.0, 1.0, 2.0),
+                                          colocated=((1, 2), (3, 4)),
+                                          assign_fraction=0.1, seed=SEED),
+                         SolverConfig(), range(4)),
 }
 
 
