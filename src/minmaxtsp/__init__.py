@@ -19,10 +19,10 @@ from .heuristic import (InsertionQuote, SavingsEntry, SolverConfig, StageTrace,
 from .io import (instance_from_json, instance_to_json, load_instance,
                  save_instance)
 from .model import (DEPOT, CapacityError, InfeasibleAllocationError, Instance,
-                    InvalidInstanceError, NoInsertionCandidateError,
-                    OracleBudgetError, Point, Solution, SolverError,
-                    StageCheckError, Tour, Vehicle, tour_duration, travel_time,
-                    validate_solution)
+                    InvalidConfigError, InvalidInstanceError,
+                    NoInsertionCandidateError, OracleBudgetError, Point,
+                    Solution, SolverError, StageCheckError, Tour, Vehicle,
+                    tour_duration, travel_time, validate_solution)
 from .oracle import OracleBudget, exact_minmax, oracle_feasible
 from .svgplot import render_tours
 from .tsp import (EXACT, HEURISTIC, TourRequest, TspCache, held_karp,
@@ -34,8 +34,8 @@ __all__ = [
     "Allocation", "CapacityError", "DEPOT", "EXACT", "EffectiveDepots",
     "ExperimentConfig", "ExperimentReport", "HEURISTIC",
     "InfeasibleAllocationError", "InsertionQuote", "Instance",
-    "InvalidInstanceError", "MinCounts", "NoInsertionCandidateError",
-    "OracleBudget", "OracleBudgetError", "Point", "ReportRow", "SavingsEntry",
+    "InvalidConfigError", "InvalidInstanceError", "MinCounts",
+    "NoInsertionCandidateError", "OracleBudget", "OracleBudgetError", "Point", "ReportRow", "SavingsEntry",
     "Solution", "SolverConfig", "SolverError", "StageCheckError", "StageTrace",
     "Tour", "TourRequest", "TspCache", "Vehicle", "best_insertion",
     "build_initial_solution", "compute_savings", "exact_minmax",

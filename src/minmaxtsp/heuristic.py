@@ -3,26 +3,31 @@
 Stage 1 builds a starting plan by load-balanced allocation plus per-vehicle
 tours.  Stage 2 repeatedly offloads targets from the longest tour: candidates
 are ranked by the time saved on the donor, each is quoted a cheapest insertion
-over the other vehicles, donor and receiver are re-routed, and the move sticks
-only if the fleet makespan strictly drops.  Stage 3 escapes local optima by
-displacing depots (radially, by half the sum of each tour's two depot-edge
-times) and re-optimizing on the displaced geometry; a plan rebuilt at the true
-depots is accepted only when strictly better, and the loop gives up after five
-straight rejections.  Displacement angles march around the circle in 144-degree
+over the other vehicles, the receiver is re-routed and, only if its new tour
+stays below the makespan, so is the donor; the move sticks only if the fleet
+makespan strictly drops.  Stage 3 escapes local optima by displacing depots
+(radially, by half the sum of each tour's two depot-edge times) and
+re-optimizing on the displaced geometry; a plan rebuilt at the true depots is
+accepted only when strictly better, and the loop gives up after five straight
+rejections.  Displacement angles march around the circle in 144-degree
 steps from a random start, so five steps revisit the starting angle.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import (Allocation, build_initial_solution, min_target_counts,
+from .allocation import (EXACT_ASSIGNMENT, LP_ROUNDING, Allocation,
+                         build_initial_solution, min_target_counts,
                          perturb_colocated_depots, solve_load_balancing)
-from .model import (Instance, NoInsertionCandidateError, Point, Solution,
+from .model import (DEPOT, Instance, InvalidConfigError,
+                    NoInsertionCandidateError, Point, Solution,
                     StageCheckError, validate_solution)
-from .tsp import EXACT_CAP_DEFAULT, HEURISTIC, TspCache, request_for, solve_tsp
+from .tsp import (EXACT, EXACT_CAP_DEFAULT, HEURISTIC, TspCache, request_for,
+                  solve_tsp)
 
 # One step of the depot displacement angle schedule: 144 degrees.
 PERTURBATION_STEP = 0.8 * math.pi
@@ -32,15 +37,36 @@ STAGE_LOCAL_SEARCH = "local_search"
 STAGE_PERTURBATION = "perturbation"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class SolverConfig:
+    """Solver settings, checked on construction (``InvalidConfigError``)."""
+
     tour_mode: str = HEURISTIC
     exact_cap: int = EXACT_CAP_DEFAULT
-    allocation_method: str = "exact"
+    allocation_method: str = EXACT_ASSIGNMENT
     no_improve_stop: int = 5
     # r_j is a travel time; by default it is applied directly as a displacement
     # length.  Set this to recover a pure distance (r_j times the speed).
     scale_radius_by_speed: bool = False
+
+    def __post_init__(self):
+        if self.tour_mode not in (HEURISTIC, EXACT):
+            raise InvalidConfigError(
+                f"tour_mode must be {HEURISTIC!r} or {EXACT!r}, got {self.tour_mode!r}")
+        if self.allocation_method not in (EXACT_ASSIGNMENT, LP_ROUNDING):
+            raise InvalidConfigError(
+                f"allocation_method must be {EXACT_ASSIGNMENT!r} or {LP_ROUNDING!r},"
+                f" got {self.allocation_method!r}")
+        if not (_is_int(self.no_improve_stop) and self.no_improve_stop >= 0):
+            raise InvalidConfigError(
+                f"no_improve_stop must be an integer >= 0, got {self.no_improve_stop!r}")
+        if not (_is_int(self.exact_cap) and self.exact_cap >= 1):
+            raise InvalidConfigError(
+                f"exact_cap must be an integer >= 1, got {self.exact_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -98,23 +124,26 @@ def compute_savings(sol: Solution, inst: Instance, vid: int) -> list:
 def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int) -> InsertionQuote:
     """Cheapest splice of ``target`` into any tour but the excluded vehicle's.
 
-    Every consecutive vertex pair of every other tour is priced; ties break
-    toward the lower vehicle id, then the lower edge position.
+    Every consecutive vertex pair of every other tour is priced, one numpy
+    array per tour; ties break toward the lower vehicle id, then the lower
+    edge position.
     """
     if inst.k < 2:
         raise NoInsertionCandidateError("no other vehicle to receive the target")
     best = None
+    depot = inst.vertex_index(DEPOT)
     for v in inst.vehicles:
         if v.id == exclude:
             continue
         tm = inst.time_matrix(v.id)
         seq = sol.tour_for(v.id).sequence
-        for pos in range(len(seq) - 1):
-            a = inst.vertex_index(seq[pos])
-            b = inst.vertex_index(seq[pos + 1])
-            delta = float(tm[a, target] + tm[target, b] - tm[a, b])
-            if best is None or delta < best.delta:
-                best = InsertionQuote(v.id, pos, delta)
+        ix = np.array([depot, *seq[1:-1], depot])
+        a, b = ix[:-1], ix[1:]
+        deltas = tm[a, target] + tm[target, b] - tm[a, b]
+        pos = int(deltas.argmin())
+        delta = float(deltas[pos])
+        if best is None or delta < best.delta:
+            best = InsertionQuote(v.id, pos, delta)
     return best
 
 
@@ -127,8 +156,10 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
     """Offload the longest tour until no candidate transfer improves the plan.
 
     Each pass takes the maximal vehicle's savings list in order, quotes the
-    best receiver for the candidate, re-routes donor and receiver, and accepts
-    the first move that strictly lowers the makespan.  Savings are recomputed
+    best receiver for the candidate, re-routes the receiver, and accepts the
+    first move that strictly lowers the makespan.  The makespan after a move
+    is at least the receiver's new tour, so the donor is re-routed only when
+    that tour stays below the current makespan.  Savings are recomputed
     from the new plan after every accepted move; the search stops when every
     candidate on the maximal tour fails.
     """
@@ -142,11 +173,13 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
         accepted = False
         for entry in entries:
             quote = best_insertion(entry.target, current, inst, exclude=donor)
-            donor_tour = _rebuild(inst, donor,
-                                  current.targets_of(donor) - {entry.target}, cfg, cache)
             receiver_tour = _rebuild(inst, quote.vehicle_id,
                                      current.targets_of(quote.vehicle_id) | {entry.target},
                                      cfg, cache)
+            if receiver_tour.duration >= objective:
+                continue
+            donor_tour = _rebuild(inst, donor,
+                                  current.targets_of(donor) - {entry.target}, cfg, cache)
             candidate = current.replace(donor_tour, receiver_tour)
             if candidate.objective < objective:
                 current = candidate

@@ -47,6 +47,10 @@ class StageCheckError(SolverError):
     """A pipeline stage produced a plan that fails ``validate_solution``."""
 
 
+class InvalidConfigError(SolverError, ValueError):
+    """A solver setting names an unknown mode or lies outside its range."""
+
+
 @dataclass(frozen=True)
 class Point:
     x: float

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEPOT, CapacityError, Instance, Point, Tour
+from .model import DEPOT, CapacityError, Instance, InvalidConfigError, Point, Tour
 
 HEURISTIC = "heuristic"
 EXACT = "exact"
@@ -100,16 +100,21 @@ def _cycle_length(order, dist) -> float:
 
 
 def _nearest_neighbor(dist: np.ndarray) -> list:
-    """Greedy order starting at the depot; ties go to the lowest index."""
+    """Greedy order starting at the depot; ties go to the lowest index.
+
+    Each step is an argmin over the current vertex's row of a copy of the
+    target columns, in which visited targets are set to infinity; argmin
+    returns the first minimum, so ties resolve as in a scan by (distance,
+    index).
+    """
     m = dist.shape[0] - 1
-    remaining = list(range(m))
+    free = dist[:, :m].copy()
     order = []
     cur = m
-    while remaining:
-        nxt = min(remaining, key=lambda j: (dist[cur, j], j))
-        order.append(nxt)
-        remaining.remove(nxt)
-        cur = nxt
+    for _ in range(m):
+        cur = int(free[cur].argmin())
+        order.append(cur)
+        free[:, cur] = np.inf
     return order
 
 
@@ -385,6 +390,8 @@ def held_karp(req: TourRequest) -> Tour:
 
 def solve_tsp(req: TourRequest, cache: TspCache | None = None) -> Tour:
     """Route one vehicle through its targets per the request's mode."""
+    if req.mode not in (HEURISTIC, EXACT):
+        raise InvalidConfigError(f"unknown tour mode {req.mode!r}")
     if not req.targets:
         return Tour(req.vehicle_id, (DEPOT, DEPOT), 0.0)
     if cache is not None:

@@ -5,16 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minmaxtsp import (DEPOT, Instance, NoInsertionCandidateError, Point,
-                       Solution, SolverConfig, Tour, Vehicle, best_insertion,
-                       compute_savings, exact_minmax, local_search,
-                       perturbation_loop, perturbation_radius, solve,
-                       solve_tsp, request_for, tour_duration,
-                       validate_solution)
+from minmaxtsp import (DEPOT, EXACT, ExperimentConfig, InsertionQuote, Instance,
+                       InvalidConfigError, NoInsertionCandidateError, Point,
+                       Solution, SolverConfig, SolverError, Tour, TspCache,
+                       Vehicle, best_insertion, compute_savings, exact_minmax,
+                       generate_instance, local_search, perturbation_loop,
+                       perturbation_radius, scenario1, solve, solve_tsp,
+                       request_for, tour_duration, validate_solution)
+from minmaxtsp import heuristic
 from minmaxtsp.heuristic import (PERTURBATION_STEP, STAGE_INIT,
                                  STAGE_LOCAL_SEARCH, STAGE_PERTURBATION,
-                                 perturbation_angle)
+                                 _rebuild, perturbation_angle)
 
 from conftest import line_instance, random_instance
 
@@ -126,6 +130,55 @@ class TestBestInsertion:
                 assert quote.delta == pytest.approx(longer - host.duration, abs=1e-9)
 
 
+def _scalar_best_insertion(target, sol, inst, exclude):
+    """``best_insertion`` as a scalar loop over every edge of every tour."""
+    best = None
+    for v in inst.vehicles:
+        if v.id == exclude:
+            continue
+        tm = inst.time_matrix(v.id)
+        seq = sol.tour_for(v.id).sequence
+        for pos in range(len(seq) - 1):
+            a = inst.vertex_index(seq[pos])
+            b = inst.vertex_index(seq[pos + 1])
+            delta = float(tm[a, target] + tm[target, b] - tm[a, b])
+            if best is None or delta < best.delta:
+                best = InsertionQuote(v.id, pos, delta)
+    return best
+
+
+_GRID = st.integers(0, 3).map(float)
+
+
+@st.composite
+def _insertions(draw):
+    """(instance, plan, target, donor) on a 4 x 4 grid, where edges tie often;
+    sometimes two vehicles share depot and speed, so whole tours can tie."""
+    n = draw(st.integers(1, 14))
+    k = draw(st.integers(2, 4))
+    xy = draw(st.lists(st.tuples(_GRID, _GRID), min_size=n + k, max_size=n + k))
+    speeds = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        xy[n + 1], speeds[1] = xy[n], speeds[0]
+    vehicles = tuple(Vehicle(i + 1, speeds[i], Point(*xy[n + i])) for i in range(k))
+    inst = Instance(tuple(Point(*p) for p in xy[:n]), vehicles)
+    owner = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    sol = Solution(tuple(Tour(v.id, (DEPOT, *(t for t in order if owner[t] == v.id), DEPOT),
+                              0.0) for v in vehicles))
+    target = draw(st.integers(0, n - 1))
+    return inst, sol, target, owner[target]
+
+
+class TestBestInsertionMatchesScalarLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_insertions())
+    def test_same_quote_as_the_scalar_loop(self, case):
+        inst, sol, target, donor = case
+        assert (best_insertion(target, sol, inst, exclude=donor)
+                == _scalar_best_insertion(target, sol, inst, exclude=donor))
+
+
 class TestLocalSearch:
     def test_offloads_far_target_to_idle_vehicle(self):
         inst, sol = _two_target_line()
@@ -163,6 +216,90 @@ class TestLocalSearch:
         inst = Instance((Point(1, 1),), (Vehicle(1, 1.0, Point(0, 0)),))
         sol = Solution((_tour(inst, 1, (DEPOT, 0, DEPOT)),))
         assert local_search(inst, sol, SolverConfig()) is sol
+
+
+def _eager_local_search(inst, sol, cfg, cache, candidates):
+    """``local_search`` routing donor and receiver for every candidate.
+
+    Appends (donor, receiver, receiver tour below the makespan) per candidate
+    to ``candidates``.
+    """
+    current = sol
+    while True:
+        donor = current.maximal_vehicle()
+        objective = current.objective
+        accepted = False
+        for entry in compute_savings(current, inst, donor):
+            quote = best_insertion(entry.target, current, inst, exclude=donor)
+            donor_tour = _rebuild(inst, donor, current.targets_of(donor) - {entry.target},
+                                  cfg, cache)
+            receiver_tour = _rebuild(inst, quote.vehicle_id,
+                                     current.targets_of(quote.vehicle_id) | {entry.target},
+                                     cfg, cache)
+            candidates.append((donor, quote.vehicle_id, receiver_tour.duration < objective))
+            candidate = current.replace(donor_tour, receiver_tour)
+            if candidate.objective < objective:
+                current = candidate
+                accepted = True
+                break
+        if not accepted:
+            return current
+
+
+_FLEET8 = (1.0, 1.0, 1.5, 1.5, 2.0, 2.0, 1.0, 2.0)
+_SEARCH_CASES = {
+    "k2": (ExperimentConfig(n_targets=30, speeds=(1.0, 1.0), seed=5), SolverConfig()),
+    "k3": (scenario1(n_targets=20, assign_fraction=0.1, seed=5), SolverConfig()),
+    "k3_exact": (scenario1(n_targets=10, seed=5), SolverConfig(tour_mode=EXACT)),
+    "k8": (ExperimentConfig(n_targets=40, speeds=_FLEET8, colocated=((1, 2), (3, 4)),
+                            assign_fraction=0.1, seed=5), SolverConfig()),
+}
+
+
+def _starts(inst, cfg, index):
+    """The pipeline's stage-1 plan, and one with every free target on vehicle 1."""
+    _, trace = solve(inst, cfg, rng=index, keep_stage_solutions=True)
+    free = set(inst.free_targets())
+    loaded = Solution(tuple(
+        _rebuild(inst, v.id, set(inst.required_for(v.id)) | (free if v.id == 1 else set()),
+                 cfg, None)
+        for v in inst.vehicles))
+    return trace.stage_solutions[STAGE_INIT], loaded
+
+
+class TestReceiverFirstSearch:
+    """Routing the receiver first skips donors that cannot change the verdict."""
+
+    @pytest.mark.parametrize("name", sorted(_SEARCH_CASES))
+    def test_same_plan_as_the_eager_search_with_fewer_tour_solves(self, name, monkeypatch):
+        exp, cfg = _SEARCH_CASES[name]
+        calls = []
+        real = heuristic.solve_tsp
+
+        def counted(req, cache=None):
+            calls.append(req.vehicle_id)
+            return real(req, cache)
+
+        monkeypatch.setattr(heuristic, "solve_tsp", counted)
+        eager_total = lazy_total = 0
+        verdicts = set()
+        for index in range(3):
+            inst = generate_instance(exp, index)
+            for start in _starts(inst, cfg, index):
+                candidates = []
+                calls.clear()
+                eager = _eager_local_search(inst, start, cfg, TspCache(), candidates)
+                assert len(calls) == 2 * len(candidates)
+                eager_total += len(calls)
+                calls.clear()
+                assert local_search(inst, start, cfg, TspCache()) == eager
+                expected = [vid for donor, receiver, below in candidates
+                            for vid in ((receiver, donor) if below else (receiver,))]
+                assert calls == expected
+                lazy_total += len(calls)
+                verdicts.update(below for _, _, below in candidates)
+        assert verdicts == {True, False}
+        assert lazy_total < eager_total
 
 
 class TestPerturbationGeometry:
@@ -296,3 +433,29 @@ class TestSolvePipeline:
         left, right = sol.targets_of(1), sol.targets_of(2)
         assert {frozenset(left), frozenset(right)} == {frozenset(range(4)),
                                                        frozenset(range(4, 8))}
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("tour_mode", "exakt"), ("tour_mode", None),
+        ("allocation_method", "magic"),
+        ("no_improve_stop", -1), ("no_improve_stop", 2.5), ("no_improve_stop", True),
+        ("no_improve_stop", "5"),
+        ("exact_cap", 0), ("exact_cap", 12.0), ("exact_cap", False),
+    ])
+    def test_bad_value_is_rejected_by_name(self, field, value):
+        with pytest.raises(InvalidConfigError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_error_is_a_solver_error_and_a_value_error(self):
+        assert issubclass(InvalidConfigError, SolverError)
+        assert issubclass(InvalidConfigError, ValueError)
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"tour_mode": EXACT, "exact_cap": 1}, {"allocation_method": "lp_round"},
+        {"no_improve_stop": 0}, {"no_improve_stop": np.int64(3)},
+    ])
+    def test_valid_values_are_kept(self, kwargs):
+        cfg = SolverConfig(**kwargs)
+        for field, value in kwargs.items():
+            assert getattr(cfg, field) == value

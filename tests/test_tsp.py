@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxtsp import (DEPOT, EXACT, HEURISTIC, CapacityError, Instance,
-                       Point, Tour, TspCache, Vehicle, held_karp, request_for,
-                       solve_tsp, tour_duration, two_opt_improve)
+                       InvalidConfigError, Point, Tour, TspCache, Vehicle,
+                       held_karp, request_for, solve_tsp, tour_duration,
+                       two_opt_improve)
 from minmaxtsp.tsp import (TABLE_CACHE_LENGTHS, _distance_matrix,
                            _gain_tolerance, _improve, _nearest_neighbor,
                            _or_opt_once, _or_opt_once_np, _or_opt_table,
@@ -41,6 +42,12 @@ class TestSolveBasics:
             tour = solve_tsp(request_for(inst, 1, (), mode=mode))
             assert tour.sequence == (DEPOT, DEPOT)
             assert tour.duration == 0.0
+
+    @pytest.mark.parametrize("targets", [(), (0, 1, 2)])
+    def test_unknown_mode_is_rejected(self, targets):
+        req = request_for(_square_instance(), 1, targets, mode="exakt")
+        with pytest.raises(InvalidConfigError, match="exakt"):
+            solve_tsp(req)
 
     def test_single_target_is_out_and_back(self):
         inst = Instance((Point(3, 4),), (Vehicle(1, 1.0, Point(0, 0)),))
@@ -260,6 +267,43 @@ def _tours(draw):
     if draw(st.booleans()):
         return _nearest_neighbor(dist), dist
     return list(draw(st.permutations(range(m)))), dist
+
+
+def _nearest_neighbor_scan(dist):
+    """Nearest neighbour as a scan over the remaining targets by (distance, index)."""
+    m = dist.shape[0] - 1
+    remaining = list(range(m))
+    order = []
+    cur = m
+    while remaining:
+        cur = min(remaining, key=lambda j: (dist[cur, j], j))
+        order.append(cur)
+        remaining.remove(cur)
+    return order
+
+
+@st.composite
+def _grid_matrices(draw):
+    """Distance matrix for 1..40 targets on a 4 x 4 grid, so most targets
+    have duplicates and most steps tie; sometimes the depot sits on a target."""
+    m = draw(st.integers(1, 40))
+    xy = np.array(draw(st.lists(st.tuples(_GRID, _GRID), min_size=m + 1, max_size=m + 1)))
+    if draw(st.booleans()):
+        xy[m] = xy[draw(st.integers(0, m - 1))]
+    return _distance_matrix(xy[:m], Point(*xy[m]))
+
+
+class TestNearestNeighbor:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_grid_matrices())
+    def test_matches_the_scan_with_ties_to_the_lowest_index(self, dist):
+        assert _nearest_neighbor(dist) == _nearest_neighbor_scan(dist)
+
+    def test_does_not_modify_the_matrix(self):
+        dist = _distance_matrix(np.array([[1.0, 0.0], [2.0, 0.0]]), Point(0.0, 0.0))
+        before = dist.copy()
+        assert _nearest_neighbor(dist) == [0, 1]
+        np.testing.assert_array_equal(dist, before)
 
 
 def _polish(two_opt, or_opt_once, order, dist):
