@@ -444,12 +444,9 @@ class TestSolverConfig:
         ("exact_cap", 0), ("exact_cap", 12.0), ("exact_cap", False),
     ])
     def test_bad_value_is_rejected_by_name(self, field, value):
-        with pytest.raises(InvalidConfigError, match=field):
+        with pytest.raises(InvalidConfigError, match=field) as err:
             SolverConfig(**{field: value})
-
-    def test_error_is_a_solver_error_and_a_value_error(self):
-        assert issubclass(InvalidConfigError, SolverError)
-        assert issubclass(InvalidConfigError, ValueError)
+        assert isinstance(err.value, SolverError) and isinstance(err.value, ValueError)
 
     @pytest.mark.parametrize("kwargs", [
         {}, {"tour_mode": EXACT, "exact_cap": 1}, {"allocation_method": "lp_round"},

@@ -299,12 +299,6 @@ class TestNearestNeighbor:
     def test_matches_the_scan_with_ties_to_the_lowest_index(self, dist):
         assert _nearest_neighbor(dist) == _nearest_neighbor_scan(dist)
 
-    def test_does_not_modify_the_matrix(self):
-        dist = _distance_matrix(np.array([[1.0, 0.0], [2.0, 0.0]]), Point(0.0, 0.0))
-        before = dist.copy()
-        assert _nearest_neighbor(dist) == [0, 1]
-        np.testing.assert_array_equal(dist, before)
-
 
 def _polish(two_opt, or_opt_once, order, dist):
     tol = _gain_tolerance(dist)
