@@ -22,11 +22,10 @@ from .model import (DEPOT, CapacityError, InfeasibleAllocationError, Instance,
                     InvalidConfigError, InvalidInstanceError,
                     NoInsertionCandidateError, OracleBudgetError, Point,
                     Solution, SolverError, StageCheckError, Tour, Vehicle,
-                    tour_duration, travel_time, validate_solution)
+                    distances, tour_duration, travel_time, validate_solution)
 from .oracle import OracleBudget, exact_minmax, oracle_feasible
 from .svgplot import render_tours
-from .tsp import (EXACT, HEURISTIC, TourRequest, TspCache, held_karp,
-                  request_for, solve_tsp, two_opt_improve)
+from .tsp import EXACT, HEURISTIC, TourRequest, TspCache, request_for, solve_tsp
 
 __version__ = "0.1.0"
 
@@ -38,12 +37,12 @@ __all__ = [
     "NoInsertionCandidateError", "OracleBudget", "OracleBudgetError", "Point", "ReportRow", "SavingsEntry",
     "Solution", "SolverConfig", "SolverError", "StageCheckError", "StageTrace",
     "Tour", "TourRequest", "TspCache", "Vehicle", "best_insertion",
-    "build_initial_solution", "compute_savings", "exact_minmax",
-    "generate_instance", "held_karp", "instance_from_json", "instance_to_json",
+    "build_initial_solution", "compute_savings", "distances", "exact_minmax",
+    "generate_instance", "instance_from_json", "instance_to_json",
     "load_instance", "local_search", "min_target_counts", "oracle_feasible",
     "perturb_colocated_depots", "perturbation_loop", "perturbation_radius",
     "read_report", "render_tours", "request_for", "run_experiment",
     "save_instance", "scenario1", "scenario2", "solve", "solve_load_balancing",
-    "solve_tsp", "tour_duration", "travel_time", "two_opt_improve",
+    "solve_tsp", "tour_duration", "travel_time",
     "validate_solution", "write_report",
 ]

@@ -13,16 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 
-from .model import InfeasibleAllocationError, Instance, Point, Solution
-from .tsp import HEURISTIC, TspCache, request_for, solve_tsp
+from .model import InfeasibleAllocationError, Instance, Point, Solution, distances
+from .tsp import EXACT_CAP_DEFAULT, HEURISTIC, TspCache, request_for, solve_tsp
 
 # Radius of the circle on which co-located depots are spread apart.
 COLOCATION_RADIUS = 0.1
-
-EXACT_ASSIGNMENT = "exact"
-LP_ROUNDING = "lp_round"
 
 
 @dataclass(frozen=True)
@@ -96,12 +93,9 @@ def perturb_colocated_depots(inst: Instance, rng) -> EffectiveDepots:
 
 def _cost_matrix(inst: Instance, eff: EffectiveDepots, free) -> np.ndarray:
     """(|free|, k) matrix: time from vehicle j's effective depot to target t."""
-    xy = inst.target_xy()[list(free)]
-    cols = []
-    for v in inst.vehicles:
-        p = eff.pos[v.id]
-        cols.append(np.hypot(xy[:, 0] - p.x, xy[:, 1] - p.y) / v.speed)
-    return np.column_stack(cols)
+    depots = np.array([[eff.pos[v.id].x, eff.pos[v.id].y] for v in inst.vehicles])
+    speeds = np.array([v.speed for v in inst.vehicles])
+    return distances(inst.target_xy()[list(free)], depots) / speeds
 
 
 def allocation_cost(inst: Instance, eff: EffectiveDepots, alloc: Allocation) -> float:
@@ -118,21 +112,15 @@ def allocation_cost(inst: Instance, eff: EffectiveDepots, alloc: Allocation) -> 
     return total
 
 
-def solve_load_balancing(inst: Instance, eff: EffectiveDepots, counts: MinCounts,
-                         method: str = EXACT_ASSIGNMENT) -> Allocation:
+def solve_load_balancing(inst: Instance, eff: EffectiveDepots,
+                         counts: MinCounts) -> Allocation:
     """Distribute free targets at minimum total cost subject to the lower bounds.
 
-    The default method solves the problem exactly: vehicle j contributes
-    lower_j dedicated slots priced by its own cost column, targets beyond the
-    bounds fill wildcard slots priced at each target's cheapest vehicle, and
-    one square assignment over the slots settles everything.  A target won by
-    a wildcard slot goes to its cheapest vehicle (ties: lowest id).
-
-    method="lp_round" instead solves the fractional relaxation and rounds
-    each target to its largest fractional share (ties: lowest id).  The
-    constraint matrix is an interval matrix, so relaxation optima are already
-    integral and rounding normally changes nothing; the path exists for
-    comparison runs.
+    The problem is solved exactly: vehicle j contributes lower_j dedicated
+    slots priced by its own cost column, targets beyond the bounds fill
+    wildcard slots priced at each target's cheapest vehicle, and one square
+    assignment over the slots settles everything.  A target won by a wildcard
+    slot goes to its cheapest vehicle (ties: lowest id).
     """
     free = inst.free_targets()
     lowers = [counts.lower.get(v.id, 0) for v in inst.vehicles]
@@ -141,13 +129,7 @@ def solve_load_balancing(inst: Instance, eff: EffectiveDepots, counts: MinCounts
             f"lower bounds demand {sum(lowers)} free targets, instance has {len(free)}")
     assign = {v.id: set() for v in inst.vehicles}
     if free:
-        c = _cost_matrix(inst, eff, free)
-        if method == EXACT_ASSIGNMENT:
-            _assign_exact(c, lowers, free, assign)
-        elif method == LP_ROUNDING:
-            _assign_lp_round(c, lowers, free, assign)
-        else:
-            raise ValueError(f"unknown allocation method {method!r}")
+        _assign_exact(_cost_matrix(inst, eff, free), lowers, free, assign)
     return Allocation({vid: frozenset(ids) for vid, ids in assign.items()})
 
 
@@ -171,25 +153,9 @@ def _assign_exact(c: np.ndarray, lowers, free, assign) -> None:
         assign[j + 1].add(free[row])
 
 
-def _assign_lp_round(c: np.ndarray, lowers, free, assign) -> None:
-    nf, k = c.shape
-    a_eq = np.zeros((nf, nf * k))
-    for t in range(nf):
-        a_eq[t, t * k:(t + 1) * k] = 1.0
-    a_ub = np.zeros((k, nf * k))
-    for j in range(k):
-        a_ub[j, j::k] = -1.0
-    res = linprog(c.ravel(), A_ub=a_ub, b_ub=-np.asarray(lowers, dtype=float),
-                  A_eq=a_eq, b_eq=np.ones(nf), bounds=(0.0, 1.0), method="highs")
-    if not res.success:
-        raise InfeasibleAllocationError(f"relaxation failed: {res.message}")
-    x = res.x.reshape(nf, k)
-    for t in range(nf):
-        assign[int(np.argmax(x[t])) + 1].add(free[t])
-
-
 def build_initial_solution(inst: Instance, alloc: Allocation, mode: str = HEURISTIC,
-                           exact_cap: int = 16, cache: TspCache | None = None) -> Solution:
+                           exact_cap: int = EXACT_CAP_DEFAULT,
+                           cache: TspCache | None = None) -> Solution:
     """Route every vehicle through its allocated plus required targets.
 
     Tours always depart from the true depots; the effective positions used

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import (EXACT_ASSIGNMENT, LP_ROUNDING, Allocation,
-                         build_initial_solution, min_target_counts,
+from .allocation import (Allocation, build_initial_solution, min_target_counts,
                          perturb_colocated_depots, solve_load_balancing)
 from .model import (DEPOT, Instance, InvalidConfigError,
                     NoInsertionCandidateError, Point, Solution,
@@ -41,26 +40,22 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings, checked on construction (``InvalidConfigError``)."""
+    """Solver settings, checked on construction (``InvalidConfigError``).
+
+    Frozen, so a checked config stays checked; derive a variant with
+    ``dataclasses.replace``, which checks it again.
+    """
 
     tour_mode: str = HEURISTIC
     exact_cap: int = EXACT_CAP_DEFAULT
-    allocation_method: str = EXACT_ASSIGNMENT
     no_improve_stop: int = 5
-    # r_j is a travel time; by default it is applied directly as a displacement
-    # length.  Set this to recover a pure distance (r_j times the speed).
-    scale_radius_by_speed: bool = False
 
     def __post_init__(self):
         if self.tour_mode not in (HEURISTIC, EXACT):
             raise InvalidConfigError(
                 f"tour_mode must be {HEURISTIC!r} or {EXACT!r}, got {self.tour_mode!r}")
-        if self.allocation_method not in (EXACT_ASSIGNMENT, LP_ROUNDING):
-            raise InvalidConfigError(
-                f"allocation_method must be {EXACT_ASSIGNMENT!r} or {LP_ROUNDING!r},"
-                f" got {self.allocation_method!r}")
         if not (_is_int(self.no_improve_stop) and self.no_improve_stop >= 0):
             raise InvalidConfigError(
                 f"no_improve_stop must be an integer >= 0, got {self.no_improve_stop!r}")
@@ -218,7 +213,8 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig,
     displaced geometry, runs the local search there, then re-routes the
     resulting assignment from the true depots.  Only a strict makespan
     improvement is kept; five consecutive rejections end the loop.  Base
-    angles are drawn once per vehicle, in id order.
+    angles are drawn once per vehicle, in id order.  The radius, a travel
+    time, is applied directly as a displacement length.
     """
     if inst.k < 2:
         return sol, 0
@@ -230,8 +226,6 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig,
         moved = {}
         for v in inst.vehicles:
             radius = perturbation_radius(best, inst, v.id)
-            if cfg.scale_radius_by_speed:
-                radius *= v.speed
             if radius > 0.0:
                 theta = perturbation_angle(base[v.id], iteration)
                 moved[v.id] = Point(v.depot.x + radius * math.cos(theta),
@@ -287,7 +281,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0,
 
     effective = perturb_colocated_depots(inst, rng)
     counts = min_target_counts(inst)
-    alloc = solve_load_balancing(inst, effective, counts, cfg.allocation_method)
+    alloc = solve_load_balancing(inst, effective, counts)
     initial = _checked(inst,
                        build_initial_solution(inst, alloc, cfg.tour_mode, cfg.exact_cap, cache),
                        STAGE_INIT)

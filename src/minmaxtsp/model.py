@@ -87,6 +87,17 @@ COORD_LIMIT = 1e150
 SPEED_MIN = 1e-50
 
 
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances between two (., 2) point arrays.
+
+    The package's one distance kernel: travel times, tour distance blocks and
+    allocation costs are all computed by it, so equal inputs give equal bits
+    in every stage.
+    """
+    diff = a[:, None, :] - b[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
+
+
 def _coords_ok(p: Point) -> bool:
     # NaN fails both comparisons, so this also rejects non-finite values.
     return abs(p.x) <= COORD_LIMIT and abs(p.y) <= COORD_LIMIT
@@ -182,15 +193,24 @@ class Instance:
             self._cache["xy"] = xy
         return xy
 
+    def distance_matrix(self, vid: int) -> np.ndarray:
+        """(n+1, n+1) distances for one vehicle, cached; row/col n is its depot."""
+        key = ("dm", vid)
+        dm = self._cache.get(key)
+        if dm is None:
+            depot = self.vehicle(vid).depot
+            pts = np.vstack([self.target_xy(), [depot.x, depot.y]])
+            dm = distances(pts, pts)
+            self._cache[key] = dm
+        return dm
+
     def time_matrix(self, vid: int) -> np.ndarray:
-        """(n+1, n+1) travel-time matrix for one vehicle; row/col n is its depot."""
+        """(n+1, n+1) travel times for one vehicle, cached: its
+        ``distance_matrix`` divided by its speed; row/col n is its depot."""
         key = ("tm", vid)
         tm = self._cache.get(key)
         if tm is None:
-            v = self.vehicle(vid)
-            pts = np.vstack([self.target_xy(), [v.depot.x, v.depot.y]])
-            diff = pts[:, None, :] - pts[None, :, :]
-            tm = np.hypot(diff[..., 0], diff[..., 1]) / v.speed
+            tm = self.distance_matrix(vid) / self.vehicle(vid).speed
             self._cache[key] = tm
         return tm
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance, OracleBudgetError, Solution
-from .tsp import EXACT, best_cycle_lengths, request_for, solve_tsp, _distance_matrix
+from .tsp import EXACT, best_cycle_lengths, request_for, solve_tsp
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,12 @@ def _duration_tables(inst: Instance, free) -> list:
     high bits, so the durations with the full required set folded in form one
     contiguous slice of the all-subsets table.
     """
-    xy = inst.target_xy()
     nf = len(free)
     tables = []
     for v in inst.vehicles:
         req = sorted(inst.required_for(v.id))
-        verts = list(free) + req
-        lengths = best_cycle_lengths(_distance_matrix(xy[verts], v.depot))
+        ix = [*free, *req, inst.n_targets]
+        lengths = best_cycle_lengths(inst.distance_matrix(v.id).take(ix, 0).take(ix, 1))
         offset = ((1 << len(req)) - 1) << nf
         tables.append(lengths[offset:offset + (1 << nf)] / v.speed)
     return tables

@@ -39,13 +39,14 @@ class TourRequest:
     """A self-contained ask: route one vehicle through a set of targets.
 
     ``targets`` are instance-level indices (sorted, they define identity);
-    ``points`` is the matching (m, 2) coordinate block.
+    ``dist`` is the matching (m+1, m+1) block of the instance's
+    ``distance_matrix``, with the depot in row/col m.
     """
 
     vehicle_id: int
     depot: Point
     targets: tuple
-    points: np.ndarray
+    dist: np.ndarray
     speed: float
     mode: str = HEURISTIC
     exact_cap: int = EXACT_CAP_DEFAULT
@@ -56,8 +57,9 @@ def request_for(inst: Instance, vid: int, targets, mode: str = HEURISTIC,
     """Build a TourRequest for one vehicle of an instance."""
     ids = tuple(sorted(targets))
     v = inst.vehicle(vid)
-    pts = inst.target_xy()[list(ids)] if ids else np.empty((0, 2))
-    return TourRequest(vid, v.depot, ids, pts, v.speed, mode, exact_cap)
+    ix = [*ids, inst.n_targets]
+    dist = inst.distance_matrix(vid).take(ix, 0).take(ix, 1)
+    return TourRequest(vid, v.depot, ids, dist, v.speed, mode, exact_cap)
 
 
 class TspCache:
@@ -82,13 +84,6 @@ class TspCache:
 
     def __len__(self):
         return len(self._data)
-
-
-def _distance_matrix(points: np.ndarray, depot: Point) -> np.ndarray:
-    """(m+1, m+1) Euclidean distances; row/col m is the depot."""
-    pts = np.vstack([points, [depot.x, depot.y]])
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
 
 
 def _cycle_length(order, dist) -> float:
@@ -377,17 +372,6 @@ def _finish(req: TourRequest, order, length: float) -> Tour:
     return Tour(req.vehicle_id, seq, float(length) / req.speed)
 
 
-def held_karp(req: TourRequest) -> Tour:
-    """Exact tour for a request, regardless of its mode flag."""
-    if len(req.targets) > req.exact_cap:
-        raise CapacityError(
-            f"exact tour solve over {len(req.targets)} targets exceeds cap {req.exact_cap}")
-    if not req.targets:
-        return Tour(req.vehicle_id, (DEPOT, DEPOT), 0.0)
-    order, length = held_karp_order(_distance_matrix(req.points, req.depot))
-    return _finish(req, order, length)
-
-
 def solve_tsp(req: TourRequest, cache: TspCache | None = None) -> Tour:
     """Route one vehicle through its targets per the request's mode."""
     if req.mode not in (HEURISTIC, EXACT):
@@ -403,25 +387,10 @@ def solve_tsp(req: TourRequest, cache: TspCache | None = None) -> Tour:
         if len(req.targets) > req.exact_cap:
             raise CapacityError(
                 f"exact tour solve over {len(req.targets)} targets exceeds cap {req.exact_cap}")
-        dist = _distance_matrix(req.points, req.depot)
-        order, length = held_karp_order(dist)
+        order, length = held_karp_order(req.dist)
     else:
-        dist = _distance_matrix(req.points, req.depot)
-        order = _improve(_nearest_neighbor(dist), dist)
-        length = _cycle_length(order, dist)
+        order = _improve(_nearest_neighbor(req.dist), req.dist)
+        length = _cycle_length(order, req.dist)
     if cache is not None:
         cache.put(req, tuple(order), length)
     return _finish(req, order, length)
-
-
-def two_opt_improve(inst: Instance, tour: Tour) -> Tour:
-    """Polish an existing tour with 2-opt only; result is 2-opt optimal."""
-    ids = tour.targets()
-    if len(ids) < 2:
-        return tour
-    v = inst.vehicle(tour.vehicle_id)
-    pts = inst.target_xy()[list(ids)]
-    dist = _distance_matrix(pts, v.depot)
-    order = _two_opt(list(range(len(ids))), dist, _gain_tolerance(dist))
-    seq = (DEPOT,) + tuple(ids[p] for p in order) + (DEPOT,)
-    return Tour(tour.vehicle_id, seq, _cycle_length(order, dist) / v.speed)

@@ -10,7 +10,7 @@ from minmaxtsp import (DEPOT, InfeasibleAllocationError, Instance, Point,
                        Vehicle, build_initial_solution, min_target_counts,
                        perturb_colocated_depots, solve_load_balancing,
                        validate_solution)
-from minmaxtsp.allocation import (COLOCATION_RADIUS, LP_ROUNDING, Allocation,
+from minmaxtsp.allocation import (COLOCATION_RADIUS, Allocation,
                                   MinCounts, allocation_cost)
 
 from conftest import (FixedAngleRng, brute_allocation_cost,
@@ -140,23 +140,6 @@ class TestAssignment:
                 assert not union & mine
                 union |= mine
             assert union == set(inst.free_targets())
-
-    def test_lp_rounding_reaches_the_same_cost(self):
-        rng = np.random.default_rng(57)
-        for _ in range(8):
-            inst = random_instance(rng, n=8, k=2, assign_fraction=0.2)
-            eff = perturb_colocated_depots(inst, rng)
-            counts = min_target_counts(inst)
-            a = solve_load_balancing(inst, eff, counts)
-            b = solve_load_balancing(inst, eff, counts, method=LP_ROUNDING)
-            assert allocation_cost(inst, eff, b) == pytest.approx(
-                allocation_cost(inst, eff, a), abs=1e-9)
-
-    def test_unknown_method_rejected(self):
-        inst = line_instance()
-        eff = perturb_colocated_depots(inst, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            solve_load_balancing(inst, eff, min_target_counts(inst), method="magic")
 
     def test_swapping_vehicle_labels_keeps_the_cost(self):
         rng = np.random.default_rng(58)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution,
-                       Tour, Vehicle, solve, tour_duration, travel_time,
-                       validate_solution)
+                       Tour, Vehicle, perturb_colocated_depots, request_for,
+                       solve, tour_duration, travel_time, validate_solution)
+from minmaxtsp.allocation import _cost_matrix
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 
 from conftest import line_instance
@@ -47,6 +48,64 @@ class TestTravelTime:
         for _ in range(50):
             a, b = (Point(*rng.uniform(0, 100, 2)) for _ in range(2))
             assert travel_time(a, b, v(2.6)) == travel_time(a, b, v(1.3)) / 2.0
+
+
+def _old_block(points, depot):
+    """The (m+1, m+1) distance builder tours used before the shared kernel."""
+    pts = np.vstack([points, [depot.x, depot.y]])
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
+
+
+def _old_cost_matrix(inst, eff, free):
+    """The per-column allocation cost builder used before the shared kernel."""
+    xy = inst.target_xy()[list(free)]
+    return np.column_stack([
+        np.hypot(xy[:, 0] - eff.pos[u.id].x, xy[:, 1] - eff.pos[u.id].y) / u.speed
+        for u in inst.vehicles])
+
+
+def _kernel_instances():
+    rng = np.random.default_rng(2026)
+    fleet = (Vehicle(1, 1.0, Point(3.5, 7.25)), Vehicle(2, 1.7, Point(81.0, 12.0)),
+             Vehicle(3, 0.3, Point(40.0, 40.0)))
+    uniform = Instance(tuple(Point(*p) for p in rng.uniform(0, 100, (12, 2))), fleet)
+    # 4 x 4 grid: duplicate targets, a depot on a target, two co-located depots.
+    grid_xy = rng.integers(0, 4, (20, 2)).astype(float)
+    on_target = Point(*grid_xy[5])
+    grid = Instance(tuple(Point(*p) for p in grid_xy),
+                    (Vehicle(1, 1.0, on_target), Vehicle(2, 3.0, on_target),
+                     Vehicle(3, 1.0, Point(0.0, 3.0))))
+    c = COORD_LIMIT
+    edge = Instance(tuple(Point(sx * c, sy * c) for sx in (-1, 1) for sy in (-1, 1))
+                    + (Point(0.0, c), Point(-c, 0.5 * c)),
+                    (Vehicle(1, 1.0, Point(c, -c)), Vehicle(2, 2.5, Point(-c, c))))
+    moved = edge.with_depots({2: Point(-3.0 * c, 2.0 * c)})
+    return {"uniform": uniform, "grid": grid, "limit": edge, "moved_past_limit": moved}
+
+
+class TestDistanceKernel:
+    @pytest.mark.parametrize("case", ["uniform", "grid", "limit", "moved_past_limit"])
+    def test_every_matrix_keeps_the_old_bits(self, case):
+        inst = _kernel_instances()[case]
+        rng = np.random.default_rng(7)
+        n = inst.n_targets
+        subsets = [range(n), [], [n - 1]] + [
+            rng.choice(n, size=int(rng.integers(1, n)), replace=False) for _ in range(6)]
+        for veh in inst.vehicles:
+            tm = inst.time_matrix(veh.id)
+            assert np.array_equal(tm, inst.distance_matrix(veh.id) / veh.speed)
+            assert np.array_equal(tm, _old_block(inst.target_xy(), veh.depot) / veh.speed)
+            for ids in subsets:
+                ids = sorted(int(t) for t in ids)
+                got = request_for(inst, veh.id, ids).dist
+                want = _old_block(inst.target_xy()[ids] if ids else np.empty((0, 2)),
+                                  veh.depot)
+                assert np.array_equal(got, want), (veh.id, ids)
+        eff = perturb_colocated_depots(inst, np.random.default_rng(3))
+        free = inst.free_targets()
+        assert np.array_equal(_cost_matrix(inst, eff, free),
+                              _old_cost_matrix(inst, eff, free))
 
 
 class TestTourDuration:
