@@ -103,7 +103,7 @@ def _coords_ok(p: Point) -> bool:
     return abs(p.x) <= COORD_LIMIT and abs(p.y) <= COORD_LIMIT
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
     """An immutable routing instance.
 
@@ -114,8 +114,9 @@ class Instance:
               speed of at least SPEED_MIN.
     required: per-vehicle pre-assigned target sets, pairwise disjoint.
 
-    Instances are validated on construction and must not be mutated afterwards;
-    distance data is cached lazily and shared by all solver stages.
+    Instances are validated on construction and frozen, since distance data is
+    cached lazily and shared by all solver stages; ``with_depots`` makes a
+    changed copy with its own cache.
     """
 
     targets: tuple
@@ -123,12 +124,12 @@ class Instance:
     required: dict | None = None
 
     def __post_init__(self):
-        self.targets = tuple(self.targets)
-        self.vehicles = tuple(self.vehicles)
         raw = self.required or {}
-        self.required = {int(v): frozenset(int(t) for t in ids)
-                         for v, ids in raw.items() if len(ids) > 0}
-        self._cache = {}
+        object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "vehicles", tuple(self.vehicles))
+        object.__setattr__(self, "required", {int(v): frozenset(int(t) for t in ids)
+                                              for v, ids in raw.items() if len(ids) > 0})
+        object.__setattr__(self, "_cache", {})
         self._validate()
 
     def _validate(self):
@@ -231,10 +232,10 @@ class Instance:
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise InvalidInstanceError(f"vehicle {vid} moved depot is not finite")
         moved = copy.copy(self)
-        moved.vehicles = tuple(
+        object.__setattr__(moved, "vehicles", tuple(
             Vehicle(v.id, v.speed, depots.get(v.id, v.depot)) for v in self.vehicles
-        )
-        moved._cache = {}
+        ))
+        object.__setattr__(moved, "_cache", {})
         return moved
 
 

@@ -12,7 +12,11 @@ Two modes share one entry point:
   of its price, so the polish always ends; on tours of one or two targets
   every move gives the same cycle, so those are left as built.
 * exact -- Held-Karp dynamic program over target subsets, capped at
-  EXACT_CAP_DEFAULT targets.
+  EXACT_CAP_DEFAULT targets.  The table fills one subset size at a time, a
+  chunk of same-size subsets per numpy step.  Each cell is written once, from
+  its unique predecessor subset of the size before, with the same float sum
+  and first-minimum argmin as a loop over single subsets in mask order, so the
+  table and every exact tour equal that loop's bit for bit.
 
 All route decisions are made on raw distances; the vehicle speed only divides
 the final length, so the chosen order is invariant under speed scaling.
@@ -307,13 +311,54 @@ def _improve(order: list, dist: np.ndarray) -> list:
             return order
 
 
+# Held-Karp fills its table one layer of same-size target subsets at a time.
+# A step's (chunk, m, m) candidate block takes 8 m^2 bytes per mask: chunks of
+# at most _DP_CHUNK masks keep it at 4 MiB for m = 16, where the largest layer
+# (12,870 masks) would take 26 MiB at once.  The index tables of a tour of m
+# targets take about 12 m 2^m bytes (12 MiB at m = 16), so only the
+# EXACT_CAP_DEFAULT most recently used lengths are kept.
+_DP_CHUNK = 1 << 11
+
+
+@functools.lru_cache(maxsize=EXACT_CAP_DEFAULT)
+def _subset_dp_table(m: int) -> tuple:
+    """The subset DP's steps for m targets, in layer order: subset sizes 1 to
+    m - 1, masks ascending within a size, at most _DP_CHUNK masks per step.
+
+    Per step: the masks, then one entry per (mask, j) with target j outside the
+    mask, in row-major order: the flat index r m + j into the step's (chunk, m)
+    argmin (r is the mask's row in the chunk), the flat index r m^2 + j of the
+    candidate column in its (chunk, m, m) block, and the flat index
+    (mask | 1 << j) m + j of the table cell it fills.
+    """
+    masks = np.arange(1 << m)
+    idx = np.arange(m)
+    size = ((masks[:, None] >> idx) & 1).sum(axis=1)
+    steps = []
+    for c in range(1, m):
+        layer = masks[size == c]
+        for lo in range(0, layer.size, _DP_CHUNK):
+            chunk = layer[lo:lo + _DP_CHUNK]
+            rows, js = np.nonzero((chunk[:, None] >> idx) & 1 == 0)
+            steps.append(_index_table((chunk, rows * m + js, rows * m * m + js,
+                                       (chunk[rows] | 1 << js) * m + js)))
+    return tuple(steps)
+
+
 def _subset_dp(dist: np.ndarray):
     """Held-Karp table over target subsets.
 
     dp[mask, j] is the shortest depot-start path visiting exactly the targets
-    in ``mask`` and ending at target j; parent[mask, j] backtracks it.  Each
-    (mask | bit_j, j) cell has the unique predecessor mask ``mask``, so the
-    table fills with one vectorized scatter per mask.
+    in ``mask`` and ending at target j; parent[mask, j] backtracks it.  The
+    table fills one subset size at a time.  One numpy step takes a chunk of
+    same-size masks, forms cand[mask, last, j] = dp[mask, last] + C[last, j],
+    and for each j outside the mask writes the first minimum over ``last``
+    and its candidate to the cell (mask | 1 << j, j).
+
+    This gives the same table, bit for bit, as one step per mask in mask
+    order: each cell has the unique predecessor ``mask``, one target smaller,
+    so it is written once, from a row that is already final, with the same
+    float sum and the same first-minimum argmin.
     """
     m = dist.shape[0] - 1
     full = 1 << m
@@ -321,17 +366,12 @@ def _subset_dp(dist: np.ndarray):
     dp = np.full((full, m), np.inf)
     parent = np.full((full, m), -1, dtype=np.int8)
     dp[1 << np.arange(m), np.arange(m)] = dist[m, :m]
-    idx = np.arange(m)
-    for mask in range(1, full):
-        outside = (mask >> idx) & 1 == 0
-        if not outside.any():
-            continue
-        cand = dp[mask][:, None] + C
-        best_last = np.argmin(cand, axis=0)
-        best_val = cand[best_last, idx]
-        nxt = idx[outside]
-        dp[mask + (1 << nxt), nxt] = best_val[nxt]
-        parent[mask + (1 << nxt), nxt] = best_last[nxt]
+    dp_flat, parent_flat = dp.reshape(-1), parent.reshape(-1)
+    for masks, arg_ix, cand_ix, cell_ix in _subset_dp_table(m):
+        cand = dp.take(masks, 0)[:, :, None] + C
+        last = cand.argmin(axis=1).take(arg_ix)
+        parent_flat[cell_ix] = last
+        dp_flat[cell_ix] = cand.take(cand_ix + last * m)
     return dp, parent
 
 
@@ -361,6 +401,8 @@ def best_cycle_lengths(dist: np.ndarray) -> np.ndarray:
     the targets in ``mask`` (0.0 for the empty subset).  Used by the oracle.
     """
     m = dist.shape[0] - 1
+    if m == 0:
+        return np.zeros(1)
     dp, _ = _subset_dp(dist)
     out = np.min(dp + dist[:m, m][None, :], axis=1)
     out[0] = 0.0

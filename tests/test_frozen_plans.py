@@ -26,9 +26,10 @@ SEED = 2026
 # name -> (experiment config, solver config, instance indices).  The
 # heuristic-tour cases let the 2-opt/Or-opt polish decide the plan, from a few
 # targets per tour (s1_n10) up to long tours (s1_n60, the two-vehicle fleet).
-# s1_n10_exact routes with Held-Karp; s2_n30_pin20 has co-located depots and
-# pinned targets; fleet8_n64_pin10 quotes insertions over seven receivers,
-# where vehicles other than the donor can tie at the makespan.
+# s1_n10_exact routes with Held-Karp, and k2_n22_exact_stop1 does so on tours
+# of up to 13 targets; s2_n30_pin20 has co-located depots and pinned targets;
+# fleet8_n64_pin10 quotes insertions over seven receivers, where vehicles
+# other than the donor can tie at the makespan.
 CASES = {
     "s1_n10": (scenario1(n_targets=10, seed=SEED), SolverConfig(), range(4)),
     "s1_n30": (scenario1(n_targets=30, seed=SEED), SolverConfig(), range(3)),
@@ -37,6 +38,8 @@ CASES = {
                      SolverConfig(no_improve_stop=1), range(4)),
     "s1_n10_exact": (scenario1(n_targets=10, seed=SEED), SolverConfig(tour_mode=EXACT),
                      range(3)),
+    "k2_n22_exact_stop1": (ExperimentConfig(n_targets=22, speeds=(1.0, 1.0), seed=SEED),
+                           SolverConfig(tour_mode=EXACT, no_improve_stop=1), range(2)),
     "s2_n30_pin20": (scenario2(n_targets=30, assign_fraction=0.2, seed=SEED),
                      SolverConfig(), range(4)),
     "fleet8_n64_pin10": (ExperimentConfig(n_targets=64,

@@ -1,5 +1,6 @@
 """Core model: metric, tours, instances, and the solution validator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -195,6 +196,15 @@ class TestInstanceValidation:
         assert moved.vehicle(1).depot == Point(0, 0)
         assert moved.vehicle(2).depot == Point(10, 5)
         assert moved.targets == inst.targets
+
+    def test_fields_are_frozen_and_with_depots_gets_a_fresh_cache(self):
+        inst = Instance((Point(3, 4),), (v(1.0),))
+        assert inst.time_matrix(1)[0, 1] == 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.vehicles = (v(1.0, Point(30, 40)),)
+        moved = inst.with_depots({1: Point(30, 40)})
+        assert moved.time_matrix(1)[0, 1] == 45.0
+        assert inst.time_matrix(1)[0, 1] == 5.0
 
 
 def balanced_line_solution(inst):

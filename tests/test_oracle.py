@@ -4,7 +4,7 @@ pruning transparency."""
 import numpy as np
 import pytest
 
-from minmaxtsp import (EXACT, Instance, OracleBudget, OracleBudgetError,
+from minmaxtsp import (DEPOT, EXACT, Instance, OracleBudget, OracleBudgetError,
                        Point, Vehicle, exact_minmax, oracle_feasible,
                        request_for, solve, solve_tsp, validate_solution)
 
@@ -35,6 +35,16 @@ class TestAgreement:
             want = brute_minmax_objective(inst, memo)
             assert plan.objective == pytest.approx(want, abs=1e-9), f"trial {trial}"
             memo.clear()
+
+    def test_vehicle_without_targets_parks(self):
+        # Every target pinned to vehicle 1 leaves vehicle 2 an empty table.
+        inst = Instance((Point(1, 2), Point(3, 4)),
+                        (Vehicle(1, 1.0, Point(0, 0)), Vehicle(2, 1.0, Point(5, 5))),
+                        {1: [0, 1]})
+        plan = exact_minmax(inst)
+        assert plan.tour_for(2).sequence == (DEPOT, DEPOT)
+        assert plan.tour_for(2).duration == 0.0
+        assert plan.targets_of(1) == frozenset({0, 1})
 
     def test_never_above_the_heuristic(self):
         rng = np.random.default_rng(23)

@@ -1,8 +1,9 @@
-"""Single-vehicle tour solver: exact DP vs. permutation enumeration, heuristic
-quality, 2-opt behavior, the numpy polish against the scans, and the request
-cache."""
+"""Single-vehicle tour solver: exact DP vs. permutation enumeration, the layered
+DP against the per-mask loop, heuristic quality, 2-opt behavior, the numpy
+polish against the scans, and the request cache."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 from minmaxtsp import (DEPOT, EXACT, HEURISTIC, CapacityError, Instance,
                        InvalidConfigError, Point, Tour, TspCache, Vehicle,
                        distances, request_for, solve_tsp, tour_duration)
+from minmaxtsp.model import COORD_LIMIT
 from minmaxtsp.tsp import (TABLE_CACHE_LENGTHS, _cycle_length,
                            _gain_tolerance, _improve, _nearest_neighbor,
                            _or_opt_once, _or_opt_once_np, _or_opt_table,
-                           _two_opt, _two_opt_np, _two_opt_table,
-                           best_cycle_lengths, held_karp_order)
+                           _subset_dp, _subset_dp_table, _two_opt, _two_opt_np,
+                           _two_opt_table, best_cycle_lengths, held_karp_order)
 
 from conftest import brute_cycle_length, euclid
 
@@ -115,6 +117,10 @@ class TestHeldKarp:
             assert table[mask] == pytest.approx(
                 brute_cycle_length(depot, subset), abs=1e-9), f"mask {mask}"
 
+    def test_no_targets_is_the_empty_cycle(self):
+        assert best_cycle_lengths(np.zeros((1, 1))).tolist() == [0.0]
+        assert held_karp_order(np.zeros((1, 1))) == ([], 0.0)
+
     def test_cap_is_enforced(self):
         rng = np.random.default_rng(7)
         xy = rng.uniform(0, 10, size=(5, 2))
@@ -128,6 +134,86 @@ class TestHeldKarp:
         inst = _square_instance()
         req = request_for(inst, 1, (0, 1, 2), mode=EXACT)
         assert solve_tsp(req).duration == pytest.approx(4.0)
+
+
+def _subset_dp_reference(dist: np.ndarray):
+    """The Held-Karp table filled one mask at a time, in mask order."""
+    m = dist.shape[0] - 1
+    full = 1 << m
+    C = dist[:m, :m]
+    dp = np.full((full, m), np.inf)
+    parent = np.full((full, m), -1, dtype=np.int8)
+    dp[1 << np.arange(m), np.arange(m)] = dist[m, :m]
+    idx = np.arange(m)
+    for mask in range(1, full):
+        outside = (mask >> idx) & 1 == 0
+        if not outside.any():
+            continue
+        cand = dp[mask][:, None] + C
+        best_last = np.argmin(cand, axis=0)
+        best_val = cand[best_last, idx]
+        nxt = idx[outside]
+        dp[mask + (1 << nxt), nxt] = best_val[nxt]
+        parent[mask + (1 << nxt), nxt] = best_last[nxt]
+    return dp, parent
+
+
+@st.composite
+def _dp_matrices(draw):
+    """Distance matrix for 1..12 targets: uniform floats, a 4 x 4 grid (most
+    targets duplicated, so most argmins tie) or coordinates near
+    +-COORD_LIMIT; sometimes the depot sits on a target."""
+    m = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["uniform", "grid", "limit"]))
+    if kind == "uniform":
+        xy = rng.uniform(0.0, 100.0, size=(m + 1, 2))
+    elif kind == "grid":
+        xy = rng.integers(0, 4, size=(m + 1, 2)).astype(float)
+    else:
+        xy = rng.choice([-1.0, 1.0], size=(m + 1, 2)) * rng.uniform(0.5, 1.0, size=(m + 1, 2))
+        xy *= COORD_LIMIT
+    if draw(st.booleans()):
+        xy[m] = xy[draw(st.integers(0, m - 1))]
+    return distances(xy, xy)
+
+
+def _assert_same_table(dist):
+    dp, parent = _subset_dp(dist)
+    dp_ref, parent_ref = _subset_dp_reference(dist)
+    assert np.array_equal(dp, dp_ref)
+    assert np.array_equal(parent, parent_ref)
+
+
+class TestLayeredSubsetDp:
+    """The layer-at-a-time table must equal the per-mask loop's bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_dp_matrices())
+    def test_matches_the_per_mask_loop(self, dist):
+        _assert_same_table(dist)
+
+    def test_sixteen_targets_match_the_per_mask_loop(self):
+        # Layers of more than _DP_CHUNK masks take several steps.
+        xy = np.random.default_rng(16).integers(0, 6, size=(17, 2)).astype(float)
+        _assert_same_table(distances(xy, xy))
+
+    def test_table_cache_is_bounded(self):
+        assert _subset_dp_table.cache_info().maxsize is not None
+
+    def test_memory_stays_within_the_chunk_bound(self):
+        # dp and parent take 9 MiB at 16 targets; an unchunked layer adds 26.
+        xy = np.random.default_rng(5).uniform(0.0, 100.0, size=(17, 2))
+        dist = distances(xy, xy)
+        held_karp_order(dist)
+        tracemalloc.start()
+        try:
+            held_karp_order(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestHeuristicQuality:
