@@ -3,17 +3,20 @@
 Free targets are distributed over the fleet by a minimum-cost assignment in
 which every vehicle must receive at least a speed-proportional share of the
 work, and the cost of giving target t to vehicle j is the depot-to-target
-travel time.  Vehicles parked on the same spot would see identical cost
-columns, so co-located depots are first teased apart on a small circle; the
-effective positions exist only inside the cost matrix and tours are always
-built from the true depots.
+travel time.  The assignment is solved exactly by the shortest augmenting
+path method of Crouse (2016, "On implementing 2D rectangular assignment
+algorithms", IEEE TAES 52(4)), the algorithm behind scipy's
+``linear_sum_assignment``, with the same float expressions and tie rule, so
+both give the same column for every row.  Vehicles parked on the same spot
+would see identical cost columns, so co-located depots are first teased apart
+on a small circle; the effective positions exist only inside the cost matrix
+and tours are always built from the true depots.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import InfeasibleAllocationError, Instance, Point, Solution, distances
 from .tsp import EXACT_CAP_DEFAULT, HEURISTIC, TspCache, request_for, solve_tsp
@@ -56,7 +59,7 @@ def min_target_counts(inst: Instance) -> MinCounts:
     its required set already covers is subtracted and the result is clamped
     at zero.  Note the clamp can push the summed bounds past the number of
     free targets when one vehicle's required load far exceeds its share;
-    solve_load_balancing guards that case.
+    solve_load_balancing then raises InfeasibleAllocationError.
     """
     total_speed = sum(v.speed for v in inst.vehicles)
     n = inst.n_targets
@@ -121,6 +124,13 @@ def solve_load_balancing(inst: Instance, eff: EffectiveDepots,
     wildcard slots priced at each target's cheapest vehicle, and one square
     assignment over the slots settles everything.  A target won by a wildcard
     slot goes to its cheapest vehicle (ties: lowest id).
+
+    The square assignment is Crouse's shortest augmenting path method, run
+    row by row.  When several columns tie for the cheapest path at a step, it
+    takes the last one scanned that has no row yet, and otherwise the first
+    one scanned: scipy's ``linear_sum_assignment`` rule.  Raises
+    InfeasibleAllocationError when the bounds demand more targets than are
+    free.
     """
     free = inst.free_targets()
     lowers = [counts.lower.get(v.id, 0) for v in inst.vehicles]
@@ -145,12 +155,77 @@ def _assign_exact(c: np.ndarray, lowers, free, assign) -> None:
     for _ in range(nf - len(owner)):
         owner.append(-1)
         cols.append(cheapest)
-    _, col_of_row = linear_sum_assignment(np.column_stack(cols))
+    col_of_row = _min_cost_assignment(np.column_stack(cols).tolist())
     for row, col in enumerate(col_of_row):
         j = owner[col]
         if j < 0:
             j = int(np.argmin(c[row]))
         assign[j + 1].add(free[row])
+
+
+def _min_cost_assignment(cost: list) -> list:
+    """Column of each row in a minimum-cost assignment of a square matrix.
+
+    ``cost`` is a list of n rows of n floats.  A port of scipy's
+    ``linear_sum_assignment`` (Crouse 2016), square case: each row in turn
+    grows a shortest augmenting path by Dijkstra steps over reduced costs
+    ``min_val + cost[i][j] - u[i] - v[j]``, evaluated left to right.  The
+    unreached columns start in reverse order (n - 1 .. 0), are scanned in list
+    order, and leave it by swapping with the last entry.  A column becomes the
+    step's pick when its path cost is strictly lower, or equal and the column
+    has no row yet, so the last free tie wins and otherwise the first minimum.
+    Every path has a finite cost while the costs are finite, which COORD_LIMIT
+    and SPEED_MIN guarantee on a valid instance; if none has, the function
+    raises InfeasibleAllocationError.
+    """
+    n = len(cost)
+    inf = math.inf
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur in range(n):
+        spc = [inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        rows_reached, cols_reached = [], []
+        min_val = 0.0
+        i = cur
+        while True:
+            rows_reached.append(i)
+            row, ui = cost[i], u[i]
+            lowest, j = inf, -1
+            for col in remaining:
+                s = spc[col]
+                r = min_val + row[col] - ui - v[col]
+                if r < s:
+                    path[col] = i
+                    spc[col] = s = r
+                if s <= lowest and (s < lowest or row4col[col] < 0):
+                    lowest, j = s, col
+            min_val = lowest
+            if min_val == inf:
+                raise InfeasibleAllocationError("no finite-cost augmenting path")
+            cols_reached.append(j)
+            index = remaining.index(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[cur] += min_val
+        for r in rows_reached[1:]:
+            u[r] += min_val - spc[col4row[r]]
+        for col in cols_reached:
+            v[col] -= min_val - spc[col]
+        # Augment: flip the path back from the unassigned column j it reached.
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def build_initial_solution(inst: Instance, alloc: Allocation, mode: str = HEURISTIC,

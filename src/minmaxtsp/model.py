@@ -9,6 +9,7 @@ triangle inequality for every vehicle.
 
 import copy
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,30 @@ def _coords_ok(p: Point) -> bool:
     return abs(p.x) <= COORD_LIMIT and abs(p.y) <= COORD_LIMIT
 
 
+class _ReadOnlyDict(Mapping):
+    """A dict that cannot be changed after construction; pickles and copies."""
+
+    __slots__ = ("_data",)
+
+    def __init__(self, data):
+        self._data = dict(data)
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+    def __repr__(self):
+        return repr(self._data)
+
+    def __reduce__(self):
+        return _ReadOnlyDict, (self._data,)
+
+
 @dataclass(frozen=True)
 class Instance:
     """An immutable routing instance.
@@ -112,7 +137,8 @@ class Instance:
               depots moved by ``with_depots``.
     vehicles: fleet ordered by id (ids are exactly 1..k), each with a finite
               speed of at least SPEED_MIN.
-    required: per-vehicle pre-assigned target sets, pairwise disjoint.
+    required: per-vehicle pre-assigned target sets, pairwise disjoint; kept
+              as a read-only mapping from vehicle id to a frozenset.
 
     Instances are validated on construction and frozen, since distance data is
     cached lazily and shared by all solver stages; ``with_depots`` makes a
@@ -127,8 +153,8 @@ class Instance:
         raw = self.required or {}
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
-        object.__setattr__(self, "required", {int(v): frozenset(int(t) for t in ids)
-                                              for v, ids in raw.items() if len(ids) > 0})
+        object.__setattr__(self, "required", _ReadOnlyDict(
+            (int(v), frozenset(int(t) for t in ids)) for v, ids in raw.items() if len(ids) > 0))
         object.__setattr__(self, "_cache", {})
         self._validate()
 

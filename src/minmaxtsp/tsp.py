@@ -5,9 +5,10 @@ Two modes share one entry point:
 * heuristic -- nearest-neighbor construction polished by 2-opt and Or-opt
   (segment lengths 1..3), both first-improvement with a fixed scan order.
   Each pass prices all candidate moves as one numpy array and applies the
-  first improving one in the order of the plain Python scans, which stay as
-  the reference: the two make the same moves with the same float expressions,
-  so every tour, and every plan built from tours, is identical to the scans'.
+  first improving one in the order of a plain Python scan, which the tests
+  keep as the reference: the two make the same moves with the same float
+  expressions, so every tour, and every plan built from tours, is identical
+  to the scans'.
   A move must gain more than _gain_tolerance, which exceeds the rounding error
   of its price, so the polish always ends; on tours of one or two targets
   every move gives the same cycle, so those are left as built.
@@ -130,62 +131,14 @@ def _gain_tolerance(dist: np.ndarray) -> float:
     return max(_EPS, float(dist.max()) * 2.0 ** -48)
 
 
-def _two_opt(order: list, dist: np.ndarray, tol: float) -> list:
-    """First-improvement 2-opt to a fixpoint, scanning i ascending then j."""
-    m = len(order)
-    dm = dist.shape[0] - 1
-    improved = True
-    while improved:
-        improved = False
-        for i in range(m - 1):
-            a = dm if i == 0 else order[i - 1]
-            b = order[i]
-            for j in range(i + 1, m):
-                c = order[j]
-                d = dm if j == m - 1 else order[j + 1]
-                delta = dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d]
-                if delta < -tol:
-                    order[i:j + 1] = reversed(order[i:j + 1])
-                    improved = True
-                    break
-            if improved:
-                break
-    return order
-
-
-def _or_opt_once(order: list, dist: np.ndarray, tol: float):
-    """Relocate one segment (length 1..3, both orientations) if it helps.
-
-    Returns (order, True) after the first improving move, (order, False) if
-    the tour is Or-opt clean.
-    """
-    m = len(order)
-    dm = dist.shape[0] - 1
-    for L in (1, 2, 3):
-        if L >= m:
-            break
-        for s in range(m - L + 1):
-            seg = order[s:s + L]
-            rest = order[:s] + order[s + L:]
-            prev_s = dm if s == 0 else order[s - 1]
-            next_s = dm if s + L == m else order[s + L]
-            removal = (dist[prev_s, seg[0]] + dist[seg[-1], next_s]
-                       - dist[prev_s, next_s])
-            for q in range(len(rest) + 1):
-                if q == s:
-                    continue  # same slot, forward orientation is a no-op
-                a = dm if q == 0 else rest[q - 1]
-                b = dm if q == len(rest) else rest[q]
-                for piece in (seg, seg[::-1]):
-                    add = dist[a, piece[0]] + dist[piece[-1], b] - dist[a, b]
-                    if add - removal < -tol:
-                        return rest[:q] + piece + rest[q:], True
-    return order, False
-
-
 # The numpy passes below evaluate every candidate move of a pass at once, in
 # the scans' exact float expressions, and apply the first improving one in the
-# scans' order.  Tour position p of ``ext = [depot, *order, depot]`` is row p
+# scans' order.  The 2-opt scan tries i ascending, then j > i, and reverses
+# order[i..j] when dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d] < -tol.
+# The Or-opt scan tries segment lengths L = 1..3, starts s, gaps q != s of
+# the rest, forward then reversed, and moves the segment when the insertion
+# price minus the removal price is below -tol (see _or_opt_table).
+# Tour position p of ``ext = [depot, *order, depot]`` is row p
 # of the gathered block ``ext_dist = dist[ext][:, ext]``; the cached index
 # tables hold flat positions into that block, so one pass is a few gathers.
 # The tables take about 170 m^2 bytes for a tour of m targets; the caches keep
@@ -212,7 +165,7 @@ def _two_opt_table(m: int):
 
 
 def _two_opt_np(order: list, dist: np.ndarray, tol: float) -> list:
-    """Same moves as ``_two_opt``, each pass priced as one numpy array.
+    """First-improvement 2-opt to a fixpoint, each pass priced as one array.
 
     Needs two or more targets, as does ``_or_opt_once_np``.
     """
@@ -276,7 +229,11 @@ def _or_opt_move(m: int, k: int):
 
 
 def _or_opt_once_np(order: list, dist: np.ndarray, tol: float):
-    """Same move as ``_or_opt_once``, all candidates priced as one array."""
+    """Relocate one segment (length 1..3, both orientations) if it helps.
+
+    Returns (order, True) after the scan's first improving move, (order,
+    False) if the tour is Or-opt clean; all candidates priced as one array.
+    """
     m = len(order)
     ps, sn, pn, runs, ah, tb, ab = _or_opt_table(m)
     dm = dist.shape[0] - 1

@@ -1,17 +1,23 @@
 """Load-balancing initialization: share bounds, depot spreading, and the
-min-cost assignment against brute-force enumeration."""
+min-cost assignment against brute-force enumeration and against scipy's
+``linear_sum_assignment``, which the in-package solver ports."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from minmaxtsp import (DEPOT, InfeasibleAllocationError, Instance, Point,
-                       Vehicle, build_initial_solution, min_target_counts,
-                       perturb_colocated_depots, solve_load_balancing,
-                       validate_solution)
+                       Vehicle, allocation, build_initial_solution,
+                       min_target_counts, perturb_colocated_depots,
+                       solve_load_balancing, validate_solution)
 from minmaxtsp.allocation import (COLOCATION_RADIUS, Allocation,
-                                  MinCounts, allocation_cost)
+                                  MinCounts, _min_cost_assignment,
+                                  allocation_cost)
 
 from conftest import (FixedAngleRng, brute_allocation_cost,
                       brute_minmax_objective, line_instance, random_instance)
@@ -163,6 +169,89 @@ class TestAssignment:
         eff = perturb_colocated_depots(inst, np.random.default_rng(0))
         with pytest.raises(InfeasibleAllocationError):
             solve_load_balancing(inst, eff, counts)
+
+
+def _scipy_assignment(cost):
+    return linear_sum_assignment(np.array(cost))[1].tolist()
+
+
+@st.composite
+def _square_costs(draw):
+    """Square cost matrix of size 1..64: uniform floats, small integers full of
+    ties, a constant, or slots built as ``_assign_exact`` builds them (each
+    vehicle's cost column repeated lower_j times, then the row minimum)."""
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["uniform", "ties", "constant", "slots"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        return rng.uniform(0.0, 100.0, size=(n, n))
+    if kind == "ties":
+        return rng.integers(0, 4, size=(n, n)).astype(float)
+    if kind == "constant":
+        return np.full((n, n), float(rng.integers(0, 5)))
+    k = draw(st.integers(1, 8))
+    c = (rng.integers(0, 4, size=(n, k)).astype(float) if draw(st.booleans())
+         else rng.uniform(0.0, 10.0, size=(n, k)))
+    lowers = np.bincount(rng.integers(0, k, size=draw(st.integers(0, n))), minlength=k)
+    cols = [c[:, j] for j in range(k) for _ in range(lowers[j])]
+    cols += [c.min(axis=1)] * (n - len(cols))
+    return np.column_stack(cols)
+
+
+_GRID4 = st.builds(Point, st.integers(0, 3).map(float), st.integers(0, 3).map(float))
+
+
+@st.composite
+def _grid_fleets(draw):
+    """Instance on a 4 x 4 grid (most targets share a spot, so most costs tie)
+    with k = 2, 3 or 8 vehicles, sometimes all parked on one depot, and 0-30%
+    of the targets pinned."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.sampled_from([2, 3, 8]))
+    targets = tuple(draw(st.lists(_GRID4, min_size=n, max_size=n)))
+    depots = draw(st.lists(_GRID4, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        depots = [depots[0]] * k
+    speeds = draw(st.lists(st.sampled_from([1.0, 1.5, 2.0]), min_size=k, max_size=k))
+    pinned = draw(st.lists(st.integers(0, n - 1), max_size=math.floor(0.3 * n),
+                           unique=True))
+    required = {}
+    for t in pinned:
+        required.setdefault(draw(st.integers(1, k)), []).append(t)
+    vehicles = tuple(Vehicle(i + 1, speeds[i], depots[i]) for i in range(k))
+    return Instance(targets, vehicles, required), draw(st.integers(0, 2**32 - 1))
+
+
+def _balance(inst, seed):
+    eff = perturb_colocated_depots(inst, np.random.default_rng(seed))
+    try:
+        return solve_load_balancing(inst, eff, min_target_counts(inst))
+    except InfeasibleAllocationError as exc:
+        return type(exc)
+
+
+class TestAssignmentSolver:
+    """The in-package solver returns scipy's column for every row."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_square_costs())
+    def test_columns_equal_scipys(self, cost):
+        assert _min_cost_assignment(cost.tolist()) == _scipy_assignment(cost)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_grid_fleets())
+    def test_allocation_equals_a_scipy_backed_one(self, case):
+        inst, seed = case
+        got = _balance(inst, seed)
+        with mock.patch.object(allocation, "_min_cost_assignment", _scipy_assignment):
+            want = _balance(inst, seed)
+        assert got == want
+
+    def test_no_finite_path_raises_the_typed_error(self):
+        with pytest.raises(InfeasibleAllocationError):
+            _min_cost_assignment([[math.inf]])
+        with pytest.raises(InfeasibleAllocationError):
+            _min_cost_assignment([[1.0, math.inf], [2.0, math.inf]])
 
 
 class TestBuildInitial:

@@ -1,6 +1,9 @@
-"""Package layout: no module reaches into another module's private names."""
+"""Package layout: no module reaches into another module's private names, and
+the package runs on numpy alone (scipy serves only the tests)."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minmaxtsp"
@@ -15,8 +18,36 @@ def _private_relative_imports(path: Path) -> list:
             for alias in node.names if alias.name.startswith("_")]
 
 
+def _imported_top_modules(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return [(line, name.split(".")[0]) for line, name in found]
+
+
 def test_no_module_imports_a_private_name_from_another():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules, f"no modules found under {PACKAGE}"
     found = [hit for path in modules for hit in _private_relative_imports(path)]
     assert found == []
+
+
+def test_no_module_imports_scipy():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules found under {PACKAGE}"
+    found = [f"{path.name}:{line}" for path in modules
+             for line, top in _imported_top_modules(path) if top == "scipy"]
+    assert found == []
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    code = ("import sys; sys.path.insert(0, {src!r}); import minmaxtsp, minmaxtsp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            ).format(src=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]", done.stdout + done.stderr

@@ -1,7 +1,9 @@
 """Core model: metric, tours, instances, and the solution validator."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -205,6 +207,33 @@ class TestInstanceValidation:
         moved = inst.with_depots({1: Point(30, 40)})
         assert moved.time_matrix(1)[0, 1] == 45.0
         assert inst.time_matrix(1)[0, 1] == 5.0
+
+    def test_required_is_read_only(self):
+        inst = Instance((Point(1, 2), Point(3, 4)),
+                        (v(1.0, vid=1), Vehicle(2, 1.0, Point(5, 5))), {1: [0]})
+        with pytest.raises(TypeError):
+            inst.required[2] = frozenset({0})
+        assert inst.required == {1: frozenset({0})}
+        sol, _ = solve(inst, rng=0)
+        assert validate_solution(inst, sol) == []
+
+    @pytest.mark.parametrize("clone", [
+        lambda inst: pickle.loads(pickle.dumps(inst)),
+        copy.copy,
+        copy.deepcopy,
+        lambda inst: inst.with_depots({1: Point(7, 7)}),
+    ], ids=["pickle", "copy", "deepcopy", "with_depots"])
+    def test_required_survives_pickle_and_copies(self, clone):
+        inst = Instance((Point(1, 2), Point(3, 4), Point(5, 6)),
+                        (v(1.0, vid=1), Vehicle(2, 1.0, Point(5, 5))), {2: [2, 0]})
+        twin = clone(inst)
+        assert list(twin.required.items()) == [(2, frozenset({0, 2}))]
+        assert all(type(vid) is int and type(ids) is frozenset
+                   for vid, ids in twin.required.items())
+        assert twin.required == inst.required
+        assert repr(twin.required) == repr({2: frozenset({0, 2})})
+        with pytest.raises(TypeError):
+            twin.required[1] = frozenset({1})
 
 
 def balanced_line_solution(inst):

@@ -16,9 +16,9 @@ from minmaxtsp import (DEPOT, EXACT, HEURISTIC, CapacityError, Instance,
 from minmaxtsp.model import COORD_LIMIT
 from minmaxtsp.tsp import (TABLE_CACHE_LENGTHS, _cycle_length,
                            _gain_tolerance, _improve, _nearest_neighbor,
-                           _or_opt_once, _or_opt_once_np, _or_opt_table,
-                           _subset_dp, _subset_dp_table, _two_opt, _two_opt_np,
-                           _two_opt_table, best_cycle_lengths, held_karp_order)
+                           _or_opt_once_np, _or_opt_table, _subset_dp,
+                           _subset_dp_table, _two_opt_np, _two_opt_table,
+                           best_cycle_lengths, held_karp_order)
 
 from conftest import brute_cycle_length, euclid
 
@@ -256,6 +256,60 @@ class TestHeuristicQuality:
             b = solve_tsp(request_for(fast, 1, range(8), mode=mode))
             assert a.sequence == b.sequence
             assert a.duration == 2.0 * b.duration
+
+
+def _two_opt(order: list, dist: np.ndarray, tol: float) -> list:
+    """First-improvement 2-opt to a fixpoint, scanning i ascending then j:
+    the reference for the numpy pass ``_two_opt_np``."""
+    m = len(order)
+    dm = dist.shape[0] - 1
+    improved = True
+    while improved:
+        improved = False
+        for i in range(m - 1):
+            a = dm if i == 0 else order[i - 1]
+            b = order[i]
+            for j in range(i + 1, m):
+                c = order[j]
+                d = dm if j == m - 1 else order[j + 1]
+                delta = dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d]
+                if delta < -tol:
+                    order[i:j + 1] = reversed(order[i:j + 1])
+                    improved = True
+                    break
+            if improved:
+                break
+    return order
+
+
+def _or_opt_once(order: list, dist: np.ndarray, tol: float):
+    """Relocate one segment (length 1..3, both orientations) if it helps.
+
+    Returns (order, True) after the first improving move, (order, False) if
+    the tour is Or-opt clean: the reference for ``_or_opt_once_np``.
+    """
+    m = len(order)
+    dm = dist.shape[0] - 1
+    for L in (1, 2, 3):
+        if L >= m:
+            break
+        for s in range(m - L + 1):
+            seg = order[s:s + L]
+            rest = order[:s] + order[s + L:]
+            prev_s = dm if s == 0 else order[s - 1]
+            next_s = dm if s + L == m else order[s + L]
+            removal = (dist[prev_s, seg[0]] + dist[seg[-1], next_s]
+                       - dist[prev_s, next_s])
+            for q in range(len(rest) + 1):
+                if q == s:
+                    continue  # same slot, forward orientation is a no-op
+                a = dm if q == 0 else rest[q - 1]
+                b = dm if q == len(rest) else rest[q]
+                for piece in (seg, seg[::-1]):
+                    add = dist[a, piece[0]] + dist[piece[-1], b] - dist[a, b]
+                    if add - removal < -tol:
+                        return rest[:q] + piece + rest[q:], True
+    return order, False
 
 
 def _two_opt_improve(inst, tour):
