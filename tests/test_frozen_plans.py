@@ -29,7 +29,9 @@ SEED = 2026
 # s1_n10_exact routes with Held-Karp, and k2_n22_exact_stop1 does so on tours
 # of up to 13 targets; s2_n30_pin20 has co-located depots and pinned targets;
 # fleet8_n64_pin10 quotes insertions over seven receivers, where vehicles
-# other than the donor can tie at the makespan.
+# other than the donor can tie at the makespan.  The k1 cases route a single
+# vehicle through the same three-stage pipeline as any fleet, with pinned
+# targets and with Held-Karp tours.
 CASES = {
     "s1_n10": (scenario1(n_targets=10, seed=SEED), SolverConfig(), range(4)),
     "s1_n30": (scenario1(n_targets=30, seed=SEED), SolverConfig(), range(3)),
@@ -47,6 +49,11 @@ CASES = {
                                           colocated=((1, 2), (3, 4)),
                                           assign_fraction=0.1, seed=SEED),
                          SolverConfig(), range(4)),
+    "k1_n30_pin30": (ExperimentConfig(n_targets=30, speeds=(1.0,), assign_fraction=0.3,
+                                      seed=SEED),
+                     SolverConfig(), range(3)),
+    "k1_n12_exact": (ExperimentConfig(n_targets=12, speeds=(1.0,), seed=SEED),
+                     SolverConfig(tour_mode=EXACT), range(2)),
 }
 
 
