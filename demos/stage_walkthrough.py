@@ -24,8 +24,7 @@ def main():
     print(f"instance: {inst.n_targets} targets, {inst.k} vehicles "
           f"(vehicles 1 and 2 share a depot, vehicle 3 is twice as fast)")
 
-    solution, trace = solve(inst, SolverConfig(), rng=args.seed,
-                            keep_stage_solutions=True)
+    solution, trace = solve(inst, SolverConfig(), rng=args.seed)
 
     stages = (STAGE_INIT, STAGE_LOCAL_SEARCH, STAGE_PERTURBATION)
     previous = None

@@ -22,7 +22,7 @@ from .model import (DEPOT, CapacityError, InfeasibleAllocationError, Instance,
                     InvalidConfigError, InvalidInstanceError,
                     NoInsertionCandidateError, OracleBudgetError, Point,
                     Solution, SolverError, StageCheckError, Tour, Vehicle,
-                    distances, tour_duration, travel_time, validate_solution)
+                    distances, tour_duration, validate_solution)
 from .oracle import OracleBudget, exact_minmax, oracle_feasible
 from .svgplot import render_tours
 from .tsp import EXACT, HEURISTIC, TourRequest, TspCache, request_for, solve_tsp
@@ -43,6 +43,5 @@ __all__ = [
     "perturb_colocated_depots", "perturbation_loop", "perturbation_radius",
     "read_report", "render_tours", "request_for", "run_experiment",
     "save_instance", "scenario1", "scenario2", "solve", "solve_load_balancing",
-    "solve_tsp", "tour_duration", "travel_time",
-    "validate_solution", "write_report",
+    "solve_tsp", "tour_duration", "validate_solution", "write_report",
 ]

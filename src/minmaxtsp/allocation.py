@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import InfeasibleAllocationError, Instance, Point, Solution, distances
-from .tsp import EXACT_CAP_DEFAULT, HEURISTIC, TspCache, request_for, solve_tsp
+from .tsp import HEURISTIC, TspCache, request_for, solve_tsp
 
 # Radius of the circle on which co-located depots are spread apart.
 COLOCATION_RADIUS = 0.1
@@ -128,9 +128,10 @@ def solve_load_balancing(inst: Instance, eff: EffectiveDepots,
     The square assignment is Crouse's shortest augmenting path method, run
     row by row.  When several columns tie for the cheapest path at a step, it
     takes the last one scanned that has no row yet, and otherwise the first
-    one scanned: scipy's ``linear_sum_assignment`` rule.  Raises
-    InfeasibleAllocationError when the bounds demand more targets than are
-    free.
+    one scanned: scipy's ``linear_sum_assignment`` rule.  A single vehicle
+    takes every free target, the assignment's only answer, without solving
+    it.  Raises InfeasibleAllocationError when the bounds demand more targets
+    than are free.
     """
     free = inst.free_targets()
     lowers = [counts.lower.get(v.id, 0) for v in inst.vehicles]
@@ -138,7 +139,9 @@ def solve_load_balancing(inst: Instance, eff: EffectiveDepots,
         raise InfeasibleAllocationError(
             f"lower bounds demand {sum(lowers)} free targets, instance has {len(free)}")
     assign = {v.id: set() for v in inst.vehicles}
-    if free:
+    if inst.k == 1:
+        assign[inst.vehicles[0].id].update(free)
+    elif free:
         _assign_exact(_cost_matrix(inst, eff, free), lowers, free, assign)
     return Allocation({vid: frozenset(ids) for vid, ids in assign.items()})
 
@@ -229,7 +232,6 @@ def _min_cost_assignment(cost: list) -> list:
 
 
 def build_initial_solution(inst: Instance, alloc: Allocation, mode: str = HEURISTIC,
-                           exact_cap: int = EXACT_CAP_DEFAULT,
                            cache: TspCache | None = None) -> Solution:
     """Route every vehicle through its allocated plus required targets.
 
@@ -239,5 +241,5 @@ def build_initial_solution(inst: Instance, alloc: Allocation, mode: str = HEURIS
     tours = []
     for v in inst.vehicles:
         ids = set(alloc.for_vehicle(v.id)) | set(inst.required_for(v.id))
-        tours.append(solve_tsp(request_for(inst, v.id, ids, mode, exact_cap), cache))
+        tours.append(solve_tsp(request_for(inst, v.id, ids, mode), cache))
     return Solution(tuple(tours))

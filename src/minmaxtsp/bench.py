@@ -41,6 +41,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 <= self.assign_fraction <= 1.0:
             raise ValueError("assign_fraction must lie in [0, 1]")
+        if self.n_instances < 1:
+            raise ValueError(f"n_instances must be at least 1, got {self.n_instances}")
         k = len(self.speeds)
         seen = set()
         for group in self.colocated:
@@ -132,7 +134,9 @@ class ExperimentReport:
         rows = self._gap_rows()
         return max(r.gap_final_pct for r in rows) if rows else None
 
-    def mean_time_heuristic(self) -> float:
+    def mean_time_heuristic(self) -> float | None:
+        if not self.rows:
+            return None
         return sum(r.t_heuristic_s for r in self.rows) / len(self.rows)
 
     def mean_time_oracle(self) -> float | None:
@@ -153,15 +157,14 @@ def run_experiment(cfg: ExperimentConfig, on_instance=None) -> ExperimentReport:
     """Generate, solve, and (optionally) oracle-check every instance of a run.
 
     ``on_instance(index, instance, solution, trace)`` is invoked per instance
-    when given; the trace then carries the per-stage solutions.
+    when given; the trace carries the per-stage solutions.
     """
     rows = []
     for index in range(cfg.n_instances):
         inst = generate_instance(cfg, index)
         solver_cfg = heuristic.SolverConfig(tour_mode=cfg.tour_mode)
         t0 = time.perf_counter()
-        sol, trace = heuristic.solve(inst, solver_cfg, rng=_substream(cfg.seed, index, lane=1),
-                                     keep_stage_solutions=on_instance is not None)
+        sol, trace = heuristic.solve(inst, solver_cfg, rng=_substream(cfg.seed, index, lane=1))
         t_heur = round(time.perf_counter() - t0, 3)
 
         oracle_obj = None

@@ -63,8 +63,7 @@ def _experiment_config(args, n_instances: int = 1) -> bench.ExperimentConfig:
 def _cmd_solve(args) -> int:
     inst = instance_io.load_instance(args.instance)
     cfg = heuristic.SolverConfig(tour_mode=args.tour_mode)
-    sol, trace = heuristic.solve(inst, cfg, rng=np.random.default_rng(args.seed),
-                                 keep_stage_solutions=True)
+    sol, trace = heuristic.solve(inst, cfg, rng=np.random.default_rng(args.seed))
     print(f"objective: {sol.objective:.9f}")
     print(f"after_init: {trace.after_init:.9f}")
     print(f"after_local_search: {trace.after_local_search:.9f}")

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import (Allocation, build_initial_solution, min_target_counts,
+from .allocation import (build_initial_solution, min_target_counts,
                          perturb_colocated_depots, solve_load_balancing)
 from .model import (DEPOT, Instance, InvalidConfigError,
                     NoInsertionCandidateError, Point, Solution,
                     StageCheckError, validate_solution)
-from .tsp import (EXACT, EXACT_CAP_DEFAULT, HEURISTIC, TspCache, request_for,
-                  solve_tsp)
+from .tsp import EXACT, HEURISTIC, TspCache, request_for, solve_tsp
 
 # One step of the depot displacement angle schedule: 144 degrees.
 PERTURBATION_STEP = 0.8 * math.pi
@@ -49,7 +48,6 @@ class SolverConfig:
     """
 
     tour_mode: str = HEURISTIC
-    exact_cap: int = EXACT_CAP_DEFAULT
     no_improve_stop: int = 5
 
     def __post_init__(self):
@@ -59,9 +57,6 @@ class SolverConfig:
         if not (_is_int(self.no_improve_stop) and self.no_improve_stop >= 0):
             raise InvalidConfigError(
                 f"no_improve_stop must be an integer >= 0, got {self.no_improve_stop!r}")
-        if not (_is_int(self.exact_cap) and self.exact_cap >= 1):
-            raise InvalidConfigError(
-                f"exact_cap must be an integer >= 1, got {self.exact_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -83,14 +78,17 @@ class InsertionQuote:
 
 @dataclass
 class StageTrace:
-    """Objectives, iteration count, and wall times per pipeline stage."""
+    """Objectives, iteration count, wall times and plans per pipeline stage.
+
+    The stage plans are the solutions ``solve`` built, not copies.
+    """
 
     after_init: float
     after_local_search: float
     after_perturbation: float
     iterations: int
     wall_times: dict
-    stage_solutions: dict | None = None
+    stage_solutions: dict
 
 
 def compute_savings(sol: Solution, inst: Instance, vid: int) -> list:
@@ -143,7 +141,7 @@ def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int) -> 
 
 
 def _rebuild(inst: Instance, vid: int, ids, cfg: SolverConfig, cache):
-    return solve_tsp(request_for(inst, vid, ids, cfg.tour_mode, cfg.exact_cap), cache)
+    return solve_tsp(request_for(inst, vid, ids, cfg.tour_mode), cache)
 
 
 def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
@@ -254,12 +252,13 @@ def _checked(inst: Instance, sol: Solution, stage: str) -> Solution:
     return sol
 
 
-def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0,
-          keep_stage_solutions: bool = False):
+def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0):
     """Run the full pipeline on an instance.  Returns (Solution, StageTrace).
 
     ``rng`` is a seed or a numpy Generator; a given (instance, config, seed)
-    triple always reproduces the same plan.
+    triple always reproduces the same plan.  One vehicle takes the same three
+    stages as a fleet: its allocation is forced, and stages 2 and 3 return
+    at once.
     """
     cfg = cfg or SolverConfig()
     if not isinstance(rng, np.random.Generator):
@@ -267,23 +266,10 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0,
     cache = TspCache()
 
     t0 = time.perf_counter()
-    if inst.k == 1:
-        alloc = Allocation({1: frozenset(inst.free_targets())})
-        only = build_initial_solution(inst, alloc, cfg.tour_mode, cfg.exact_cap, cache)
-        _checked(inst, only, STAGE_INIT)
-        dt = time.perf_counter() - t0
-        trace = StageTrace(only.objective, only.objective, only.objective, 0,
-                           {STAGE_INIT: dt, STAGE_LOCAL_SEARCH: 0.0, STAGE_PERTURBATION: 0.0})
-        if keep_stage_solutions:
-            trace.stage_solutions = {STAGE_INIT: only, STAGE_LOCAL_SEARCH: only,
-                                     STAGE_PERTURBATION: only}
-        return only, trace
-
     effective = perturb_colocated_depots(inst, rng)
     counts = min_target_counts(inst)
     alloc = solve_load_balancing(inst, effective, counts)
-    initial = _checked(inst,
-                       build_initial_solution(inst, alloc, cfg.tour_mode, cfg.exact_cap, cache),
+    initial = _checked(inst, build_initial_solution(inst, alloc, cfg.tour_mode, cache),
                        STAGE_INIT)
     t1 = time.perf_counter()
 
@@ -294,10 +280,9 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0,
     _checked(inst, final, STAGE_PERTURBATION)
     t3 = time.perf_counter()
 
-    trace = StageTrace(initial.objective, improved.objective, final.objective, iterations,
-                       {STAGE_INIT: t1 - t0, STAGE_LOCAL_SEARCH: t2 - t1,
-                        STAGE_PERTURBATION: t3 - t2})
-    if keep_stage_solutions:
-        trace.stage_solutions = {STAGE_INIT: initial, STAGE_LOCAL_SEARCH: improved,
-                                 STAGE_PERTURBATION: final}
-    return final, trace
+    return final, StageTrace(initial.objective, improved.objective, final.objective,
+                             iterations,
+                             {STAGE_INIT: t1 - t0, STAGE_LOCAL_SEARCH: t2 - t1,
+                              STAGE_PERTURBATION: t3 - t2},
+                             {STAGE_INIT: initial, STAGE_LOCAL_SEARCH: improved,
+                              STAGE_PERTURBATION: final})

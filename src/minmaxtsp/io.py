@@ -30,18 +30,32 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
+    """Parse an instance document; any malformed part raises InvalidInstanceError."""
     try:
         doc = json.loads(text)
-        targets = tuple(Point(float(x), float(y)) for x, y in doc["targets"])
-        vehicles = tuple(
-            Vehicle(i, float(v["speed"]), Point(float(v["depot"][0]), float(v["depot"][1])))
-            for i, v in enumerate(doc["vehicles"], start=1)
-        )
+        targets = tuple(_point(xy) for xy in doc["targets"])
+        vehicles = tuple(Vehicle(i, _number(v["speed"]), _point(v["depot"]))
+                         for i, v in enumerate(doc["vehicles"], start=1))
+        pins = doc.get("required", {})
+        if not isinstance(pins, dict):
+            raise ValueError(f"required must be an object, got {pins!r}")
         required = {_vehicle_key(vid): [_target_index(t) for t in ids]
-                    for vid, ids in doc.get("required", {}).items()}
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                    for vid, ids in pins.items()}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInstanceError(f"malformed instance document: {exc}") from exc
     return Instance(targets, vehicles, required)
+
+
+def _number(value) -> float:
+    # float() alone would also take "1e3" and true; a huge integer overflows.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _point(value) -> Point:
+    x, y = value
+    return Point(_number(x), _number(y))
 
 
 def _vehicle_key(key: str) -> int:

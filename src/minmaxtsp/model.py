@@ -70,14 +70,6 @@ class Vehicle:
     depot: Point
 
 
-def travel_time(a: Point, b: Point, v: Vehicle) -> float:
-    """Euclidean distance from a to b divided by the vehicle's speed."""
-    if not (math.isfinite(a.x) and math.isfinite(a.y)
-            and math.isfinite(b.x) and math.isfinite(b.y)):
-        raise ValueError("travel_time: non-finite coordinate")
-    return a.dist(b) / v.speed
-
-
 # Largest accepted coordinate magnitude C and least accepted vehicle speed S.
 # Every distance is then below 3 C, and stage 3 moves a depot by at most half
 # its tour's two depot edges over the speed, below 3 C / S.  Distances on the

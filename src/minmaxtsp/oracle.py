@@ -4,9 +4,10 @@ Every way of splitting the free targets over the fleet is enumerated with a
 mixed-radix counter (one digit per free target, vehicle ids as digit values).
 Per vehicle, optimal subtour lengths for all free subsets are tabulated up
 front by the Held-Karp subset DP with the vehicle's required targets folded
-in, so scoring a partition is k table lookups.  The first partition achieving
-the minimum makespan (in counter order) defines the reported plan, making the
-oracle deterministic even under ties.
+in, so scoring a partition is k table lookups.  A vehicle's subsets, free
+plus required targets, are held to the Held-Karp cap ``EXACT_CAP``.  The
+first partition achieving the minimum makespan (in counter order) defines the
+reported plan, making the oracle deterministic even under ties.
 """
 
 from dataclasses import dataclass
@@ -14,23 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance, OracleBudgetError, Solution
-from .tsp import EXACT, best_cycle_lengths, request_for, solve_tsp
+from .tsp import EXACT, EXACT_CAP, best_cycle_lengths, request_for, solve_tsp
 
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Hard limits keeping the enumeration tractable."""
+    """Hard limit keeping the enumeration tractable."""
 
     max_partitions: int = 2_000_000
-    max_subset_size: int = 16
 
 
 def oracle_feasible(inst: Instance, budget: OracleBudget = OracleBudget()) -> bool:
-    """True when the instance fits the enumeration and DP budgets."""
+    """True when the instance fits the partition budget and the Held-Karp cap."""
     free = inst.free_targets()
     if inst.k ** len(free) > budget.max_partitions:
         return False
-    return all(len(free) + len(inst.required_for(v.id)) <= budget.max_subset_size
+    return all(len(free) + len(inst.required_for(v.id)) <= EXACT_CAP
                for v in inst.vehicles)
 
 

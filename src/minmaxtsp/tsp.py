@@ -13,11 +13,13 @@ Two modes share one entry point:
   of its price, so the polish always ends; on tours of one or two targets
   every move gives the same cycle, so those are left as built.
 * exact -- Held-Karp dynamic program over target subsets, capped at
-  EXACT_CAP_DEFAULT targets.  The table fills one subset size at a time, a
-  chunk of same-size subsets per numpy step.  Each cell is written once, from
-  its unique predecessor subset of the size before, with the same float sum
-  and first-minimum argmin as a loop over single subsets in mask order, so the
-  table and every exact tour equal that loop's bit for bit.
+  EXACT_CAP targets; a longer exact request raises ``CapacityError``, and the
+  oracle holds its subsets to the same cap.  The table fills one subset size
+  at a time, a chunk of same-size subsets per numpy step.  Each cell is
+  written once, from its unique predecessor subset of the size before, with
+  the same float sum and first-minimum argmin as a loop over single subsets
+  in mask order, so the table and every exact tour equal that loop's bit for
+  bit.
 
 All route decisions are made on raw distances; the vehicle speed only divides
 the final length, so the chosen order is invariant under speed scaling.
@@ -32,7 +34,7 @@ from .model import DEPOT, CapacityError, Instance, InvalidConfigError, Point, To
 
 HEURISTIC = "heuristic"
 EXACT = "exact"
-EXACT_CAP_DEFAULT = 16
+EXACT_CAP = 16
 
 # Least gain an improvement move must show; _gain_tolerance raises it for
 # tours long enough that rounding noise exceeds it.
@@ -54,17 +56,15 @@ class TourRequest:
     dist: np.ndarray
     speed: float
     mode: str = HEURISTIC
-    exact_cap: int = EXACT_CAP_DEFAULT
 
 
-def request_for(inst: Instance, vid: int, targets, mode: str = HEURISTIC,
-                exact_cap: int = EXACT_CAP_DEFAULT) -> TourRequest:
+def request_for(inst: Instance, vid: int, targets, mode: str = HEURISTIC) -> TourRequest:
     """Build a TourRequest for one vehicle of an instance."""
     ids = tuple(sorted(targets))
     v = inst.vehicle(vid)
     ix = [*ids, inst.n_targets]
     dist = inst.distance_matrix(vid).take(ix, 0).take(ix, 1)
-    return TourRequest(vid, v.depot, ids, dist, v.speed, mode, exact_cap)
+    return TourRequest(vid, v.depot, ids, dist, v.speed, mode)
 
 
 class TspCache:
@@ -273,11 +273,11 @@ def _improve(order: list, dist: np.ndarray) -> list:
 # at most _DP_CHUNK masks keep it at 4 MiB for m = 16, where the largest layer
 # (12,870 masks) would take 26 MiB at once.  The index tables of a tour of m
 # targets take about 12 m 2^m bytes (12 MiB at m = 16), so only the
-# EXACT_CAP_DEFAULT most recently used lengths are kept.
+# EXACT_CAP most recently used lengths are kept.
 _DP_CHUNK = 1 << 11
 
 
-@functools.lru_cache(maxsize=EXACT_CAP_DEFAULT)
+@functools.lru_cache(maxsize=EXACT_CAP)
 def _subset_dp_table(m: int) -> tuple:
     """The subset DP's steps for m targets, in layer order: subset sizes 1 to
     m - 1, masks ascending within a size, at most _DP_CHUNK masks per step.
@@ -383,9 +383,9 @@ def solve_tsp(req: TourRequest, cache: TspCache | None = None) -> Tour:
             order, length = hit
             return _finish(req, order, length)
     if req.mode == EXACT:
-        if len(req.targets) > req.exact_cap:
+        if len(req.targets) > EXACT_CAP:
             raise CapacityError(
-                f"exact tour solve over {len(req.targets)} targets exceeds cap {req.exact_cap}")
+                f"exact tour solve over {len(req.targets)} targets exceeds cap {EXACT_CAP}")
         order, length = held_karp_order(req.dist)
     else:
         order = _improve(_nearest_neighbor(req.dist), req.dist)

@@ -16,7 +16,7 @@ from minmaxtsp import (DEPOT, InfeasibleAllocationError, Instance, Point,
                        min_target_counts, perturb_colocated_depots,
                        solve_load_balancing, validate_solution)
 from minmaxtsp.allocation import (COLOCATION_RADIUS, Allocation,
-                                  MinCounts, _min_cost_assignment,
+                                  MinCounts, _cost_matrix, _min_cost_assignment,
                                   allocation_cost)
 
 from conftest import (FixedAngleRng, brute_allocation_cost,
@@ -159,6 +159,17 @@ class TestAssignment:
             alloc = solve_load_balancing(case, eff, min_target_counts(case))
             costs.append(allocation_cost(case, eff, alloc))
         assert costs[0] == pytest.approx(costs[1], abs=1e-9)
+
+    def test_single_vehicle_gets_what_the_assignment_gives(self):
+        rng = np.random.default_rng(59)
+        inst = random_instance(rng, n=12, k=1, assign_fraction=0.25)
+        free = inst.free_targets()
+        eff = perturb_colocated_depots(inst, np.random.default_rng(0))
+        counts = min_target_counts(inst)
+        assert solve_load_balancing(inst, eff, counts) == Allocation({1: frozenset(free)})
+        assign = {1: set()}
+        allocation._assign_exact(_cost_matrix(inst, eff, free), [counts.lower[1]], free, assign)
+        assert assign == {1: set(free)}
 
     def test_infeasible_lower_bounds_raise(self):
         targets = _grid_targets(4)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from minmaxtsp import (ExperimentConfig, OracleBudget, generate_instance,
-                       read_report, run_experiment, scenario1, scenario2,
-                       write_report)
+from minmaxtsp import (ExperimentConfig, ExperimentReport, OracleBudget,
+                       generate_instance, read_report, run_experiment,
+                       scenario1, scenario2, write_report)
+from minmaxtsp.heuristic import STAGE_PERTURBATION
 
 
 class TestGeneration:
@@ -53,6 +54,8 @@ class TestGeneration:
             ExperimentConfig(speeds=(1.0, 2.0), colocated=((1, 5),))
         with pytest.raises(ValueError):
             ExperimentConfig(speeds=(1.0, 2.0, 3.0), colocated=((1, 2), (2, 3)))
+        with pytest.raises(ValueError, match="n_instances"):
+            ExperimentConfig(n_instances=0)
 
 
 class TestRunExperiment:
@@ -92,7 +95,7 @@ class TestRunExperiment:
 
         def hook(index, inst, sol, trace):
             seen.append((index, inst.n_targets, sol.objective))
-            assert trace.stage_solutions is not None
+            assert trace.stage_solutions[STAGE_PERTURBATION] is sol
 
         run_experiment(self._small(), on_instance=hook)
         assert [s[0] for s in seen] == [0, 1, 2]
@@ -132,3 +135,10 @@ class TestReportFile:
                     "max_gap_final_pct", "mean_t_heuristic_s", "mean_t_oracle_s",
                     "rows_without_oracle"):
             assert f"# {key}=" in text
+
+    def test_empty_report_has_no_means(self, tmp_path):
+        empty = ExperimentReport([])
+        assert empty.mean_time_heuristic() is None
+        path = tmp_path / "report.csv"
+        write_report(empty, path)
+        assert "# mean_t_heuristic_s=NA" in path.read_text()

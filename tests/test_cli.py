@@ -111,6 +111,13 @@ class TestExitCodes:
         assert main(["bench", "--scenario", "1", "--n-targets", "6",
                      "--instances", "1", "--out", str(out)]) == 2
 
+    def test_zero_instances_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert main(["bench", "--scenario", "1", "--instances", "0",
+                     "--out", str(out)]) == 1
+        assert "error: n_instances" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_stage_check_is_an_error_not_a_traceback(
             self, instance_file, monkeypatch, capsys):
         monkeypatch.setattr(heuristic, "validate_solution", lambda inst, sol: ["forced"])

@@ -259,7 +259,7 @@ _SEARCH_CASES = {
 
 def _starts(inst, cfg, index):
     """The pipeline's stage-1 plan, and one with every free target on vehicle 1."""
-    _, trace = solve(inst, cfg, rng=index, keep_stage_solutions=True)
+    _, trace = solve(inst, cfg, rng=index)
     free = set(inst.free_targets())
     loaded = Solution(tuple(
         _rebuild(inst, v.id, set(inst.required_for(v.id)) | (free if v.id == 1 else set()),
@@ -348,6 +348,7 @@ class TestSolvePipeline:
         inst = random_instance(rng, n=8, k=1)
         sol, trace = solve(inst)
         assert trace.after_init == trace.after_local_search == trace.after_perturbation
+        assert trace.stage_solutions[STAGE_INIT] is sol
         assert trace.iterations == 0
         assert sol.objective == trace.after_init
         assert validate_solution(inst, sol) == []
@@ -388,10 +389,10 @@ class TestSolvePipeline:
     def test_keep_stage_solutions(self):
         rng = np.random.default_rng(79)
         inst = random_instance(rng, n=9, k=2)
-        sol, trace = solve(inst, rng=2, keep_stage_solutions=True)
+        sol, trace = solve(inst, rng=2)
         stages = trace.stage_solutions
         assert set(stages) == {STAGE_INIT, STAGE_LOCAL_SEARCH, STAGE_PERTURBATION}
-        assert stages[STAGE_PERTURBATION].objective == sol.objective
+        assert stages[STAGE_PERTURBATION] is sol
         assert stages[STAGE_INIT].objective == trace.after_init
 
     def test_early_stages_scale_even_without_the_flag(self):
@@ -426,7 +427,6 @@ class TestSolverConfig:
         ("tour_mode", "exakt"), ("tour_mode", None),
         ("no_improve_stop", -1), ("no_improve_stop", 2.5), ("no_improve_stop", True),
         ("no_improve_stop", "5"),
-        ("exact_cap", 0), ("exact_cap", 12.0), ("exact_cap", False),
     ])
     def test_bad_value_is_rejected_by_name(self, field, value):
         with pytest.raises(InvalidConfigError, match=field) as err:
@@ -434,7 +434,7 @@ class TestSolverConfig:
         assert isinstance(err.value, SolverError) and isinstance(err.value, ValueError)
 
     @pytest.mark.parametrize("kwargs", [
-        {}, {"tour_mode": EXACT, "exact_cap": 1}, {"exact_cap": np.int64(20)},
+        {}, {"tour_mode": EXACT}, {"tour_mode": EXACT, "no_improve_stop": 1},
         {"no_improve_stop": 0}, {"no_improve_stop": np.int64(3)},
     ])
     def test_valid_values_are_kept(self, kwargs):

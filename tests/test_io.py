@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minmaxtsp import (InvalidInstanceError, instance_from_json,
+from minmaxtsp import (InvalidInstanceError, Point, instance_from_json,
                        instance_to_json, load_instance, save_instance)
 
 from conftest import random_instance
@@ -38,15 +38,35 @@ def test_required_key_optional():
     assert inst.required == {}
 
 
+def _doc(target="[0, 0]", speed="1.0", depot="[0, 0]", required="{}"):
+    return (f'{{"targets": [{target}], "vehicles": [{{"speed": {speed}, "depot": {depot}}}],'
+            f' "required": {required}}}')
+
+
 @pytest.mark.parametrize("text", [
     "not json at all",
     '{"targets": [[0, 0]]}',
     '{"targets": [[0, 0]], "vehicles": [{"speed": "fast", "depot": [0, 0]}]}',
     '{"targets": [[0, 0]], "vehicles": [{"depot": [0, 0]}]}',
+    pytest.param(_doc(required="null"), id="required null"),
+    pytest.param(_doc(required="[]"), id="required list"),
+    pytest.param(_doc(depot="[0]"), id="depot one value"),
+    pytest.param(_doc(depot="[0, 0, 7]"), id="depot three values"),
+    pytest.param(_doc(target="[1" + "0" * 309 + ", 0]"), id="coordinate too big for a float"),
+    pytest.param(_doc(speed="1" + "0" * 309), id="speed too big for a float"),
+    pytest.param(_doc(target='["1e3", 0]'), id="coordinate string"),
+    pytest.param(_doc(target="[true, 0]"), id="coordinate bool"),
+    pytest.param(_doc(depot='[0, "1e3"]'), id="depot string"),
+    pytest.param(_doc(speed='"1e3"'), id="speed string"),
+    pytest.param(_doc(speed="true"), id="speed bool"),
 ])
 def test_malformed_documents_rejected(text):
     with pytest.raises(InvalidInstanceError):
         instance_from_json(text)
+
+
+def test_malformed_rows_start_from_a_valid_document():
+    assert instance_from_json(_doc()).targets == (Point(0.0, 0.0),)
 
 
 def test_structural_violations_rejected():

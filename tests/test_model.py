@@ -10,7 +10,7 @@ import pytest
 
 from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution,
                        Tour, Vehicle, perturb_colocated_depots, request_for,
-                       solve, tour_duration, travel_time, validate_solution)
+                       solve, tour_duration, validate_solution)
 from minmaxtsp.allocation import _cost_matrix
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 
@@ -21,36 +21,40 @@ def v(speed, depot=Point(0, 0), vid=1):
     return Vehicle(vid, speed, depot)
 
 
+def _times(points, speed):
+    """Instance.time_matrix for targets ``points`` and one vehicle of the given
+    speed parked at the origin (its row/col comes last)."""
+    return Instance(tuple(points), (v(speed),)).time_matrix(1)
+
+
 class TestTravelTime:
     def test_identity_is_zero(self):
-        assert travel_time(Point(0, 0), Point(0, 0), v(3.0)) == 0.0
+        assert _times([Point(0, 0)], 3.0)[0, 1] == 0.0
 
     def test_three_four_five(self):
-        assert travel_time(Point(0, 0), Point(3, 4), v(1.0)) == 5.0
+        assert _times([Point(3, 4)], 1.0)[1, 0] == 5.0
 
     def test_speed_divides(self):
-        assert travel_time(Point(0, 0), Point(3, 4), v(2.0)) == 2.5
+        assert _times([Point(3, 4)], 2.0)[1, 0] == 2.5
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            travel_time(Point(float("nan"), 0), Point(1, 1), v(1.0))
+            _times([Point(float("nan"), 0), Point(1, 1)], 1.0)
         with pytest.raises(ValueError):
-            travel_time(Point(0, 0), Point(math.inf, 1), v(1.0))
+            _times([Point(0, 0), Point(math.inf, 1)], 1.0)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(42)
-        veh = v(1.7)
         for _ in range(200):
-            a, b, c = (Point(*rng.uniform(-50, 50, 2)) for _ in range(3))
-            assert travel_time(a, b, veh) == travel_time(b, a, veh)
-            assert travel_time(a, c, veh) <= (travel_time(a, b, veh)
-                                              + travel_time(b, c, veh) + 1e-9)
+            t = _times([Point(*rng.uniform(-50, 50, 2)) for _ in range(3)], 1.7)
+            assert t[0, 1] == t[1, 0]
+            assert t[0, 2] <= t[0, 1] + t[1, 2] + 1e-9
 
     def test_doubling_speed_halves_exactly(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            a, b = (Point(*rng.uniform(0, 100, 2)) for _ in range(2))
-            assert travel_time(a, b, v(2.6)) == travel_time(a, b, v(1.3)) / 2.0
+            points = [Point(*rng.uniform(0, 100, 2)) for _ in range(2)]
+            assert _times(points, 2.6)[0, 1] == _times(points, 1.3)[0, 1] / 2.0
 
 
 def _old_block(points, depot):

@@ -14,7 +14,7 @@ from minmaxtsp import (DEPOT, EXACT, HEURISTIC, CapacityError, Instance,
                        InvalidConfigError, Point, Tour, TspCache, Vehicle,
                        distances, request_for, solve_tsp, tour_duration)
 from minmaxtsp.model import COORD_LIMIT
-from minmaxtsp.tsp import (TABLE_CACHE_LENGTHS, _cycle_length,
+from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, _cycle_length,
                            _gain_tolerance, _improve, _nearest_neighbor,
                            _or_opt_once_np, _or_opt_table, _subset_dp,
                            _subset_dp_table, _two_opt_np, _two_opt_table,
@@ -123,10 +123,10 @@ class TestHeldKarp:
 
     def test_cap_is_enforced(self):
         rng = np.random.default_rng(7)
-        xy = rng.uniform(0, 10, size=(5, 2))
+        xy = rng.uniform(0, 10, size=(EXACT_CAP + 1, 2))
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(0, 0)),))
-        req = request_for(inst, 1, range(5), mode=EXACT, exact_cap=4)
+        req = request_for(inst, 1, range(EXACT_CAP + 1), mode=EXACT)
         with pytest.raises(CapacityError):
             solve_tsp(req)
 
