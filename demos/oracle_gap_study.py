@@ -1,6 +1,6 @@
 """How close does the heuristic get, and does pre-assignment help?
 
-Runs the distinct-depot scenario at desk scale against the exhaustive oracle
+Runs the distinct-depot scenario at desk scale against the exact oracle
 for three pre-assignment fractions and prints a small table: mean/max final
 gap and how many instances land within 2% of optimal.  Mirrors the benchmark
 protocol, so a full report CSV is written per fraction as well.

@@ -3,7 +3,7 @@
 A fleet of vehicles with individual speeds and depots must jointly visit a
 set of planar targets, some of which may be pinned to specific vehicles, so
 that the longest tour time (the makespan) is as small as possible.  The
-package provides a three-stage heuristic, an exhaustive oracle for desk-sized
+package provides a three-stage heuristic, an exact oracle for desk-sized
 instances, and a benchmark protocol with CSV reports and SVG tour drawings.
 """
 
@@ -23,7 +23,7 @@ from .model import (DEPOT, CapacityError, InfeasibleAllocationError, Instance,
                     NoInsertionCandidateError, OracleBudgetError, Point,
                     Solution, SolverError, StageCheckError, Tour, Vehicle,
                     distances, tour_duration, validate_solution)
-from .oracle import OracleBudget, exact_minmax, oracle_feasible
+from .oracle import exact_minmax, oracle_feasible
 from .svgplot import render_tours
 from .tsp import EXACT, HEURISTIC, TourRequest, TspCache, request_for, solve_tsp
 
@@ -34,7 +34,7 @@ __all__ = [
     "ExperimentConfig", "ExperimentReport", "HEURISTIC",
     "InfeasibleAllocationError", "InsertionQuote", "Instance",
     "InvalidConfigError", "InvalidInstanceError", "MinCounts",
-    "NoInsertionCandidateError", "OracleBudget", "OracleBudgetError", "Point", "ReportRow", "SavingsEntry",
+    "NoInsertionCandidateError", "OracleBudgetError", "Point", "ReportRow", "SavingsEntry",
     "Solution", "SolverConfig", "SolverError", "StageCheckError", "StageTrace",
     "Tour", "TourRequest", "TspCache", "Vehicle", "best_insertion",
     "build_initial_solution", "compute_savings", "distances", "exact_minmax",

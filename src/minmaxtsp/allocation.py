@@ -31,9 +31,6 @@ class MinCounts:
 
     lower: dict
 
-    def total(self) -> int:
-        return sum(self.lower.values())
-
 
 @dataclass(frozen=True)
 class EffectiveDepots:

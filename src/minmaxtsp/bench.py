@@ -10,14 +10,15 @@ reproduced in isolation.
 
 import csv
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import heuristic
 from .model import Instance, Point, Vehicle
-from .oracle import OracleBudget, exact_minmax, oracle_feasible
+from .oracle import exact_minmax, oracle_feasible
 from .tsp import HEURISTIC
 
 REPORT_COLUMNS = ("instance", "init_obj", "ls_obj", "final_obj", "oracle_obj",
@@ -36,13 +37,16 @@ class ExperimentConfig:
     grid: float = 200.0
     oracle: bool = False
     tour_mode: str = HEURISTIC
-    oracle_budget: OracleBudget = field(default_factory=OracleBudget)
 
     def __post_init__(self):
         if not 0.0 <= self.assign_fraction <= 1.0:
             raise ValueError("assign_fraction must lie in [0, 1]")
-        if self.n_instances < 1:
-            raise ValueError(f"n_instances must be at least 1, got {self.n_instances}")
+        n = self.n_instances
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+            raise ValueError(f"n_instances must be an integer >= 1, got {n!r}")
+        if not (isinstance(self.grid, numbers.Real) and math.isfinite(self.grid)
+                and self.grid > 0):
+            raise ValueError(f"grid must be a finite number > 0, got {self.grid!r}")
         k = len(self.speeds)
         seen = set()
         for group in self.colocated:
@@ -170,9 +174,9 @@ def run_experiment(cfg: ExperimentConfig, on_instance=None) -> ExperimentReport:
         oracle_obj = None
         t_oracle = None
         gaps = (None, None, None)
-        if cfg.oracle and oracle_feasible(inst, cfg.oracle_budget):
+        if cfg.oracle and oracle_feasible(inst):
             t0 = time.perf_counter()
-            oracle_obj = exact_minmax(inst, cfg.oracle_budget).objective
+            oracle_obj = exact_minmax(inst).objective
             t_oracle = round(time.perf_counter() - t0, 3)
             gaps = (_gap_pct(trace.after_init, oracle_obj),
                     _gap_pct(trace.after_local_search, oracle_obj),

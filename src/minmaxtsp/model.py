@@ -37,7 +37,7 @@ class InfeasibleAllocationError(SolverError):
 
 
 class OracleBudgetError(SolverError):
-    """Instance is too large for exhaustive optimal enumeration."""
+    """Instance is too large for the exact oracle's budget."""
 
 
 class NoInsertionCandidateError(SolverError):

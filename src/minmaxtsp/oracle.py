@@ -1,34 +1,38 @@
-"""Exhaustive min-max oracle for desk-sized instances.
+"""Exact min-max oracle for desk-sized instances.
 
-Every way of splitting the free targets over the fleet is enumerated with a
-mixed-radix counter (one digit per free target, vehicle ids as digit values).
-Per vehicle, optimal subtour lengths for all free subsets are tabulated up
-front by the Held-Karp subset DP with the vehicle's required targets folded
-in, so scoring a partition is k table lookups.  A vehicle's subsets, free
-plus required targets, are held to the Held-Karp cap ``EXACT_CAP``.  The
-first partition achieving the minimum makespan (in counter order) defines the
-reported plan, making the oracle deterministic even under ties.
+Per vehicle, optimal subtour durations for all subsets of the free targets are
+tabulated up front by the Held-Karp subset DP with the vehicle's required
+targets folded in; a vehicle's subsets, free plus required targets, are held
+to the Held-Karp cap ``EXACT_CAP``.  A subset-split DP (Held & Karp 1962) then
+shares the free targets out over the fleet.  With t_j vehicle j's table,
+
+    G_1 = t_1,    G_j(S) = min over T subset of S of max(G_{j-1}(S \\ T), t_j(T)),
+
+and the optimum makespan is G_k of the full free set, the only entry of the
+last level that is needed.  Max and min do no arithmetic, so the optimum is
+exactly the best partition's tabulated makespan.
+
+Tie rule: free target p is bit p of a subset mask.  The plan is read back from
+vehicle k down to vehicle 2; each takes, of the free targets not yet given
+out, the lowest-mask subset that attains the best makespan for itself and the
+vehicles with lower ids, and vehicle 1 takes what is left.
+
+An instance is admitted while its k^n partitions of n free targets stay within
+``MAX_PARTITIONS``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Instance, OracleBudgetError, Solution
 from .tsp import EXACT, EXACT_CAP, best_cycle_lengths, request_for, solve_tsp
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Hard limit keeping the enumeration tractable."""
-
-    max_partitions: int = 2_000_000
+MAX_PARTITIONS = 2_000_000
 
 
-def oracle_feasible(inst: Instance, budget: OracleBudget = OracleBudget()) -> bool:
+def oracle_feasible(inst: Instance) -> bool:
     """True when the instance fits the partition budget and the Held-Karp cap."""
     free = inst.free_targets()
-    if inst.k ** len(free) > budget.max_partitions:
+    if inst.k ** len(free) > MAX_PARTITIONS:
         return False
     return all(len(free) + len(inst.required_for(v.id)) <= EXACT_CAP
                for v in inst.vehicles)
@@ -52,59 +56,43 @@ def _duration_tables(inst: Instance, free) -> list:
     return tables
 
 
-def exact_minmax(inst: Instance, budget: OracleBudget | None = None,
-                 prune: bool = True) -> Solution:
-    """Optimal min-max plan by full partition enumeration.
+def _best_split(before, last, subset: int, every):
+    """Split ``subset`` between the vehicles tabulated by ``before`` and one
+    more vehicle tabulated by ``last``: the lowest mask T within ``subset``
+    that minimises max(before[subset ^ T], last[T]), and that minimum."""
+    sub = every[(every & ~subset) == 0]
+    vals = np.maximum(before[subset ^ sub], last[sub])
+    i = int(vals.argmin())
+    return int(sub[i]), vals[i]
 
-    With ``prune`` set, a partition is abandoned as soon as one vehicle's
-    tabulated duration already exceeds the incumbent; pruning only skips
-    work and never changes the reported plan.
-    """
-    budget = budget or OracleBudget()
-    if not oracle_feasible(inst, budget):
+
+def exact_minmax(inst: Instance) -> Solution:
+    """Optimal min-max plan by the subset-split DP over the duration tables."""
+    if not oracle_feasible(inst):
         raise OracleBudgetError(
             f"instance exceeds the oracle budget "
-            f"({inst.k}^{len(inst.free_targets())} partitions, cap {budget.max_partitions})")
+            f"({inst.k}^{len(inst.free_targets())} partitions, cap {MAX_PARTITIONS})")
     free = inst.free_targets()
-    nf = len(free)
-    k = inst.k
     tables = _duration_tables(inst, free)
+    every = np.arange(1 << len(free))
 
-    # Mixed-radix scan: digit p names the vehicle (0-based) owning free[p].
-    # masks[j] mirrors the digits as a bitmask per vehicle for table lookups.
-    digits = [0] * nf
-    masks = [0] * k
-    masks[0] = (1 << nf) - 1
-    best_obj = np.inf
-    best_masks = list(masks)
-    while True:
-        worst = 0.0
-        for j in range(k):
-            d = float(tables[j][masks[j]])
-            if prune and d > best_obj:
-                worst = np.inf
-                break
-            if d > worst:
-                worst = d
-        if worst < best_obj:
-            best_obj = worst
-            best_masks = list(masks)
-        # odometer increment
-        p = 0
-        while p < nf and digits[p] == k - 1:
-            masks[k - 1] ^= 1 << p
-            masks[0] |= 1 << p
-            digits[p] = 0
-            p += 1
-        if p == nf:
-            break
-        masks[digits[p]] ^= 1 << p
-        digits[p] += 1
-        masks[digits[p]] |= 1 << p
+    # levels[j][S]: best makespan of vehicles 1..j+1 sharing the free subset S.
+    levels = [tables[0]]
+    for last in tables[1:-1]:
+        levels.append(np.fromiter(
+            (_best_split(levels[-1], last, s, every)[1] for s in range(every.size)),
+            dtype=float, count=every.size))
+
+    shares = [0] * inst.k
+    rest = every.size - 1
+    for j in range(inst.k - 1, 0, -1):
+        shares[j], _ = _best_split(levels[j - 1], tables[j], rest, every)
+        rest ^= shares[j]
+    shares[0] = rest
 
     tours = []
-    for j, v in enumerate(inst.vehicles):
-        ids = {free[p] for p in range(nf) if best_masks[j] >> p & 1}
+    for share, v in zip(shares, inst.vehicles):
+        ids = {t for p, t in enumerate(free) if share >> p & 1}
         ids |= inst.required_for(v.id)
         tours.append(solve_tsp(request_for(inst, v.id, ids, EXACT)))
     return Solution(tuple(tours))

@@ -144,7 +144,7 @@ def test_c5_allocation_matches_brute_force():
         inst = random_instance(rng, n=n, k=k,
                                assign_fraction=float(rng.uniform(0.0, 0.3)))
         counts = min_target_counts(inst)
-        if counts.total() > len(inst.free_targets()):
+        if sum(counts.lower.values()) > len(inst.free_targets()):
             continue
         eff = perturb_colocated_depots(inst, rng)
         alloc = solve_load_balancing(inst, eff, counts)

@@ -34,7 +34,7 @@ class TestMinTargetCounts:
                     Vehicle(3, 2.0, Point(2, 0)))
         counts = min_target_counts(Instance(targets, vehicles))
         assert counts.lower == {1: 6, 2: 10, 3: 13}
-        assert counts.total() == 29
+        assert sum(counts.lower.values()) == 29
 
     def test_required_load_is_subtracted_and_clamped(self):
         targets = _grid_targets(30)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from minmaxtsp import (ExperimentConfig, ExperimentReport, OracleBudget,
-                       generate_instance, read_report, run_experiment,
-                       scenario1, scenario2, write_report)
+from minmaxtsp import (ExperimentConfig, ExperimentReport, generate_instance,
+                       read_report, run_experiment, scenario1, scenario2,
+                       write_report)
 from minmaxtsp.heuristic import STAGE_PERTURBATION
 
 
@@ -54,8 +54,12 @@ class TestGeneration:
             ExperimentConfig(speeds=(1.0, 2.0), colocated=((1, 5),))
         with pytest.raises(ValueError):
             ExperimentConfig(speeds=(1.0, 2.0, 3.0), colocated=((1, 2), (2, 3)))
-        with pytest.raises(ValueError, match="n_instances"):
-            ExperimentConfig(n_instances=0)
+        for bad in (0, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="n_instances"):
+                ExperimentConfig(n_instances=bad)
+        for bad in (float("nan"), float("inf"), -1.0, 0.0, "200"):
+            with pytest.raises(ValueError, match="grid"):
+                ExperimentConfig(grid=bad)
 
 
 class TestRunExperiment:
@@ -83,7 +87,7 @@ class TestRunExperiment:
             assert ra.oracle_obj == rb.oracle_obj
 
     def test_oracle_skipped_when_over_budget(self):
-        cfg = self._small(oracle_budget=OracleBudget(max_partitions=2))
+        cfg = scenario1(n_targets=14, n_instances=3, seed=4, oracle=True)  # 3^14 partitions
         report = run_experiment(cfg)
         assert report.rows_without_oracle() == 3
         assert report.mean_gap("final") is None

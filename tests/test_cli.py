@@ -118,6 +118,15 @@ class TestExitCodes:
         assert "error: n_instances" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["nan", "inf", "-1"])
+    def test_bad_grid_is_invalid_input(self, grid, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert main(["gen", "--scenario", "1", "--grid", grid, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: grid" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_failed_stage_check_is_an_error_not_a_traceback(
             self, instance_file, monkeypatch, capsys):
         monkeypatch.setattr(heuristic, "validate_solution", lambda inst, sol: ["forced"])

@@ -1,14 +1,81 @@
-"""Exhaustive oracle: agreement with naive enumeration, budget guards, and
-pruning transparency."""
+"""Exact oracle: agreement with naive enumeration and with the partition
+odometer it replaced, its tie rule, and the budget guards."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minmaxtsp import (DEPOT, EXACT, Instance, OracleBudget, OracleBudgetError,
-                       Point, Vehicle, exact_minmax, oracle_feasible,
+from minmaxtsp import (DEPOT, EXACT, Instance, OracleBudgetError, Point,
+                       Solution, Vehicle, exact_minmax, oracle_feasible,
                        request_for, solve, solve_tsp, validate_solution)
+from minmaxtsp.oracle import _duration_tables
 
 from conftest import brute_minmax_objective, line_instance, random_instance
+
+
+def _odometer_reference(inst: Instance) -> Solution:
+    """Every partition of the free targets in mixed-radix counter order (one
+    digit per free target, vehicle index as digit value); the first partition
+    with the least tabulated makespan is the plan."""
+    free = inst.free_targets()
+    nf = len(free)
+    k = inst.k
+    tables = _duration_tables(inst, free)
+    digits = [0] * nf
+    masks = [0] * k
+    masks[0] = (1 << nf) - 1
+    best_obj = np.inf
+    best_masks = list(masks)
+    while True:
+        worst = max(float(tables[j][masks[j]]) for j in range(k))
+        if worst < best_obj:
+            best_obj = worst
+            best_masks = list(masks)
+        p = 0
+        while p < nf and digits[p] == k - 1:
+            masks[k - 1] ^= 1 << p
+            masks[0] |= 1 << p
+            digits[p] = 0
+            p += 1
+        if p == nf:
+            break
+        masks[digits[p]] ^= 1 << p
+        digits[p] += 1
+        masks[digits[p]] |= 1 << p
+    tours = []
+    for j, v in enumerate(inst.vehicles):
+        ids = {free[p] for p in range(nf) if best_masks[j] >> p & 1}
+        ids |= inst.required_for(v.id)
+        tours.append(solve_tsp(request_for(inst, v.id, ids, EXACT)))
+    return Solution(tuple(tours))
+
+
+@st.composite
+def _oracle_instances(draw):
+    """1-4 vehicles and 1-8 targets, 0-100% of them pinned, some depots shared:
+    uniform coordinates and speeds, or a 4 x 4 integer grid with unit speeds
+    (most tours then tie)."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        xy = rng.integers(0, 4, size=(n + k, 2)).astype(float)
+        speeds = [1.0] * k
+    else:
+        xy = rng.uniform(0.0, 100.0, size=(n + k, 2))
+        speeds = rng.uniform(0.5, 2.5, size=k).tolist()
+    depots = [Point(float(x), float(y)) for x, y in xy[n:]]
+    for j in range(1, k):
+        if draw(st.booleans()):
+            depots[j] = depots[0]
+    required = {}
+    n_pinned = draw(st.integers(0, n))
+    for t in rng.choice(n, size=n_pinned, replace=False):
+        required.setdefault(int(rng.integers(1, k + 1)), []).append(int(t))
+    targets = tuple(Point(float(x), float(y)) for x, y in xy[:n])
+    vehicles = tuple(Vehicle(j + 1, float(speeds[j]), depots[j]) for j in range(k))
+    return Instance(targets, vehicles, required)
 
 
 class TestAgreement:
@@ -63,14 +130,20 @@ class TestAgreement:
             for vid, req in inst.required.items():
                 assert req <= plan.targets_of(vid)
 
-    def test_pruning_changes_nothing(self):
-        rng = np.random.default_rng(25)
-        for _ in range(8):
-            inst = random_instance(rng, n=8, k=3)
-            fast = exact_minmax(inst, prune=True)
-            slow = exact_minmax(inst, prune=False)
-            assert fast.objective == slow.objective
-            assert [t.sequence for t in fast.tours] == [t.sequence for t in slow.tours]
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_oracle_instances())
+    def test_objective_equals_the_odometer(self, inst):
+        assert exact_minmax(inst).objective == _odometer_reference(inst).objective
+
+    def test_ties_go_to_the_lowest_mask_from_the_last_vehicle_down(self):
+        # Three unit-speed vehicles on one depot, three targets at distance 1:
+        # every one-target-each split has makespan 2.  Vehicle 3 takes the
+        # lowest-mask share, target 0; vehicle 2 the lowest of what is left.
+        inst = Instance((Point(1, 0), Point(-1, 0), Point(0, 1)),
+                        tuple(Vehicle(j, 1.0, Point(0, 0)) for j in (1, 2, 3)))
+        plan = exact_minmax(inst)
+        assert plan.objective == 2.0
+        assert [plan.targets_of(j) for j in (1, 2, 3)] == [{2}, {1}, {0}]
 
     def test_repeat_calls_are_identical(self):
         rng = np.random.default_rng(26)
@@ -97,8 +170,7 @@ class TestBudget:
         assert not oracle_feasible(toobig)
 
     def test_custom_budget_is_honored(self):
-        inst = self._fleet(2, 5)
-        tight = OracleBudget(max_partitions=10)
-        assert not oracle_feasible(inst, tight)
+        inst = self._fleet(3, 14)                         # 3^14 > MAX_PARTITIONS
+        assert not oracle_feasible(inst)
         with pytest.raises(OracleBudgetError):
-            exact_minmax(inst, tight)
+            exact_minmax(inst)
