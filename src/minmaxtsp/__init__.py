@@ -7,12 +7,11 @@ package provides a three-stage heuristic, an exact oracle for desk-sized
 instances, and a benchmark protocol with CSV reports and SVG tour drawings.
 """
 
-from .allocation import (Allocation, EffectiveDepots, MinCounts,
-                         build_initial_solution, min_target_counts,
+from .allocation import (build_initial_solution, min_target_counts,
                          perturb_colocated_depots, solve_load_balancing)
 from .bench import (ExperimentConfig, ExperimentReport, ReportRow,
-                    generate_instance, read_report, run_experiment, scenario1,
-                    scenario2, write_report)
+                    generate_instance, run_experiment, scenario1, scenario2,
+                    write_report)
 from .heuristic import (InsertionQuote, SavingsEntry, SolverConfig, StageTrace,
                         best_insertion, compute_savings, local_search,
                         perturbation_loop, perturbation_radius, solve)
@@ -30,18 +29,17 @@ from .tsp import EXACT, HEURISTIC, TourRequest, TspCache, request_for, solve_tsp
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allocation", "CapacityError", "DEPOT", "EXACT", "EffectiveDepots",
-    "ExperimentConfig", "ExperimentReport", "HEURISTIC",
-    "InfeasibleAllocationError", "InsertionQuote", "Instance",
-    "InvalidConfigError", "InvalidInstanceError", "MinCounts",
-    "NoInsertionCandidateError", "OracleBudgetError", "Point", "ReportRow", "SavingsEntry",
-    "Solution", "SolverConfig", "SolverError", "StageCheckError", "StageTrace",
-    "Tour", "TourRequest", "TspCache", "Vehicle", "best_insertion",
+    "CapacityError", "DEPOT", "EXACT", "ExperimentConfig", "ExperimentReport",
+    "HEURISTIC", "InfeasibleAllocationError", "InsertionQuote", "Instance",
+    "InvalidConfigError", "InvalidInstanceError", "NoInsertionCandidateError",
+    "OracleBudgetError", "Point", "ReportRow", "SavingsEntry", "Solution",
+    "SolverConfig", "SolverError", "StageCheckError", "StageTrace", "Tour",
+    "TourRequest", "TspCache", "Vehicle", "best_insertion",
     "build_initial_solution", "compute_savings", "distances", "exact_minmax",
     "generate_instance", "instance_from_json", "instance_to_json",
     "load_instance", "local_search", "min_target_counts", "oracle_feasible",
     "perturb_colocated_depots", "perturbation_loop", "perturbation_radius",
-    "read_report", "render_tours", "request_for", "run_experiment",
-    "save_instance", "scenario1", "scenario2", "solve", "solve_load_balancing",
-    "solve_tsp", "tour_duration", "validate_solution", "write_report",
+    "render_tours", "request_for", "run_experiment", "save_instance",
+    "scenario1", "scenario2", "solve", "solve_load_balancing", "solve_tsp",
+    "tour_duration", "validate_solution", "write_report",
 ]

@@ -1,5 +1,11 @@
 """Load-balancing initialization.
 
+Stage 1 is three calls on plain per-vehicle mappings keyed by vehicle id:
+``perturb_colocated_depots`` gives each vehicle's effective depot (a Point),
+``solve_load_balancing`` gives each vehicle's free targets (a frozenset), and
+``build_initial_solution`` routes each vehicle through those plus its
+required targets.
+
 Free targets are distributed over the fleet by a minimum-cost assignment in
 which every vehicle must receive at least a speed-proportional share of the
 work, and the cost of giving target t to vehicle j is the depot-to-target
@@ -14,7 +20,6 @@ and tours are always built from the true depots.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,32 +30,8 @@ from .tsp import HEURISTIC, TspCache, request_for, solve_tsp
 COLOCATION_RADIUS = 0.1
 
 
-@dataclass(frozen=True)
-class MinCounts:
-    """Per-vehicle lower bounds on the number of free targets to receive."""
-
-    lower: dict
-
-
-@dataclass(frozen=True)
-class EffectiveDepots:
-    """Depot positions used for allocation costs only."""
-
-    pos: dict
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Free targets per vehicle; required targets are not listed here."""
-
-    assign: dict
-
-    def for_vehicle(self, vid: int) -> frozenset:
-        return self.assign.get(vid, frozenset())
-
-
-def min_target_counts(inst: Instance) -> MinCounts:
-    """Speed-proportional share per vehicle, net of its pre-assigned load.
+def min_target_counts(inst: Instance) -> dict:
+    """Lower bound per vehicle id on the free targets it must receive.
 
     Vehicle j must serve at least floor(n * v_j / sum(v)) targets; whatever
     its required set already covers is subtracted and the result is clamped
@@ -64,17 +45,18 @@ def min_target_counts(inst: Instance) -> MinCounts:
     for v in inst.vehicles:
         share = math.floor(n * v.speed / total_speed)
         lower[v.id] = max(0, share - len(inst.required_for(v.id)))
-    return MinCounts(lower)
+    return lower
 
 
-def perturb_colocated_depots(inst: Instance, rng) -> EffectiveDepots:
-    """Spread groups of co-located depots evenly on a small circle.
+def perturb_colocated_depots(inst: Instance, rng) -> dict:
+    """Effective depot position per vehicle id, for allocation costs only.
 
-    Each group of m >= 2 vehicles sharing an exact depot position gets one
-    random base angle; member i (in vehicle-id order) lands at base + i*2pi/m
-    on a circle of radius COLOCATION_RADIUS around the shared point.  Groups
-    are processed in order of their lowest vehicle id, so draws are
-    reproducible for a seeded generator.
+    A vehicle alone on its depot keeps it.  Each group of m >= 2 vehicles
+    sharing an exact depot position gets one random base angle; member i (in
+    vehicle-id order) lands at base + i*2pi/m on a circle of radius
+    COLOCATION_RADIUS around the shared point.  Groups are processed in order
+    of their lowest vehicle id, so draws are reproducible for a seeded
+    generator.
     """
     groups = {}
     for v in inst.vehicles:
@@ -88,17 +70,17 @@ def perturb_colocated_depots(inst: Instance, rng) -> EffectiveDepots:
             theta = base + 2.0 * math.pi * i / len(members)
             pos[vid] = Point(cx + COLOCATION_RADIUS * math.cos(theta),
                              cy + COLOCATION_RADIUS * math.sin(theta))
-    return EffectiveDepots(pos)
+    return pos
 
 
-def _cost_matrix(inst: Instance, eff: EffectiveDepots, free) -> np.ndarray:
+def _cost_matrix(inst: Instance, eff: dict, free) -> np.ndarray:
     """(|free|, k) matrix: time from vehicle j's effective depot to target t."""
-    depots = np.array([[eff.pos[v.id].x, eff.pos[v.id].y] for v in inst.vehicles])
+    depots = np.array([[eff[v.id].x, eff[v.id].y] for v in inst.vehicles])
     speeds = np.array([v.speed for v in inst.vehicles])
     return distances(inst.target_xy()[list(free)], depots) / speeds
 
 
-def allocation_cost(inst: Instance, eff: EffectiveDepots, alloc: Allocation) -> float:
+def allocation_cost(inst: Instance, eff: dict, alloc: dict) -> float:
     """Total depot-to-target cost of an allocation under effective depots."""
     free = inst.free_targets()
     if not free:
@@ -107,40 +89,40 @@ def allocation_cost(inst: Instance, eff: EffectiveDepots, alloc: Allocation) -> 
     row = {t: i for i, t in enumerate(free)}
     total = 0.0
     for v in inst.vehicles:
-        for t in alloc.for_vehicle(v.id):
+        for t in alloc[v.id]:
             total += c[row[t], v.id - 1]
     return total
 
 
-def solve_load_balancing(inst: Instance, eff: EffectiveDepots,
-                         counts: MinCounts) -> Allocation:
-    """Distribute free targets at minimum total cost subject to the lower bounds.
+def solve_load_balancing(inst: Instance, eff: dict) -> dict:
+    """Free targets per vehicle id at minimum total cost, as frozensets.
 
-    The problem is solved exactly: vehicle j contributes lower_j dedicated
-    slots priced by its own cost column, targets beyond the bounds fill
-    wildcard slots priced at each target's cheapest vehicle, and one square
-    assignment over the slots settles everything.  A target won by a wildcard
-    slot goes to its cheapest vehicle (ties: lowest id).
+    ``eff`` maps each vehicle id to its effective depot (see
+    ``perturb_colocated_depots``); the lower bounds come from
+    ``min_target_counts``.  Every vehicle gets an entry; required targets are
+    not listed.  The problem is solved exactly: vehicle j contributes lower_j
+    dedicated slots priced by its own cost column, targets beyond the bounds
+    fill wildcard slots priced at each target's cheapest vehicle, and one
+    square assignment over the slots settles everything.  A target won by a
+    wildcard slot goes to its cheapest vehicle (ties: lowest id).
 
     The square assignment is Crouse's shortest augmenting path method, run
     row by row.  When several columns tie for the cheapest path at a step, it
     takes the last one scanned that has no row yet, and otherwise the first
     one scanned: scipy's ``linear_sum_assignment`` rule.  A single vehicle
-    takes every free target, the assignment's only answer, without solving
-    it.  Raises InfeasibleAllocationError when the bounds demand more targets
-    than are free.
+    owes every free target, so all its slots are dedicated and it gets them
+    all.  Raises InfeasibleAllocationError when the bounds demand more
+    targets than are free.
     """
     free = inst.free_targets()
-    lowers = [counts.lower.get(v.id, 0) for v in inst.vehicles]
+    lowers = list(min_target_counts(inst).values())
     if sum(lowers) > len(free):
         raise InfeasibleAllocationError(
             f"lower bounds demand {sum(lowers)} free targets, instance has {len(free)}")
     assign = {v.id: set() for v in inst.vehicles}
-    if inst.k == 1:
-        assign[inst.vehicles[0].id].update(free)
-    elif free:
+    if free:
         _assign_exact(_cost_matrix(inst, eff, free), lowers, free, assign)
-    return Allocation({vid: frozenset(ids) for vid, ids in assign.items()})
+    return {vid: frozenset(ids) for vid, ids in assign.items()}
 
 
 def _assign_exact(c: np.ndarray, lowers, free, assign) -> None:
@@ -228,15 +210,17 @@ def _min_cost_assignment(cost: list) -> list:
     return col4row
 
 
-def build_initial_solution(inst: Instance, alloc: Allocation, mode: str = HEURISTIC,
+def build_initial_solution(inst: Instance, alloc: dict, mode: str = HEURISTIC,
                            cache: TspCache | None = None) -> Solution:
     """Route every vehicle through its allocated plus required targets.
 
-    Tours always depart from the true depots; the effective positions used
-    for allocation costs play no role here.
+    ``alloc`` maps every vehicle id to its free targets, as
+    ``solve_load_balancing`` returns.  Tours always depart from the true
+    depots; the effective positions used for allocation costs play no role
+    here.
     """
     tours = []
     for v in inst.vehicles:
-        ids = set(alloc.for_vehicle(v.id)) | set(inst.required_for(v.id))
+        ids = alloc[v.id] | inst.required_for(v.id)
         tours.append(solve_tsp(request_for(inst, v.id, ids, mode), cache))
     return Solution(tuple(tours))

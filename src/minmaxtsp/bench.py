@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import heuristic
-from .model import Instance, Point, Vehicle
+from .model import Instance, InvalidConfigError, Point, Vehicle, is_integer
 from .oracle import exact_minmax, oracle_feasible
 from .tsp import HEURISTIC
 
@@ -39,20 +39,23 @@ class ExperimentConfig:
     tour_mode: str = HEURISTIC
 
     def __post_init__(self):
+        """Check the settings; a bad one raises ``InvalidConfigError``."""
         if not 0.0 <= self.assign_fraction <= 1.0:
-            raise ValueError("assign_fraction must lie in [0, 1]")
-        n = self.n_instances
-        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
-            raise ValueError(f"n_instances must be an integer >= 1, got {n!r}")
+            raise InvalidConfigError("assign_fraction must lie in [0, 1]")
+        for name, least in (("n_targets", 1), ("n_instances", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= least):
+                raise InvalidConfigError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         if not (isinstance(self.grid, numbers.Real) and math.isfinite(self.grid)
                 and self.grid > 0):
-            raise ValueError(f"grid must be a finite number > 0, got {self.grid!r}")
+            raise InvalidConfigError(f"grid must be a finite number > 0, got {self.grid!r}")
         k = len(self.speeds)
         seen = set()
         for group in self.colocated:
             for vid in group:
                 if not 1 <= vid <= k or vid in seen:
-                    raise ValueError(f"bad co-location group member {vid}")
+                    raise InvalidConfigError(f"bad co-location group member {vid}")
                 seen.add(vid)
 
     @property
@@ -211,21 +214,3 @@ def write_report(report: ExperimentReport, path) -> None:
         fh.write(f"# mean_t_heuristic_s={_fmt(report.mean_time_heuristic(), 3)}\n")
         fh.write(f"# mean_t_oracle_s={_fmt(report.mean_time_oracle(), 3)}\n")
         fh.write(f"# rows_without_oracle={report.rows_without_oracle()}\n")
-
-
-def _parse(value: str) -> float | None:
-    return None if value == "NA" else float(value)
-
-
-def read_report(path) -> ExperimentReport:
-    """Parse a report CSV back into rows; aggregate lines are recomputed."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for record in csv.reader(line for line in fh if not line.startswith("#")):
-            if not record or record[0] == "instance":
-                continue
-            rows.append(ReportRow(int(record[0]), float(record[1]), float(record[2]),
-                                  float(record[3]), _parse(record[4]), _parse(record[5]),
-                                  _parse(record[6]), _parse(record[7]), float(record[8]),
-                                  _parse(record[9])))
-    return ExperimentReport(rows)

@@ -8,23 +8,23 @@ stays below the makespan, so is the donor; the move sticks only if the fleet
 makespan strictly drops.  Stage 3 escapes local optima by displacing depots
 (radially, by half the sum of each tour's two depot-edge times) and
 re-optimizing on the displaced geometry; a plan rebuilt at the true depots is
-accepted only when strictly better, and the loop gives up after five straight
-rejections.  Displacement angles march around the circle in 144-degree
-steps from a random start, so five steps revisit the starting angle.
+accepted only when strictly better, and the loop gives up after
+``SolverConfig.no_improve_stop`` straight rejections (5 by default).
+Displacement angles march around the circle in 144-degree steps from a random
+start, so five steps revisit the starting angle.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import (build_initial_solution, min_target_counts,
-                         perturb_colocated_depots, solve_load_balancing)
+from .allocation import (build_initial_solution, perturb_colocated_depots,
+                         solve_load_balancing)
 from .model import (DEPOT, Instance, InvalidConfigError,
                     NoInsertionCandidateError, Point, Solution,
-                    StageCheckError, validate_solution)
+                    StageCheckError, is_integer, validate_solution)
 from .tsp import EXACT, HEURISTIC, TspCache, request_for, solve_tsp
 
 # One step of the depot displacement angle schedule: 144 degrees.
@@ -33,10 +33,6 @@ PERTURBATION_STEP = 0.8 * math.pi
 STAGE_INIT = "init"
 STAGE_LOCAL_SEARCH = "local_search"
 STAGE_PERTURBATION = "perturbation"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class SolverConfig:
         if self.tour_mode not in (HEURISTIC, EXACT):
             raise InvalidConfigError(
                 f"tour_mode must be {HEURISTIC!r} or {EXACT!r}, got {self.tour_mode!r}")
-        if not (_is_int(self.no_improve_stop) and self.no_improve_stop >= 0):
+        if not (is_integer(self.no_improve_stop) and self.no_improve_stop >= 0):
             raise InvalidConfigError(
                 f"no_improve_stop must be an integer >= 0, got {self.no_improve_stop!r}")
 
@@ -210,9 +206,9 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig,
     the scheduled angle, rebuilds the incumbent assignment's tours on the
     displaced geometry, runs the local search there, then re-routes the
     resulting assignment from the true depots.  Only a strict makespan
-    improvement is kept; five consecutive rejections end the loop.  Base
-    angles are drawn once per vehicle, in id order.  The radius, a travel
-    time, is applied directly as a displacement length.
+    improvement is kept; ``cfg.no_improve_stop`` consecutive rejections end
+    the loop.  Base angles are drawn once per vehicle, in id order.  The
+    radius, a travel time, is applied directly as a displacement length.
     """
     if inst.k < 2:
         return sol, 0
@@ -267,8 +263,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0):
 
     t0 = time.perf_counter()
     effective = perturb_colocated_depots(inst, rng)
-    counts = min_target_counts(inst)
-    alloc = solve_load_balancing(inst, effective, counts)
+    alloc = solve_load_balancing(inst, effective)
     initial = _checked(inst, build_initial_solution(inst, alloc, cfg.tour_mode, cache),
                        STAGE_INIT)
     t1 = time.perf_counter()

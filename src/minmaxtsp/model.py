@@ -9,6 +9,7 @@ triangle inequality for every vehicle.
 
 import copy
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -91,6 +92,11 @@ def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
+def is_integer(value) -> bool:
+    """True for an integral number that is not a bool (numpy integers pass)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _coords_ok(p: Point) -> bool:
     # NaN fails both comparisons, so this also rejects non-finite values.
     return abs(p.x) <= COORD_LIMIT and abs(p.y) <= COORD_LIMIT
@@ -130,7 +136,9 @@ class Instance:
     vehicles: fleet ordered by id (ids are exactly 1..k), each with a finite
               speed of at least SPEED_MIN.
     required: per-vehicle pre-assigned target sets, pairwise disjoint; kept
-              as a read-only mapping from vehicle id to a frozenset.
+              as a read-only mapping from vehicle id to a frozenset.  Keys
+              and target indices must be integers (numpy integers pass,
+              bools and floats do not).
 
     Instances are validated on construction and frozen, since distance data is
     cached lazily and shared by all solver stages; ``with_depots`` makes a
@@ -145,6 +153,14 @@ class Instance:
         raw = self.required or {}
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
+        for vid, ids in raw.items():
+            if not is_integer(vid):
+                raise InvalidInstanceError(
+                    f"required set key {vid!r} is not an integer")
+            for t in ids:
+                if not is_integer(t):
+                    raise InvalidInstanceError(
+                        f"required target index {t!r} is not an integer")
         object.__setattr__(self, "required", _ReadOnlyDict(
             (int(v), frozenset(int(t) for t in ids)) for v, ids in raw.items() if len(ids) > 0))
         object.__setattr__(self, "_cache", {})

@@ -5,6 +5,7 @@ code paths; they enumerate permutations and partitions directly over raw
 coordinates so that agreement with the library is meaningful evidence.
 """
 
+import csv
 import itertools
 import math
 
@@ -64,9 +65,13 @@ def brute_minmax_objective(inst, cache=None):
 
 
 def brute_allocation_cost(inst, eff, counts):
-    """Minimum allocation cost over all assignments meeting the lower bounds."""
+    """Minimum allocation cost over all assignments meeting the lower bounds.
+
+    ``eff`` maps vehicle id to effective depot and ``counts`` vehicle id to
+    lower bound, as ``perturb_colocated_depots`` and ``min_target_counts``
+    return them."""
     free = inst.free_targets()
-    lowers = [counts.lower.get(v.id, 0) for v in inst.vehicles]
+    lowers = [counts.get(v.id, 0) for v in inst.vehicles]
     best = math.inf
     for owners in itertools.product(range(inst.k), repeat=len(free)):
         tally = [0] * inst.k
@@ -77,7 +82,7 @@ def brute_allocation_cost(inst, eff, counts):
         cost = 0.0
         for p, o in enumerate(owners):
             v = inst.vehicle(o + 1)
-            d = eff.pos[o + 1]
+            d = eff[o + 1]
             t = inst.targets[free[p]]
             cost += euclid((d.x, d.y), (t.x, t.y)) / v.speed
         if cost < best:
@@ -121,3 +126,10 @@ def line_instance():
     targets = (Point(1, 0), Point(2, 0), Point(8, 0), Point(9, 0))
     vehicles = (Vehicle(1, 1.0, Point(0, 0)), Vehicle(2, 1.0, Point(10, 0)))
     return Instance(targets, vehicles)
+
+
+def report_records(path):
+    """Per-instance rows of a report CSV as dicts of column name to raw string;
+    the '#' aggregate lines are skipped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))

@@ -15,8 +15,7 @@ from minmaxtsp import (DEPOT, InfeasibleAllocationError, Instance, Point,
                        Vehicle, allocation, build_initial_solution,
                        min_target_counts, perturb_colocated_depots,
                        solve_load_balancing, validate_solution)
-from minmaxtsp.allocation import (COLOCATION_RADIUS, Allocation,
-                                  MinCounts, _cost_matrix, _min_cost_assignment,
+from minmaxtsp.allocation import (COLOCATION_RADIUS, _min_cost_assignment,
                                   allocation_cost)
 
 from conftest import (FixedAngleRng, brute_allocation_cost,
@@ -33,22 +32,20 @@ class TestMinTargetCounts:
         vehicles = (Vehicle(1, 1.0, Point(0, 0)), Vehicle(2, 1.5, Point(1, 0)),
                     Vehicle(3, 2.0, Point(2, 0)))
         counts = min_target_counts(Instance(targets, vehicles))
-        assert counts.lower == {1: 6, 2: 10, 3: 13}
-        assert sum(counts.lower.values()) == 29
+        assert counts == {1: 6, 2: 10, 3: 13}
+        assert sum(counts.values()) == 29
 
     def test_required_load_is_subtracted_and_clamped(self):
         targets = _grid_targets(30)
         vehicles = (Vehicle(1, 1.0, Point(0, 0)), Vehicle(2, 1.5, Point(1, 0)),
                     Vehicle(3, 2.0, Point(2, 0)))
         inst = Instance(targets, vehicles, {3: list(range(20))})
-        counts = min_target_counts(inst)
-        assert counts.lower == {1: 6, 2: 10, 3: 0}
+        assert min_target_counts(inst) == {1: 6, 2: 10, 3: 0}
 
     def test_single_vehicle_owes_every_free_target(self):
         targets = _grid_targets(9)
         inst = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)),), {1: [2, 5]})
-        counts = min_target_counts(inst)
-        assert counts.lower == {1: len(inst.free_targets())}
+        assert min_target_counts(inst) == {1: len(inst.free_targets())}
 
 
 class TestDepotSpreading:
@@ -57,9 +54,9 @@ class TestDepotSpreading:
         vehicles = (Vehicle(1, 1.0, Point(3, 4)), Vehicle(2, 1.0, Point(3, 4)))
         eff = perturb_colocated_depots(Instance(targets, vehicles),
                                        FixedAngleRng(0.0))
-        assert eff.pos[1] == Point(3 + 0.1, 4)
-        assert eff.pos[2].x == pytest.approx(3 - 0.1)
-        assert eff.pos[2].y == pytest.approx(4, abs=1e-12)
+        assert eff[1] == Point(3 + 0.1, 4)
+        assert eff[2].x == pytest.approx(3 - 0.1)
+        assert eff[2].y == pytest.approx(4, abs=1e-12)
 
     def test_triple_spreads_at_equal_angles(self):
         targets = (Point(50, 50),)
@@ -67,7 +64,7 @@ class TestDepotSpreading:
         vehicles = tuple(Vehicle(i, 1.0, depot) for i in (1, 2, 3))
         eff = perturb_colocated_depots(Instance(targets, vehicles),
                                        np.random.default_rng(0))
-        pts = [eff.pos[i] for i in (1, 2, 3)]
+        pts = [eff[i] for i in (1, 2, 3)]
         for p in pts:
             assert math.hypot(p.x, p.y) == pytest.approx(COLOCATION_RADIUS)
         gaps = {round(pts[i].dist(pts[(i + 1) % 3]), 12) for i in range(3)}
@@ -76,8 +73,7 @@ class TestDepotSpreading:
     def test_distinct_depots_are_untouched(self):
         inst = line_instance()
         eff = perturb_colocated_depots(inst, np.random.default_rng(0))
-        assert eff.pos[1] == inst.vehicle(1).depot
-        assert eff.pos[2] == inst.vehicle(2).depot
+        assert eff == {1: inst.vehicle(1).depot, 2: inst.vehicle(2).depot}
 
     def test_groups_draw_in_lowest_id_order(self):
         targets = (Point(50, 50),)
@@ -85,31 +81,29 @@ class TestDepotSpreading:
                     Vehicle(3, 1.0, Point(0, 0)), Vehicle(4, 1.0, Point(5, 5)))
         eff = perturb_colocated_depots(Instance(targets, vehicles),
                                        FixedAngleRng(0.0, math.pi / 2))
-        assert eff.pos[1].x == pytest.approx(0.1)   # first draw: group of 1 and 3
-        assert eff.pos[3].x == pytest.approx(-0.1)
-        assert eff.pos[2].y == pytest.approx(5.1)   # second draw: group of 2 and 4
-        assert eff.pos[4].y == pytest.approx(4.9)
+        assert eff[1].x == pytest.approx(0.1)   # first draw: group of 1 and 3
+        assert eff[3].x == pytest.approx(-0.1)
+        assert eff[2].y == pytest.approx(5.1)   # second draw: group of 2 and 4
+        assert eff[4].y == pytest.approx(4.9)
 
 
 class TestAssignment:
     def test_facing_vehicles_split_the_line(self):
         inst = line_instance()
         eff = perturb_colocated_depots(inst, np.random.default_rng(0))
-        counts = min_target_counts(inst)
-        assert counts.lower == {1: 2, 2: 2}
-        alloc = solve_load_balancing(inst, eff, counts)
-        assert alloc.for_vehicle(1) == frozenset({0, 1})
-        assert alloc.for_vehicle(2) == frozenset({2, 3})
+        assert min_target_counts(inst) == {1: 2, 2: 2}
+        alloc = solve_load_balancing(inst, eff)
+        assert alloc == {1: frozenset({0, 1}), 2: frozenset({2, 3})}
         assert allocation_cost(inst, eff, alloc) == pytest.approx(6.0)
 
     def test_wildcard_tie_goes_to_lowest_vehicle_id(self):
         targets = (Point(5, 0),)
         vehicles = (Vehicle(1, 1.0, Point(0, 0)), Vehicle(2, 1.0, Point(10, 0)))
         inst = Instance(targets, vehicles)
+        assert min_target_counts(inst) == {1: 0, 2: 0}
         eff = perturb_colocated_depots(inst, np.random.default_rng(0))
-        alloc = solve_load_balancing(inst, eff, MinCounts({1: 0, 2: 0}))
-        assert alloc.for_vehicle(1) == frozenset({0})
-        assert alloc.for_vehicle(2) == frozenset()
+        alloc = solve_load_balancing(inst, eff)
+        assert alloc == {1: frozenset({0}), 2: frozenset()}
 
     def test_matches_brute_force_cost(self):
         rng = np.random.default_rng(55)
@@ -121,13 +115,12 @@ class TestAssignment:
                                    assign_fraction=float(rng.uniform(0, 0.35)),
                                    colocate_first_two=bool(trial % 3 == 0))
             eff = perturb_colocated_depots(inst, rng)
-            counts = min_target_counts(inst)
             try:
-                alloc = solve_load_balancing(inst, eff, counts)
+                alloc = solve_load_balancing(inst, eff)
             except InfeasibleAllocationError:
                 continue
             got = allocation_cost(inst, eff, alloc)
-            want = brute_allocation_cost(inst, eff, counts)
+            want = brute_allocation_cost(inst, eff, min_target_counts(inst))
             assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
             checked += 1
         assert checked >= 20
@@ -138,11 +131,12 @@ class TestAssignment:
             inst = random_instance(rng, n=12, k=3, assign_fraction=0.2)
             eff = perturb_colocated_depots(inst, rng)
             counts = min_target_counts(inst)
-            alloc = solve_load_balancing(inst, eff, counts)
+            alloc = solve_load_balancing(inst, eff)
+            assert list(alloc) == [v.id for v in inst.vehicles]
             union = set()
             for v in inst.vehicles:
-                mine = alloc.for_vehicle(v.id)
-                assert len(mine) >= counts.lower[v.id]
+                mine = alloc[v.id]
+                assert len(mine) >= counts[v.id]
                 assert not union & mine
                 union |= mine
             assert union == set(inst.free_targets())
@@ -156,7 +150,7 @@ class TestAssignment:
         costs = []
         for case in (inst, twin):
             eff = perturb_colocated_depots(case, np.random.default_rng(0))
-            alloc = solve_load_balancing(case, eff, min_target_counts(case))
+            alloc = solve_load_balancing(case, eff)
             costs.append(allocation_cost(case, eff, alloc))
         assert costs[0] == pytest.approx(costs[1], abs=1e-9)
 
@@ -165,21 +159,20 @@ class TestAssignment:
         inst = random_instance(rng, n=12, k=1, assign_fraction=0.25)
         free = inst.free_targets()
         eff = perturb_colocated_depots(inst, np.random.default_rng(0))
-        counts = min_target_counts(inst)
-        assert solve_load_balancing(inst, eff, counts) == Allocation({1: frozenset(free)})
-        assign = {1: set()}
-        allocation._assign_exact(_cost_matrix(inst, eff, free), [counts.lower[1]], free, assign)
-        assert assign == {1: set(free)}
+        assert min_target_counts(inst) == {1: len(free)}
+        with mock.patch.object(allocation, "_min_cost_assignment",
+                               wraps=allocation._min_cost_assignment) as solver:
+            assert solve_load_balancing(inst, eff) == {1: frozenset(free)}
+        solver.assert_called_once()
 
     def test_infeasible_lower_bounds_raise(self):
         targets = _grid_targets(4)
         vehicles = (Vehicle(1, 1.0, Point(0, 0)), Vehicle(2, 1.0, Point(1, 1)))
         inst = Instance(targets, vehicles, {1: [0, 1, 2]})
-        counts = min_target_counts(inst)
-        assert counts.lower == {1: 0, 2: 2}
+        assert min_target_counts(inst) == {1: 0, 2: 2}
         eff = perturb_colocated_depots(inst, np.random.default_rng(0))
         with pytest.raises(InfeasibleAllocationError):
-            solve_load_balancing(inst, eff, counts)
+            solve_load_balancing(inst, eff)
 
 
 def _scipy_assignment(cost):
@@ -236,7 +229,7 @@ def _grid_fleets(draw):
 def _balance(inst, seed):
     eff = perturb_colocated_depots(inst, np.random.default_rng(seed))
     try:
-        return solve_load_balancing(inst, eff, min_target_counts(inst))
+        return solve_load_balancing(inst, eff)
     except InfeasibleAllocationError as exc:
         return type(exc)
 
@@ -268,7 +261,7 @@ class TestAssignmentSolver:
 class TestBuildInitial:
     def test_unassigned_vehicle_parks_at_its_depot(self):
         inst = line_instance()
-        alloc = Allocation({1: frozenset({0, 1, 2, 3}), 2: frozenset()})
+        alloc = {1: frozenset({0, 1, 2, 3}), 2: frozenset()}
         sol = build_initial_solution(inst, alloc)
         assert sol.tour_for(2).sequence == (DEPOT, DEPOT)
         assert sol.tour_for(2).duration == 0.0
@@ -276,8 +269,7 @@ class TestBuildInitial:
     def test_line_split_gives_balanced_tours(self):
         inst = line_instance()
         eff = perturb_colocated_depots(inst, np.random.default_rng(0))
-        alloc = solve_load_balancing(inst, eff, min_target_counts(inst))
-        sol = build_initial_solution(inst, alloc)
+        sol = build_initial_solution(inst, solve_load_balancing(inst, eff))
         assert validate_solution(inst, sol) == []
         assert sol.objective == pytest.approx(4.0)
         assert brute_minmax_objective(inst) == pytest.approx(4.0)
@@ -286,8 +278,7 @@ class TestBuildInitial:
         rng = np.random.default_rng(59)
         inst = random_instance(rng, n=10, k=2, assign_fraction=0.3)
         eff = perturb_colocated_depots(inst, rng)
-        alloc = solve_load_balancing(inst, eff, min_target_counts(inst))
-        sol = build_initial_solution(inst, alloc)
+        sol = build_initial_solution(inst, solve_load_balancing(inst, eff))
         assert validate_solution(inst, sol) == []
         for vid, req in inst.required.items():
             assert req <= sol.targets_of(vid)

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from minmaxtsp import (ExperimentConfig, ExperimentReport, generate_instance,
-                       read_report, run_experiment, scenario1, scenario2,
+from minmaxtsp import (ExperimentConfig, ExperimentReport, InvalidConfigError,
+                       generate_instance, run_experiment, scenario1, scenario2,
                        write_report)
+from minmaxtsp.bench import REPORT_COLUMNS
 from minmaxtsp.heuristic import STAGE_PERTURBATION
+
+from conftest import report_records
 
 
 class TestGeneration:
@@ -60,6 +63,13 @@ class TestGeneration:
         for bad in (float("nan"), float("inf"), -1.0, 0.0, "200"):
             with pytest.raises(ValueError, match="grid"):
                 ExperimentConfig(grid=bad)
+        for bad in (0, -3, 2.5, "10", True, np.float64(10.0)):
+            with pytest.raises(InvalidConfigError, match="n_targets"):
+                ExperimentConfig(n_targets=bad)
+        for bad in (-1, 1.5, True, "7", None):
+            with pytest.raises(InvalidConfigError, match="seed"):
+                ExperimentConfig(seed=bad)
+        assert ExperimentConfig(n_targets=np.int64(5), seed=np.uint32(7)).n_targets == 5
 
 
 class TestRunExperiment:
@@ -110,16 +120,17 @@ class TestReportFile:
         report = run_experiment(scenario1(n_targets=8, n_instances=3, seed=4, oracle=True))
         path = tmp_path / "report.csv"
         write_report(report, path)
-        back = read_report(path)
-        assert len(back.rows) == len(report.rows)
-        for ra, rb in zip(report.rows, back.rows):
-            assert ra.instance == rb.instance
+        back = report_records(path)
+        assert len(back) == len(report.rows)
+        for ra, rb in zip(report.rows, back):
+            assert tuple(rb) == REPORT_COLUMNS
+            assert int(rb["instance"]) == ra.instance
             for col in ("init_obj", "ls_obj", "final_obj", "oracle_obj",
                         "gap_init_pct", "gap_ls_pct", "gap_final_pct"):
-                assert getattr(rb, col) == pytest.approx(getattr(ra, col), abs=5e-9)
+                assert float(rb[col]) == pytest.approx(getattr(ra, col), abs=5e-9)
             # wall times are rounded to milliseconds up front, so these are exact
-            assert rb.t_heuristic_s == ra.t_heuristic_s
-            assert rb.t_oracle_s == ra.t_oracle_s
+            assert float(rb["t_heuristic_s"]) == ra.t_heuristic_s
+            assert float(rb["t_oracle_s"]) == ra.t_oracle_s
 
     def test_missing_oracle_written_as_na(self, tmp_path):
         cfg = scenario1(n_targets=8, n_instances=2, seed=4, oracle=False)
@@ -128,8 +139,9 @@ class TestReportFile:
         text = path.read_text()
         assert ",NA," in text
         assert "# rows_without_oracle=2" in text
-        back = read_report(path)
-        assert all(r.oracle_obj is None for r in back.rows)
+        back = report_records(path)
+        assert len(back) == 2
+        assert all(r["oracle_obj"] == "NA" for r in back)
 
     def test_aggregate_lines_present(self, tmp_path):
         path = tmp_path / "report.csv"

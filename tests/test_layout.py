@@ -1,10 +1,14 @@
-"""Package layout: no module reaches into another module's private names, and
-the package runs on numpy alone (scipy serves only the tests)."""
+"""Package layout: no module reaches into another module's private names,
+every public export resolves, and the package runs on numpy alone (scipy
+serves only the tests)."""
 
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import minmaxtsp
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minmaxtsp"
 
@@ -51,3 +55,12 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "[]", done.stdout + done.stderr
+
+
+def test_every_export_resolves_once():
+    names = minmaxtsp.__all__
+    assert [n for n, count in Counter(names).items() if count > 1] == []
+    assert [n for n in names if not hasattr(minmaxtsp, n)] == []
+    namespace = {}
+    exec("from minmaxtsp import *", namespace)
+    assert set(names) <= set(namespace)

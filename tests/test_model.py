@@ -68,7 +68,7 @@ def _old_cost_matrix(inst, eff, free):
     """The per-column allocation cost builder used before the shared kernel."""
     xy = inst.target_xy()[list(free)]
     return np.column_stack([
-        np.hypot(xy[:, 0] - eff.pos[u.id].x, xy[:, 1] - eff.pos[u.id].y) / u.speed
+        np.hypot(xy[:, 0] - eff[u.id].x, xy[:, 1] - eff[u.id].y) / u.speed
         for u in inst.vehicles])
 
 
@@ -187,6 +187,14 @@ class TestInstanceValidation:
             Instance(targets, fleet, {1: [7]})
         with pytest.raises(InvalidInstanceError):
             Instance(targets, fleet, {3: [0]})
+        # Keys and indices must be integers, not values int() would coerce.
+        for bad in ({1: [0.7]}, {1: [1.0]}, {1: ["1"]}, {1: [True]},
+                    {1: [np.bool_(True)]}, {"2": [1]}, {1.0: [1]}, {True: [1]}):
+            with pytest.raises(InvalidInstanceError, match="not an integer"):
+                Instance(targets, fleet, bad)
+        inst = Instance(targets, fleet, {np.int64(2): [np.int32(1)]})
+        assert inst.required == {2: frozenset({1})}
+        assert [type(x) for x in (*inst.required, *inst.required[2])] == [int, int]
 
     def test_free_targets_and_required_for(self):
         inst = Instance((Point(0, 0), Point(1, 1), Point(2, 2)),
