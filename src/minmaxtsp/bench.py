@@ -10,14 +10,15 @@ reproduced in isolation.
 
 import csv
 import math
-import numbers
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import heuristic
-from .model import Instance, InvalidConfigError, Point, Vehicle, is_integer
+from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, Vehicle, is_integer,
+                    is_real)
 from .oracle import exact_minmax, oracle_feasible
 from .tsp import HEURISTIC
 
@@ -26,8 +27,11 @@ REPORT_COLUMNS = ("instance", "init_obj", "ls_obj", "final_obj", "oracle_obj",
                   "t_heuristic_s", "t_oracle_s")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """Experiment settings, checked on construction (``InvalidConfigError``)
+    and frozen; ``dataclasses.replace`` derives a variant and checks it again."""
+
     n_targets: int = 30
     speeds: tuple = (1.0, 1.5, 2.0)
     colocated: tuple = ()          # groups of vehicle ids sharing one depot draw
@@ -39,23 +43,26 @@ class ExperimentConfig:
     tour_mode: str = HEURISTIC
 
     def __post_init__(self):
-        """Check the settings; a bad one raises ``InvalidConfigError``."""
-        if not 0.0 <= self.assign_fraction <= 1.0:
-            raise InvalidConfigError("assign_fraction must lie in [0, 1]")
+        if not (is_real(self.assign_fraction) and 0.0 <= self.assign_fraction <= 1.0):
+            raise InvalidConfigError(
+                f"assign_fraction must be a number in [0, 1], got {self.assign_fraction!r}")
         for name, least in (("n_targets", 1), ("n_instances", 1), ("seed", 0)):
             value = getattr(self, name)
             if not (is_integer(value) and value >= least):
                 raise InvalidConfigError(
                     f"{name} must be an integer >= {least}, got {value!r}")
-        if not (isinstance(self.grid, numbers.Real) and math.isfinite(self.grid)
-                and self.grid > 0):
+        if not (is_real(self.grid) and 0 < self.grid <= sys.float_info.max):
             raise InvalidConfigError(f"grid must be a finite number > 0, got {self.grid!r}")
-        k = len(self.speeds)
+        if not (isinstance(self.speeds, tuple) and self.speeds and all(
+                is_real(s) and SPEED_MIN <= s <= sys.float_info.max for s in self.speeds)):
+            raise InvalidConfigError(f"speeds must be a non-empty tuple of finite numbers"
+                                     f" >= {SPEED_MIN:g}, got {self.speeds!r}")
+        heuristic.SolverConfig(tour_mode=self.tour_mode)  # rejects an unknown tour_mode
         seen = set()
         for group in self.colocated:
             for vid in group:
-                if not 1 <= vid <= k or vid in seen:
-                    raise InvalidConfigError(f"bad co-location group member {vid}")
+                if not (is_integer(vid) and 1 <= vid <= self.k) or vid in seen:
+                    raise InvalidConfigError(f"bad co-location group member {vid!r}")
                 seen.add(vid)
 
     @property

@@ -11,7 +11,9 @@ re-optimizing on the displaced geometry; a plan rebuilt at the true depots is
 accepted only when strictly better, and the loop gives up after
 ``SolverConfig.no_improve_stop`` straight rejections (5 by default).
 Displacement angles march around the circle in 144-degree steps from a random
-start, so five steps revisit the starting angle.
+start; five steps revisit the starting angle, so ``no_improve_stop`` is at
+most five.  Stages 2 and 3 price with the instance's matrices, indexed by tour
+sequences as they stand (``DEPOT`` is the last row and column).
 """
 
 import math
@@ -27,8 +29,10 @@ from .model import (DEPOT, Instance, InvalidConfigError,
                     StageCheckError, is_integer, validate_solution)
 from .tsp import EXACT, HEURISTIC, TspCache, request_for, solve_tsp
 
-# One step of the depot displacement angle schedule: 144 degrees.
-PERTURBATION_STEP = 0.8 * math.pi
+# The displacement angle steps 144 degrees, so the schedule repeats after
+# PERTURBATION_PERIOD steps; no_improve_stop may not exceed it.
+PERTURBATION_PERIOD = 5
+PERTURBATION_STEP = 4.0 * math.pi / PERTURBATION_PERIOD
 
 STAGE_INIT = "init"
 STAGE_LOCAL_SEARCH = "local_search"
@@ -50,9 +54,11 @@ class SolverConfig:
         if self.tour_mode not in (HEURISTIC, EXACT):
             raise InvalidConfigError(
                 f"tour_mode must be {HEURISTIC!r} or {EXACT!r}, got {self.tour_mode!r}")
-        if not (is_integer(self.no_improve_stop) and self.no_improve_stop >= 0):
+        if not (is_integer(self.no_improve_stop)
+                and 0 <= self.no_improve_stop <= PERTURBATION_PERIOD):
             raise InvalidConfigError(
-                f"no_improve_stop must be an integer >= 0, got {self.no_improve_stop!r}")
+                f"no_improve_stop must be an integer in [0, {PERTURBATION_PERIOD}],"
+                f" got {self.no_improve_stop!r}")
 
 
 @dataclass(frozen=True)
@@ -93,19 +99,11 @@ def compute_savings(sol: Solution, inst: Instance, vid: int) -> list:
     Pre-assigned targets are never candidates.  Entries come back sorted by
     decreasing value, ties by ascending target index.
     """
-    tour = sol.tour_for(vid)
     tm = inst.time_matrix(vid)
     pinned = inst.required_for(vid)
-    seq = tour.sequence
-    entries = []
-    for p in range(1, len(seq) - 1):
-        t = seq[p]
-        if t in pinned:
-            continue
-        a = inst.vertex_index(seq[p - 1])
-        b = inst.vertex_index(seq[p + 1])
-        value = float(tm[a, t] + tm[t, b] - tm[a, b])
-        entries.append(SavingsEntry(t, value))
+    seq = sol.tour_for(vid).sequence
+    entries = [SavingsEntry(t, float(tm[a, t] + tm[t, b] - tm[a, b]))
+               for a, t, b in zip(seq, seq[1:], seq[2:]) if t not in pinned]
     entries.sort(key=lambda e: (-e.value, e.target))
     return entries
 
@@ -120,13 +118,11 @@ def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int) -> 
     if inst.k < 2:
         raise NoInsertionCandidateError("no other vehicle to receive the target")
     best = None
-    depot = inst.vertex_index(DEPOT)
     for v in inst.vehicles:
         if v.id == exclude:
             continue
         tm = inst.time_matrix(v.id)
-        seq = sol.tour_for(v.id).sequence
-        ix = np.array([depot, *seq[1:-1], depot])
+        ix = np.array(sol.tour_for(v.id).sequence)
         a, b = ix[:-1], ix[1:]
         deltas = tm[a, target] + tm[target, b] - tm[a, b]
         pos = int(deltas.argmin())
@@ -179,18 +175,16 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
 
 
 def perturbation_radius(sol: Solution, inst: Instance, vid: int) -> float:
-    """Half the summed travel times of a tour's two depot edges.
+    """Half the summed travel times of a tour's two depot edges, read from
+    the depot row (index DEPOT) of the vehicle's ``distance_matrix``.
 
     An empty tour pins its depot in place (radius zero).
     """
     seq = sol.tour_for(vid).sequence
     if len(seq) < 3:
         return 0.0
-    v = inst.vehicle(vid)
-    depot = v.depot
-    first = inst.vertex_point(vid, seq[1])
-    last = inst.vertex_point(vid, seq[-2])
-    return (depot.dist(first) + depot.dist(last)) / (2.0 * v.speed)
+    row = inst.distance_matrix(vid)[DEPOT]
+    return float(row[seq[1]] + row[seq[-2]]) / (2.0 * inst.vehicle(vid).speed)
 
 
 def perturbation_angle(base: float, iteration: int) -> float:

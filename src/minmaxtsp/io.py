@@ -15,7 +15,7 @@ Vehicle ids are implicit list positions (1-based).  Floats are written with
 import json
 import re
 
-from .model import Instance, InvalidInstanceError, Point, Vehicle
+from .model import Instance, InvalidInstanceError, Point, Vehicle, is_real
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -48,7 +48,7 @@ def instance_from_json(text: str) -> Instance:
 
 def _number(value) -> float:
     # float() alone would also take "1e3" and true; a huge integer overflows.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_real(value):
         raise ValueError(f"{value!r} is not a number")
     return float(value)
 

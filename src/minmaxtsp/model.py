@@ -17,7 +17,9 @@ import numpy as np
 
 # Sentinel vertex id marking a vehicle's own depot inside a tour sequence.
 # Target identity is always an index into Instance.targets; depots are a
-# separate vertex kind and never alias a target index.
+# separate vertex kind and never alias a target index.  Every per-vehicle
+# matrix keeps the depot in its last row and column, which DEPOT = -1 indexes,
+# so a tour sequence indexes the matrices as it stands.
 DEPOT = -1
 
 
@@ -58,9 +60,6 @@ class Point:
     x: float
     y: float
 
-    def dist(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 @dataclass(frozen=True)
 class Vehicle:
@@ -84,9 +83,9 @@ SPEED_MIN = 1e-50
 def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) Euclidean distances between two (., 2) point arrays.
 
-    The package's one distance kernel: travel times, tour distance blocks and
-    allocation costs are all computed by it, so equal inputs give equal bits
-    in every stage.
+    The package's one distance kernel: travel times, tour distance blocks,
+    displacement radii and allocation costs are all computed by it, so equal
+    inputs give equal bits in every stage.
     """
     diff = a[:, None, :] - b[None, :, :]
     return np.hypot(diff[..., 0], diff[..., 1])
@@ -95,6 +94,11 @@ def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def is_integer(value) -> bool:
     """True for an integral number that is not a bool (numpy integers pass)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a real number that is not a bool (numpy floats pass)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _coords_ok(p: Point) -> bool:
@@ -229,7 +233,7 @@ class Instance:
         return xy
 
     def distance_matrix(self, vid: int) -> np.ndarray:
-        """(n+1, n+1) distances for one vehicle, cached; row/col n is its depot."""
+        """(n+1, n+1) distances for one vehicle, cached; row/col DEPOT is its depot."""
         key = ("dm", vid)
         dm = self._cache.get(key)
         if dm is None:
@@ -241,7 +245,7 @@ class Instance:
 
     def time_matrix(self, vid: int) -> np.ndarray:
         """(n+1, n+1) travel times for one vehicle, cached: its
-        ``distance_matrix`` divided by its speed; row/col n is its depot."""
+        ``distance_matrix`` divided by its speed; row/col DEPOT is its depot."""
         key = ("tm", vid)
         tm = self._cache.get(key)
         if tm is None:
@@ -249,12 +253,11 @@ class Instance:
             self._cache[key] = tm
         return tm
 
-    def vertex_index(self, vertex: int) -> int:
-        """Map a tour vertex (target index or DEPOT) to a time-matrix index."""
-        return self.n_targets if vertex == DEPOT else vertex
-
-    def vertex_point(self, vid: int, vertex: int) -> Point:
-        return self.vehicle(vid).depot if vertex == DEPOT else self.targets[vertex]
+    def distance_block(self, vid: int, targets) -> np.ndarray:
+        """(m+1, m+1) block of ``distance_matrix``: the given targets in the
+        given order, then the depot (last row/col)."""
+        ix = [*targets, DEPOT]
+        return self.distance_matrix(vid).take(ix, 0).take(ix, 1)
 
     def with_depots(self, depots: dict) -> "Instance":
         """Copy of this instance with some vehicle depots replaced.
@@ -330,7 +333,7 @@ def tour_duration(inst: Instance, tour: Tour) -> float:
     tm = inst.time_matrix(tour.vehicle_id)
     total = 0.0
     for a, b in zip(seq, seq[1:]):
-        total += tm[inst.vertex_index(a), inst.vertex_index(b)]
+        total += tm[a, b]
     return total
 
 

@@ -49,8 +49,7 @@ def _duration_tables(inst: Instance, free) -> list:
     tables = []
     for v in inst.vehicles:
         req = sorted(inst.required_for(v.id))
-        ix = [*free, *req, inst.n_targets]
-        lengths = best_cycle_lengths(inst.distance_matrix(v.id).take(ix, 0).take(ix, 1))
+        lengths = best_cycle_lengths(inst.distance_block(v.id, [*free, *req]))
         offset = ((1 << len(req)) - 1) << nf
         tables.append(lengths[offset:offset + (1 << nf)] / v.speed)
     return tables

@@ -2,7 +2,7 @@
 
 import xml.etree.ElementTree as ET
 
-from .model import Instance, Solution
+from .model import DEPOT, Instance, Solution
 
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#17becf")
@@ -45,7 +45,8 @@ def render_solution_svg(inst: Instance, sol: Solution) -> str:
 
     stroke = max(w, h) / 320.0
     for tour in sol.tours:
-        pts = [inst.vertex_point(tour.vehicle_id, v) for v in tour.sequence]
+        depot = inst.vehicle(tour.vehicle_id).depot
+        pts = [depot if v == DEPOT else inst.targets[v] for v in tour.sequence]
         if len(pts) < 3:
             continue  # depot-only tour: markers carry the story
         group = ET.SubElement(root, "g", id=f"vehicle-{tour.vehicle_id}")

@@ -46,8 +46,8 @@ class TourRequest:
     """A self-contained ask: route one vehicle through a set of targets.
 
     ``targets`` are instance-level indices (sorted, they define identity);
-    ``dist`` is the matching (m+1, m+1) block of the instance's
-    ``distance_matrix``, with the depot in row/col m.
+    ``dist`` is the matching ``Instance.distance_block``, with the depot in
+    row/col m.
     """
 
     vehicle_id: int
@@ -62,9 +62,7 @@ def request_for(inst: Instance, vid: int, targets, mode: str = HEURISTIC) -> Tou
     """Build a TourRequest for one vehicle of an instance."""
     ids = tuple(sorted(targets))
     v = inst.vehicle(vid)
-    ix = [*ids, inst.n_targets]
-    dist = inst.distance_matrix(vid).take(ix, 0).take(ix, 1)
-    return TourRequest(vid, v.depot, ids, dist, v.speed, mode)
+    return TourRequest(vid, v.depot, ids, inst.distance_block(vid, ids), v.speed, mode)
 
 
 class TspCache:
@@ -92,11 +90,10 @@ class TspCache:
 
 
 def _cycle_length(order, dist) -> float:
-    m = dist.shape[0] - 1
-    total = dist[m, order[0]]
+    total = dist[DEPOT, order[0]]
     for a, b in zip(order, order[1:]):
         total += dist[a, b]
-    return float(total + dist[order[-1], m])
+    return float(total + dist[order[-1], DEPOT])
 
 
 def _nearest_neighbor(dist: np.ndarray) -> list:
@@ -170,8 +167,7 @@ def _two_opt_np(order: list, dist: np.ndarray, tol: float) -> list:
     Needs two or more targets, as does ``_or_opt_once_np``.
     """
     i_of, j_of, ac, bd, ab, cd = _two_opt_table(len(order))
-    dm = dist.shape[0] - 1
-    ext = np.array([dm, *order, dm])
+    ext = np.array([DEPOT, *order, DEPOT])
     while True:
         block = dist.take(ext, 0).take(ext, 1).ravel()
         delta = block[ac] + block[bd] - block[ab] - block[cd]
@@ -236,8 +232,7 @@ def _or_opt_once_np(order: list, dist: np.ndarray, tol: float):
     """
     m = len(order)
     ps, sn, pn, runs, ah, tb, ab = _or_opt_table(m)
-    dm = dist.shape[0] - 1
-    ext = np.array([dm, *order, dm])
+    ext = np.array([DEPOT, *order, DEPOT])
     block = dist.take(ext, 0).take(ext, 1).ravel()
     removal = np.repeat(block[ps] + block[sn] - block[pn], runs)
     add = block[ah] + block[tb] - block[ab]

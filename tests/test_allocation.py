@@ -67,7 +67,8 @@ class TestDepotSpreading:
         pts = [eff[i] for i in (1, 2, 3)]
         for p in pts:
             assert math.hypot(p.x, p.y) == pytest.approx(COLOCATION_RADIUS)
-        gaps = {round(pts[i].dist(pts[(i + 1) % 3]), 12) for i in range(3)}
+        gaps = {round(math.hypot(p.x - q.x, p.y - q.y), 12)
+                for p, q in zip(pts, pts[1:] + pts[:1])}
         assert len(gaps) == 1  # equilateral: all pairwise gaps equal
 
     def test_distinct_depots_are_untouched(self):

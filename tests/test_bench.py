@@ -1,13 +1,16 @@
 """Benchmark protocol: seeded generation, experiment runs, and CSV reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from minmaxtsp import (ExperimentConfig, ExperimentReport, InvalidConfigError,
+from minmaxtsp import (EXACT, ExperimentConfig, ExperimentReport, InvalidConfigError,
                        generate_instance, run_experiment, scenario1, scenario2,
                        write_report)
 from minmaxtsp.bench import REPORT_COLUMNS
 from minmaxtsp.heuristic import STAGE_PERTURBATION
+from minmaxtsp.model import SPEED_MIN
 
 from conftest import report_records
 
@@ -60,7 +63,7 @@ class TestGeneration:
         for bad in (0, 2.5, True, "3"):
             with pytest.raises(ValueError, match="n_instances"):
                 ExperimentConfig(n_instances=bad)
-        for bad in (float("nan"), float("inf"), -1.0, 0.0, "200"):
+        for bad in (float("nan"), float("inf"), -1.0, 0.0, "200", 10 ** 400):
             with pytest.raises(ValueError, match="grid"):
                 ExperimentConfig(grid=bad)
         for bad in (0, -3, 2.5, "10", True, np.float64(10.0)):
@@ -69,7 +72,34 @@ class TestGeneration:
         for bad in (-1, 1.5, True, "7", None):
             with pytest.raises(InvalidConfigError, match="seed"):
                 ExperimentConfig(seed=bad)
+        for bad in (1.5, True, 2.0):
+            with pytest.raises(InvalidConfigError, match="co-location"):
+                ExperimentConfig(speeds=(1.0, 2.0), colocated=((bad, 2),))
+        for bad in ("0.2", True, None, float("nan"), -0.1):
+            with pytest.raises(InvalidConfigError, match="assign_fraction"):
+                ExperimentConfig(assign_fraction=bad)
+        for bad in ((), (1.0, -2.0), (1.0, 0.0), (float("nan"),), (float("inf"),),
+                    (1e-60,), (10 ** 400,), (True,), ("1",), [1.0, 2.0], 2.0):
+            with pytest.raises(InvalidConfigError, match="speeds"):
+                ExperimentConfig(speeds=bad)
+        for bad in ("magic", None):
+            with pytest.raises(InvalidConfigError, match="tour_mode"):
+                ExperimentConfig(tour_mode=bad)
+        cfg = ExperimentConfig(speeds=(np.float64(1.5), 2, SPEED_MIN),
+                               assign_fraction=np.float64(0.5),
+                               colocated=((np.int64(1), 3),), tour_mode=EXACT)
+        inst = generate_instance(cfg, 0)
+        assert inst.k == 3 and inst.vehicle(1).depot == inst.vehicle(3).depot
         assert ExperimentConfig(n_targets=np.int64(5), seed=np.uint32(7)).n_targets == 5
+
+    def test_settings_cannot_be_changed_after_the_check(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_targets = -3
+        assert cfg.n_targets == 30
+        with pytest.raises(InvalidConfigError, match="n_targets"):
+            dataclasses.replace(cfg, n_targets=-3)
+        assert dataclasses.replace(cfg, n_targets=12).n_targets == 12
 
 
 class TestRunExperiment:

@@ -17,7 +17,7 @@ from minmaxtsp import (DEPOT, EXACT, ExperimentConfig, InsertionQuote, Instance,
                        perturbation_radius, scenario1, solve, solve_tsp,
                        request_for, tour_duration, validate_solution)
 from minmaxtsp import heuristic
-from minmaxtsp.heuristic import (PERTURBATION_STEP, STAGE_INIT,
+from minmaxtsp.heuristic import (PERTURBATION_PERIOD, PERTURBATION_STEP, STAGE_INIT,
                                  STAGE_LOCAL_SEARCH, STAGE_PERTURBATION,
                                  _rebuild, perturbation_angle)
 
@@ -140,8 +140,7 @@ def _scalar_best_insertion(target, sol, inst, exclude):
         tm = inst.time_matrix(v.id)
         seq = sol.tour_for(v.id).sequence
         for pos in range(len(seq) - 1):
-            a = inst.vertex_index(seq[pos])
-            b = inst.vertex_index(seq[pos + 1])
+            a, b = seq[pos], seq[pos + 1]
             delta = float(tm[a, target] + tm[target, b] - tm[a, b])
             if best is None or delta < best.delta:
                 best = InsertionQuote(v.id, pos, delta)
@@ -330,6 +329,7 @@ class TestPerturbationGeometry:
             assert perturbation_angle(base, 5) == pytest.approx(
                 perturbation_angle(base, 0), abs=1e-9)
         assert PERTURBATION_STEP == pytest.approx(math.radians(144.0))
+        assert PERTURBATION_PERIOD * PERTURBATION_STEP == pytest.approx(4.0 * math.pi)
 
     def test_loop_stops_after_five_straight_rejections(self):
         inst = line_instance()
@@ -426,7 +426,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize("field,value", [
         ("tour_mode", "exakt"), ("tour_mode", None),
         ("no_improve_stop", -1), ("no_improve_stop", 2.5), ("no_improve_stop", True),
-        ("no_improve_stop", "5"),
+        ("no_improve_stop", "5"), ("no_improve_stop", 6), ("no_improve_stop", 25),
     ])
     def test_bad_value_is_rejected_by_name(self, field, value):
         with pytest.raises(InvalidConfigError, match=field) as err:

@@ -1,6 +1,6 @@
 """Package layout: no module reaches into another module's private names,
-every public export resolves, and the package runs on numpy alone (scipy
-serves only the tests)."""
+every public export resolves, the package runs on numpy alone (scipy serves
+only the tests), and every distance comes from the one kernel."""
 
 import ast
 import subprocess
@@ -31,6 +31,25 @@ def _imported_top_modules(path: Path) -> list:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append((node.lineno, node.module))
     return [(line, name.split(".")[0]) for line, name in found]
+
+
+def _hypot_uses(path: Path) -> list:
+    """(file, owner, enclosing function) of every ``<owner>.hypot`` reference
+    and every import of a name ``hypot``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else func
+            if isinstance(child, ast.Attribute) and child.attr == "hypot":
+                found.append((path.name, ast.unparse(child.value), inner))
+            elif isinstance(child, ast.ImportFrom) and any(
+                    alias.name == "hypot" for alias in child.names):
+                found.append((path.name, child.module, inner))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
 
 
 def test_no_module_imports_a_private_name_from_another():
@@ -64,3 +83,14 @@ def test_every_export_resolves_once():
     namespace = {}
     exec("from minmaxtsp import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_every_distance_comes_from_the_one_kernel():
+    """No ``math.hypot`` anywhere, and ``np.hypot`` only in ``model.distances``,
+    so equal coordinates give equal distance bits in every stage."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules found under {PACKAGE}"
+    kernel = ("model.py", "np", "distances")
+    uses = [use for path in modules for use in _hypot_uses(path)]
+    assert kernel in uses
+    assert [use for use in uses if use != kernel] == []
