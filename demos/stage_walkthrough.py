@@ -9,7 +9,6 @@ import argparse
 import pathlib
 
 from minmaxtsp import SolverConfig, generate_instance, render_tours, scenario2, solve
-from minmaxtsp.heuristic import STAGE_INIT, STAGE_LOCAL_SEARCH, STAGE_PERTURBATION
 
 
 def main():
@@ -26,18 +25,16 @@ def main():
 
     solution, trace = solve(inst, SolverConfig(), rng=args.seed)
 
-    stages = (STAGE_INIT, STAGE_LOCAL_SEARCH, STAGE_PERTURBATION)
     previous = None
-    for stage in stages:
-        obj = trace.stage_solutions[stage].objective
+    for stage, plan in trace.stage_solutions.items():
+        obj = plan.objective
         note = "" if previous is None else f"  (saved {previous - obj:+.3f} over the last stage)"
         print(f"  {stage:13s} makespan {obj:9.3f}{note}")
         previous = obj
     print(f"perturbation ran {trace.iterations} iterations before giving up")
 
     prefix = pathlib.Path(args.out_dir) / "walkthrough"
-    labeled = [(stage, trace.stage_solutions[stage]) for stage in stages]
-    for path in render_tours(inst, labeled, prefix):
+    for path in render_tours(inst, list(trace.stage_solutions.items()), prefix):
         print(f"wrote {path}")
 
 

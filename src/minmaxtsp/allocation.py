@@ -80,20 +80,6 @@ def _cost_matrix(inst: Instance, eff: dict, free) -> np.ndarray:
     return distances(inst.target_xy()[list(free)], depots) / speeds
 
 
-def allocation_cost(inst: Instance, eff: dict, alloc: dict) -> float:
-    """Total depot-to-target cost of an allocation under effective depots."""
-    free = inst.free_targets()
-    if not free:
-        return 0.0
-    c = _cost_matrix(inst, eff, free)
-    row = {t: i for i, t in enumerate(free)}
-    total = 0.0
-    for v in inst.vehicles:
-        for t in alloc[v.id]:
-            total += c[row[t], v.id - 1]
-    return total
-
-
 def solve_load_balancing(inst: Instance, eff: dict) -> dict:
     """Free targets per vehicle id at minimum total cost, as frozensets.
 

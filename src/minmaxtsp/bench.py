@@ -34,7 +34,7 @@ class ExperimentConfig:
 
     n_targets: int = 30
     speeds: tuple = (1.0, 1.5, 2.0)
-    colocated: tuple = ()          # groups of vehicle ids sharing one depot draw
+    colocated: tuple = ()          # tuples of vehicle ids sharing one depot draw
     assign_fraction: float = 0.0
     n_instances: int = 20
     seed: int = 0
@@ -58,6 +58,10 @@ class ExperimentConfig:
             raise InvalidConfigError(f"speeds must be a non-empty tuple of finite numbers"
                                      f" >= {SPEED_MIN:g}, got {self.speeds!r}")
         heuristic.SolverConfig(tour_mode=self.tour_mode)  # rejects an unknown tour_mode
+        if not (isinstance(self.colocated, tuple)
+                and all(isinstance(group, tuple) for group in self.colocated)):
+            raise InvalidConfigError(f"colocated must be a tuple of tuples of vehicle ids,"
+                                     f" got {self.colocated!r}")
         seen = set()
         for group in self.colocated:
             for vid in group:

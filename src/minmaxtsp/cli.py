@@ -76,10 +76,8 @@ def _cmd_solve(args) -> int:
     if args.trace:
         _write_trace(args.trace, trace)
     if args.svg:
-        labeled = [(stage, trace.stage_solutions[stage])
-                   for stage in (heuristic.STAGE_INIT, heuristic.STAGE_LOCAL_SEARCH,
-                                 heuristic.STAGE_PERTURBATION)]
-        for path in svgplot.render_tours(inst, labeled, args.svg):
+        for path in svgplot.render_tours(inst, list(trace.stage_solutions.items()),
+                                         args.svg):
             print(f"wrote {path}")
     return 0
 
@@ -87,11 +85,9 @@ def _cmd_solve(args) -> int:
 def _write_trace(path, trace) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("stage,objective,wall_time_s,iterations\n")
-        rows = ((heuristic.STAGE_INIT, trace.after_init, 0),
-                (heuristic.STAGE_LOCAL_SEARCH, trace.after_local_search, 0),
-                (heuristic.STAGE_PERTURBATION, trace.after_perturbation, trace.iterations))
-        for stage, obj, iters in rows:
-            fh.write(f"{stage},{obj:.9f},{trace.wall_times[stage]:.3f},{iters}\n")
+        for stage, sol in trace.stage_solutions.items():
+            iters = trace.iterations if stage == heuristic.STAGE_PERTURBATION else 0
+            fh.write(f"{stage},{sol.objective:.9f},{trace.wall_times[stage]:.3f},{iters}\n")
 
 
 def _cmd_bench(args) -> int:

@@ -82,7 +82,8 @@ class InsertionQuote:
 class StageTrace:
     """Objectives, iteration count, wall times and plans per pipeline stage.
 
-    The stage plans are the solutions ``solve`` built, not copies.
+    The stage plans are the solutions ``solve`` built, not copies, keyed in
+    the order the stages ran.
     """
 
     after_init: float

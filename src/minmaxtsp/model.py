@@ -10,7 +10,7 @@ triangle inequality for every vehicle.
 import copy
 import math
 import numbers
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +101,10 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _coords_ok(p: Point) -> bool:
+def _coords_ok(p) -> bool:
     # NaN fails both comparisons, so this also rejects non-finite values.
-    return abs(p.x) <= COORD_LIMIT and abs(p.y) <= COORD_LIMIT
+    return (isinstance(p, Point) and is_real(p.x) and is_real(p.y)
+            and abs(p.x) <= COORD_LIMIT and abs(p.y) <= COORD_LIMIT)
 
 
 class _ReadOnlyDict(Mapping):
@@ -134,15 +135,15 @@ class _ReadOnlyDict(Mapping):
 class Instance:
     """An immutable routing instance.
 
-    targets:  planar target coordinates; a target is referred to by its index.
-              Target and depot coordinates lie within +-COORD_LIMIT, except
-              depots moved by ``with_depots``.
-    vehicles: fleet ordered by id (ids are exactly 1..k), each with a finite
-              speed of at least SPEED_MIN.
-    required: per-vehicle pre-assigned target sets, pairwise disjoint; kept
-              as a read-only mapping from vehicle id to a frozenset.  Keys
-              and target indices must be integers (numpy integers pass,
-              bools and floats do not).
+    targets:  planar target Points; a target is referred to by its index.
+              Target and depot coordinates are real numbers (not bools)
+              within +-COORD_LIMIT, except depots moved by ``with_depots``.
+    vehicles: fleet of Vehicles ordered by id (integer ids exactly 1..k),
+              each with a finite real speed of at least SPEED_MIN.
+    required: a mapping of vehicle id to an iterable of target indices,
+              pairwise disjoint; kept as a read-only mapping from vehicle id
+              to a frozenset.  Keys and target indices must be integers
+              (numpy integers pass, bools and floats do not).
 
     Instances are validated on construction and frozen, since distance data is
     cached lazily and shared by all solver stages; ``with_depots`` makes a
@@ -154,19 +155,28 @@ class Instance:
     required: dict | None = None
 
     def __post_init__(self):
-        raw = self.required or {}
+        raw = {} if self.required is None else self.required
+        if not isinstance(raw, Mapping):
+            raise InvalidInstanceError(
+                f"required must map vehicle ids to target indices, got {raw!r}")
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
+        required = {}
         for vid, ids in raw.items():
             if not is_integer(vid):
                 raise InvalidInstanceError(
                     f"required set key {vid!r} is not an integer")
+            if not isinstance(ids, Iterable):
+                raise InvalidInstanceError(
+                    f"required set of vehicle {vid} is {ids!r}, not an iterable")
+            ids = tuple(ids)
             for t in ids:
                 if not is_integer(t):
                     raise InvalidInstanceError(
                         f"required target index {t!r} is not an integer")
-        object.__setattr__(self, "required", _ReadOnlyDict(
-            (int(v), frozenset(int(t) for t in ids)) for v, ids in raw.items() if len(ids) > 0))
+            if ids:
+                required[int(vid)] = frozenset(int(t) for t in ids)
+        object.__setattr__(self, "required", _ReadOnlyDict(required))
         object.__setattr__(self, "_cache", {})
         self._validate()
 
@@ -178,11 +188,15 @@ class Instance:
         for i, t in enumerate(self.targets):
             if not _coords_ok(t):
                 raise InvalidInstanceError(
-                    f"target {i} coordinates ({t.x}, {t.y}) are not finite"
-                    f" with magnitude at most {COORD_LIMIT:g}")
+                    f"target {i} {t!r} is not a Point with finite real coordinates"
+                    f" of magnitude at most {COORD_LIMIT:g}")
         for pos, v in enumerate(self.vehicles, start=1):
-            if v.id != pos:
-                raise InvalidInstanceError("vehicle ids must be exactly 1..k in order")
+            if not (isinstance(v, Vehicle) and is_integer(v.id) and v.id == pos):
+                raise InvalidInstanceError(
+                    f"vehicle {pos} is {v!r}: vehicles must be Vehicles with ids"
+                    f" exactly 1..k in order")
+            if not is_real(v.speed):
+                raise InvalidInstanceError(f"vehicle {v.id} speed {v.speed!r} is not a number")
             if not (v.speed > 0 and math.isfinite(v.speed)):
                 raise InvalidInstanceError(f"vehicle {v.id} has non-positive speed")
             if v.speed < SPEED_MIN:
@@ -190,8 +204,8 @@ class Instance:
                     f"vehicle {v.id} speed {v.speed:g} is below {SPEED_MIN:g}")
             if not _coords_ok(v.depot):
                 raise InvalidInstanceError(
-                    f"vehicle {v.id} depot coordinates ({v.depot.x}, {v.depot.y}) are not"
-                    f" finite with magnitude at most {COORD_LIMIT:g}")
+                    f"vehicle {v.id} depot {v.depot!r} is not a Point with finite real"
+                    f" coordinates of magnitude at most {COORD_LIMIT:g}")
         seen = set()
         for vid, ids in self.required.items():
             if not 1 <= vid <= self.k:

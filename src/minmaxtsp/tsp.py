@@ -138,7 +138,10 @@ def _gain_tolerance(dist: np.ndarray) -> float:
 # Tour position p of ``ext = [depot, *order, depot]`` is row p
 # of the gathered block ``ext_dist = dist[ext][:, ext]``; the cached index
 # tables hold flat positions into that block, so one pass is a few gathers.
-# The tables take about 170 m^2 bytes for a tour of m targets; the caches keep
+# The tables alone know the scan order: a hit is decoded from the flat index
+# u w + v (w = m + 2) of an edge it was priced with, which names the ext
+# positions u and v of the edge's ends.
+# The tables take about 160 m^2 bytes for a tour of m targets; the caches keep
 # the TABLE_CACHE_LENGTHS most recently used lengths, so memory stays bounded
 # however many tour lengths a process polishes.
 TABLE_CACHE_LENGTHS = 64
@@ -153,11 +156,11 @@ def _index_table(columns) -> tuple:
 
 @functools.lru_cache(maxsize=TABLE_CACHE_LENGTHS)
 def _two_opt_table(m: int):
-    """Per 2-opt move (i, j), in scan order: i, j and the flat indices of the
-    edges (a, c), (b, d), (a, b), (c, d) in the (m+2)^2 ext_dist block."""
+    """Per 2-opt move (i, j), in scan order: the flat indices of the edges
+    (a, c), (b, d), (a, b), (c, d) in the (m+2)^2 ext_dist block."""
     i, j = np.triu_indices(m, k=1)
     w = m + 2
-    return _index_table((i, j, i * w + j + 1, (i + 1) * w + j + 2, i * w + i + 1,
+    return _index_table((i * w + j + 1, (i + 1) * w + j + 2, i * w + i + 1,
                          (j + 1) * w + j + 2))
 
 
@@ -166,7 +169,8 @@ def _two_opt_np(order: list, dist: np.ndarray, tol: float) -> list:
 
     Needs two or more targets, as does ``_or_opt_once_np``.
     """
-    i_of, j_of, ac, bd, ab, cd = _two_opt_table(len(order))
+    w = len(order) + 2
+    ac, bd, ab, cd = _two_opt_table(w - 2)
     ext = np.array([DEPOT, *order, DEPOT])
     while True:
         block = dist.take(ext, 0).take(ext, 1).ravel()
@@ -175,28 +179,25 @@ def _two_opt_np(order: list, dist: np.ndarray, tol: float) -> list:
         k = hits.argmax()
         if not hits[k]:
             return ext[1:-1].tolist()
-        lo, hi = int(i_of[k]) + 1, int(j_of[k]) + 2
-        ext[lo:hi] = ext[lo:hi][::-1].copy()
-
-
-def _or_opt_lengths(m: int):
-    return range(1, min(3, m - 1) + 1)  # segment lengths L < m, as in the scan
+        a, c = divmod(int(ac[k]), w)  # ext positions of targets a and c
+        ext[a + 1:c + 1] = ext[a + 1:c + 1][::-1].copy()
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_LENGTHS)
 def _or_opt_table(m: int):
-    """Or-opt moves in scan order L -> s -> q -> (forward, reversed).
+    """Or-opt moves in scan order L -> s -> q -> (forward, reversed), for the
+    segment lengths L < m up to 3.
 
     Per (L, s): the flat ext_dist indices of the removal edges (prev, first),
     (last, next), (prev, next), and the count 2 (m - L) of its moves, which
-    are contiguous.  Per move: the indices of the insertion edges (a, head),
-    (tail, b), (a, b).  Removing ext positions s+1..s+L leaves gap q between
-    rest[q-1] and rest[q], the tour edge (e, e+1) with e = q below s and
-    q + L above.
+    are contiguous.  Per move: the indices of the insertion edges (e, head),
+    (tail, e+1), (e, e+1).  Removing ext positions s+1..s+L leaves gap q
+    between rest[q-1] and rest[q], the tour edge (e, e+1) with e = q below s
+    and q + L above.
     """
     w = m + 2
     parts = []
-    for L in _or_opt_lengths(m):
+    for L in range(1, min(3, m - 1) + 1):
         n = m - L + 1
         r = np.arange(n)
         removal = (r * w + r + 1, (r + L) * w + r + L + 1, r * w + r + L + 1)
@@ -212,26 +213,14 @@ def _or_opt_table(m: int):
     return _index_table([np.concatenate(col) for col in zip(*parts)])
 
 
-def _or_opt_move(m: int, k: int):
-    """(L, s, q, reversed) of entry k of ``_or_opt_table(m)``."""
-    for L in _or_opt_lengths(m):
-        n = m - L + 1
-        if k < 2 * n * (n - 1):
-            pair, rev = divmod(k, 2)
-            s, q = divmod(pair, n - 1)
-            return L, s, q + (q >= s), bool(rev)
-        k -= 2 * n * (n - 1)
-    raise IndexError(k)
-
-
 def _or_opt_once_np(order: list, dist: np.ndarray, tol: float):
     """Relocate one segment (length 1..3, both orientations) if it helps.
 
     Returns (order, True) after the scan's first improving move, (order,
     False) if the tour is Or-opt clean; all candidates priced as one array.
     """
-    m = len(order)
-    ps, sn, pn, runs, ah, tb, ab = _or_opt_table(m)
+    w = len(order) + 2
+    ps, sn, pn, runs, ah, tb, ab = _or_opt_table(w - 2)
     ext = np.array([DEPOT, *order, DEPOT])
     block = dist.take(ext, 0).take(ext, 1).ravel()
     removal = np.repeat(block[ps] + block[sn] - block[pn], runs)
@@ -240,11 +229,13 @@ def _or_opt_once_np(order: list, dist: np.ndarray, tol: float):
     k = hits.argmax()
     if not hits[k]:
         return order, False
-    L, s, q, rev = _or_opt_move(m, int(k))
-    seg = order[s:s + L]
-    rest = order[:s] + order[s + L:]
-    piece = seg[::-1] if rev else seg
-    return rest[:q] + piece + rest[q:], True
+    e, head = divmod(int(ah[k]), w)
+    tail = int(tb[k]) // w
+    lo, hi = min(head, tail) - 1, max(head, tail)  # the segment is order[lo:hi]
+    seg = order[lo:hi] if head <= tail else order[lo:hi][::-1]
+    if e < lo:  # e is never in lo..hi; the segment goes in before order[e]
+        return order[:e] + seg + order[e:lo] + order[hi:], True
+    return order[:lo] + order[hi:e] + seg + order[e:], True
 
 
 def _improve(order: list, dist: np.ndarray) -> list:

@@ -64,6 +64,20 @@ def brute_minmax_objective(inst, cache=None):
     return best
 
 
+def allocation_cost(inst, eff, alloc):
+    """Total depot-to-target time of an allocation under effective depots.
+
+    ``eff`` maps vehicle id to effective depot and ``alloc`` vehicle id to
+    its free targets, as ``solve_load_balancing`` returns them."""
+    total = 0.0
+    for v in inst.vehicles:
+        d = eff[v.id]
+        for t in alloc[v.id]:
+            p = inst.targets[t]
+            total += euclid((d.x, d.y), (p.x, p.y)) / v.speed
+    return total
+
+
 def brute_allocation_cost(inst, eff, counts):
     """Minimum allocation cost over all assignments meeting the lower bounds.
 

@@ -18,12 +18,11 @@ from minmaxtsp import (DEPOT, EXACT, Solution, SolverConfig, Tour,
                        perturbation_loop, request_for, run_experiment,
                        scenario1, solve_load_balancing, solve_tsp,
                        tour_duration, validate_solution)
-from minmaxtsp.allocation import allocation_cost
 from minmaxtsp.cli import main as cli_main
 from minmaxtsp.heuristic import perturbation_angle
 
-from conftest import (brute_allocation_cost, brute_minmax_objective,
-                      line_instance, random_instance)
+from conftest import (allocation_cost, brute_allocation_cost,
+                      brute_minmax_objective, line_instance, random_instance)
 
 # The gap protocol is seed-pinned: instances are random and individual seeds
 # can land hard outliers, so representative seeds are fixed here and the

@@ -15,10 +15,9 @@ from minmaxtsp import (DEPOT, InfeasibleAllocationError, Instance, Point,
                        Vehicle, allocation, build_initial_solution,
                        min_target_counts, perturb_colocated_depots,
                        solve_load_balancing, validate_solution)
-from minmaxtsp.allocation import (COLOCATION_RADIUS, _min_cost_assignment,
-                                  allocation_cost)
+from minmaxtsp.allocation import COLOCATION_RADIUS, _min_cost_assignment
 
-from conftest import (FixedAngleRng, brute_allocation_cost,
+from conftest import (FixedAngleRng, allocation_cost, brute_allocation_cost,
                       brute_minmax_objective, line_instance, random_instance)
 
 

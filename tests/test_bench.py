@@ -75,6 +75,9 @@ class TestGeneration:
         for bad in (1.5, True, 2.0):
             with pytest.raises(InvalidConfigError, match="co-location"):
                 ExperimentConfig(speeds=(1.0, 2.0), colocated=((bad, 2),))
+        for bad in ([[1, 2]], ([1, 2],), (1, 2), 5):
+            with pytest.raises(InvalidConfigError, match="colocated"):
+                ExperimentConfig(speeds=(1.0, 2.0), colocated=bad)
         for bad in ("0.2", True, None, float("nan"), -0.1):
             with pytest.raises(InvalidConfigError, match="assign_fraction"):
                 ExperimentConfig(assign_fraction=bad)

@@ -196,6 +196,24 @@ class TestInstanceValidation:
         assert inst.required == {2: frozenset({1})}
         assert [type(x) for x in (*inst.required, *inst.required[2])] == [int, int]
 
+    @pytest.mark.parametrize("targets,fleet,required", [
+        pytest.param((Point(0, 0),), (v(1.0),), {1: 5}, id="required set not iterable"),
+        pytest.param((Point(0, 0),), (v(1.0),), [(1, [0])], id="required not a mapping"),
+        pytest.param(((0, 0),), (v(1.0),), None, id="tuple target"),
+        pytest.param((Point(0, 0),), (v(1.0, (0, 0)),), None, id="tuple depot"),
+        pytest.param((Point("1", 1),), (v(1.0),), None, id="string coordinate"),
+        pytest.param((Point(True, 1),), (v(1.0),), None, id="bool coordinate"),
+        pytest.param((Point(0, 0),), (v(1.0, Point(0, "0")),), None, id="string depot"),
+        pytest.param((Point(0, 0),), (v("1"),), None, id="string speed"),
+        pytest.param((Point(0, 0),), (v(True),), None, id="bool speed"),
+        pytest.param((Point(0, 0),), (v(1.0, vid=True),), None, id="bool vehicle id"),
+        pytest.param((Point(0, 0),), (v(1.0, vid=1.0),), None, id="float vehicle id"),
+        pytest.param((Point(0, 0),), ((1, 1.0, Point(0, 0)),), None, id="tuple vehicle"),
+    ])
+    def test_wrong_types_are_rejected_not_coerced(self, targets, fleet, required):
+        with pytest.raises(InvalidInstanceError):
+            Instance(targets, fleet, required)
+
     def test_free_targets_and_required_for(self):
         inst = Instance((Point(0, 0), Point(1, 1), Point(2, 2)),
                         (v(1.0, vid=1), Vehicle(2, 1.0, Point(5, 5))),

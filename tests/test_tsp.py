@@ -317,8 +317,7 @@ def _two_opt_improve(inst, tour):
     ids = tour.targets()
     if len(ids) < 2:
         return tour
-    ix = [*ids, inst.n_targets]
-    dist = inst.distance_matrix(tour.vehicle_id).take(ix, 0).take(ix, 1)
+    dist = inst.distance_block(tour.vehicle_id, ids)
     order = _two_opt(list(range(len(ids))), dist, _gain_tolerance(dist))
     seq = (DEPOT,) + tuple(ids[p] for p in order) + (DEPOT,)
     return Tour(tour.vehicle_id, seq,
@@ -478,6 +477,24 @@ class TestVectorizedPolish:
         reference = _polish(_two_opt, _or_opt_once, list(order), dist)
         assert _polish(_two_opt_np, _or_opt_once_np, list(order), dist) == reference
         assert _improve(list(order), dist) == reference
+
+    @pytest.mark.parametrize("kind", ["grid", "uniform"])
+    def test_tours_above_forty_targets_match_the_scans(self, kind):
+        # Seeded rather than drawn: the scans are slow on long tours.
+        rng = np.random.default_rng(41)
+        for m in (41, 53, 70):
+            if kind == "grid":
+                xy = rng.integers(0, 4, size=(m + 1, 2)).astype(float)
+            else:
+                xy = rng.uniform(0.0, 100.0, size=(m + 1, 2))
+            dist = distances(xy, xy)
+            tol = _gain_tolerance(dist)
+            for order in (rng.permutation(m).tolist(), _nearest_neighbor(dist)):
+                assert _two_opt_np(list(order), dist, tol) == _two_opt(list(order), dist, tol)
+                assert (_or_opt_once_np(list(order), dist, tol)
+                        == _or_opt_once(list(order), dist, tol))
+                assert (_improve(list(order), dist)
+                        == _polish(_two_opt, _or_opt_once, list(order), dist))
 
     @pytest.mark.parametrize("scale", [1.0, 100.0, 1e6, 1e150])
     def test_tours_of_one_or_two_targets_need_no_polish(self, scale):
