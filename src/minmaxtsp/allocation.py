@@ -75,8 +75,8 @@ def perturb_colocated_depots(inst: Instance, rng) -> dict:
 
 def _cost_matrix(inst: Instance, eff: dict, free) -> np.ndarray:
     """(|free|, k) matrix: time from vehicle j's effective depot to target t."""
-    depots = np.array([[eff[v.id].x, eff[v.id].y] for v in inst.vehicles])
-    speeds = np.array([v.speed for v in inst.vehicles])
+    depots = np.array([[eff[v.id].x, eff[v.id].y] for v in inst.vehicles], dtype=float)
+    speeds = np.array([v.speed for v in inst.vehicles], dtype=float)
     return distances(inst.target_xy()[list(free)], depots) / speeds
 
 

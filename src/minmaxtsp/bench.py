@@ -18,7 +18,7 @@ import numpy as np
 
 from . import heuristic
 from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, Vehicle, is_integer,
-                    is_real)
+                    is_real, is_speed)
 from .oracle import exact_minmax, oracle_feasible
 from .tsp import HEURISTIC
 
@@ -53,8 +53,8 @@ class ExperimentConfig:
                     f"{name} must be an integer >= {least}, got {value!r}")
         if not (is_real(self.grid) and 0 < self.grid <= sys.float_info.max):
             raise InvalidConfigError(f"grid must be a finite number > 0, got {self.grid!r}")
-        if not (isinstance(self.speeds, tuple) and self.speeds and all(
-                is_real(s) and SPEED_MIN <= s <= sys.float_info.max for s in self.speeds)):
+        if not (isinstance(self.speeds, tuple) and self.speeds
+                and all(is_speed(s) for s in self.speeds)):
             raise InvalidConfigError(f"speeds must be a non-empty tuple of finite numbers"
                                      f" >= {SPEED_MIN:g}, got {self.speeds!r}")
         heuristic.SolverConfig(tour_mode=self.tour_mode)  # rejects an unknown tour_mode
@@ -177,10 +177,10 @@ def run_experiment(cfg: ExperimentConfig, on_instance=None) -> ExperimentReport:
     ``on_instance(index, instance, solution, trace)`` is invoked per instance
     when given; the trace carries the per-stage solutions.
     """
+    solver_cfg = heuristic.SolverConfig(tour_mode=cfg.tour_mode)
     rows = []
     for index in range(cfg.n_instances):
         inst = generate_instance(cfg, index)
-        solver_cfg = heuristic.SolverConfig(tour_mode=cfg.tour_mode)
         t0 = time.perf_counter()
         sol, trace = heuristic.solve(inst, solver_cfg, rng=_substream(cfg.seed, index, lane=1))
         t_heur = round(time.perf_counter() - t0, 3)

@@ -8,14 +8,17 @@ Layout::
       "required": {"1": [3, 5], ...}
     }
 
-Vehicle ids are implicit list positions (1-based).  Floats are written with
-``repr`` precision, so load(dump(inst)) reproduces the instance exactly.
+Vehicle ids are implicit list positions (1-based).  The reader checks only
+the document's shape; coordinates and speeds are passed to ``Instance`` as
+parsed (JSON integers stay ints) and checked there, by ``is_point`` and
+``is_speed``.  Floats are written with ``repr`` precision and ints as ints,
+so load(dump(inst)) reproduces the instance exactly.
 """
 
 import json
 import re
 
-from .model import Instance, InvalidInstanceError, Point, Vehicle, is_real
+from .model import Instance, InvalidInstanceError, Point, Vehicle, is_integer
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -33,29 +36,17 @@ def instance_from_json(text: str) -> Instance:
     """Parse an instance document; any malformed part raises InvalidInstanceError."""
     try:
         doc = json.loads(text)
-        targets = tuple(_point(xy) for xy in doc["targets"])
-        vehicles = tuple(Vehicle(i, _number(v["speed"]), _point(v["depot"]))
+        targets = tuple(Point(*xy) for xy in doc["targets"])
+        vehicles = tuple(Vehicle(i, v["speed"], Point(*v["depot"]))
                          for i, v in enumerate(doc["vehicles"], start=1))
         pins = doc.get("required", {})
         if not isinstance(pins, dict):
             raise ValueError(f"required must be an object, got {pins!r}")
         required = {_vehicle_key(vid): [_target_index(t) for t in ids]
                     for vid, ids in pins.items()}
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InvalidInstanceError(f"malformed instance document: {exc}") from exc
     return Instance(targets, vehicles, required)
-
-
-def _number(value) -> float:
-    # float() alone would also take "1e3" and true; a huge integer overflows.
-    if not is_real(value):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _point(value) -> Point:
-    x, y = value
-    return Point(_number(x), _number(y))
 
 
 def _vehicle_key(key: str) -> int:
@@ -67,9 +58,7 @@ def _vehicle_key(key: str) -> int:
 
 def _target_index(value) -> int:
     # int() alone would truncate 0.7 to 0 and take true as 1.
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
+    if is_integer(value) or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"target index {value!r} is not an integer")
 

@@ -10,6 +10,7 @@ triangle inequality for every vehicle.
 import copy
 import math
 import numbers
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -101,10 +102,16 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _coords_ok(p) -> bool:
-    # NaN fails both comparisons, so this also rejects non-finite values.
+def is_point(p, limit=COORD_LIMIT) -> bool:
+    """True for a Point with real coordinates of magnitude at most ``limit``;
+    NaN fails the comparison, and a huge int compares exactly, never overflowing."""
     return (isinstance(p, Point) and is_real(p.x) and is_real(p.y)
-            and abs(p.x) <= COORD_LIMIT and abs(p.y) <= COORD_LIMIT)
+            and abs(p.x) <= limit and abs(p.y) <= limit)
+
+
+def is_speed(s) -> bool:
+    """True for a real speed in [SPEED_MIN, float max] (NaN and huge ints fail)."""
+    return is_real(s) and SPEED_MIN <= s <= sys.float_info.max
 
 
 class _ReadOnlyDict(Mapping):
@@ -136,10 +143,10 @@ class Instance:
     """An immutable routing instance.
 
     targets:  planar target Points; a target is referred to by its index.
-              Target and depot coordinates are real numbers (not bools)
-              within +-COORD_LIMIT, except depots moved by ``with_depots``.
+              Every target and depot passes ``is_point``: real coordinates
+              (not bools) within +-COORD_LIMIT.
     vehicles: fleet of Vehicles ordered by id (integer ids exactly 1..k),
-              each with a finite real speed of at least SPEED_MIN.
+              each with a speed that passes ``is_speed``.
     required: a mapping of vehicle id to an iterable of target indices,
               pairwise disjoint; kept as a read-only mapping from vehicle id
               to a frozenset.  Keys and target indices must be integers
@@ -147,7 +154,8 @@ class Instance:
 
     Instances are validated on construction and frozen, since distance data is
     cached lazily and shared by all solver stages; ``with_depots`` makes a
-    changed copy with its own cache.
+    changed copy with its own cache, whose moved depots need only be finite
+    points of fleet vehicles.  Bad input raises InvalidInstanceError.
     """
 
     targets: tuple
@@ -159,8 +167,10 @@ class Instance:
         if not isinstance(raw, Mapping):
             raise InvalidInstanceError(
                 f"required must map vehicle ids to target indices, got {raw!r}")
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "vehicles", tuple(self.vehicles))
+        for name, value in (("targets", self.targets), ("vehicles", self.vehicles)):
+            if not isinstance(value, Iterable):
+                raise InvalidInstanceError(f"{name} must be an iterable, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         required = {}
         for vid, ids in raw.items():
             if not is_integer(vid):
@@ -186,7 +196,7 @@ class Instance:
         if len(self.vehicles) < 1:
             raise InvalidInstanceError("instance needs at least one vehicle")
         for i, t in enumerate(self.targets):
-            if not _coords_ok(t):
+            if not is_point(t):
                 raise InvalidInstanceError(
                     f"target {i} {t!r} is not a Point with finite real coordinates"
                     f" of magnitude at most {COORD_LIMIT:g}")
@@ -195,14 +205,11 @@ class Instance:
                 raise InvalidInstanceError(
                     f"vehicle {pos} is {v!r}: vehicles must be Vehicles with ids"
                     f" exactly 1..k in order")
-            if not is_real(v.speed):
-                raise InvalidInstanceError(f"vehicle {v.id} speed {v.speed!r} is not a number")
-            if not (v.speed > 0 and math.isfinite(v.speed)):
-                raise InvalidInstanceError(f"vehicle {v.id} has non-positive speed")
-            if v.speed < SPEED_MIN:
+            if not is_speed(v.speed):
                 raise InvalidInstanceError(
-                    f"vehicle {v.id} speed {v.speed:g} is below {SPEED_MIN:g}")
-            if not _coords_ok(v.depot):
+                    f"vehicle {v.id} speed {v.speed!r} is not a real number from"
+                    f" {SPEED_MIN:g} to {sys.float_info.max:g}")
+            if not is_point(v.depot):
                 raise InvalidInstanceError(
                     f"vehicle {v.id} depot {v.depot!r} is not a Point with finite real"
                     f" coordinates of magnitude at most {COORD_LIMIT:g}")
@@ -252,7 +259,7 @@ class Instance:
         dm = self._cache.get(key)
         if dm is None:
             depot = self.vehicle(vid).depot
-            pts = np.vstack([self.target_xy(), [depot.x, depot.y]])
+            pts = np.vstack([self.target_xy(), [float(depot.x), float(depot.y)]])
             dm = distances(pts, pts)
             self._cache[key] = dm
         return dm
@@ -273,15 +280,18 @@ class Instance:
         ix = [*targets, DEPOT]
         return self.distance_matrix(vid).take(ix, 0).take(ix, 1)
 
-    def with_depots(self, depots: dict) -> "Instance":
+    def with_depots(self, depots: Mapping) -> "Instance":
         """Copy of this instance with some vehicle depots replaced.
 
-        The new depots need only be finite: COORD_LIMIT bounds the input so
+        ``depots`` must map fleet vehicle ids to Points that pass
+        ``is_point(p, sys.float_info.max)``: COORD_LIMIT bounds the input so
         that stage 3, which may move a depot past the limit, stays finite.
         """
-        for vid, p in depots.items():
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise InvalidInstanceError(f"vehicle {vid} moved depot is not finite")
+        if not (isinstance(depots, Mapping) and all(
+                is_integer(vid) and 1 <= vid <= self.k and is_point(p, sys.float_info.max)
+                for vid, p in depots.items())):
+            raise InvalidInstanceError(
+                f"depots must map fleet vehicle ids to finite Points, got {depots!r}")
         moved = copy.copy(self)
         object.__setattr__(moved, "vehicles", tuple(
             Vehicle(v.id, v.speed, depots.get(v.id, v.depot)) for v in self.vehicles

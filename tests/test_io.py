@@ -59,6 +59,7 @@ def _doc(target="[0, 0]", speed="1.0", depot="[0, 0]", required="{}"):
     pytest.param(_doc(depot='[0, "1e3"]'), id="depot string"),
     pytest.param(_doc(speed='"1e3"'), id="speed string"),
     pytest.param(_doc(speed="true"), id="speed bool"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested too deep"),
 ])
 def test_malformed_documents_rejected(text):
     with pytest.raises(InvalidInstanceError):
@@ -67,6 +68,16 @@ def test_malformed_documents_rejected(text):
 
 def test_malformed_rows_start_from_a_valid_document():
     assert instance_from_json(_doc()).targets == (Point(0.0, 0.0),)
+
+
+def test_numbers_pass_as_parsed_and_round_trip_exactly():
+    inst = instance_from_json(_doc(target="[3, 4.5]", speed="2", depot="[0, 1e3]"))
+    assert inst.targets == (Point(3, 4.5),) and inst.vehicle(1).speed == 2
+    assert type(inst.targets[0].x) is int and type(inst.vehicle(1).speed) is int
+    text = instance_to_json(inst)
+    again = instance_from_json(text)
+    assert again == inst and instance_to_json(again) == text
+    assert type(again.vehicle(1).speed) is int
 
 
 def test_structural_violations_rejected():

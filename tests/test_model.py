@@ -209,6 +209,10 @@ class TestInstanceValidation:
         pytest.param((Point(0, 0),), (v(1.0, vid=True),), None, id="bool vehicle id"),
         pytest.param((Point(0, 0),), (v(1.0, vid=1.0),), None, id="float vehicle id"),
         pytest.param((Point(0, 0),), ((1, 1.0, Point(0, 0)),), None, id="tuple vehicle"),
+        pytest.param(5, (v(1.0),), None, id="targets not iterable"),
+        pytest.param((Point(0, 0),), 5, None, id="vehicles not iterable"),
+        pytest.param((Point(0, 0),), (v(10 ** 400),), None, id="int speed too big for a float"),
+        pytest.param((Point(0, 0),), (v(math.nan),), None, id="nan speed"),
     ])
     def test_wrong_types_are_rejected_not_coerced(self, targets, fleet, required):
         with pytest.raises(InvalidInstanceError):
@@ -228,6 +232,38 @@ class TestInstanceValidation:
         assert moved.vehicle(1).depot == Point(0, 0)
         assert moved.vehicle(2).depot == Point(10, 5)
         assert moved.targets == inst.targets
+
+    @pytest.mark.parametrize("depots", [
+        pytest.param({1: (3, 4)}, id="tuple depot"),
+        pytest.param({1: Point("1", 2)}, id="string coordinate"),
+        pytest.param({1: Point(10 ** 400, 0)}, id="int too big for a float"),
+        pytest.param({1: Point(0, math.inf)}, id="infinite coordinate"),
+        pytest.param({1: Point(math.nan, 0)}, id="nan coordinate"),
+        pytest.param({7: Point(1, 0)}, id="unknown vehicle"),
+        pytest.param({True: Point(1, 0)}, id="bool vehicle id"),
+        pytest.param([(1, Point(1, 0))], id="not a mapping"),
+    ])
+    def test_with_depots_rejects_what_is_not_a_finite_point_of_the_fleet(self, depots):
+        inst = Instance((Point(3, 4),), (v(1.0),))
+        with pytest.raises(InvalidInstanceError):
+            inst.with_depots(depots)
+        # Stage 3 may move a depot past COORD_LIMIT; only finiteness is required.
+        far = inst.with_depots({1: Point(-10 * COORD_LIMIT, 1e300)})
+        assert far.vehicle(1).depot == Point(-10 * COORD_LIMIT, 1e300)
+
+    def test_integer_coordinates_and_speeds_solve_like_their_floats(self):
+        # Ints past int64 must not turn the matrices into object arrays.
+        big = 10 ** 20
+        ints = Instance((Point(big, 3), Point(-big, 4), Point(5, big), Point(1, 1)),
+                        (v(2, Point(big, 0)), Vehicle(2, 3, Point(big, 0)),
+                         Vehicle(3, 10 ** 30, Point(-big, -big))))
+        floats = Instance(
+            tuple(Point(float(p.x), float(p.y)) for p in ints.targets),
+            tuple(Vehicle(u.id, float(u.speed), Point(float(u.depot.x), float(u.depot.y)))
+                  for u in ints.vehicles))
+        (sol_i, _), (sol_f, _) = solve(ints, rng=1), solve(floats, rng=1)
+        assert validate_solution(ints, sol_i) == []
+        assert sol_i == sol_f and repr(sol_i.objective) == repr(sol_f.objective)
 
     def test_fields_are_frozen_and_with_depots_gets_a_fresh_cache(self):
         inst = Instance((Point(3, 4),), (v(1.0),))
