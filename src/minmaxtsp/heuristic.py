@@ -5,10 +5,13 @@ tours.  Stage 2 repeatedly offloads targets from the longest tour: candidates
 are ranked by the time saved on the donor, each is quoted a cheapest insertion
 over the other vehicles, the receiver is re-routed and, only if its new tour
 stays below the makespan, so is the donor; the move sticks only if the fleet
-makespan strictly drops.  Stage 3 escapes local optima by displacing depots
-(radially, by half the sum of each tour's two depot-edge times) and
-re-optimizing on the displaced geometry; a plan rebuilt at the true depots is
-accepted only when strictly better, and the loop gives up after
+makespan strictly drops.  With exact tours a receiver is not re-routed when
+a lower bound on its new tour (its optimal tour plus the cheapest detour
+through the target between any two of its vertices) already reaches the
+makespan.  Stage 3 escapes local optima by displacing depots (radially, by
+half the sum of each tour's two depot-edge times) and re-optimizing on the
+displaced geometry; a plan rebuilt at the true depots is accepted only when
+strictly better, and the loop gives up after
 ``SolverConfig.no_improve_stop`` straight rejections (5 by default).
 Displacement angles march around the circle in 144-degree steps from a random
 start; five steps revisit the starting angle, so ``no_improve_stop`` is at
@@ -26,7 +29,7 @@ from .allocation import (build_initial_solution, perturb_colocated_depots,
                          solve_load_balancing)
 from .model import (DEPOT, Instance, InvalidConfigError,
                     NoInsertionCandidateError, Point, Solution,
-                    StageCheckError, is_integer, validate_solution)
+                    StageCheckError, Tour, is_integer, validate_solution)
 from .tsp import EXACT, HEURISTIC, TspCache, request_for, solve_tsp
 
 # The displacement angle steps 144 degrees, so the schedule repeats after
@@ -133,6 +136,36 @@ def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int) -> 
     return best
 
 
+# A receiver whose insertion bound reaches the makespan times _BOUND_SLACK is
+# rejected unrouted.  For a new tour of m targets, the bound and the Held-Karp
+# duration are sums over the m + 1 edges of one tour and the three of one
+# triangle a t b, each term no longer than the tour (which passes a, t and b,
+# so is at least the triangle's perimeter), with one rounding per addition and
+# one per division by the speed.  Barring travel times that underflow (below
+# 2**-1022 and not zero), the computed bound exceeds the computed duration by
+# under (2 m + 9) 2**-53 relative, below 2**-47 for m up to EXACT_CAP; the
+# slack 2**-40 covers that a hundred times over, so a receiver the bound
+# rejects would also have been rejected by its Held-Karp tour.
+_BOUND_SLACK = 1.0 + 2.0 ** -40
+
+
+def _insertion_lower_bound(target: int, tour: Tour, inst: Instance) -> float:
+    """Least duration of an optimal tour of ``tour``'s targets plus ``target``,
+    given that ``tour`` is optimal for its own targets.
+
+    Cutting ``target`` out of the longer optimal tour and joining its two
+    neighbours a and b leaves a tour of the old targets, so the longer tour
+    costs at least ``tour.duration`` plus tm[a, t] + tm[t, b] - tm[a, b]
+    minimised over a, b in the depot and the old targets.  Allowing a = b
+    only lowers the minimum, needs no triangle inequality and covers the
+    empty tour, where it gives the exact round trip.
+    """
+    tm = inst.time_matrix(tour.vehicle_id)
+    ends = np.array(tour.sequence[:-1])
+    detours = tm[ends, target][:, None] + tm[target, ends] - tm.take(ends, 0).take(ends, 1)
+    return tour.duration + float(detours.min())
+
+
 def _rebuild(inst: Instance, vid: int, ids, cfg: SolverConfig, cache):
     return solve_tsp(request_for(inst, vid, ids, cfg.tour_mode), cache)
 
@@ -145,20 +178,31 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
     best receiver for the candidate, re-routes the receiver, and accepts the
     first move that strictly lowers the makespan.  The makespan after a move
     is at least the receiver's new tour, so the donor is re-routed only when
-    that tour stays below the current makespan.  Savings are recomputed
-    from the new plan after every accepted move; the search stops when every
-    candidate on the maximal tour fails.
+    that tour stays below the current makespan.  With exact tours the
+    receiver is not even re-routed when ``_insertion_lower_bound`` already
+    reaches the makespan.  Savings are recomputed from the new plan after
+    every accepted move; the search stops when every candidate on the
+    maximal tour fails.
+
+    Precondition with ``cfg.tour_mode == EXACT``: every tour of ``sol`` is
+    an optimal (Held-Karp) tour on ``inst``'s geometry, as every tour the
+    pipeline builds in that mode is; the bound rests on it.
     """
     if inst.k < 2:
         return sol
+    exact = cfg.tour_mode == EXACT
     current = sol
     while True:
         donor = current.maximal_vehicle()
         entries = compute_savings(current, inst, donor)
         objective = current.objective
+        hopeless = objective * _BOUND_SLACK
         accepted = False
         for entry in entries:
             quote = best_insertion(entry.target, current, inst, exclude=donor)
+            if exact and _insertion_lower_bound(
+                    entry.target, current.tour_for(quote.vehicle_id), inst) >= hopeless:
+                continue
             receiver_tour = _rebuild(inst, quote.vehicle_id,
                                      current.targets_of(quote.vehicle_id) | {entry.target},
                                      cfg, cache)

@@ -8,11 +8,13 @@ Layout::
       "required": {"1": [3, 5], ...}
     }
 
-Vehicle ids are implicit list positions (1-based).  The reader checks only
-the document's shape; coordinates and speeds are passed to ``Instance`` as
-parsed (JSON integers stay ints) and checked there, by ``is_point`` and
-``is_speed``.  Floats are written with ``repr`` precision and ints as ints,
-so load(dump(inst)) reproduces the instance exactly.
+Vehicle ids are implicit list positions (1-based), written in ``required``
+as decimal keys without leading zeros.  The reader checks only the
+document's shape, and refuses an object that repeats a key; coordinates
+and speeds are passed to ``Instance`` as parsed (JSON integers stay ints)
+and checked there, by ``is_point`` and ``is_speed``.  Floats are written
+with ``repr`` precision and ints as ints, so load(dump(inst)) reproduces the
+instance exactly.
 """
 
 import json
@@ -35,7 +37,7 @@ def instance_to_json(inst: Instance) -> str:
 def instance_from_json(text: str) -> Instance:
     """Parse an instance document; any malformed part raises InvalidInstanceError."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
         targets = tuple(Point(*xy) for xy in doc["targets"])
         vehicles = tuple(Vehicle(i, v["speed"], Point(*v["depot"]))
                          for i, v in enumerate(doc["vehicles"], start=1))
@@ -49,9 +51,20 @@ def instance_from_json(text: str) -> Instance:
     return Instance(targets, vehicles, required)
 
 
+def _unique_keys(pairs) -> dict:
+    # json.loads alone would keep the last of two equal keys and drop the rest.
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _vehicle_key(key: str) -> int:
-    # int() alone would also take " 1", "+1" and "0_1".
-    if not re.fullmatch(r"-?[0-9]+", key):
+    # int() alone would also take " 1", "+1", "0_1" and "01", and "01" would
+    # name the same vehicle as "1".
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
         raise ValueError(f"vehicle key {key!r} is not an integer")
     return int(key)
 

@@ -179,6 +179,49 @@ class TestBestInsertionMatchesScalarLoop:
                 == _scalar_best_insertion(target, sol, inst, exclude=donor))
 
 
+def _scalar_insertion_bound(target, tour, inst):
+    """The exact-mode receiver bound as a scalar loop over every pair of the
+    tour's vertices, a = b included."""
+    tm = inst.time_matrix(tour.vehicle_id)
+    ends = tour.sequence[:-1]
+    return tour.duration + min(float(tm[a, target] + tm[target, b] - tm[a, b])
+                               for a in ends for b in ends)
+
+
+@st.composite
+def _bound_cases(draw):
+    """(one-vehicle instance, receiver targets S, new target t): S may be
+    empty; coordinates on a 4 x 4 grid (ties, duplicate points) or in
+    millionths, at scales 1e-3 to 1e6; sometimes t repeats a point of S and
+    the depot sits on a target."""
+    m = draw(st.integers(0, 10))
+    grid = draw(st.booleans())
+    coord = st.integers(0, 3) if grid else st.integers(0, 10 ** 6).map(lambda i: i / 10 ** 6)
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6]))
+    xy = [(x * scale, y * scale)
+          for x, y in draw(st.lists(st.tuples(coord, coord), min_size=m + 2, max_size=m + 2))]
+    if m and draw(st.booleans()):
+        xy[m] = xy[draw(st.integers(0, m - 1))]
+    if draw(st.booleans()):
+        xy[m + 1] = xy[draw(st.integers(0, m))]
+    speed = draw(st.sampled_from([1.0, 0.3, 2.5, 7.0]))
+    inst = Instance(tuple(Point(*p) for p in xy[:m + 1]),
+                    (Vehicle(1, speed, Point(*xy[m + 1])),))
+    return inst, set(range(m)), m
+
+
+class TestInsertionLowerBound:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_bound_cases())
+    def test_never_exceeds_the_held_karp_tour(self, case):
+        inst, receiver, target = case
+        tour = solve_tsp(request_for(inst, 1, receiver, EXACT))
+        bound = heuristic._insertion_lower_bound(target, tour, inst)
+        assert bound == _scalar_insertion_bound(target, tour, inst)
+        longer = solve_tsp(request_for(inst, 1, receiver | {target}, EXACT))
+        assert bound <= longer.duration * (1 + 2 ** -40)
+
+
 class TestLocalSearch:
     def test_offloads_far_target_to_idle_vehicle(self):
         inst, sol = _two_target_line()
@@ -221,8 +264,9 @@ class TestLocalSearch:
 def _eager_local_search(inst, sol, cfg, cache, candidates):
     """``local_search`` routing donor and receiver for every candidate.
 
-    Appends (donor, receiver, receiver tour below the makespan) per candidate
-    to ``candidates``.
+    Appends (donor, receiver, receiver tour below the makespan, receiver
+    certified hopeless by the reference bound in exact mode) per candidate to
+    ``candidates``.
     """
     current = sol
     while True:
@@ -231,12 +275,16 @@ def _eager_local_search(inst, sol, cfg, cache, candidates):
         accepted = False
         for entry in compute_savings(current, inst, donor):
             quote = best_insertion(entry.target, current, inst, exclude=donor)
+            certified = cfg.tour_mode == EXACT and _scalar_insertion_bound(
+                entry.target, current.tour_for(quote.vehicle_id), inst
+            ) >= objective * (1 + 2 ** -40)
             donor_tour = _rebuild(inst, donor, current.targets_of(donor) - {entry.target},
                                   cfg, cache)
             receiver_tour = _rebuild(inst, quote.vehicle_id,
                                      current.targets_of(quote.vehicle_id) | {entry.target},
                                      cfg, cache)
-            candidates.append((donor, quote.vehicle_id, receiver_tour.duration < objective))
+            candidates.append((donor, quote.vehicle_id, receiver_tour.duration < objective,
+                               certified))
             candidate = current.replace(donor_tour, receiver_tour)
             if candidate.objective < objective:
                 current = candidate
@@ -268,7 +316,8 @@ def _starts(inst, cfg, index):
 
 
 class TestReceiverFirstSearch:
-    """Routing the receiver first skips donors that cannot change the verdict."""
+    """Routing the receiver first skips donors that cannot change the verdict,
+    and with exact tours the insertion bound skips receivers that cannot."""
 
     @pytest.mark.parametrize("name", sorted(_SEARCH_CASES))
     def test_same_plan_as_the_eager_search_with_fewer_tour_solves(self, name, monkeypatch):
@@ -281,7 +330,7 @@ class TestReceiverFirstSearch:
             return real(req, cache)
 
         monkeypatch.setattr(heuristic, "solve_tsp", counted)
-        eager_total = lazy_total = 0
+        eager_total = lazy_total = skips = 0
         verdicts = set()
         for index in range(3):
             inst = generate_instance(exp, index)
@@ -293,13 +342,17 @@ class TestReceiverFirstSearch:
                 eager_total += len(calls)
                 calls.clear()
                 assert local_search(inst, start, cfg, TspCache()) == eager
-                expected = [vid for donor, receiver, below in candidates
+                assert not any(below and certified for _, _, below, certified in candidates)
+                expected = [vid for donor, receiver, below, certified in candidates
+                            if not certified
                             for vid in ((receiver, donor) if below else (receiver,))]
                 assert calls == expected
                 lazy_total += len(calls)
-                verdicts.update(below for _, _, below in candidates)
+                skips += sum(certified for *_, certified in candidates)
+                verdicts.update(below for _, _, below, _ in candidates)
         assert verdicts == {True, False}
         assert lazy_total < eager_total
+        assert (skips > 0) == (cfg.tour_mode == EXACT)
 
 
 class TestPerturbationGeometry:

@@ -60,6 +60,14 @@ def _doc(target="[0, 0]", speed="1.0", depot="[0, 0]", required="{}"):
     pytest.param(_doc(speed='"1e3"'), id="speed string"),
     pytest.param(_doc(speed="true"), id="speed bool"),
     pytest.param("[" * 100_000 + "]" * 100_000, id="nested too deep"),
+    pytest.param(_doc(target="[0, 0], [1, 1]", required='{"1": [0], "01": [1]}'),
+                 id="vehicle key leading zero"),
+    pytest.param(_doc(required='{"01": [0]}'), id="vehicle key only with leading zero"),
+    pytest.param(_doc(target="[0, 0], [1, 1]", required='{"1": [0], "1": [1]}'),
+                 id="duplicate vehicle key"),
+    pytest.param('{"targets": [[0, 0]], "targets": [[1, 1]],'
+                 ' "vehicles": [{"speed": 1.0, "depot": [0, 0]}]}', id="duplicate targets"),
+    pytest.param(_doc(depot='[0, 0], "depot": [1, 1]'), id="duplicate key in a vehicle"),
 ])
 def test_malformed_documents_rejected(text):
     with pytest.raises(InvalidInstanceError):
