@@ -9,8 +9,10 @@ required targets.
 Free targets are distributed over the fleet by a minimum-cost assignment in
 which every vehicle must receive at least a speed-proportional share of the
 work, and the cost of giving target t to vehicle j is the depot-to-target
-travel time.  The assignment is solved exactly by the shortest augmenting
-path method of Crouse (2016, "On implementing 2D rectangular assignment
+travel time.  ``solve_load_balancing`` poses it as one square assignment of
+targets to slots, each vehicle's cost column once per target it owes and the
+row minimum for the rest, solved exactly by the shortest augmenting path
+method of Crouse (2016, "On implementing 2D rectangular assignment
 algorithms", IEEE TAES 52(4)), the algorithm behind scipy's
 ``linear_sum_assignment``, with the same float expressions and tie rule, so
 both give the same column for every row.  Vehicles parked on the same spot
@@ -86,49 +88,30 @@ def solve_load_balancing(inst: Instance, eff: dict) -> dict:
     ``eff`` maps each vehicle id to its effective depot (see
     ``perturb_colocated_depots``); the lower bounds come from
     ``min_target_counts``.  Every vehicle gets an entry; required targets are
-    not listed.  The problem is solved exactly: vehicle j contributes lower_j
-    dedicated slots priced by its own cost column, targets beyond the bounds
-    fill wildcard slots priced at each target's cheapest vehicle, and one
-    square assignment over the slots settles everything.  A target won by a
-    wildcard slot goes to its cheapest vehicle (ties: lowest id).
-
-    The square assignment is Crouse's shortest augmenting path method, run
-    row by row.  When several columns tie for the cheapest path at a step, it
-    takes the last one scanned that has no row yet, and otherwise the first
-    one scanned: scipy's ``linear_sum_assignment`` rule.  A single vehicle
-    owes every free target, so all its slots are dedicated and it gets them
-    all.  Raises InfeasibleAllocationError when the bounds demand more
-    targets than are free.
+    not listed.  The problem is solved exactly by one square assignment of
+    free targets (rows) to slots (columns): vehicle j's cost column repeated
+    lower_j times, in vehicle order, then wildcard slots priced at each
+    target's cheapest vehicle for the targets beyond the bounds.  A target
+    won by a dedicated slot goes to that slot's vehicle, and one won by a
+    wildcard slot to its cheapest vehicle (ties: lowest id).  A single
+    vehicle owes every free target, so all its slots are dedicated and it
+    gets them all.  Raises InfeasibleAllocationError when the bounds demand
+    more targets than are free.
     """
     free = inst.free_targets()
     lowers = list(min_target_counts(inst).values())
     if sum(lowers) > len(free):
         raise InfeasibleAllocationError(
             f"lower bounds demand {sum(lowers)} free targets, instance has {len(free)}")
-    assign = {v.id: set() for v in inst.vehicles}
-    if free:
-        _assign_exact(_cost_matrix(inst, eff, free), lowers, free, assign)
-    return {vid: frozenset(ids) for vid, ids in assign.items()}
-
-
-def _assign_exact(c: np.ndarray, lowers, free, assign) -> None:
-    nf, k = c.shape
-    owner = []
-    cols = []
-    for j in range(k):
-        for _ in range(lowers[j]):
-            owner.append(j)
-            cols.append(c[:, j])
-    cheapest = c.min(axis=1)
-    for _ in range(nf - len(owner)):
-        owner.append(-1)
-        cols.append(cheapest)
-    col_of_row = _min_cost_assignment(np.column_stack(cols).tolist())
-    for row, col in enumerate(col_of_row):
-        j = owner[col]
-        if j < 0:
-            j = int(np.argmin(c[row]))
-        assign[j + 1].add(free[row])
+    c = _cost_matrix(inst, eff, free)
+    owner = np.repeat(np.arange(inst.k), lowers)
+    wildcards = np.repeat(c.min(axis=1, keepdims=True), len(free) - len(owner), axis=1)
+    cols = _min_cost_assignment(np.hstack([c[:, owner], wildcards]).tolist())
+    alloc = {v.id: set() for v in inst.vehicles}
+    for row, col in enumerate(cols):
+        j = owner[col] if col < len(owner) else c[row].argmin()
+        alloc[int(j) + 1].add(free[row])
+    return {vid: frozenset(ids) for vid, ids in alloc.items()}
 
 
 def _min_cost_assignment(cost: list) -> list:

@@ -8,15 +8,17 @@ stays below the makespan, so is the donor; the move sticks only if the fleet
 makespan strictly drops.  With exact tours a receiver is not re-routed when
 a lower bound on its new tour (its optimal tour plus the cheapest detour
 through the target between any two of its vertices) already reaches the
-makespan.  Stage 3 escapes local optima by displacing depots (radially, by
-half the sum of each tour's two depot-edge times) and re-optimizing on the
-displaced geometry; a plan rebuilt at the true depots is accepted only when
-strictly better, and the loop gives up after
-``SolverConfig.no_improve_stop`` straight rejections (5 by default).
-Displacement angles march around the circle in 144-degree steps from a random
-start; five steps revisit the starting angle, so ``no_improve_stop`` is at
-most five.  Stages 2 and 3 price with the instance's matrices, indexed by tour
-sequences as they stand (``DEPOT`` is the last row and column).
+makespan, or when its tour already holds ``EXACT_CAP`` targets; so once stage
+1 has built its tours, no later exact tour passes the cap.  Stage 3 escapes
+local optima by displacing depots (radially, by half the sum of each tour's
+two depot-edge times) and re-optimizing on the displaced geometry; a plan
+rebuilt at the true depots is accepted only when strictly better, and the
+loop gives up after ``SolverConfig.no_improve_stop`` straight rejections (5
+by default).  Displacement angles march around the circle in 144-degree steps
+from a random start; five steps revisit the starting angle, so
+``no_improve_stop`` is at most five.  Stages 2 and 3 price with the
+instance's matrices, indexed by tour sequences as they stand (``DEPOT`` is
+the last row and column).
 """
 
 import math
@@ -30,7 +32,7 @@ from .allocation import (build_initial_solution, perturb_colocated_depots,
 from .model import (DEPOT, Instance, InvalidConfigError,
                     NoInsertionCandidateError, Point, Solution,
                     StageCheckError, Tour, is_integer, validate_solution)
-from .tsp import EXACT, HEURISTIC, TspCache, request_for, solve_tsp
+from .tsp import EXACT, EXACT_CAP, HEURISTIC, TspCache, request_for, solve_tsp
 
 # The displacement angle steps 144 degrees, so the schedule repeats after
 # PERTURBATION_PERIOD steps; no_improve_stop may not exceed it.
@@ -180,9 +182,10 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
     is at least the receiver's new tour, so the donor is re-routed only when
     that tour stays below the current makespan.  With exact tours the
     receiver is not even re-routed when ``_insertion_lower_bound`` already
-    reaches the makespan.  Savings are recomputed from the new plan after
-    every accepted move; the search stops when every candidate on the
-    maximal tour fails.
+    reaches the makespan, or when its tour already holds ``EXACT_CAP``
+    targets, so it never requests an exact tour past the cap.  Savings are
+    recomputed from the new plan after every accepted move; the search stops
+    when every candidate on the maximal tour fails.
 
     Precondition with ``cfg.tour_mode == EXACT``: every tour of ``sol`` is
     an optimal (Held-Karp) tour on ``inst``'s geometry, as every tour the
@@ -200,8 +203,9 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
         accepted = False
         for entry in entries:
             quote = best_insertion(entry.target, current, inst, exclude=donor)
-            if exact and _insertion_lower_bound(
-                    entry.target, current.tour_for(quote.vehicle_id), inst) >= hopeless:
+            receiver = current.tour_for(quote.vehicle_id)
+            if exact and (len(receiver.targets()) >= EXACT_CAP or _insertion_lower_bound(
+                    entry.target, receiver, inst) >= hopeless):
                 continue
             receiver_tour = _rebuild(inst, quote.vehicle_id,
                                      current.targets_of(quote.vehicle_id) | {entry.target},

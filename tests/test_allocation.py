@@ -182,8 +182,9 @@ def _scipy_assignment(cost):
 @st.composite
 def _square_costs(draw):
     """Square cost matrix of size 1..64: uniform floats, small integers full of
-    ties, a constant, or slots built as ``_assign_exact`` builds them (each
-    vehicle's cost column repeated lower_j times, then the row minimum)."""
+    ties, a constant, or slots built as ``solve_load_balancing`` builds them
+    (each vehicle's cost column repeated lower_j times, then the row
+    minimum)."""
     n = draw(st.integers(1, 64))
     kind = draw(st.sampled_from(["uniform", "ties", "constant", "slots"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -31,7 +31,9 @@ SEED = 2026
 # fleet8_n64_pin10 quotes insertions over seven receivers, where vehicles
 # other than the donor can tie at the makespan.  The k1 cases route a single
 # vehicle through the same three-stage pipeline as any fleet, with pinned
-# targets and with Held-Karp tours.
+# targets and with Held-Karp tours.  s2_n30_pin20_exact_stop1 routes the pinned
+# co-located case with Held-Karp, where stage 2 meets receivers that already
+# hold EXACT_CAP targets.
 CASES = {
     "s1_n10": (scenario1(n_targets=10, seed=SEED), SolverConfig(), range(4)),
     "s1_n30": (scenario1(n_targets=30, seed=SEED), SolverConfig(), range(3)),
@@ -44,6 +46,9 @@ CASES = {
                            SolverConfig(tour_mode=EXACT, no_improve_stop=1), range(2)),
     "s2_n30_pin20": (scenario2(n_targets=30, assign_fraction=0.2, seed=SEED),
                      SolverConfig(), range(4)),
+    "s2_n30_pin20_exact_stop1": (scenario2(n_targets=30, assign_fraction=0.2, seed=SEED),
+                                 SolverConfig(tour_mode=EXACT, no_improve_stop=1),
+                                 range(3)),
     "fleet8_n64_pin10": (ExperimentConfig(n_targets=64,
                                           speeds=(1.0, 1.0, 1.5, 1.5, 2.0, 2.0, 1.0, 2.0),
                                           colocated=((1, 2), (3, 4)),

@@ -3,20 +3,25 @@ search, the depot-displacement escape loop, and the full pipeline."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import (DEPOT, EXACT, ExperimentConfig, InsertionQuote, Instance,
+from minmaxtsp import (DEPOT, EXACT, CapacityError, ExperimentConfig,
+                       InfeasibleAllocationError, InsertionQuote, Instance,
                        InvalidConfigError, NoInsertionCandidateError, Point,
                        Solution, SolverConfig, SolverError, Tour, TspCache,
-                       Vehicle, best_insertion, compute_savings, exact_minmax,
-                       generate_instance, local_search, perturbation_loop,
-                       perturbation_radius, scenario1, solve, solve_tsp,
-                       request_for, tour_duration, validate_solution)
-from minmaxtsp import heuristic
+                       Vehicle, best_insertion, build_initial_solution,
+                       compute_savings, exact_minmax, generate_instance,
+                       local_search, perturb_colocated_depots, perturbation_loop,
+                       perturbation_radius, scenario1, scenario2, solve,
+                       solve_load_balancing, solve_tsp, request_for,
+                       tour_duration, validate_solution)
+from minmaxtsp import heuristic, tsp
+from minmaxtsp.tsp import EXACT_CAP
 from minmaxtsp.heuristic import (PERTURBATION_PERIOD, PERTURBATION_STEP, STAGE_INIT,
                                  STAGE_LOCAL_SEARCH, STAGE_PERTURBATION,
                                  _rebuild, perturbation_angle)
@@ -353,6 +358,66 @@ class TestReceiverFirstSearch:
         assert verdicts == {True, False}
         assert lazy_total < eager_total
         assert (skips > 0) == (cfg.tour_mode == EXACT)
+
+
+@st.composite
+def _capped_fleets(draw):
+    """(cap, instance, seed): k = 2-4 vehicles and up to 3 * cap targets on a
+    100 x 100 square, up to 30% of them pinned, sometimes with the first two
+    or all depots on one spot."""
+    cap = draw(st.integers(4, 6))
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3 * cap))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = tuple(Point(float(x), float(y)) for x, y in rng.uniform(0, 100, size=(n, 2)))
+    depots = [Point(float(x), float(y)) for x, y in rng.uniform(0, 100, size=(k, 2))]
+    shared = draw(st.sampled_from([1, 2, k]))
+    depots[:shared] = [depots[0]] * shared
+    speeds = draw(st.lists(st.sampled_from([1.0, 1.5, 2.0]), min_size=k, max_size=k))
+    pinned = draw(st.lists(st.integers(0, n - 1), max_size=math.floor(0.3 * n), unique=True))
+    required = {}
+    for t in pinned:
+        required.setdefault(draw(st.integers(1, k)), []).append(t)
+    vehicles = tuple(Vehicle(i + 1, speeds[i], depots[i]) for i in range(k))
+    return cap, Instance(targets, vehicles, required), draw(st.integers(0, 2**32 - 1))
+
+
+class TestExactCap:
+    """With exact tours, stages 2 and 3 never ask for a tour past the cap:
+    a receiver already holding EXACT_CAP targets is rejected unrouted."""
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_pinned_paper_size_instance_gets_a_plan(self, index, monkeypatch):
+        inst = generate_instance(scenario2(n_targets=30, assign_fraction=0.2, seed=2026),
+                                 index)
+        sizes = []
+        real = heuristic.solve_tsp
+
+        def spied(req, cache=None):
+            if req.mode == EXACT:
+                sizes.append(len(req.targets))
+            return real(req, cache)
+
+        monkeypatch.setattr(heuristic, "solve_tsp", spied)
+        sol, _ = solve(inst, SolverConfig(tour_mode=EXACT, no_improve_stop=1), rng=index)
+        assert validate_solution(inst, sol) == []
+        assert sizes and max(sizes) <= EXACT_CAP
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_capped_fleets())
+    def test_every_plan_past_stage_1_stays_within_the_cap(self, case):
+        cap, inst, seed = case
+        with mock.patch.object(tsp, "EXACT_CAP", cap), \
+                mock.patch.object(heuristic, "EXACT_CAP", cap):
+            try:
+                alloc = solve_load_balancing(
+                    inst, perturb_colocated_depots(inst, np.random.default_rng(seed)))
+                build_initial_solution(inst, alloc, EXACT)
+            except (CapacityError, InfeasibleAllocationError):
+                assume(False)
+            sol, _ = solve(inst, SolverConfig(tour_mode=EXACT), rng=seed)
+        assert validate_solution(inst, sol) == []
+        assert max(len(t.targets()) for t in sol.tours) <= cap
 
 
 class TestPerturbationGeometry:
