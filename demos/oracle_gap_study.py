@@ -18,10 +18,11 @@ for fraction in (0.0, 0.10, 0.20):
     cfg = scenario1(n_targets=N_TARGETS, n_instances=N_INSTANCES, seed=SEED,
                     assign_fraction=fraction, oracle=True)
     report = run_experiment(cfg)
+    summary = report.summary()
     tight = sum(1 for r in report.rows if r.gap_final_pct <= 2.0)
-    print(f"{fraction:>9.2f} {report.mean_gap('final'):>8.2f}% "
-          f"{report.max_gap_final():>8.2f}% {tight:>6d}/{N_INSTANCES} "
-          f"{report.mean_time_oracle():>9.3f}")
+    print(f"{fraction:>9.2f} {summary['mean_gap_final_pct']:>8.2f}% "
+          f"{summary['max_gap_final_pct']:>8.2f}% {tight:>6d}/{N_INSTANCES} "
+          f"{summary['mean_t_oracle_s']:>9.3f}")
     out = f"gap_study_frac{int(round(100 * fraction)):02d}.csv"
     write_report(report, out)
     print(f"          full report -> {out}")

@@ -12,20 +12,15 @@ import csv
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import heuristic
 from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, Vehicle, is_integer,
-                    is_real, is_speed)
+                    is_point, is_real, is_speed)
 from .oracle import exact_minmax, oracle_feasible
 from .tsp import HEURISTIC
-
-REPORT_COLUMNS = ("instance", "init_obj", "ls_obj", "final_obj", "oracle_obj",
-                  "gap_init_pct", "gap_ls_pct", "gap_final_pct",
-                  "t_heuristic_s", "t_oracle_s")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -51,7 +46,8 @@ class ExperimentConfig:
             if not (is_integer(value) and value >= least):
                 raise InvalidConfigError(
                     f"{name} must be an integer >= {least}, got {value!r}")
-        if not (is_real(self.grid) and 0 < self.grid <= sys.float_info.max):
+        # is_point's rule with no limit but the float max: a finite real number
+        if not (is_point(Point(self.grid, 0.0), sys.float_info.max) and self.grid > 0):
             raise InvalidConfigError(f"grid must be a finite number > 0, got {self.grid!r}")
         if not (isinstance(self.speeds, tuple) and self.speeds
                 and all(is_speed(s) for s in self.speeds)):
@@ -87,12 +83,14 @@ def scenario2(**overrides) -> ExperimentConfig:
 
 def _substream(seed: int, index: int, lane: int) -> np.random.Generator:
     """Independent generator for one instance: lane 0 generates, lane 1 solves."""
-    root = np.random.SeedSequence(entropy=seed ^ index, spawn_key=(lane,))
+    root = np.random.SeedSequence(entropy=int(seed) ^ int(index), spawn_key=(lane,))
     return np.random.default_rng(root)
 
 
 def generate_instance(cfg: ExperimentConfig, index: int) -> Instance:
-    """Instance ``index`` of a run; deterministic in (cfg.seed, index)."""
+    """Instance ``index`` (an integer >= 0) of a run; deterministic in (cfg.seed, index)."""
+    if not (is_integer(index) and index >= 0):
+        raise InvalidConfigError(f"index must be an integer >= 0, got {index!r}")
     rng = _substream(cfg.seed, index, lane=0)
     xy = rng.uniform(0.0, cfg.grid, size=(cfg.n_targets, 2))
     targets = tuple(Point(float(x), float(y)) for x, y in xy)
@@ -107,8 +105,7 @@ def generate_instance(cfg: ExperimentConfig, index: int) -> Instance:
     for vid, speed in enumerate(cfg.speeds, start=1):
         head = group_of.get(vid, vid)
         if head not in depots:
-            depots[head] = Point(float(rng.uniform(0.0, cfg.grid)),
-                                 float(rng.uniform(0.0, cfg.grid)))
+            depots[head] = Point(rng.uniform(0.0, cfg.grid), rng.uniform(0.0, cfg.grid))
         vehicles.append(Vehicle(vid, float(speed), depots[head]))
 
     n_assigned = math.floor(cfg.assign_fraction * cfg.n_targets)
@@ -135,40 +132,30 @@ class ReportRow:
     t_oracle_s: float | None
 
 
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+
+
 @dataclass
 class ExperimentReport:
     rows: list
 
-    def _gap_rows(self):
-        return [r for r in self.rows if r.oracle_obj is not None]
+    def summary(self) -> dict:
+        """The aggregates by name, in the order the CSV writes them.  Gap and
+        oracle-time aggregates cover oracle rows only; over no rows, None."""
+        checked = [r for r in self.rows if r.oracle_obj is not None]
 
-    def mean_gap(self, stage: str) -> float | None:
-        rows = self._gap_rows()
-        if not rows:
-            return None
-        return sum(getattr(r, f"gap_{stage}_pct") for r in rows) / len(rows)
+        def mean(rows, name):
+            return sum(getattr(r, name) for r in rows) / len(rows) if rows else None
 
-    def max_gap_final(self) -> float | None:
-        rows = self._gap_rows()
-        return max(r.gap_final_pct for r in rows) if rows else None
-
-    def mean_time_heuristic(self) -> float | None:
-        if not self.rows:
-            return None
-        return sum(r.t_heuristic_s for r in self.rows) / len(self.rows)
-
-    def mean_time_oracle(self) -> float | None:
-        rows = self._gap_rows()
-        if not rows:
-            return None
-        return sum(r.t_oracle_s for r in rows) / len(rows)
-
-    def rows_without_oracle(self) -> int:
-        return sum(1 for r in self.rows if r.oracle_obj is None)
-
-
-def _gap_pct(value: float, reference: float) -> float:
-    return 100.0 * (value - reference) / reference
+        return {
+            "mean_gap_init_pct": mean(checked, "gap_init_pct"),
+            "mean_gap_ls_pct": mean(checked, "gap_ls_pct"),
+            "mean_gap_final_pct": mean(checked, "gap_final_pct"),
+            "max_gap_final_pct": max((r.gap_final_pct for r in checked), default=None),
+            "mean_t_heuristic_s": mean(self.rows, "t_heuristic_s"),
+            "mean_t_oracle_s": mean(checked, "t_oracle_s"),
+            "rows_without_oracle": len(self.rows) - len(checked),
+        }
 
 
 def run_experiment(cfg: ExperimentConfig, on_instance=None) -> ExperimentReport:
@@ -185,26 +172,27 @@ def run_experiment(cfg: ExperimentConfig, on_instance=None) -> ExperimentReport:
         sol, trace = heuristic.solve(inst, solver_cfg, rng=_substream(cfg.seed, index, lane=1))
         t_heur = round(time.perf_counter() - t0, 3)
 
-        oracle_obj = None
-        t_oracle = None
-        gaps = (None, None, None)
+        objectives = (trace.after_init, trace.after_local_search, trace.after_perturbation)
+        oracle_obj = t_oracle = None
+        gaps = (None,) * len(objectives)
         if cfg.oracle and oracle_feasible(inst):
             t0 = time.perf_counter()
             oracle_obj = exact_minmax(inst).objective
             t_oracle = round(time.perf_counter() - t0, 3)
-            gaps = (_gap_pct(trace.after_init, oracle_obj),
-                    _gap_pct(trace.after_local_search, oracle_obj),
-                    _gap_pct(trace.after_perturbation, oracle_obj))
+            gaps = tuple(100.0 * (obj - oracle_obj) / oracle_obj for obj in objectives)
         if on_instance is not None:
             on_instance(index, inst, sol, trace)
-        rows.append(ReportRow(index, trace.after_init, trace.after_local_search,
-                              trace.after_perturbation, oracle_obj,
-                              gaps[0], gaps[1], gaps[2], t_heur, t_oracle))
+        rows.append(ReportRow(index, *objectives, oracle_obj, *gaps, t_heur, t_oracle))
     return ExperimentReport(rows)
 
 
-def _fmt(value, digits: int) -> str:
-    return "NA" if value is None else f"{value:.{digits}f}"
+def _fmt(name: str, value) -> str:
+    """One CSV cell: NA for None, ints as ints, ``*_s`` times to 3 decimals, else 9."""
+    if value is None:
+        return "NA"
+    if isinstance(value, int):
+        return str(value)
+    return f"{value:.{3 if name.endswith('_s') else 9}f}"
 
 
 def write_report(report: ExperimentReport, path) -> None:
@@ -212,16 +200,7 @@ def write_report(report: ExperimentReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for r in report.rows:
-            writer.writerow([r.instance, _fmt(r.init_obj, 9), _fmt(r.ls_obj, 9),
-                             _fmt(r.final_obj, 9), _fmt(r.oracle_obj, 9),
-                             _fmt(r.gap_init_pct, 9), _fmt(r.gap_ls_pct, 9),
-                             _fmt(r.gap_final_pct, 9), _fmt(r.t_heuristic_s, 3),
-                             _fmt(r.t_oracle_s, 3)])
-        fh.write(f"# mean_gap_init_pct={_fmt(report.mean_gap('init'), 9)}\n")
-        fh.write(f"# mean_gap_ls_pct={_fmt(report.mean_gap('ls'), 9)}\n")
-        fh.write(f"# mean_gap_final_pct={_fmt(report.mean_gap('final'), 9)}\n")
-        fh.write(f"# max_gap_final_pct={_fmt(report.max_gap_final(), 9)}\n")
-        fh.write(f"# mean_t_heuristic_s={_fmt(report.mean_time_heuristic(), 3)}\n")
-        fh.write(f"# mean_t_oracle_s={_fmt(report.mean_time_oracle(), 3)}\n")
-        fh.write(f"# rows_without_oracle={report.rows_without_oracle()}\n")
+        for row in report.rows:
+            writer.writerow([_fmt(name, getattr(row, name)) for name in REPORT_COLUMNS])
+        for name, value in report.summary().items():
+            fh.write(f"# {name}={_fmt(name, value)}\n")

@@ -65,9 +65,8 @@ def _cmd_solve(args) -> int:
     cfg = heuristic.SolverConfig(tour_mode=args.tour_mode)
     sol, trace = heuristic.solve(inst, cfg, rng=np.random.default_rng(args.seed))
     print(f"objective: {sol.objective:.9f}")
-    print(f"after_init: {trace.after_init:.9f}")
-    print(f"after_local_search: {trace.after_local_search:.9f}")
-    print(f"after_perturbation: {trace.after_perturbation:.9f}")
+    for stage, staged in trace.stage_solutions.items():
+        print(f"after_{stage}: {staged.objective:.9f}")
     print(f"perturbation_iterations: {trace.iterations}")
     for vid in range(1, inst.k + 1):
         tour = sol.tour_for(vid)
@@ -94,13 +93,13 @@ def _cmd_bench(args) -> int:
     cfg = _experiment_config(args, n_instances=args.instances)
     report = bench.run_experiment(cfg)
     bench.write_report(report, args.out)
-    mean_final = report.mean_gap("final")
+    summary = report.summary()
     print(f"wrote {args.out} ({len(report.rows)} instances)")
-    if mean_final is not None:
-        print(f"mean final gap: {mean_final:.3f}%  "
-              f"(max {report.max_gap_final():.3f}%, "
-              f"{report.rows_without_oracle()} rows without oracle)")
-    print(f"mean heuristic time: {report.mean_time_heuristic():.3f}s")
+    if summary["mean_gap_final_pct"] is not None:
+        print(f"mean final gap: {summary['mean_gap_final_pct']:.3f}%  "
+              f"(max {summary['max_gap_final_pct']:.3f}%, "
+              f"{summary['rows_without_oracle']} rows without oracle)")
+    print(f"mean heuristic time: {summary['mean_t_heuristic_s']:.3f}s")
     return 0
 
 

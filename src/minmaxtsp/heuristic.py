@@ -294,13 +294,19 @@ def _checked(inst: Instance, sol: Solution, stage: str) -> Solution:
 def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0):
     """Run the full pipeline on an instance.  Returns (Solution, StageTrace).
 
-    ``rng`` is a seed or a numpy Generator; a given (instance, config, seed)
-    triple always reproduces the same plan.  One vehicle takes the same three
-    stages as a fleet: its allocation is forced, and stages 2 and 3 return
-    at once.
+    ``cfg`` is a SolverConfig or None (the defaults); ``rng`` a numpy Generator,
+    an integer seed >= 0 (not a bool) or None (fresh entropy); anything else
+    raises InvalidConfigError.  A given (instance, config, seed) triple always
+    reproduces the same plan.  One vehicle takes the same three stages as a
+    fleet: its allocation is forced, and stages 2 and 3 return at once.
     """
-    cfg = cfg or SolverConfig()
+    cfg = SolverConfig() if cfg is None else cfg
+    if not isinstance(cfg, SolverConfig):
+        raise InvalidConfigError(f"cfg must be a SolverConfig or None, got {cfg!r}")
     if not isinstance(rng, np.random.Generator):
+        if not (rng is None or is_integer(rng) and rng >= 0):
+            raise InvalidConfigError(f"rng must be a numpy Generator, an integer >= 0"
+                                     f" or None, got {rng!r}")
         rng = np.random.default_rng(rng)
     cache = TspCache()
 

@@ -77,8 +77,9 @@ def _target_index(value) -> int:
 
 
 def save_instance(inst: Instance, path) -> None:
+    text = instance_to_json(inst)  # before open() truncates the file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(inst))
+        fh.write(text)
 
 
 def load_instance(path) -> Instance:

@@ -102,16 +102,28 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _plain(value):
+    # Numpy scalars, also in a Point or Vehicle, as the Python numbers they hold: beside a
+    # Python float, a numpy scalar casts the float to its own dtype (in float32, SPEED_MIN
+    # rounds to 0, the float max overflows and tour durations lose half their digits).
+    if isinstance(value, Point):
+        x, y = _plain(value.x), _plain(value.y)
+        return value if x is value.x and y is value.y else Point(x, y)
+    if isinstance(value, Vehicle):
+        return Vehicle(_plain(value.id), _plain(value.speed), _plain(value.depot))
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def is_point(p, limit=COORD_LIMIT) -> bool:
     """True for a Point with real coordinates of magnitude at most ``limit``;
     NaN fails the comparison, and a huge int compares exactly, never overflowing."""
     return (isinstance(p, Point) and is_real(p.x) and is_real(p.y)
-            and abs(p.x) <= limit and abs(p.y) <= limit)
+            and abs(_plain(p.x)) <= limit and abs(_plain(p.y)) <= limit)
 
 
 def is_speed(s) -> bool:
     """True for a real speed in [SPEED_MIN, float max] (NaN and huge ints fail)."""
-    return is_real(s) and SPEED_MIN <= s <= sys.float_info.max
+    return is_real(s) and SPEED_MIN <= _plain(s) <= sys.float_info.max
 
 
 class _ReadOnlyDict(Mapping):
@@ -152,6 +164,7 @@ class Instance:
               to a frozenset.  Keys and target indices must be integers
               (numpy integers pass, bools and floats do not).
 
+    Numpy scalars in targets and vehicles are kept as Python numbers.
     Instances are validated on construction and frozen, since distance data is
     cached lazily and shared by all solver stages; ``with_depots`` makes a
     changed copy with its own cache, whose moved depots need only be finite
@@ -170,7 +183,7 @@ class Instance:
         for name, value in (("targets", self.targets), ("vehicles", self.vehicles)):
             if not isinstance(value, Iterable):
                 raise InvalidInstanceError(f"{name} must be an iterable, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
+            object.__setattr__(self, name, tuple(_plain(item) for item in value))
         required = {}
         for vid, ids in raw.items():
             if not is_integer(vid):

@@ -73,8 +73,9 @@ def protocol():
 
 def test_c1_final_gap_against_oracle(protocol):
     rep = protocol.first
-    mean_gap = rep.mean_gap("final")
-    max_gap = rep.max_gap_final()
+    summary = rep.summary()
+    mean_gap = summary["mean_gap_final_pct"]
+    max_gap = summary["max_gap_final_pct"]
     never_below = all(r.final_obj >= r.oracle_obj - 1e-9 for r in rep.rows)
     in_time = protocol.first_elapsed <= 300.0
     detail = (f"mean {mean_gap:.2f}%, max {max_gap:.2f}%, "
@@ -86,7 +87,8 @@ def test_c1_final_gap_against_oracle(protocol):
 
 def test_c2_stage_dominance(protocol):
     rep = protocol.first
-    means = [rep.mean_gap(s) for s in ("init", "ls", "final")]
+    summary = rep.summary()
+    means = [summary[f"mean_gap_{s}_pct"] for s in ("init", "ls", "final")]
     ordered = means[0] > means[1] >= means[2]
     violations = sum(1 for r in rep.rows
                      if r.init_obj < r.ls_obj - 1e-9 or r.ls_obj < r.final_obj - 1e-9)

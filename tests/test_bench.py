@@ -8,7 +8,7 @@ import pytest
 from minmaxtsp import (EXACT, ExperimentConfig, ExperimentReport, InvalidConfigError,
                        generate_instance, run_experiment, scenario1, scenario2,
                        write_report)
-from minmaxtsp.bench import REPORT_COLUMNS
+from minmaxtsp.bench import REPORT_COLUMNS, ReportRow
 from minmaxtsp.heuristic import STAGE_PERTURBATION
 from minmaxtsp.model import SPEED_MIN
 
@@ -34,6 +34,13 @@ class TestGeneration:
         cfg = scenario1(n_targets=14, assign_fraction=0.2, seed=1)
         inst = generate_instance(cfg, 0)
         assert sum(len(ids) for ids in inst.required.values()) == 2
+
+    def test_index_is_a_non_negative_integer(self):
+        cfg = scenario1(n_targets=6, seed=2 ** 70)
+        assert generate_instance(cfg, np.int64(3)) == generate_instance(cfg, 3)
+        for bad in (True, 2.5, -1, np.int64(-1), "1", None):
+            with pytest.raises(InvalidConfigError, match="index"):
+                generate_instance(cfg, bad)
 
     def test_zero_fraction_pins_nothing(self):
         inst = generate_instance(scenario1(n_targets=10, seed=1), 0)
@@ -94,6 +101,13 @@ class TestGeneration:
         inst = generate_instance(cfg, 0)
         assert inst.k == 3 and inst.vehicle(1).depot == inst.vehicle(3).depot
         assert ExperimentConfig(n_targets=np.int64(5), seed=np.uint32(7)).n_targets == 5
+        # compared as Python numbers: in float32 the float max would overflow
+        narrow = ExperimentConfig(speeds=(np.float32(1.5), np.float16(2.0)),
+                                  grid=np.float32(50.0))
+        assert narrow.grid == 50.0 and generate_instance(narrow, 0).vehicle(1).speed == 1.5
+        for bad in ((np.float32(SPEED_MIN / 2),), (np.float64(0.0),)):
+            with pytest.raises(InvalidConfigError, match="speeds"):
+                ExperimentConfig(speeds=bad)
 
     def test_settings_cannot_be_changed_after_the_check(self):
         cfg = ExperimentConfig()
@@ -112,15 +126,16 @@ class TestRunExperiment:
     def test_stage_objectives_and_gaps(self):
         report = run_experiment(self._small())
         assert len(report.rows) == 3
-        assert report.rows_without_oracle() == 0
+        summary = report.summary()
+        assert summary["rows_without_oracle"] == 0
         for r in report.rows:
             assert r.init_obj >= r.ls_obj >= r.final_obj
             assert r.final_obj >= r.oracle_obj - 1e-9
             for gap in (r.gap_init_pct, r.gap_ls_pct, r.gap_final_pct):
                 assert gap >= -1e-6
         want_mean = sum(r.gap_final_pct for r in report.rows) / 3
-        assert report.mean_gap("final") == pytest.approx(want_mean)
-        assert report.max_gap_final() == max(r.gap_final_pct for r in report.rows)
+        assert summary["mean_gap_final_pct"] == pytest.approx(want_mean)
+        assert summary["max_gap_final_pct"] == max(r.gap_final_pct for r in report.rows)
 
     def test_objective_columns_are_deterministic(self):
         a = run_experiment(self._small())
@@ -132,9 +147,10 @@ class TestRunExperiment:
     def test_oracle_skipped_when_over_budget(self):
         cfg = scenario1(n_targets=14, n_instances=3, seed=4, oracle=True)  # 3^14 partitions
         report = run_experiment(cfg)
-        assert report.rows_without_oracle() == 3
-        assert report.mean_gap("final") is None
-        assert report.mean_time_oracle() is None
+        summary = report.summary()
+        assert summary["rows_without_oracle"] == 3
+        assert summary["mean_gap_final_pct"] is None
+        assert summary["mean_t_oracle_s"] is None
         assert all(r.oracle_obj is None for r in report.rows)
 
     def test_instance_hook_sees_every_run(self):
@@ -187,7 +203,33 @@ class TestReportFile:
 
     def test_empty_report_has_no_means(self, tmp_path):
         empty = ExperimentReport([])
-        assert empty.mean_time_heuristic() is None
+        assert empty.summary()["mean_t_heuristic_s"] is None
         path = tmp_path / "report.csv"
         write_report(empty, path)
         assert "# mean_t_heuristic_s=NA" in path.read_text()
+
+    def test_exact_text(self, tmp_path):
+        oracle, na = (ReportRow(0, 12.5, 11.25, 10.0, 9.5, 100 * 3.0 / 9.5,
+                                100 * 1.75 / 9.5, 100 * 0.5 / 9.5, 0.012, 0.345),
+                      ReportRow(1, 20.0, 19.0, 18.123456789, None, None, None, None,
+                                0.004, None))
+        header = ",".join(REPORT_COLUMNS) + "\r\n"
+        want = {
+            "fixed": (header
+                      + "0,12.500000000,11.250000000,10.000000000,9.500000000,"
+                        "31.578947368,18.421052632,5.263157895,0.012,0.345\r\n"
+                      + "1,20.000000000,19.000000000,18.123456789,NA,NA,NA,NA,0.004,NA\r\n"
+                      + "# mean_gap_init_pct=31.578947368\n# mean_gap_ls_pct=18.421052632\n"
+                        "# mean_gap_final_pct=5.263157895\n# max_gap_final_pct=5.263157895\n"
+                        "# mean_t_heuristic_s=0.008\n# mean_t_oracle_s=0.345\n"
+                        "# rows_without_oracle=1\n"),
+            "empty": (header
+                      + "# mean_gap_init_pct=NA\n# mean_gap_ls_pct=NA\n"
+                        "# mean_gap_final_pct=NA\n# max_gap_final_pct=NA\n"
+                        "# mean_t_heuristic_s=NA\n# mean_t_oracle_s=NA\n"
+                        "# rows_without_oracle=0\n"),
+        }
+        for name, rows in (("fixed", [oracle, na]), ("empty", [])):
+            path = tmp_path / f"{name}.csv"
+            write_report(ExperimentReport(rows), path)
+            assert path.read_bytes().decode("utf-8") == want[name]

@@ -4,12 +4,15 @@ builds a valid instance or raises InvalidInstanceError, never another error."""
 import copy
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxtsp import Instance, InvalidInstanceError, Point, Vehicle, instance_from_json
+from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 
 SPECIAL = (10 ** 400, -10 ** 400, 10 ** 309, 2 ** 64, 10 ** 20, 0, -1,
            math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-60, 1e151)
@@ -18,6 +21,17 @@ SCALARS = st.one_of(st.sampled_from(SPECIAL), st.integers(), st.floats(),
 VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
     st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=2)),
     max_leaves=6)
+
+
+NUMPY_SCALARS = [
+    pytest.param(dtype(value), id=f"{dtype.__name__}-{label}")
+    for dtype, top in ((np.float16, np.finfo(np.float16).max),
+                       (np.float32, np.finfo(np.float32).max),
+                       (np.float64, np.finfo(np.float64).max),
+                       (np.int64, np.iinfo(np.int64).max))
+    for label, value in (("0", 0), ("half_speed_min", SPEED_MIN / 2), ("1", 1),
+                         ("max", top))
+]
 
 
 def _instance_with(field, x):
@@ -72,6 +86,24 @@ def test_instance_fields_accept_or_raise_invalid_instance(field, x):
         _instance_with(field, x)
     except InvalidInstanceError:
         pass
+
+
+@pytest.mark.parametrize("field", ["target x", "target y", "speed", "depot x"])
+@pytest.mark.parametrize("x", NUMPY_SCALARS)
+def test_numpy_scalars_are_judged_as_python_numbers(field, x):
+    # Compared in its own dtype, float32 would take 1e-50 as 0 and the float
+    # max as inf (with a warning), and so accept a zero speed.
+    if field == "speed":
+        valid = SPEED_MIN <= x.item()
+    else:
+        valid = abs(x.item()) <= COORD_LIMIT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if valid:
+            _instance_with(field, x)
+        else:
+            with pytest.raises(InvalidInstanceError):
+                _instance_with(field, x)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

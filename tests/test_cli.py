@@ -129,6 +129,12 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_index_is_invalid_input(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert main(["gen", "--scenario", "1", "--index", "-1", "--out", str(out)]) == 1
+        assert "error: index must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_stage_check_is_an_error_not_a_traceback(
             self, instance_file, monkeypatch, capsys):
         monkeypatch.setattr(heuristic, "validate_solution", lambda inst, sol: ["forced"])

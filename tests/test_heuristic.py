@@ -560,6 +560,21 @@ class TestSolverConfig:
         for field, value in kwargs.items():
             assert getattr(cfg, field) == value
 
+    @pytest.mark.parametrize("field,value", [
+        ("cfg", "exact"), ("cfg", {"tour_mode": EXACT}), ("rng", 1.5), ("rng", "a"),
+        ("rng", -1), ("rng", True), ("rng", np.int64(-1)),
+    ])
+    def test_solve_rejects_a_bad_config_or_seed(self, field, value):
+        with pytest.raises(InvalidConfigError, match=field):
+            solve(line_instance(), **{field: value})
+
+    def test_solve_takes_none_a_seed_or_a_generator(self):
+        inst = line_instance()
+        seeded, _ = solve(inst, None, rng=np.uint8(7))
+        assert seeded == solve(inst, SolverConfig(), rng=np.random.default_rng(7))[0]
+        fresh, _ = solve(inst, rng=None)
+        assert validate_solution(inst, fresh) == []
+
     def test_settings_cannot_be_changed_after_the_check(self):
         cfg = SolverConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from minmaxtsp import (InvalidInstanceError, Point, instance_from_json,
+import minmaxtsp.io
+from minmaxtsp import (Instance, InvalidInstanceError, Point, Vehicle, instance_from_json,
                        instance_to_json, load_instance, save_instance)
 
 from conftest import random_instance
@@ -29,6 +30,32 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "inst.json"
     save_instance(inst, path)
     assert load_instance(path) == inst
+
+
+def test_numpy_scalars_round_trip(tmp_path):
+    inst = Instance((Point(np.int64(1), 2.0), Point(np.float32(0.1), np.float16(3))),
+                    (Vehicle(np.int64(1), np.float32(1.5), Point(np.int64(0), 0)),
+                     Vehicle(2, np.int64(2), Point(5, np.float64(5.5)))),
+                    {np.int64(1): [np.int64(0)]})
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    again = load_instance(path)
+    assert again == inst
+    assert type(again.targets[0].x) is int and type(again.vehicle(2).speed) is int
+    assert type(again.targets[1].x) is float and again.targets[1].x == np.float32(0.1)
+
+
+def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "inst.json"
+    path.write_text("old contents\n")
+
+    def fail(inst):
+        raise TypeError("cannot serialise")
+
+    monkeypatch.setattr(minmaxtsp.io, "instance_to_json", fail)
+    with pytest.raises(TypeError):
+        save_instance(random_instance(np.random.default_rng(6), n=4, k=2), path)
+    assert path.read_bytes() == b"old contents\n"
 
 
 def test_required_key_optional():

@@ -265,6 +265,26 @@ class TestInstanceValidation:
         assert validate_solution(ints, sol_i) == []
         assert sol_i == sol_f and repr(sol_i.objective) == repr(sol_f.objective)
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.int64])
+    def test_numpy_scalars_solve_like_their_python_numbers(self, dtype):
+        # In float32 a tour's duration would lose half its digits and fail
+        # the stage check against the double-precision time matrix.
+        xy = [(3, 1), (6, 2), (2, 7), (9, 9), (5, 4), (1, 8), (8, 3)]
+        fleet = [(1.5, (0, 0)), (2, (5, 5)), (2, (5, 5))]
+
+        def build(num):
+            return Instance(tuple(Point(num(x), num(y)) for x, y in xy),
+                            tuple(Vehicle(vid, num(speed), Point(num(x), num(y)))
+                                  for vid, (speed, (x, y)) in enumerate(fleet, start=1)),
+                            {1: [0]})
+
+        narrow = build(dtype)
+        plain = build(lambda value: dtype(value).item())
+        assert narrow == plain and type(narrow.vehicle(1).speed) is type(plain.vehicle(1).speed)
+        (sol_n, _), (sol_p, _) = solve(narrow, rng=1), solve(plain, rng=1)
+        assert validate_solution(narrow, sol_n) == []
+        assert sol_n == sol_p and repr(sol_n.objective) == repr(sol_p.objective)
+
     def test_fields_are_frozen_and_with_depots_gets_a_fresh_cache(self):
         inst = Instance((Point(3, 4),), (v(1.0),))
         assert inst.time_matrix(1)[0, 1] == 5.0
