@@ -6,19 +6,20 @@ Stage 1 is three calls on plain per-vehicle mappings keyed by vehicle id:
 ``build_initial_solution`` routes each vehicle through those plus its
 required targets.
 
-Free targets are distributed over the fleet by a minimum-cost assignment in
-which every vehicle must receive at least a speed-proportional share of the
-work, and the cost of giving target t to vehicle j is the depot-to-target
-travel time.  ``solve_load_balancing`` poses it as one square assignment of
-targets to slots, each vehicle's cost column once per target it owes and the
-row minimum for the rest, solved exactly by the shortest augmenting path
-method of Crouse (2016, "On implementing 2D rectangular assignment
-algorithms", IEEE TAES 52(4)), the algorithm behind scipy's
-``linear_sum_assignment``, with the same float expressions and tie rule, so
-both give the same column for every row.  Vehicles parked on the same spot
-would see identical cost columns, so co-located depots are first teased apart
-on a small circle; the effective positions exist only inside the cost matrix
-and tours are always built from the true depots.
+Free targets are distributed over the fleet at minimum total cost, every
+vehicle receiving at least a speed-proportional share of the work, where
+giving target t to vehicle j costs the depot-to-target travel time.  That is
+a transportation problem with k sinks, solved on the (free targets, k) cost
+matrix by successive shortest paths: every target starts at its cheapest
+vehicle, and each vehicle short of its share then receives targets one at a
+time along a cheapest chain of hand-overs from a vehicle above its share,
+found by Bellman-Ford over the k vehicles.  Each chain raises a short
+vehicle by one, lowers one vehicle above its share by one and leaves the rest
+as they were, so the stage ends after at most the sum of the shares.
+Vehicles parked on the same spot would see identical cost columns, so
+co-located depots are first teased apart on a small circle; the effective
+positions exist only inside the cost matrix and tours are always built from
+the true depots.
 """
 
 import math
@@ -88,95 +89,79 @@ def solve_load_balancing(inst: Instance, eff: dict) -> dict:
     ``eff`` maps each vehicle id to its effective depot (see
     ``perturb_colocated_depots``); the lower bounds come from
     ``min_target_counts``.  Every vehicle gets an entry; required targets are
-    not listed.  The problem is solved exactly by one square assignment of
-    free targets (rows) to slots (columns): vehicle j's cost column repeated
-    lower_j times, in vehicle order, then wildcard slots priced at each
-    target's cheapest vehicle for the targets beyond the bounds.  A target
-    won by a dedicated slot goes to that slot's vehicle, and one won by a
-    wildcard slot to its cheapest vehicle (ties: lowest id).  A single
-    vehicle owes every free target, so all its slots are dedicated and it
-    gets them all.  Raises InfeasibleAllocationError when the bounds demand
-    more targets than are free.
+    not listed.  Raises InfeasibleAllocationError when the bounds demand more
+    targets than are free.
+
+    Successive shortest paths (Ahuja, Magnanti & Orlin 1993, *Network
+    Flows*, ch. 9): every free target starts at its cheapest vehicle, which
+    is optimal while no bound binds.  Then, while some vehicle holds fewer
+    free targets than its bound, the lowest-id such vehicle receives one
+    along a cheapest path from a vehicle above its bound (``_cheapest_moves``);
+    the first vehicle loses one and stays at or above its bound, the vehicles
+    in between keep their counts, so the loop ends after at most
+    sum(lower_j) moves.  A single vehicle owes every free target and keeps
+    them all.
+
+    Tie rule: a target starts at the lowest-id cheapest vehicle, each edge
+    moves the lowest-index target among its cheapest, and of equally cheap
+    paths the first one Bellman-Ford finds stands.  Among allocations of
+    equal cost this need not be the one an n x n assignment solver picks.
     """
     free = inst.free_targets()
-    lowers = list(min_target_counts(inst).values())
-    if sum(lowers) > len(free):
+    lowers = np.array(list(min_target_counts(inst).values()))
+    if lowers.sum() > len(free):
         raise InfeasibleAllocationError(
-            f"lower bounds demand {sum(lowers)} free targets, instance has {len(free)}")
+            f"lower bounds demand {lowers.sum()} free targets, instance has {len(free)}")
     c = _cost_matrix(inst, eff, free)
-    owner = np.repeat(np.arange(inst.k), lowers)
-    wildcards = np.repeat(c.min(axis=1, keepdims=True), len(free) - len(owner), axis=1)
-    cols = _min_cost_assignment(np.hstack([c[:, owner], wildcards]).tolist())
-    alloc = {v.id: set() for v in inst.vehicles}
-    for row, col in enumerate(cols):
-        j = owner[col] if col < len(owner) else c[row].argmin()
-        alloc[int(j) + 1].add(free[row])
-    return {vid: frozenset(ids) for vid, ids in alloc.items()}
+    owner = c.argmin(axis=1)
+    while True:
+        held = np.bincount(owner, minlength=inst.k)
+        short = np.flatnonzero(held < lowers)
+        if not short.size:
+            break
+        for t, b in _cheapest_moves(c, owner, (held > lowers).tolist(), short[0]):
+            owner[t] = b
+    return {v.id: frozenset(free[t] for t in np.flatnonzero(owner == v.id - 1))
+            for v in inst.vehicles}
 
 
-def _min_cost_assignment(cost: list) -> list:
-    """Column of each row in a minimum-cost assignment of a square matrix.
+def _cheapest_moves(c: np.ndarray, owner: np.ndarray, sources: list, goal: int) -> list:
+    """Moves (target row, new vehicle) along a cheapest path that passes one
+    free target to vehicle ``goal`` from a vehicle flagged in ``sources``.
 
-    ``cost`` is a list of n rows of n floats.  A port of scipy's
-    ``linear_sum_assignment`` (Crouse 2016), square case: each row in turn
-    grows a shortest augmenting path by Dijkstra steps over reduced costs
-    ``min_val + cost[i][j] - u[i] - v[j]``, evaluated left to right.  The
-    unreached columns start in reverse order (n - 1 .. 0), are scanned in list
-    order, and leave it by swapping with the last entry.  A column becomes the
-    step's pick when its path cost is strictly lower, or equal and the column
-    has no row yet, so the last free tie wins and otherwise the first minimum.
-    Every path has a finite cost while the costs are finite, which COORD_LIMIT
-    and SPEED_MIN guarantee on a valid instance; if none has, the function
-    raises InfeasibleAllocationError.
+    Edge a -> b passes one free target from vehicle a to vehicle b and costs
+    the least ``c[t, b] - c[t, a]`` over the targets t that ``owner`` puts at
+    a.  Bellman-Ford from every source at once, scanning edges from lower to
+    higher vehicle ids and keeping a path only when it is strictly cheaper.
+    Each vehicle carries its whole path, and a path is never extended to a
+    vehicle it already holds: the current allocation is optimal for its
+    counts, so cycles cost at least zero, but on exact ties rounding can tip
+    one below and a predecessor walk-back would then never end.  A source
+    holds a target, so its direct edge reaches ``goal``.
     """
-    n = len(cost)
-    inf = math.inf
-    u = [0.0] * n
-    v = [0.0] * n
-    path = [-1] * n
-    col4row = [-1] * n
-    row4col = [-1] * n
-    for cur in range(n):
-        spc = [inf] * n
-        remaining = list(range(n - 1, -1, -1))
-        rows_reached, cols_reached = [], []
-        min_val = 0.0
-        i = cur
-        while True:
-            rows_reached.append(i)
-            row, ui = cost[i], u[i]
-            lowest, j = inf, -1
-            for col in remaining:
-                s = spc[col]
-                r = min_val + row[col] - ui - v[col]
-                if r < s:
-                    path[col] = i
-                    spc[col] = s = r
-                if s <= lowest and (s < lowest or row4col[col] < 0):
-                    lowest, j = s, col
-            min_val = lowest
-            if min_val == inf:
-                raise InfeasibleAllocationError("no finite-cost augmenting path")
-            cols_reached.append(j)
-            index = remaining.index(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-            if row4col[j] < 0:
-                break
-            i = row4col[j]
-        u[cur] += min_val
-        for r in rows_reached[1:]:
-            u[r] += min_val - spc[col4row[r]]
-        for col in cols_reached:
-            v[col] -= min_val - spc[col]
-        # Augment: flip the path back from the unassigned column j it reached.
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return col4row
+    k = c.shape[1]
+    delta = c - c[np.arange(len(c)), owner][:, None]
+    pick = [None] * k            # pick[a][b]: the target edge a -> b moves
+    weight = [[math.inf] * k for _ in range(k)]
+    for a in range(k):
+        rows = np.flatnonzero(owner == a)
+        if rows.size:
+            pick[a] = rows[delta[rows].argmin(axis=0)]
+            weight[a] = delta[pick[a], np.arange(k)].tolist()
+    dist = [0.0 if s else math.inf for s in sources]
+    paths = [(a,) for a in range(k)]
+    for _ in range(k - 1):
+        changed = False
+        for a in range(k):
+            for b in range(k):
+                d = dist[a] + weight[a][b]
+                if d < dist[b] and b not in paths[a]:
+                    dist[b], paths[b] = d, paths[a] + (b,)
+                    changed = True
+        if not changed:
+            break
+    path = paths[goal]
+    return [(pick[a][b], b) for a, b in zip(path, path[1:])]
 
 
 def build_initial_solution(inst: Instance, alloc: dict, mode: str = HEURISTIC,

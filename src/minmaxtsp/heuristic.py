@@ -29,7 +29,7 @@ import numpy as np
 
 from .allocation import (build_initial_solution, perturb_colocated_depots,
                          solve_load_balancing)
-from .model import (DEPOT, Instance, InvalidConfigError,
+from .model import (DEPOT, Instance, InvalidConfigError, InvalidInstanceError,
                     NoInsertionCandidateError, Point, Solution,
                     StageCheckError, Tour, is_integer, validate_solution)
 from .tsp import EXACT, EXACT_CAP, HEURISTIC, TspCache, request_for, solve_tsp
@@ -294,12 +294,15 @@ def _checked(inst: Instance, sol: Solution, stage: str) -> Solution:
 def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0):
     """Run the full pipeline on an instance.  Returns (Solution, StageTrace).
 
-    ``cfg`` is a SolverConfig or None (the defaults); ``rng`` a numpy Generator,
-    an integer seed >= 0 (not a bool) or None (fresh entropy); anything else
-    raises InvalidConfigError.  A given (instance, config, seed) triple always
+    ``inst`` must be an Instance (else InvalidInstanceError).  ``cfg`` is a
+    SolverConfig or None (the defaults); ``rng`` a numpy Generator, an integer
+    seed >= 0 (not a bool) or None (fresh entropy); anything else raises
+    InvalidConfigError.  A given (instance, config, seed) triple always
     reproduces the same plan.  One vehicle takes the same three stages as a
     fleet: its allocation is forced, and stages 2 and 3 return at once.
     """
+    if not isinstance(inst, Instance):
+        raise InvalidInstanceError(f"inst must be an Instance, got {inst!r}")
     cfg = SolverConfig() if cfg is None else cfg
     if not isinstance(cfg, SolverConfig):
         raise InvalidConfigError(f"cfg must be a SolverConfig or None, got {cfg!r}")

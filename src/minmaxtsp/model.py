@@ -9,7 +9,6 @@ triangle inequality for every vehicle.
 
 import copy
 import math
-import numbers
 import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -93,13 +92,14 @@ def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def is_integer(value) -> bool:
-    """True for an integral number that is not a bool (numpy integers pass)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """True for an int that is not a bool, or a numpy integer scalar."""
+    return type(value) is int or isinstance(value, np.integer)
 
 
 def is_real(value) -> bool:
-    """True for a real number that is not a bool (numpy floats pass)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for an int that is not a bool, a float, or a numpy integer or
+    floating scalar; any other number (a Fraction, a Decimal) fails."""
+    return type(value) in (int, float) or isinstance(value, (np.integer, np.floating))
 
 
 def _plain(value):
@@ -115,14 +115,16 @@ def _plain(value):
 
 
 def is_point(p, limit=COORD_LIMIT) -> bool:
-    """True for a Point with real coordinates of magnitude at most ``limit``;
-    NaN fails the comparison, and a huge int compares exactly, never overflowing."""
+    """True for a Point whose coordinates pass ``is_real`` with magnitude at most
+    ``limit``; NaN fails the comparison, and a huge int compares exactly, never
+    overflowing."""
     return (isinstance(p, Point) and is_real(p.x) and is_real(p.y)
             and abs(_plain(p.x)) <= limit and abs(_plain(p.y)) <= limit)
 
 
 def is_speed(s) -> bool:
-    """True for a real speed in [SPEED_MIN, float max] (NaN and huge ints fail)."""
+    """True for a speed that passes ``is_real`` and lies in [SPEED_MIN, float max]
+    (NaN and huge ints fail)."""
     return is_real(s) and SPEED_MIN <= _plain(s) <= sys.float_info.max
 
 
@@ -155,8 +157,9 @@ class Instance:
     """An immutable routing instance.
 
     targets:  planar target Points; a target is referred to by its index.
-              Every target and depot passes ``is_point``: real coordinates
-              (not bools) within +-COORD_LIMIT.
+              Every target and depot passes ``is_point``: coordinates that
+              pass ``is_real`` (ints, floats and numpy scalars; not bools,
+              Fractions or strings) within +-COORD_LIMIT.
     vehicles: fleet of Vehicles ordered by id (integer ids exactly 1..k),
               each with a speed that passes ``is_speed``.
     required: a mapping of vehicle id to an iterable of target indices,
@@ -211,7 +214,7 @@ class Instance:
         for i, t in enumerate(self.targets):
             if not is_point(t):
                 raise InvalidInstanceError(
-                    f"target {i} {t!r} is not a Point with finite real coordinates"
+                    f"target {i} {t!r} is not a Point with finite int or float coordinates"
                     f" of magnitude at most {COORD_LIMIT:g}")
         for pos, v in enumerate(self.vehicles, start=1):
             if not (isinstance(v, Vehicle) and is_integer(v.id) and v.id == pos):
@@ -220,11 +223,11 @@ class Instance:
                     f" exactly 1..k in order")
             if not is_speed(v.speed):
                 raise InvalidInstanceError(
-                    f"vehicle {v.id} speed {v.speed!r} is not a real number from"
+                    f"vehicle {v.id} speed {v.speed!r} is not an int or float from"
                     f" {SPEED_MIN:g} to {sys.float_info.max:g}")
             if not is_point(v.depot):
                 raise InvalidInstanceError(
-                    f"vehicle {v.id} depot {v.depot!r} is not a Point with finite real"
+                    f"vehicle {v.id} depot {v.depot!r} is not a Point with finite int or float"
                     f" coordinates of magnitude at most {COORD_LIMIT:g}")
         seen = set()
         for vid, ids in self.required.items():

@@ -83,25 +83,22 @@ def brute_allocation_cost(inst, eff, counts):
 
     ``eff`` maps vehicle id to effective depot and ``counts`` vehicle id to
     lower bound, as ``perturb_colocated_depots`` and ``min_target_counts``
-    return them."""
+    return them.  All k^m placements of the m free targets are enumerated at
+    once, one per column of an (m, k^m) owner array (8^7 columns take about
+    15 MB)."""
     free = inst.free_targets()
-    lowers = [counts.get(v.id, 0) for v in inst.vehicles]
-    best = math.inf
-    for owners in itertools.product(range(inst.k), repeat=len(free)):
-        tally = [0] * inst.k
-        for o in owners:
-            tally[o] += 1
-        if any(tally[j] < lowers[j] for j in range(inst.k)):
-            continue
-        cost = 0.0
-        for p, o in enumerate(owners):
-            v = inst.vehicle(o + 1)
-            d = eff[o + 1]
-            t = inst.targets[free[p]]
-            cost += euclid((d.x, d.y), (t.x, t.y)) / v.speed
-        if cost < best:
-            best = cost
-    return best
+    m = len(free)
+    cost = np.array([[euclid((eff[v.id].x, eff[v.id].y),
+                             (inst.targets[t].x, inst.targets[t].y)) / v.speed
+                      for v in inst.vehicles] for t in free]).reshape(m, inst.k)
+    owners = np.indices((inst.k,) * m, dtype=np.int8).reshape(m, inst.k ** m)
+    total = np.zeros(inst.k ** m)
+    for p in range(m):
+        total += cost[p, owners[p]]
+    feasible = np.ones(inst.k ** m, dtype=bool)
+    for v in inst.vehicles:
+        feasible &= np.count_nonzero(owners == v.id - 1, axis=0) >= counts.get(v.id, 0)
+    return total[feasible].min() if feasible.any() else math.inf
 
 
 def random_instance(rng, n, k, grid=100.0, speeds=None, assign_fraction=0.0,

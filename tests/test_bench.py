@@ -1,6 +1,7 @@
 """Benchmark protocol: seeded generation, experiment runs, and CSV reports."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ class TestGeneration:
         for bad in (0, 2.5, True, "3"):
             with pytest.raises(ValueError, match="n_instances"):
                 ExperimentConfig(n_instances=bad)
-        for bad in (float("nan"), float("inf"), -1.0, 0.0, "200", 10 ** 400):
+        for bad in (float("nan"), float("inf"), -1.0, 0.0, "200", 10 ** 400, Fraction(200)):
             with pytest.raises(ValueError, match="grid"):
                 ExperimentConfig(grid=bad)
         for bad in (0, -3, 2.5, "10", True, np.float64(10.0)):
@@ -85,11 +86,12 @@ class TestGeneration:
         for bad in ([[1, 2]], ([1, 2],), (1, 2), 5):
             with pytest.raises(InvalidConfigError, match="colocated"):
                 ExperimentConfig(speeds=(1.0, 2.0), colocated=bad)
-        for bad in ("0.2", True, None, float("nan"), -0.1):
+        for bad in ("0.2", True, None, float("nan"), -0.1, Fraction(1, 5)):
             with pytest.raises(InvalidConfigError, match="assign_fraction"):
                 ExperimentConfig(assign_fraction=bad)
         for bad in ((), (1.0, -2.0), (1.0, 0.0), (float("nan"),), (float("inf"),),
-                    (1e-60,), (10 ** 400,), (True,), ("1",), [1.0, 2.0], 2.0):
+                    (1e-60,), (10 ** 400,), (True,), ("1",), [1.0, 2.0], 2.0,
+                    (Fraction(3, 2),)):
             with pytest.raises(InvalidConfigError, match="speeds"):
                 ExperimentConfig(speeds=bad)
         for bad in ("magic", None):

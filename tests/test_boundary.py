@@ -1,17 +1,22 @@
 """Input boundary: any JSON-like value in any one field of an instance either
-builds a valid instance or raises InvalidInstanceError, never another error."""
+builds a valid instance or raises InvalidInstanceError, never another error;
+numbers other than ints, floats and NumPy scalars, and anything passed as an
+instance that is not one, raise it too."""
 
 import copy
 import json
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import Instance, InvalidInstanceError, Point, Vehicle, instance_from_json
+from minmaxtsp import (Instance, InvalidInstanceError, Point, Vehicle, exact_minmax,
+                       instance_from_json, oracle_feasible, solve)
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 
 SPECIAL = (10 ** 400, -10 ** 400, 10 ** 309, 2 ** 64, 10 ** 20, 0, -1,
@@ -104,6 +109,23 @@ def test_numpy_scalars_are_judged_as_python_numbers(field, x):
         else:
             with pytest.raises(InvalidInstanceError):
                 _instance_with(field, x)
+
+
+@pytest.mark.parametrize("field", ["target x", "target y", "speed", "depot x"])
+@pytest.mark.parametrize("x", [Fraction(3, 2), Fraction(2), Decimal("1.5")],
+                         ids=["fraction", "whole-fraction", "decimal"])
+def test_other_number_types_are_rejected(field, x):
+    # They would plan, but a saved instance could not hold them.
+    with pytest.raises(InvalidInstanceError):
+        _instance_with(field, x)
+
+
+@pytest.mark.parametrize("call", [solve, exact_minmax, oracle_feasible])
+@pytest.mark.parametrize("x", [None, "x", 3, {"targets": [[0, 0]]}],
+                         ids=["none", "str", "int", "dict"])
+def test_anything_but_an_instance_raises_invalid_instance(call, x):
+    with pytest.raises(InvalidInstanceError, match="must be an Instance"):
+        call(x)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
