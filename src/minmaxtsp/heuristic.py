@@ -29,9 +29,9 @@ import numpy as np
 
 from .allocation import (build_initial_solution, perturb_colocated_depots,
                          solve_load_balancing)
-from .model import (DEPOT, Instance, InvalidConfigError, InvalidInstanceError,
-                    NoInsertionCandidateError, Point, Solution,
-                    StageCheckError, Tour, is_integer, validate_solution)
+from .model import (DEPOT, Instance, InvalidConfigError, NoInsertionCandidateError,
+                    Point, Solution, StageCheckError, Tour, check_instance,
+                    is_integer, validate_solution)
 from .tsp import EXACT, EXACT_CAP, HEURISTIC, TspCache, request_for, solve_tsp
 
 # The displacement angle steps 144 degrees, so the schedule repeats after
@@ -301,8 +301,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0):
     reproduces the same plan.  One vehicle takes the same three stages as a
     fleet: its allocation is forced, and stages 2 and 3 return at once.
     """
-    if not isinstance(inst, Instance):
-        raise InvalidInstanceError(f"inst must be an Instance, got {inst!r}")
+    check_instance(inst)
     cfg = SolverConfig() if cfg is None else cfg
     if not isinstance(cfg, SolverConfig):
         raise InvalidConfigError(f"cfg must be a SolverConfig or None, got {cfg!r}")

@@ -20,10 +20,11 @@ instance exactly.
 import json
 import re
 
-from .model import Instance, InvalidInstanceError, Point, Vehicle, is_integer
+from .model import Instance, InvalidInstanceError, Point, Vehicle, check_instance, is_integer
 
 
 def instance_to_json(inst: Instance) -> str:
+    check_instance(inst)
     doc = {
         "targets": [[t.x, t.y] for t in inst.targets],
         "vehicles": [{"speed": v.speed, "depot": [v.depot.x, v.depot.y]}

@@ -365,8 +365,15 @@ class Solution:
         return best.vehicle_id
 
 
+def check_instance(inst) -> None:
+    """Raise InvalidInstanceError unless ``inst`` is an Instance."""
+    if not isinstance(inst, Instance):
+        raise InvalidInstanceError(f"inst must be an Instance, got {inst!r}")
+
+
 def tour_duration(inst: Instance, tour: Tour) -> float:
     """Recompute a tour's duration by summing edge travel times along it."""
+    check_instance(inst)
     seq = tour.sequence
     if len(seq) < 2 or seq[0] != DEPOT or seq[-1] != DEPOT:
         raise ValueError("tour sequence must start and end at the vehicle's depot")
@@ -381,8 +388,10 @@ def validate_solution(inst: Instance, sol: Solution) -> list:
     """Check a solution against an instance and return violation messages.
 
     Total over type-correct input: malformed data yields violation entries,
-    never an exception.  An empty list means the solution is feasible.
+    never an exception; an ``inst`` that is not an Instance raises
+    InvalidInstanceError.  An empty list means the solution is feasible.
     """
+    check_instance(inst)
     out = []
     ids = sorted(t.vehicle_id for t in sol.tours)
     if ids != list(range(1, inst.k + 1)):

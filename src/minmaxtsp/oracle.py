@@ -23,7 +23,7 @@ An instance is admitted while its k^n partitions of n free targets stay within
 
 import numpy as np
 
-from .model import Instance, InvalidInstanceError, OracleBudgetError, Solution
+from .model import Instance, OracleBudgetError, Solution, check_instance
 from .tsp import EXACT, EXACT_CAP, best_cycle_lengths, request_for, solve_tsp
 
 MAX_PARTITIONS = 2_000_000
@@ -32,8 +32,7 @@ MAX_PARTITIONS = 2_000_000
 def oracle_feasible(inst: Instance) -> bool:
     """True when the instance fits the partition budget and the Held-Karp cap;
     anything but an Instance raises InvalidInstanceError."""
-    if not isinstance(inst, Instance):
-        raise InvalidInstanceError(f"inst must be an Instance, got {inst!r}")
+    check_instance(inst)
     free = inst.free_targets()
     if inst.k ** len(free) > MAX_PARTITIONS:
         return False

@@ -2,7 +2,7 @@
 
 import xml.etree.ElementTree as ET
 
-from .model import DEPOT, Instance, Solution
+from .model import DEPOT, Instance, Solution, check_instance
 
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#17becf")
@@ -24,6 +24,7 @@ def _color(vid: int) -> str:
 def render_solution_svg(inst: Instance, sol: Solution) -> str:
     """One SVG document: tours as closed colored polylines, depots as black
     squares, targets as circles (filled with the owner's color if required)."""
+    check_instance(inst)
     x0, y0, w, h = _bounds(inst)
     y_top = y0 + h  # SVG y grows downward; flip about the viewport
 
@@ -70,12 +71,14 @@ def render_solution_svg(inst: Instance, sol: Solution) -> str:
 
 
 def render_tours(inst: Instance, labeled: list, prefix) -> list:
-    """Write '<prefix>_<label>.svg' per (label, solution) pair; returns paths."""
-    paths = []
-    for label, sol in labeled:
-        path = f"{prefix}_{label}.svg"
+    """Write '<prefix>_<label>.svg' per (label, solution) pair; returns paths.
+
+    Every document is rendered before any file is opened, so a failed render
+    leaves existing files as they were.
+    """
+    docs = [(f"{prefix}_{label}.svg", render_solution_svg(inst, sol) + "\n")
+            for label, sol in labeled]
+    for path, text in docs:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_solution_svg(inst, sol))
-            fh.write("\n")
-        paths.append(path)
-    return paths
+            fh.write(text)
+    return [path for path, _ in docs]

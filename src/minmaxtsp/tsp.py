@@ -4,11 +4,12 @@ Two modes share one entry point:
 
 * heuristic -- nearest-neighbor construction polished by 2-opt and Or-opt
   (segment lengths 1..3), both first-improvement with a fixed scan order.
-  Each pass prices all candidate moves as one numpy array and applies the
-  first improving one in the order of a plain Python scan, which the tests
-  keep as the reference: the two make the same moves with the same float
-  expressions, so every tour, and every plan built from tours, is identical
-  to the scans'.
+  Each step gathers the tour's distance block once, prices every 2-opt move
+  from it as one numpy array and applies the first improving one in the
+  order of a plain Python scan; only when there is none does it price the
+  Or-opt moves on the same block.  The tests keep the scans as the
+  reference: the two make the same moves with the same float expressions,
+  so every tour, and every plan built from tours, is identical to the scans'.
   A move must gain more than _gain_tolerance, which exceeds the rounding error
   of its price, so the polish always ends; on tours of one or two targets
   every move gives the same cycle, so those are left as built.
@@ -128,22 +129,9 @@ def _gain_tolerance(dist: np.ndarray) -> float:
     return max(_EPS, float(dist.max()) * 2.0 ** -48)
 
 
-# The numpy passes below evaluate every candidate move of a pass at once, in
-# the scans' exact float expressions, and apply the first improving one in the
-# scans' order.  The 2-opt scan tries i ascending, then j > i, and reverses
-# order[i..j] when dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d] < -tol.
-# The Or-opt scan tries segment lengths L = 1..3, starts s, gaps q != s of
-# the rest, forward then reversed, and moves the segment when the insertion
-# price minus the removal price is below -tol (see _or_opt_table).
-# Tour position p of ``ext = [depot, *order, depot]`` is row p
-# of the gathered block ``ext_dist = dist[ext][:, ext]``; the cached index
-# tables hold flat positions into that block, so one pass is a few gathers.
-# The tables alone know the scan order: a hit is decoded from the flat index
-# u w + v (w = m + 2) of an edge it was priced with, which names the ext
-# positions u and v of the edge's ends.
-# The tables take about 160 m^2 bytes for a tour of m targets; the caches keep
-# the TABLE_CACHE_LENGTHS most recently used lengths, so memory stays bounded
-# however many tour lengths a process polishes.
+# The index tables of a tour of m targets take about 160 m^2 bytes; the cache
+# keeps the TABLE_CACHE_LENGTHS most recently used lengths, so memory stays
+# bounded however many tour lengths a process polishes.
 TABLE_CACHE_LENGTHS = 64
 
 
@@ -155,47 +143,23 @@ def _index_table(columns) -> tuple:
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_LENGTHS)
-def _two_opt_table(m: int):
-    """Per 2-opt move (i, j), in scan order: the flat indices of the edges
-    (a, c), (b, d), (a, b), (c, d) in the (m+2)^2 ext_dist block."""
+def _move_tables(m: int) -> tuple:
+    """The 2-opt and Or-opt index tables for a tour of m targets.
+
+    2-opt, per move (i, j) in scan order: the flat indices of the edges
+    (a, c), (b, d), (a, b), (c, d) in the (m+2)^2 ext_dist block.
+
+    Or-opt, moves in scan order L -> s -> q -> (forward, reversed), for the
+    segment lengths L < m up to 3.  Per (L, s): the flat indices of the
+    removal edges (prev, first), (last, next), (prev, next), and the count
+    2 (m - L) of its moves, which are contiguous.  Per move: the indices of
+    the insertion edges (e, head), (tail, e+1), (e, e+1).  Removing ext
+    positions s+1..s+L leaves gap q between rest[q-1] and rest[q], the tour
+    edge (e, e+1) with e = q below s and q + L above.
+    """
+    w = m + 2
     i, j = np.triu_indices(m, k=1)
-    w = m + 2
-    return _index_table((i * w + j + 1, (i + 1) * w + j + 2, i * w + i + 1,
-                         (j + 1) * w + j + 2))
-
-
-def _two_opt_np(order: list, dist: np.ndarray, tol: float) -> list:
-    """First-improvement 2-opt to a fixpoint, each pass priced as one array.
-
-    Needs two or more targets, as does ``_or_opt_once_np``.
-    """
-    w = len(order) + 2
-    ac, bd, ab, cd = _two_opt_table(w - 2)
-    ext = np.array([DEPOT, *order, DEPOT])
-    while True:
-        block = dist.take(ext, 0).take(ext, 1).ravel()
-        delta = block[ac] + block[bd] - block[ab] - block[cd]
-        hits = delta < -tol
-        k = hits.argmax()
-        if not hits[k]:
-            return ext[1:-1].tolist()
-        a, c = divmod(int(ac[k]), w)  # ext positions of targets a and c
-        ext[a + 1:c + 1] = ext[a + 1:c + 1][::-1].copy()
-
-
-@functools.lru_cache(maxsize=TABLE_CACHE_LENGTHS)
-def _or_opt_table(m: int):
-    """Or-opt moves in scan order L -> s -> q -> (forward, reversed), for the
-    segment lengths L < m up to 3.
-
-    Per (L, s): the flat ext_dist indices of the removal edges (prev, first),
-    (last, next), (prev, next), and the count 2 (m - L) of its moves, which
-    are contiguous.  Per move: the indices of the insertion edges (e, head),
-    (tail, e+1), (e, e+1).  Removing ext positions s+1..s+L leaves gap q
-    between rest[q-1] and rest[q], the tour edge (e, e+1) with e = q below s
-    and q + L above.
-    """
-    w = m + 2
+    two_opt = (i * w + j + 1, (i + 1) * w + j + 2, i * w + i + 1, (j + 1) * w + j + 2)
     parts = []
     for L in range(1, min(3, m - 1) + 1):
         n = m - L + 1
@@ -210,48 +174,55 @@ def _or_opt_table(m: int):
         tail = np.where(rev, s + 1, s + L)
         parts.append((*removal, np.full(n, 2 * (n - 1)),
                       e * w + head, tail * w + e + 1, e * w + e + 1))
-    return _index_table([np.concatenate(col) for col in zip(*parts)])
-
-
-def _or_opt_once_np(order: list, dist: np.ndarray, tol: float):
-    """Relocate one segment (length 1..3, both orientations) if it helps.
-
-    Returns (order, True) after the scan's first improving move, (order,
-    False) if the tour is Or-opt clean; all candidates priced as one array.
-    """
-    w = len(order) + 2
-    ps, sn, pn, runs, ah, tb, ab = _or_opt_table(w - 2)
-    ext = np.array([DEPOT, *order, DEPOT])
-    block = dist.take(ext, 0).take(ext, 1).ravel()
-    removal = np.repeat(block[ps] + block[sn] - block[pn], runs)
-    add = block[ah] + block[tb] - block[ab]
-    hits = add - removal < -tol
-    k = hits.argmax()
-    if not hits[k]:
-        return order, False
-    e, head = divmod(int(ah[k]), w)
-    tail = int(tb[k]) // w
-    lo, hi = min(head, tail) - 1, max(head, tail)  # the segment is order[lo:hi]
-    seg = order[lo:hi] if head <= tail else order[lo:hi][::-1]
-    if e < lo:  # e is never in lo..hi; the segment goes in before order[e]
-        return order[:e] + seg + order[e:lo] + order[hi:], True
-    return order[:lo] + order[hi:e] + seg + order[e:], True
+    return _index_table(two_opt), _index_table([np.concatenate(c) for c in zip(*parts)])
 
 
 def _improve(order: list, dist: np.ndarray) -> list:
-    """Alternate 2-opt and Or-opt until neither move improves the cycle.
+    """2-opt and Or-opt, first improvement, until neither move improves the cycle.
 
-    Every 2-opt or Or-opt move on a tour of one or two targets yields the
-    same cycle or its reverse, which gains nothing, so those return as given.
+    Each step gathers ``ext_dist``, the distance block of ``ext = [depot,
+    *order, depot]`` (tour position p is row p), prices every 2-opt move
+    from it as one array and applies the scan's first improving one; only if
+    there is none does it price the Or-opt moves on the same block.  That is
+    the move sequence of 2-opt to a fixpoint, then one Or-opt move, repeated,
+    with the scans' float expressions: 2-opt reverses order[i..j] when
+    dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d] < -tol, and Or-opt
+    moves a segment when its insertion price minus its removal price is below
+    -tol.  A hit is decoded from the flat index u w + v (w = m + 2) of an
+    edge it was priced with, which names the ext positions u and v of the
+    edge's ends, so the tables alone know the scan order.
+
+    Every move on a tour of one or two targets yields the same cycle or its
+    reverse, which gains nothing, so those return as given.
     """
     if len(order) < 3:
         return order
     tol = _gain_tolerance(dist)
+    w = len(order) + 2
+    (ac, bd, ab, cd), (ps, sn, pn, runs, eh, te, ee) = _move_tables(w - 2)
+    ext = np.array([DEPOT, *order, DEPOT])
     while True:
-        order = _two_opt_np(order, dist, tol)
-        order, moved = _or_opt_once_np(order, dist, tol)
-        if not moved:
-            return order
+        block = dist.take(ext, 0).take(ext, 1).ravel()
+        hits = block[ac] + block[bd] - block[ab] - block[cd] < -tol
+        k = hits.argmax()
+        if hits[k]:
+            a, c = divmod(int(ac[k]), w)  # ext positions of targets a and c
+            ext[a + 1:c + 1] = ext[a + 1:c + 1][::-1].copy()
+            continue
+        removal = np.repeat(block[ps] + block[sn] - block[pn], runs)
+        hits = block[eh] + block[te] - block[ee] - removal < -tol
+        k = hits.argmax()
+        if not hits[k]:
+            return ext[1:-1].tolist()
+        e, head = divmod(int(eh[k]), w)
+        tail = int(te[k]) // w
+        step = 1 if head <= tail else -1
+        seg = ext[head:tail + step:step]  # ext positions lo..hi, as inserted
+        lo, hi = min(head, tail), max(head, tail)
+        if e < lo:  # the segment goes in right after ext[e]
+            ext[e + 1:hi + 1] = np.concatenate((seg, ext[e + 1:lo]))
+        else:
+            ext[lo:e + 1] = np.concatenate((ext[hi + 1:e + 1], seg))
 
 
 # Held-Karp fills its table one layer of same-size target subsets at a time.

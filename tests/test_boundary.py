@@ -15,9 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import (Instance, InvalidInstanceError, Point, Vehicle, exact_minmax,
-                       instance_from_json, oracle_feasible, solve)
+from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution, Tour,
+                       Vehicle, exact_minmax, instance_from_json, instance_to_json,
+                       oracle_feasible, render_tours, save_instance, solve,
+                       tour_duration, validate_solution)
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
+from minmaxtsp.svgplot import render_solution_svg
 
 SPECIAL = (10 ** 400, -10 ** 400, 10 ** 309, 2 ** 64, 10 ** 20, 0, -1,
            math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-60, 1e151)
@@ -120,12 +123,26 @@ def test_other_number_types_are_rejected(field, x):
         _instance_with(field, x)
 
 
-@pytest.mark.parametrize("call", [solve, exact_minmax, oracle_feasible])
+_PARKED = Tour(1, (DEPOT, DEPOT), 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    solve, exact_minmax, oracle_feasible, instance_to_json,
+    pytest.param(lambda x: save_instance(x, "inst.json"), id="save_instance"),
+    pytest.param(lambda x: validate_solution(x, Solution((_PARKED,))), id="validate_solution"),
+    pytest.param(lambda x: tour_duration(x, _PARKED), id="tour_duration"),
+    pytest.param(lambda x: render_solution_svg(x, Solution((_PARKED,))),
+                 id="render_solution_svg"),
+    pytest.param(lambda x: render_tours(x, [("plan", Solution((_PARKED,)))], "tours"),
+                 id="render_tours"),
+])
 @pytest.mark.parametrize("x", [None, "x", 3, {"targets": [[0, 0]]}],
                          ids=["none", "str", "int", "dict"])
-def test_anything_but_an_instance_raises_invalid_instance(call, x):
+def test_anything_but_an_instance_raises_invalid_instance(call, x, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(InvalidInstanceError, match="must be an Instance"):
         call(x)
+    assert not any(tmp_path.iterdir())  # no file was opened
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

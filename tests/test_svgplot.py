@@ -1,8 +1,12 @@
-"""SVG rendering: well-formed documents with one closed polyline per busy tour."""
+"""SVG rendering: well-formed documents with one closed polyline per busy tour,
+all rendered before any file is written."""
 
 import xml.etree.ElementTree as ET
 
-from minmaxtsp import DEPOT, Solution, Tour, render_tours, tour_duration
+import pytest
+
+from minmaxtsp import (DEPOT, InvalidInstanceError, Solution, Tour, render_tours,
+                       tour_duration)
 from minmaxtsp.svgplot import PALETTE, render_solution_svg
 
 from conftest import line_instance
@@ -64,6 +68,21 @@ def test_render_tours_names_files_by_label(tmp_path):
     assert paths == [f"{prefix}_before.svg", f"{prefix}_after.svg"]
     for p in paths:
         ET.parse(p)  # well-formed XML
+
+
+@pytest.mark.parametrize("broken", ["instance", "second_solution"])
+def test_failed_render_leaves_existing_files_alone(tmp_path, broken):
+    inst = line_instance()
+    sol = _line_solution(inst)
+    stray = Solution((_tour(inst, 1, (DEPOT, 0, 1, DEPOT)), Tour(2, (DEPOT, 99, DEPOT), 1.0)))
+    labeled = [("before", sol), ("after", sol if broken == "instance" else stray)]
+    old = {label: f"old {label}\n".encode() for label, _ in labeled}
+    for label, data in old.items():
+        (tmp_path / f"plan_{label}.svg").write_bytes(data)
+    with pytest.raises(InvalidInstanceError if broken == "instance" else IndexError):
+        render_tours(None if broken == "instance" else inst, labeled, tmp_path / "plan")
+    for label, data in old.items():
+        assert (tmp_path / f"plan_{label}.svg").read_bytes() == data
 
 
 def test_output_is_deterministic():

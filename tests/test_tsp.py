@@ -1,6 +1,6 @@
 """Single-vehicle tour solver: exact DP vs. permutation enumeration, the layered
 DP against the per-mask loop, heuristic quality, 2-opt behavior, the numpy
-polish against the scans, and the request cache."""
+polish loop against the scans, and the request cache."""
 
 import math
 import tracemalloc
@@ -15,9 +15,8 @@ from minmaxtsp import (DEPOT, EXACT, HEURISTIC, CapacityError, Instance,
                        distances, request_for, solve_tsp, tour_duration)
 from minmaxtsp.model import COORD_LIMIT
 from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, _cycle_length,
-                           _gain_tolerance, _improve, _nearest_neighbor,
-                           _or_opt_once_np, _or_opt_table, _subset_dp,
-                           _subset_dp_table, _two_opt_np, _two_opt_table,
+                           _gain_tolerance, _improve, _move_tables,
+                           _nearest_neighbor, _subset_dp, _subset_dp_table,
                            best_cycle_lengths, held_karp_order)
 
 from conftest import brute_cycle_length, euclid
@@ -260,7 +259,7 @@ class TestHeuristicQuality:
 
 def _two_opt(order: list, dist: np.ndarray, tol: float) -> list:
     """First-improvement 2-opt to a fixpoint, scanning i ascending then j:
-    the reference for the numpy pass ``_two_opt_np``."""
+    the reference for the 2-opt moves of ``_improve``."""
     m = len(order)
     dm = dist.shape[0] - 1
     improved = True
@@ -286,7 +285,7 @@ def _or_opt_once(order: list, dist: np.ndarray, tol: float):
     """Relocate one segment (length 1..3, both orientations) if it helps.
 
     Returns (order, True) after the first improving move, (order, False) if
-    the tour is Or-opt clean: the reference for ``_or_opt_once_np``.
+    the tour is Or-opt clean: the reference for the Or-opt moves of ``_improve``.
     """
     m = len(order)
     dm = dist.shape[0] - 1
@@ -459,24 +458,13 @@ def _polish(two_opt, or_opt_once, order, dist):
 
 
 class TestVectorizedPolish:
-    """The numpy passes must make exactly the moves the scans make."""
+    """The numpy polish loop must make exactly the moves the scans make."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(_tours())
-    def test_single_passes_match_the_scans(self, tour):
-        order, dist = tour
-        tol = _gain_tolerance(dist)
-        assert _two_opt_np(list(order), dist, tol) == _two_opt(list(order), dist, tol)
-        assert (_or_opt_once_np(list(order), dist, tol)
-                == _or_opt_once(list(order), dist, tol))
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_tours())
     def test_fixpoint_matches_the_scans(self, tour):
         order, dist = tour
-        reference = _polish(_two_opt, _or_opt_once, list(order), dist)
-        assert _polish(_two_opt_np, _or_opt_once_np, list(order), dist) == reference
-        assert _improve(list(order), dist) == reference
+        assert _improve(list(order), dist) == _polish(_two_opt, _or_opt_once, list(order), dist)
 
     @pytest.mark.parametrize("kind", ["grid", "uniform"])
     def test_tours_above_forty_targets_match_the_scans(self, kind):
@@ -488,11 +476,7 @@ class TestVectorizedPolish:
             else:
                 xy = rng.uniform(0.0, 100.0, size=(m + 1, 2))
             dist = distances(xy, xy)
-            tol = _gain_tolerance(dist)
             for order in (rng.permutation(m).tolist(), _nearest_neighbor(dist)):
-                assert _two_opt_np(list(order), dist, tol) == _two_opt(list(order), dist, tol)
-                assert (_or_opt_once_np(list(order), dist, tol)
-                        == _or_opt_once(list(order), dist, tol))
                 assert (_improve(list(order), dist)
                         == _polish(_two_opt, _or_opt_once, list(order), dist))
 
@@ -513,5 +497,4 @@ class TestVectorizedPolish:
             xy = rng.uniform(0.0, 100.0, size=(m + 1, 2))
             dist = distances(xy, xy)
             _improve(_nearest_neighbor(dist), dist)
-        for table in (_two_opt_table, _or_opt_table):
-            assert table.cache_info().currsize == TABLE_CACHE_LENGTHS
+        assert _move_tables.cache_info().currsize == TABLE_CACHE_LENGTHS
