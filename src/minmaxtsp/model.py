@@ -250,10 +250,16 @@ class Instance:
     def k(self) -> int:
         return len(self.vehicles)
 
+    def _check_vid(self, vid) -> None:
+        if not (is_integer(vid) and 1 <= vid <= self.k):
+            raise InvalidInstanceError(f"vehicle id {vid!r} is not an integer in 1..{self.k}")
+
     def vehicle(self, vid: int) -> Vehicle:
+        self._check_vid(vid)
         return self.vehicles[vid - 1]
 
     def required_for(self, vid: int) -> frozenset:
+        self._check_vid(vid)
         return self.required.get(vid, frozenset())
 
     def free_targets(self) -> tuple:
@@ -282,7 +288,9 @@ class Instance:
 
     def time_matrix(self, vid: int) -> np.ndarray:
         """(n+1, n+1) travel times for one vehicle, cached: its
-        ``distance_matrix`` divided by its speed; row/col DEPOT is its depot."""
+        ``distance_matrix`` divided by its speed; row/col DEPOT is its depot.
+        A miss goes through ``vehicle``, so no matrix is cached under an id
+        outside the fleet."""
         key = ("tm", vid)
         tm = self._cache.get(key)
         if tm is None:
@@ -335,8 +343,11 @@ class Solution:
     tours: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "tours",
-                           tuple(sorted(self.tours, key=lambda t: t.vehicle_id)))
+        tours = tuple(self.tours) if isinstance(self.tours, Iterable) else None
+        if tours is None or not all(isinstance(t, Tour) for t in tours):
+            raise InvalidInstanceError(
+                f"every tour of a Solution must be a Tour, got {self.tours!r}")
+        object.__setattr__(self, "tours", tuple(sorted(tours, key=lambda t: t.vehicle_id)))
 
     @property
     def objective(self) -> float:
@@ -371,6 +382,12 @@ def check_instance(inst) -> None:
         raise InvalidInstanceError(f"inst must be an Instance, got {inst!r}")
 
 
+def check_solution(sol) -> None:
+    """Raise InvalidInstanceError unless ``sol`` is a Solution."""
+    if not isinstance(sol, Solution):
+        raise InvalidInstanceError(f"sol must be a Solution, got {sol!r}")
+
+
 def tour_duration(inst: Instance, tour: Tour) -> float:
     """Recompute a tour's duration by summing edge travel times along it."""
     check_instance(inst)
@@ -389,9 +406,11 @@ def validate_solution(inst: Instance, sol: Solution) -> list:
 
     Total over type-correct input: malformed data yields violation entries,
     never an exception; an ``inst`` that is not an Instance raises
-    InvalidInstanceError.  An empty list means the solution is feasible.
+    InvalidInstanceError, as does an ``sol`` that is not a Solution.  An empty
+    list means the solution is feasible.
     """
     check_instance(inst)
+    check_solution(sol)
     out = []
     ids = sorted(t.vehicle_id for t in sol.tours)
     if ids != list(range(1, inst.k + 1)):

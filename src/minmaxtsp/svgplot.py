@@ -2,7 +2,7 @@
 
 import xml.etree.ElementTree as ET
 
-from .model import DEPOT, Instance, Solution, check_instance
+from .model import DEPOT, Instance, Solution, check_instance, check_solution
 
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#17becf")
@@ -25,6 +25,7 @@ def render_solution_svg(inst: Instance, sol: Solution) -> str:
     """One SVG document: tours as closed colored polylines, depots as black
     squares, targets as circles (filled with the owner's color if required)."""
     check_instance(inst)
+    check_solution(sol)
     x0, y0, w, h = _bounds(inst)
     y_top = y0 + h  # SVG y grows downward; flip about the viewport
 

@@ -17,10 +17,10 @@ Two modes share one entry point:
   EXACT_CAP targets; a longer exact request raises ``CapacityError``, and the
   oracle holds its subsets to the same cap.  The table fills one subset size
   at a time, a chunk of same-size subsets per numpy step.  Each cell is
-  written once, from its unique predecessor subset of the size before, with
-  the same float sum and first-minimum argmin as a loop over single subsets
-  in mask order, so the table and every exact tour equal that loop's bit for
-  bit.
+  written once, with the minimum over its unique predecessor subset of the
+  size before, so the table equals a loop over single subsets in mask order
+  bit for bit.  No parent table is kept: the tour is read back from the
+  lengths by the first-argmin rule such a loop would have stored.
 
 All route decisions are made on raw distances; the vehicle speed only divides
 the final length, so the chosen order is invariant under speed scaling.
@@ -229,8 +229,8 @@ def _improve(order: list, dist: np.ndarray) -> list:
 # A step's (chunk, m, m) candidate block takes 8 m^2 bytes per mask: chunks of
 # at most _DP_CHUNK masks keep it at 4 MiB for m = 16, where the largest layer
 # (12,870 masks) would take 26 MiB at once.  The index tables of a tour of m
-# targets take about 12 m 2^m bytes (12 MiB at m = 16), so only the
-# EXACT_CAP most recently used lengths are kept.
+# targets take about 8 m 2^m bytes (8 MiB at m = 16), so only the EXACT_CAP
+# most recently used lengths are kept.
 _DP_CHUNK = 1 << 11
 
 
@@ -241,8 +241,7 @@ def _subset_dp_table(m: int) -> tuple:
 
     Per step: the masks, then one entry per (mask, j) with target j outside the
     mask, in row-major order: the flat index r m + j into the step's (chunk, m)
-    argmin (r is the mask's row in the chunk), the flat index r m^2 + j of the
-    candidate column in its (chunk, m, m) block, and the flat index
+    minimum (r is the mask's row in the chunk), and the flat index
     (mask | 1 << j) m + j of the table cell it fills.
     """
     masks = np.arange(1 << m)
@@ -254,56 +253,55 @@ def _subset_dp_table(m: int) -> tuple:
         for lo in range(0, layer.size, _DP_CHUNK):
             chunk = layer[lo:lo + _DP_CHUNK]
             rows, js = np.nonzero((chunk[:, None] >> idx) & 1 == 0)
-            steps.append(_index_table((chunk, rows * m + js, rows * m * m + js,
-                                       (chunk[rows] | 1 << js) * m + js)))
+            steps.append(_index_table((chunk, rows * m + js, (chunk[rows] | 1 << js) * m + js)))
     return tuple(steps)
 
 
-def _subset_dp(dist: np.ndarray):
+def _subset_dp(dist: np.ndarray) -> np.ndarray:
     """Held-Karp table over target subsets.
 
     dp[mask, j] is the shortest depot-start path visiting exactly the targets
-    in ``mask`` and ending at target j; parent[mask, j] backtracks it.  The
+    in ``mask`` and ending at target j (inf when j is outside ``mask``).  The
     table fills one subset size at a time.  One numpy step takes a chunk of
-    same-size masks, forms cand[mask, last, j] = dp[mask, last] + C[last, j],
-    and for each j outside the mask writes the first minimum over ``last``
-    and its candidate to the cell (mask | 1 << j, j).
+    same-size masks and, for each j outside a mask, writes the minimum over
+    ``last`` of dp[mask, last] + C[last, j] to the cell (mask | 1 << j, j).
 
     This gives the same table, bit for bit, as one step per mask in mask
     order: each cell has the unique predecessor ``mask``, one target smaller,
     so it is written once, from a row that is already final, with the same
-    float sum and the same first-minimum argmin.
+    float sums.  Distances are never -0.0 or NaN, so the minimum has the bits
+    of the first-argmin candidate that a loop keeping parents would write.
     """
     m = dist.shape[0] - 1
-    full = 1 << m
     C = dist[:m, :m]
-    dp = np.full((full, m), np.inf)
-    parent = np.full((full, m), -1, dtype=np.int8)
+    dp = np.full((1 << m, m), np.inf)
     dp[1 << np.arange(m), np.arange(m)] = dist[m, :m]
-    dp_flat, parent_flat = dp.reshape(-1), parent.reshape(-1)
-    for masks, arg_ix, cand_ix, cell_ix in _subset_dp_table(m):
-        cand = dp.take(masks, 0)[:, :, None] + C
-        last = cand.argmin(axis=1).take(arg_ix)
-        parent_flat[cell_ix] = last
-        dp_flat[cell_ix] = cand.take(cand_ix + last * m)
-    return dp, parent
+    dp_flat = dp.reshape(-1)
+    for masks, min_ix, cell_ix in _subset_dp_table(m):
+        dp_flat[cell_ix] = (dp.take(masks, 0)[:, :, None] + C).min(axis=1).take(min_ix)
+    return dp
 
 
 def held_karp_order(dist: np.ndarray):
-    """Optimal cycle (depot -> all targets -> depot). Returns (order, length)."""
+    """Optimal cycle (depot -> all targets -> depot). Returns (order, length).
+
+    The tour is read back from the table alone: the target before j on the
+    path through ``mask`` is the first argmin over ``last`` of
+    dp[mask ^ 1 << j, last] + dist[last, j], the float sum that filled the cell.
+    """
     m = dist.shape[0] - 1
     if m == 0:
         return [], 0.0
-    dp, parent = _subset_dp(dist)
-    full = (1 << m) - 1
-    closing = dp[full] + dist[:m, m]
-    last = int(np.argmin(closing))
-    length = float(closing[last])
-    order = []
-    mask = full
-    while last >= 0:
-        order.append(last)
-        mask, last = mask ^ (1 << last), int(parent[mask, last])
+    dp = _subset_dp(dist)
+    mask = (1 << m) - 1
+    closing = dp[mask] + dist[:m, m]
+    j = int(closing.argmin())
+    length = float(closing[j])
+    order = [j]
+    while mask != 1 << j:
+        mask ^= 1 << j
+        j = int((dp[mask] + dist[:m, j]).argmin())
+        order.append(j)
     order.reverse()
     return order, length
 
@@ -317,7 +315,7 @@ def best_cycle_lengths(dist: np.ndarray) -> np.ndarray:
     m = dist.shape[0] - 1
     if m == 0:
         return np.zeros(1)
-    dp, _ = _subset_dp(dist)
+    dp = _subset_dp(dist)
     out = np.min(dp + dist[:m, m][None, :], axis=1)
     out[0] = 0.0
     return out

@@ -1,7 +1,8 @@
 """Input boundary: any JSON-like value in any one field of an instance either
 builds a valid instance or raises InvalidInstanceError, never another error;
-numbers other than ints, floats and NumPy scalars, and anything passed as an
-instance that is not one, raise it too."""
+numbers other than ints, floats and NumPy scalars, anything passed as an
+instance or a solution that is not one, and vehicle ids outside the fleet
+raise it too."""
 
 import copy
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution, Tour,
                        Vehicle, exact_minmax, instance_from_json, instance_to_json,
-                       oracle_feasible, render_tours, save_instance, solve,
+                       oracle_feasible, render_tours, request_for, save_instance, solve,
                        tour_duration, validate_solution)
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 from minmaxtsp.svgplot import render_solution_svg
@@ -124,6 +125,7 @@ def test_other_number_types_are_rejected(field, x):
 
 
 _PARKED = Tour(1, (DEPOT, DEPOT), 0.0)
+_VALID = _instance_with(None, None)
 
 
 @pytest.mark.parametrize("call", [
@@ -135,14 +137,40 @@ _PARKED = Tour(1, (DEPOT, DEPOT), 0.0)
                  id="render_solution_svg"),
     pytest.param(lambda x: render_tours(x, [("plan", Solution((_PARKED,)))], "tours"),
                  id="render_tours"),
+    # The same values where a Solution, or a Tour inside one, belongs.
+    pytest.param(lambda x: Solution((x,)), id="Solution"),
+    pytest.param(lambda x: validate_solution(_VALID, x), id="validate_solution-sol"),
+    pytest.param(lambda x: render_solution_svg(_VALID, x), id="render_solution_svg-sol"),
+    pytest.param(lambda x: render_tours(_VALID, [("plan", x)], "tours"), id="render_tours-sol"),
 ])
 @pytest.mark.parametrize("x", [None, "x", 3, {"targets": [[0, 0]]}],
                          ids=["none", "str", "int", "dict"])
 def test_anything_but_an_instance_raises_invalid_instance(call, x, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(InvalidInstanceError, match="must be an Instance"):
+    with pytest.raises(InvalidInstanceError, match="must be an? (Instance|Solution|Tour)"):
         call(x)
     assert not any(tmp_path.iterdir())  # no file was opened
+
+
+def _tour_of(vid):
+    return Tour(vid, (DEPOT, 0, DEPOT), 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda inst, vid: inst.vehicle(vid), id="vehicle"),
+    pytest.param(lambda inst, vid: inst.required_for(vid), id="required_for"),
+    pytest.param(lambda inst, vid: inst.time_matrix(vid), id="time_matrix"),
+    pytest.param(lambda inst, vid: request_for(inst, vid, (0,)), id="request_for"),
+    pytest.param(lambda inst, vid: tour_duration(inst, _tour_of(vid)), id="tour_duration"),
+    pytest.param(lambda inst, vid: render_solution_svg(inst, Solution((_tour_of(vid),))),
+                 id="render_solution_svg"),
+])
+@pytest.mark.parametrize("vid", [0, -1, 3, True, 1.0], ids=["0", "-1", "k+1", "True", "1.0"])
+def test_vehicle_ids_outside_the_fleet_raise_invalid_instance(call, vid):
+    # Indexed as vehicles[vid - 1], 0 and -1 picked another vehicle and True
+    # the first; a fresh instance keeps time_matrix from a cache hit under 1.
+    with pytest.raises(InvalidInstanceError, match="vehicle id"):
+        call(_instance_with(None, None), vid)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
