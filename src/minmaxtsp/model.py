@@ -164,10 +164,10 @@ class Instance:
               each with a speed that passes ``is_speed``.
     required: a mapping of vehicle id to an iterable of target indices,
               pairwise disjoint; kept as a read-only mapping from vehicle id
-              to a frozenset.  Keys and target indices must be integers
-              (numpy integers pass, bools and floats do not).
+              to a frozenset.  Keys must be integers in 1..k and indices in
+              0..n-1 (numpy integers pass, bools and floats do not).
 
-    Numpy scalars in targets and vehicles are kept as Python numbers.
+    Numpy scalars in targets, vehicles and moved depots are kept as Python numbers.
     Instances are validated on construction and frozen, since distance data is
     cached lazily and shared by all solver stages; ``with_depots`` makes a
     changed copy with its own cache, whose moved depots need only be finite
@@ -187,26 +187,6 @@ class Instance:
             if not isinstance(value, Iterable):
                 raise InvalidInstanceError(f"{name} must be an iterable, got {value!r}")
             object.__setattr__(self, name, tuple(_plain(item) for item in value))
-        required = {}
-        for vid, ids in raw.items():
-            if not is_integer(vid):
-                raise InvalidInstanceError(
-                    f"required set key {vid!r} is not an integer")
-            if not isinstance(ids, Iterable):
-                raise InvalidInstanceError(
-                    f"required set of vehicle {vid} is {ids!r}, not an iterable")
-            ids = tuple(ids)
-            for t in ids:
-                if not is_integer(t):
-                    raise InvalidInstanceError(
-                        f"required target index {t!r} is not an integer")
-            if ids:
-                required[int(vid)] = frozenset(int(t) for t in ids)
-        object.__setattr__(self, "required", _ReadOnlyDict(required))
-        object.__setattr__(self, "_cache", {})
-        self._validate()
-
-    def _validate(self):
         if len(self.targets) < 1:
             raise InvalidInstanceError("instance needs at least one target")
         if len(self.vehicles) < 1:
@@ -229,16 +209,23 @@ class Instance:
                 raise InvalidInstanceError(
                     f"vehicle {v.id} depot {v.depot!r} is not a Point with finite int or float"
                     f" coordinates of magnitude at most {COORD_LIMIT:g}")
-        seen = set()
-        for vid, ids in self.required.items():
-            if not 1 <= vid <= self.k:
-                raise InvalidInstanceError(f"required set names unknown vehicle {vid}")
+        required, owner = {}, {}
+        for vid, ids in raw.items():
+            self._check_vid(vid)
+            if not isinstance(ids, Iterable):
+                raise InvalidInstanceError(
+                    f"required set of vehicle {vid} is {ids!r}, not an iterable")
+            ids = tuple(ids)
             for t in ids:
-                if not 0 <= t < self.n_targets:
-                    raise InvalidInstanceError(f"required target index {t} out of range")
-                if t in seen:
+                if not (is_integer(t) and 0 <= t < self.n_targets):
+                    raise InvalidInstanceError(
+                        f"required target index {t!r} is not an integer in 0..{self.n_targets - 1}")
+                if owner.setdefault(int(t), vid) != vid:
                     raise InvalidInstanceError(f"target {t} appears in two required sets")
-                seen.add(t)
+            if ids:
+                required[int(vid)] = frozenset(int(t) for t in ids)
+        object.__setattr__(self, "required", _ReadOnlyDict(required))
+        object.__setattr__(self, "_cache", {})
 
     # -- accessors ---------------------------------------------------------
 
@@ -275,28 +262,24 @@ class Instance:
             self._cache["xy"] = xy
         return xy
 
+    def _matrices(self, vid: int) -> tuple:
+        # (distances, travel times) of one vehicle, cached under its checked id.
+        v = self.vehicle(vid)
+        mats = self._cache.get(v.id)
+        if mats is None:
+            pts = np.vstack([self.target_xy(), [float(v.depot.x), float(v.depot.y)]])
+            dm = distances(pts, pts)
+            mats = self._cache[v.id] = (dm, dm / v.speed)
+        return mats
+
     def distance_matrix(self, vid: int) -> np.ndarray:
         """(n+1, n+1) distances for one vehicle, cached; row/col DEPOT is its depot."""
-        key = ("dm", vid)
-        dm = self._cache.get(key)
-        if dm is None:
-            depot = self.vehicle(vid).depot
-            pts = np.vstack([self.target_xy(), [float(depot.x), float(depot.y)]])
-            dm = distances(pts, pts)
-            self._cache[key] = dm
-        return dm
+        return self._matrices(vid)[0]
 
     def time_matrix(self, vid: int) -> np.ndarray:
         """(n+1, n+1) travel times for one vehicle, cached: its
-        ``distance_matrix`` divided by its speed; row/col DEPOT is its depot.
-        A miss goes through ``vehicle``, so no matrix is cached under an id
-        outside the fleet."""
-        key = ("tm", vid)
-        tm = self._cache.get(key)
-        if tm is None:
-            tm = self.distance_matrix(vid) / self.vehicle(vid).speed
-            self._cache[key] = tm
-        return tm
+        ``distance_matrix`` divided by its speed; row/col DEPOT is its depot."""
+        return self._matrices(vid)[1]
 
     def distance_block(self, vid: int, targets) -> np.ndarray:
         """(m+1, m+1) block of ``distance_matrix``: the given targets in the
@@ -311,14 +294,15 @@ class Instance:
         ``is_point(p, sys.float_info.max)``: COORD_LIMIT bounds the input so
         that stage 3, which may move a depot past the limit, stays finite.
         """
-        if not (isinstance(depots, Mapping) and all(
-                is_integer(vid) and 1 <= vid <= self.k and is_point(p, sys.float_info.max)
-                for vid, p in depots.items())):
-            raise InvalidInstanceError(
-                f"depots must map fleet vehicle ids to finite Points, got {depots!r}")
+        if not isinstance(depots, Mapping):
+            raise InvalidInstanceError(f"depots must map vehicle ids to Points, got {depots!r}")
+        for vid, p in depots.items():
+            self._check_vid(vid)
+            if not is_point(p, sys.float_info.max):
+                raise InvalidInstanceError(f"depot {p!r} of vehicle {vid} is not a finite Point")
         moved = copy.copy(self)
         object.__setattr__(moved, "vehicles", tuple(
-            Vehicle(v.id, v.speed, depots.get(v.id, v.depot)) for v in self.vehicles
+            Vehicle(v.id, v.speed, _plain(depots.get(v.id, v.depot))) for v in self.vehicles
         ))
         object.__setattr__(moved, "_cache", {})
         return moved
@@ -344,9 +328,10 @@ class Solution:
 
     def __post_init__(self):
         tours = tuple(self.tours) if isinstance(self.tours, Iterable) else None
-        if tours is None or not all(isinstance(t, Tour) for t in tours):
-            raise InvalidInstanceError(
-                f"every tour of a Solution must be a Tour, got {self.tours!r}")
+        if tours is None or not all(isinstance(t, Tour) and is_integer(t.vehicle_id)
+                                    for t in tours):
+            raise InvalidInstanceError("every tour of a Solution must be a Tour with an"
+                                       f" integer vehicle id, got {self.tours!r}")
         object.__setattr__(self, "tours", tuple(sorted(tours, key=lambda t: t.vehicle_id)))
 
     @property
@@ -355,10 +340,14 @@ class Solution:
         return max(t.duration for t in self.tours)
 
     def tour_for(self, vid: int) -> Tour:
-        return self.tours[vid - 1]
+        """The tour of vehicle ``vid``, which must sit at position ``vid``."""
+        tours = self.tours
+        if is_integer(vid) and 1 <= vid <= len(tours) and tours[vid - 1].vehicle_id == vid:
+            return tours[vid - 1]
+        raise InvalidInstanceError(f"vehicle id {vid!r} names no tour of this solution")
 
     def targets_of(self, vid: int) -> frozenset:
-        return frozenset(self.tours[vid - 1].targets())
+        return frozenset(self.tour_for(vid).targets())
 
     def replace(self, *new_tours: Tour) -> "Solution":
         """New solution with the given vehicles' tours swapped in."""

@@ -152,25 +152,44 @@ def test_anything_but_an_instance_raises_invalid_instance(call, x, tmp_path, mon
     assert not any(tmp_path.iterdir())  # no file was opened
 
 
+@pytest.mark.parametrize("vid", ["a", None, True], ids=["str", "none", "True"])
+def test_tours_without_an_integer_vehicle_id_raise_invalid_instance(vid):
+    # Sorted by id, True would pass as vehicle 1, and "a" or None cannot be ordered.
+    with pytest.raises(InvalidInstanceError, match="must be a Tour with an integer vehicle id"):
+        Solution((Tour(vid, (DEPOT, DEPOT), 0.0),))
+
+
 def _tour_of(vid):
     return Tour(vid, (DEPOT, 0, DEPOT), 1.0)
+
+
+_PLAN = Solution((_tour_of(1), Tour(2, (DEPOT, 1, DEPOT), 1.0)))
 
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda inst, vid: inst.vehicle(vid), id="vehicle"),
     pytest.param(lambda inst, vid: inst.required_for(vid), id="required_for"),
+    pytest.param(lambda inst, vid: Instance(inst.targets, inst.vehicles, {vid: [0]}),
+                 id="required"),
+    pytest.param(lambda inst, vid: inst.distance_matrix(vid), id="distance_matrix"),
     pytest.param(lambda inst, vid: inst.time_matrix(vid), id="time_matrix"),
     pytest.param(lambda inst, vid: request_for(inst, vid, (0,)), id="request_for"),
     pytest.param(lambda inst, vid: tour_duration(inst, _tour_of(vid)), id="tour_duration"),
     pytest.param(lambda inst, vid: render_solution_svg(inst, Solution((_tour_of(vid),))),
                  id="render_solution_svg"),
+    pytest.param(lambda inst, vid: _PLAN.tour_for(vid), id="Solution.tour_for"),
+    pytest.param(lambda inst, vid: _PLAN.targets_of(vid), id="Solution.targets_of"),
 ])
 @pytest.mark.parametrize("vid", [0, -1, 3, True, 1.0], ids=["0", "-1", "k+1", "True", "1.0"])
 def test_vehicle_ids_outside_the_fleet_raise_invalid_instance(call, vid):
     # Indexed as vehicles[vid - 1], 0 and -1 picked another vehicle and True
-    # the first; a fresh instance keeps time_matrix from a cache hit under 1.
-    with pytest.raises(InvalidInstanceError, match="vehicle id"):
-        call(_instance_with(None, None), vid)
+    # the first; and True and 1.0 once hit vehicle 1's cached matrices.  So
+    # every call runs on a fresh instance and on one with those matrices cached.
+    warm = _instance_with(None, None)
+    warm.time_matrix(1)
+    for inst in (_instance_with(None, None), warm):
+        with pytest.raises(InvalidInstanceError, match="vehicle id"):
+            call(inst, vid)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

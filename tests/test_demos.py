@@ -26,7 +26,8 @@ def _run_fresh(script, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(script)], cwd=cwd, env=env,
+    # Warnings fail here as they fail the suite (pyproject's filterwarnings).
+    return subprocess.run([sys.executable, "-W", "error", str(script)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
 
 

@@ -251,6 +251,12 @@ class TestInstanceValidation:
         far = inst.with_depots({1: Point(-10 * COORD_LIMIT, 1e300)})
         assert far.vehicle(1).depot == Point(-10 * COORD_LIMIT, 1e300)
 
+    def test_with_depots_keeps_numpy_scalars_as_python_numbers(self):
+        inst = Instance((Point(3, 4),), (v(1.0),))
+        depot = inst.with_depots({1: Point(np.float32(0.5), np.float16(2.0))}).vehicle(1).depot
+        assert depot == Point(0.5, 2.0)
+        assert type(depot.x) is float and type(depot.y) is float
+
     def test_integer_coordinates_and_speeds_solve_like_their_floats(self):
         # Ints past int64 must not turn the matrices into object arrays.
         big = 10 ** 20
