@@ -5,20 +5,24 @@ tours.  Stage 2 repeatedly offloads targets from the longest tour: candidates
 are ranked by the time saved on the donor, each is quoted a cheapest insertion
 over the other vehicles, the receiver is re-routed and, only if its new tour
 stays below the makespan, so is the donor; the move sticks only if the fleet
-makespan strictly drops.  With exact tours a receiver is not re-routed when
-a lower bound on its new tour (its optimal tour plus the cheapest detour
-through the target between any two of its vertices) already reaches the
-makespan, or when its tour already holds ``EXACT_CAP`` targets; so once stage
-1 has built its tours, no later exact tour passes the cap.  Stage 3 escapes
-local optima by displacing depots (radially, by half the sum of each tour's
-two depot-edge times) and re-optimizing on the displaced geometry; a plan
-rebuilt at the true depots is accepted only when strictly better, and the
-loop gives up after ``SolverConfig.no_improve_stop`` straight rejections (5
-by default).  Displacement angles march around the circle in 144-degree steps
-from a random start; five steps revisit the starting angle, so
-``no_improve_stop`` is at most five.  Stages 2 and 3 price with the
-instance's matrices, indexed by tour sequences as they stand (``DEPOT`` is
-the last row and column).
+makespan strictly drops.  With heuristic tours the receiver is polished from
+its incumbent order with the target spliced in at the quoted edge, and the
+donor from its incumbent order with the target spliced out.  With exact tours
+a receiver is not re-routed when a lower bound on its new tour (its optimal
+tour plus the cheapest detour through the target between any two of its
+vertices) already reaches the makespan, or when its tour already holds
+``EXACT_CAP`` targets; so once stage 1 has built its tours, no later exact
+tour passes the cap.  Stage 3 escapes local optima by displacing depots
+(radially, by half the sum of each tour's two depot-edge times) and
+re-optimizing on the displaced geometry; heuristic tours there are polished
+from the incumbent's orders, and the plan rebuilt at the true depots from
+the displaced plan's orders.  That plan is accepted only when strictly
+better, and the loop gives up after ``SolverConfig.no_improve_stop``
+straight rejections (5 by default).  Displacement angles march around the
+circle in 144-degree steps from a random start; five steps revisit the
+starting angle, so ``no_improve_stop`` is at most five.  Stages 2 and 3
+price with the instance's matrices, indexed by tour sequences as they stand
+(``DEPOT`` is the last row and column).
 """
 
 import math
@@ -168,8 +172,10 @@ def _insertion_lower_bound(target: int, tour: Tour, inst: Instance) -> float:
     return tour.duration + float(detours.min())
 
 
-def _rebuild(inst: Instance, vid: int, ids, cfg: SolverConfig, cache):
-    return solve_tsp(request_for(inst, vid, ids, cfg.tour_mode), cache)
+def _rebuild(inst: Instance, vid: int, order: tuple, cfg: SolverConfig, cache):
+    """Vehicle vid's tour through ``order``'s targets; a heuristic tour is
+    polished from ``order``, an exact one ignores it."""
+    return solve_tsp(request_for(inst, vid, order, cfg.tour_mode, order), cache)
 
 
 def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
@@ -178,14 +184,17 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
 
     Each pass takes the maximal vehicle's savings list in order, quotes the
     best receiver for the candidate, re-routes the receiver, and accepts the
-    first move that strictly lowers the makespan.  The makespan after a move
-    is at least the receiver's new tour, so the donor is re-routed only when
-    that tour stays below the current makespan.  With exact tours the
-    receiver is not even re-routed when ``_insertion_lower_bound`` already
-    reaches the makespan, or when its tour already holds ``EXACT_CAP``
-    targets, so it never requests an exact tour past the cap.  Savings are
-    recomputed from the new plan after every accepted move; the search stops
-    when every candidate on the maximal tour fails.
+    first move that strictly lowers the makespan.  Heuristic tours are
+    polished from the incumbent orders: the receiver's with the target
+    spliced in at the quoted edge, the donor's with it spliced out.  The
+    makespan after a move is at least the receiver's new tour, so the donor
+    is re-routed only when that tour stays below the current makespan.  With
+    exact tours the receiver is not even re-routed when
+    ``_insertion_lower_bound`` already reaches the makespan, or when its tour
+    already holds ``EXACT_CAP`` targets, so it never requests an exact tour
+    past the cap.  Savings are recomputed from the new plan after every
+    accepted move; the search stops when every candidate on the maximal tour
+    fails.
 
     Precondition with ``cfg.tour_mode == EXACT``: every tour of ``sol`` is
     an optimal (Held-Karp) tour on ``inst``'s geometry, as every tour the
@@ -198,6 +207,7 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
     while True:
         donor = current.maximal_vehicle()
         entries = compute_savings(current, inst, donor)
+        donor_order = current.tour_for(donor).targets()
         objective = current.objective
         hopeless = objective * _BOUND_SLACK
         accepted = False
@@ -207,13 +217,14 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
             if exact and (len(receiver.targets()) >= EXACT_CAP or _insertion_lower_bound(
                     entry.target, receiver, inst) >= hopeless):
                 continue
+            p = quote.edge_position
+            order = receiver.targets()
             receiver_tour = _rebuild(inst, quote.vehicle_id,
-                                     current.targets_of(quote.vehicle_id) | {entry.target},
-                                     cfg, cache)
+                                     order[:p] + (entry.target,) + order[p:], cfg, cache)
             if receiver_tour.duration >= objective:
                 continue
             donor_tour = _rebuild(inst, donor,
-                                  current.targets_of(donor) - {entry.target}, cfg, cache)
+                                  tuple(t for t in donor_order if t != entry.target), cfg, cache)
             candidate = current.replace(donor_tour, receiver_tour)
             if candidate.objective < objective:
                 current = candidate
@@ -247,11 +258,12 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig,
 
     Each iteration displaces every depot by that vehicle's current radius at
     the scheduled angle, rebuilds the incumbent assignment's tours on the
-    displaced geometry, runs the local search there, then re-routes the
-    resulting assignment from the true depots.  Only a strict makespan
-    improvement is kept; ``cfg.no_improve_stop`` consecutive rejections end
-    the loop.  Base angles are drawn once per vehicle, in id order.  The
-    radius, a travel time, is applied directly as a displacement length.
+    displaced geometry from its tour orders, runs the local search there,
+    then re-routes the resulting plan from the true depots, again from its
+    tour orders.  Only a strict makespan improvement is kept;
+    ``cfg.no_improve_stop`` consecutive rejections end the loop.  Base angles
+    are drawn once per vehicle, in id order.  The radius, a travel time, is
+    applied directly as a displacement length.
     """
     if inst.k < 2:
         return sol, 0
@@ -269,11 +281,11 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig,
                                     v.depot.y + radius * math.sin(theta))
         displaced = inst.with_depots(moved)
         shaken = Solution(tuple(
-            _rebuild(displaced, v.id, best.targets_of(v.id), cfg, cache)
+            _rebuild(displaced, v.id, best.tour_for(v.id).targets(), cfg, cache)
             for v in inst.vehicles))
         shaken = local_search(displaced, shaken, cfg, cache)
         candidate = Solution(tuple(
-            _rebuild(inst, v.id, shaken.targets_of(v.id), cfg, cache)
+            _rebuild(inst, v.id, shaken.tour_for(v.id).targets(), cfg, cache)
             for v in inst.vehicles))
         if candidate.objective < best.objective:
             best = candidate

@@ -2,17 +2,22 @@
 
 Two modes share one entry point:
 
-* heuristic -- nearest-neighbor construction polished by 2-opt and Or-opt
-  (segment lengths 1..3), both first-improvement with a fixed scan order.
-  Each step gathers the tour's distance block once, prices every 2-opt move
-  from it as one numpy array and applies the first improving one in the
-  order of a plain Python scan; only when there is none does it price the
-  Or-opt moves on the same block.  The tests keep the scans as the
-  reference: the two make the same moves with the same float expressions,
-  so every tour, and every plan built from tours, is identical to the scans'.
-  A move must gain more than _gain_tolerance, which exceeds the rounding error
-  of its price, so the polish always ends; on tours of one or two targets
-  every move gives the same cycle, so those are left as built.
+* heuristic -- 2-opt and Or-opt (segment lengths 1..3), both
+  first-improvement with a fixed scan order, polish the request's ``start``
+  order when it has one and a nearest-neighbor tour when it has none.  Stage
+  1 has no tour to start from; stages 2 and 3 start from an incumbent tour,
+  whole or with one target spliced in or out, which is already nearly clean,
+  so the polish takes a step or two instead of the eight or so a
+  nearest-neighbor tour needs.  Each step gathers the tour's distance block
+  once, prices every 2-opt move from it as one numpy array and applies the
+  first improving one in the order of a plain Python scan; only when there
+  is none does it price the Or-opt moves on the same block.  The tests keep
+  the scans as the reference: the two make the same moves with the same
+  float expressions, so every tour, and every plan built from tours, is
+  identical to the scans'.  A move must gain more than _gain_tolerance,
+  which exceeds the rounding error of its price, so the polish always ends;
+  on tours of one or two targets every move gives the same cycle, so those
+  are left in their start order.
 * exact -- Held-Karp dynamic program over target subsets, capped at
   EXACT_CAP targets; a longer exact request raises ``CapacityError``, and the
   oracle holds its subsets to the same cap.  The table fills one subset size
@@ -48,7 +53,11 @@ class TourRequest:
 
     ``targets`` are instance-level indices (sorted, they define identity);
     ``dist`` is the matching ``Instance.distance_block``, with the depot in
-    row/col m.
+    row/col m.  ``start`` is None or, for a heuristic request, the same
+    targets in the tour order the polish starts from; without one the polish
+    starts from nearest neighbour.  An exact request drops its start:
+    Held-Karp needs none, so exact tours and their cache entries do not
+    depend on one.
     """
 
     vehicle_id: int
@@ -57,18 +66,37 @@ class TourRequest:
     dist: np.ndarray
     speed: float
     mode: str = HEURISTIC
+    start: tuple | None = None
+
+    def __post_init__(self):
+        if self.mode == EXACT:
+            self.start = None
 
 
-def request_for(inst: Instance, vid: int, targets, mode: str = HEURISTIC) -> TourRequest:
-    """Build a TourRequest for one vehicle of an instance."""
+def request_for(inst: Instance, vid: int, targets, mode: str = HEURISTIC,
+                start=None) -> TourRequest:
+    """Build a TourRequest for one vehicle of an instance.
+
+    ``start``, if given, must list the targets in some order (else
+    ``InvalidConfigError``).
+    """
     ids = tuple(sorted(targets))
+    if start is not None:
+        start = tuple(start)
+        if sorted(start) != list(ids):
+            raise InvalidConfigError(
+                f"start {start!r} is not an order of the targets {ids!r}")
     v = inst.vehicle(vid)
-    return TourRequest(vid, v.depot, ids, inst.distance_block(vid, ids), v.speed, mode)
+    return TourRequest(vid, v.depot, ids, inst.distance_block(vid, ids), v.speed, mode,
+                       start)
 
 
 class TspCache:
-    """Memo for solved requests, keyed by depot position, target set, and mode.
+    """Memo for solved requests, keyed by everything a tour depends on: depot
+    position, target set, mode and start.
 
+    A hit equals a recompute.  Exact requests carry no start, so one exact
+    target set is one entry; each start of a heuristic set is its own entry.
     Valid only while the target coordinate table is fixed (one instance family;
     depot moves are fine since the depot is part of the key).
     """
@@ -78,7 +106,7 @@ class TspCache:
 
     @staticmethod
     def _key(req: TourRequest):
-        return (req.depot.x, req.depot.y, req.targets, req.mode)
+        return (req.depot.x, req.depot.y, req.targets, req.mode, req.start)
 
     def get(self, req: TourRequest):
         return self._data.get(self._key(req))
@@ -343,7 +371,12 @@ def solve_tsp(req: TourRequest, cache: TspCache | None = None) -> Tour:
                 f"exact tour solve over {len(req.targets)} targets exceeds cap {EXACT_CAP}")
         order, length = held_karp_order(req.dist)
     else:
-        order = _improve(_nearest_neighbor(req.dist), req.dist)
+        if req.start is None:
+            order = _nearest_neighbor(req.dist)
+        else:
+            row = {t: p for p, t in enumerate(req.targets)}
+            order = [row[t] for t in req.start]
+        order = _improve(order, req.dist)
         length = _cycle_length(order, req.dist)
     if cache is not None:
         cache.put(req, tuple(order), length)

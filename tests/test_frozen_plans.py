@@ -5,7 +5,8 @@ A change that claims to keep plans bit-identical (a faster tour polish, a
 refactor) must pass this file without re-recording it: every tour sequence,
 the ``repr`` of every objective and every perturbation iteration count must
 match ``frozen_plans.json``.  Re-record only in a change that moves plans on
-purpose, and say so in that change:
+purpose, and say so in that change; the recorder prints each row that
+moved against the fixture it overwrites:
 
     PYTHONPATH=src python tests/test_frozen_plans.py
 """
@@ -89,7 +90,11 @@ def test_fixture_holds_exactly_the_cases():
 
 
 if __name__ == "__main__":
+    old = _frozen() if FIXTURE.exists() else {}
     rows = [_record(name, i) for name, i in _KEYS]
+    for r in rows:
+        if old.get((r["case"], r["index"])) != r:
+            print(f"moved: {r['case']}-{r['index']}")
     FIXTURE.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n",
                        encoding="utf-8")
     print(f"wrote {FIXTURE} ({len(rows)} plans)")

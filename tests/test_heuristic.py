@@ -267,7 +267,9 @@ class TestLocalSearch:
 
 
 def _eager_local_search(inst, sol, cfg, cache, candidates):
-    """``local_search`` routing donor and receiver for every candidate.
+    """``local_search`` routing donor and receiver for every candidate, each
+    polished from the same splice: the donor's tour without the target, the
+    receiver's with the target at the quoted edge.
 
     Appends (donor, receiver, receiver tour below the makespan, receiver
     certified hopeless by the reference bound in exact mode) per candidate to
@@ -283,11 +285,11 @@ def _eager_local_search(inst, sol, cfg, cache, candidates):
             certified = cfg.tour_mode == EXACT and _scalar_insertion_bound(
                 entry.target, current.tour_for(quote.vehicle_id), inst
             ) >= objective * (1 + 2 ** -40)
-            donor_tour = _rebuild(inst, donor, current.targets_of(donor) - {entry.target},
-                                  cfg, cache)
-            receiver_tour = _rebuild(inst, quote.vehicle_id,
-                                     current.targets_of(quote.vehicle_id) | {entry.target},
-                                     cfg, cache)
+            donor_order = [t for t in current.tour_for(donor).targets() if t != entry.target]
+            receiver_order = list(current.tour_for(quote.vehicle_id).targets())
+            receiver_order.insert(quote.edge_position, entry.target)
+            donor_tour = _rebuild(inst, donor, tuple(donor_order), cfg, cache)
+            receiver_tour = _rebuild(inst, quote.vehicle_id, tuple(receiver_order), cfg, cache)
             candidates.append((donor, quote.vehicle_id, receiver_tour.duration < objective,
                                certified))
             candidate = current.replace(donor_tour, receiver_tour)
@@ -314,8 +316,8 @@ def _starts(inst, cfg, index):
     _, trace = solve(inst, cfg, rng=index)
     free = set(inst.free_targets())
     loaded = Solution(tuple(
-        _rebuild(inst, v.id, set(inst.required_for(v.id)) | (free if v.id == 1 else set()),
-                 cfg, None)
+        solve_tsp(request_for(inst, v.id, set(inst.required_for(v.id))
+                              | (free if v.id == 1 else set()), cfg.tour_mode))
         for v in inst.vehicles))
     return trace.stage_solutions[STAGE_INIT], loaded
 
@@ -358,6 +360,58 @@ class TestReceiverFirstSearch:
         assert verdicts == {True, False}
         assert lazy_total < eager_total
         assert (skips > 0) == (cfg.tour_mode == EXACT)
+
+
+class TestWarmStartedTours:
+    """Stages 2 and 3 polish the incumbent orders: the cache keys a tour by its
+    start, so it never changes a plan, and only stage 1 builds a tour by
+    nearest neighbour."""
+
+    @pytest.mark.parametrize("name", sorted(n for n, (_, cfg) in _SEARCH_CASES.items()
+                                            if cfg.tour_mode != EXACT))
+    def test_cache_does_not_change_the_plan(self, name, monkeypatch):
+        exp, cfg = _SEARCH_CASES[name]
+        for index in range(2):
+            inst = generate_instance(exp, index)
+            for start in _starts(inst, cfg, index):
+                assert local_search(inst, start, cfg, TspCache()) == local_search(
+                    inst, start, cfg, None)
+            cached = solve(inst, cfg, rng=index)[0]
+            with monkeypatch.context() as m:
+                m.setattr(heuristic, "TspCache", lambda: None)
+                assert solve(inst, cfg, rng=index)[0] == cached
+
+    def test_only_stage_1_builds_by_nearest_neighbour(self, monkeypatch):
+        stage = []
+        built = []
+        tours = []
+        real_nn, real_init, real_solve = (tsp._nearest_neighbor, heuristic.build_initial_solution,
+                                          heuristic.solve_tsp)
+
+        def nearest_neighbor(dist):
+            built.append(stage == [STAGE_INIT])
+            return real_nn(dist)
+
+        def build_initial_solution(*args):
+            stage.append(STAGE_INIT)
+            try:
+                return real_init(*args)
+            finally:
+                stage.pop()
+
+        def started(req, cache=None):
+            tours.append(req.start is not None)
+            return real_solve(req, cache)
+
+        monkeypatch.setattr(tsp, "_nearest_neighbor", nearest_neighbor)
+        monkeypatch.setattr(heuristic, "build_initial_solution", build_initial_solution)
+        monkeypatch.setattr(heuristic, "solve_tsp", started)
+        for name in ("k2", "k8"):
+            exp, cfg = _SEARCH_CASES[name]
+            for index in range(2):
+                solve(generate_instance(exp, index), cfg, rng=index)
+        assert built and all(built)
+        assert tours and all(tours)
 
 
 @st.composite

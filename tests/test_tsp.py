@@ -3,6 +3,7 @@ DP and its tour read-back against the per-mask loop and its parent table,
 heuristic quality, 2-opt behavior, the numpy polish loop against the scans,
 and the request cache."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -49,6 +50,12 @@ class TestSolveBasics:
         req = request_for(_square_instance(), 1, targets, mode="exakt")
         with pytest.raises(InvalidConfigError, match="exakt"):
             solve_tsp(req)
+
+    @pytest.mark.parametrize("start", [(0, 1), (0, 1, 2, 2), (0, 1, 3), (0, 0, 1)])
+    def test_start_must_order_the_targets(self, start):
+        for mode in (HEURISTIC, EXACT):
+            with pytest.raises(InvalidConfigError, match="start"):
+                request_for(_square_instance(), 1, (0, 1, 2), mode, start)
 
     def test_single_target_is_out_and_back(self):
         inst = Instance((Point(3, 4),), (Vehicle(1, 1.0, Point(0, 0)),))
@@ -401,6 +408,28 @@ class TestCache:
         solve_tsp(request_for(there, 1, range(3)), cache)
         assert len(cache) == 2
 
+    def test_exact_starts_share_one_entry(self):
+        inst = _square_instance()
+        cache = TspCache()
+        tours = set()
+        for start in (None, (0, 1, 2), (2, 0, 1)):
+            req = request_for(inst, 1, range(3), EXACT, start)
+            tours.add(solve_tsp(req, cache))
+            tours.add(solve_tsp(dataclasses.replace(req, start=start), cache))
+        assert len(cache) == 1
+        assert len(tours) == 1
+
+    def test_each_heuristic_start_is_its_own_entry(self):
+        rng = np.random.default_rng(15)
+        xy = rng.uniform(0, 100, size=(9, 2))
+        inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, Point(0, 0)),))
+        cache = TspCache()
+        starts = [None] + [tuple(rng.permutation(9).tolist()) for _ in range(4)]
+        for start in starts + starts:
+            req = request_for(inst, 1, range(9), start=start)
+            assert solve_tsp(req, cache) == solve_tsp(req)
+        assert len(cache) == len(starts)
+
 
 # Small integer grids make duplicate points and equal-length moves common, so
 # the first-improvement tie order is exercised; drawn floats add repeated
@@ -513,3 +542,65 @@ class TestVectorizedPolish:
             dist = distances(xy, xy)
             _improve(_nearest_neighbor(dist), dist)
         assert _move_tables.cache_info().currsize == TABLE_CACHE_LENGTHS
+
+
+@st.composite
+def _started_requests(draw):
+    """(instance, targets, start): a one-vehicle instance of 1..14 uniform or
+    4 x 4 grid points, the depot sometimes on a target, and 0..12 of its
+    targets with any order of them as the start."""
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        xy = rng.uniform(0.0, 100.0, size=(n + 1, 2))
+    else:
+        xy = rng.integers(0, 4, size=(n + 1, 2)).astype(float)
+    if draw(st.booleans()):
+        xy[n] = xy[draw(st.integers(0, n - 1))]
+    speed = draw(st.sampled_from([1.0, 1.5]))
+    inst = Instance(tuple(Point(*p) for p in xy[:n]), (Vehicle(1, speed, Point(*xy[n])),))
+    start = draw(st.permutations(range(n)))[:draw(st.integers(0, min(n, 12)))]
+    return inst, sorted(start), tuple(start)
+
+
+class TestStartOrder:
+    """A heuristic request polishes its start; an exact one ignores it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_started_requests())
+    def test_heuristic_tour_is_a_clean_order_of_the_targets(self, case):
+        inst, targets, start = case
+        tour = solve_tsp(request_for(inst, 1, targets, start=start))
+        assert tour.sequence[0] == DEPOT and tour.sequence[-1] == DEPOT
+        assert sorted(tour.targets()) == targets
+        assert tour_duration(inst, tour) == pytest.approx(tour.duration, rel=1e-12, abs=1e-12)
+        dist = inst.distance_block(1, targets)
+        order = [targets.index(t) for t in tour.targets()]
+        tol = _gain_tolerance(dist)
+        assert _two_opt(list(order), dist, tol) == order
+        assert _or_opt_once(list(order), dist, tol) == (order, False)
+        again = solve_tsp(request_for(inst, 1, targets, start=tour.targets()))
+        assert again == tour
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_started_requests())
+    def test_exact_tour_does_not_depend_on_the_start(self, case):
+        inst, targets, start = case
+        req = request_for(inst, 1, targets, EXACT, start)
+        assert req.start is None
+        assert solve_tsp(req) == solve_tsp(request_for(inst, 1, targets, EXACT))
+
+    def test_start_is_polished_not_rebuilt(self):
+        # A clean start that nearest neighbour would not build is kept.
+        rng = np.random.default_rng(16)
+        xy = rng.uniform(0, 100, size=(12, 2))
+        inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, Point(50, 50)),))
+        built = solve_tsp(request_for(inst, 1, range(12)))
+        for _ in range(20):
+            start = tuple(rng.permutation(12).tolist())
+            tour = solve_tsp(request_for(inst, 1, range(12), start=start))
+            if tour.sequence not in (built.sequence, built.sequence[::-1]):
+                break
+        else:
+            pytest.fail("every start polished to the nearest-neighbour tour")
+        assert solve_tsp(request_for(inst, 1, range(12), start=tour.targets())) == tour
