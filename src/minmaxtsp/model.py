@@ -377,12 +377,30 @@ def check_solution(sol) -> None:
         raise InvalidInstanceError(f"sol must be a Solution, got {sol!r}")
 
 
+def _depot_framed(seq) -> bool:
+    # At least two vertices, the first and last of them DEPOT as an integer.
+    return (len(seq) >= 2 and is_integer(seq[0]) and seq[0] == DEPOT
+            and is_integer(seq[-1]) and seq[-1] == DEPOT)
+
+
 def tour_duration(inst: Instance, tour: Tour) -> float:
-    """Recompute a tour's duration by summing edge travel times along it."""
+    """Recompute a tour's duration by summing edge travel times along it.
+
+    ``tour`` must be a Tour of a fleet vehicle whose sequence starts and ends
+    at DEPOT and in between holds only targets, each an integer (numpy
+    integers pass; bools, floats and strings do not) in 0..n-1.  Anything
+    else raises InvalidInstanceError, which is a ValueError.
+    """
     check_instance(inst)
+    if not isinstance(tour, Tour):
+        raise InvalidInstanceError(f"tour must be a Tour, got {tour!r}")
     seq = tour.sequence
-    if len(seq) < 2 or seq[0] != DEPOT or seq[-1] != DEPOT:
-        raise ValueError("tour sequence must start and end at the vehicle's depot")
+    if not _depot_framed(seq):
+        raise InvalidInstanceError("tour sequence must start and end at the vehicle's depot")
+    n = inst.n_targets
+    for v in seq[1:-1]:
+        if not (is_integer(v) and 0 <= v < n):
+            raise InvalidInstanceError(f"tour vertex {v!r} is not a target index in 0..{n - 1}")
     tm = inst.time_matrix(tour.vehicle_id)
     total = 0.0
     for a, b in zip(seq, seq[1:]):
@@ -394,7 +412,8 @@ def validate_solution(inst: Instance, sol: Solution) -> list:
     """Check a solution against an instance and return violation messages.
 
     Total over type-correct input: malformed data yields violation entries,
-    never an exception; an ``inst`` that is not an Instance raises
+    never an exception (a tour vertex that is not an integer, such as True,
+    1.0 or "1", is an unknown target); an ``inst`` that is not an Instance raises
     InvalidInstanceError, as does an ``sol`` that is not a Solution.  An empty
     list means the solution is feasible.
     """
@@ -409,16 +428,16 @@ def validate_solution(inst: Instance, sol: Solution) -> list:
     seen = {}
     for tour in sol.tours:
         seq = tour.sequence
-        if len(seq) < 2 or seq[0] != DEPOT or seq[-1] != DEPOT:
+        if not _depot_framed(seq):
             out.append(f"tour {tour.vehicle_id} does not start and end at its depot")
             continue
         broken = False
         for v in seq[1:-1]:
-            if v == DEPOT:
+            if is_integer(v) and v == DEPOT:
                 out.append(f"tour {tour.vehicle_id} visits a depot mid-sequence")
                 broken = True
-            elif not 0 <= v < inst.n_targets:
-                out.append(f"tour {tour.vehicle_id} references unknown target {v}")
+            elif not (is_integer(v) and 0 <= v < inst.n_targets):
+                out.append(f"tour {tour.vehicle_id} references unknown target {v!r}")
                 broken = True
             elif v in seen:
                 out.append(f"target {v} visited by vehicle {seen[v]} and vehicle {tour.vehicle_id}")
@@ -427,8 +446,9 @@ def validate_solution(inst: Instance, sol: Solution) -> list:
         if broken:
             continue  # duration is meaningless once the sequence itself is bad
         real = tour_duration(inst, tour)
-        if not math.isclose(real, tour.duration, rel_tol=1e-9, abs_tol=1e-12):
-            out.append(f"tour {tour.vehicle_id} duration {tour.duration} != recomputed {real}")
+        if not (is_real(tour.duration)
+                and math.isclose(real, tour.duration, rel_tol=1e-9, abs_tol=1e-12)):
+            out.append(f"tour {tour.vehicle_id} duration {tour.duration!r} != recomputed {real}")
 
     for t in range(inst.n_targets):
         if t not in seen:

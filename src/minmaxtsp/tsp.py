@@ -8,16 +8,18 @@ Two modes share one entry point:
   1 has no tour to start from; stages 2 and 3 start from an incumbent tour,
   whole or with one target spliced in or out, which is already nearly clean,
   so the polish takes a step or two instead of the eight or so a
-  nearest-neighbor tour needs.  Each step gathers the tour's distance block
-  once, prices every 2-opt move from it as one numpy array and applies the
-  first improving one in the order of a plain Python scan; only when there
-  is none does it price the Or-opt moves on the same block.  The tests keep
-  the scans as the reference: the two make the same moves with the same
-  float expressions, so every tour, and every plan built from tours, is
-  identical to the scans'.  A move must gain more than _gain_tolerance,
-  which exceeds the rounding error of its price, so the polish always ends;
-  on tours of one or two targets every move gives the same cycle, so those
-  are left in their start order.
+  nearest-neighbor tour needs.  The polish works on the closed tour
+  [DEPOT, *targets, DEPOT] as instance ids of the vehicle's distance matrix.
+  Each step gathers the tour's distance block from that matrix once, prices
+  every 2-opt move from it as one numpy array and applies the first
+  improving one in the order of a plain Python scan; only when there is none
+  does it price the Or-opt moves on the same block.  The tour's length is
+  summed from the last block.  The tests keep the scans as the reference:
+  the two make the same moves with the same float expressions, so every
+  tour, and every plan built from tours, is identical to the scans'.  A move
+  must gain more than _gain_tolerance, which exceeds the rounding error of
+  its price, so the polish always ends; on tours of one or two targets every
+  move gives the same cycle, so those are left in their start order.
 * exact -- Held-Karp dynamic program over target subsets, capped at
   EXACT_CAP targets; a longer exact request raises ``CapacityError``, and the
   oracle holds its subsets to the same cap.  The table fills one subset size
@@ -25,7 +27,8 @@ Two modes share one entry point:
   written once, with the minimum over its unique predecessor subset of the
   size before, so the table equals a loop over single subsets in mask order
   bit for bit.  No parent table is kept: the tour is read back from the
-  lengths by the first-argmin rule such a loop would have stored.
+  lengths by the first-argmin rule such a loop would have stored.  Only
+  exact tours are cached (``TspCache``).
 
 All route decisions are made on raw distances; the vehicle speed only divides
 the final length, so the chosen order is invariant under speed scaling.
@@ -52,18 +55,20 @@ class TourRequest:
     """A self-contained ask: route one vehicle through a set of targets.
 
     ``targets`` are instance-level indices (sorted, they define identity);
-    ``dist`` is the matching ``Instance.distance_block``, with the depot in
-    row/col m.  ``start`` is None or, for a heuristic request, the same
-    targets in the tour order the polish starts from; without one the polish
-    starts from nearest neighbour.  An exact request drops its start:
-    Held-Karp needs none, so exact tours and their cache entries do not
-    depend on one.
+    ``matrix`` is the vehicle's whole ``Instance.distance_matrix``, with its
+    depot in row/col DEPOT, which every mode indexes by instance id: the
+    polish gathers its tour's block from it at each step, and nearest
+    neighbour and Held-Karp gather the targets' block in id order.
+    ``start`` is None or, for a heuristic request, the same targets in the
+    tour order the polish starts from; without one the polish starts from
+    nearest neighbour.  An exact request drops its start: Held-Karp needs
+    none, so exact tours and their cache entries do not depend on one.
     """
 
     vehicle_id: int
     depot: Point
     targets: tuple
-    dist: np.ndarray
+    matrix: np.ndarray
     speed: float
     mode: str = HEURISTIC
     start: tuple | None = None
@@ -87,18 +92,19 @@ def request_for(inst: Instance, vid: int, targets, mode: str = HEURISTIC,
             raise InvalidConfigError(
                 f"start {start!r} is not an order of the targets {ids!r}")
     v = inst.vehicle(vid)
-    return TourRequest(vid, v.depot, ids, inst.distance_block(vid, ids), v.speed, mode,
-                       start)
+    return TourRequest(vid, v.depot, ids, inst.distance_matrix(vid), v.speed, mode, start)
 
 
 class TspCache:
-    """Memo for solved requests, keyed by everything a tour depends on: depot
-    position, target set, mode and start.
+    """Memo for exact tours, keyed by what they depend on: the depot position
+    and the target set.
 
-    A hit equals a recompute.  Exact requests carry no start, so one exact
-    target set is one entry; each start of a heuristic set is its own entry.
-    Valid only while the target coordinate table is fixed (one instance family;
-    depot moves are fine since the depot is part of the key).
+    ``solve_tsp`` looks up and stores exact requests only.  A heuristic tour
+    depends on its start as well, and stages 2 and 3 rarely ask for one
+    start twice, so such a lookup would almost never hit.  A hit equals a
+    recompute.  Valid only while the target coordinate table is fixed (one
+    instance family; depot moves are fine since the depot is part of the
+    key).
     """
 
     def __init__(self):
@@ -106,23 +112,22 @@ class TspCache:
 
     @staticmethod
     def _key(req: TourRequest):
-        return (req.depot.x, req.depot.y, req.targets, req.mode, req.start)
+        return (req.depot.x, req.depot.y, req.targets)
 
     def get(self, req: TourRequest):
         return self._data.get(self._key(req))
 
-    def put(self, req: TourRequest, order: tuple, dist: float) -> None:
-        self._data[self._key(req)] = (order, dist)
+    def put(self, req: TourRequest, sequence: tuple, length: float) -> None:
+        self._data[self._key(req)] = (sequence, length)
 
     def __len__(self):
         return len(self._data)
 
 
-def _cycle_length(order, dist) -> float:
-    total = dist[DEPOT, order[0]]
-    for a, b in zip(order, order[1:]):
-        total += dist[a, b]
-    return float(total + dist[order[-1], DEPOT])
+def _target_block(req: TourRequest) -> np.ndarray:
+    # Instance.distance_block of the request: its targets in id order, then the depot.
+    ix = [*req.targets, DEPOT]
+    return req.matrix.take(ix, 0).take(ix, 1)
 
 
 def _nearest_neighbor(dist: np.ndarray) -> list:
@@ -145,7 +150,7 @@ def _nearest_neighbor(dist: np.ndarray) -> list:
 
 
 def _gain_tolerance(dist: np.ndarray) -> float:
-    """Least gain a 2-opt or Or-opt move must show on this distance matrix.
+    """Least gain a 2-opt or Or-opt move must show on a tour with these distances.
 
     Pricing a move rounds at most five sums no larger than 3 D, where D is
     the largest distance, so the computed delta is within 11 D 2**-53 (below
@@ -157,7 +162,7 @@ def _gain_tolerance(dist: np.ndarray) -> float:
     return max(_EPS, float(dist.max()) * 2.0 ** -48)
 
 
-# The index tables of a tour of m targets take about 160 m^2 bytes; the cache
+# The index tables of a tour of m targets take about 130 m^2 bytes; the cache
 # keeps the TABLE_CACHE_LENGTHS most recently used lengths, so memory stays
 # bounded however many tour lengths a process polishes.
 TABLE_CACHE_LENGTHS = 64
@@ -175,15 +180,17 @@ def _move_tables(m: int) -> tuple:
     """The 2-opt and Or-opt index tables for a tour of m targets.
 
     2-opt, per move (i, j) in scan order: the flat indices of the edges
-    (a, c), (b, d), (a, b), (c, d) in the (m+2)^2 ext_dist block.
+    (a, c), (b, d), (a, b), (c, d) in the (m+2)^2 tour block.
 
     Or-opt, moves in scan order L -> s -> q -> (forward, reversed), for the
     segment lengths L < m up to 3.  Per (L, s): the flat indices of the
     removal edges (prev, first), (last, next), (prev, next), and the count
-    2 (m - L) of its moves, which are contiguous.  Per move: the indices of
-    the insertion edges (e, head), (tail, e+1), (e, e+1).  Removing ext
+    of its moves, which are contiguous.  Per move: the indices of the
+    insertion edges (e, head), (tail, e+1), (e, e+1).  Removing ext
     positions s+1..s+L leaves gap q between rest[q-1] and rest[q], the tour
-    edge (e, e+1) with e = q below s and q + L above.
+    edge (e, e+1) with e = q below s and q + L above.  A segment of one
+    target has only its forward move: the reversed one has the same three
+    edges and comes right after it, so it is never the first hit.
     """
     w = m + 2
     i, j = np.triu_indices(m, k=1)
@@ -195,62 +202,82 @@ def _move_tables(m: int) -> tuple:
         removal = (r * w + r + 1, (r + L) * w + r + L + 1, r * w + r + L + 1)
         s, q = np.divmod(np.arange(n * n), n)
         keep = s != q  # same slot: the scan skips both orientations
-        s, q = np.repeat(s[keep], 2), np.repeat(q[keep], 2)
-        rev = np.tile([False, True], s.size // 2)
+        sides = [False] if L == 1 else [False, True]
+        s, q = np.repeat(s[keep], len(sides)), np.repeat(q[keep], len(sides))
+        rev = np.tile(sides, s.size // len(sides))
         e = np.where(q < s, q, q + L)
         head = np.where(rev, s + L, s + 1)
         tail = np.where(rev, s + 1, s + L)
-        parts.append((*removal, np.full(n, 2 * (n - 1)),
+        parts.append((*removal, np.full(n, len(sides) * (n - 1)),
                       e * w + head, tail * w + e + 1, e * w + e + 1))
     return _index_table(two_opt), _index_table([np.concatenate(c) for c in zip(*parts)])
 
 
-def _improve(order: list, dist: np.ndarray) -> list:
-    """2-opt and Or-opt, first improvement, until neither move improves the cycle.
+def _gather(ext: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    # The tour's distance block, raveled: tour position p is row p.
+    return dist.take(ext, 0).take(ext, 1).ravel()
 
-    Each step gathers ``ext_dist``, the distance block of ``ext = [depot,
-    *order, depot]`` (tour position p is row p), prices every 2-opt move
-    from it as one array and applies the scan's first improving one; only if
-    there is none does it price the Or-opt moves on the same block.  That is
-    the move sequence of 2-opt to a fixpoint, then one Or-opt move, repeated,
-    with the scans' float expressions: 2-opt reverses order[i..j] when
-    dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d] < -tol, and Or-opt
-    moves a segment when its insertion price minus its removal price is below
-    -tol.  A hit is decoded from the flat index u w + v (w = m + 2) of an
-    edge it was priced with, which names the ext positions u and v of the
-    edge's ends, so the tables alone know the scan order.
+
+def _step(ext: np.ndarray, block: np.ndarray, tables: tuple, tol: float) -> bool:
+    """Apply the scan's first improving move to ``ext`` in place; False if none.
+
+    2-opt reverses ext positions a+1..c when dist[a, c] + dist[b, d] -
+    dist[a, b] - dist[c, d] < -tol; only if no 2-opt move improves is an
+    Or-opt move taken, when its insertion price minus its removal price is
+    below -tol.  A hit is decoded from the flat index u w + v of an edge it
+    was priced with, which names the ext positions u and v of the edge's
+    ends, so the tables alone know the scan order.
+    """
+    w = ext.size
+    (ac, bd, ab, cd), (ps, sn, pn, runs, eh, te, ee) = tables
+    hits = block[ac] + block[bd] - block[ab] - block[cd] < -tol
+    k = hits.argmax()
+    if hits[k]:
+        a, c = divmod(int(ac[k]), w)  # ext positions of targets a and c
+        ext[a + 1:c + 1] = ext[a + 1:c + 1][::-1].copy()
+        return True
+    removal = (block[ps] + block[sn] - block[pn]).repeat(runs)
+    hits = block[eh] + block[te] - block[ee] - removal < -tol
+    k = hits.argmax()
+    if not hits[k]:
+        return False
+    e, head = divmod(int(eh[k]), w)
+    tail = int(te[k]) // w
+    step = 1 if head <= tail else -1
+    seg = ext[head:tail + step:step]  # ext positions lo..hi, as inserted
+    lo, hi = min(head, tail), max(head, tail)
+    if e < lo:  # the segment goes in right after ext[e]
+        ext[e + 1:hi + 1] = np.concatenate((seg, ext[e + 1:lo]))
+    else:
+        ext[lo:e + 1] = np.concatenate((ext[hi + 1:e + 1], seg))
+    return True
+
+
+def _improve(ext: np.ndarray, dist: np.ndarray) -> float:
+    """2-opt and Or-opt, first improvement, until neither move improves the
+    cycle ``ext``.  Polishes ``ext`` in place and returns its length.
+
+    ``ext`` is the closed tour [DEPOT, *targets, DEPOT] as ids of ``dist``, a
+    vehicle's distance matrix with its depot in row/col DEPOT (any block
+    with the depot last is one too).  Each step gathers the tour's block and
+    takes one move (``_step``): the move sequence of 2-opt to a fixpoint,
+    then one Or-opt move, repeated, with the scans' float expressions.  The
+    gain tolerance comes from the first block, which holds the same vertex
+    pairs as the targets' block and so the same maximum.  The length is the
+    left-to-right sum of the last block's superdiagonal, the tour's edges in
+    order: the float fold of a plain loop along the tour.
 
     Every move on a tour of one or two targets yields the same cycle or its
-    reverse, which gains nothing, so those return as given.
+    reverse, which gains nothing, so those are left as given.
     """
-    if len(order) < 3:
-        return order
-    tol = _gain_tolerance(dist)
-    w = len(order) + 2
-    (ac, bd, ab, cd), (ps, sn, pn, runs, eh, te, ee) = _move_tables(w - 2)
-    ext = np.array([DEPOT, *order, DEPOT])
-    while True:
-        block = dist.take(ext, 0).take(ext, 1).ravel()
-        hits = block[ac] + block[bd] - block[ab] - block[cd] < -tol
-        k = hits.argmax()
-        if hits[k]:
-            a, c = divmod(int(ac[k]), w)  # ext positions of targets a and c
-            ext[a + 1:c + 1] = ext[a + 1:c + 1][::-1].copy()
-            continue
-        removal = np.repeat(block[ps] + block[sn] - block[pn], runs)
-        hits = block[eh] + block[te] - block[ee] - removal < -tol
-        k = hits.argmax()
-        if not hits[k]:
-            return ext[1:-1].tolist()
-        e, head = divmod(int(eh[k]), w)
-        tail = int(te[k]) // w
-        step = 1 if head <= tail else -1
-        seg = ext[head:tail + step:step]  # ext positions lo..hi, as inserted
-        lo, hi = min(head, tail), max(head, tail)
-        if e < lo:  # the segment goes in right after ext[e]
-            ext[e + 1:hi + 1] = np.concatenate((seg, ext[e + 1:lo]))
-        else:
-            ext[lo:e + 1] = np.concatenate((ext[hi + 1:e + 1], seg))
+    w = ext.size
+    block = _gather(ext, dist)
+    if w > 4:
+        tables = _move_tables(w - 2)
+        tol = _gain_tolerance(block)
+        while _step(ext, block, tables, tol):
+            block = _gather(ext, dist)
+    return float(np.add.accumulate(block[1::w + 1])[-1])
 
 
 # Held-Karp fills its table one layer of same-size target subsets at a time.
@@ -349,35 +376,34 @@ def best_cycle_lengths(dist: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finish(req: TourRequest, order, length: float) -> Tour:
-    seq = (DEPOT,) + tuple(req.targets[p] for p in order) + (DEPOT,)
-    return Tour(req.vehicle_id, seq, float(length) / req.speed)
-
-
 def solve_tsp(req: TourRequest, cache: TspCache | None = None) -> Tour:
-    """Route one vehicle through its targets per the request's mode."""
+    """Route one vehicle through its targets per the request's mode.
+
+    ``cache`` serves exact requests only: an exact request is looked up
+    before any block is gathered, and stored once solved.  A heuristic
+    request neither reads nor fills it.
+    """
     if req.mode not in (HEURISTIC, EXACT):
         raise InvalidConfigError(f"unknown tour mode {req.mode!r}")
     if not req.targets:
         return Tour(req.vehicle_id, (DEPOT, DEPOT), 0.0)
-    if cache is not None:
-        hit = cache.get(req)
-        if hit is not None:
-            order, length = hit
-            return _finish(req, order, length)
     if req.mode == EXACT:
-        if len(req.targets) > EXACT_CAP:
-            raise CapacityError(
-                f"exact tour solve over {len(req.targets)} targets exceeds cap {EXACT_CAP}")
-        order, length = held_karp_order(req.dist)
+        hit = None if cache is None else cache.get(req)
+        if hit is None:
+            if len(req.targets) > EXACT_CAP:
+                raise CapacityError(
+                    f"exact tour solve over {len(req.targets)} targets exceeds cap {EXACT_CAP}")
+            order, length = held_karp_order(_target_block(req))
+            hit = ((DEPOT, *(req.targets[p] for p in order), DEPOT), length)
+            if cache is not None:
+                cache.put(req, *hit)
+        sequence, length = hit
     else:
         if req.start is None:
-            order = _nearest_neighbor(req.dist)
+            start = [req.targets[p] for p in _nearest_neighbor(_target_block(req))]
         else:
-            row = {t: p for p, t in enumerate(req.targets)}
-            order = [row[t] for t in req.start]
-        order = _improve(order, req.dist)
-        length = _cycle_length(order, req.dist)
-    if cache is not None:
-        cache.put(req, tuple(order), length)
-    return _finish(req, order, length)
+            start = req.start
+        ext = np.array([DEPOT, *start, DEPOT])
+        length = _improve(ext, req.matrix)
+        sequence = tuple(ext.tolist())
+    return Tour(req.vehicle_id, sequence, float(length) / req.speed)

@@ -363,9 +363,9 @@ class TestReceiverFirstSearch:
 
 
 class TestWarmStartedTours:
-    """Stages 2 and 3 polish the incumbent orders: the cache keys a tour by its
-    start, so it never changes a plan, and only stage 1 builds a tour by
-    nearest neighbour."""
+    """Stages 2 and 3 polish the incumbent orders: a heuristic tour is never
+    cached, so the cache never changes a plan, and only stage 1 builds a tour
+    by nearest neighbour."""
 
     @pytest.mark.parametrize("name", sorted(n for n, (_, cfg) in _SEARCH_CASES.items()
                                             if cfg.tour_mode != EXACT))
@@ -374,12 +374,17 @@ class TestWarmStartedTours:
         for index in range(2):
             inst = generate_instance(exp, index)
             for start in _starts(inst, cfg, index):
-                assert local_search(inst, start, cfg, TspCache()) == local_search(
+                cache = TspCache()
+                assert local_search(inst, start, cfg, cache) == local_search(
                     inst, start, cfg, None)
-            cached = solve(inst, cfg, rng=index)[0]
+                assert len(cache) == 0
+            caches = []
             with monkeypatch.context() as m:
+                m.setattr(heuristic, "TspCache", lambda: caches.append(TspCache()) or caches[-1])
+                cached = solve(inst, cfg, rng=index)[0]
                 m.setattr(heuristic, "TspCache", lambda: None)
                 assert solve(inst, cfg, rng=index)[0] == cached
+            assert len(caches) == 1 and len(caches[0]) == 0
 
     def test_only_stage_1_builds_by_nearest_neighbour(self, monkeypatch):
         stage = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution,
-                       Tour, Vehicle, perturb_colocated_depots, request_for,
+                       Tour, Vehicle, perturb_colocated_depots,
                        solve, tour_duration, validate_solution)
 from minmaxtsp.allocation import _cost_matrix
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
@@ -105,7 +105,7 @@ class TestDistanceKernel:
             assert np.array_equal(tm, _old_block(inst.target_xy(), veh.depot) / veh.speed)
             for ids in subsets:
                 ids = sorted(int(t) for t in ids)
-                got = request_for(inst, veh.id, ids).dist
+                got = inst.distance_block(veh.id, ids)
                 want = _old_block(inst.target_xy()[ids] if ids else np.empty((0, 2)),
                                   veh.depot)
                 assert np.array_equal(got, want), (veh.id, ids)
@@ -134,6 +134,34 @@ class TestTourDuration:
             tour_duration(inst, Tour(1, (DEPOT, 0), 1.0))
         with pytest.raises(ValueError):
             tour_duration(inst, Tour(1, (0, 1), 1.0))
+
+    @pytest.mark.parametrize("tour", [None, "tour", (DEPOT, 0, DEPOT)],
+                             ids=["none", "str", "tuple"])
+    def test_anything_but_a_tour_raises_invalid_instance(self, tour):
+        with pytest.raises(InvalidInstanceError, match="must be a Tour"):
+            tour_duration(_two_targets(), tour)
+
+    @pytest.mark.parametrize("seq", [
+        (), (DEPOT,), (DEPOT, 0), (0, 1), (-1.0, 0, DEPOT), (DEPOT, 0, -1.0),
+        (True, 0, DEPOT), ("-1", 0, DEPOT),
+    ], ids=["empty", "depot", "open", "no-depot", "float-start", "float-end", "bool-start",
+            "str-start"])
+    def test_a_bad_depot_frame_raises_invalid_instance(self, seq):
+        with pytest.raises(InvalidInstanceError, match="start and end at the vehicle's depot"):
+            tour_duration(_two_targets(), Tour(1, seq, 0.0))
+
+    @pytest.mark.parametrize("vertex", [-2, DEPOT, 2, 7, True, False, 1.0, 0.5, "1", None],
+                             ids=["-2", "depot", "n", "7", "True", "False", "1.0", "0.5",
+                                  "str", "none"])
+    def test_a_vertex_outside_the_targets_raises_invalid_instance(self, vertex):
+        # -2 once wrapped to target 1 (20.0), True gave an ndarray, and 7,
+        # 0.5 and "1" raised IndexError.
+        with pytest.raises(InvalidInstanceError, match="not a target index in 0..1"):
+            tour_duration(_two_targets(), Tour(1, (DEPOT, 0, vertex, DEPOT), 0.0))
+
+    def test_numpy_integer_vertices_pass(self):
+        seq = (np.int64(DEPOT), np.int64(1), np.intp(0), np.int32(DEPOT))
+        assert tour_duration(_two_targets(), Tour(1, seq, 0.0)) == 20.0
 
 
 class TestInstanceValidation:
@@ -328,6 +356,11 @@ class TestInstanceValidation:
             twin.required[1] = frozenset({1})
 
 
+def _two_targets():
+    """One unit-speed vehicle at the origin; targets 0 and 1 at 5 and 10 away."""
+    return Instance((Point(3, 4), Point(6, 8)), (v(1.0),))
+
+
 def balanced_line_solution(inst):
     t1 = Tour(1, (DEPOT, 0, 1, DEPOT), tour_duration(inst, Tour(1, (DEPOT, 0, 1, DEPOT), 0)))
     t2 = Tour(2, (DEPOT, 3, 2, DEPOT), tour_duration(inst, Tour(2, (DEPOT, 3, 2, DEPOT), 0)))
@@ -375,6 +408,27 @@ class TestValidateSolution:
         junk = Solution((Tour(1, (DEPOT, 77, DEPOT), 1.0), Tour(2, (0,), 0.0)))
         problems = validate_solution(inst, junk)
         assert problems  # reported, not raised
+
+    @pytest.mark.parametrize("vertex", [True, 1.0, "1"], ids=["True", "1.0", "str"])
+    def test_a_vertex_that_is_no_integer_is_an_unknown_target(self, vertex):
+        # Each once raised a bare TypeError or IndexError.
+        inst = _two_targets()
+        for seq in ((DEPOT, 0, vertex, DEPOT), (DEPOT, vertex, DEPOT)):
+            problems = validate_solution(inst, Solution((Tour(1, seq, 20.0),)))
+            assert f"tour 1 references unknown target {vertex!r}" in problems
+            assert "target 1 is not visited" in problems
+
+    def test_numpy_integer_vertices_pass(self):
+        inst = _two_targets()
+        seq = (np.int64(DEPOT), np.int64(0), np.intp(1), np.int32(DEPOT))
+        assert validate_solution(inst, Solution((Tour(1, seq, 20.0),))) == []
+
+    @pytest.mark.parametrize("duration", [None, "20.0", True], ids=["none", "str", "True"])
+    def test_a_duration_that_is_no_number_is_reported(self, duration):
+        # None and "20.0" once raised a bare TypeError.
+        sol = Solution((Tour(1, (DEPOT, 0, 1, DEPOT), duration),))
+        problems = validate_solution(_two_targets(), sol)
+        assert problems == [f"tour 1 duration {duration!r} != recomputed 20.0"]
 
     def test_wrong_fleet_shape_reported(self):
         inst = line_instance()

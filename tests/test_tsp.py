@@ -16,9 +16,8 @@ from minmaxtsp import (DEPOT, EXACT, HEURISTIC, CapacityError, Instance,
                        InvalidConfigError, Point, Tour, TspCache, Vehicle,
                        distances, request_for, solve_tsp, tour_duration)
 from minmaxtsp.model import COORD_LIMIT
-from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, _cycle_length,
-                           _gain_tolerance, _improve, _move_tables,
-                           _nearest_neighbor, _subset_dp, _subset_dp_table,
+from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, _gain_tolerance, _improve,
+                           _move_tables, _nearest_neighbor, _subset_dp, _subset_dp_table,
                            best_cycle_lengths, held_karp_order)
 
 from conftest import brute_cycle_length, euclid
@@ -279,6 +278,15 @@ class TestHeuristicQuality:
             assert a.duration == 2.0 * b.duration
 
 
+def _cycle_length(order, dist) -> float:
+    """Length of the cycle depot -> order -> depot, summed edge by edge along
+    the tour: the reference for the length ``_improve`` returns."""
+    total = dist[DEPOT, order[0]]
+    for a, b in zip(order, order[1:]):
+        total += dist[a, b]
+    return float(total + dist[order[-1], DEPOT])
+
+
 def _two_opt(order: list, dist: np.ndarray, tol: float) -> list:
     """First-improvement 2-opt to a fixpoint, scanning i ascending then j:
     the reference for the 2-opt moves of ``_improve``."""
@@ -380,11 +388,11 @@ class TestCache:
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(0, 0)),))
         cache = TspCache()
-        first = solve_tsp(request_for(inst, 1, range(8)), cache)
+        first = solve_tsp(request_for(inst, 1, range(8), EXACT), cache)
         assert len(cache) == 1
-        second = solve_tsp(request_for(inst, 1, range(8)), cache)
+        second = solve_tsp(request_for(inst, 1, range(8), EXACT), cache)
         assert len(cache) == 1
-        assert second == first
+        assert second == first == solve_tsp(request_for(inst, 1, range(8), EXACT))
 
     def test_cache_is_shared_across_speeds(self):
         xy = ((1, 0), (2, 3), (5, 1))
@@ -392,8 +400,8 @@ class TestCache:
         slow = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)),))
         fast = Instance(targets, (Vehicle(1, 4.0, Point(0, 0)),))
         cache = TspCache()
-        a = solve_tsp(request_for(slow, 1, range(3)), cache)
-        b = solve_tsp(request_for(fast, 1, range(3)), cache)
+        a = solve_tsp(request_for(slow, 1, range(3), EXACT), cache)
+        b = solve_tsp(request_for(fast, 1, range(3), EXACT), cache)
         assert len(cache) == 1
         assert a.sequence == b.sequence
         assert a.duration == 4.0 * b.duration
@@ -404,8 +412,8 @@ class TestCache:
         here = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)),))
         there = Instance(targets, (Vehicle(1, 1.0, Point(9, 9)),))
         cache = TspCache()
-        solve_tsp(request_for(here, 1, range(3)), cache)
-        solve_tsp(request_for(there, 1, range(3)), cache)
+        solve_tsp(request_for(here, 1, range(3), EXACT), cache)
+        solve_tsp(request_for(there, 1, range(3), EXACT), cache)
         assert len(cache) == 2
 
     def test_exact_starts_share_one_entry(self):
@@ -419,7 +427,7 @@ class TestCache:
         assert len(cache) == 1
         assert len(tours) == 1
 
-    def test_each_heuristic_start_is_its_own_entry(self):
+    def test_a_heuristic_request_leaves_the_cache_empty(self):
         rng = np.random.default_rng(15)
         xy = rng.uniform(0, 100, size=(9, 2))
         inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, Point(0, 0)),))
@@ -428,7 +436,7 @@ class TestCache:
         for start in starts + starts:
             req = request_for(inst, 1, range(9), start=start)
             assert solve_tsp(req, cache) == solve_tsp(req)
-        assert len(cache) == len(starts)
+        assert len(cache) == 0
 
 
 # Small integer grids make duplicate points and equal-length moves common, so
@@ -501,14 +509,32 @@ def _polish(two_opt, or_opt_once, order, dist):
             return order
 
 
+def _kernel(order, dist):
+    """``_improve`` on the tour [DEPOT, *order, DEPOT]: (its order, its length).
+
+    A block with the depot last is a valid vehicle matrix, its targets' ids
+    being their positions 0..m-1."""
+    ext = np.array([DEPOT, *order, DEPOT])
+    length = _improve(ext, dist)
+    assert ext[0] == ext[-1] == DEPOT
+    return ext[1:-1].tolist(), length
+
+
+def _scans(order, dist):
+    """The reference polish: (order, length) from the scans and ``_cycle_length``."""
+    order = _polish(_two_opt, _or_opt_once, list(order), dist)
+    return order, _cycle_length(order, dist)
+
+
 class TestVectorizedPolish:
     """The numpy polish loop must make exactly the moves the scans make."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_tours())
     def test_fixpoint_matches_the_scans(self, tour):
+        # The lengths compare with ==: the same float fold, bit for bit.
         order, dist = tour
-        assert _improve(list(order), dist) == _polish(_two_opt, _or_opt_once, list(order), dist)
+        assert _kernel(order, dist) == _scans(order, dist)
 
     @pytest.mark.parametrize("kind", ["grid", "uniform"])
     def test_tours_above_forty_targets_match_the_scans(self, kind):
@@ -521,8 +547,23 @@ class TestVectorizedPolish:
                 xy = rng.uniform(0.0, 100.0, size=(m + 1, 2))
             dist = distances(xy, xy)
             for order in (rng.permutation(m).tolist(), _nearest_neighbor(dist)):
-                assert (_improve(list(order), dist)
-                        == _polish(_two_opt, _or_opt_once, list(order), dist))
+                assert _kernel(order, dist) == _scans(order, dist)
+
+    def test_a_tour_through_part_of_the_matrix_matches_the_scans_on_its_block(self):
+        # The gain tolerance is the tour's own: a target off the tour at 1e15
+        # would raise it to about 3.5, which rejects most moves among points
+        # within 100 of each other.
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            xy = np.vstack([rng.uniform(0.0, 100.0, size=(24, 2)), [1e15, 0.0],
+                            rng.uniform(0.0, 100.0, size=(1, 2))])
+            matrix = distances(xy, xy)
+            ids = sorted(rng.choice(24, size=int(rng.integers(3, 24)), replace=False).tolist())
+            start = rng.permutation(ids).tolist()
+            ix = [*ids, DEPOT]
+            block = matrix.take(ix, 0).take(ix, 1)
+            order, length = _scans([ids.index(t) for t in start], block)
+            assert _kernel(start, matrix) == ([ids[p] for p in order], length)
 
     @pytest.mark.parametrize("scale", [1.0, 100.0, 1e6, 1e150])
     def test_tours_of_one_or_two_targets_need_no_polish(self, scale):
@@ -533,14 +574,14 @@ class TestVectorizedPolish:
             dist = distances(xy, xy)
             for order in ([[0]] if m == 1 else [[0, 1], [1, 0]]):
                 assert _polish(_two_opt, _or_opt_once, list(order), dist) == order
-                assert _improve(list(order), dist) == order
+                assert _kernel(order, dist) == (order, _cycle_length(order, dist))
 
     def test_index_table_caches_stay_bounded(self):
         rng = np.random.default_rng(3)
         for m in range(3, TABLE_CACHE_LENGTHS + 20):
             xy = rng.uniform(0.0, 100.0, size=(m + 1, 2))
             dist = distances(xy, xy)
-            _improve(_nearest_neighbor(dist), dist)
+            _kernel(_nearest_neighbor(dist), dist)
         assert _move_tables.cache_info().currsize == TABLE_CACHE_LENGTHS
 
 
