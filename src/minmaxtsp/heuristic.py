@@ -22,7 +22,11 @@ straight rejections (5 by default).  Displacement angles march around the
 circle in 144-degree steps from a random start; five steps revisit the
 starting angle, so ``no_improve_stop`` is at most five.  Stages 2 and 3
 price with the instance's matrices, indexed by tour sequences as they stand
-(``DEPOT`` is the last row and column).
+(``DEPOT`` is the last row and column).  Stage 2 reads every receiver's
+tour once per pass (``_TourRead``); a quote then gathers one matrix row per
+receiver, which the exact symmetry of the matrices makes serve as both
+tm[a, t] and tm[t, b], and prices the edges in Python with the float
+expression and tie rules a numpy array of the same prices would give.
 """
 
 import math
@@ -112,34 +116,79 @@ def compute_savings(sol: Solution, inst: Instance, vid: int) -> list:
     tm = inst.time_matrix(vid)
     pinned = inst.required_for(vid)
     seq = sol.tour_for(vid).sequence
-    entries = [SavingsEntry(t, float(tm[a, t] + tm[t, b] - tm[a, b]))
-               for a, t, b in zip(seq, seq[1:], seq[2:]) if t not in pinned]
+    ix = np.array(seq)
+    hops = tm[ix[:-1], ix[1:]]
+    values = (hops[:-1] + hops[1:] - tm[ix[:-2], ix[2:]]).tolist()
+    entries = [SavingsEntry(t, value) for t, value in zip(seq[1:-1], values)
+               if t not in pinned]
     entries.sort(key=lambda e: (-e.value, e.target))
     return entries
 
 
-def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int) -> InsertionQuote:
+class _TourRead:
+    """One tour as stage 2 prices insertions into it, read from the vehicle's
+    time matrix tm once and reused by every quote of a pass.
+
+    ``seq`` is the closed tour as a vertex array and ``hops`` its edge times
+    tm[seq[p], seq[p + 1]] as Python floats.  ``row(t)`` lists tm[t, v] for
+    every vertex v of ``seq``, once per target; the matrix is exactly
+    symmetric (``model.distances``), so the same row gives tm[v, t].
+    ``pairs()`` lists tm[a, b] over every pair of the tour's vertices but
+    the closing depot, once, on first use.
+    """
+
+    __slots__ = ("tour", "tm", "seq", "hops", "_rows", "_pairs")
+
+    def __init__(self, inst: Instance, tour: Tour):
+        self.tour = tour
+        self.tm = inst.time_matrix(tour.vehicle_id)
+        self.seq = np.array(tour.sequence)
+        self.hops = self.tm[self.seq[:-1], self.seq[1:]].tolist()
+        self._rows = {}
+        self._pairs = None
+
+    def row(self, target: int) -> list:
+        row = self._rows.get(target)
+        if row is None:
+            row = self._rows[target] = self.tm[target][self.seq].tolist()
+        return row
+
+    def pairs(self) -> list:
+        if self._pairs is None:
+            ends = self.seq[:-1]
+            self._pairs = self.tm.take(ends, 0).take(ends, 1).tolist()
+        return self._pairs
+
+
+def _read_tours(sol: Solution, inst: Instance, exclude: int) -> list:
+    """A ``_TourRead`` of every tour but the excluded vehicle's, in id order."""
+    return [_TourRead(inst, sol.tour_for(v.id)) for v in inst.vehicles if v.id != exclude]
+
+
+def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int,
+                   reads: list | None = None) -> InsertionQuote:
     """Cheapest splice of ``target`` into any tour but the excluded vehicle's.
 
-    Every consecutive vertex pair of every other tour is priced, one numpy
-    array per tour; ties break toward the lower vehicle id, then the lower
-    edge position.
+    ``target`` must be a target index of ``inst`` (else InvalidInstanceError).
+    Every consecutive vertex pair (a, b) of every other tour is priced as
+    tm[a, t] + tm[t, b] - tm[a, b], from one row of the matrix per tour; ties
+    break toward the lower vehicle id, then the lower edge position.
+    ``reads`` is ``_read_tours(sol, inst, exclude)``, which a caller pricing
+    many targets against one plan reads once and passes to every call.
     """
     if inst.k < 2:
         raise NoInsertionCandidateError("no other vehicle to receive the target")
+    inst.check_target(target)
+    if reads is None:
+        reads = _read_tours(sol, inst, exclude)
     best = None
-    for v in inst.vehicles:
-        if v.id == exclude:
-            continue
-        tm = inst.time_matrix(v.id)
-        ix = np.array(sol.tour_for(v.id).sequence)
-        a, b = ix[:-1], ix[1:]
-        deltas = tm[a, target] + tm[target, b] - tm[a, b]
-        pos = int(deltas.argmin())
-        delta = float(deltas[pos])
-        if best is None or delta < best.delta:
-            best = InsertionQuote(v.id, pos, delta)
-    return best
+    for read in reads:
+        row = read.row(target)
+        deltas = [a + b - ab for a, b, ab in zip(row, row[1:], read.hops)]
+        delta = min(deltas)
+        if best is None or delta < best[2]:
+            best = (read.tour.vehicle_id, deltas.index(delta), delta)
+    return InsertionQuote(*best)
 
 
 # A receiver whose insertion bound reaches the makespan times _BOUND_SLACK is
@@ -155,7 +204,8 @@ def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int) -> 
 _BOUND_SLACK = 1.0 + 2.0 ** -40
 
 
-def _insertion_lower_bound(target: int, tour: Tour, inst: Instance) -> float:
+def _insertion_lower_bound(target: int, tour: Tour, inst: Instance,
+                           read: _TourRead | None = None) -> float:
     """Least duration of an optimal tour of ``tour``'s targets plus ``target``,
     given that ``tour`` is optimal for its own targets.
 
@@ -164,12 +214,15 @@ def _insertion_lower_bound(target: int, tour: Tour, inst: Instance) -> float:
     costs at least ``tour.duration`` plus tm[a, t] + tm[t, b] - tm[a, b]
     minimised over a, b in the depot and the old targets.  Allowing a = b
     only lowers the minimum, needs no triangle inequality and covers the
-    empty tour, where it gives the exact round trip.
+    empty tour, where it gives the exact round trip.  ``read`` is
+    ``_TourRead(inst, tour)``, which ``local_search`` shares with the quotes
+    of its pass.
     """
-    tm = inst.time_matrix(tour.vehicle_id)
-    ends = np.array(tour.sequence[:-1])
-    detours = tm[ends, target][:, None] + tm[target, ends] - tm.take(ends, 0).take(ends, 1)
-    return tour.duration + float(detours.min())
+    if read is None:
+        read = _TourRead(inst, tour)
+    to_target = read.row(target)[:-1]
+    return tour.duration + min([a + b - ab for a, row in zip(to_target, read.pairs())
+                                for b, ab in zip(to_target, row)])
 
 
 def _rebuild(inst: Instance, vid: int, order: tuple, cfg: SolverConfig, cache):
@@ -210,12 +263,15 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
         donor_order = current.tour_for(donor).targets()
         objective = current.objective
         hopeless = objective * _BOUND_SLACK
+        reads = _read_tours(current, inst, donor)
+        read_of = {read.tour.vehicle_id: read for read in reads}
         accepted = False
         for entry in entries:
-            quote = best_insertion(entry.target, current, inst, exclude=donor)
-            receiver = current.tour_for(quote.vehicle_id)
+            quote = best_insertion(entry.target, current, inst, donor, reads)
+            read = read_of[quote.vehicle_id]
+            receiver = read.tour
             if exact and (len(receiver.targets()) >= EXACT_CAP or _insertion_lower_bound(
-                    entry.target, receiver, inst) >= hopeless):
+                    entry.target, receiver, inst, read) >= hopeless):
                 continue
             p = quote.edge_position
             order = receiver.targets()

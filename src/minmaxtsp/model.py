@@ -85,7 +85,11 @@ def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The package's one distance kernel: travel times, tour distance blocks,
     displacement radii and allocation costs are all computed by it, so equal
-    inputs give equal bits in every stage.
+    inputs give equal bits in every stage.  ``distances(p, p)`` is exactly
+    symmetric: IEEE subtraction is antisymmetric (y - x == -(x - y)) and
+    hypot(-x, -y) == hypot(x, y), so entry (j, i) has the bits of entry
+    (i, j), and so has every travel-time matrix divided from it.  Stage 2
+    relies on this: it reads tm[a, t] for tm[t, a].
     """
     diff = a[:, None, :] - b[None, :, :]
     return np.hypot(diff[..., 0], diff[..., 1])
@@ -241,6 +245,21 @@ class Instance:
         if not (is_integer(vid) and 1 <= vid <= self.k):
             raise InvalidInstanceError(f"vehicle id {vid!r} is not an integer in 1..{self.k}")
 
+    def check_target(self, t, role: str = "target") -> None:
+        """Raise InvalidInstanceError unless ``t`` is a target index: an integer
+        (numpy integers pass; bools, floats and strings do not) in 0..n-1."""
+        if not (is_integer(t) and 0 <= t < self.n_targets):
+            raise InvalidInstanceError(
+                f"{role} {t!r} is not a target index in 0..{self.n_targets - 1}")
+
+    def check_targets(self, ids, role: str = "target") -> None:
+        """``check_target`` for each of ``ids``; plain ints in range pass
+        without the call."""
+        n = self.n_targets
+        for t in ids:
+            if not (type(t) is int and 0 <= t < n):
+                self.check_target(t, role)
+
     def vehicle(self, vid: int) -> Vehicle:
         self._check_vid(vid)
         return self.vehicles[vid - 1]
@@ -384,7 +403,8 @@ def _depot_framed(seq) -> bool:
 
 
 def tour_duration(inst: Instance, tour: Tour) -> float:
-    """Recompute a tour's duration by summing edge travel times along it.
+    """Recompute a tour's duration by summing edge travel times along it, as a
+    Python float: the edges are gathered in one step and added left to right.
 
     ``tour`` must be a Tour of a fleet vehicle whose sequence starts and ends
     at DEPOT and in between holds only targets, each an integer (numpy
@@ -397,14 +417,11 @@ def tour_duration(inst: Instance, tour: Tour) -> float:
     seq = tour.sequence
     if not _depot_framed(seq):
         raise InvalidInstanceError("tour sequence must start and end at the vehicle's depot")
-    n = inst.n_targets
-    for v in seq[1:-1]:
-        if not (is_integer(v) and 0 <= v < n):
-            raise InvalidInstanceError(f"tour vertex {v!r} is not a target index in 0..{n - 1}")
-    tm = inst.time_matrix(tour.vehicle_id)
+    inst.check_targets(seq[1:-1], "tour vertex")
+    ix = np.array(seq)
     total = 0.0
-    for a, b in zip(seq, seq[1:]):
-        total += tm[a, b]
+    for hop in inst.time_matrix(tour.vehicle_id)[ix[:-1], ix[1:]].tolist():
+        total += hop
     return total
 
 

@@ -23,12 +23,13 @@ Two modes share one entry point:
 * exact -- Held-Karp dynamic program over target subsets, capped at
   EXACT_CAP targets; a longer exact request raises ``CapacityError``, and the
   oracle holds its subsets to the same cap.  The table fills one subset size
-  at a time, a chunk of same-size subsets per numpy step.  Each cell is
-  written once, with the minimum over its unique predecessor subset of the
-  size before, so the table equals a loop over single subsets in mask order
-  bit for bit.  No parent table is kept: the tour is read back from the
-  lengths by the first-argmin rule such a loop would have stored.  Only
-  exact tours are cached (``TspCache``).
+  at a time, a chunk of its cells per numpy step.  Each cell is written
+  once, from its one predecessor row (the subset one target smaller) plus
+  the distances into its end target, reduced by an elementwise minimum over
+  a block stored one row per end target; so the table equals a loop over
+  single subsets in mask order bit for bit.  No parent table is kept: the
+  tour is read back from the lengths by the first-argmin rule such a loop
+  would have stored.  Only exact tours are cached (``TspCache``).
 
 All route decisions are made on raw distances; the vehicle speed only divides
 the final length, so the chosen order is invariant under speed scaling.
@@ -82,10 +83,13 @@ def request_for(inst: Instance, vid: int, targets, mode: str = HEURISTIC,
                 start=None) -> TourRequest:
     """Build a TourRequest for one vehicle of an instance.
 
-    ``start``, if given, must list the targets in some order (else
-    ``InvalidConfigError``).
+    Every target must be a target index of ``inst`` (``Instance.check_target``,
+    else ``InvalidInstanceError``).  ``start``, if given, must list the
+    targets in some order (else ``InvalidConfigError``).
     """
-    ids = tuple(sorted(targets))
+    ids = tuple(targets)
+    inst.check_targets(ids)
+    ids = tuple(sorted(ids))
     if start is not None:
         start = tuple(start)
         if sorted(start) != list(ids):
@@ -168,11 +172,14 @@ def _gain_tolerance(dist: np.ndarray) -> float:
 TABLE_CACHE_LENGTHS = 64
 
 
-def _index_table(columns) -> tuple:
-    table = tuple(np.asarray(col, dtype=np.intp) for col in columns)
-    for arr in table:
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
         arr.flags.writeable = False
-    return table
+    return arrays
+
+
+def _index_table(columns) -> tuple:
+    return _read_only(*(np.asarray(col, dtype=np.intp) for col in columns))
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_LENGTHS)
@@ -280,36 +287,42 @@ def _improve(ext: np.ndarray, dist: np.ndarray) -> float:
     return float(np.add.accumulate(block[1::w + 1])[-1])
 
 
-# Held-Karp fills its table one layer of same-size target subsets at a time.
-# A step's (chunk, m, m) candidate block takes 8 m^2 bytes per mask: chunks of
-# at most _DP_CHUNK masks keep it at 4 MiB for m = 16, where the largest layer
-# (12,870 masks) would take 26 MiB at once.  The index tables of a tour of m
-# targets take about 8 m 2^m bytes (8 MiB at m = 16), so only the EXACT_CAP
-# most recently used lengths are kept.
-_DP_CHUNK = 1 << 11
+# Held-Karp fills its table one layer of same-size target subsets at a time,
+# one cell per (mask, j outside mask) pair.  A step's (m, chunk) candidate
+# block takes 8 m bytes per cell: chunks of at most _DP_CHUNK cells keep it
+# at 2 MiB for m = 16, where the largest layer (102,960 cells) would take
+# 12.6 MiB at once.  The index tables of a tour of m targets take 17 bytes per
+# cell, m 2^(m-1) cells (8.5 MiB at m = 16), so only the EXACT_CAP most
+# recently used lengths are kept.
+_DP_CHUNK = 1 << 14
 
 
 @functools.lru_cache(maxsize=EXACT_CAP)
 def _subset_dp_table(m: int) -> tuple:
-    """The subset DP's steps for m targets, in layer order: subset sizes 1 to
-    m - 1, masks ascending within a size, at most _DP_CHUNK masks per step.
+    """The subset DP's index tables for m targets, as flat indices into the
+    (m, 2^m) table T[j, mask] = dp[mask, j]: the one-target cells
+    j 2^m + (1 << j) in j order, then the steps in layer order, subset sizes
+    1 to m - 1, at most _DP_CHUNK cells per step.
 
-    Per step: the masks, then one entry per (mask, j) with target j outside the
-    mask, in row-major order: the flat index r m + j into the step's (chunk, m)
-    minimum (r is the mask's row in the chunk), and the flat index
-    (mask | 1 << j) m + j of the table cell it fills.
+    Per step, one entry per (mask, j) with target j outside the mask, masks
+    ascending within a size and j ascending within a mask: the mask (the
+    column of T that the cell is priced from), j as int8 and the flat index
+    j 2^m + (mask | 1 << j) of the cell it fills.
     """
     masks = np.arange(1 << m)
     idx = np.arange(m)
-    size = ((masks[:, None] >> idx) & 1).sum(axis=1)
+    outside = (masks[:, None] >> idx) & 1 == 0
+    size = m - outside.sum(axis=1)
     steps = []
     for c in range(1, m):
         layer = masks[size == c]
-        for lo in range(0, layer.size, _DP_CHUNK):
-            chunk = layer[lo:lo + _DP_CHUNK]
-            rows, js = np.nonzero((chunk[:, None] >> idx) & 1 == 0)
-            steps.append(_index_table((chunk, rows * m + js, (chunk[rows] | 1 << js) * m + js)))
-    return tuple(steps)
+        rows, js = np.nonzero(outside[layer])
+        src = layer[rows]
+        cells = js << m | src | 1 << js
+        for lo in range(0, src.size, _DP_CHUNK):
+            part = slice(lo, lo + _DP_CHUNK)
+            steps.append(_read_only(src[part], js[part].astype(np.int8), cells[part]))
+    return _read_only(idx << m | 1 << idx)[0], tuple(steps)
 
 
 def _subset_dp(dist: np.ndarray) -> np.ndarray:
@@ -318,8 +331,13 @@ def _subset_dp(dist: np.ndarray) -> np.ndarray:
     dp[mask, j] is the shortest depot-start path visiting exactly the targets
     in ``mask`` and ending at target j (inf when j is outside ``mask``).  The
     table fills one subset size at a time.  One numpy step takes a chunk of
-    same-size masks and, for each j outside a mask, writes the minimum over
-    ``last`` of dp[mask, last] + C[last, j] to the cell (mask | 1 << j, j).
+    cells (mask | 1 << j, j) of one size and writes to each the minimum over
+    ``last`` of dp[mask, last] + C[last, j]: its one predecessor, the
+    entries of dp[mask], plus column j of C, summed as an (m, chunk) block
+    and reduced across its m rows.  The table is stored transposed, as
+    T[j, mask], and returned as the (2^m, m) view T.T: the block is then two
+    column gathers and the reduction an elementwise minimum of m rows, where
+    (chunk, m) rows reduced one by one cost numpy a fixed price per row.
 
     This gives the same table, bit for bit, as one step per mask in mask
     order: each cell has the unique predecessor ``mask``, one target smaller,
@@ -329,12 +347,13 @@ def _subset_dp(dist: np.ndarray) -> np.ndarray:
     """
     m = dist.shape[0] - 1
     C = dist[:m, :m]
-    dp = np.full((1 << m, m), np.inf)
-    dp[1 << np.arange(m), np.arange(m)] = dist[m, :m]
-    dp_flat = dp.reshape(-1)
-    for masks, min_ix, cell_ix in _subset_dp_table(m):
-        dp_flat[cell_ix] = (dp.take(masks, 0)[:, :, None] + C).min(axis=1).take(min_ix)
-    return dp
+    starts, steps = _subset_dp_table(m)
+    table = np.full((m, 1 << m), np.inf)
+    flat = table.reshape(-1)
+    flat[starts] = dist[m, :m]
+    for src, j, cell in steps:
+        flat[cell] = np.minimum.reduce(table.take(src, 1) + C.take(j, 1), 0)
+    return table.T
 
 
 def held_karp_order(dist: np.ndarray):

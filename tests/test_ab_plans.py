@@ -1,0 +1,45 @@
+"""``tools/ab_plans.py``: a tree against itself gives equal plan hashes and
+exit 0; a tree whose plans differ gives exit 1; an unknown config, exit 2."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "ab_plans.py"
+
+
+def _run(old, new, config="k2_heur_stop1_n30"):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, str(TOOL), str(old), str(new), "--config", config,
+                           "--instances", "2", "--seeds", "1,2"],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_the_checkout_against_itself_has_equal_plans():
+    done = _run(ROOT, ROOT)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2 and all(line.endswith(" same") for line in lines), done.stdout
+
+
+def test_a_tree_with_other_plans_exits_1(tmp_path):
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    bench = other / "src" / "minmaxtsp" / "bench.py"
+    text = bench.read_text(encoding="utf-8")
+    assert "grid: float = 200.0" in text
+    bench.write_text(text.replace("grid: float = 200.0", "grid: float = 100.0"),
+                     encoding="utf-8")
+    done = _run(ROOT, other, config="s1_n60")
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "DIFFER" in done.stdout
+
+
+def test_an_unknown_config_exits_2():
+    done = _run(ROOT, ROOT, config="no_such_config")
+    assert done.returncode == 2
+    assert "unknown config" in done.stderr

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from minmaxtsp import (DEPOT, EXACT, CapacityError, ExperimentConfig,
                        InfeasibleAllocationError, InsertionQuote, Instance,
-                       InvalidConfigError, NoInsertionCandidateError, Point,
+                       InvalidConfigError, InvalidInstanceError,
+                       NoInsertionCandidateError, Point,
                        Solution, SolverConfig, SolverError, Tour, TspCache,
                        Vehicle, best_insertion, build_initial_solution,
                        compute_savings, exact_minmax, generate_instance,
@@ -23,7 +24,7 @@ from minmaxtsp import (DEPOT, EXACT, CapacityError, ExperimentConfig,
 from minmaxtsp import heuristic, tsp
 from minmaxtsp.tsp import EXACT_CAP
 from minmaxtsp.heuristic import (PERTURBATION_PERIOD, PERTURBATION_STEP, STAGE_INIT,
-                                 STAGE_LOCAL_SEARCH, STAGE_PERTURBATION,
+                                 STAGE_LOCAL_SEARCH, STAGE_PERTURBATION, SavingsEntry,
                                  _rebuild, perturbation_angle)
 
 from conftest import line_instance, random_instance
@@ -119,6 +120,18 @@ class TestBestInsertion:
         with pytest.raises(NoInsertionCandidateError):
             best_insertion(0, sol, inst, exclude=1)
 
+    @pytest.mark.parametrize("target", [-2, True, 7, 0.5, np.int64(3), "1", None],
+                             ids=["negative", "bool", "past-n", "float", "np-past-n", "str",
+                                  "none"])
+    def test_bad_target_id_raises_invalid_instance(self, target):
+        inst, sol = self._setup()
+        with pytest.raises(InvalidInstanceError, match="not a target index in 0..2"):
+            best_insertion(target, sol, inst, exclude=1)
+
+    def test_numpy_integer_target_is_a_target(self):
+        inst, sol = self._setup()
+        assert best_insertion(np.int64(2), sol, inst, 1) == best_insertion(2, sol, inst, 1)
+
     def test_delta_equals_actual_splice_cost(self):
         rng = np.random.default_rng(72)
         for _ in range(20):
@@ -182,6 +195,52 @@ class TestBestInsertionMatchesScalarLoop:
         inst, sol, target, donor = case
         assert (best_insertion(target, sol, inst, exclude=donor)
                 == _scalar_best_insertion(target, sol, inst, exclude=donor))
+
+
+def _scalar_savings(sol, inst, vid):
+    """``compute_savings`` as a scalar loop over the tour's numpy elements."""
+    tm = inst.time_matrix(vid)
+    seq = sol.tour_for(vid).sequence
+    entries = [SavingsEntry(t, float(tm[a, t] + tm[t, b] - tm[a, b]))
+               for a, t, b in zip(seq, seq[1:], seq[2:]) if t not in inst.required_for(vid)]
+    return sorted(entries, key=lambda e: (-e.value, e.target))
+
+
+def _scalar_duration(inst, tour):
+    """``tour_duration`` as a left-to-right sum of the tour's numpy elements."""
+    tm = inst.time_matrix(tour.vehicle_id)
+    total = 0.0
+    for a, b in zip(tour.sequence, tour.sequence[1:]):
+        total += tm[a, b]
+    return total
+
+
+class TestEdgeGathersMatchScalarLoops:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_insertions())
+    def test_savings_and_durations_equal_the_scalar_loops(self, case):
+        inst, sol, _, _ = case
+        for tour in sol.tours:
+            got = compute_savings(sol, inst, tour.vehicle_id)
+            assert got == _scalar_savings(sol, inst, tour.vehicle_id)
+            assert all(type(e.value) is float for e in got)
+            duration = tour_duration(inst, tour)
+            assert type(duration) is float
+            assert duration == _scalar_duration(inst, tour)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_insertions())
+    def test_one_read_per_pass_quotes_and_bounds_as_calls_alone(self, case):
+        # local_search reads the receivers once and prices every donor target from them.
+        inst, sol, _, donor = case
+        reads = heuristic._read_tours(sol, inst, donor)
+        for t in sol.tour_for(donor).targets():
+            quote = best_insertion(t, sol, inst, donor, reads)
+            assert quote == best_insertion(t, sol, inst, donor)
+            assert quote == _scalar_best_insertion(t, sol, inst, donor)
+            for read in reads:
+                assert (heuristic._insertion_lower_bound(t, read.tour, inst, read)
+                        == _scalar_insertion_bound(t, read.tour, inst))
 
 
 def _scalar_insertion_bound(target, tour, inst):

@@ -7,6 +7,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution,
                        Tour, Vehicle, perturb_colocated_depots,
@@ -113,6 +115,46 @@ class TestDistanceKernel:
         free = inst.free_targets()
         assert np.array_equal(_cost_matrix(inst, eff, free),
                               _old_cost_matrix(inst, eff, free))
+
+
+@st.composite
+def _symmetry_cases(draw):
+    """(instance, moved depots): 1-12 targets and 1-3 vehicles, coordinates
+    uniform, on a 4 x 4 grid (ties, duplicate points, depots on targets) or
+    within a factor two of +-COORD_LIMIT; speeds down to SPEED_MIN; moved
+    depots up to three times past the limit, as stage 3 may put them."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "grid", "limit"]))
+    size = (n + 2 * k, 2)
+    if kind == "uniform":
+        xy = rng.uniform(-100.0, 100.0, size=size)
+    elif kind == "grid":
+        xy = rng.integers(0, 4, size=size).astype(float)
+    else:
+        xy = rng.choice([-1.0, 1.0], size=size) * rng.uniform(0.5, 1.0, size=size) * COORD_LIMIT
+    speeds = draw(st.lists(st.sampled_from([1.0, 0.3, 7.0, 1e-30, 3.7 * SPEED_MIN, SPEED_MIN]),
+                           min_size=k, max_size=k))
+    inst = Instance(tuple(Point(*p) for p in xy[:n]),
+                    tuple(Vehicle(i + 1, speeds[i], Point(*xy[n + i])) for i in range(k)))
+    moved = {i + 1: Point(*(3.0 * xy[n + k + i])) for i in range(k) if draw(st.booleans())}
+    return inst, moved
+
+
+class TestMatrixSymmetry:
+    """Stage 2 reads tm[a, t] for tm[t, a], so every matrix must equal its
+    transpose bit for bit, on the instance and on its displaced copies."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_symmetry_cases())
+    def test_distance_and_time_matrices_equal_their_transposes(self, case):
+        inst, moved = case
+        for copy_ in (inst, inst.with_depots(moved)):
+            for veh in copy_.vehicles:
+                for mat in (copy_.distance_matrix(veh.id), copy_.time_matrix(veh.id)):
+                    assert np.all(np.isfinite(mat))
+                    assert np.array_equal(mat, mat.T)
 
 
 class TestTourDuration:

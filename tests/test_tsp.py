@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxtsp import (DEPOT, EXACT, HEURISTIC, CapacityError, Instance,
-                       InvalidConfigError, Point, Tour, TspCache, Vehicle,
+                       InvalidConfigError, InvalidInstanceError, Point, Tour, TspCache, Vehicle,
                        distances, request_for, solve_tsp, tour_duration)
 from minmaxtsp.model import COORD_LIMIT
 from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, _gain_tolerance, _improve,
@@ -55,6 +55,22 @@ class TestSolveBasics:
         for mode in (HEURISTIC, EXACT):
             with pytest.raises(InvalidConfigError, match="start"):
                 request_for(_square_instance(), 1, (0, 1, 2), mode, start)
+
+    @pytest.mark.parametrize("bad", [-2, True, 7, 0.5, np.int64(2), "1", None],
+                             ids=["negative", "bool", "past-n", "float", "np-past-n", "str",
+                                  "none"])
+    def test_bad_target_id_raises_invalid_instance(self, bad):
+        inst = Instance((Point(1, 0), Point(9, 0)), (Vehicle(1, 1.0, Point(0, 0)),))
+        for mode in (HEURISTIC, EXACT):
+            for targets in ((bad,), (0, bad)):
+                with pytest.raises(InvalidInstanceError, match="not a target index in 0..1"):
+                    request_for(inst, 1, targets, mode)
+
+    def test_numpy_integer_targets_are_targets(self):
+        inst = _square_instance()
+        for mode in (HEURISTIC, EXACT):
+            assert (solve_tsp(request_for(inst, 1, np.arange(3), mode))
+                    == solve_tsp(request_for(inst, 1, (0, 1, 2), mode)))
 
     def test_single_target_is_out_and_back(self):
         inst = Instance((Point(3, 4),), (Vehicle(1, 1.0, Point(0, 0)),))
@@ -215,7 +231,7 @@ class TestLayeredSubsetDp:
         _assert_same_table(dist)
 
     def test_sixteen_targets_match_the_per_mask_loop(self):
-        # Layers of more than _DP_CHUNK masks take several steps.
+        # Layers of more than _DP_CHUNK cells take several steps.
         xy = np.random.default_rng(16).integers(0, 6, size=(17, 2)).astype(float)
         _assert_same_table(distances(xy, xy))
 
@@ -234,6 +250,30 @@ class TestLayeredSubsetDp:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+
+class TestSubsetDpTable:
+    def test_index_tables_stay_within_their_bound(self):
+        # src and cell take 8 bytes per cell and j one (int8): 8.5 MiB at 16
+        # targets, where an intp j would take 12 MiB.
+        starts, steps = _subset_dp_table(16)
+        assert all(j.dtype == np.int8 for _, j, _ in steps)
+        used = starts.nbytes + sum(arr.nbytes for step in steps for arr in step)
+        assert used <= 8.5 * 2**20
+
+    def test_each_step_fills_new_cells_from_earlier_layers(self):
+        for m in (1, 2, 5, 9):
+            starts, steps = _subset_dp_table(m)
+            filled = {int(c) for c in starts}
+            for src, j, cell in steps:
+                src, j = src.astype(int), j.astype(int)
+                assert not filled & set(cell.tolist())
+                assert np.all(src & (1 << j) == 0)
+                assert np.array_equal(cell, (j << m) | src | (1 << j))
+                assert {int(k) << m | int(s) for s in src for k in range(m)
+                        if s >> k & 1} <= filled
+                filled |= set(cell.tolist())
+            assert len(filled) == m << (m - 1)
 
 
 class TestHeuristicQuality:
