@@ -24,7 +24,7 @@ from .model import (DEPOT, CapacityError, InfeasibleAllocationError, Instance,
                     distances, tour_duration, validate_solution)
 from .oracle import exact_minmax, oracle_feasible
 from .svgplot import render_tours
-from .tsp import EXACT, HEURISTIC, TourRequest, TspCache, request_for, solve_tsp
+from .tsp import EXACT, HEURISTIC, TourRequest, request_for, solve_tsp
 
 __version__ = "0.1.0"
 
@@ -34,8 +34,8 @@ __all__ = [
     "InvalidConfigError", "InvalidInstanceError", "NoInsertionCandidateError",
     "OracleBudgetError", "Point", "ReportRow", "SavingsEntry", "Solution",
     "SolverConfig", "SolverError", "StageCheckError", "StageTrace", "Tour",
-    "TourRequest", "TspCache", "Vehicle", "best_insertion",
-    "build_initial_solution", "compute_savings", "distances", "exact_minmax",
+    "TourRequest", "Vehicle", "best_insertion", "build_initial_solution",
+    "compute_savings", "distances", "exact_minmax",
     "generate_instance", "instance_from_json", "instance_to_json",
     "load_instance", "local_search", "min_target_counts", "oracle_feasible",
     "perturb_colocated_depots", "perturbation_loop", "perturbation_radius",

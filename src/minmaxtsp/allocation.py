@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .model import InfeasibleAllocationError, Instance, Point, Solution, distances
-from .tsp import HEURISTIC, TspCache, request_for, solve_tsp
+from .tsp import HEURISTIC, request_for, solve_tsp
 
 # Radius of the circle on which co-located depots are spread apart.
 COLOCATION_RADIUS = 0.1
@@ -164,17 +164,16 @@ def _cheapest_moves(c: np.ndarray, owner: np.ndarray, sources: list, goal: int) 
     return [(pick[a][b], b) for a, b in zip(path, path[1:])]
 
 
-def build_initial_solution(inst: Instance, alloc: dict, mode: str = HEURISTIC,
-                           cache: TspCache | None = None) -> Solution:
+def build_initial_solution(inst: Instance, alloc: dict, mode: str = HEURISTIC) -> Solution:
     """Route every vehicle through its allocated plus required targets.
 
     ``alloc`` maps every vehicle id to its free targets, as
     ``solve_load_balancing`` returns.  Tours always depart from the true
     depots; the effective positions used for allocation costs play no role
-    here.
+    here.  Exact tours are memoized in ``inst``, as long as it lives.
     """
     tours = []
     for v in inst.vehicles:
         ids = alloc[v.id] | inst.required_for(v.id)
-        tours.append(solve_tsp(request_for(inst, v.id, ids, mode), cache))
+        tours.append(solve_tsp(request_for(inst, v.id, ids, mode)))
     return Solution(tuple(tours))

@@ -93,7 +93,7 @@ def generate_instance(cfg: ExperimentConfig, index: int) -> Instance:
         raise InvalidConfigError(f"index must be an integer >= 0, got {index!r}")
     rng = _substream(cfg.seed, index, lane=0)
     xy = rng.uniform(0.0, cfg.grid, size=(cfg.n_targets, 2))
-    targets = tuple(Point(float(x), float(y)) for x, y in xy)
+    targets = tuple(Point(x, y) for x, y in xy.tolist())
 
     group_of = {}
     for group in cfg.colocated:

@@ -40,7 +40,7 @@ from .allocation import (build_initial_solution, perturb_colocated_depots,
 from .model import (DEPOT, Instance, InvalidConfigError, NoInsertionCandidateError,
                     Point, Solution, StageCheckError, Tour, check_instance,
                     is_integer, validate_solution)
-from .tsp import EXACT, EXACT_CAP, HEURISTIC, TspCache, request_for, solve_tsp
+from .tsp import EXACT, EXACT_CAP, HEURISTIC, request_for, solve_tsp
 
 # The displacement angle steps 144 degrees, so the schedule repeats after
 # PERTURBATION_PERIOD steps; no_improve_stop may not exceed it.
@@ -119,10 +119,9 @@ def compute_savings(sol: Solution, inst: Instance, vid: int) -> list:
     ix = np.array(seq)
     hops = tm[ix[:-1], ix[1:]]
     values = (hops[:-1] + hops[1:] - tm[ix[:-2], ix[2:]]).tolist()
-    entries = [SavingsEntry(t, value) for t, value in zip(seq[1:-1], values)
-               if t not in pinned]
-    entries.sort(key=lambda e: (-e.value, e.target))
-    return entries
+    # Negation is exact, so -(-value) has the bits of value.
+    ranked = sorted([(-value, t) for t, value in zip(seq[1:-1], values) if t not in pinned])
+    return [SavingsEntry(t, -neg) for neg, t in ranked]
 
 
 class _TourRead:
@@ -225,14 +224,13 @@ def _insertion_lower_bound(target: int, tour: Tour, inst: Instance,
                                 for b, ab in zip(to_target, row)])
 
 
-def _rebuild(inst: Instance, vid: int, order: tuple, cfg: SolverConfig, cache):
+def _rebuild(inst: Instance, vid: int, order: tuple, cfg: SolverConfig):
     """Vehicle vid's tour through ``order``'s targets; a heuristic tour is
     polished from ``order``, an exact one ignores it."""
-    return solve_tsp(request_for(inst, vid, order, cfg.tour_mode, order), cache)
+    return solve_tsp(request_for(inst, vid, order, cfg.tour_mode, order))
 
 
-def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
-                 cache: TspCache | None = None) -> Solution:
+def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
     """Offload the longest tour until no candidate transfer improves the plan.
 
     Each pass takes the maximal vehicle's savings list in order, quotes the
@@ -247,7 +245,7 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
     already holds ``EXACT_CAP`` targets, so it never requests an exact tour
     past the cap.  Savings are recomputed from the new plan after every
     accepted move; the search stops when every candidate on the maximal tour
-    fails.
+    fails.  Exact tours are memoized in ``inst``, as long as it lives.
 
     Precondition with ``cfg.tour_mode == EXACT``: every tour of ``sol`` is
     an optimal (Held-Karp) tour on ``inst``'s geometry, as every tour the
@@ -276,11 +274,11 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig,
             p = quote.edge_position
             order = receiver.targets()
             receiver_tour = _rebuild(inst, quote.vehicle_id,
-                                     order[:p] + (entry.target,) + order[p:], cfg, cache)
+                                     order[:p] + (entry.target,) + order[p:], cfg)
             if receiver_tour.duration >= objective:
                 continue
             donor_tour = _rebuild(inst, donor,
-                                  tuple(t for t in donor_order if t != entry.target), cfg, cache)
+                                  tuple(t for t in donor_order if t != entry.target), cfg)
             candidate = current.replace(donor_tour, receiver_tour)
             if candidate.objective < objective:
                 current = candidate
@@ -308,8 +306,7 @@ def perturbation_angle(base: float, iteration: int) -> float:
     return (base + iteration * PERTURBATION_STEP) % (2.0 * math.pi)
 
 
-def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig,
-                      cache: TspCache | None = None):
+def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig):
     """Depot-displacement escape loop.  Returns (best solution, iterations).
 
     Each iteration displaces every depot by that vehicle's current radius at
@@ -319,7 +316,8 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig,
     tour orders.  Only a strict makespan improvement is kept;
     ``cfg.no_improve_stop`` consecutive rejections end the loop.  Base angles
     are drawn once per vehicle, in id order.  The radius, a travel time, is
-    applied directly as a displacement length.
+    applied directly as a displacement length.  The displaced instances are
+    ``with_depots`` copies, which share ``inst``'s exact-tour memo.
     """
     if inst.k < 2:
         return sol, 0
@@ -337,11 +335,11 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig,
                                     v.depot.y + radius * math.sin(theta))
         displaced = inst.with_depots(moved)
         shaken = Solution(tuple(
-            _rebuild(displaced, v.id, best.tour_for(v.id).targets(), cfg, cache)
+            _rebuild(displaced, v.id, best.tour_for(v.id).targets(), cfg)
             for v in inst.vehicles))
-        shaken = local_search(displaced, shaken, cfg, cache)
+        shaken = local_search(displaced, shaken, cfg)
         candidate = Solution(tuple(
-            _rebuild(inst, v.id, shaken.tour_for(v.id).targets(), cfg, cache)
+            _rebuild(inst, v.id, shaken.tour_for(v.id).targets(), cfg)
             for v in inst.vehicles))
         if candidate.objective < best.objective:
             best = candidate
@@ -368,6 +366,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0):
     InvalidConfigError.  A given (instance, config, seed) triple always
     reproduces the same plan.  One vehicle takes the same three stages as a
     fleet: its allocation is forced, and stages 2 and 3 return at once.
+    Exact tours are memoized in ``inst`` as long as it lives, so solving it
+    again reuses them, with the same plan.
     """
     check_instance(inst)
     cfg = SolverConfig() if cfg is None else cfg
@@ -378,19 +378,17 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0):
             raise InvalidConfigError(f"rng must be a numpy Generator, an integer >= 0"
                                      f" or None, got {rng!r}")
         rng = np.random.default_rng(rng)
-    cache = TspCache()
 
     t0 = time.perf_counter()
     effective = perturb_colocated_depots(inst, rng)
     alloc = solve_load_balancing(inst, effective)
-    initial = _checked(inst, build_initial_solution(inst, alloc, cfg.tour_mode, cache),
-                       STAGE_INIT)
+    initial = _checked(inst, build_initial_solution(inst, alloc, cfg.tour_mode), STAGE_INIT)
     t1 = time.perf_counter()
 
-    improved = _checked(inst, local_search(inst, initial, cfg, cache), STAGE_LOCAL_SEARCH)
+    improved = _checked(inst, local_search(inst, initial, cfg), STAGE_LOCAL_SEARCH)
     t2 = time.perf_counter()
 
-    final, iterations = perturbation_loop(inst, improved, rng, cfg, cache)
+    final, iterations = perturbation_loop(inst, improved, rng, cfg)
     _checked(inst, final, STAGE_PERTURBATION)
     t3 = time.perf_counter()
 

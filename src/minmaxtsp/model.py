@@ -174,8 +174,9 @@ class Instance:
     Numpy scalars in targets, vehicles and moved depots are kept as Python numbers.
     Instances are validated on construction and frozen, since distance data is
     cached lazily and shared by all solver stages; ``with_depots`` makes a
-    changed copy with its own cache, whose moved depots need only be finite
-    points of fleet vehicles.  Bad input raises InvalidInstanceError.
+    changed copy with its own matrix cache but this instance's exact-tour memo
+    (``tsp.TspCache``); its moved depots need only be finite points of fleet
+    vehicles.  Bad input raises InvalidInstanceError.
     """
 
     targets: tuple
@@ -230,6 +231,8 @@ class Instance:
                 required[int(vid)] = frozenset(int(t) for t in ids)
         object.__setattr__(self, "required", _ReadOnlyDict(required))
         object.__setattr__(self, "_cache", {})
+        from .tsp import TspCache  # tsp builds on this module
+        object.__setattr__(self, "_tour_memo", TspCache())
 
     # -- accessors ---------------------------------------------------------
 

@@ -29,7 +29,7 @@ Two modes share one entry point:
   a block stored one row per end target; so the table equals a loop over
   single subsets in mask order bit for bit.  No parent table is kept: the
   tour is read back from the lengths by the first-argmin rule such a loop
-  would have stored.  Only exact tours are cached (``TspCache``).
+  would have stored.  Only exact tours are memoized, per instance (``TspCache``).
 
 All route decisions are made on raw distances; the vehicle speed only divides
 the final length, so the chosen order is invariant under speed scaling.
@@ -60,10 +60,10 @@ class TourRequest:
     depot in row/col DEPOT, which every mode indexes by instance id: the
     polish gathers its tour's block from it at each step, and nearest
     neighbour and Held-Karp gather the targets' block in id order.
-    ``start`` is None or, for a heuristic request, the same targets in the
-    tour order the polish starts from; without one the polish starts from
-    nearest neighbour.  An exact request drops its start: Held-Karp needs
-    none, so exact tours and their cache entries do not depend on one.
+    ``memo`` is the instance's exact-tour memo.  ``start`` is None or, for a
+    heuristic request, the same targets in the tour order the polish starts
+    from; without one the polish starts from nearest neighbour.  An exact
+    request drops its start: Held-Karp needs none, nor does the memo's key.
     """
 
     vehicle_id: int
@@ -71,6 +71,7 @@ class TourRequest:
     targets: tuple
     matrix: np.ndarray
     speed: float
+    memo: "TspCache"
     mode: str = HEURISTIC
     start: tuple | None = None
 
@@ -96,19 +97,18 @@ def request_for(inst: Instance, vid: int, targets, mode: str = HEURISTIC,
             raise InvalidConfigError(
                 f"start {start!r} is not an order of the targets {ids!r}")
     v = inst.vehicle(vid)
-    return TourRequest(vid, v.depot, ids, inst.distance_matrix(vid), v.speed, mode, start)
+    return TourRequest(vid, v.depot, ids, inst.distance_matrix(vid), v.speed,
+                       inst._tour_memo, mode, start)
 
 
 class TspCache:
     """Memo for exact tours, keyed by what they depend on: the depot position
     and the target set.
 
-    ``solve_tsp`` looks up and stores exact requests only.  A heuristic tour
-    depends on its start as well, and stages 2 and 3 rarely ask for one
-    start twice, so such a lookup would almost never hit.  A hit equals a
-    recompute.  Valid only while the target coordinate table is fixed (one
-    instance family; depot moves are fine since the depot is part of the
-    key).
+    Every ``Instance`` owns one for as long as it lives, shared by its
+    ``with_depots`` copies, which keep its targets; so a hit equals a
+    recompute.  ``solve_tsp`` looks up and stores exact requests only: a
+    heuristic tour depends on its start too, which stages 2 and 3 rarely repeat.
     """
 
     def __init__(self):
@@ -395,27 +395,25 @@ def best_cycle_lengths(dist: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_tsp(req: TourRequest, cache: TspCache | None = None) -> Tour:
+def solve_tsp(req: TourRequest) -> Tour:
     """Route one vehicle through its targets per the request's mode.
 
-    ``cache`` serves exact requests only: an exact request is looked up
-    before any block is gathered, and stored once solved.  A heuristic
-    request neither reads nor fills it.
+    An exact request is looked up in ``req.memo`` before any block is
+    gathered, and stored there once solved; a heuristic one is not.
     """
     if req.mode not in (HEURISTIC, EXACT):
         raise InvalidConfigError(f"unknown tour mode {req.mode!r}")
     if not req.targets:
         return Tour(req.vehicle_id, (DEPOT, DEPOT), 0.0)
     if req.mode == EXACT:
-        hit = None if cache is None else cache.get(req)
+        hit = req.memo.get(req)
         if hit is None:
             if len(req.targets) > EXACT_CAP:
                 raise CapacityError(
                     f"exact tour solve over {len(req.targets)} targets exceeds cap {EXACT_CAP}")
             order, length = held_karp_order(_target_block(req))
             hit = ((DEPOT, *(req.targets[p] for p in order), DEPOT), length)
-            if cache is not None:
-                cache.put(req, *hit)
+            req.memo.put(req, *hit)
         sequence, length = hit
     else:
         if req.start is None:

@@ -14,8 +14,8 @@ from minmaxtsp import (DEPOT, EXACT, CapacityError, ExperimentConfig,
                        InfeasibleAllocationError, InsertionQuote, Instance,
                        InvalidConfigError, InvalidInstanceError,
                        NoInsertionCandidateError, Point,
-                       Solution, SolverConfig, SolverError, Tour, TspCache,
-                       Vehicle, best_insertion, build_initial_solution,
+                       Solution, SolverConfig, SolverError, Tour, Vehicle,
+                       best_insertion, build_initial_solution,
                        compute_savings, exact_minmax, generate_instance,
                        local_search, perturb_colocated_depots, perturbation_loop,
                        perturbation_radius, scenario1, scenario2, solve,
@@ -223,6 +223,8 @@ class TestEdgeGathersMatchScalarLoops:
         for tour in sol.tours:
             got = compute_savings(sol, inst, tour.vehicle_id)
             assert got == _scalar_savings(sol, inst, tour.vehicle_id)
+            assert [e.value.hex() for e in got] == [
+                e.value.hex() for e in _scalar_savings(sol, inst, tour.vehicle_id)]
             assert all(type(e.value) is float for e in got)
             duration = tour_duration(inst, tour)
             assert type(duration) is float
@@ -325,7 +327,7 @@ class TestLocalSearch:
         assert local_search(inst, sol, SolverConfig()) is sol
 
 
-def _eager_local_search(inst, sol, cfg, cache, candidates):
+def _eager_local_search(inst, sol, cfg, candidates):
     """``local_search`` routing donor and receiver for every candidate, each
     polished from the same splice: the donor's tour without the target, the
     receiver's with the target at the quoted edge.
@@ -347,8 +349,8 @@ def _eager_local_search(inst, sol, cfg, cache, candidates):
             donor_order = [t for t in current.tour_for(donor).targets() if t != entry.target]
             receiver_order = list(current.tour_for(quote.vehicle_id).targets())
             receiver_order.insert(quote.edge_position, entry.target)
-            donor_tour = _rebuild(inst, donor, tuple(donor_order), cfg, cache)
-            receiver_tour = _rebuild(inst, quote.vehicle_id, tuple(receiver_order), cfg, cache)
+            donor_tour = _rebuild(inst, donor, tuple(donor_order), cfg)
+            receiver_tour = _rebuild(inst, quote.vehicle_id, tuple(receiver_order), cfg)
             candidates.append((donor, quote.vehicle_id, receiver_tour.duration < objective,
                                certified))
             candidate = current.replace(donor_tour, receiver_tour)
@@ -391,9 +393,9 @@ class TestReceiverFirstSearch:
         calls = []
         real = heuristic.solve_tsp
 
-        def counted(req, cache=None):
+        def counted(req):
             calls.append(req.vehicle_id)
-            return real(req, cache)
+            return real(req)
 
         monkeypatch.setattr(heuristic, "solve_tsp", counted)
         eager_total = lazy_total = skips = 0
@@ -403,11 +405,11 @@ class TestReceiverFirstSearch:
             for start in _starts(inst, cfg, index):
                 candidates = []
                 calls.clear()
-                eager = _eager_local_search(inst, start, cfg, TspCache(), candidates)
+                eager = _eager_local_search(inst, start, cfg, candidates)
                 assert len(calls) == 2 * len(candidates)
                 eager_total += len(calls)
                 calls.clear()
-                assert local_search(inst, start, cfg, TspCache()) == eager
+                assert local_search(inst, start, cfg) == eager
                 assert not any(below and certified for _, _, below, certified in candidates)
                 expected = [vid for donor, receiver, below, certified in candidates
                             if not certified
@@ -423,27 +425,21 @@ class TestReceiverFirstSearch:
 
 class TestWarmStartedTours:
     """Stages 2 and 3 polish the incumbent orders: a heuristic tour is never
-    cached, so the cache never changes a plan, and only stage 1 builds a tour
-    by nearest neighbour."""
+    memoized, so the instance's memo never changes a plan, and only stage 1
+    builds a tour by nearest neighbour."""
 
     @pytest.mark.parametrize("name", sorted(n for n, (_, cfg) in _SEARCH_CASES.items()
                                             if cfg.tour_mode != EXACT))
-    def test_cache_does_not_change_the_plan(self, name, monkeypatch):
+    def test_cache_does_not_change_the_plan(self, name):
         exp, cfg = _SEARCH_CASES[name]
         for index in range(2):
             inst = generate_instance(exp, index)
             for start in _starts(inst, cfg, index):
-                cache = TspCache()
-                assert local_search(inst, start, cfg, cache) == local_search(
-                    inst, start, cfg, None)
-                assert len(cache) == 0
-            caches = []
-            with monkeypatch.context() as m:
-                m.setattr(heuristic, "TspCache", lambda: caches.append(TspCache()) or caches[-1])
-                cached = solve(inst, cfg, rng=index)[0]
-                m.setattr(heuristic, "TspCache", lambda: None)
-                assert solve(inst, cfg, rng=index)[0] == cached
-            assert len(caches) == 1 and len(caches[0]) == 0
+                assert local_search(inst, start, cfg) == local_search(
+                    generate_instance(exp, index), start, cfg)
+            assert solve(inst, cfg, rng=index)[0] == solve(
+                generate_instance(exp, index), cfg, rng=index)[0]
+            assert len(inst._tour_memo) == 0
 
     def test_only_stage_1_builds_by_nearest_neighbour(self, monkeypatch):
         stage = []
@@ -463,9 +459,9 @@ class TestWarmStartedTours:
             finally:
                 stage.pop()
 
-        def started(req, cache=None):
+        def started(req):
             tours.append(req.start is not None)
-            return real_solve(req, cache)
+            return real_solve(req)
 
         monkeypatch.setattr(tsp, "_nearest_neighbor", nearest_neighbor)
         monkeypatch.setattr(heuristic, "build_initial_solution", build_initial_solution)
@@ -476,6 +472,36 @@ class TestWarmStartedTours:
                 solve(generate_instance(exp, index), cfg, rng=index)
         assert built and all(built)
         assert tours and all(tours)
+
+
+class TestExactTourMemo:
+    """Exact tours are memoized in the instance, so a second solve of one
+    instance reuses them and returns the same plan."""
+
+    @pytest.mark.parametrize("make", [scenario1, scenario2])
+    def test_a_second_exact_solve_builds_fewer_tables(self, make, monkeypatch):
+        tables = []
+        real = tsp.held_karp_order
+
+        def counted(dist):
+            tables.append(dist.shape[0] - 1)
+            return real(dist)
+
+        monkeypatch.setattr(tsp, "held_karp_order", counted)
+        cfg = SolverConfig(tour_mode=EXACT)
+        exp = make(n_targets=10, seed=11)
+        for index in range(3):
+            inst = generate_instance(exp, index)
+            tables.clear()
+            first, first_trace = solve(inst, cfg, rng=index)
+            cold = len(tables)
+            assert cold > 0 and len(inst._tour_memo) > 0
+            tables.clear()
+            second, second_trace = solve(inst, cfg, rng=index)
+            assert len(tables) < cold
+            assert second == first == solve(generate_instance(exp, index), cfg, rng=index)[0]
+            assert second_trace.iterations == first_trace.iterations
+            assert repr(second.objective) == repr(first.objective)
 
 
 @st.composite
@@ -511,10 +537,10 @@ class TestExactCap:
         sizes = []
         real = heuristic.solve_tsp
 
-        def spied(req, cache=None):
+        def spied(req):
             if req.mode == EXACT:
                 sizes.append(len(req.targets))
-            return real(req, cache)
+            return real(req)
 
         monkeypatch.setattr(heuristic, "solve_tsp", spied)
         sol, _ = solve(inst, SolverConfig(tour_mode=EXACT, no_improve_stop=1), rng=index)

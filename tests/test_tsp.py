@@ -1,7 +1,7 @@
 """Single-vehicle tour solver: exact DP vs. permutation enumeration, the layered
 DP and its tour read-back against the per-mask loop and its parent table,
 heuristic quality, 2-opt behavior, the numpy polish loop against the scans,
-and the request cache."""
+and the instance's exact-tour memo."""
 
 import dataclasses
 import math
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxtsp import (DEPOT, EXACT, HEURISTIC, CapacityError, Instance,
-                       InvalidConfigError, InvalidInstanceError, Point, Tour, TspCache, Vehicle,
+                       InvalidConfigError, InvalidInstanceError, Point, Tour, Vehicle,
                        distances, request_for, solve_tsp, tour_duration)
 from minmaxtsp.model import COORD_LIMIT
 from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, _gain_tolerance, _improve,
@@ -422,61 +422,89 @@ class TestTwoOptImprove:
 
 
 class TestCache:
+    """Each instance owns one exact-tour memo, shared by its ``with_depots``
+    copies and handed to every request built from them."""
+
     def test_hit_reproduces_the_solution(self):
         rng = np.random.default_rng(14)
         xy = rng.uniform(0, 100, size=(8, 2))
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(0, 0)),))
-        cache = TspCache()
-        first = solve_tsp(request_for(inst, 1, range(8), EXACT), cache)
-        assert len(cache) == 1
-        second = solve_tsp(request_for(inst, 1, range(8), EXACT), cache)
-        assert len(cache) == 1
-        assert second == first == solve_tsp(request_for(inst, 1, range(8), EXACT))
+        first = solve_tsp(request_for(inst, 1, range(8), EXACT))
+        assert len(inst._tour_memo) == 1
+        second = solve_tsp(request_for(inst, 1, range(8), EXACT))
+        assert len(inst._tour_memo) == 1
+        fresh = Instance(inst.targets, inst.vehicles)
+        assert second == first == solve_tsp(request_for(fresh, 1, range(8), EXACT))
 
     def test_cache_is_shared_across_speeds(self):
-        xy = ((1, 0), (2, 3), (5, 1))
-        targets = tuple(Point(*p) for p in xy)
-        slow = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)),))
-        fast = Instance(targets, (Vehicle(1, 4.0, Point(0, 0)),))
-        cache = TspCache()
-        a = solve_tsp(request_for(slow, 1, range(3), EXACT), cache)
-        b = solve_tsp(request_for(fast, 1, range(3), EXACT), cache)
-        assert len(cache) == 1
+        targets = tuple(Point(*p) for p in ((1, 0), (2, 3), (5, 1)))
+        inst = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)), Vehicle(2, 4.0, Point(0, 0))))
+        a = solve_tsp(request_for(inst, 1, range(3), EXACT))
+        b = solve_tsp(request_for(inst, 2, range(3), EXACT))
+        assert len(inst._tour_memo) == 1
         assert a.sequence == b.sequence
         assert a.duration == 4.0 * b.duration
 
     def test_depot_is_part_of_the_key(self):
-        xy = ((1, 0), (2, 3), (5, 1))
-        targets = tuple(Point(*p) for p in xy)
+        targets = tuple(Point(*p) for p in ((1, 0), (2, 3), (5, 1)))
         here = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)),))
-        there = Instance(targets, (Vehicle(1, 1.0, Point(9, 9)),))
-        cache = TspCache()
-        solve_tsp(request_for(here, 1, range(3), EXACT), cache)
-        solve_tsp(request_for(there, 1, range(3), EXACT), cache)
-        assert len(cache) == 2
+        there = here.with_depots({1: Point(9, 9)})
+        solve_tsp(request_for(here, 1, range(3), EXACT))
+        solve_tsp(request_for(there, 1, range(3), EXACT))
+        assert len(here._tour_memo) == 2
 
     def test_exact_starts_share_one_entry(self):
         inst = _square_instance()
-        cache = TspCache()
         tours = set()
         for start in (None, (0, 1, 2), (2, 0, 1)):
             req = request_for(inst, 1, range(3), EXACT, start)
-            tours.add(solve_tsp(req, cache))
-            tours.add(solve_tsp(dataclasses.replace(req, start=start), cache))
-        assert len(cache) == 1
+            tours.add(solve_tsp(req))
+            tours.add(solve_tsp(dataclasses.replace(req, start=start)))
+        assert len(inst._tour_memo) == 1
         assert len(tours) == 1
 
     def test_a_heuristic_request_leaves_the_cache_empty(self):
         rng = np.random.default_rng(15)
         xy = rng.uniform(0, 100, size=(9, 2))
         inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, Point(0, 0)),))
-        cache = TspCache()
         starts = [None] + [tuple(rng.permutation(9).tolist()) for _ in range(4)]
         for start in starts + starts:
             req = request_for(inst, 1, range(9), start=start)
-            assert solve_tsp(req, cache) == solve_tsp(req)
-        assert len(cache) == 0
+            assert solve_tsp(req) == solve_tsp(req)
+        assert len(inst._tour_memo) == 0
+
+    def test_instances_with_the_same_ids_keep_their_own_tours(self):
+        # Same depot, same target ids, other coordinates: a memo shared by the
+        # two would hand the second the first one's tour and duration.
+        depot = Vehicle(1, 1.0, Point(0, 0))
+        near = Instance((Point(10, 0), Point(10, 10)), (depot,))
+        far = Instance((Point(50, 0), Point(50, 50)), (depot,))
+        for inst in (near, far, near):
+            tour = solve_tsp(request_for(inst, 1, (0, 1), EXACT))
+            assert tour.duration == pytest.approx(tour_duration(inst, tour))
+            assert tour == solve_tsp(request_for(Instance(inst.targets, inst.vehicles),
+                                                 1, (0, 1), EXACT))
+
+    def test_a_with_depots_copy_shares_the_memo_from_the_start(self):
+        rng = np.random.default_rng(16)
+        xy = rng.uniform(0, 100, size=(7, 2))
+        inst = Instance(tuple(Point(*p) for p in xy),
+                        (Vehicle(1, 1.0, Point(0, 0)), Vehicle(2, 2.0, Point(50, 50))))
+        moved = inst.with_depots({1: Point(30, 70)})
+        again = moved.with_depots({2: Point(0, 0)})
+        assert moved._tour_memo is inst._tour_memo is again._tour_memo
+        assert len(inst._tour_memo) == 0
+        stored = solve_tsp(request_for(moved, 1, range(7), EXACT))
+        assert len(inst._tour_memo) == 1
+        # ``again`` keeps vehicle 1 where ``moved`` put it, so that request
+        # hits; its vehicle 2, moved to (0, 0), misses.
+        hit = solve_tsp(request_for(again, 1, range(7), EXACT))
+        assert len(inst._tour_memo) == 1
+        fresh = Instance(again.targets, again.vehicles)
+        assert hit == stored == solve_tsp(request_for(fresh, 1, range(7), EXACT))
+        solve_tsp(request_for(again, 2, range(7), EXACT))
+        assert len(inst._tour_memo) == 2
 
 
 # Small integer grids make duplicate points and equal-length moves common, so

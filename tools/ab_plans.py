@@ -17,7 +17,9 @@ the checkout this script sits in; instance i of seed s is bench instance i
 under bench seed ``s << SEED_SHIFT``, the oracle is not run), plus
 ``fleet8_n64_pin10`` (8 vehicles, two co-located pairs, 64 targets, 10%
 pinned), ``s1_n60`` and ``s1_n120`` (scenario 1), all with the default solver
-settings.
+settings, and ``s2_exact_n10`` (scenario 2: speeds 1, 1, 2, vehicles 1 and 2
+co-located, 10 targets) with exact tours, where two vehicles share memoized
+exact tours at one depot.
 
 Prints, per seed, the solves/s of each tree, their ratio (new over old) and
 both plan hashes.  Exit status: 0 when every seed's hashes agree, 1 when any
@@ -48,6 +50,8 @@ EXTRA_CONFIGS = {
                               colocated=((1, 2), (3, 4)), assign_fraction=0.1), {}),
     "s1_n60": (dict(n_targets=60, speeds=(1.0, 1.5, 2.0)), {}),
     "s1_n120": (dict(n_targets=120, speeds=(1.0, 1.5, 2.0)), {}),
+    "s2_exact_n10": (dict(n_targets=10, speeds=(1.0, 1.0, 2.0), colocated=((1, 2),)),
+                     dict(tour_mode="exact")),
 }
 
 
