@@ -81,6 +81,11 @@ def scenario2(**overrides) -> ExperimentConfig:
                                "colocated": ((1, 2),), **overrides})
 
 
+def _check_config(cfg) -> None:
+    if not isinstance(cfg, ExperimentConfig):
+        raise InvalidConfigError(f"cfg must be an ExperimentConfig, got {cfg!r}")
+
+
 def _substream(seed: int, index: int, lane: int) -> np.random.Generator:
     """Independent generator for one instance: lane 0 generates, lane 1 solves."""
     root = np.random.SeedSequence(entropy=int(seed) ^ int(index), spawn_key=(lane,))
@@ -88,7 +93,9 @@ def _substream(seed: int, index: int, lane: int) -> np.random.Generator:
 
 
 def generate_instance(cfg: ExperimentConfig, index: int) -> Instance:
-    """Instance ``index`` (an integer >= 0) of a run; deterministic in (cfg.seed, index)."""
+    """Instance ``index`` (an integer >= 0) of a run; deterministic in (cfg.seed, index).
+    ``cfg`` must be an ExperimentConfig (else InvalidConfigError)."""
+    _check_config(cfg)
     if not (is_integer(index) and index >= 0):
         raise InvalidConfigError(f"index must be an integer >= 0, got {index!r}")
     rng = _substream(cfg.seed, index, lane=0)
@@ -158,18 +165,16 @@ class ExperimentReport:
         }
 
 
-def run_experiment(cfg: ExperimentConfig, on_instance=None) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Generate, solve, and (optionally) oracle-check every instance of a run.
-
-    ``on_instance(index, instance, solution, trace)`` is invoked per instance
-    when given; the trace carries the per-stage solutions.
-    """
+    ``cfg`` must be an ExperimentConfig (else InvalidConfigError)."""
+    _check_config(cfg)
     solver_cfg = heuristic.SolverConfig(tour_mode=cfg.tour_mode)
     rows = []
     for index in range(cfg.n_instances):
         inst = generate_instance(cfg, index)
         t0 = time.perf_counter()
-        sol, trace = heuristic.solve(inst, solver_cfg, rng=_substream(cfg.seed, index, lane=1))
+        _, trace = heuristic.solve(inst, solver_cfg, rng=_substream(cfg.seed, index, lane=1))
         t_heur = round(time.perf_counter() - t0, 3)
 
         objectives = (trace.after_init, trace.after_local_search, trace.after_perturbation)
@@ -180,8 +185,6 @@ def run_experiment(cfg: ExperimentConfig, on_instance=None) -> ExperimentReport:
             oracle_obj = exact_minmax(inst).objective
             t_oracle = round(time.perf_counter() - t0, 3)
             gaps = tuple(100.0 * (obj - oracle_obj) / oracle_obj for obj in objectives)
-        if on_instance is not None:
-            on_instance(index, inst, sol, trace)
         rows.append(ReportRow(index, *objectives, oracle_obj, *gaps, t_heur, t_oracle))
     return ExperimentReport(rows)
 

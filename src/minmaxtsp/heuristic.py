@@ -204,7 +204,7 @@ _BOUND_SLACK = 1.0 + 2.0 ** -40
 
 
 def _insertion_lower_bound(target: int, tour: Tour, inst: Instance,
-                           read: _TourRead | None = None) -> float:
+                           read: _TourRead) -> float:
     """Least duration of an optimal tour of ``tour``'s targets plus ``target``,
     given that ``tour`` is optimal for its own targets.
 
@@ -217,8 +217,6 @@ def _insertion_lower_bound(target: int, tour: Tour, inst: Instance,
     ``_TourRead(inst, tour)``, which ``local_search`` shares with the quotes
     of its pass.
     """
-    if read is None:
-        read = _TourRead(inst, tour)
     to_target = read.row(target)[:-1]
     return tour.duration + min([a + b - ab for a, row in zip(to_target, read.pairs())
                                 for b, ab in zip(to_target, row)])

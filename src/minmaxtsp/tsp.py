@@ -1,6 +1,9 @@
 """Single-vehicle tour sub-solver.
 
-Two modes share one entry point:
+A ``TourRequest`` names an instance, one of its vehicles, a set of its
+targets, a mode and, optionally, a start order; ``solve_tsp`` reads the
+vehicle's distance matrix and speed, and the exact-tour memo, from the
+instance.  Two modes share that one entry point:
 
 * heuristic -- 2-opt and Or-opt (segment lengths 1..3), both
   first-improvement with a fixed scan order, polish the request's ``start``
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEPOT, CapacityError, Instance, InvalidConfigError, Point, Tour
+from .model import DEPOT, CapacityError, Instance, InvalidConfigError, Tour, check_instance
 
 HEURISTIC = "heuristic"
 EXACT = "exact"
@@ -53,41 +56,36 @@ _EPS = 1e-12
 
 @dataclass
 class TourRequest:
-    """A self-contained ask: route one vehicle through a set of targets.
+    """Route one vehicle of an instance through a set of its targets.
 
-    ``targets`` are instance-level indices (sorted, they define identity);
-    ``matrix`` is the vehicle's whole ``Instance.distance_matrix``, with its
-    depot in row/col DEPOT, which every mode indexes by instance id: the
-    polish gathers its tour's block from it at each step, and nearest
-    neighbour and Held-Karp gather the targets' block in id order.
-    ``memo`` is the instance's exact-tour memo.  ``start`` is None or, for a
-    heuristic request, the same targets in the tour order the polish starts
-    from; without one the polish starts from nearest neighbour.  An exact
-    request drops its start: Held-Karp needs none, nor does the memo's key.
+    A request holds the instance and what the caller chose, nothing the
+    instance already owns: ``solve_tsp`` reads the vehicle's distance
+    matrix, its speed and the exact-tour memo from ``inst``.  ``targets``
+    are target ids of ``inst``, sorted, which define the request's identity.
+    ``start`` is None or, for a heuristic request, the same targets in the
+    tour order the polish starts from; without one the polish starts from
+    nearest neighbour.  Build requests with ``request_for``, which checks them.
     """
 
+    inst: Instance
     vehicle_id: int
-    depot: Point
     targets: tuple
-    matrix: np.ndarray
-    speed: float
-    memo: "TspCache"
     mode: str = HEURISTIC
     start: tuple | None = None
-
-    def __post_init__(self):
-        if self.mode == EXACT:
-            self.start = None
 
 
 def request_for(inst: Instance, vid: int, targets, mode: str = HEURISTIC,
                 start=None) -> TourRequest:
     """Build a TourRequest for one vehicle of an instance.
 
-    Every target must be a target index of ``inst`` (``Instance.check_target``,
-    else ``InvalidInstanceError``).  ``start``, if given, must list the
-    targets in some order (else ``InvalidConfigError``).
+    ``inst`` must be an Instance, ``vid`` one of its vehicle ids and every
+    target one of its target indices (``check_instance``, ``Instance.vehicle``,
+    ``Instance.check_targets``; else ``InvalidInstanceError``).  ``start``,
+    if given, must list the targets in some order (else ``InvalidConfigError``).
+    An exact request drops its start: Held-Karp needs none, nor does the
+    memo's key.
     """
+    check_instance(inst)
     ids = tuple(targets)
     inst.check_targets(ids)
     ids = tuple(sorted(ids))
@@ -96,9 +94,8 @@ def request_for(inst: Instance, vid: int, targets, mode: str = HEURISTIC,
         if sorted(start) != list(ids):
             raise InvalidConfigError(
                 f"start {start!r} is not an order of the targets {ids!r}")
-    v = inst.vehicle(vid)
-    return TourRequest(vid, v.depot, ids, inst.distance_matrix(vid), v.speed,
-                       inst._tour_memo, mode, start)
+    inst.vehicle(vid)
+    return TourRequest(inst, vid, ids, mode, None if mode == EXACT else start)
 
 
 class TspCache:
@@ -107,8 +104,9 @@ class TspCache:
 
     Every ``Instance`` owns one for as long as it lives, shared by its
     ``with_depots`` copies, which keep its targets; so a hit equals a
-    recompute.  ``solve_tsp`` looks up and stores exact requests only: a
-    heuristic tour depends on its start too, which stages 2 and 3 rarely repeat.
+    recompute.  ``solve_tsp`` looks up and stores exact requests only, in
+    the memo of the request's instance: a heuristic tour depends on its
+    start too, which stages 2 and 3 rarely repeat.
     """
 
     def __init__(self):
@@ -116,7 +114,8 @@ class TspCache:
 
     @staticmethod
     def _key(req: TourRequest):
-        return (req.depot.x, req.depot.y, req.targets)
+        depot = req.inst.vehicle(req.vehicle_id).depot
+        return (depot.x, depot.y, req.targets)
 
     def get(self, req: TourRequest):
         return self._data.get(self._key(req))
@@ -126,12 +125,6 @@ class TspCache:
 
     def __len__(self):
         return len(self._data)
-
-
-def _target_block(req: TourRequest) -> np.ndarray:
-    # Instance.distance_block of the request: its targets in id order, then the depot.
-    ix = [*req.targets, DEPOT]
-    return req.matrix.take(ix, 0).take(ix, 1)
 
 
 def _nearest_neighbor(dist: np.ndarray) -> list:
@@ -398,29 +391,31 @@ def best_cycle_lengths(dist: np.ndarray) -> np.ndarray:
 def solve_tsp(req: TourRequest) -> Tour:
     """Route one vehicle through its targets per the request's mode.
 
-    An exact request is looked up in ``req.memo`` before any block is
-    gathered, and stored there once solved; a heuristic one is not.
+    The distance matrix, speed and memo are the request's instance's.  An
+    exact request is looked up in the memo before any block is gathered,
+    and stored there once solved; a heuristic one is not.
     """
     if req.mode not in (HEURISTIC, EXACT):
         raise InvalidConfigError(f"unknown tour mode {req.mode!r}")
+    inst, vid = req.inst, req.vehicle_id
     if not req.targets:
-        return Tour(req.vehicle_id, (DEPOT, DEPOT), 0.0)
+        return Tour(vid, (DEPOT, DEPOT), 0.0)
     if req.mode == EXACT:
-        hit = req.memo.get(req)
+        hit = inst._tour_memo.get(req)
         if hit is None:
             if len(req.targets) > EXACT_CAP:
                 raise CapacityError(
                     f"exact tour solve over {len(req.targets)} targets exceeds cap {EXACT_CAP}")
-            order, length = held_karp_order(_target_block(req))
+            order, length = held_karp_order(inst.distance_block(vid, req.targets))
             hit = ((DEPOT, *(req.targets[p] for p in order), DEPOT), length)
-            req.memo.put(req, *hit)
+            inst._tour_memo.put(req, *hit)
         sequence, length = hit
     else:
-        if req.start is None:
-            start = [req.targets[p] for p in _nearest_neighbor(_target_block(req))]
-        else:
-            start = req.start
+        start = req.start
+        if start is None:
+            nearest = _nearest_neighbor(inst.distance_block(vid, req.targets))
+            start = [req.targets[p] for p in nearest]
         ext = np.array([DEPOT, *start, DEPOT])
-        length = _improve(ext, req.matrix)
+        length = _improve(ext, inst.distance_matrix(vid))
         sequence = tuple(ext.tolist())
-    return Tour(req.vehicle_id, sequence, float(length) / req.speed)
+    return Tour(vid, sequence, float(length) / inst.vehicle(vid).speed)

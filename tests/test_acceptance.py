@@ -12,11 +12,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from minmaxtsp import (DEPOT, EXACT, Solution, SolverConfig, Tour,
-                       best_insertion, compute_savings, exact_minmax,
+from minmaxtsp import (DEPOT, EXACT, Solution, SolverConfig, Tour, bench,
+                       best_insertion, compute_savings, exact_minmax, generate_instance,
                        min_target_counts, perturb_colocated_depots,
                        perturbation_loop, request_for, run_experiment,
-                       scenario1, solve_load_balancing, solve_tsp,
+                       scenario1, solve, solve_load_balancing, solve_tsp,
                        tour_duration, validate_solution)
 from minmaxtsp.cli import main as cli_main
 from minmaxtsp.heuristic import perturbation_angle
@@ -42,9 +42,17 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> bool:
 def _gap_run(seed: int, fraction: float, feasibility: list):
     cfg = scenario1(n_targets=10, n_instances=20, assign_fraction=fraction,
                     seed=seed, oracle=True, tour_mode=EXACT)
-
-    def hook(index, inst, sol, trace):
-        where = f"seed {seed} frac {fraction} instance {index}"
+    report = run_experiment(cfg)
+    solver_cfg = SolverConfig(tour_mode=EXACT)
+    for row in report.rows:
+        # Instance i of a run is solved on its own substream, so this repeats
+        # the solve the report scored; its stage plans are checked here.
+        inst = generate_instance(cfg, row.instance)
+        _, trace = solve(inst, solver_cfg, rng=bench._substream(seed, row.instance, lane=1))
+        where = f"seed {seed} frac {fraction} instance {row.instance}"
+        scored = (row.init_obj, row.ls_obj, row.final_obj)
+        if (trace.after_init, trace.after_local_search, trace.after_perturbation) != scored:
+            feasibility.append(f"{where}: the repeated solve differs from the report")
         for stage, staged in trace.stage_solutions.items():
             for problem in validate_solution(inst, staged):
                 feasibility.append(f"{where} [{stage}]: {problem}")
@@ -52,8 +60,7 @@ def _gap_run(seed: int, fraction: float, feasibility: list):
                 if not req <= staged.targets_of(vid):
                     feasibility.append(f"{where} [{stage}]: required set of "
                                        f"vehicle {vid} strayed")
-
-    return run_experiment(cfg, on_instance=hook)
+    return report
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ from minmaxtsp import (EXACT, ExperimentConfig, ExperimentReport, InvalidConfigE
                        generate_instance, run_experiment, scenario1, scenario2,
                        write_report)
 from minmaxtsp.bench import REPORT_COLUMNS, ReportRow
-from minmaxtsp.heuristic import STAGE_PERTURBATION
 from minmaxtsp.model import SPEED_MIN
 
 from conftest import report_records
@@ -42,6 +41,12 @@ class TestGeneration:
         for bad in (True, 2.5, -1, np.int64(-1), "1", None):
             with pytest.raises(InvalidConfigError, match="index"):
                 generate_instance(cfg, bad)
+
+    @pytest.mark.parametrize("cfg", [{"n_targets": 5}, None, "scenario1"],
+                             ids=["dict", "none", "str"])
+    def test_anything_but_a_config_raises_invalid_config(self, cfg):
+        with pytest.raises(InvalidConfigError, match="must be an ExperimentConfig"):
+            generate_instance(cfg, 0)
 
     def test_zero_fraction_pins_nothing(self):
         inst = generate_instance(scenario1(n_targets=10, seed=1), 0)
@@ -155,15 +160,11 @@ class TestRunExperiment:
         assert summary["mean_t_oracle_s"] is None
         assert all(r.oracle_obj is None for r in report.rows)
 
-    def test_instance_hook_sees_every_run(self):
-        seen = []
-
-        def hook(index, inst, sol, trace):
-            seen.append((index, inst.n_targets, sol.objective))
-            assert trace.stage_solutions[STAGE_PERTURBATION] is sol
-
-        run_experiment(self._small(), on_instance=hook)
-        assert [s[0] for s in seen] == [0, 1, 2]
+    @pytest.mark.parametrize("cfg", [{"n_targets": 5}, None, "scenario1"],
+                             ids=["dict", "none", "str"])
+    def test_anything_but_a_config_raises_invalid_config(self, cfg):
+        with pytest.raises(InvalidConfigError, match="must be an ExperimentConfig"):
+            run_experiment(cfg)
 
 
 class TestReportFile:

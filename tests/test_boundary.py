@@ -133,6 +133,7 @@ _VALID = _instance_with(None, None)
     pytest.param(lambda x: save_instance(x, "inst.json"), id="save_instance"),
     pytest.param(lambda x: validate_solution(x, Solution((_PARKED,))), id="validate_solution"),
     pytest.param(lambda x: tour_duration(x, _PARKED), id="tour_duration"),
+    pytest.param(lambda x: request_for(x, 1, (0,)), id="request_for"),
     pytest.param(lambda x: render_solution_svg(x, Solution((_PARKED,))),
                  id="render_solution_svg"),
     pytest.param(lambda x: render_tours(x, [("plan", Solution((_PARKED,)))], "tours"),

@@ -282,7 +282,8 @@ class TestInsertionLowerBound:
     def test_never_exceeds_the_held_karp_tour(self, case):
         inst, receiver, target = case
         tour = solve_tsp(request_for(inst, 1, receiver, EXACT))
-        bound = heuristic._insertion_lower_bound(target, tour, inst)
+        bound = heuristic._insertion_lower_bound(target, tour, inst,
+                                                 heuristic._TourRead(inst, tour))
         assert bound == _scalar_insertion_bound(target, tour, inst)
         longer = solve_tsp(request_for(inst, 1, receiver | {target}, EXACT))
         assert bound <= longer.duration * (1 + 2 ** -40)
