@@ -24,7 +24,7 @@ from .model import (DEPOT, CapacityError, InfeasibleAllocationError, Instance,
                     distances, tour_duration, validate_solution)
 from .oracle import exact_minmax, oracle_feasible
 from .svgplot import render_tours
-from .tsp import EXACT, HEURISTIC, TourRequest, request_for, solve_tsp
+from .tsp import EXACT, HEURISTIC, TourRequest, solve_tsp
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "generate_instance", "instance_from_json", "instance_to_json",
     "load_instance", "local_search", "min_target_counts", "oracle_feasible",
     "perturb_colocated_depots", "perturbation_loop", "perturbation_radius",
-    "render_tours", "request_for", "run_experiment", "save_instance",
+    "render_tours", "run_experiment", "save_instance",
     "scenario1", "scenario2", "solve", "solve_load_balancing", "solve_tsp",
     "tour_duration", "validate_solution", "write_report",
 ]

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .model import InfeasibleAllocationError, Instance, Point, Solution, distances
-from .tsp import HEURISTIC, request_for, solve_tsp
+from .tsp import HEURISTIC, TourRequest, solve_tsp
 
 # Radius of the circle on which co-located depots are spread apart.
 COLOCATION_RADIUS = 0.1
@@ -175,5 +175,5 @@ def build_initial_solution(inst: Instance, alloc: dict, mode: str = HEURISTIC) -
     tours = []
     for v in inst.vehicles:
         ids = alloc[v.id] | inst.required_for(v.id)
-        tours.append(solve_tsp(request_for(inst, v.id, ids, mode)))
+        tours.append(solve_tsp(TourRequest(inst, v.id, ids, mode)))
     return Solution(tuple(tours))

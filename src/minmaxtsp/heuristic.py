@@ -40,7 +40,7 @@ from .allocation import (build_initial_solution, perturb_colocated_depots,
 from .model import (DEPOT, Instance, InvalidConfigError, NoInsertionCandidateError,
                     Point, Solution, StageCheckError, Tour, check_instance,
                     is_integer, validate_solution)
-from .tsp import EXACT, EXACT_CAP, HEURISTIC, request_for, solve_tsp
+from .tsp import EXACT, EXACT_CAP, HEURISTIC, TourRequest, solve_tsp
 
 # The displacement angle steps 144 degrees, so the schedule repeats after
 # PERTURBATION_PERIOD steps; no_improve_stop may not exceed it.
@@ -111,11 +111,13 @@ def compute_savings(sol: Solution, inst: Instance, vid: int) -> list:
     """Time saved on vehicle vid's tour by splicing out each removable target.
 
     Pre-assigned targets are never candidates.  Entries come back sorted by
-    decreasing value, ties by ascending target index.
+    decreasing value, ties by ascending target index.  A tour vertex that is
+    no target of ``inst`` raises InvalidInstanceError.
     """
     tm = inst.time_matrix(vid)
     pinned = inst.required_for(vid)
     seq = sol.tour_for(vid).sequence
+    inst.check_targets(seq[1:-1], "tour vertex")
     ix = np.array(seq)
     hops = tm[ix[:-1], ix[1:]]
     values = (hops[:-1] + hops[1:] - tm[ix[:-2], ix[2:]]).tolist()
@@ -159,6 +161,13 @@ class _TourRead:
         return self._pairs
 
 
+def _check_tours(sol: Solution, inst: Instance) -> None:
+    """Raise InvalidInstanceError unless every tour of ``sol`` visits only
+    targets of ``inst``, as a plan of another instance may not."""
+    for tour in sol.tours:
+        inst.check_targets(tour.sequence[1:-1], "tour vertex")
+
+
 def _read_tours(sol: Solution, inst: Instance, exclude: int) -> list:
     """A ``_TourRead`` of every tour but the excluded vehicle's, in id order."""
     return [_TourRead(inst, sol.tour_for(v.id)) for v in inst.vehicles if v.id != exclude]
@@ -168,7 +177,8 @@ def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int,
                    reads: list | None = None) -> InsertionQuote:
     """Cheapest splice of ``target`` into any tour but the excluded vehicle's.
 
-    ``target`` must be a target index of ``inst`` (else InvalidInstanceError).
+    ``target`` and, when ``reads`` is None, every vertex of ``sol`` must be
+    target indices of ``inst`` (else InvalidInstanceError).
     Every consecutive vertex pair (a, b) of every other tour is priced as
     tm[a, t] + tm[t, b] - tm[a, b], from one row of the matrix per tour; ties
     break toward the lower vehicle id, then the lower edge position.
@@ -179,6 +189,7 @@ def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int,
         raise NoInsertionCandidateError("no other vehicle to receive the target")
     inst.check_target(target)
     if reads is None:
+        _check_tours(sol, inst)
         reads = _read_tours(sol, inst, exclude)
     best = None
     for read in reads:
@@ -203,29 +214,28 @@ def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int,
 _BOUND_SLACK = 1.0 + 2.0 ** -40
 
 
-def _insertion_lower_bound(target: int, tour: Tour, inst: Instance,
-                           read: _TourRead) -> float:
-    """Least duration of an optimal tour of ``tour``'s targets plus ``target``,
-    given that ``tour`` is optimal for its own targets.
+def _insertion_lower_bound(target: int, read: _TourRead) -> float:
+    """Least duration of an optimal tour of ``read.tour``'s targets plus
+    ``target``, given that ``read.tour`` is optimal for its own targets.
 
     Cutting ``target`` out of the longer optimal tour and joining its two
     neighbours a and b leaves a tour of the old targets, so the longer tour
-    costs at least ``tour.duration`` plus tm[a, t] + tm[t, b] - tm[a, b]
+    costs at least the old tour's duration plus tm[a, t] + tm[t, b] - tm[a, b]
     minimised over a, b in the depot and the old targets.  Allowing a = b
     only lowers the minimum, needs no triangle inequality and covers the
-    empty tour, where it gives the exact round trip.  ``read`` is
-    ``_TourRead(inst, tour)``, which ``local_search`` shares with the quotes
-    of its pass.
+    empty tour, where it gives the exact round trip.  ``local_search``
+    shares ``read`` with the quotes of its pass.
     """
     to_target = read.row(target)[:-1]
-    return tour.duration + min([a + b - ab for a, row in zip(to_target, read.pairs())
-                                for b, ab in zip(to_target, row)])
+    return read.tour.duration + min([a + b - ab for a, row in zip(to_target, read.pairs())
+                                     for b, ab in zip(to_target, row)])
 
 
 def _rebuild(inst: Instance, vid: int, order: tuple, cfg: SolverConfig):
     """Vehicle vid's tour through ``order``'s targets; a heuristic tour is
-    polished from ``order``, an exact one ignores it."""
-    return solve_tsp(request_for(inst, vid, order, cfg.tour_mode, order))
+    polished from ``order``, an exact one needs no start."""
+    start = None if cfg.tour_mode == EXACT else order
+    return solve_tsp(TourRequest(inst, vid, order, cfg.tour_mode, start))
 
 
 def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
@@ -243,7 +253,9 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
     already holds ``EXACT_CAP`` targets, so it never requests an exact tour
     past the cap.  Savings are recomputed from the new plan after every
     accepted move; the search stops when every candidate on the maximal tour
-    fails.  Exact tours are memoized in ``inst``, as long as it lives.
+    fails.  Exact tours are memoized in ``inst``, as long as it lives.  The
+    tours of ``sol`` are checked against ``inst`` once, up front; a vertex
+    that is no target of it raises InvalidInstanceError.
 
     Precondition with ``cfg.tour_mode == EXACT``: every tour of ``sol`` is
     an optimal (Held-Karp) tour on ``inst``'s geometry, as every tour the
@@ -251,6 +263,7 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
     """
     if inst.k < 2:
         return sol
+    _check_tours(sol, inst)
     exact = cfg.tour_mode == EXACT
     current = sol
     while True:
@@ -266,8 +279,8 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
             quote = best_insertion(entry.target, current, inst, donor, reads)
             read = read_of[quote.vehicle_id]
             receiver = read.tour
-            if exact and (len(receiver.targets()) >= EXACT_CAP or _insertion_lower_bound(
-                    entry.target, receiver, inst, read) >= hopeless):
+            if exact and (len(receiver.targets()) >= EXACT_CAP
+                          or _insertion_lower_bound(entry.target, read) >= hopeless):
                 continue
             p = quote.edge_position
             order = receiver.targets()
@@ -290,9 +303,11 @@ def perturbation_radius(sol: Solution, inst: Instance, vid: int) -> float:
     """Half the summed travel times of a tour's two depot edges, read from
     the depot row (index DEPOT) of the vehicle's ``distance_matrix``.
 
-    An empty tour pins its depot in place (radius zero).
+    An empty tour pins its depot in place (radius zero).  A tour vertex that
+    is no target of ``inst`` raises InvalidInstanceError.
     """
     seq = sol.tour_for(vid).sequence
+    inst.check_targets(seq[1:-1], "tour vertex")
     if len(seq) < 3:
         return 0.0
     row = inst.distance_matrix(vid)[DEPOT]

@@ -7,7 +7,6 @@ divided by the vehicle's speed, so the metric is symmetric and satisfies the
 triangle inequality for every vehicle.
 """
 
-import copy
 import math
 import sys
 from collections.abc import Iterable, Mapping
@@ -176,7 +175,9 @@ class Instance:
     cached lazily and shared by all solver stages; ``with_depots`` makes a
     changed copy with its own matrix cache but this instance's exact-tour memo
     (``tsp.TspCache``); its moved depots need only be finite points of fleet
-    vehicles.  Bad input raises InvalidInstanceError.
+    vehicles.  Bad input raises InvalidInstanceError.  Pickling and copying
+    rebuild an instance from its targets, vehicles and required sets, so the
+    copy is validated again and starts with empty caches.
     """
 
     targets: tuple
@@ -234,6 +235,9 @@ class Instance:
         from .tsp import TspCache  # tsp builds on this module
         object.__setattr__(self, "_tour_memo", TspCache())
 
+    def __reduce__(self):
+        return Instance, (self.targets, self.vehicles, self.required)
+
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -284,9 +288,8 @@ class Instance:
             self._cache["xy"] = xy
         return xy
 
-    def _matrices(self, vid: int) -> tuple:
-        # (distances, travel times) of one vehicle, cached under its checked id.
-        v = self.vehicle(vid)
+    def _matrices(self, v: Vehicle) -> tuple:
+        # (distances, travel times) of a vehicle of this fleet, cached under its id.
         mats = self._cache.get(v.id)
         if mats is None:
             pts = np.vstack([self.target_xy(), [float(v.depot.x), float(v.depot.y)]])
@@ -296,12 +299,12 @@ class Instance:
 
     def distance_matrix(self, vid: int) -> np.ndarray:
         """(n+1, n+1) distances for one vehicle, cached; row/col DEPOT is its depot."""
-        return self._matrices(vid)[0]
+        return self._matrices(self.vehicle(vid))[0]
 
     def time_matrix(self, vid: int) -> np.ndarray:
         """(n+1, n+1) travel times for one vehicle, cached: its
         ``distance_matrix`` divided by its speed; row/col DEPOT is its depot."""
-        return self._matrices(vid)[1]
+        return self._matrices(self.vehicle(vid))[1]
 
     def distance_block(self, vid: int, targets) -> np.ndarray:
         """(m+1, m+1) block of ``distance_matrix``: the given targets in the
@@ -322,11 +325,11 @@ class Instance:
             self._check_vid(vid)
             if not is_point(p, sys.float_info.max):
                 raise InvalidInstanceError(f"depot {p!r} of vehicle {vid} is not a finite Point")
-        moved = copy.copy(self)
-        object.__setattr__(moved, "vehicles", tuple(
-            Vehicle(v.id, v.speed, _plain(depots.get(v.id, v.depot))) for v in self.vehicles
-        ))
-        object.__setattr__(moved, "_cache", {})
+        # Not built through __init__, which would check the depots against
+        # COORD_LIMIT and start a new memo; the copy shares this one.
+        moved = object.__new__(Instance)
+        moved.__dict__.update(self.__dict__, _cache={}, vehicles=tuple(
+            Vehicle(v.id, v.speed, _plain(depots.get(v.id, v.depot))) for v in self.vehicles))
         return moved
 
 

@@ -24,7 +24,7 @@ An instance is admitted while its k^n partitions of n free targets stay within
 import numpy as np
 
 from .model import Instance, OracleBudgetError, Solution, check_instance
-from .tsp import EXACT, EXACT_CAP, best_cycle_lengths, request_for, solve_tsp
+from .tsp import EXACT, EXACT_CAP, TourRequest, best_cycle_lengths, solve_tsp
 
 MAX_PARTITIONS = 2_000_000
 
@@ -95,5 +95,5 @@ def exact_minmax(inst: Instance) -> Solution:
     for share, v in zip(shares, inst.vehicles):
         ids = {t for p, t in enumerate(free) if share >> p & 1}
         ids |= inst.required_for(v.id)
-        tours.append(solve_tsp(request_for(inst, v.id, ids, EXACT)))
+        tours.append(solve_tsp(TourRequest(inst, v.id, ids, EXACT)))
     return Solution(tuple(tours))

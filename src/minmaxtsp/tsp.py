@@ -1,9 +1,10 @@
 """Single-vehicle tour sub-solver.
 
 A ``TourRequest`` names an instance, one of its vehicles, a set of its
-targets, a mode and, optionally, a start order; ``solve_tsp`` reads the
-vehicle's distance matrix and speed, and the exact-tour memo, from the
-instance.  Two modes share that one entry point:
+targets, a mode and, optionally, a start order.  It is frozen and checks
+itself when built, the one way into the solver; ``solve_tsp`` trusts it and
+reads the vehicle's distance matrix and speed, and the exact-tour memo,
+from the instance.  Two modes share that one entry point:
 
 * heuristic -- 2-opt and Or-opt (segment lengths 1..3), both
   first-improvement with a fixed scan order, polish the request's ``start``
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEPOT, CapacityError, Instance, InvalidConfigError, Tour, check_instance
+from .model import (DEPOT, CapacityError, Instance, InvalidConfigError, InvalidInstanceError,
+                    Tour, check_instance)
 
 HEURISTIC = "heuristic"
 EXACT = "exact"
@@ -54,17 +56,18 @@ EXACT_CAP = 16
 _EPS = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class TourRequest:
     """Route one vehicle of an instance through a set of its targets.
 
     A request holds the instance and what the caller chose, nothing the
-    instance already owns: ``solve_tsp`` reads the vehicle's distance
-    matrix, its speed and the exact-tour memo from ``inst``.  ``targets``
-    are target ids of ``inst``, sorted, which define the request's identity.
-    ``start`` is None or, for a heuristic request, the same targets in the
-    tour order the polish starts from; without one the polish starts from
-    nearest neighbour.  Build requests with ``request_for``, which checks them.
+    instance already owns.  It checks itself when built and is frozen, so
+    ``solve_tsp`` trusts it.  ``inst`` must be an Instance, ``vehicle_id``
+    one of its vehicle ids and ``targets`` distinct target indices of it
+    (else ``InvalidInstanceError``), stored sorted as the request's identity.
+    ``mode`` is HEURISTIC or EXACT and ``start`` None or an order of the
+    targets (else ``InvalidConfigError``), which a heuristic polish starts
+    from instead of nearest neighbour; an exact request drops it.
     """
 
     inst: Instance
@@ -73,55 +76,45 @@ class TourRequest:
     mode: str = HEURISTIC
     start: tuple | None = None
 
-
-def request_for(inst: Instance, vid: int, targets, mode: str = HEURISTIC,
-                start=None) -> TourRequest:
-    """Build a TourRequest for one vehicle of an instance.
-
-    ``inst`` must be an Instance, ``vid`` one of its vehicle ids and every
-    target one of its target indices (``check_instance``, ``Instance.vehicle``,
-    ``Instance.check_targets``; else ``InvalidInstanceError``).  ``start``,
-    if given, must list the targets in some order (else ``InvalidConfigError``).
-    An exact request drops its start: Held-Karp needs none, nor does the
-    memo's key.
-    """
-    check_instance(inst)
-    ids = tuple(targets)
-    inst.check_targets(ids)
-    ids = tuple(sorted(ids))
-    if start is not None:
-        start = tuple(start)
-        if sorted(start) != list(ids):
-            raise InvalidConfigError(
-                f"start {start!r} is not an order of the targets {ids!r}")
-    inst.vehicle(vid)
-    return TourRequest(inst, vid, ids, mode, None if mode == EXACT else start)
+    def __post_init__(self):
+        inst, start = self.inst, self.start
+        check_instance(inst)
+        inst.vehicle(self.vehicle_id)
+        ids = tuple(self.targets)
+        inst.check_targets(ids)
+        ids = tuple(sorted(ids))
+        if len(set(ids)) < len(ids):
+            raise InvalidInstanceError(f"targets {ids!r} name a target twice")
+        if self.mode not in (HEURISTIC, EXACT):
+            raise InvalidConfigError(f"unknown tour mode {self.mode!r}")
+        if start is not None:
+            start = tuple(start)
+            if sorted(start) != list(ids):
+                raise InvalidConfigError(
+                    f"start {start!r} is not an order of the targets {ids!r}")
+            object.__setattr__(self, "start", None if self.mode == EXACT else start)
+        object.__setattr__(self, "targets", ids)
 
 
 class TspCache:
-    """Memo for exact tours, keyed by what they depend on: the depot position
-    and the target set.
+    """Memo for exact tours, keyed by what they depend on: the depot
+    position and the sorted target ids, ``(x, y, targets)``.
 
     Every ``Instance`` owns one for as long as it lives, shared by its
     ``with_depots`` copies, which keep its targets; so a hit equals a
-    recompute.  ``solve_tsp`` looks up and stores exact requests only, in
-    the memo of the request's instance: a heuristic tour depends on its
-    start too, which stages 2 and 3 rarely repeat.
+    recompute.  ``solve_tsp`` builds an exact request's key once, to look
+    it up and to store the solved tour; heuristic tours, which depend on a
+    start that stages 2 and 3 rarely repeat, are not memoized.
     """
 
     def __init__(self):
         self._data = {}
 
-    @staticmethod
-    def _key(req: TourRequest):
-        depot = req.inst.vehicle(req.vehicle_id).depot
-        return (depot.x, depot.y, req.targets)
+    def get(self, key: tuple):
+        return self._data.get(key)
 
-    def get(self, req: TourRequest):
-        return self._data.get(self._key(req))
-
-    def put(self, req: TourRequest, sequence: tuple, length: float) -> None:
-        self._data[self._key(req)] = (sequence, length)
+    def put(self, key: tuple, sequence: tuple, length: float) -> None:
+        self._data[key] = (sequence, length)
 
     def __len__(self):
         return len(self._data)
@@ -391,31 +384,31 @@ def best_cycle_lengths(dist: np.ndarray) -> np.ndarray:
 def solve_tsp(req: TourRequest) -> Tour:
     """Route one vehicle through its targets per the request's mode.
 
-    The distance matrix, speed and memo are the request's instance's.  An
-    exact request is looked up in the memo before any block is gathered,
-    and stored there once solved; a heuristic one is not.
+    The request was checked when built: its vehicle is looked up once, for
+    the depot, speed and distance matrix, and the memo is its instance's.  An
+    exact request is keyed once, looked up in the memo before any block is
+    gathered and stored there once solved; a heuristic one is not.
     """
-    if req.mode not in (HEURISTIC, EXACT):
-        raise InvalidConfigError(f"unknown tour mode {req.mode!r}")
-    inst, vid = req.inst, req.vehicle_id
-    if not req.targets:
+    inst, vid, targets = req.inst, req.vehicle_id, req.targets
+    vehicle = inst.vehicles[vid - 1]
+    if not targets:
         return Tour(vid, (DEPOT, DEPOT), 0.0)
     if req.mode == EXACT:
-        hit = inst._tour_memo.get(req)
+        key = (vehicle.depot.x, vehicle.depot.y, targets)
+        hit = inst._tour_memo.get(key)
         if hit is None:
-            if len(req.targets) > EXACT_CAP:
+            if len(targets) > EXACT_CAP:
                 raise CapacityError(
-                    f"exact tour solve over {len(req.targets)} targets exceeds cap {EXACT_CAP}")
-            order, length = held_karp_order(inst.distance_block(vid, req.targets))
-            hit = ((DEPOT, *(req.targets[p] for p in order), DEPOT), length)
-            inst._tour_memo.put(req, *hit)
+                    f"exact tour solve over {len(targets)} targets exceeds cap {EXACT_CAP}")
+            order, length = held_karp_order(inst.distance_block(vid, targets))
+            hit = ((DEPOT, *(targets[p] for p in order), DEPOT), length)
+            inst._tour_memo.put(key, *hit)
         sequence, length = hit
     else:
         start = req.start
         if start is None:
-            nearest = _nearest_neighbor(inst.distance_block(vid, req.targets))
-            start = [req.targets[p] for p in nearest]
+            start = [targets[p] for p in _nearest_neighbor(inst.distance_block(vid, targets))]
         ext = np.array([DEPOT, *start, DEPOT])
-        length = _improve(ext, inst.distance_matrix(vid))
+        length = _improve(ext, inst._matrices(vehicle)[0])
         sequence = tuple(ext.tolist())
-    return Tour(vid, sequence, float(length) / inst.vehicle(vid).speed)
+    return Tour(vid, sequence, float(length) / vehicle.speed)

@@ -12,10 +12,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from minmaxtsp import (DEPOT, EXACT, Solution, SolverConfig, Tour, bench,
+from minmaxtsp import (DEPOT, EXACT, Solution, SolverConfig, Tour, TourRequest, bench,
                        best_insertion, compute_savings, exact_minmax, generate_instance,
                        min_target_counts, perturb_colocated_depots,
-                       perturbation_loop, request_for, run_experiment,
+                       perturbation_loop, run_experiment,
                        scenario1, solve, solve_load_balancing, solve_tsp,
                        tour_duration, validate_solution)
 from minmaxtsp.cli import main as cli_main
@@ -173,8 +173,8 @@ def test_c6_savings_and_insertion_formulas():
     negatives = 0
     while probes < 1000:
         inst = random_instance(rng, n=11, k=2)
-        donor = solve_tsp(request_for(inst, 1, range(8)))
-        host = solve_tsp(request_for(inst, 2, (8, 9, 10)))
+        donor = solve_tsp(TourRequest(inst, 1, range(8)))
+        host = solve_tsp(TourRequest(inst, 2, (8, 9, 10)))
         sol = Solution((donor, host))
         for entry in compute_savings(sol, inst, 1):
             seq = list(donor.sequence)
@@ -204,8 +204,8 @@ def test_c7_tour_heuristic_quality():
     for _ in range(200):
         m = int(rng.integers(7, 11))
         inst = random_instance(rng, n=m, k=1)
-        heur = solve_tsp(request_for(inst, 1, range(m)))
-        exact = solve_tsp(request_for(inst, 1, range(m), mode=EXACT))
+        heur = solve_tsp(TourRequest(inst, 1, range(m)))
+        exact = solve_tsp(TourRequest(inst, 1, range(m), mode=EXACT))
         if heur.duration < exact.duration - 1e-9:
             below_exact += 1
         if 100.0 * (heur.duration - exact.duration) / exact.duration <= 5.0:

@@ -1,8 +1,8 @@
 """Input boundary: any JSON-like value in any one field of an instance either
 builds a valid instance or raises InvalidInstanceError, never another error;
 numbers other than ints, floats and NumPy scalars, anything passed as an
-instance or a solution that is not one, and vehicle ids outside the fleet
-raise it too."""
+instance or a solution that is not one, vehicle ids outside the fleet and a
+plan of another instance raise it too."""
 
 import copy
 import json
@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution, Tour,
-                       Vehicle, exact_minmax, instance_from_json, instance_to_json,
-                       oracle_feasible, render_tours, request_for, save_instance, solve,
-                       tour_duration, validate_solution)
+from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution, SolverConfig,
+                       Tour, TourRequest, Vehicle, best_insertion, compute_savings,
+                       exact_minmax, generate_instance, instance_from_json, instance_to_json,
+                       local_search, oracle_feasible, perturbation_loop, render_tours,
+                       save_instance, scenario1, solve, tour_duration, validate_solution)
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 from minmaxtsp.svgplot import render_solution_svg
 
@@ -133,7 +134,9 @@ _VALID = _instance_with(None, None)
     pytest.param(lambda x: save_instance(x, "inst.json"), id="save_instance"),
     pytest.param(lambda x: validate_solution(x, Solution((_PARKED,))), id="validate_solution"),
     pytest.param(lambda x: tour_duration(x, _PARKED), id="tour_duration"),
-    pytest.param(lambda x: request_for(x, 1, (0,)), id="request_for"),
+    # The TourRequest cases keep the id "request_for", the name of the builder
+    # it replaced, so their test ids read the same from one version to the next.
+    pytest.param(lambda x: TourRequest(x, 1, (0,)), id="request_for"),
     pytest.param(lambda x: render_solution_svg(x, Solution((_PARKED,))),
                  id="render_solution_svg"),
     pytest.param(lambda x: render_tours(x, [("plan", Solution((_PARKED,)))], "tours"),
@@ -174,7 +177,7 @@ _PLAN = Solution((_tour_of(1), Tour(2, (DEPOT, 1, DEPOT), 1.0)))
                  id="required"),
     pytest.param(lambda inst, vid: inst.distance_matrix(vid), id="distance_matrix"),
     pytest.param(lambda inst, vid: inst.time_matrix(vid), id="time_matrix"),
-    pytest.param(lambda inst, vid: request_for(inst, vid, (0,)), id="request_for"),
+    pytest.param(lambda inst, vid: TourRequest(inst, vid, (0,)), id="request_for"),  # see above
     pytest.param(lambda inst, vid: tour_duration(inst, _tour_of(vid)), id="tour_duration"),
     pytest.param(lambda inst, vid: render_solution_svg(inst, Solution((_tour_of(vid),))),
                  id="render_solution_svg"),
@@ -191,6 +194,24 @@ def test_vehicle_ids_outside_the_fleet_raise_invalid_instance(call, vid):
     for inst in (_instance_with(None, None), warm):
         with pytest.raises(InvalidInstanceError, match="vehicle id"):
             call(inst, vid)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda inst, sol: local_search(inst, sol, SolverConfig()), id="local_search"),
+    pytest.param(lambda inst, sol: perturbation_loop(inst, sol, np.random.default_rng(0),
+                                                     SolverConfig()), id="perturbation_loop"),
+    pytest.param(lambda inst, sol: compute_savings(sol, inst, sol.maximal_vehicle()),
+                 id="compute_savings"),
+    pytest.param(lambda inst, sol: best_insertion(0, sol, inst, sol.maximal_vehicle()),
+                 id="best_insertion"),
+])
+def test_a_plan_of_another_instance_raises_invalid_instance(call):
+    # Same fleet, twice the targets: the plan's tours visit targets 5..9,
+    # past the end of the smaller instance's matrices.
+    plan, _ = solve(generate_instance(scenario1(n_targets=10, seed=1), 0), rng=0)
+    other = generate_instance(scenario1(n_targets=5, seed=1), 0)
+    with pytest.raises(InvalidInstanceError, match="tour vertex"):
+        call(other, plan)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

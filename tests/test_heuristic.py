@@ -14,12 +14,12 @@ from minmaxtsp import (DEPOT, EXACT, CapacityError, ExperimentConfig,
                        InfeasibleAllocationError, InsertionQuote, Instance,
                        InvalidConfigError, InvalidInstanceError,
                        NoInsertionCandidateError, Point,
-                       Solution, SolverConfig, SolverError, Tour, Vehicle,
+                       Solution, SolverConfig, SolverError, Tour, TourRequest, Vehicle,
                        best_insertion, build_initial_solution,
                        compute_savings, exact_minmax, generate_instance,
                        local_search, perturb_colocated_depots, perturbation_loop,
                        perturbation_radius, scenario1, scenario2, solve,
-                       solve_load_balancing, solve_tsp, request_for,
+                       solve_load_balancing, solve_tsp,
                        tour_duration, validate_solution)
 from minmaxtsp import heuristic, tsp
 from minmaxtsp.tsp import EXACT_CAP
@@ -72,7 +72,7 @@ class TestComputeSavings:
         rng = np.random.default_rng(71)
         for _ in range(20):
             inst = random_instance(rng, n=8, k=2)
-            tour = solve_tsp(request_for(inst, 1, range(8)))
+            tour = solve_tsp(TourRequest(inst, 1, range(8)))
             sol = Solution((tour, _tour(inst, 2, (DEPOT, DEPOT))))
             for entry in compute_savings(sol, inst, 1):
                 seq = list(tour.sequence)
@@ -136,9 +136,9 @@ class TestBestInsertion:
         rng = np.random.default_rng(72)
         for _ in range(20):
             inst = random_instance(rng, n=9, k=3)
-            tours = [solve_tsp(request_for(inst, 1, range(6)))]
-            tours.append(solve_tsp(request_for(inst, 2, (6, 7))))
-            tours.append(solve_tsp(request_for(inst, 3, (8,))))
+            tours = [solve_tsp(TourRequest(inst, 1, range(6)))]
+            tours.append(solve_tsp(TourRequest(inst, 2, (6, 7))))
+            tours.append(solve_tsp(TourRequest(inst, 3, (8,))))
             sol = Solution(tuple(tours))
             for t in (0, 3, 5):
                 quote = best_insertion(t, sol, inst, exclude=1)
@@ -241,7 +241,7 @@ class TestEdgeGathersMatchScalarLoops:
             assert quote == best_insertion(t, sol, inst, donor)
             assert quote == _scalar_best_insertion(t, sol, inst, donor)
             for read in reads:
-                assert (heuristic._insertion_lower_bound(t, read.tour, inst, read)
+                assert (heuristic._insertion_lower_bound(t, read)
                         == _scalar_insertion_bound(t, read.tour, inst))
 
 
@@ -281,11 +281,10 @@ class TestInsertionLowerBound:
     @given(_bound_cases())
     def test_never_exceeds_the_held_karp_tour(self, case):
         inst, receiver, target = case
-        tour = solve_tsp(request_for(inst, 1, receiver, EXACT))
-        bound = heuristic._insertion_lower_bound(target, tour, inst,
-                                                 heuristic._TourRead(inst, tour))
+        tour = solve_tsp(TourRequest(inst, 1, receiver, EXACT))
+        bound = heuristic._insertion_lower_bound(target, heuristic._TourRead(inst, tour))
         assert bound == _scalar_insertion_bound(target, tour, inst)
-        longer = solve_tsp(request_for(inst, 1, receiver | {target}, EXACT))
+        longer = solve_tsp(TourRequest(inst, 1, receiver | {target}, EXACT))
         assert bound <= longer.duration * (1 + 2 ** -40)
 
 
@@ -308,7 +307,7 @@ class TestLocalSearch:
             free = list(inst.free_targets())
             for v in inst.vehicles:
                 mine = set(inst.required_for(v.id)) | (set(free) if v.id == 1 else set())
-                tours.append(solve_tsp(request_for(inst, v.id, mine)))
+                tours.append(solve_tsp(TourRequest(inst, v.id, mine)))
             sol = Solution(tuple(tours))
             out = local_search(inst, sol, cfg)
             assert out.objective <= sol.objective + 1e-9
@@ -378,7 +377,7 @@ def _starts(inst, cfg, index):
     _, trace = solve(inst, cfg, rng=index)
     free = set(inst.free_targets())
     loaded = Solution(tuple(
-        solve_tsp(request_for(inst, v.id, set(inst.required_for(v.id))
+        solve_tsp(TourRequest(inst, v.id, set(inst.required_for(v.id))
                               | (free if v.id == 1 else set()), cfg.tour_mode))
         for v in inst.vehicles))
     return trace.stage_solutions[STAGE_INIT], loaded

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution,
-                       Tour, Vehicle, perturb_colocated_depots,
-                       solve, tour_duration, validate_solution)
+                       SolverConfig, Tour, Vehicle, generate_instance,
+                       perturb_colocated_depots, scenario1, solve, tour_duration,
+                       validate_solution)
 from minmaxtsp.allocation import _cost_matrix
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 
@@ -396,6 +397,16 @@ class TestInstanceValidation:
         assert repr(twin.required) == repr({2: frozenset({0, 2})})
         with pytest.raises(TypeError):
             twin.required[1] = frozenset({1})
+
+    def test_a_solved_instance_pickles_and_copies_without_its_caches(self):
+        inst = generate_instance(scenario1(n_targets=10, seed=11 << 20), 0)
+        fresh = pickle.dumps(inst)
+        solve(inst, SolverConfig(tour_mode="exact"), rng=0)
+        assert len(inst._tour_memo) > 0 and inst._cache
+        assert len(pickle.dumps(inst)) == len(fresh)
+        for twin in (pickle.loads(pickle.dumps(inst)), copy.copy(inst), copy.deepcopy(inst)):
+            assert twin == inst
+            assert len(twin._tour_memo) == 0 and not twin._cache
 
 
 def _two_targets():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxtsp import (DEPOT, EXACT, Instance, OracleBudgetError, Point,
-                       Solution, Vehicle, exact_minmax, oracle_feasible,
-                       request_for, solve, solve_tsp, validate_solution)
+                       Solution, TourRequest, Vehicle, exact_minmax, oracle_feasible,
+                       solve, solve_tsp, validate_solution)
 from minmaxtsp.oracle import _duration_tables
 
 from conftest import brute_minmax_objective, line_instance, random_instance
@@ -47,7 +47,7 @@ def _odometer_reference(inst: Instance) -> Solution:
     for j, v in enumerate(inst.vehicles):
         ids = {free[p] for p in range(nf) if best_masks[j] >> p & 1}
         ids |= inst.required_for(v.id)
-        tours.append(solve_tsp(request_for(inst, v.id, ids, EXACT)))
+        tours.append(solve_tsp(TourRequest(inst, v.id, ids, EXACT)))
     return Solution(tuple(tours))
 
 
@@ -83,7 +83,7 @@ class TestAgreement:
         rng = np.random.default_rng(21)
         inst = random_instance(rng, n=7, k=1)
         plan = exact_minmax(inst)
-        tour = solve_tsp(request_for(inst, 1, range(7), mode=EXACT))
+        tour = solve_tsp(TourRequest(inst, 1, range(7), mode=EXACT))
         assert plan.objective == pytest.approx(tour.duration, abs=1e-9)
 
     def test_facing_vehicles_split_the_line(self):

@@ -1,7 +1,7 @@
-"""Single-vehicle tour solver: exact DP vs. permutation enumeration, the layered
-DP and its tour read-back against the per-mask loop and its parent table,
-heuristic quality, 2-opt behavior, the numpy polish loop against the scans,
-and the instance's exact-tour memo."""
+"""Single-vehicle tour solver: the self-checking request, exact DP vs.
+permutation enumeration, the layered DP and its tour read-back against the
+per-mask loop and its parent table, heuristic quality, 2-opt behavior, the
+numpy polish loop against the scans, and the instance's exact-tour memo."""
 
 import dataclasses
 import math
@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxtsp import (DEPOT, EXACT, HEURISTIC, CapacityError, Instance,
-                       InvalidConfigError, InvalidInstanceError, Point, Tour, Vehicle,
-                       distances, request_for, solve_tsp, tour_duration)
+                       InvalidConfigError, InvalidInstanceError, Point, Tour, TourRequest,
+                       Vehicle, distances, generate_instance, scenario1, solve_tsp,
+                       tour_duration)
 from minmaxtsp.model import COORD_LIMIT
 from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, _gain_tolerance, _improve,
                            _move_tables, _nearest_neighbor, _subset_dp, _subset_dp_table,
@@ -40,21 +41,20 @@ class TestSolveBasics:
     def test_empty_target_set_yields_parked_tour(self):
         inst = _square_instance()
         for mode in (HEURISTIC, EXACT):
-            tour = solve_tsp(request_for(inst, 1, (), mode=mode))
+            tour = solve_tsp(TourRequest(inst, 1, (), mode=mode))
             assert tour.sequence == (DEPOT, DEPOT)
             assert tour.duration == 0.0
 
     @pytest.mark.parametrize("targets", [(), (0, 1, 2)])
     def test_unknown_mode_is_rejected(self, targets):
-        req = request_for(_square_instance(), 1, targets, mode="exakt")
         with pytest.raises(InvalidConfigError, match="exakt"):
-            solve_tsp(req)
+            solve_tsp(TourRequest(_square_instance(), 1, targets, mode="exakt"))
 
     @pytest.mark.parametrize("start", [(0, 1), (0, 1, 2, 2), (0, 1, 3), (0, 0, 1)])
     def test_start_must_order_the_targets(self, start):
         for mode in (HEURISTIC, EXACT):
             with pytest.raises(InvalidConfigError, match="start"):
-                request_for(_square_instance(), 1, (0, 1, 2), mode, start)
+                TourRequest(_square_instance(), 1, (0, 1, 2), mode, start)
 
     @pytest.mark.parametrize("bad", [-2, True, 7, 0.5, np.int64(2), "1", None],
                              ids=["negative", "bool", "past-n", "float", "np-past-n", "str",
@@ -64,29 +64,29 @@ class TestSolveBasics:
         for mode in (HEURISTIC, EXACT):
             for targets in ((bad,), (0, bad)):
                 with pytest.raises(InvalidInstanceError, match="not a target index in 0..1"):
-                    request_for(inst, 1, targets, mode)
+                    TourRequest(inst, 1, targets, mode)
 
     def test_numpy_integer_targets_are_targets(self):
         inst = _square_instance()
         for mode in (HEURISTIC, EXACT):
-            assert (solve_tsp(request_for(inst, 1, np.arange(3), mode))
-                    == solve_tsp(request_for(inst, 1, (0, 1, 2), mode)))
+            assert (solve_tsp(TourRequest(inst, 1, np.arange(3), mode))
+                    == solve_tsp(TourRequest(inst, 1, (0, 1, 2), mode)))
 
     def test_single_target_is_out_and_back(self):
         inst = Instance((Point(3, 4),), (Vehicle(1, 1.0, Point(0, 0)),))
-        tour = solve_tsp(request_for(inst, 1, (0,)))
+        tour = solve_tsp(TourRequest(inst, 1, (0,)))
         assert tour.sequence == (DEPOT, 0, DEPOT)
         assert tour.duration == pytest.approx(10.0)
 
     def test_single_target_duration_scales_with_speed(self):
         inst = Instance((Point(3, 4),), (Vehicle(1, 2.0, Point(0, 0)),))
-        tour = solve_tsp(request_for(inst, 1, (0,)))
+        tour = solve_tsp(TourRequest(inst, 1, (0,)))
         assert tour.duration == pytest.approx(5.0)
 
     def test_unit_square_perimeter(self):
         inst = _square_instance()
         for mode in (HEURISTIC, EXACT):
-            tour = solve_tsp(request_for(inst, 1, (0, 1, 2), mode=mode))
+            tour = solve_tsp(TourRequest(inst, 1, (0, 1, 2), mode=mode))
             assert tour.duration == pytest.approx(4.0)
 
     def test_collinear_targets(self):
@@ -101,7 +101,7 @@ class TestSolveBasics:
         xy = rng.uniform(0, 50, size=(8, 2))
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.3, Point(25, 25)),))
-        tour = solve_tsp(request_for(inst, 1, range(8)))
+        tour = solve_tsp(TourRequest(inst, 1, range(8)))
         assert tour.sequence[0] == DEPOT and tour.sequence[-1] == DEPOT
         assert sorted(tour.targets()) == list(range(8))
         assert tour_duration(inst, tour) == pytest.approx(tour.duration)
@@ -116,8 +116,45 @@ class TestSolveBasics:
                 xy = rng.uniform(0, scale, size=(m, 2))
                 depot = Point(*rng.uniform(0, scale, size=2))
                 inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, depot),))
-                tour = solve_tsp(request_for(inst, 1, range(m)))
+                tour = solve_tsp(TourRequest(inst, 1, range(m)))
                 assert sorted(tour.targets()) == list(range(m))
+
+
+def _ten_targets():
+    return generate_instance(scenario1(n_targets=10, seed=1), 0)
+
+
+class TestRequestBoundary:
+    """A TourRequest checks itself when built; a built one stays as it was checked."""
+
+    def test_unknown_target_raises_when_built(self):
+        with pytest.raises(InvalidInstanceError, match="target 99"):
+            TourRequest(_ten_targets(), 1, (99,))
+
+    def test_start_with_a_stranger_raises_when_built(self):
+        # Unchecked, this came back as the tour (DEPOT, 3, 9, DEPOT).
+        with pytest.raises(InvalidConfigError, match="start"):
+            TourRequest(_ten_targets(), 1, (1, 3), HEURISTIC, (3, 9))
+
+    @pytest.mark.parametrize("mode", [HEURISTIC, EXACT])
+    def test_a_target_named_twice_raises(self, mode):
+        with pytest.raises(InvalidInstanceError, match="twice"):
+            TourRequest(_ten_targets(), 1, (1, 1, 2), mode)
+
+    def test_a_built_request_is_frozen(self):
+        req = TourRequest(_ten_targets(), 1, (3, 1), HEURISTIC, (3, 1))
+        assert (req.targets, req.start) == ((1, 3), (3, 1))
+        for field, value in (("targets", (99,)), ("start", (3, 9)), ("vehicle_id", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(req, field, value)
+        with pytest.raises(InvalidConfigError, match="start"):
+            dataclasses.replace(req, start=(3, 9))
+
+    def test_target_order_does_not_split_the_memo(self):
+        inst = _ten_targets()
+        tours = {solve_tsp(TourRequest(inst, 1, order, EXACT)) for order in ((3, 1), (1, 3))}
+        assert len(inst._tour_memo) == 1
+        assert len(tours) == 1
 
 
 class TestHeldKarp:
@@ -148,13 +185,13 @@ class TestHeldKarp:
         xy = rng.uniform(0, 10, size=(EXACT_CAP + 1, 2))
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(0, 0)),))
-        req = request_for(inst, 1, range(EXACT_CAP + 1), mode=EXACT)
+        req = TourRequest(inst, 1, range(EXACT_CAP + 1), mode=EXACT)
         with pytest.raises(CapacityError):
             solve_tsp(req)
 
     def test_held_karp_ignores_mode_flag(self):
         inst = _square_instance()
-        req = request_for(inst, 1, (0, 1, 2), mode=EXACT)
+        req = TourRequest(inst, 1, (0, 1, 2), mode=EXACT)
         assert solve_tsp(req).duration == pytest.approx(4.0)
 
 
@@ -283,8 +320,8 @@ class TestHeuristicQuality:
         xy = rng.uniform(0, 100, size=(m, 2))
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(50, 50)),))
-        heur = solve_tsp(request_for(inst, 1, range(m)))
-        exact = solve_tsp(request_for(inst, 1, range(m), mode=EXACT))
+        heur = solve_tsp(TourRequest(inst, 1, range(m)))
+        exact = solve_tsp(TourRequest(inst, 1, range(m), mode=EXACT))
         assert heur.duration >= exact.duration - 1e-9
 
     def test_same_request_twice_is_identical(self):
@@ -292,8 +329,8 @@ class TestHeuristicQuality:
         xy = rng.uniform(0, 100, size=(10, 2))
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(0, 0)),))
-        a = solve_tsp(request_for(inst, 1, range(10)))
-        b = solve_tsp(request_for(inst, 1, range(10)))
+        a = solve_tsp(TourRequest(inst, 1, range(10)))
+        b = solve_tsp(TourRequest(inst, 1, range(10)))
         assert a == b
 
     def test_target_listing_order_is_irrelevant(self):
@@ -301,8 +338,8 @@ class TestHeuristicQuality:
         xy = rng.uniform(0, 100, size=(9, 2))
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(0, 0)),))
-        forward = solve_tsp(request_for(inst, 1, range(9)))
-        shuffled = solve_tsp(request_for(inst, 1, (4, 0, 8, 2, 6, 1, 7, 3, 5)))
+        forward = solve_tsp(TourRequest(inst, 1, range(9)))
+        shuffled = solve_tsp(TourRequest(inst, 1, (4, 0, 8, 2, 6, 1, 7, 3, 5)))
         assert forward == shuffled
 
     def test_route_choice_is_speed_invariant(self):
@@ -312,8 +349,8 @@ class TestHeuristicQuality:
         slow = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)),))
         fast = Instance(targets, (Vehicle(1, 2.0, Point(0, 0)),))
         for mode in (HEURISTIC, EXACT):
-            a = solve_tsp(request_for(slow, 1, range(8), mode=mode))
-            b = solve_tsp(request_for(fast, 1, range(8), mode=mode))
+            a = solve_tsp(TourRequest(slow, 1, range(8), mode=mode))
+            b = solve_tsp(TourRequest(fast, 1, range(8), mode=mode))
             assert a.sequence == b.sequence
             assert a.duration == 2.0 * b.duration
 
@@ -430,18 +467,18 @@ class TestCache:
         xy = rng.uniform(0, 100, size=(8, 2))
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(0, 0)),))
-        first = solve_tsp(request_for(inst, 1, range(8), EXACT))
+        first = solve_tsp(TourRequest(inst, 1, range(8), EXACT))
         assert len(inst._tour_memo) == 1
-        second = solve_tsp(request_for(inst, 1, range(8), EXACT))
+        second = solve_tsp(TourRequest(inst, 1, range(8), EXACT))
         assert len(inst._tour_memo) == 1
         fresh = Instance(inst.targets, inst.vehicles)
-        assert second == first == solve_tsp(request_for(fresh, 1, range(8), EXACT))
+        assert second == first == solve_tsp(TourRequest(fresh, 1, range(8), EXACT))
 
     def test_cache_is_shared_across_speeds(self):
         targets = tuple(Point(*p) for p in ((1, 0), (2, 3), (5, 1)))
         inst = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)), Vehicle(2, 4.0, Point(0, 0))))
-        a = solve_tsp(request_for(inst, 1, range(3), EXACT))
-        b = solve_tsp(request_for(inst, 2, range(3), EXACT))
+        a = solve_tsp(TourRequest(inst, 1, range(3), EXACT))
+        b = solve_tsp(TourRequest(inst, 2, range(3), EXACT))
         assert len(inst._tour_memo) == 1
         assert a.sequence == b.sequence
         assert a.duration == 4.0 * b.duration
@@ -450,15 +487,15 @@ class TestCache:
         targets = tuple(Point(*p) for p in ((1, 0), (2, 3), (5, 1)))
         here = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)),))
         there = here.with_depots({1: Point(9, 9)})
-        solve_tsp(request_for(here, 1, range(3), EXACT))
-        solve_tsp(request_for(there, 1, range(3), EXACT))
+        solve_tsp(TourRequest(here, 1, range(3), EXACT))
+        solve_tsp(TourRequest(there, 1, range(3), EXACT))
         assert len(here._tour_memo) == 2
 
     def test_exact_starts_share_one_entry(self):
         inst = _square_instance()
         tours = set()
         for start in (None, (0, 1, 2), (2, 0, 1)):
-            req = request_for(inst, 1, range(3), EXACT, start)
+            req = TourRequest(inst, 1, range(3), EXACT, start)
             tours.add(solve_tsp(req))
             tours.add(solve_tsp(dataclasses.replace(req, start=start)))
         assert len(inst._tour_memo) == 1
@@ -470,7 +507,7 @@ class TestCache:
         inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, Point(0, 0)),))
         starts = [None] + [tuple(rng.permutation(9).tolist()) for _ in range(4)]
         for start in starts + starts:
-            req = request_for(inst, 1, range(9), start=start)
+            req = TourRequest(inst, 1, range(9), start=start)
             assert solve_tsp(req) == solve_tsp(req)
         assert len(inst._tour_memo) == 0
 
@@ -481,9 +518,9 @@ class TestCache:
         near = Instance((Point(10, 0), Point(10, 10)), (depot,))
         far = Instance((Point(50, 0), Point(50, 50)), (depot,))
         for inst in (near, far, near):
-            tour = solve_tsp(request_for(inst, 1, (0, 1), EXACT))
+            tour = solve_tsp(TourRequest(inst, 1, (0, 1), EXACT))
             assert tour.duration == pytest.approx(tour_duration(inst, tour))
-            assert tour == solve_tsp(request_for(Instance(inst.targets, inst.vehicles),
+            assert tour == solve_tsp(TourRequest(Instance(inst.targets, inst.vehicles),
                                                  1, (0, 1), EXACT))
 
     def test_a_with_depots_copy_shares_the_memo_from_the_start(self):
@@ -495,15 +532,15 @@ class TestCache:
         again = moved.with_depots({2: Point(0, 0)})
         assert moved._tour_memo is inst._tour_memo is again._tour_memo
         assert len(inst._tour_memo) == 0
-        stored = solve_tsp(request_for(moved, 1, range(7), EXACT))
+        stored = solve_tsp(TourRequest(moved, 1, range(7), EXACT))
         assert len(inst._tour_memo) == 1
         # ``again`` keeps vehicle 1 where ``moved`` put it, so that request
         # hits; its vehicle 2, moved to (0, 0), misses.
-        hit = solve_tsp(request_for(again, 1, range(7), EXACT))
+        hit = solve_tsp(TourRequest(again, 1, range(7), EXACT))
         assert len(inst._tour_memo) == 1
         fresh = Instance(again.targets, again.vehicles)
-        assert hit == stored == solve_tsp(request_for(fresh, 1, range(7), EXACT))
-        solve_tsp(request_for(again, 2, range(7), EXACT))
+        assert hit == stored == solve_tsp(TourRequest(fresh, 1, range(7), EXACT))
+        solve_tsp(TourRequest(again, 2, range(7), EXACT))
         assert len(inst._tour_memo) == 2
 
 
@@ -679,7 +716,7 @@ class TestStartOrder:
     @given(_started_requests())
     def test_heuristic_tour_is_a_clean_order_of_the_targets(self, case):
         inst, targets, start = case
-        tour = solve_tsp(request_for(inst, 1, targets, start=start))
+        tour = solve_tsp(TourRequest(inst, 1, targets, start=start))
         assert tour.sequence[0] == DEPOT and tour.sequence[-1] == DEPOT
         assert sorted(tour.targets()) == targets
         assert tour_duration(inst, tour) == pytest.approx(tour.duration, rel=1e-12, abs=1e-12)
@@ -688,28 +725,28 @@ class TestStartOrder:
         tol = _gain_tolerance(dist)
         assert _two_opt(list(order), dist, tol) == order
         assert _or_opt_once(list(order), dist, tol) == (order, False)
-        again = solve_tsp(request_for(inst, 1, targets, start=tour.targets()))
+        again = solve_tsp(TourRequest(inst, 1, targets, start=tour.targets()))
         assert again == tour
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_started_requests())
     def test_exact_tour_does_not_depend_on_the_start(self, case):
         inst, targets, start = case
-        req = request_for(inst, 1, targets, EXACT, start)
+        req = TourRequest(inst, 1, targets, EXACT, start)
         assert req.start is None
-        assert solve_tsp(req) == solve_tsp(request_for(inst, 1, targets, EXACT))
+        assert solve_tsp(req) == solve_tsp(TourRequest(inst, 1, targets, EXACT))
 
     def test_start_is_polished_not_rebuilt(self):
         # A clean start that nearest neighbour would not build is kept.
         rng = np.random.default_rng(16)
         xy = rng.uniform(0, 100, size=(12, 2))
         inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, Point(50, 50)),))
-        built = solve_tsp(request_for(inst, 1, range(12)))
+        built = solve_tsp(TourRequest(inst, 1, range(12)))
         for _ in range(20):
             start = tuple(rng.permutation(12).tolist())
-            tour = solve_tsp(request_for(inst, 1, range(12), start=start))
+            tour = solve_tsp(TourRequest(inst, 1, range(12), start=start))
             if tour.sequence not in (built.sequence, built.sequence[::-1]):
                 break
         else:
             pytest.fail("every start polished to the nearest-neighbour tour")
-        assert solve_tsp(request_for(inst, 1, range(12), start=tour.targets())) == tour
+        assert solve_tsp(TourRequest(inst, 1, range(12), start=tour.targets())) == tour
