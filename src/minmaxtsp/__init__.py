@@ -17,7 +17,7 @@ from .heuristic import (InsertionQuote, SavingsEntry, SolverConfig, StageTrace,
                         perturbation_loop, perturbation_radius, solve)
 from .io import (instance_from_json, instance_to_json, load_instance,
                  save_instance)
-from .model import (DEPOT, CapacityError, InfeasibleAllocationError, Instance,
+from .model import (DEPOT, InfeasibleAllocationError, Instance,
                     InvalidConfigError, InvalidInstanceError,
                     NoInsertionCandidateError, OracleBudgetError, Point,
                     Solution, SolverError, StageCheckError, Tour, Vehicle,
@@ -29,7 +29,7 @@ from .tsp import EXACT, HEURISTIC, TourRequest, solve_tsp
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityError", "DEPOT", "EXACT", "ExperimentConfig", "ExperimentReport",
+    "DEPOT", "EXACT", "ExperimentConfig", "ExperimentReport",
     "HEURISTIC", "InfeasibleAllocationError", "InsertionQuote", "Instance",
     "InvalidConfigError", "InvalidInstanceError", "NoInsertionCandidateError",
     "OracleBudgetError", "Point", "ReportRow", "SavingsEntry", "Solution",

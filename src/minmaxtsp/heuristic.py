@@ -7,12 +7,12 @@ over the other vehicles, the receiver is re-routed and, only if its new tour
 stays below the makespan, so is the donor; the move sticks only if the fleet
 makespan strictly drops.  With heuristic tours the receiver is polished from
 its incumbent order with the target spliced in at the quoted edge, and the
-donor from its incumbent order with the target spliced out.  With exact tours
-a receiver is not re-routed when a lower bound on its new tour (its optimal
-tour plus the cheapest detour through the target between any two of its
-vertices) already reaches the makespan, or when its tour already holds
-``EXACT_CAP`` targets; so once stage 1 has built its tours, no later exact
-tour passes the cap.  Stage 3 escapes local optima by displacing depots
+donor from its incumbent order with the target spliced out; an exact tour
+past ``EXACT_CAP`` targets is polished from the same orders.  With exact
+tours a receiver of fewer than ``EXACT_CAP`` targets is not re-routed when a
+lower bound on its new tour (its optimal tour plus the cheapest detour
+through the target between any two of its vertices) already reaches the
+makespan.  Stage 3 escapes local optima by displacing depots
 (radially, by half the sum of each tour's two depot-edge times) and
 re-optimizing on the displaced geometry; heuristic tours there are polished
 from the incumbent's orders, and the plan rebuilt at the true depots from
@@ -232,10 +232,9 @@ def _insertion_lower_bound(target: int, read: _TourRead) -> float:
 
 
 def _rebuild(inst: Instance, vid: int, order: tuple, cfg: SolverConfig):
-    """Vehicle vid's tour through ``order``'s targets; a heuristic tour is
-    polished from ``order``, an exact one needs no start."""
-    start = None if cfg.tour_mode == EXACT else order
-    return solve_tsp(TourRequest(inst, vid, order, cfg.tour_mode, start))
+    """Vehicle vid's tour through ``order``'s targets, polished from
+    ``order`` unless it is a Held-Karp tour."""
+    return solve_tsp(TourRequest(inst, vid, order, cfg.tour_mode, order))
 
 
 def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
@@ -248,18 +247,17 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
     spliced in at the quoted edge, the donor's with it spliced out.  The
     makespan after a move is at least the receiver's new tour, so the donor
     is re-routed only when that tour stays below the current makespan.  With
-    exact tours the receiver is not even re-routed when
-    ``_insertion_lower_bound`` already reaches the makespan, or when its tour
-    already holds ``EXACT_CAP`` targets, so it never requests an exact tour
-    past the cap.  Savings are recomputed from the new plan after every
-    accepted move; the search stops when every candidate on the maximal tour
-    fails.  Exact tours are memoized in ``inst``, as long as it lives.  The
+    exact tours a receiver of fewer than ``EXACT_CAP`` targets is not even
+    re-routed when ``_insertion_lower_bound`` already reaches the makespan.
+    Savings are recomputed from the new plan after every accepted move; the
+    search stops when every candidate on the maximal tour fails.  Exact tours are memoized in ``inst``, as long as it lives.  The
     tours of ``sol`` are checked against ``inst`` once, up front; a vertex
     that is no target of it raises InvalidInstanceError.
 
-    Precondition with ``cfg.tour_mode == EXACT``: every tour of ``sol`` is
-    an optimal (Held-Karp) tour on ``inst``'s geometry, as every tour the
-    pipeline builds in that mode is; the bound rests on it.
+    Precondition with ``cfg.tour_mode == EXACT``: every tour of ``sol`` of
+    fewer than ``EXACT_CAP`` targets is an optimal (Held-Karp) tour on
+    ``inst``'s geometry, as ``solve_tsp`` builds it.  Only such a receiver is
+    bounded, and the bound rests on its new tour being one too.
     """
     if inst.k < 2:
         return sol
@@ -278,12 +276,11 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
         for entry in entries:
             quote = best_insertion(entry.target, current, inst, donor, reads)
             read = read_of[quote.vehicle_id]
-            receiver = read.tour
-            if exact and (len(receiver.targets()) >= EXACT_CAP
-                          or _insertion_lower_bound(entry.target, read) >= hopeless):
+            order = read.tour.targets()
+            if (exact and len(order) < EXACT_CAP
+                    and _insertion_lower_bound(entry.target, read) >= hopeless):
                 continue
             p = quote.edge_position
-            order = receiver.targets()
             receiver_tour = _rebuild(inst, quote.vehicle_id,
                                      order[:p] + (entry.target,) + order[p:], cfg)
             if receiver_tour.duration >= objective:

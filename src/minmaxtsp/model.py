@@ -30,10 +30,6 @@ class InvalidInstanceError(SolverError, ValueError):
     """Instance data violates a structural invariant."""
 
 
-class CapacityError(SolverError):
-    """Exact tour solve requested for more targets than the subset cap allows."""
-
-
 class InfeasibleAllocationError(SolverError):
     """Load-balancing lower bounds cannot be met by the available free targets."""
 
@@ -259,13 +255,17 @@ class Instance:
             raise InvalidInstanceError(
                 f"{role} {t!r} is not a target index in 0..{self.n_targets - 1}")
 
-    def check_targets(self, ids, role: str = "target") -> None:
+    def check_targets(self, ids, role: str = "target"):
         """``check_target`` for each of ``ids``; plain ints in range pass
-        without the call."""
+        without the call.  Returns ``ids`` as given when they are all plain
+        ints, else as a tuple of the Python ints they hold."""
         n = self.n_targets
+        plain = True
         for t in ids:
             if not (type(t) is int and 0 <= t < n):
                 self.check_target(t, role)
+                plain = False
+        return ids if plain else tuple(map(int, ids))
 
     def vehicle(self, vid: int) -> Vehicle:
         self._check_vid(vid)

@@ -24,16 +24,17 @@ from the instance.  Two modes share that one entry point:
   must gain more than _gain_tolerance, which exceeds the rounding error of
   its price, so the polish always ends; on tours of one or two targets every
   move gives the same cycle, so those are left in their start order.
-* exact -- Held-Karp dynamic program over target subsets, capped at
-  EXACT_CAP targets; a longer exact request raises ``CapacityError``, and the
-  oracle holds its subsets to the same cap.  The table fills one subset size
-  at a time, a chunk of its cells per numpy step.  Each cell is written
-  once, from its one predecessor row (the subset one target smaller) plus
-  the distances into its end target, reduced by an elementwise minimum over
-  a block stored one row per end target; so the table equals a loop over
-  single subsets in mask order bit for bit.  No parent table is kept: the
-  tour is read back from the lengths by the first-argmin rule such a loop
-  would have stored.  Only exact tours are memoized, per instance (``TspCache``).
+* exact -- Held-Karp dynamic program over target subsets, for a request of
+  at most EXACT_CAP targets; a longer exact request is polished as a
+  heuristic one is, from its start, and the oracle holds its subsets to the
+  same cap.  The table fills one subset size at a time, a chunk of its cells
+  per numpy step.  Each cell is written once, from its one predecessor row
+  (the subset one target smaller) plus the distances into its end target,
+  reduced by an elementwise minimum over a block stored one row per end
+  target; so the table equals a loop over single subsets in mask order bit
+  for bit.  No parent table is kept: the tour is read back from the lengths
+  by the first-argmin rule such a loop would have stored.  Only Held-Karp
+  tours are memoized, per instance (``TspCache``).
 
 All route decisions are made on raw distances; the vehicle speed only divides
 the final length, so the chosen order is invariant under speed scaling.
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DEPOT, CapacityError, Instance, InvalidConfigError, InvalidInstanceError,
-                    Tour, check_instance)
+from .model import (DEPOT, Instance, InvalidConfigError, InvalidInstanceError, Tour,
+                    check_instance, is_integer)
 
 HEURISTIC = "heuristic"
 EXACT = "exact"
@@ -65,9 +66,10 @@ class TourRequest:
     ``solve_tsp`` trusts it.  ``inst`` must be an Instance, ``vehicle_id``
     one of its vehicle ids and ``targets`` distinct target indices of it
     (else ``InvalidInstanceError``), stored sorted as the request's identity.
-    ``mode`` is HEURISTIC or EXACT and ``start`` None or an order of the
-    targets (else ``InvalidConfigError``), which a heuristic polish starts
-    from instead of nearest neighbour; an exact request drops it.
+    Numpy integer ids are stored as the Python ints they hold.  ``mode`` is
+    HEURISTIC or EXACT and ``start`` None or an order of the targets, each an
+    integer (else ``InvalidConfigError``), which a polish starts from instead
+    of nearest neighbour; a Held-Karp tour needs none.
     """
 
     inst: Instance
@@ -80,30 +82,33 @@ class TourRequest:
         inst, start = self.inst, self.start
         check_instance(inst)
         inst.vehicle(self.vehicle_id)
-        ids = tuple(self.targets)
-        inst.check_targets(ids)
-        ids = tuple(sorted(ids))
+        order = inst.check_targets(tuple(self.targets))
+        ids = tuple(sorted(order))
         if len(set(ids)) < len(ids):
             raise InvalidInstanceError(f"targets {ids!r} name a target twice")
         if self.mode not in (HEURISTIC, EXACT):
             raise InvalidConfigError(f"unknown tour mode {self.mode!r}")
-        if start is not None:
+        if start is self.targets:  # as stages 2 and 3 pass it: checked above
+            object.__setattr__(self, "start", order)
+        elif start is not None:
             start = tuple(start)
+            if not all(map(is_integer, start)):
+                raise InvalidConfigError(f"start {start!r} holds a value that is no integer")
             if sorted(start) != list(ids):
                 raise InvalidConfigError(
                     f"start {start!r} is not an order of the targets {ids!r}")
-            object.__setattr__(self, "start", None if self.mode == EXACT else start)
+            object.__setattr__(self, "start", tuple(map(int, start)))
         object.__setattr__(self, "targets", ids)
 
 
 class TspCache:
-    """Memo for exact tours, keyed by what they depend on: the depot
+    """Memo for Held-Karp tours, keyed by what they depend on: the depot
     position and the sorted target ids, ``(x, y, targets)``.
 
     Every ``Instance`` owns one for as long as it lives, shared by its
     ``with_depots`` copies, which keep its targets; so a hit equals a
-    recompute.  ``solve_tsp`` builds an exact request's key once, to look
-    it up and to store the solved tour; heuristic tours, which depend on a
+    recompute.  ``solve_tsp`` builds a Held-Karp request's key once, to look
+    it up and to store the solved tour; polished tours, which depend on a
     start that stages 2 and 3 rarely repeat, are not memoized.
     """
 
@@ -384,22 +389,21 @@ def best_cycle_lengths(dist: np.ndarray) -> np.ndarray:
 def solve_tsp(req: TourRequest) -> Tour:
     """Route one vehicle through its targets per the request's mode.
 
-    The request was checked when built: its vehicle is looked up once, for
-    the depot, speed and distance matrix, and the memo is its instance's.  An
-    exact request is keyed once, looked up in the memo before any block is
-    gathered and stored there once solved; a heuristic one is not.
+    An exact request of at most EXACT_CAP targets gets its Held-Karp tour,
+    keyed once, looked up in the instance's memo before any block is
+    gathered and stored there once solved.  Every other request is polished
+    from its start, or from a nearest-neighbor tour when it has none.  The
+    request was checked when built: its vehicle is looked up once, for the
+    depot, speed and distance matrix.
     """
     inst, vid, targets = req.inst, req.vehicle_id, req.targets
     vehicle = inst.vehicles[vid - 1]
     if not targets:
         return Tour(vid, (DEPOT, DEPOT), 0.0)
-    if req.mode == EXACT:
+    if req.mode == EXACT and len(targets) <= EXACT_CAP:
         key = (vehicle.depot.x, vehicle.depot.y, targets)
         hit = inst._tour_memo.get(key)
         if hit is None:
-            if len(targets) > EXACT_CAP:
-                raise CapacityError(
-                    f"exact tour solve over {len(targets)} targets exceeds cap {EXACT_CAP}")
             order, length = held_karp_order(inst.distance_block(vid, targets))
             hit = ((DEPOT, *(targets[p] for p in order), DEPOT), length)
             inst._tour_memo.put(key, *hit)

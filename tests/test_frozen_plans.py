@@ -33,8 +33,8 @@ SEED = 2026
 # other than the donor can tie at the makespan.  The k1 cases route a single
 # vehicle through the same three-stage pipeline as any fleet, with pinned
 # targets and with Held-Karp tours.  s2_n30_pin20_exact_stop1 routes the pinned
-# co-located case with Held-Karp, where stage 2 meets receivers that already
-# hold EXACT_CAP targets.
+# co-located case in exact mode, where the fast vehicle's tour grows past
+# EXACT_CAP targets and is polished from then on.
 CASES = {
     "s1_n10": (scenario1(n_targets=10, seed=SEED), SolverConfig(), range(4)),
     "s1_n30": (scenario1(n_targets=30, seed=SEED), SolverConfig(), range(3)),

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import (DEPOT, EXACT, CapacityError, ExperimentConfig,
+from minmaxtsp import (DEPOT, EXACT, HEURISTIC, ExperimentConfig,
                        InfeasibleAllocationError, InsertionQuote, Instance,
                        InvalidConfigError, InvalidInstanceError,
                        NoInsertionCandidateError, Point,
                        Solution, SolverConfig, SolverError, Tour, TourRequest, Vehicle,
-                       best_insertion, build_initial_solution,
+                       best_insertion,
                        compute_savings, exact_minmax, generate_instance,
                        local_search, perturb_colocated_depots, perturbation_loop,
                        perturbation_radius, scenario1, scenario2, solve,
@@ -333,8 +333,8 @@ def _eager_local_search(inst, sol, cfg, candidates):
     receiver's with the target at the quoted edge.
 
     Appends (donor, receiver, receiver tour below the makespan, receiver
-    certified hopeless by the reference bound in exact mode) per candidate to
-    ``candidates``.
+    certified hopeless by the reference bound, which exact mode applies to
+    receivers of fewer than EXACT_CAP targets) per candidate to ``candidates``.
     """
     current = sol
     while True:
@@ -343,11 +343,12 @@ def _eager_local_search(inst, sol, cfg, candidates):
         accepted = False
         for entry in compute_savings(current, inst, donor):
             quote = best_insertion(entry.target, current, inst, exclude=donor)
-            certified = cfg.tour_mode == EXACT and _scalar_insertion_bound(
-                entry.target, current.tour_for(quote.vehicle_id), inst
-            ) >= objective * (1 + 2 ** -40)
-            donor_order = [t for t in current.tour_for(donor).targets() if t != entry.target]
             receiver_order = list(current.tour_for(quote.vehicle_id).targets())
+            certified = (cfg.tour_mode == EXACT and len(receiver_order) < EXACT_CAP
+                         and _scalar_insertion_bound(
+                             entry.target, current.tour_for(quote.vehicle_id), inst
+                         ) >= objective * (1 + 2 ** -40))
+            donor_order = [t for t in current.tour_for(donor).targets() if t != entry.target]
             receiver_order.insert(quote.edge_position, entry.target)
             donor_tour = _rebuild(inst, donor, tuple(donor_order), cfg)
             receiver_tour = _rebuild(inst, quote.vehicle_id, tuple(receiver_order), cfg)
@@ -527,41 +528,47 @@ def _capped_fleets(draw):
 
 
 class TestExactCap:
-    """With exact tours, stages 2 and 3 never ask for a tour past the cap:
-    a receiver already holding EXACT_CAP targets is rejected unrouted."""
+    """With exact tours, a tour of at most EXACT_CAP targets is a Held-Karp
+    tour and a longer one is polished from its start, so every instance gets
+    a plan however long its tours grow."""
 
     @pytest.mark.parametrize("index", range(3))
-    def test_pinned_paper_size_instance_gets_a_plan(self, index, monkeypatch):
+    def test_pinned_paper_size_instance_gets_a_plan(self, index):
         inst = generate_instance(scenario2(n_targets=30, assign_fraction=0.2, seed=2026),
                                  index)
-        sizes = []
-        real = heuristic.solve_tsp
-
-        def spied(req):
-            if req.mode == EXACT:
-                sizes.append(len(req.targets))
-            return real(req)
-
-        monkeypatch.setattr(heuristic, "solve_tsp", spied)
         sol, _ = solve(inst, SolverConfig(tour_mode=EXACT, no_improve_stop=1), rng=index)
         assert validate_solution(inst, sol) == []
-        assert sizes and max(sizes) <= EXACT_CAP
+
+    def test_a_share_past_the_cap_gets_a_plan(self):
+        # From n = 39 the fastest vehicle's share bound alone passes the cap,
+        # where stage 1 used to raise on every instance.
+        inst = generate_instance(scenario1(n_targets=40, seed=(23 << 20) + 40), 0)
+        sol, _ = solve(inst, SolverConfig(tour_mode=EXACT, no_improve_stop=1), rng=0)
+        assert validate_solution(inst, sol) == []
+        assert max(len(t.targets()) for t in sol.tours) > EXACT_CAP
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_capped_fleets())
-    def test_every_plan_past_stage_1_stays_within_the_cap(self, case):
+    def test_every_plan_past_stage_1_routes_short_tours_exactly(self, case):
         cap, inst, seed = case
         with mock.patch.object(tsp, "EXACT_CAP", cap), \
                 mock.patch.object(heuristic, "EXACT_CAP", cap):
             try:
-                alloc = solve_load_balancing(
+                solve_load_balancing(
                     inst, perturb_colocated_depots(inst, np.random.default_rng(seed)))
-                build_initial_solution(inst, alloc, EXACT)
-            except (CapacityError, InfeasibleAllocationError):
+            except InfeasibleAllocationError:
                 assume(False)
             sol, _ = solve(inst, SolverConfig(tour_mode=EXACT), rng=seed)
+            fresh = Instance(inst.targets, inst.vehicles, inst.required)
+            for tour in sol.tours:
+                order = tour.targets()
+                if len(order) <= cap:
+                    again = solve_tsp(TourRequest(fresh, tour.vehicle_id, order, EXACT))
+                else:
+                    again = solve_tsp(TourRequest(inst, tour.vehicle_id, order, HEURISTIC,
+                                                  order))
+                assert again == tour
         assert validate_solution(inst, sol) == []
-        assert max(len(t.targets()) for t in sol.tours) <= cap
 
 
 class TestPerturbationGeometry:

@@ -4,6 +4,7 @@ per-mask loop and its parent table, heuristic quality, 2-opt behavior, the
 numpy polish loop against the scans, and the instance's exact-tour memo."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import (DEPOT, EXACT, HEURISTIC, CapacityError, Instance,
-                       InvalidConfigError, InvalidInstanceError, Point, Tour, TourRequest,
+from minmaxtsp import (DEPOT, EXACT, HEURISTIC, Instance, InvalidConfigError,
+                       InvalidInstanceError, Point, Tour, TourRequest,
                        Vehicle, distances, generate_instance, scenario1, solve_tsp,
                        tour_duration)
 from minmaxtsp.model import COORD_LIMIT
@@ -150,6 +151,29 @@ class TestRequestBoundary:
         with pytest.raises(InvalidConfigError, match="start"):
             dataclasses.replace(req, start=(3, 9))
 
+    @pytest.mark.parametrize("mode", [HEURISTIC, EXACT])
+    @pytest.mark.parametrize("start", [(True, 0, 2), (0, None, 2), (1.0, 0, 2)],
+                             ids=["bool", "none", "float"])
+    def test_a_start_element_that_is_no_integer_raises_when_built(self, start, mode):
+        # Unchecked, True passed as target 1, None failed inside sorted and
+        # 1.0 inside numpy's integer cast.
+        with pytest.raises(InvalidConfigError, match="no integer"):
+            TourRequest(_square_instance(), 1, (0, 1, 2), mode, start)
+
+    def test_numpy_ids_are_stored_as_python_ints(self):
+        inst = _square_instance()
+        first = solve_tsp(TourRequest(inst, 1, np.arange(3), EXACT))
+        again = solve_tsp(TourRequest(inst, 1, (0, 1, 2), EXACT))
+        polished = solve_tsp(TourRequest(inst, 1, np.arange(3), HEURISTIC, np.arange(3)))
+        for tour in (first, again, polished):
+            assert {type(v) for v in tour.sequence} == {int}
+            json.dumps(tour.sequence)
+        order = np.array([2, 0, 1])
+        for req in (TourRequest(inst, 1, np.arange(3), HEURISTIC, order),
+                    TourRequest(inst, 1, order, HEURISTIC, order)):
+            assert (req.targets, req.start) == ((0, 1, 2), (2, 0, 1))
+            assert {type(v) for v in req.targets + req.start} == {int}
+
     def test_target_order_does_not_split_the_memo(self):
         inst = _ten_targets()
         tours = {solve_tsp(TourRequest(inst, 1, order, EXACT)) for order in ((3, 1), (1, 3))}
@@ -180,14 +204,18 @@ class TestHeldKarp:
         assert best_cycle_lengths(np.zeros((1, 1))).tolist() == [0.0]
         assert held_karp_order(np.zeros((1, 1))) == ([], 0.0)
 
-    def test_cap_is_enforced(self):
+    def test_past_the_cap_an_exact_request_is_polished(self):
         rng = np.random.default_rng(7)
         xy = rng.uniform(0, 10, size=(EXACT_CAP + 1, 2))
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(0, 0)),))
-        req = TourRequest(inst, 1, range(EXACT_CAP + 1), mode=EXACT)
-        with pytest.raises(CapacityError):
-            solve_tsp(req)
+        ids = range(EXACT_CAP + 1)
+        for start in (None, tuple(rng.permutation(EXACT_CAP + 1).tolist())):
+            exact = solve_tsp(TourRequest(inst, 1, ids, EXACT, start))
+            polished = solve_tsp(TourRequest(inst, 1, ids, HEURISTIC, start))
+            assert exact == polished
+            assert repr(exact.duration) == repr(polished.duration)
+        assert len(inst._tour_memo) == 0
 
     def test_held_karp_ignores_mode_flag(self):
         inst = _square_instance()
@@ -710,7 +738,8 @@ def _started_requests(draw):
 
 
 class TestStartOrder:
-    """A heuristic request polishes its start; an exact one ignores it."""
+    """A heuristic request polishes its start; an exact one of at most
+    EXACT_CAP targets keeps it but needs none."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_started_requests())
@@ -733,7 +762,6 @@ class TestStartOrder:
     def test_exact_tour_does_not_depend_on_the_start(self, case):
         inst, targets, start = case
         req = TourRequest(inst, 1, targets, EXACT, start)
-        assert req.start is None
         assert solve_tsp(req) == solve_tsp(TourRequest(inst, 1, targets, EXACT))
 
     def test_start_is_polished_not_rebuilt(self):
