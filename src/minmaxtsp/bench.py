@@ -20,7 +20,6 @@ from . import heuristic
 from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, Vehicle, is_integer,
                     is_point, is_real, is_speed)
 from .oracle import exact_minmax, oracle_feasible
-from .tsp import HEURISTIC
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -35,7 +34,6 @@ class ExperimentConfig:
     seed: int = 0
     grid: float = 200.0
     oracle: bool = False
-    tour_mode: str = HEURISTIC
 
     def __post_init__(self):
         if not (is_real(self.assign_fraction) and 0.0 <= self.assign_fraction <= 1.0):
@@ -53,7 +51,6 @@ class ExperimentConfig:
                 and all(is_speed(s) for s in self.speeds)):
             raise InvalidConfigError(f"speeds must be a non-empty tuple of finite numbers"
                                      f" >= {SPEED_MIN:g}, got {self.speeds!r}")
-        heuristic.SolverConfig(tour_mode=self.tour_mode)  # rejects an unknown tour_mode
         if not (isinstance(self.colocated, tuple)
                 and all(isinstance(group, tuple) for group in self.colocated)):
             raise InvalidConfigError(f"colocated must be a tuple of tuples of vehicle ids,"
@@ -169,12 +166,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Generate, solve, and (optionally) oracle-check every instance of a run.
     ``cfg`` must be an ExperimentConfig (else InvalidConfigError)."""
     _check_config(cfg)
-    solver_cfg = heuristic.SolverConfig(tour_mode=cfg.tour_mode)
     rows = []
     for index in range(cfg.n_instances):
         inst = generate_instance(cfg, index)
         t0 = time.perf_counter()
-        _, trace = heuristic.solve(inst, solver_cfg, rng=_substream(cfg.seed, index, lane=1))
+        _, trace = heuristic.solve(inst, rng=_substream(cfg.seed, index, lane=1))
         t_heur = round(time.perf_counter() - t0, 3)
 
         objectives = (trace.after_init, trace.after_local_search, trace.after_perturbation)

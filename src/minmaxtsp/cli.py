@@ -8,7 +8,6 @@ import numpy as np
 
 from . import bench, heuristic, io as instance_io, svgplot
 from .model import SolverError
-from .tsp import EXACT, HEURISTIC
 
 
 class _Parser(argparse.ArgumentParser):
@@ -27,7 +26,6 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("--instance", required=True, help="instance JSON file")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--tour-mode", choices=(HEURISTIC, EXACT), default=HEURISTIC)
     p_solve.add_argument("--trace", metavar="OUT.csv", help="write per-stage trace CSV")
     p_solve.add_argument("--svg", metavar="OUT_PREFIX",
                          help="write per-stage tour drawings OUT_PREFIX_<stage>.svg")
@@ -45,7 +43,6 @@ def _build_parser() -> _Parser:
         if name == "bench":
             p.add_argument("--instances", type=int, default=20)
             p.add_argument("--oracle", action="store_true")
-            p.add_argument("--tour-mode", choices=(HEURISTIC, EXACT), default=HEURISTIC)
         else:
             p.add_argument("--index", type=int, default=0,
                            help="instance index within the seeded run")
@@ -56,14 +53,12 @@ def _experiment_config(args, n_instances: int = 1) -> bench.ExperimentConfig:
     preset = bench.scenario1 if args.scenario == 1 else bench.scenario2
     return preset(n_targets=args.n_targets, assign_fraction=args.assign_frac,
                   seed=args.seed, grid=args.grid, n_instances=n_instances,
-                  oracle=getattr(args, "oracle", False),
-                  tour_mode=getattr(args, "tour_mode", HEURISTIC))
+                  oracle=getattr(args, "oracle", False))
 
 
 def _cmd_solve(args) -> int:
     inst = instance_io.load_instance(args.instance)
-    cfg = heuristic.SolverConfig(tour_mode=args.tour_mode)
-    sol, trace = heuristic.solve(inst, cfg, rng=np.random.default_rng(args.seed))
+    sol, trace = heuristic.solve(inst, rng=np.random.default_rng(args.seed))
     print(f"objective: {sol.objective:.9f}")
     for stage, staged in trace.stage_solutions.items():
         print(f"after_{stage}: {staged.objective:.9f}")

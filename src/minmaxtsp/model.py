@@ -342,7 +342,9 @@ class Tour:
     duration: float
 
     def targets(self) -> tuple:
-        return tuple(v for v in self.sequence if v != DEPOT)
+        """The visited targets in order, ``sequence[1:-1]``; whether a
+        sequence is well formed is judged by ``validate_solution``."""
+        return self.sequence[1:-1]
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,12 @@ class TourRequest:
         inst, start = self.inst, self.start
         check_instance(inst)
         inst.vehicle(self.vehicle_id)
-        order = inst.check_targets(tuple(self.targets))
+        try:
+            order = tuple(self.targets)
+        except TypeError:
+            raise InvalidInstanceError(
+                f"targets must be an iterable, got {self.targets!r}") from None
+        order = inst.check_targets(order)
         ids = tuple(sorted(order))
         if len(set(ids)) < len(ids):
             raise InvalidInstanceError(f"targets {ids!r} name a target twice")
@@ -91,7 +96,11 @@ class TourRequest:
         if start is self.targets:  # as stages 2 and 3 pass it: checked above
             object.__setattr__(self, "start", order)
         elif start is not None:
-            start = tuple(start)
+            try:
+                start = tuple(start)
+            except TypeError:
+                raise InvalidConfigError(f"start {start!r} is not an order of the targets"
+                                         f" {ids!r}") from None
             if not all(map(is_integer, start)):
                 raise InvalidConfigError(f"start {start!r} holds a value that is no integer")
             if sorted(start) != list(ids):

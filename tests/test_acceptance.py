@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from minmaxtsp import (DEPOT, EXACT, Solution, SolverConfig, Tour, TourRequest, bench,
+from minmaxtsp import (DEPOT, Solution, SolverConfig, Tour, TourRequest, bench,
                        best_insertion, compute_savings, exact_minmax, generate_instance,
                        min_target_counts, perturb_colocated_depots,
                        perturbation_loop, run_experiment,
@@ -20,6 +20,7 @@ from minmaxtsp import (DEPOT, EXACT, Solution, SolverConfig, Tour, TourRequest, 
                        tour_duration, validate_solution)
 from minmaxtsp.cli import main as cli_main
 from minmaxtsp.heuristic import perturbation_angle
+from minmaxtsp.tsp import held_karp_order
 
 from conftest import (allocation_cost, brute_allocation_cost,
                       brute_minmax_objective, line_instance, random_instance)
@@ -41,14 +42,13 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> bool:
 
 def _gap_run(seed: int, fraction: float, feasibility: list):
     cfg = scenario1(n_targets=10, n_instances=20, assign_fraction=fraction,
-                    seed=seed, oracle=True, tour_mode=EXACT)
+                    seed=seed, oracle=True)
     report = run_experiment(cfg)
-    solver_cfg = SolverConfig(tour_mode=EXACT)
     for row in report.rows:
         # Instance i of a run is solved on its own substream, so this repeats
         # the solve the report scored; its stage plans are checked here.
         inst = generate_instance(cfg, row.instance)
-        _, trace = solve(inst, solver_cfg, rng=bench._substream(seed, row.instance, lane=1))
+        _, trace = solve(inst, rng=bench._substream(seed, row.instance, lane=1))
         where = f"seed {seed} frac {fraction} instance {row.instance}"
         scored = (row.init_obj, row.ls_obj, row.final_obj)
         if (trace.after_init, trace.after_local_search, trace.after_perturbation) != scored:
@@ -205,10 +205,11 @@ def test_c7_tour_heuristic_quality():
         m = int(rng.integers(7, 11))
         inst = random_instance(rng, n=m, k=1)
         heur = solve_tsp(TourRequest(inst, 1, range(m)))
-        exact = solve_tsp(TourRequest(inst, 1, range(m), mode=EXACT))
-        if heur.duration < exact.duration - 1e-9:
+        _, length = held_karp_order(inst.distance_block(1, range(m)))
+        exact = length / inst.vehicle(1).speed
+        if heur.duration < exact - 1e-9:
             below_exact += 1
-        if 100.0 * (heur.duration - exact.duration) / exact.duration <= 5.0:
+        if 100.0 * (heur.duration - exact) / exact <= 5.0:
             within_5pct += 1
     detail = f"{below_exact} below exact, {within_5pct}/200 within 5%"
     assert _verdict(7, "tour heuristic quality",

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minmaxtsp import (EXACT, ExperimentConfig, ExperimentReport, InvalidConfigError,
+from minmaxtsp import (ExperimentConfig, ExperimentReport, InvalidConfigError,
                        generate_instance, run_experiment, scenario1, scenario2,
                        write_report)
 from minmaxtsp.bench import REPORT_COLUMNS, ReportRow
@@ -99,12 +99,9 @@ class TestGeneration:
                     (Fraction(3, 2),)):
             with pytest.raises(InvalidConfigError, match="speeds"):
                 ExperimentConfig(speeds=bad)
-        for bad in ("magic", None):
-            with pytest.raises(InvalidConfigError, match="tour_mode"):
-                ExperimentConfig(tour_mode=bad)
         cfg = ExperimentConfig(speeds=(np.float64(1.5), 2, SPEED_MIN),
                                assign_fraction=np.float64(0.5),
-                               colocated=((np.int64(1), 3),), tour_mode=EXACT)
+                               colocated=((np.int64(1), 3),))
         inst = generate_instance(cfg, 0)
         assert inst.k == 3 and inst.vehicle(1).depot == inst.vehicle(3).depot
         assert ExperimentConfig(n_targets=np.int64(5), seed=np.uint32(7)).n_targets == 5

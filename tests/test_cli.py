@@ -2,9 +2,10 @@
 
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from minmaxtsp import generate_instance, load_instance, scenario1
+from minmaxtsp import generate_instance, load_instance, scenario1, validate_solution
 from minmaxtsp import heuristic
 from minmaxtsp.cli import main
 
@@ -69,10 +70,16 @@ class TestSolve:
             assert doc.getroot().tag.endswith("svg")
         assert "wrote" in capsys.readouterr().out
 
-    def test_exact_tour_mode(self, instance_file, capsys):
-        assert main(["solve", "--instance", str(instance_file),
-                     "--tour-mode", "exact"]) == 0
-        assert "objective:" in capsys.readouterr().out
+    def test_forty_targets_get_a_valid_plan(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        assert main(["gen", "--scenario", "1", "--n-targets", "40",
+                     "--seed", "7", "--out", str(path)]) == 0
+        assert main(["solve", "--instance", str(path)]) == 0
+        inst = load_instance(path)
+        sol, _ = heuristic.solve(inst, rng=np.random.default_rng(0))
+        assert validate_solution(inst, sol) == []
+        out = capsys.readouterr().out
+        assert f"objective: {sol.objective:.9f}" in out
 
 
 class TestBench:
@@ -142,6 +149,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: stage init produced an infeasible plan" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_tour_mode_is_no_option(self, command, instance_file, tmp_path, capsys):
+        # Exact tours are a library setting (SolverConfig.tour_mode), not a flag.
+        out = tmp_path / "report.csv"
+        args = (["solve", "--instance", str(instance_file)] if command == "solve" else
+                ["bench", "--scenario", "1", "--n-targets", "6", "--instances", "1",
+                 "--out", str(out)])
+        assert main(args + ["--tour-mode", "exact"]) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --tour-mode exact" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_usage_errors(self, capsys):
         assert main([]) == 1

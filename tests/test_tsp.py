@@ -142,6 +142,16 @@ class TestRequestBoundary:
         with pytest.raises(InvalidInstanceError, match="twice"):
             TourRequest(_ten_targets(), 1, (1, 1, 2), mode)
 
+    @pytest.mark.parametrize("targets, start, error, match", [
+        (None, None, InvalidInstanceError, "targets must be an iterable"),
+        (5, None, InvalidInstanceError, "targets must be an iterable"),
+        ((0, 1, 2), 5, InvalidConfigError, "start 5 is not an order")],
+        ids=["targets-none", "targets-int", "start-int"])
+    def test_a_value_that_is_no_iterable_raises_when_built(self, targets, start, error, match):
+        # Unchecked, tuple() raised a bare TypeError.
+        with pytest.raises(error, match=match):
+            TourRequest(_square_instance(), 1, targets, HEURISTIC, start)
+
     def test_a_built_request_is_frozen(self):
         req = TourRequest(_ten_targets(), 1, (3, 1), HEURISTIC, (3, 1))
         assert (req.targets, req.start) == ((1, 3), (3, 1))
