@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import heuristic
-from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, Vehicle, is_integer,
-                    is_point, is_real, is_speed)
+from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, Vehicle, is_bool,
+                    is_integer, is_point, is_real, is_speed)
 from .oracle import exact_minmax, oracle_feasible
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class ExperimentConfig:
                 and all(isinstance(group, tuple) for group in self.colocated)):
             raise InvalidConfigError(f"colocated must be a tuple of tuples of vehicle ids,"
                                      f" got {self.colocated!r}")
+        if not is_bool(self.oracle):
+            raise InvalidConfigError(f"oracle must be a bool, got {self.oracle!r}")
         seen = set()
         for group in self.colocated:
             for vid in group:

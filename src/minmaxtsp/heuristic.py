@@ -39,7 +39,7 @@ from .allocation import (build_initial_solution, perturb_colocated_depots,
                          solve_load_balancing)
 from .model import (DEPOT, Instance, InvalidConfigError, NoInsertionCandidateError,
                     Point, Solution, StageCheckError, Tour, check_instance,
-                    is_integer, validate_solution)
+                    check_solution, is_integer, validate_solution)
 from .tsp import EXACT, EXACT_CAP, HEURISTIC, TourRequest, solve_tsp
 
 # The displacement angle steps 144 degrees, so the schedule repeats after
@@ -72,6 +72,11 @@ class SolverConfig:
             raise InvalidConfigError(
                 f"no_improve_stop must be an integer in [0, {PERTURBATION_PERIOD}],"
                 f" got {self.no_improve_stop!r}")
+
+
+def _check_config(cfg) -> None:
+    if not isinstance(cfg, SolverConfig):
+        raise InvalidConfigError(f"cfg must be a SolverConfig, got {cfg!r}")
 
 
 @dataclass(frozen=True)
@@ -111,9 +116,12 @@ def compute_savings(sol: Solution, inst: Instance, vid: int) -> list:
     """Time saved on vehicle vid's tour by splicing out each removable target.
 
     Pre-assigned targets are never candidates.  Entries come back sorted by
-    decreasing value, ties by ascending target index.  A tour vertex that is
-    no target of ``inst`` raises InvalidInstanceError.
+    decreasing value, ties by ascending target index.  ``inst`` must be an
+    Instance and ``sol`` a Solution; these, and a tour vertex that is no
+    target of ``inst``, raise InvalidInstanceError.
     """
+    check_instance(inst)
+    check_solution(sol)
     tm = inst.time_matrix(vid)
     pinned = inst.required_for(vid)
     seq = sol.tour_for(vid).sequence
@@ -177,14 +185,17 @@ def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int,
                    reads: list | None = None) -> InsertionQuote:
     """Cheapest splice of ``target`` into any tour but the excluded vehicle's.
 
-    ``target`` and, when ``reads`` is None, every vertex of ``sol`` must be
-    target indices of ``inst`` (else InvalidInstanceError).
+    ``inst`` must be an Instance, ``sol`` a Solution, and ``target`` and,
+    when ``reads`` is None, every vertex of ``sol`` target indices of
+    ``inst`` (else InvalidInstanceError).
     Every consecutive vertex pair (a, b) of every other tour is priced as
     tm[a, t] + tm[t, b] - tm[a, b], from one row of the matrix per tour; ties
     break toward the lower vehicle id, then the lower edge position.
     ``reads`` is ``_read_tours(sol, inst, exclude)``, which a caller pricing
     many targets against one plan reads once and passes to every call.
     """
+    check_instance(inst)
+    check_solution(sol)
     if inst.k < 2:
         raise NoInsertionCandidateError("no other vehicle to receive the target")
     inst.check_target(target)
@@ -232,9 +243,9 @@ def _insertion_lower_bound(target: int, read: _TourRead) -> float:
 
 
 def _rebuild(inst: Instance, vid: int, order: tuple, cfg: SolverConfig):
-    """Vehicle vid's tour through ``order``'s targets, polished from
-    ``order`` unless it is a Held-Karp tour."""
-    return solve_tsp(TourRequest(inst, vid, order, cfg.tour_mode, order))
+    """Vehicle vid's tour through ``order``'s targets: a warm request,
+    polished from ``order`` unless it is a Held-Karp tour."""
+    return solve_tsp(TourRequest(inst, vid, order, cfg.tour_mode, warm=True))
 
 
 def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
@@ -250,15 +261,21 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
     exact tours a receiver of fewer than ``EXACT_CAP`` targets is not even
     re-routed when ``_insertion_lower_bound`` already reaches the makespan.
     Savings are recomputed from the new plan after every accepted move; the
-    search stops when every candidate on the maximal tour fails.  Exact tours are memoized in ``inst``, as long as it lives.  The
-    tours of ``sol`` are checked against ``inst`` once, up front; a vertex
-    that is no target of it raises InvalidInstanceError.
+    search stops when every candidate on the maximal tour fails.  Exact
+    tours are memoized in ``inst``, as long as it lives.  The arguments are
+    checked once, up front: ``inst`` must be an Instance and ``sol`` a
+    Solution whose tours visit only targets of ``inst`` (else
+    InvalidInstanceError), and ``cfg`` a SolverConfig (else
+    InvalidConfigError).
 
     Precondition with ``cfg.tour_mode == EXACT``: every tour of ``sol`` of
     fewer than ``EXACT_CAP`` targets is an optimal (Held-Karp) tour on
     ``inst``'s geometry, as ``solve_tsp`` builds it.  Only such a receiver is
     bounded, and the bound rests on its new tour being one too.
     """
+    check_instance(inst)
+    check_solution(sol)
+    _check_config(cfg)
     if inst.k < 2:
         return sol
     _check_tours(sol, inst)
@@ -300,9 +317,12 @@ def perturbation_radius(sol: Solution, inst: Instance, vid: int) -> float:
     """Half the summed travel times of a tour's two depot edges, read from
     the depot row (index DEPOT) of the vehicle's ``distance_matrix``.
 
-    An empty tour pins its depot in place (radius zero).  A tour vertex that
-    is no target of ``inst`` raises InvalidInstanceError.
+    An empty tour pins its depot in place (radius zero).  ``inst`` must be an
+    Instance and ``sol`` a Solution; these, and a tour vertex that is no
+    target of ``inst``, raise InvalidInstanceError.
     """
+    check_instance(inst)
+    check_solution(sol)
     seq = sol.tour_for(vid).sequence
     inst.check_targets(seq[1:-1], "tour vertex")
     if len(seq) < 3:
@@ -328,7 +348,13 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig):
     are drawn once per vehicle, in id order.  The radius, a travel time, is
     applied directly as a displacement length.  The displaced instances are
     ``with_depots`` copies, which share ``inst``'s exact-tour memo.
+    ``inst`` must be an Instance and ``sol`` a Solution (else
+    InvalidInstanceError), and ``cfg`` a SolverConfig (else
+    InvalidConfigError).
     """
+    check_instance(inst)
+    check_solution(sol)
+    _check_config(cfg)
     if inst.k < 2:
         return sol, 0
     base = {v.id: rng.uniform(0.0, 2.0 * math.pi) for v in inst.vehicles}
@@ -381,8 +407,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0):
     """
     check_instance(inst)
     cfg = SolverConfig() if cfg is None else cfg
-    if not isinstance(cfg, SolverConfig):
-        raise InvalidConfigError(f"cfg must be a SolverConfig or None, got {cfg!r}")
+    _check_config(cfg)
     if not isinstance(rng, np.random.Generator):
         if not (rng is None or is_integer(rng) and rng >= 0):
             raise InvalidConfigError(f"rng must be a numpy Generator, an integer >= 0"

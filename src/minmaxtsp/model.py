@@ -95,6 +95,11 @@ def is_integer(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
+def is_bool(value) -> bool:
+    """True for a bool or a numpy bool scalar; 0, 1, None and strings fail."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def is_real(value) -> bool:
     """True for an int that is not a bool, a float, or a numpy integer or
     floating scalar; any other number (a Fraction, a Decimal) fails."""
@@ -128,7 +133,8 @@ def is_speed(s) -> bool:
 
 
 class _ReadOnlyDict(Mapping):
-    """A dict that cannot be changed after construction; pickles and copies."""
+    """A dict that cannot be changed after construction; pickles, copies and
+    hashes over its items, so a frozen Instance hashes too."""
 
     __slots__ = ("_data",)
 
@@ -146,6 +152,9 @@ class _ReadOnlyDict(Mapping):
 
     def __repr__(self):
         return repr(self._data)
+
+    def __hash__(self):
+        return hash(frozenset(self._data.items()))
 
     def __reduce__(self):
         return _ReadOnlyDict, (self._data,)

@@ -1,18 +1,19 @@
 """Single-vehicle tour sub-solver.
 
-A ``TourRequest`` names an instance, one of its vehicles, a set of its
-targets, a mode and, optionally, a start order.  It is frozen and checks
-itself when built, the one way into the solver; ``solve_tsp`` trusts it and
-reads the vehicle's distance matrix and speed, and the exact-tour memo,
-from the instance.  Two modes share that one entry point:
+A ``TourRequest`` names an instance, one of its vehicles, its targets in an
+order, a mode and whether it is warm.  It is frozen and checks itself when
+built, the one way into the solver; ``solve_tsp`` trusts it and reads the
+vehicle's distance matrix and speed, and the exact-tour memo, from the
+instance.  Two modes share that one entry point:
 
 * heuristic -- 2-opt and Or-opt (segment lengths 1..3), both
-  first-improvement with a fixed scan order, polish the request's ``start``
-  order when it has one and a nearest-neighbor tour when it has none.  Stage
-  1 has no tour to start from; stages 2 and 3 start from an incumbent tour,
-  whole or with one target spliced in or out, which is already nearly clean,
-  so the polish takes a step or two instead of the eight or so a
-  nearest-neighbor tour needs.  The polish works on the closed tour
+  first-improvement with a fixed scan order, polish the order of a warm
+  request's targets, and a nearest-neighbor tour over a cold request's
+  targets in id order.  Stage 1 has no tour to start from and asks cold;
+  stages 2 and 3 ask warm, giving an incumbent tour, whole or with one
+  target spliced in or out, which is already nearly clean, so the polish
+  takes a step or two instead of the eight or so a nearest-neighbor tour
+  needs.  The polish works on the closed tour
   [DEPOT, *targets, DEPOT] as instance ids of the vehicle's distance matrix.
   Each step gathers the tour's distance block from that matrix once, prices
   every 2-opt move from it as one numpy array and applies the first
@@ -23,10 +24,10 @@ from the instance.  Two modes share that one entry point:
   tour, and every plan built from tours, is identical to the scans'.  A move
   must gain more than _gain_tolerance, which exceeds the rounding error of
   its price, so the polish always ends; on tours of one or two targets every
-  move gives the same cycle, so those are left in their start order.
+  move gives the same cycle, so those are left in their given order.
 * exact -- Held-Karp dynamic program over target subsets, for a request of
-  at most EXACT_CAP targets; a longer exact request is polished as a
-  heuristic one is, from its start, and the oracle holds its subsets to the
+  at most EXACT_CAP targets, warm or cold; a longer exact request is
+  polished as a heuristic one is, and the oracle holds its subsets to the
   same cap.  The table fills one subset size at a time, a chunk of its cells
   per numpy step.  Each cell is written once, from its one predecessor row
   (the subset one target smaller) plus the distances into its end target,
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DEPOT, Instance, InvalidConfigError, InvalidInstanceError, Tour,
-                    check_instance, is_integer)
+                    check_instance, is_bool)
 
 HEURISTIC = "heuristic"
 EXACT = "exact"
@@ -59,27 +60,27 @@ _EPS = 1e-12
 
 @dataclass(frozen=True, slots=True)
 class TourRequest:
-    """Route one vehicle of an instance through a set of its targets.
+    """Route one vehicle of an instance through the targets, in the order given.
 
     A request holds the instance and what the caller chose, nothing the
     instance already owns.  It checks itself when built and is frozen, so
     ``solve_tsp`` trusts it.  ``inst`` must be an Instance, ``vehicle_id``
-    one of its vehicle ids and ``targets`` distinct target indices of it
-    (else ``InvalidInstanceError``), stored sorted as the request's identity.
-    Numpy integer ids are stored as the Python ints they hold.  ``mode`` is
-    HEURISTIC or EXACT and ``start`` None or an order of the targets, each an
-    integer (else ``InvalidConfigError``), which a polish starts from instead
-    of nearest neighbour; a Held-Karp tour needs none.
+    one of its vehicle ids and ``targets`` an iterable of distinct target
+    indices of it (else ``InvalidInstanceError``), stored in the caller's
+    order, numpy integers as the Python ints they hold.  ``mode`` is
+    HEURISTIC or EXACT and ``warm`` a bool (else ``InvalidConfigError``): a
+    warm request is polished from the order of its targets, a cold one from
+    a nearest-neighbor tour; a Held-Karp tour needs no order.
     """
 
     inst: Instance
     vehicle_id: int
     targets: tuple
     mode: str = HEURISTIC
-    start: tuple | None = None
+    warm: bool = False
 
     def __post_init__(self):
-        inst, start = self.inst, self.start
+        inst = self.inst
         check_instance(inst)
         inst.vehicle(self.vehicle_id)
         try:
@@ -88,26 +89,13 @@ class TourRequest:
             raise InvalidInstanceError(
                 f"targets must be an iterable, got {self.targets!r}") from None
         order = inst.check_targets(order)
-        ids = tuple(sorted(order))
-        if len(set(ids)) < len(ids):
-            raise InvalidInstanceError(f"targets {ids!r} name a target twice")
+        if len(set(order)) < len(order):
+            raise InvalidInstanceError(f"targets {order!r} name a target twice")
         if self.mode not in (HEURISTIC, EXACT):
             raise InvalidConfigError(f"unknown tour mode {self.mode!r}")
-        if start is self.targets:  # as stages 2 and 3 pass it: checked above
-            object.__setattr__(self, "start", order)
-        elif start is not None:
-            try:
-                start = tuple(start)
-            except TypeError:
-                raise InvalidConfigError(f"start {start!r} is not an order of the targets"
-                                         f" {ids!r}") from None
-            if not all(map(is_integer, start)):
-                raise InvalidConfigError(f"start {start!r} holds a value that is no integer")
-            if sorted(start) != list(ids):
-                raise InvalidConfigError(
-                    f"start {start!r} is not an order of the targets {ids!r}")
-            object.__setattr__(self, "start", tuple(map(int, start)))
-        object.__setattr__(self, "targets", ids)
+        if not is_bool(self.warm):
+            raise InvalidConfigError(f"warm must be a bool, got {self.warm!r}")
+        object.__setattr__(self, "targets", order)
 
 
 class TspCache:
@@ -117,8 +105,8 @@ class TspCache:
     Every ``Instance`` owns one for as long as it lives, shared by its
     ``with_depots`` copies, which keep its targets; so a hit equals a
     recompute.  ``solve_tsp`` builds a Held-Karp request's key once, to look
-    it up and to store the solved tour; polished tours, which depend on a
-    start that stages 2 and 3 rarely repeat, are not memoized.
+    it up and to store the solved tour; polished tours, which depend on an
+    order that stages 2 and 3 rarely repeat, are not memoized.
     """
 
     def __init__(self):
@@ -401,27 +389,30 @@ def solve_tsp(req: TourRequest) -> Tour:
     An exact request of at most EXACT_CAP targets gets its Held-Karp tour,
     keyed once, looked up in the instance's memo before any block is
     gathered and stored there once solved.  Every other request is polished
-    from its start, or from a nearest-neighbor tour when it has none.  The
-    request was checked when built: its vehicle is looked up once, for the
-    depot, speed and distance matrix.
+    from the order of its targets when it is warm, and from a
+    nearest-neighbor tour when it is cold.  Only the memo key and the
+    nearest-neighbor and Held-Karp blocks take the targets sorted, so their
+    order does not matter there.  The request was checked when built: its
+    vehicle is looked up once, for the depot, speed and distance matrix.
     """
     inst, vid, targets = req.inst, req.vehicle_id, req.targets
     vehicle = inst.vehicles[vid - 1]
     if not targets:
         return Tour(vid, (DEPOT, DEPOT), 0.0)
     if req.mode == EXACT and len(targets) <= EXACT_CAP:
-        key = (vehicle.depot.x, vehicle.depot.y, targets)
+        ids = tuple(sorted(targets))
+        key = (vehicle.depot.x, vehicle.depot.y, ids)
         hit = inst._tour_memo.get(key)
         if hit is None:
-            order, length = held_karp_order(inst.distance_block(vid, targets))
-            hit = ((DEPOT, *(targets[p] for p in order), DEPOT), length)
+            order, length = held_karp_order(inst.distance_block(vid, ids))
+            hit = ((DEPOT, *(ids[p] for p in order), DEPOT), length)
             inst._tour_memo.put(key, *hit)
         sequence, length = hit
     else:
-        start = req.start
-        if start is None:
-            start = [targets[p] for p in _nearest_neighbor(inst.distance_block(vid, targets))]
-        ext = np.array([DEPOT, *start, DEPOT])
+        if not req.warm:
+            ids = sorted(targets)
+            targets = [ids[p] for p in _nearest_neighbor(inst.distance_block(vid, ids))]
+        ext = np.array([DEPOT, *targets, DEPOT])
         length = _improve(ext, inst._matrices(vehicle)[0])
         sequence = tuple(ext.tolist())
     return Tour(vid, sequence, float(length) / vehicle.speed)

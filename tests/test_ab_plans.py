@@ -1,6 +1,8 @@
 """``tools/ab_plans.py``: a tree against itself gives equal plan hashes and
-exit 0; a tree whose plans differ gives exit 1; an unknown config, exit 2."""
+exit 0; a tree whose plans differ gives exit 1; an unknown config, or one
+with no instance count, exit 2; ``--out`` writes one record per cell."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -11,10 +13,10 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "ab_plans.py"
 
 
-def _run(old, new, config="k2_heur_stop1_n30"):
+def _run(old, new, config="k2_heur_stop1_n30", *extra, instances=("--instances", "2")):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, str(TOOL), str(old), str(new), "--config", config,
-                           "--instances", "2", "--seeds", "1,2"],
+                           *instances, "--seeds", "1,2", *extra],
                           env=env, capture_output=True, text=True, timeout=300)
 
 
@@ -43,3 +45,28 @@ def test_an_unknown_config_exits_2():
     done = _run(ROOT, ROOT, config="no_such_config")
     assert done.returncode == 2
     assert "unknown config" in done.stderr
+
+
+def test_a_config_without_its_own_count_needs_instances():
+    done = _run(ROOT, ROOT, instances=())
+    assert done.returncode == 2
+    assert "needs --instances" in done.stderr
+
+
+def test_out_writes_one_record_per_cell_and_seed(tmp_path):
+    out = tmp_path / "sizes.json"
+    done = _run(ROOT, ROOT, "s1_n10", "--out", str(out))
+    assert done.returncode == 0, done.stdout + done.stderr
+    records = json.loads(out.read_text(encoding="utf-8"))
+    assert [(r["config"], r["seed"], r["instances"]) for r in records] == [
+        ("s1_n10", 1, 2), ("s1_n10", 2, 2)]
+    for record in records:
+        assert set(record) == {"config", "seed", "instances", "ratio", "same_plans",
+                               "old", "new"}
+        assert record["same_plans"] and record["ratio"] > 0
+        for tree in (record["old"], record["new"]):
+            assert set(tree) == {"solve_s_p50", "solve_s_p90", "makespan_mean",
+                                 "plan_sha256", "stage_s_mean"}
+            assert set(tree["stage_s_mean"]) == {"init", "local_search", "perturbation"}
+            assert 0 < tree["solve_s_p50"] <= tree["solve_s_p90"]
+        assert record["old"]["plan_sha256"] == record["new"]["plan_sha256"]

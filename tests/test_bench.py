@@ -99,6 +99,10 @@ class TestGeneration:
                     (Fraction(3, 2),)):
             with pytest.raises(InvalidConfigError, match="speeds"):
                 ExperimentConfig(speeds=bad)
+        for bad in ("no", 1, None):
+            with pytest.raises(InvalidConfigError, match="oracle"):
+                ExperimentConfig(oracle=bad)
+        assert ExperimentConfig(oracle=np.True_).oracle
         cfg = ExperimentConfig(speeds=(np.float64(1.5), 2, SPEED_MIN),
                                assign_fraction=np.float64(0.5),
                                colocated=((np.int64(1), 3),))

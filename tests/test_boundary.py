@@ -2,7 +2,9 @@
 builds a valid instance or raises InvalidInstanceError, never another error;
 numbers other than ints, floats and NumPy scalars, anything passed as an
 instance or a solution that is not one, vehicle ids outside the fleet and a
-plan of another instance raise it too."""
+plan of another instance raise it too.  A stage function also rejects a
+config of the wrong type with InvalidConfigError, and a per-vehicle mapping
+that misses a vehicle with InvalidInstanceError."""
 
 import copy
 import json
@@ -16,11 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution, SolverConfig,
-                       Tour, TourRequest, Vehicle, best_insertion, compute_savings,
-                       exact_minmax, generate_instance, instance_from_json, instance_to_json,
-                       local_search, oracle_feasible, perturbation_loop, render_tours,
-                       save_instance, scenario1, solve, tour_duration, validate_solution)
+from minmaxtsp import (DEPOT, Instance, InvalidConfigError, InvalidInstanceError, Point,
+                       Solution, SolverConfig, Tour, TourRequest, Vehicle, best_insertion,
+                       build_initial_solution, compute_savings, exact_minmax,
+                       generate_instance, instance_from_json, instance_to_json, local_search,
+                       min_target_counts, oracle_feasible, perturb_colocated_depots,
+                       perturbation_loop, perturbation_radius, render_tours, save_instance,
+                       scenario1, solve, solve_load_balancing, tour_duration,
+                       validate_solution)
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 from minmaxtsp.svgplot import render_solution_svg
 
@@ -212,6 +217,55 @@ def test_a_plan_of_another_instance_raises_invalid_instance(call):
     other = generate_instance(scenario1(n_targets=5, seed=1), 0)
     with pytest.raises(InvalidInstanceError, match="tour vertex"):
         call(other, plan)
+
+
+_NO_INST, _NO_SOL = (InvalidInstanceError, "must be an Instance"), (
+    InvalidInstanceError, "must be a Solution")
+_NO_CFG = (InvalidConfigError, "must be a SolverConfig")
+_NO_EFF = (InvalidInstanceError, "eff must map every vehicle id")
+_NO_ALLOC = (InvalidInstanceError, "alloc must map every vehicle id")
+_CFG, _EFF = SolverConfig(), {1: Point(1, 1), 2: Point(5, 5)}
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda plan: local_search(_VALID, "x", _CFG), *_NO_SOL, id="local_search-sol"),
+    pytest.param(lambda plan: local_search(None, plan, _CFG), *_NO_INST,
+                 id="local_search-inst"),
+    pytest.param(lambda plan: local_search(_VALID, plan, None), *_NO_CFG, id="local_search-cfg"),
+    pytest.param(lambda plan: perturbation_loop(_VALID, plan, np.random.default_rng(0), None),
+                 *_NO_CFG, id="perturbation_loop-cfg"),
+    pytest.param(lambda plan: perturbation_loop(_VALID, None, np.random.default_rng(0), _CFG),
+                 *_NO_SOL, id="perturbation_loop-sol"),
+    pytest.param(lambda plan: perturbation_radius(None, _VALID, 1), *_NO_SOL,
+                 id="perturbation_radius"),
+    pytest.param(lambda plan: compute_savings(plan, None, 1), *_NO_INST, id="compute_savings"),
+    pytest.param(lambda plan: best_insertion(0, None, _VALID, 1), *_NO_SOL, id="best_insertion"),
+    pytest.param(lambda plan: min_target_counts(None), *_NO_INST, id="min_target_counts"),
+    pytest.param(lambda plan: perturb_colocated_depots(None, np.random.default_rng(0)),
+                 *_NO_INST, id="perturb_colocated_depots-inst"),
+    pytest.param(lambda plan: solve_load_balancing(_VALID, {}), *_NO_EFF,
+                 id="solve_load_balancing-empty"),
+    pytest.param(lambda plan: solve_load_balancing(_VALID, {1: Point(1, 1)}), *_NO_EFF,
+                 id="solve_load_balancing-missing"),
+    pytest.param(lambda plan: solve_load_balancing(_VALID, {1: None, 2: None}), *_NO_EFF,
+                 id="solve_load_balancing-none"),
+    pytest.param(lambda plan: solve_load_balancing(_VALID, list(_EFF.values())), *_NO_EFF,
+                 id="solve_load_balancing-list"),
+    pytest.param(lambda plan: solve_load_balancing(None, _EFF), *_NO_INST,
+                 id="solve_load_balancing-inst"),
+    pytest.param(lambda plan: build_initial_solution(_VALID, {}), *_NO_ALLOC,
+                 id="build_initial_solution-empty"),
+    pytest.param(lambda plan: build_initial_solution(_VALID, {1: 5, 2: 5}), *_NO_ALLOC,
+                 id="build_initial_solution-int"),
+    pytest.param(lambda plan: build_initial_solution(None, {1: (), 2: ()}), *_NO_INST,
+                 id="build_initial_solution-inst"),
+])
+def test_a_stage_function_checks_its_arguments(call, error, match):
+    # Unchecked, each of these raised a bare AttributeError, KeyError or
+    # TypeError from deep inside the stage.
+    plan, _ = solve(_VALID, rng=0)
+    with pytest.raises(error, match=match):
+        call(plan)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

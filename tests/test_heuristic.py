@@ -461,7 +461,7 @@ class TestWarmStartedTours:
                 stage.pop()
 
         def started(req):
-            tours.append(req.start is not None)
+            tours.append(req.warm)
             return real_solve(req)
 
         monkeypatch.setattr(tsp, "_nearest_neighbor", nearest_neighbor)
@@ -529,7 +529,7 @@ def _capped_fleets(draw):
 
 class TestExactCap:
     """With exact tours, a tour of at most EXACT_CAP targets is a Held-Karp
-    tour and a longer one is polished from its start, so every instance gets
+    tour and a longer one is polished from its order, so every instance gets
     a plan however long its tours grow."""
 
     @pytest.mark.parametrize("index", range(3))
@@ -566,7 +566,7 @@ class TestExactCap:
                     again = solve_tsp(TourRequest(fresh, tour.vehicle_id, order, EXACT))
                 else:
                     again = solve_tsp(TourRequest(inst, tour.vehicle_id, order, HEURISTIC,
-                                                  order))
+                                                  warm=True))
                 assert again == tour
         assert validate_solution(inst, sol) == []
 

@@ -398,6 +398,17 @@ class TestInstanceValidation:
         with pytest.raises(TypeError):
             twin.required[1] = frozenset({1})
 
+    def test_equal_instances_hash_equal(self):
+        # The read-only required mapping had no hash, so hash(inst) raised TypeError.
+        def build():
+            return Instance((Point(1, 2), Point(3, 4), Point(5, 6)),
+                            (v(1.0, vid=1), Vehicle(2, 1.0, Point(5, 5))), {2: [2, 0]})
+        inst = build()
+        twin = pickle.loads(pickle.dumps(inst))
+        assert build() == inst == twin
+        assert hash(build()) == hash(inst) == hash(twin)
+        assert len({inst, build(), twin, Instance(inst.targets, inst.vehicles)}) == 2
+
     def test_a_solved_instance_pickles_and_copies_without_its_caches(self):
         inst = generate_instance(scenario1(n_targets=10, seed=11 << 20), 0)
         fresh = pickle.dumps(inst)

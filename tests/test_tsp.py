@@ -51,12 +51,6 @@ class TestSolveBasics:
         with pytest.raises(InvalidConfigError, match="exakt"):
             solve_tsp(TourRequest(_square_instance(), 1, targets, mode="exakt"))
 
-    @pytest.mark.parametrize("start", [(0, 1), (0, 1, 2, 2), (0, 1, 3), (0, 0, 1)])
-    def test_start_must_order_the_targets(self, start):
-        for mode in (HEURISTIC, EXACT):
-            with pytest.raises(InvalidConfigError, match="start"):
-                TourRequest(_square_instance(), 1, (0, 1, 2), mode, start)
-
     @pytest.mark.parametrize("bad", [-2, True, 7, 0.5, np.int64(2), "1", None],
                              ids=["negative", "bool", "past-n", "float", "np-past-n", "str",
                                   "none"])
@@ -132,57 +126,43 @@ class TestRequestBoundary:
         with pytest.raises(InvalidInstanceError, match="target 99"):
             TourRequest(_ten_targets(), 1, (99,))
 
-    def test_start_with_a_stranger_raises_when_built(self):
-        # Unchecked, this came back as the tour (DEPOT, 3, 9, DEPOT).
-        with pytest.raises(InvalidConfigError, match="start"):
-            TourRequest(_ten_targets(), 1, (1, 3), HEURISTIC, (3, 9))
-
     @pytest.mark.parametrize("mode", [HEURISTIC, EXACT])
     def test_a_target_named_twice_raises(self, mode):
         with pytest.raises(InvalidInstanceError, match="twice"):
             TourRequest(_ten_targets(), 1, (1, 1, 2), mode)
 
-    @pytest.mark.parametrize("targets, start, error, match", [
-        (None, None, InvalidInstanceError, "targets must be an iterable"),
-        (5, None, InvalidInstanceError, "targets must be an iterable"),
-        ((0, 1, 2), 5, InvalidConfigError, "start 5 is not an order")],
-        ids=["targets-none", "targets-int", "start-int"])
-    def test_a_value_that_is_no_iterable_raises_when_built(self, targets, start, error, match):
+    @pytest.mark.parametrize("targets", [None, 5], ids=["targets-none", "targets-int"])
+    def test_a_value_that_is_no_iterable_raises_when_built(self, targets):
         # Unchecked, tuple() raised a bare TypeError.
-        with pytest.raises(error, match=match):
-            TourRequest(_square_instance(), 1, targets, HEURISTIC, start)
-
-    def test_a_built_request_is_frozen(self):
-        req = TourRequest(_ten_targets(), 1, (3, 1), HEURISTIC, (3, 1))
-        assert (req.targets, req.start) == ((1, 3), (3, 1))
-        for field, value in (("targets", (99,)), ("start", (3, 9)), ("vehicle_id", 0)):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(req, field, value)
-        with pytest.raises(InvalidConfigError, match="start"):
-            dataclasses.replace(req, start=(3, 9))
+        with pytest.raises(InvalidInstanceError, match="targets must be an iterable"):
+            TourRequest(_square_instance(), 1, targets, HEURISTIC)
 
     @pytest.mark.parametrize("mode", [HEURISTIC, EXACT])
-    @pytest.mark.parametrize("start", [(True, 0, 2), (0, None, 2), (1.0, 0, 2)],
-                             ids=["bool", "none", "float"])
-    def test_a_start_element_that_is_no_integer_raises_when_built(self, start, mode):
-        # Unchecked, True passed as target 1, None failed inside sorted and
-        # 1.0 inside numpy's integer cast.
-        with pytest.raises(InvalidConfigError, match="no integer"):
-            TourRequest(_square_instance(), 1, (0, 1, 2), mode, start)
+    @pytest.mark.parametrize("warm", [None, 0, 1, "yes", (0, 1, 2)])
+    def test_warm_must_be_a_bool(self, warm, mode):
+        with pytest.raises(InvalidConfigError, match="warm must be a bool"):
+            TourRequest(_square_instance(), 1, (0, 1, 2), mode, warm)
+
+    def test_a_built_request_is_frozen(self):
+        req = TourRequest(_ten_targets(), 1, (3, 1), HEURISTIC, warm=True)
+        assert (req.targets, req.warm) == ((3, 1), True)
+        for field, value in (("targets", (99,)), ("warm", False), ("vehicle_id", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(req, field, value)
+        with pytest.raises(InvalidInstanceError, match="target 99"):
+            dataclasses.replace(req, targets=(3, 99))
 
     def test_numpy_ids_are_stored_as_python_ints(self):
         inst = _square_instance()
         first = solve_tsp(TourRequest(inst, 1, np.arange(3), EXACT))
         again = solve_tsp(TourRequest(inst, 1, (0, 1, 2), EXACT))
-        polished = solve_tsp(TourRequest(inst, 1, np.arange(3), HEURISTIC, np.arange(3)))
+        polished = solve_tsp(TourRequest(inst, 1, np.arange(3), HEURISTIC, np.True_))
         for tour in (first, again, polished):
             assert {type(v) for v in tour.sequence} == {int}
             json.dumps(tour.sequence)
-        order = np.array([2, 0, 1])
-        for req in (TourRequest(inst, 1, np.arange(3), HEURISTIC, order),
-                    TourRequest(inst, 1, order, HEURISTIC, order)):
-            assert (req.targets, req.start) == ((0, 1, 2), (2, 0, 1))
-            assert {type(v) for v in req.targets + req.start} == {int}
+        req = TourRequest(inst, 1, np.array([2, 0, 1]), HEURISTIC, warm=True)
+        assert req.targets == (2, 0, 1)
+        assert {type(v) for v in req.targets} == {int}
 
     def test_target_order_does_not_split_the_memo(self):
         inst = _ten_targets()
@@ -219,10 +199,10 @@ class TestHeldKarp:
         xy = rng.uniform(0, 10, size=(EXACT_CAP + 1, 2))
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(0, 0)),))
-        ids = range(EXACT_CAP + 1)
-        for start in (None, tuple(rng.permutation(EXACT_CAP + 1).tolist())):
-            exact = solve_tsp(TourRequest(inst, 1, ids, EXACT, start))
-            polished = solve_tsp(TourRequest(inst, 1, ids, HEURISTIC, start))
+        order = tuple(rng.permutation(EXACT_CAP + 1).tolist())
+        for targets, warm in ((range(EXACT_CAP + 1), False), (order, False), (order, True)):
+            exact = solve_tsp(TourRequest(inst, 1, targets, EXACT, warm))
+            polished = solve_tsp(TourRequest(inst, 1, targets, HEURISTIC, warm))
             assert exact == polished
             assert repr(exact.duration) == repr(polished.duration)
         assert len(inst._tour_memo) == 0
@@ -532,10 +512,9 @@ class TestCache:
     def test_exact_starts_share_one_entry(self):
         inst = _square_instance()
         tours = set()
-        for start in (None, (0, 1, 2), (2, 0, 1)):
-            req = TourRequest(inst, 1, range(3), EXACT, start)
-            tours.add(solve_tsp(req))
-            tours.add(solve_tsp(dataclasses.replace(req, start=start)))
+        for order in ((0, 1, 2), (2, 0, 1)):
+            for warm in (False, True):
+                tours.add(solve_tsp(TourRequest(inst, 1, order, EXACT, warm)))
         assert len(inst._tour_memo) == 1
         assert len(tours) == 1
 
@@ -543,9 +522,9 @@ class TestCache:
         rng = np.random.default_rng(15)
         xy = rng.uniform(0, 100, size=(9, 2))
         inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, Point(0, 0)),))
-        starts = [None] + [tuple(rng.permutation(9).tolist()) for _ in range(4)]
-        for start in starts + starts:
-            req = TourRequest(inst, 1, range(9), start=start)
+        requests = [TourRequest(inst, 1, range(9))] + [
+            TourRequest(inst, 1, rng.permutation(9), warm=True) for _ in range(4)]
+        for req in requests + requests:
             assert solve_tsp(req) == solve_tsp(req)
         assert len(inst._tour_memo) == 0
 
@@ -730,9 +709,9 @@ class TestVectorizedPolish:
 
 @st.composite
 def _started_requests(draw):
-    """(instance, targets, start): a one-vehicle instance of 1..14 uniform or
-    4 x 4 grid points, the depot sometimes on a target, and 0..12 of its
-    targets with any order of them as the start."""
+    """(instance, order): a one-vehicle instance of 1..14 uniform or 4 x 4
+    grid points, the depot sometimes on a target, and 0..12 of its targets in
+    any order."""
     n = draw(st.integers(1, 14))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -743,19 +722,21 @@ def _started_requests(draw):
         xy[n] = xy[draw(st.integers(0, n - 1))]
     speed = draw(st.sampled_from([1.0, 1.5]))
     inst = Instance(tuple(Point(*p) for p in xy[:n]), (Vehicle(1, speed, Point(*xy[n])),))
-    start = draw(st.permutations(range(n)))[:draw(st.integers(0, min(n, 12)))]
-    return inst, sorted(start), tuple(start)
+    order = draw(st.permutations(range(n)))[:draw(st.integers(0, min(n, 12)))]
+    return inst, tuple(order)
 
 
 class TestStartOrder:
-    """A heuristic request polishes its start; an exact one of at most
-    EXACT_CAP targets keeps it but needs none."""
+    """A warm heuristic request polishes the order of its targets, a cold one
+    a nearest-neighbor tour over them in id order; an exact one of at most
+    EXACT_CAP targets needs no order."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_started_requests())
     def test_heuristic_tour_is_a_clean_order_of_the_targets(self, case):
-        inst, targets, start = case
-        tour = solve_tsp(TourRequest(inst, 1, targets, start=start))
+        inst, order = case
+        targets = sorted(order)
+        tour = solve_tsp(TourRequest(inst, 1, order, warm=True))
         assert tour.sequence[0] == DEPOT and tour.sequence[-1] == DEPOT
         assert sorted(tour.targets()) == targets
         assert tour_duration(inst, tour) == pytest.approx(tour.duration, rel=1e-12, abs=1e-12)
@@ -764,15 +745,26 @@ class TestStartOrder:
         tol = _gain_tolerance(dist)
         assert _two_opt(list(order), dist, tol) == order
         assert _or_opt_once(list(order), dist, tol) == (order, False)
-        again = solve_tsp(TourRequest(inst, 1, targets, start=tour.targets()))
+        again = solve_tsp(TourRequest(inst, 1, tour.targets(), warm=True))
         assert again == tour
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_started_requests())
     def test_exact_tour_does_not_depend_on_the_start(self, case):
-        inst, targets, start = case
-        req = TourRequest(inst, 1, targets, EXACT, start)
-        assert solve_tsp(req) == solve_tsp(TourRequest(inst, 1, targets, EXACT))
+        inst, order = case
+        req = TourRequest(inst, 1, order, EXACT, warm=True)
+        assert solve_tsp(req) == solve_tsp(TourRequest(inst, 1, sorted(order), EXACT))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_started_requests())
+    def test_a_cold_tour_does_not_depend_on_the_order(self, case):
+        inst, order = case
+        ids = sorted(order)
+        tour = solve_tsp(TourRequest(inst, 1, order))
+        assert tour == solve_tsp(TourRequest(inst, 1, ids))
+        block = inst.distance_block(1, ids)
+        positions, _ = _kernel(_nearest_neighbor(block), block)
+        assert list(tour.targets()) == [ids[p] for p in positions]
 
     def test_start_is_polished_not_rebuilt(self):
         # A clean start that nearest neighbour would not build is kept.
@@ -781,10 +773,9 @@ class TestStartOrder:
         inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, Point(50, 50)),))
         built = solve_tsp(TourRequest(inst, 1, range(12)))
         for _ in range(20):
-            start = tuple(rng.permutation(12).tolist())
-            tour = solve_tsp(TourRequest(inst, 1, range(12), start=start))
+            tour = solve_tsp(TourRequest(inst, 1, rng.permutation(12), warm=True))
             if tour.sequence not in (built.sequence, built.sequence[::-1]):
                 break
         else:
             pytest.fail("every start polished to the nearest-neighbour tour")
-        assert solve_tsp(TourRequest(inst, 1, range(12), start=tour.targets())) == tour
+        assert solve_tsp(TourRequest(inst, 1, tour.targets(), warm=True)) == tour
