@@ -4,7 +4,8 @@ Stage 1 is three calls on plain per-vehicle mappings keyed by vehicle id:
 ``perturb_colocated_depots`` gives each vehicle's effective depot (a Point),
 ``solve_load_balancing`` gives each vehicle's free targets (a frozenset), and
 ``build_initial_solution`` routes each vehicle through those plus its
-required targets.
+required targets.  They are internal: ``heuristic.solve`` checks the
+instance and the generator once and passes them on.
 
 Free targets are distributed over the fleet at minimum total cost, every
 vehicle receiving at least a speed-proportional share of the work, where
@@ -23,13 +24,10 @@ the true depots.
 """
 
 import math
-import sys
-from collections.abc import Iterable, Mapping
 
 import numpy as np
 
-from .model import (InfeasibleAllocationError, Instance, InvalidInstanceError, Point,
-                    Solution, check_instance, distances, is_point)
+from .model import InfeasibleAllocationError, Instance, Point, Solution, distances
 from .tsp import HEURISTIC, TourRequest, solve_tsp
 
 # Radius of the circle on which co-located depots are spread apart.
@@ -45,7 +43,6 @@ def min_target_counts(inst: Instance) -> dict:
     free targets when one vehicle's required load far exceeds its share;
     solve_load_balancing then raises InfeasibleAllocationError.
     """
-    check_instance(inst)
     total_speed = sum(v.speed for v in inst.vehicles)
     n = inst.n_targets
     lower = {}
@@ -65,7 +62,6 @@ def perturb_colocated_depots(inst: Instance, rng) -> dict:
     of their lowest vehicle id, so draws are reproducible for a seeded
     generator.
     """
-    check_instance(inst)
     groups = {}
     for v in inst.vehicles:
         groups.setdefault((v.depot.x, v.depot.y), []).append(v.id)
@@ -81,15 +77,6 @@ def perturb_colocated_depots(inst: Instance, rng) -> dict:
     return pos
 
 
-def _check_per_vehicle(inst: Instance, mapping, name: str, what: str, valid) -> None:
-    """Raise InvalidInstanceError unless ``mapping`` maps every vehicle id of
-    ``inst`` to a value that passes ``valid``."""
-    if not (isinstance(mapping, Mapping)
-            and all(v.id in mapping and valid(mapping[v.id]) for v in inst.vehicles)):
-        raise InvalidInstanceError(
-            f"{name} must map every vehicle id 1..{inst.k} to {what}, got {mapping!r}")
-
-
 def _cost_matrix(inst: Instance, eff: dict, free) -> np.ndarray:
     """(|free|, k) matrix: time from vehicle j's effective depot to target t."""
     depots = np.array([[eff[v.id].x, eff[v.id].y] for v in inst.vehicles], dtype=float)
@@ -100,11 +87,11 @@ def _cost_matrix(inst: Instance, eff: dict, free) -> np.ndarray:
 def solve_load_balancing(inst: Instance, eff: dict) -> dict:
     """Free targets per vehicle id at minimum total cost, as frozensets.
 
-    ``eff`` maps each vehicle id to its effective depot, a finite Point (see
-    ``perturb_colocated_depots``; else InvalidInstanceError); the lower
-    bounds come from ``min_target_counts``.  Every vehicle gets an entry;
-    required targets are not listed.  Raises InfeasibleAllocationError when
-    the bounds demand more targets than are free.
+    ``eff`` maps each vehicle id to its effective depot (see
+    ``perturb_colocated_depots``); the lower bounds come from
+    ``min_target_counts``.  Every vehicle gets an entry; required targets are
+    not listed.  Raises InfeasibleAllocationError when the bounds demand more
+    targets than are free.
 
     Successive shortest paths (Ahuja, Magnanti & Orlin 1993, *Network
     Flows*, ch. 9): every free target starts at its cheapest vehicle, which
@@ -121,9 +108,6 @@ def solve_load_balancing(inst: Instance, eff: dict) -> dict:
     paths the first one Bellman-Ford finds stands.  Among allocations of
     equal cost this need not be the one an n x n assignment solver picks.
     """
-    check_instance(inst)
-    _check_per_vehicle(inst, eff, "eff", "a finite Point",
-                       lambda p: is_point(p, sys.float_info.max))
     free = inst.free_targets()
     lowers = np.array(list(min_target_counts(inst).values()))
     if lowers.sum() > len(free):
@@ -184,15 +168,11 @@ def _cheapest_moves(c: np.ndarray, owner: np.ndarray, sources: list, goal: int) 
 def build_initial_solution(inst: Instance, alloc: dict, mode: str = HEURISTIC) -> Solution:
     """Route every vehicle through its allocated plus required targets.
 
-    ``alloc`` maps every vehicle id to an iterable of its free targets, as
-    ``solve_load_balancing`` returns (else InvalidInstanceError).  Tours
-    always depart from the true depots; the effective positions used for
-    allocation costs play no role here.  Exact tours are memoized in
-    ``inst``, as long as it lives.
+    ``alloc`` maps every vehicle id to its free targets, as
+    ``solve_load_balancing`` returns.  Tours always depart from the true
+    depots; the effective positions used for allocation costs play no role
+    here.  Exact tours are memoized in ``inst``, as long as it lives.
     """
-    check_instance(inst)
-    _check_per_vehicle(inst, alloc, "alloc", "an iterable of target indices",
-                       lambda ids: isinstance(ids, Iterable))
     tours = []
     for v in inst.vehicles:
         ids = inst.required_for(v.id).union(alloc[v.id])

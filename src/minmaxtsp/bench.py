@@ -197,7 +197,11 @@ def _fmt(name: str, value) -> str:
 
 
 def write_report(report: ExperimentReport, path) -> None:
-    """CSV with one row per instance and aggregate lines prefixed by '#'."""
+    """CSV with one row per instance and aggregate lines prefixed by '#'.
+    ``report`` must be an ExperimentReport (else InvalidConfigError, before
+    the file is opened)."""
+    if not isinstance(report, ExperimentReport):
+        raise InvalidConfigError(f"report must be an ExperimentReport, got {report!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)

@@ -27,6 +27,10 @@ tour once per pass (``_TourRead``); a quote then gathers one matrix row per
 receiver, which the exact symmetry of the matrices makes serve as both
 tm[a, t] and tm[t, b], and prices the edges in Python with the float
 expression and tie rules a numpy array of the same prices would give.
+
+``solve`` is the entry point and checks its instance, config and generator
+once.  The stage functions are internal: they trust what ``solve`` hands them
+and check nothing themselves.
 """
 
 import math
@@ -37,9 +41,8 @@ import numpy as np
 
 from .allocation import (build_initial_solution, perturb_colocated_depots,
                          solve_load_balancing)
-from .model import (DEPOT, Instance, InvalidConfigError, NoInsertionCandidateError,
-                    Point, Solution, StageCheckError, Tour, check_instance,
-                    check_solution, is_integer, validate_solution)
+from .model import (DEPOT, Instance, InvalidConfigError, Point, Solution, StageCheckError,
+                    Tour, check_instance, is_integer, validate_solution)
 from .tsp import EXACT, EXACT_CAP, HEURISTIC, TourRequest, solve_tsp
 
 # The displacement angle steps 144 degrees, so the schedule repeats after
@@ -74,28 +77,6 @@ class SolverConfig:
                 f" got {self.no_improve_stop!r}")
 
 
-def _check_config(cfg) -> None:
-    if not isinstance(cfg, SolverConfig):
-        raise InvalidConfigError(f"cfg must be a SolverConfig, got {cfg!r}")
-
-
-@dataclass(frozen=True)
-class SavingsEntry:
-    """Donor-side value of removing one target from a tour."""
-
-    target: int
-    value: float
-
-
-@dataclass(frozen=True)
-class InsertionQuote:
-    """Cheapest placement of a target on some other vehicle's tour."""
-
-    vehicle_id: int
-    edge_position: int
-    delta: float
-
-
 @dataclass
 class StageTrace:
     """Objectives, iteration count, wall times and plans per pipeline stage.
@@ -113,25 +94,21 @@ class StageTrace:
 
 
 def compute_savings(sol: Solution, inst: Instance, vid: int) -> list:
-    """Time saved on vehicle vid's tour by splicing out each removable target.
+    """Time saved on vehicle vid's tour by splicing out each removable target,
+    as (target, value) pairs.
 
-    Pre-assigned targets are never candidates.  Entries come back sorted by
-    decreasing value, ties by ascending target index.  ``inst`` must be an
-    Instance and ``sol`` a Solution; these, and a tour vertex that is no
-    target of ``inst``, raise InvalidInstanceError.
+    Pre-assigned targets are never candidates.  Pairs come back sorted by
+    decreasing value, ties by ascending target index.
     """
-    check_instance(inst)
-    check_solution(sol)
     tm = inst.time_matrix(vid)
     pinned = inst.required_for(vid)
     seq = sol.tour_for(vid).sequence
-    inst.check_targets(seq[1:-1], "tour vertex")
     ix = np.array(seq)
     hops = tm[ix[:-1], ix[1:]]
     values = (hops[:-1] + hops[1:] - tm[ix[:-2], ix[2:]]).tolist()
     # Negation is exact, so -(-value) has the bits of value.
     ranked = sorted([(-value, t) for t, value in zip(seq[1:-1], values) if t not in pinned])
-    return [SavingsEntry(t, -neg) for neg, t in ranked]
+    return [(t, -neg) for neg, t in ranked]
 
 
 class _TourRead:
@@ -169,39 +146,22 @@ class _TourRead:
         return self._pairs
 
 
-def _check_tours(sol: Solution, inst: Instance) -> None:
-    """Raise InvalidInstanceError unless every tour of ``sol`` visits only
-    targets of ``inst``, as a plan of another instance may not."""
-    for tour in sol.tours:
-        inst.check_targets(tour.sequence[1:-1], "tour vertex")
-
-
 def _read_tours(sol: Solution, inst: Instance, exclude: int) -> list:
     """A ``_TourRead`` of every tour but the excluded vehicle's, in id order."""
     return [_TourRead(inst, sol.tour_for(v.id)) for v in inst.vehicles if v.id != exclude]
 
 
-def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int,
-                   reads: list | None = None) -> InsertionQuote:
-    """Cheapest splice of ``target`` into any tour but the excluded vehicle's.
+def best_insertion(target: int, reads: list) -> tuple:
+    """Cheapest splice of ``target`` into any of the read tours, as
+    (vehicle id, edge position, delta).
 
-    ``inst`` must be an Instance, ``sol`` a Solution, and ``target`` and,
-    when ``reads`` is None, every vertex of ``sol`` target indices of
-    ``inst`` (else InvalidInstanceError).
-    Every consecutive vertex pair (a, b) of every other tour is priced as
-    tm[a, t] + tm[t, b] - tm[a, b], from one row of the matrix per tour; ties
-    break toward the lower vehicle id, then the lower edge position.
-    ``reads`` is ``_read_tours(sol, inst, exclude)``, which a caller pricing
-    many targets against one plan reads once and passes to every call.
+    ``reads`` is ``_read_tours(sol, inst, exclude)``, at least one tour,
+    which a caller pricing many targets against one plan reads once and
+    passes to every call.  Every consecutive vertex pair (a, b) of every read
+    tour is priced as tm[a, t] + tm[t, b] - tm[a, b], from one row of the
+    matrix per tour; ties break toward the lower vehicle id, then the lower
+    edge position.
     """
-    check_instance(inst)
-    check_solution(sol)
-    if inst.k < 2:
-        raise NoInsertionCandidateError("no other vehicle to receive the target")
-    inst.check_target(target)
-    if reads is None:
-        _check_tours(sol, inst)
-        reads = _read_tours(sol, inst, exclude)
     best = None
     for read in reads:
         row = read.row(target)
@@ -209,7 +169,7 @@ def best_insertion(target: int, sol: Solution, inst: Instance, exclude: int,
         delta = min(deltas)
         if best is None or delta < best[2]:
             best = (read.tour.vehicle_id, deltas.index(delta), delta)
-    return InsertionQuote(*best)
+    return best
 
 
 # A receiver whose insertion bound reaches the makespan times _BOUND_SLACK is
@@ -262,23 +222,16 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
     re-routed when ``_insertion_lower_bound`` already reaches the makespan.
     Savings are recomputed from the new plan after every accepted move; the
     search stops when every candidate on the maximal tour fails.  Exact
-    tours are memoized in ``inst``, as long as it lives.  The arguments are
-    checked once, up front: ``inst`` must be an Instance and ``sol`` a
-    Solution whose tours visit only targets of ``inst`` (else
-    InvalidInstanceError), and ``cfg`` a SolverConfig (else
-    InvalidConfigError).
+    tours are memoized in ``inst``, as long as it lives.  A fleet of one
+    vehicle has no receiver, so its plan comes back as given.
 
     Precondition with ``cfg.tour_mode == EXACT``: every tour of ``sol`` of
     fewer than ``EXACT_CAP`` targets is an optimal (Held-Karp) tour on
     ``inst``'s geometry, as ``solve_tsp`` builds it.  Only such a receiver is
     bounded, and the bound rests on its new tour being one too.
     """
-    check_instance(inst)
-    check_solution(sol)
-    _check_config(cfg)
     if inst.k < 2:
         return sol
-    _check_tours(sol, inst)
     exact = cfg.tour_mode == EXACT
     current = sol
     while True:
@@ -290,20 +243,17 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
         reads = _read_tours(current, inst, donor)
         read_of = {read.tour.vehicle_id: read for read in reads}
         accepted = False
-        for entry in entries:
-            quote = best_insertion(entry.target, current, inst, donor, reads)
-            read = read_of[quote.vehicle_id]
+        for target, _ in entries:
+            receiver, p, _ = best_insertion(target, reads)
+            read = read_of[receiver]
             order = read.tour.targets()
             if (exact and len(order) < EXACT_CAP
-                    and _insertion_lower_bound(entry.target, read) >= hopeless):
+                    and _insertion_lower_bound(target, read) >= hopeless):
                 continue
-            p = quote.edge_position
-            receiver_tour = _rebuild(inst, quote.vehicle_id,
-                                     order[:p] + (entry.target,) + order[p:], cfg)
+            receiver_tour = _rebuild(inst, receiver, order[:p] + (target,) + order[p:], cfg)
             if receiver_tour.duration >= objective:
                 continue
-            donor_tour = _rebuild(inst, donor,
-                                  tuple(t for t in donor_order if t != entry.target), cfg)
+            donor_tour = _rebuild(inst, donor, tuple(t for t in donor_order if t != target), cfg)
             candidate = current.replace(donor_tour, receiver_tour)
             if candidate.objective < objective:
                 current = candidate
@@ -317,14 +267,9 @@ def perturbation_radius(sol: Solution, inst: Instance, vid: int) -> float:
     """Half the summed travel times of a tour's two depot edges, read from
     the depot row (index DEPOT) of the vehicle's ``distance_matrix``.
 
-    An empty tour pins its depot in place (radius zero).  ``inst`` must be an
-    Instance and ``sol`` a Solution; these, and a tour vertex that is no
-    target of ``inst``, raise InvalidInstanceError.
+    An empty tour pins its depot in place (radius zero).
     """
-    check_instance(inst)
-    check_solution(sol)
     seq = sol.tour_for(vid).sequence
-    inst.check_targets(seq[1:-1], "tour vertex")
     if len(seq) < 3:
         return 0.0
     row = inst.distance_matrix(vid)[DEPOT]
@@ -347,14 +292,10 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig):
     ``cfg.no_improve_stop`` consecutive rejections end the loop.  Base angles
     are drawn once per vehicle, in id order.  The radius, a travel time, is
     applied directly as a displacement length.  The displaced instances are
-    ``with_depots`` copies, which share ``inst``'s exact-tour memo.
-    ``inst`` must be an Instance and ``sol`` a Solution (else
-    InvalidInstanceError), and ``cfg`` a SolverConfig (else
-    InvalidConfigError).
+    ``with_depots`` copies, which share ``inst``'s exact-tour memo.  A fleet
+    of one vehicle has no receiver, so its plan comes back after no
+    iteration and no draw from ``rng``.
     """
-    check_instance(inst)
-    check_solution(sol)
-    _check_config(cfg)
     if inst.k < 2:
         return sol, 0
     base = {v.id: rng.uniform(0.0, 2.0 * math.pi) for v in inst.vehicles}
@@ -407,7 +348,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0):
     """
     check_instance(inst)
     cfg = SolverConfig() if cfg is None else cfg
-    _check_config(cfg)
+    if not isinstance(cfg, SolverConfig):
+        raise InvalidConfigError(f"cfg must be a SolverConfig, got {cfg!r}")
     if not isinstance(rng, np.random.Generator):
         if not (rng is None or is_integer(rng) and rng >= 0):
             raise InvalidConfigError(f"rng must be a numpy Generator, an integer >= 0"

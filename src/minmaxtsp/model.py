@@ -38,10 +38,6 @@ class OracleBudgetError(SolverError):
     """Instance is too large for the exact oracle's budget."""
 
 
-class NoInsertionCandidateError(SolverError):
-    """No receiving vehicle exists for a transfer (single-vehicle fleet)."""
-
-
 class StageCheckError(SolverError):
     """A pipeline stage produced a plan that fails ``validate_solution``."""
 
@@ -257,25 +253,6 @@ class Instance:
         if not (is_integer(vid) and 1 <= vid <= self.k):
             raise InvalidInstanceError(f"vehicle id {vid!r} is not an integer in 1..{self.k}")
 
-    def check_target(self, t, role: str = "target") -> None:
-        """Raise InvalidInstanceError unless ``t`` is a target index: an integer
-        (numpy integers pass; bools, floats and strings do not) in 0..n-1."""
-        if not (is_integer(t) and 0 <= t < self.n_targets):
-            raise InvalidInstanceError(
-                f"{role} {t!r} is not a target index in 0..{self.n_targets - 1}")
-
-    def check_targets(self, ids, role: str = "target"):
-        """``check_target`` for each of ``ids``; plain ints in range pass
-        without the call.  Returns ``ids`` as given when they are all plain
-        ints, else as a tuple of the Python ints they hold."""
-        n = self.n_targets
-        plain = True
-        for t in ids:
-            if not (type(t) is int and 0 <= t < n):
-                self.check_target(t, role)
-                plain = False
-        return ids if plain else tuple(map(int, ids))
-
     def vehicle(self, vid: int) -> Vehicle:
         self._check_vid(vid)
         return self.vehicles[vid - 1]
@@ -419,23 +396,31 @@ def _depot_framed(seq) -> bool:
             and is_integer(seq[-1]) and seq[-1] == DEPOT)
 
 
+def check_tour(inst: Instance, tour) -> None:
+    """Raise InvalidInstanceError unless ``tour`` is a Tour whose sequence
+    starts and ends at DEPOT and in between holds only target indices of
+    ``inst``, each an integer (numpy integers pass; bools, floats and strings
+    do not) in 0..n-1; a plan of another instance may hold others."""
+    if not isinstance(tour, Tour):
+        raise InvalidInstanceError(f"tour must be a Tour, got {tour!r}")
+    if not _depot_framed(tour.sequence):
+        raise InvalidInstanceError("tour sequence must start and end at the vehicle's depot")
+    for t in tour.sequence[1:-1]:
+        if not (is_integer(t) and 0 <= t < inst.n_targets):
+            raise InvalidInstanceError(
+                f"tour vertex {t!r} is not a target index in 0..{inst.n_targets - 1}")
+
+
 def tour_duration(inst: Instance, tour: Tour) -> float:
     """Recompute a tour's duration by summing edge travel times along it, as a
     Python float: the edges are gathered in one step and added left to right.
 
-    ``tour`` must be a Tour of a fleet vehicle whose sequence starts and ends
-    at DEPOT and in between holds only targets, each an integer (numpy
-    integers pass; bools, floats and strings do not) in 0..n-1.  Anything
-    else raises InvalidInstanceError, which is a ValueError.
+    ``tour`` must be a Tour of a fleet vehicle that passes ``check_tour``;
+    anything else raises InvalidInstanceError, which is a ValueError.
     """
     check_instance(inst)
-    if not isinstance(tour, Tour):
-        raise InvalidInstanceError(f"tour must be a Tour, got {tour!r}")
-    seq = tour.sequence
-    if not _depot_framed(seq):
-        raise InvalidInstanceError("tour sequence must start and end at the vehicle's depot")
-    inst.check_targets(seq[1:-1], "tour vertex")
-    ix = np.array(seq)
+    check_tour(inst, tour)
+    ix = np.array(tour.sequence)
     total = 0.0
     for hop in inst.time_matrix(tour.vehicle_id)[ix[:-1], ix[1:]].tolist():
         total += hop

@@ -2,7 +2,8 @@
 
 import xml.etree.ElementTree as ET
 
-from .model import DEPOT, Instance, Solution, check_instance, check_solution
+from .model import (DEPOT, Instance, InvalidInstanceError, Solution, check_instance,
+                    check_solution, check_tour)
 
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#17becf")
@@ -23,9 +24,13 @@ def _color(vid: int) -> str:
 
 def render_solution_svg(inst: Instance, sol: Solution) -> str:
     """One SVG document: tours as closed colored polylines, depots as black
-    squares, targets as circles (filled with the owner's color if required)."""
+    squares, targets as circles (filled with the owner's color if required).
+    Every tour must pass ``check_tour`` and belong to a fleet vehicle (else
+    InvalidInstanceError), so a plan of another instance is rejected."""
     check_instance(inst)
     check_solution(sol)
+    for tour in sol.tours:
+        check_tour(inst, tour)
     x0, y0, w, h = _bounds(inst)
     y_top = y0 + h  # SVG y grows downward; flip about the viewport
 
@@ -74,9 +79,14 @@ def render_solution_svg(inst: Instance, sol: Solution) -> str:
 def render_tours(inst: Instance, labeled: list, prefix) -> list:
     """Write '<prefix>_<label>.svg' per (label, solution) pair; returns paths.
 
-    Every document is rendered before any file is opened, so a failed render
-    leaves existing files as they were.
+    ``labeled`` must be a list or tuple of (label, Solution) pairs (else
+    InvalidInstanceError).  Every document is rendered before any file is
+    opened, so a failed render leaves existing files as they were.
     """
+    if not (isinstance(labeled, (list, tuple))
+            and all(isinstance(pair, tuple) and len(pair) == 2 for pair in labeled)):
+        raise InvalidInstanceError(
+            f"labeled must be a list of (label, Solution) pairs, got {labeled!r}")
     docs = [(f"{prefix}_{label}.svg", render_solution_svg(inst, sol) + "\n")
             for label, sol in labeled]
     for path, text in docs:

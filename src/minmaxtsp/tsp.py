@@ -1,10 +1,11 @@
 """Single-vehicle tour sub-solver.
 
 A ``TourRequest`` names an instance, one of its vehicles, its targets in an
-order, a mode and whether it is warm.  It is frozen and checks itself when
-built, the one way into the solver; ``solve_tsp`` trusts it and reads the
-vehicle's distance matrix and speed, and the exact-tour memo, from the
-instance.  Two modes share that one entry point:
+order, a mode and whether it is warm; ``solve_tsp`` reads the vehicle's
+distance matrix and speed, and the exact-tour memo, from the instance.  Both
+are internal: the stages and the oracle build requests from data that
+``solve`` or ``exact_minmax`` has checked.  Two modes share that one entry
+point:
 
 * heuristic -- 2-opt and Or-opt (segment lengths 1..3), both
   first-improvement with a fixed scan order, polish the order of a warm
@@ -42,12 +43,12 @@ the final length, so the chosen order is invariant under speed scaling.
 """
 
 import functools
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DEPOT, Instance, InvalidConfigError, InvalidInstanceError, Tour,
-                    check_instance, is_bool)
+from .model import DEPOT, Instance, Tour
 
 HEURISTIC = "heuristic"
 EXACT = "exact"
@@ -63,39 +64,18 @@ class TourRequest:
     """Route one vehicle of an instance through the targets, in the order given.
 
     A request holds the instance and what the caller chose, nothing the
-    instance already owns.  It checks itself when built and is frozen, so
-    ``solve_tsp`` trusts it.  ``inst`` must be an Instance, ``vehicle_id``
-    one of its vehicle ids and ``targets`` an iterable of distinct target
-    indices of it (else ``InvalidInstanceError``), stored in the caller's
-    order, numpy integers as the Python ints they hold.  ``mode`` is
-    HEURISTIC or EXACT and ``warm`` a bool (else ``InvalidConfigError``): a
-    warm request is polished from the order of its targets, a cold one from
-    a nearest-neighbor tour; a Held-Karp tour needs no order.
+    instance already owns, and is not checked: ``vehicle_id`` is one of the
+    instance's vehicles, ``targets`` distinct target ids as Python ints and
+    ``mode`` HEURISTIC or EXACT.  A warm request is polished from the order
+    of its targets, a cold one from a nearest-neighbor tour; a Held-Karp
+    tour needs no order, so cold and exact requests may pass a set.
     """
 
     inst: Instance
     vehicle_id: int
-    targets: tuple
+    targets: Collection
     mode: str = HEURISTIC
     warm: bool = False
-
-    def __post_init__(self):
-        inst = self.inst
-        check_instance(inst)
-        inst.vehicle(self.vehicle_id)
-        try:
-            order = tuple(self.targets)
-        except TypeError:
-            raise InvalidInstanceError(
-                f"targets must be an iterable, got {self.targets!r}") from None
-        order = inst.check_targets(order)
-        if len(set(order)) < len(order):
-            raise InvalidInstanceError(f"targets {order!r} name a target twice")
-        if self.mode not in (HEURISTIC, EXACT):
-            raise InvalidConfigError(f"unknown tour mode {self.mode!r}")
-        if not is_bool(self.warm):
-            raise InvalidConfigError(f"warm must be a bool, got {self.warm!r}")
-        object.__setattr__(self, "targets", order)
 
 
 class TspCache:
@@ -392,8 +372,8 @@ def solve_tsp(req: TourRequest) -> Tour:
     from the order of its targets when it is warm, and from a
     nearest-neighbor tour when it is cold.  Only the memo key and the
     nearest-neighbor and Held-Karp blocks take the targets sorted, so their
-    order does not matter there.  The request was checked when built: its
-    vehicle is looked up once, for the depot, speed and distance matrix.
+    order does not matter there.  The vehicle is looked up once, for the
+    depot, speed and distance matrix.
     """
     inst, vid, targets = req.inst, req.vehicle_id, req.targets
     vehicle = inst.vehicles[vid - 1]

@@ -12,15 +12,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from minmaxtsp import (DEPOT, Solution, SolverConfig, Tour, TourRequest, bench,
-                       best_insertion, compute_savings, exact_minmax, generate_instance,
-                       min_target_counts, perturb_colocated_depots,
-                       perturbation_loop, run_experiment,
-                       scenario1, solve, solve_load_balancing, solve_tsp,
-                       tour_duration, validate_solution)
+from minmaxtsp import (DEPOT, Solution, SolverConfig, Tour, bench, exact_minmax,
+                       generate_instance, run_experiment, scenario1, solve, tour_duration,
+                       validate_solution)
+from minmaxtsp.allocation import (min_target_counts, perturb_colocated_depots,
+                                  solve_load_balancing)
 from minmaxtsp.cli import main as cli_main
-from minmaxtsp.heuristic import perturbation_angle
-from minmaxtsp.tsp import held_karp_order
+from minmaxtsp.heuristic import (_read_tours, best_insertion, compute_savings,
+                                 perturbation_angle, perturbation_loop)
+from minmaxtsp.tsp import TourRequest, held_karp_order, solve_tsp
 
 from conftest import (allocation_cost, brute_allocation_cost,
                       brute_minmax_objective, line_instance, random_instance)
@@ -176,18 +176,19 @@ def test_c6_savings_and_insertion_formulas():
         donor = solve_tsp(TourRequest(inst, 1, range(8)))
         host = solve_tsp(TourRequest(inst, 2, (8, 9, 10)))
         sol = Solution((donor, host))
-        for entry in compute_savings(sol, inst, 1):
+        reads = _read_tours(sol, inst, 1)
+        for target, value in compute_savings(sol, inst, 1):
             seq = list(donor.sequence)
-            seq.remove(entry.target)
+            seq.remove(target)
             gain = donor.duration - tour_duration(inst, Tour(1, tuple(seq), 0.0))
-            quote = best_insertion(entry.target, sol, inst, exclude=1)
-            into = sol.tour_for(quote.vehicle_id)
+            vid, position, delta = best_insertion(target, reads)
+            into = sol.tour_for(vid)
             seq2 = list(into.sequence)
-            seq2.insert(quote.edge_position + 1, entry.target)
-            cost = tour_duration(inst, Tour(quote.vehicle_id, tuple(seq2), 0.0)) - into.duration
-            if abs(gain - entry.value) > 1e-9 or abs(cost - quote.delta) > 1e-9:
+            seq2.insert(position + 1, target)
+            cost = tour_duration(inst, Tour(vid, tuple(seq2), 0.0)) - into.duration
+            if abs(gain - value) > 1e-9 or abs(cost - delta) > 1e-9:
                 formula_errors += 1
-            if entry.value < -1e-9 or quote.delta < -1e-9:
+            if value < -1e-9 or delta < -1e-9:
                 negatives += 1
             probes += 1
             if probes >= 1000:

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from minmaxtsp import (DEPOT, InfeasibleAllocationError, Instance, Point,
-                       Vehicle, build_initial_solution, generate_instance,
-                       min_target_counts, perturb_colocated_depots, scenario1,
-                       scenario2, solve_load_balancing, validate_solution)
-from minmaxtsp.allocation import COLOCATION_RADIUS, _cost_matrix
+from minmaxtsp import (DEPOT, InfeasibleAllocationError, Instance, Point, Vehicle,
+                       generate_instance, scenario1, scenario2, validate_solution)
+from minmaxtsp.allocation import (COLOCATION_RADIUS, _cost_matrix, build_initial_solution,
+                                  min_target_counts, perturb_colocated_depots,
+                                  solve_load_balancing)
 from minmaxtsp.bench import ExperimentConfig
 
 from conftest import (FixedAngleRng, allocation_cost, brute_allocation_cost,

@@ -169,6 +169,14 @@ class TestRunExperiment:
 
 
 class TestReportFile:
+    @pytest.mark.parametrize("report", [None, [], "report"], ids=["none", "list", "str"])
+    def test_anything_but_a_report_raises_before_the_file_opens(self, report, tmp_path):
+        # Unchecked, write_report(None, path) created the file, then raised AttributeError.
+        path = tmp_path / "report.csv"
+        with pytest.raises(InvalidConfigError, match="must be an ExperimentReport"):
+            write_report(report, path)
+        assert not path.exists()
+
     def test_round_trip(self, tmp_path):
         report = run_experiment(scenario1(n_targets=8, n_instances=3, seed=4, oracle=True))
         path = tmp_path / "report.csv"

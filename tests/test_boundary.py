@@ -1,10 +1,10 @@
 """Input boundary: any JSON-like value in any one field of an instance either
 builds a valid instance or raises InvalidInstanceError, never another error;
 numbers other than ints, floats and NumPy scalars, anything passed as an
-instance or a solution that is not one, vehicle ids outside the fleet and a
-plan of another instance raise it too.  A stage function also rejects a
-config of the wrong type with InvalidConfigError, and a per-vehicle mapping
-that misses a vehicle with InvalidInstanceError."""
+instance or a solution that is not one and vehicle ids outside the fleet
+raise it too.  Every exported function rejects a wrong object with a
+SolverError before it writes a file; the functions behind them are internal
+and not checked here."""
 
 import copy
 import json
@@ -18,14 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import (DEPOT, Instance, InvalidConfigError, InvalidInstanceError, Point,
-                       Solution, SolverConfig, Tour, TourRequest, Vehicle, best_insertion,
-                       build_initial_solution, compute_savings, exact_minmax,
-                       generate_instance, instance_from_json, instance_to_json, local_search,
-                       min_target_counts, oracle_feasible, perturb_colocated_depots,
-                       perturbation_loop, perturbation_radius, render_tours, save_instance,
-                       scenario1, solve, solve_load_balancing, tour_duration,
-                       validate_solution)
+import minmaxtsp
+from minmaxtsp import (DEPOT, EXACT, ExperimentConfig, Instance, InvalidInstanceError, Point,
+                       Solution, SolverConfig, SolverError, Tour, Vehicle, exact_minmax,
+                       generate_instance, instance_from_json, instance_to_json, load_instance,
+                       oracle_feasible, render_tours, run_experiment, save_instance, scenario1,
+                       scenario2, solve, tour_duration, validate_solution, write_report)
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 from minmaxtsp.svgplot import render_solution_svg
 
@@ -139,9 +137,6 @@ _VALID = _instance_with(None, None)
     pytest.param(lambda x: save_instance(x, "inst.json"), id="save_instance"),
     pytest.param(lambda x: validate_solution(x, Solution((_PARKED,))), id="validate_solution"),
     pytest.param(lambda x: tour_duration(x, _PARKED), id="tour_duration"),
-    # The TourRequest cases keep the id "request_for", the name of the builder
-    # it replaced, so their test ids read the same from one version to the next.
-    pytest.param(lambda x: TourRequest(x, 1, (0,)), id="request_for"),
     pytest.param(lambda x: render_solution_svg(x, Solution((_PARKED,))),
                  id="render_solution_svg"),
     pytest.param(lambda x: render_tours(x, [("plan", Solution((_PARKED,)))], "tours"),
@@ -182,7 +177,6 @@ _PLAN = Solution((_tour_of(1), Tour(2, (DEPOT, 1, DEPOT), 1.0)))
                  id="required"),
     pytest.param(lambda inst, vid: inst.distance_matrix(vid), id="distance_matrix"),
     pytest.param(lambda inst, vid: inst.time_matrix(vid), id="time_matrix"),
-    pytest.param(lambda inst, vid: TourRequest(inst, vid, (0,)), id="request_for"),  # see above
     pytest.param(lambda inst, vid: tour_duration(inst, _tour_of(vid)), id="tour_duration"),
     pytest.param(lambda inst, vid: render_solution_svg(inst, Solution((_tour_of(vid),))),
                  id="render_solution_svg"),
@@ -201,71 +195,63 @@ def test_vehicle_ids_outside_the_fleet_raise_invalid_instance(call, vid):
             call(inst, vid)
 
 
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda inst, sol: local_search(inst, sol, SolverConfig()), id="local_search"),
-    pytest.param(lambda inst, sol: perturbation_loop(inst, sol, np.random.default_rng(0),
-                                                     SolverConfig()), id="perturbation_loop"),
-    pytest.param(lambda inst, sol: compute_savings(sol, inst, sol.maximal_vehicle()),
-                 id="compute_savings"),
-    pytest.param(lambda inst, sol: best_insertion(0, sol, inst, sol.maximal_vehicle()),
-                 id="best_insertion"),
-])
-def test_a_plan_of_another_instance_raises_invalid_instance(call):
-    # Same fleet, twice the targets: the plan's tours visit targets 5..9,
-    # past the end of the smaller instance's matrices.
-    plan, _ = solve(generate_instance(scenario1(n_targets=10, seed=1), 0), rng=0)
-    other = generate_instance(scenario1(n_targets=5, seed=1), 0)
-    with pytest.raises(InvalidInstanceError, match="tour vertex"):
-        call(other, plan)
+_BAD = "x"
+
+# One call per exported function, each passing _BAD where an instance,
+# solution, config, report or plan list belongs; "doc.json" holds _BAD as a
+# JSON document.  The classes that check themselves are called the same way.
+_CALLS = {
+    "ExperimentConfig": lambda: ExperimentConfig(speeds=_BAD),
+    "Instance": lambda: Instance(_BAD, (Vehicle(1, 1.0, Point(0, 0)),)),
+    "Solution": lambda: Solution(_BAD),
+    "SolverConfig": lambda: SolverConfig(tour_mode=_BAD),
+    "exact_minmax": lambda: exact_minmax(_BAD),
+    "generate_instance": lambda: generate_instance(_BAD, 0),
+    "instance_from_json": lambda: instance_from_json(json.dumps(_BAD)),
+    "instance_to_json": lambda: instance_to_json(_BAD),
+    "load_instance": lambda: load_instance("doc.json"),
+    "oracle_feasible": lambda: oracle_feasible(_BAD),
+    "render_tours": lambda: render_tours(_VALID, _BAD, "tours"),
+    "run_experiment": lambda: run_experiment(_BAD),
+    "save_instance": lambda: save_instance(_BAD, "inst.json"),
+    "scenario1": lambda: scenario1(speeds=_BAD),
+    "scenario2": lambda: scenario2(colocated=_BAD),
+    "solve": lambda: solve(_VALID, _BAD),
+    "tour_duration": lambda: tour_duration(_VALID, _BAD),
+    "validate_solution": lambda: validate_solution(_VALID, _BAD),
+    "write_report": lambda: write_report(_BAD, "report.csv"),
+}
+# Exports that only hold data, and constants: nothing to check.
+_DATA = {"Point", "Vehicle", "Tour", "StageTrace", "ReportRow", "ExperimentReport"}
+_CONSTANTS = {"DEPOT", "EXACT", "HEURISTIC"}
 
 
-_NO_INST, _NO_SOL = (InvalidInstanceError, "must be an Instance"), (
-    InvalidInstanceError, "must be a Solution")
-_NO_CFG = (InvalidConfigError, "must be a SolverConfig")
-_NO_EFF = (InvalidInstanceError, "eff must map every vehicle id")
-_NO_ALLOC = (InvalidInstanceError, "alloc must map every vehicle id")
-_CFG, _EFF = SolverConfig(), {1: Point(1, 1), 2: Point(5, 5)}
+@pytest.mark.parametrize("name", sorted(set(minmaxtsp.__all__) | set(_CALLS) | _DATA
+                                        | _CONSTANTS))
+def test_every_export_rejects_a_wrong_object_with_a_solver_error(name, tmp_path, monkeypatch):
+    assert name in minmaxtsp.__all__, f"{name} is listed here but not exported"
+    obj = getattr(minmaxtsp, name)
+    if isinstance(obj, type) and issubclass(obj, Exception):
+        assert issubclass(obj, SolverError)
+        return
+    if name in _DATA | _CONSTANTS:
+        return
+    assert name in _CALLS, f"export {name} has no row: add one, or list it as data"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.json").write_text(json.dumps(_BAD))
+    with pytest.raises(SolverError):
+        _CALLS[name]()
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]  # no file was written
 
 
-@pytest.mark.parametrize("call, error, match", [
-    pytest.param(lambda plan: local_search(_VALID, "x", _CFG), *_NO_SOL, id="local_search-sol"),
-    pytest.param(lambda plan: local_search(None, plan, _CFG), *_NO_INST,
-                 id="local_search-inst"),
-    pytest.param(lambda plan: local_search(_VALID, plan, None), *_NO_CFG, id="local_search-cfg"),
-    pytest.param(lambda plan: perturbation_loop(_VALID, plan, np.random.default_rng(0), None),
-                 *_NO_CFG, id="perturbation_loop-cfg"),
-    pytest.param(lambda plan: perturbation_loop(_VALID, None, np.random.default_rng(0), _CFG),
-                 *_NO_SOL, id="perturbation_loop-sol"),
-    pytest.param(lambda plan: perturbation_radius(None, _VALID, 1), *_NO_SOL,
-                 id="perturbation_radius"),
-    pytest.param(lambda plan: compute_savings(plan, None, 1), *_NO_INST, id="compute_savings"),
-    pytest.param(lambda plan: best_insertion(0, None, _VALID, 1), *_NO_SOL, id="best_insertion"),
-    pytest.param(lambda plan: min_target_counts(None), *_NO_INST, id="min_target_counts"),
-    pytest.param(lambda plan: perturb_colocated_depots(None, np.random.default_rng(0)),
-                 *_NO_INST, id="perturb_colocated_depots-inst"),
-    pytest.param(lambda plan: solve_load_balancing(_VALID, {}), *_NO_EFF,
-                 id="solve_load_balancing-empty"),
-    pytest.param(lambda plan: solve_load_balancing(_VALID, {1: Point(1, 1)}), *_NO_EFF,
-                 id="solve_load_balancing-missing"),
-    pytest.param(lambda plan: solve_load_balancing(_VALID, {1: None, 2: None}), *_NO_EFF,
-                 id="solve_load_balancing-none"),
-    pytest.param(lambda plan: solve_load_balancing(_VALID, list(_EFF.values())), *_NO_EFF,
-                 id="solve_load_balancing-list"),
-    pytest.param(lambda plan: solve_load_balancing(None, _EFF), *_NO_INST,
-                 id="solve_load_balancing-inst"),
-    pytest.param(lambda plan: build_initial_solution(_VALID, {}), *_NO_ALLOC,
-                 id="build_initial_solution-empty"),
-    pytest.param(lambda plan: build_initial_solution(_VALID, {1: 5, 2: 5}), *_NO_ALLOC,
-                 id="build_initial_solution-int"),
-    pytest.param(lambda plan: build_initial_solution(None, {1: (), 2: ()}), *_NO_INST,
-                 id="build_initial_solution-inst"),
-])
-def test_a_stage_function_checks_its_arguments(call, error, match):
-    # Unchecked, each of these raised a bare AttributeError, KeyError or
-    # TypeError from deep inside the stage.
-    plan, _ = solve(_VALID, rng=0)
-    with pytest.raises(error, match=match):
-        call(plan)
+@pytest.mark.parametrize("make", [scenario1, scenario2])
+def test_plans_hold_python_ints_and_survive_json(make):
+    inst = generate_instance(make(n_targets=8, seed=3), 0)
+    plans = [solve(inst, cfg, rng=0)[0] for cfg in (SolverConfig(), SolverConfig(tour_mode=EXACT))]
+    for sol in plans + [exact_minmax(inst)]:
+        for tour in sol.tours:
+            assert {type(v) for v in tour.sequence} == {int}
+            json.dumps([tour.vehicle_id, tour.sequence, tour.duration])
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

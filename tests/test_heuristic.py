@@ -10,22 +10,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import (DEPOT, EXACT, HEURISTIC, ExperimentConfig,
-                       InfeasibleAllocationError, InsertionQuote, Instance,
-                       InvalidConfigError, InvalidInstanceError,
-                       NoInsertionCandidateError, Point,
-                       Solution, SolverConfig, SolverError, Tour, TourRequest, Vehicle,
-                       best_insertion,
-                       compute_savings, exact_minmax, generate_instance,
-                       local_search, perturb_colocated_depots, perturbation_loop,
-                       perturbation_radius, scenario1, scenario2, solve,
-                       solve_load_balancing, solve_tsp,
-                       tour_duration, validate_solution)
+from minmaxtsp import (DEPOT, EXACT, HEURISTIC, ExperimentConfig, InfeasibleAllocationError,
+                       Instance, InvalidConfigError, Point, Solution, SolverConfig, SolverError,
+                       Tour, Vehicle, exact_minmax, generate_instance, scenario1, scenario2,
+                       solve, tour_duration, validate_solution)
 from minmaxtsp import heuristic, tsp
-from minmaxtsp.tsp import EXACT_CAP
+from minmaxtsp.allocation import perturb_colocated_depots, solve_load_balancing
+from minmaxtsp.tsp import EXACT_CAP, TourRequest, solve_tsp
 from minmaxtsp.heuristic import (PERTURBATION_PERIOD, PERTURBATION_STEP, STAGE_INIT,
-                                 STAGE_LOCAL_SEARCH, STAGE_PERTURBATION, SavingsEntry,
-                                 _rebuild, perturbation_angle)
+                                 STAGE_LOCAL_SEARCH, STAGE_PERTURBATION, _rebuild,
+                                 best_insertion, compute_savings, local_search,
+                                 perturbation_angle, perturbation_loop, perturbation_radius)
 
 from conftest import line_instance, random_instance
 
@@ -49,17 +44,17 @@ class TestComputeSavings:
         inst = Instance(targets, (Vehicle(1, 2.0, Point(0, 0)),
                                   Vehicle(2, 1.0, Point(20, 0))))
         sol = Solution((_tour(inst, 1, (DEPOT, 0, 1, DEPOT)), _tour(inst, 2, (DEPOT, DEPOT))))
-        entries = compute_savings(sol, inst, 1)
-        assert [e.target for e in entries] == [1, 0]
-        assert entries[1].value == pytest.approx(2.0)       # (5 + 5 - 6) / 2
-        assert entries[0].value == pytest.approx(3.0)       # (5 + 6 - 5) / 2
+        (first, first_value), (second, second_value) = compute_savings(sol, inst, 1)
+        assert (first, second) == (1, 0)
+        assert second_value == pytest.approx(2.0)       # (5 + 5 - 6) / 2
+        assert first_value == pytest.approx(3.0)        # (5 + 6 - 5) / 2
 
     def test_pinned_targets_are_not_offered(self):
         targets = (Point(3, 4), Point(6, 0))
         inst = Instance(targets, (Vehicle(1, 2.0, Point(0, 0)),
                                   Vehicle(2, 1.0, Point(20, 0))), {1: [0]})
         sol = Solution((_tour(inst, 1, (DEPOT, 0, 1, DEPOT)), _tour(inst, 2, (DEPOT, DEPOT))))
-        assert [e.target for e in compute_savings(sol, inst, 1)] == [1]
+        assert [t for t, _ in compute_savings(sol, inst, 1)] == [1]
 
     def test_fully_pinned_tour_offers_nothing(self):
         targets = (Point(3, 4), Point(6, 0))
@@ -74,12 +69,17 @@ class TestComputeSavings:
             inst = random_instance(rng, n=8, k=2)
             tour = solve_tsp(TourRequest(inst, 1, range(8)))
             sol = Solution((tour, _tour(inst, 2, (DEPOT, DEPOT))))
-            for entry in compute_savings(sol, inst, 1):
+            for target, value in compute_savings(sol, inst, 1):
                 seq = list(tour.sequence)
-                seq.remove(entry.target)
+                seq.remove(target)
                 shorter = tour_duration(inst, Tour(1, tuple(seq), 0.0))
-                assert entry.value == pytest.approx(tour.duration - shorter, abs=1e-9)
-                assert entry.value >= -1e-9
+                assert value == pytest.approx(tour.duration - shorter, abs=1e-9)
+                assert value >= -1e-9
+
+
+def _quote(target, sol, inst, exclude):
+    """``best_insertion`` priced from a fresh read of every tour but the excluded one."""
+    return best_insertion(target, heuristic._read_tours(sol, inst, exclude))
 
 
 class TestBestInsertion:
@@ -93,14 +93,14 @@ class TestBestInsertion:
 
     def test_on_edge_target_costs_nothing(self):
         inst, sol = self._setup()
-        quote = best_insertion(1, sol, inst, exclude=1)
-        assert quote.vehicle_id == 2
-        assert quote.delta == pytest.approx(0.0)
+        vid, _, delta = _quote(1, sol, inst, exclude=1)
+        assert vid == 2
+        assert delta == pytest.approx(0.0)
 
     def test_off_edge_detour_is_priced(self):
         inst, sol = self._setup()
-        quote = best_insertion(2, sol, inst, exclude=1)
-        assert quote.delta == pytest.approx(2 * math.sqrt(2) - 2)
+        _, _, delta = _quote(2, sol, inst, exclude=1)
+        assert delta == pytest.approx(2 * math.sqrt(2) - 2)
 
     def test_parked_vehicle_on_the_spot_wins(self):
         targets = (Point(7, 7),)
@@ -110,27 +110,9 @@ class TestBestInsertion:
         sol = Solution((_tour(inst, 1, (DEPOT, 0, DEPOT)),
                         _tour(inst, 2, (DEPOT, DEPOT)),
                         _tour(inst, 3, (DEPOT, DEPOT))))
-        quote = best_insertion(0, sol, inst, exclude=1)
-        assert quote.vehicle_id == 3
-        assert quote.delta == pytest.approx(0.0)
-
-    def test_single_vehicle_fleet_has_no_receiver(self):
-        inst = Instance((Point(1, 1),), (Vehicle(1, 1.0, Point(0, 0)),))
-        sol = Solution((_tour(inst, 1, (DEPOT, 0, DEPOT)),))
-        with pytest.raises(NoInsertionCandidateError):
-            best_insertion(0, sol, inst, exclude=1)
-
-    @pytest.mark.parametrize("target", [-2, True, 7, 0.5, np.int64(3), "1", None],
-                             ids=["negative", "bool", "past-n", "float", "np-past-n", "str",
-                                  "none"])
-    def test_bad_target_id_raises_invalid_instance(self, target):
-        inst, sol = self._setup()
-        with pytest.raises(InvalidInstanceError, match="not a target index in 0..2"):
-            best_insertion(target, sol, inst, exclude=1)
-
-    def test_numpy_integer_target_is_a_target(self):
-        inst, sol = self._setup()
-        assert best_insertion(np.int64(2), sol, inst, 1) == best_insertion(2, sol, inst, 1)
+        vid, _, delta = _quote(0, sol, inst, exclude=1)
+        assert vid == 3
+        assert delta == pytest.approx(0.0)
 
     def test_delta_equals_actual_splice_cost(self):
         rng = np.random.default_rng(72)
@@ -141,12 +123,12 @@ class TestBestInsertion:
             tours.append(solve_tsp(TourRequest(inst, 3, (8,))))
             sol = Solution(tuple(tours))
             for t in (0, 3, 5):
-                quote = best_insertion(t, sol, inst, exclude=1)
-                host = sol.tour_for(quote.vehicle_id)
+                vid, position, delta = _quote(t, sol, inst, exclude=1)
+                host = sol.tour_for(vid)
                 seq = list(host.sequence)
-                seq.insert(quote.edge_position + 1, t)
-                longer = tour_duration(inst, Tour(quote.vehicle_id, tuple(seq), 0.0))
-                assert quote.delta == pytest.approx(longer - host.duration, abs=1e-9)
+                seq.insert(position + 1, t)
+                longer = tour_duration(inst, Tour(vid, tuple(seq), 0.0))
+                assert delta == pytest.approx(longer - host.duration, abs=1e-9)
 
 
 def _scalar_best_insertion(target, sol, inst, exclude):
@@ -160,8 +142,8 @@ def _scalar_best_insertion(target, sol, inst, exclude):
         for pos in range(len(seq) - 1):
             a, b = seq[pos], seq[pos + 1]
             delta = float(tm[a, target] + tm[target, b] - tm[a, b])
-            if best is None or delta < best.delta:
-                best = InsertionQuote(v.id, pos, delta)
+            if best is None or delta < best[2]:
+                best = (v.id, pos, delta)
     return best
 
 
@@ -193,7 +175,7 @@ class TestBestInsertionMatchesScalarLoop:
     @given(_insertions())
     def test_same_quote_as_the_scalar_loop(self, case):
         inst, sol, target, donor = case
-        assert (best_insertion(target, sol, inst, exclude=donor)
+        assert (_quote(target, sol, inst, exclude=donor)
                 == _scalar_best_insertion(target, sol, inst, exclude=donor))
 
 
@@ -201,9 +183,9 @@ def _scalar_savings(sol, inst, vid):
     """``compute_savings`` as a scalar loop over the tour's numpy elements."""
     tm = inst.time_matrix(vid)
     seq = sol.tour_for(vid).sequence
-    entries = [SavingsEntry(t, float(tm[a, t] + tm[t, b] - tm[a, b]))
-               for a, t, b in zip(seq, seq[1:], seq[2:]) if t not in inst.required_for(vid)]
-    return sorted(entries, key=lambda e: (-e.value, e.target))
+    pairs = [(t, float(tm[a, t] + tm[t, b] - tm[a, b]))
+             for a, t, b in zip(seq, seq[1:], seq[2:]) if t not in inst.required_for(vid)]
+    return sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
 
 
 def _scalar_duration(inst, tour):
@@ -223,9 +205,9 @@ class TestEdgeGathersMatchScalarLoops:
         for tour in sol.tours:
             got = compute_savings(sol, inst, tour.vehicle_id)
             assert got == _scalar_savings(sol, inst, tour.vehicle_id)
-            assert [e.value.hex() for e in got] == [
-                e.value.hex() for e in _scalar_savings(sol, inst, tour.vehicle_id)]
-            assert all(type(e.value) is float for e in got)
+            assert [v.hex() for _, v in got] == [
+                v.hex() for _, v in _scalar_savings(sol, inst, tour.vehicle_id)]
+            assert all(type(v) is float for _, v in got)
             duration = tour_duration(inst, tour)
             assert type(duration) is float
             assert duration == _scalar_duration(inst, tour)
@@ -237,8 +219,8 @@ class TestEdgeGathersMatchScalarLoops:
         inst, sol, _, donor = case
         reads = heuristic._read_tours(sol, inst, donor)
         for t in sol.tour_for(donor).targets():
-            quote = best_insertion(t, sol, inst, donor, reads)
-            assert quote == best_insertion(t, sol, inst, donor)
+            quote = best_insertion(t, reads)
+            assert quote == _quote(t, sol, inst, donor)
             assert quote == _scalar_best_insertion(t, sol, inst, donor)
             for read in reads:
                 assert (heuristic._insertion_lower_bound(t, read)
@@ -341,18 +323,18 @@ def _eager_local_search(inst, sol, cfg, candidates):
         donor = current.maximal_vehicle()
         objective = current.objective
         accepted = False
-        for entry in compute_savings(current, inst, donor):
-            quote = best_insertion(entry.target, current, inst, exclude=donor)
-            receiver_order = list(current.tour_for(quote.vehicle_id).targets())
+        for target, _ in compute_savings(current, inst, donor):
+            receiver, position, _ = _quote(target, current, inst, exclude=donor)
+            receiver_order = list(current.tour_for(receiver).targets())
             certified = (cfg.tour_mode == EXACT and len(receiver_order) < EXACT_CAP
                          and _scalar_insertion_bound(
-                             entry.target, current.tour_for(quote.vehicle_id), inst
+                             target, current.tour_for(receiver), inst
                          ) >= objective * (1 + 2 ** -40))
-            donor_order = [t for t in current.tour_for(donor).targets() if t != entry.target]
-            receiver_order.insert(quote.edge_position, entry.target)
+            donor_order = [t for t in current.tour_for(donor).targets() if t != target]
+            receiver_order.insert(position, target)
             donor_tour = _rebuild(inst, donor, tuple(donor_order), cfg)
-            receiver_tour = _rebuild(inst, quote.vehicle_id, tuple(receiver_order), cfg)
-            candidates.append((donor, quote.vehicle_id, receiver_tour.duration < objective,
+            receiver_tour = _rebuild(inst, receiver, tuple(receiver_order), cfg)
+            candidates.append((donor, receiver, receiver_tour.duration < objective,
                                certified))
             candidate = current.replace(donor_tour, receiver_tour)
             if candidate.objective < objective:

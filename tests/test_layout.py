@@ -1,8 +1,10 @@
 """Package layout: no module reaches into another module's private names,
-every public export resolves, the package runs on numpy alone (scipy serves
-only the tests), and every distance comes from the one kernel."""
+every public export resolves and the README lists exactly those, the package
+runs on numpy alone (scipy serves only the tests), and every distance comes
+from the one kernel."""
 
 import ast
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -83,6 +85,14 @@ def test_every_export_resolves_once():
     namespace = {}
     exec("from minmaxtsp import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_the_readme_lists_exactly_the_exports():
+    text = (PACKAGE.parent.parent / "README.md").read_text()
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listing = next(block for block in section.split("\n\n") if block.startswith("- "))
+    listed = re.findall(r"`(\w+)`", listing)
+    assert Counter(listed) == Counter(minmaxtsp.__all__)
 
 
 def test_every_distance_comes_from_the_one_kernel():

@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution,
-                       SolverConfig, Tour, Vehicle, generate_instance,
-                       perturb_colocated_depots, scenario1, solve, tour_duration,
-                       validate_solution)
-from minmaxtsp.allocation import _cost_matrix
+                       SolverConfig, Tour, Vehicle, generate_instance, scenario1, solve,
+                       tour_duration, validate_solution)
+from minmaxtsp.allocation import _cost_matrix, perturb_colocated_depots
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 
 from conftest import line_instance

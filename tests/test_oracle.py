@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import (DEPOT, EXACT, Instance, OracleBudgetError, Point,
-                       Solution, TourRequest, Vehicle, exact_minmax, oracle_feasible,
-                       solve, solve_tsp, validate_solution)
+from minmaxtsp import (DEPOT, EXACT, Instance, OracleBudgetError, Point, Solution, Vehicle,
+                       exact_minmax, oracle_feasible, solve, validate_solution)
+from minmaxtsp.tsp import TourRequest, solve_tsp
 from minmaxtsp.oracle import _duration_tables
 
 from conftest import brute_minmax_objective, line_instance, random_instance

@@ -79,10 +79,45 @@ def test_failed_render_leaves_existing_files_alone(tmp_path, broken):
     old = {label: f"old {label}\n".encode() for label, _ in labeled}
     for label, data in old.items():
         (tmp_path / f"plan_{label}.svg").write_bytes(data)
-    with pytest.raises(InvalidInstanceError if broken == "instance" else IndexError):
+    with pytest.raises(InvalidInstanceError):
         render_tours(None if broken == "instance" else inst, labeled, tmp_path / "plan")
     for label, data in old.items():
         assert (tmp_path / f"plan_{label}.svg").read_bytes() == data
+
+
+@pytest.mark.parametrize("vertex", [99, 4, -2, True, 1.0], ids=["99", "n", "-2", "True", "1.0"])
+def test_a_tour_vertex_that_is_no_target_raises(vertex):
+    # A vertex past the end raised a bare IndexError, and -2 drew target n - 2.
+    inst = line_instance()
+    sol = Solution((Tour(1, (DEPOT, 0, vertex, DEPOT), 1.0), Tour(2, (DEPOT, DEPOT), 0.0)))
+    with pytest.raises(InvalidInstanceError, match="tour vertex"):
+        render_solution_svg(inst, sol)
+
+
+def test_a_plan_of_another_instance_raises(tmp_path):
+    inst = line_instance()
+    bigger = type(inst)(inst.targets * 2, inst.vehicles)
+    plan = Solution((_tour(bigger, 1, (DEPOT, 0, 7, DEPOT)), _tour(bigger, 2, (DEPOT, DEPOT))))
+    with pytest.raises(InvalidInstanceError, match="tour vertex"):
+        render_tours(inst, [("p", plan)], tmp_path / "x")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("labeled", [None, "ab", ["ab"], [("a", "b", "c")]],
+                         ids=["none", "str", "label-alone", "triple"])
+def test_labeled_must_hold_label_solution_pairs(labeled, tmp_path):
+    with pytest.raises(InvalidInstanceError, match="labeled must be a list"):
+        render_tours(line_instance(), labeled, tmp_path / "x")
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_bare_solution_is_not_a_pair(tmp_path):
+    inst = line_instance()
+    with pytest.raises(InvalidInstanceError, match="labeled must be a list"):
+        render_tours(inst, [_line_solution(inst)], tmp_path / "x")
+    with pytest.raises(InvalidInstanceError, match="must be a Solution"):
+        render_tours(inst, [("plan", "not a plan")], tmp_path / "x")
+    assert not any(tmp_path.iterdir())
 
 
 def test_output_is_deterministic():

@@ -1,10 +1,9 @@
-"""Single-vehicle tour solver: the self-checking request, exact DP vs.
+"""Single-vehicle tour solver: the frozen request, exact DP vs.
 permutation enumeration, the layered DP and its tour read-back against the
 per-mask loop and its parent table, heuristic quality, 2-opt behavior, the
 numpy polish loop against the scans, and the instance's exact-tour memo."""
 
 import dataclasses
-import json
 import math
 import tracemalloc
 
@@ -13,14 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import (DEPOT, EXACT, HEURISTIC, Instance, InvalidConfigError,
-                       InvalidInstanceError, Point, Tour, TourRequest,
-                       Vehicle, distances, generate_instance, scenario1, solve_tsp,
-                       tour_duration)
-from minmaxtsp.model import COORD_LIMIT
-from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, _gain_tolerance, _improve,
-                           _move_tables, _nearest_neighbor, _subset_dp, _subset_dp_table,
-                           best_cycle_lengths, held_karp_order)
+from minmaxtsp import (DEPOT, EXACT, HEURISTIC, Instance, Point, Tour, Vehicle,
+                       generate_instance, scenario1, tour_duration)
+from minmaxtsp.model import COORD_LIMIT, distances
+from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, TourRequest, _gain_tolerance,
+                           _improve, _move_tables, _nearest_neighbor, _subset_dp,
+                           _subset_dp_table, best_cycle_lengths, held_karp_order, solve_tsp)
 
 from conftest import brute_cycle_length, euclid
 
@@ -45,27 +42,6 @@ class TestSolveBasics:
             tour = solve_tsp(TourRequest(inst, 1, (), mode=mode))
             assert tour.sequence == (DEPOT, DEPOT)
             assert tour.duration == 0.0
-
-    @pytest.mark.parametrize("targets", [(), (0, 1, 2)])
-    def test_unknown_mode_is_rejected(self, targets):
-        with pytest.raises(InvalidConfigError, match="exakt"):
-            solve_tsp(TourRequest(_square_instance(), 1, targets, mode="exakt"))
-
-    @pytest.mark.parametrize("bad", [-2, True, 7, 0.5, np.int64(2), "1", None],
-                             ids=["negative", "bool", "past-n", "float", "np-past-n", "str",
-                                  "none"])
-    def test_bad_target_id_raises_invalid_instance(self, bad):
-        inst = Instance((Point(1, 0), Point(9, 0)), (Vehicle(1, 1.0, Point(0, 0)),))
-        for mode in (HEURISTIC, EXACT):
-            for targets in ((bad,), (0, bad)):
-                with pytest.raises(InvalidInstanceError, match="not a target index in 0..1"):
-                    TourRequest(inst, 1, targets, mode)
-
-    def test_numpy_integer_targets_are_targets(self):
-        inst = _square_instance()
-        for mode in (HEURISTIC, EXACT):
-            assert (solve_tsp(TourRequest(inst, 1, np.arange(3), mode))
-                    == solve_tsp(TourRequest(inst, 1, (0, 1, 2), mode)))
 
     def test_single_target_is_out_and_back(self):
         inst = Instance((Point(3, 4),), (Vehicle(1, 1.0, Point(0, 0)),))
@@ -120,28 +96,8 @@ def _ten_targets():
 
 
 class TestRequestBoundary:
-    """A TourRequest checks itself when built; a built one stays as it was checked."""
-
-    def test_unknown_target_raises_when_built(self):
-        with pytest.raises(InvalidInstanceError, match="target 99"):
-            TourRequest(_ten_targets(), 1, (99,))
-
-    @pytest.mark.parametrize("mode", [HEURISTIC, EXACT])
-    def test_a_target_named_twice_raises(self, mode):
-        with pytest.raises(InvalidInstanceError, match="twice"):
-            TourRequest(_ten_targets(), 1, (1, 1, 2), mode)
-
-    @pytest.mark.parametrize("targets", [None, 5], ids=["targets-none", "targets-int"])
-    def test_a_value_that_is_no_iterable_raises_when_built(self, targets):
-        # Unchecked, tuple() raised a bare TypeError.
-        with pytest.raises(InvalidInstanceError, match="targets must be an iterable"):
-            TourRequest(_square_instance(), 1, targets, HEURISTIC)
-
-    @pytest.mark.parametrize("mode", [HEURISTIC, EXACT])
-    @pytest.mark.parametrize("warm", [None, 0, 1, "yes", (0, 1, 2)])
-    def test_warm_must_be_a_bool(self, warm, mode):
-        with pytest.raises(InvalidConfigError, match="warm must be a bool"):
-            TourRequest(_square_instance(), 1, (0, 1, 2), mode, warm)
+    """A TourRequest is frozen and keeps its targets in the caller's order;
+    the memo keys them sorted."""
 
     def test_a_built_request_is_frozen(self):
         req = TourRequest(_ten_targets(), 1, (3, 1), HEURISTIC, warm=True)
@@ -149,20 +105,6 @@ class TestRequestBoundary:
         for field, value in (("targets", (99,)), ("warm", False), ("vehicle_id", 0)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(req, field, value)
-        with pytest.raises(InvalidInstanceError, match="target 99"):
-            dataclasses.replace(req, targets=(3, 99))
-
-    def test_numpy_ids_are_stored_as_python_ints(self):
-        inst = _square_instance()
-        first = solve_tsp(TourRequest(inst, 1, np.arange(3), EXACT))
-        again = solve_tsp(TourRequest(inst, 1, (0, 1, 2), EXACT))
-        polished = solve_tsp(TourRequest(inst, 1, np.arange(3), HEURISTIC, np.True_))
-        for tour in (first, again, polished):
-            assert {type(v) for v in tour.sequence} == {int}
-            json.dumps(tour.sequence)
-        req = TourRequest(inst, 1, np.array([2, 0, 1]), HEURISTIC, warm=True)
-        assert req.targets == (2, 0, 1)
-        assert {type(v) for v in req.targets} == {int}
 
     def test_target_order_does_not_split_the_memo(self):
         inst = _ten_targets()
@@ -523,7 +465,7 @@ class TestCache:
         xy = rng.uniform(0, 100, size=(9, 2))
         inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, Point(0, 0)),))
         requests = [TourRequest(inst, 1, range(9))] + [
-            TourRequest(inst, 1, rng.permutation(9), warm=True) for _ in range(4)]
+            TourRequest(inst, 1, tuple(rng.permutation(9).tolist()), warm=True) for _ in range(4)]
         for req in requests + requests:
             assert solve_tsp(req) == solve_tsp(req)
         assert len(inst._tour_memo) == 0
@@ -773,7 +715,8 @@ class TestStartOrder:
         inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, Point(50, 50)),))
         built = solve_tsp(TourRequest(inst, 1, range(12)))
         for _ in range(20):
-            tour = solve_tsp(TourRequest(inst, 1, rng.permutation(12), warm=True))
+            order = tuple(rng.permutation(12).tolist())
+            tour = solve_tsp(TourRequest(inst, 1, order, warm=True))
             if tour.sequence not in (built.sequence, built.sequence[::-1]):
                 break
         else:
