@@ -1,16 +1,15 @@
 """Benchmark protocol: instance generation, experiment runs, CSV reports.
 
-Targets are drawn i.i.d. uniform on a square grid; depots are drawn the same
-way, with co-located fleets sharing one draw per group.  A fraction of the
-targets is pre-assigned to uniformly random vehicles.  Instance i of a run
-seeds its own generator with ``seed XOR i`` (PCG64 underneath), split into a
-generation substream and a solver substream, so any instance of a run can be
+Targets are drawn i.i.d. uniform on the square [0, GRID]^2; depots are drawn
+the same way, with co-located fleets sharing one draw per group.  A fraction
+of the targets is pre-assigned to uniformly random vehicles.  Instance i of a
+run seeds its own generator with ``seed XOR i`` (PCG64 underneath), split into
+a generation substream and a solver substream, so any instance of a run can be
 reproduced in isolation.
 """
 
 import csv
 import math
-import sys
 import time
 from dataclasses import dataclass, fields
 
@@ -18,8 +17,11 @@ import numpy as np
 
 from . import heuristic
 from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, Vehicle, is_bool,
-                    is_integer, is_point, is_real, is_speed)
+                    is_integer, is_real, is_speed, open_path)
 from .oracle import exact_minmax, oracle_feasible
+
+GRID = 200.0  # side of the square that targets and depots are drawn on
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -32,7 +34,6 @@ class ExperimentConfig:
     assign_fraction: float = 0.0
     n_instances: int = 20
     seed: int = 0
-    grid: float = 200.0
     oracle: bool = False
 
     def __post_init__(self):
@@ -44,9 +45,6 @@ class ExperimentConfig:
             if not (is_integer(value) and value >= least):
                 raise InvalidConfigError(
                     f"{name} must be an integer >= {least}, got {value!r}")
-        # is_point's rule with no limit but the float max: a finite real number
-        if not (is_point(Point(self.grid, 0.0), sys.float_info.max) and self.grid > 0):
-            raise InvalidConfigError(f"grid must be a finite number > 0, got {self.grid!r}")
         if not (isinstance(self.speeds, tuple) and self.speeds
                 and all(is_speed(s) for s in self.speeds)):
             raise InvalidConfigError(f"speeds must be a non-empty tuple of finite numbers"
@@ -98,7 +96,7 @@ def generate_instance(cfg: ExperimentConfig, index: int) -> Instance:
     if not (is_integer(index) and index >= 0):
         raise InvalidConfigError(f"index must be an integer >= 0, got {index!r}")
     rng = _substream(cfg.seed, index, lane=0)
-    xy = rng.uniform(0.0, cfg.grid, size=(cfg.n_targets, 2))
+    xy = rng.uniform(0.0, GRID, size=(cfg.n_targets, 2))
     targets = tuple(Point(x, y) for x, y in xy.tolist())
 
     group_of = {}
@@ -111,7 +109,7 @@ def generate_instance(cfg: ExperimentConfig, index: int) -> Instance:
     for vid, speed in enumerate(cfg.speeds, start=1):
         head = group_of.get(vid, vid)
         if head not in depots:
-            depots[head] = Point(rng.uniform(0.0, cfg.grid), rng.uniform(0.0, cfg.grid))
+            depots[head] = Point(rng.uniform(0.0, GRID), rng.uniform(0.0, GRID))
         vehicles.append(Vehicle(vid, float(speed), depots[head]))
 
     n_assigned = math.floor(cfg.assign_fraction * cfg.n_targets)
@@ -198,11 +196,11 @@ def _fmt(name: str, value) -> str:
 
 def write_report(report: ExperimentReport, path) -> None:
     """CSV with one row per instance and aggregate lines prefixed by '#'.
-    ``report`` must be an ExperimentReport (else InvalidConfigError, before
-    the file is opened)."""
+    ``report`` must be an ExperimentReport and ``path`` pass ``check_path``
+    (else InvalidConfigError, before the file is opened)."""
     if not isinstance(report, ExperimentReport):
         raise InvalidConfigError(f"report must be an ExperimentReport, got {report!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_path(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for row in report.rows:

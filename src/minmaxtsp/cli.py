@@ -4,10 +4,8 @@ generate an instance.  Exit codes: 0 success, 1 invalid input, 2 I/O failure."""
 import argparse
 import sys
 
-import numpy as np
-
 from . import bench, heuristic, io as instance_io, svgplot
-from .model import SolverError
+from .model import SolverError, open_path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,7 +36,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--n-targets", type=int, default=30)
         p.add_argument("--assign-frac", type=float, default=0.0)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", type=float, default=200.0)
         p.add_argument("--out", required=True)
         if name == "bench":
             p.add_argument("--instances", type=int, default=20)
@@ -52,13 +49,13 @@ def _build_parser() -> _Parser:
 def _experiment_config(args, n_instances: int = 1) -> bench.ExperimentConfig:
     preset = bench.scenario1 if args.scenario == 1 else bench.scenario2
     return preset(n_targets=args.n_targets, assign_fraction=args.assign_frac,
-                  seed=args.seed, grid=args.grid, n_instances=n_instances,
+                  seed=args.seed, n_instances=n_instances,
                   oracle=getattr(args, "oracle", False))
 
 
 def _cmd_solve(args) -> int:
     inst = instance_io.load_instance(args.instance)
-    sol, trace = heuristic.solve(inst, rng=np.random.default_rng(args.seed))
+    sol, trace = heuristic.solve(inst, rng=args.seed)
     print(f"objective: {sol.objective:.9f}")
     for stage, staged in trace.stage_solutions.items():
         print(f"after_{stage}: {staged.objective:.9f}")
@@ -77,7 +74,7 @@ def _cmd_solve(args) -> int:
 
 
 def _write_trace(path, trace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_path(path, "w") as fh:
         fh.write("stage,objective,wall_time_s,iterations\n")
         for stage, sol in trace.stage_solutions.items():
             iters = trace.iterations if stage == heuristic.STAGE_PERTURBATION else 0

@@ -20,7 +20,8 @@ instance exactly.
 import json
 import re
 
-from .model import Instance, InvalidInstanceError, Point, Vehicle, check_instance, is_integer
+from .model import (Instance, InvalidInstanceError, Point, Vehicle, check_instance, is_integer,
+                    open_path)
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -78,11 +79,11 @@ def _target_index(value) -> int:
 
 
 def save_instance(inst: Instance, path) -> None:
-    text = instance_to_json(inst)  # before open() truncates the file
-    with open(path, "w", encoding="utf-8") as fh:
+    text = instance_to_json(inst)  # before open_path() truncates the file
+    with open_path(path, "w") as fh:
         fh.write(text)
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_path(path, "r") as fh:
         return instance_from_json(fh.read())

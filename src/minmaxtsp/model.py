@@ -8,6 +8,7 @@ triangle inequality for every vehicle.
 """
 
 import math
+import os
 import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -359,9 +360,6 @@ class Solution:
             return tours[vid - 1]
         raise InvalidInstanceError(f"vehicle id {vid!r} names no tour of this solution")
 
-    def targets_of(self, vid: int) -> frozenset:
-        return frozenset(self.tour_for(vid).targets())
-
     def replace(self, *new_tours: Tour) -> "Solution":
         """New solution with the given vehicles' tours swapped in."""
         table = {t.vehicle_id: t for t in self.tours}
@@ -388,6 +386,22 @@ def check_solution(sol) -> None:
     """Raise InvalidInstanceError unless ``sol`` is a Solution."""
     if not isinstance(sol, Solution):
         raise InvalidInstanceError(f"sol must be a Solution, got {sol!r}")
+
+
+def check_path(path):
+    """``os.fspath(path)`` for a str, bytes or os.PathLike; anything else, a
+    file descriptor included, raises InvalidConfigError."""
+    try:
+        return os.fspath(path)
+    except TypeError:
+        raise InvalidConfigError(f"path must be a str, bytes or os.PathLike,"
+                                 f" got {path!r}") from None
+
+
+def open_path(path, mode: str, newline=None):
+    """The one ``open`` of the package: a UTF-8 text file at a path that
+    passes ``check_path``, checked before anything is opened."""
+    return open(check_path(path), mode, encoding="utf-8", newline=newline)
 
 
 def _depot_framed(seq) -> bool:

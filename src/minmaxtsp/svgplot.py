@@ -2,8 +2,8 @@
 
 import xml.etree.ElementTree as ET
 
-from .model import (DEPOT, Instance, InvalidInstanceError, Solution, check_instance,
-                    check_solution, check_tour)
+from .model import (DEPOT, Instance, InvalidConfigError, InvalidInstanceError, Solution,
+                    check_instance, check_path, check_solution, check_tour, open_path)
 
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#17becf")
@@ -80,16 +80,19 @@ def render_tours(inst: Instance, labeled: list, prefix) -> list:
     """Write '<prefix>_<label>.svg' per (label, solution) pair; returns paths.
 
     ``labeled`` must be a list or tuple of (label, Solution) pairs (else
-    InvalidInstanceError).  Every document is rendered before any file is
-    opened, so a failed render leaves existing files as they were.
+    InvalidInstanceError), and ``prefix`` a path that ``check_path`` turns
+    into a str (else InvalidConfigError).  Every document is rendered before
+    any file is opened, so a failed render leaves existing files as they were.
     """
     if not (isinstance(labeled, (list, tuple))
             and all(isinstance(pair, tuple) and len(pair) == 2 for pair in labeled)):
         raise InvalidInstanceError(
             f"labeled must be a list of (label, Solution) pairs, got {labeled!r}")
+    if not isinstance(check_path(prefix), str):
+        raise InvalidConfigError(f"prefix must be a str path, got {prefix!r}")
     docs = [(f"{prefix}_{label}.svg", render_solution_svg(inst, sol) + "\n")
             for label, sol in labeled]
     for path, text in docs:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_path(path, "w") as fh:
             fh.write(text)
     return [path for path, _ in docs]

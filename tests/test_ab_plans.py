@@ -33,8 +33,8 @@ def test_a_tree_with_other_plans_exits_1(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     bench = other / "src" / "minmaxtsp" / "bench.py"
     text = bench.read_text(encoding="utf-8")
-    assert "grid: float = 200.0" in text
-    bench.write_text(text.replace("grid: float = 200.0", "grid: float = 100.0"),
+    assert "GRID = 200.0" in text
+    bench.write_text(text.replace("GRID = 200.0", "GRID = 100.0"),
                      encoding="utf-8")
     done = _run(ROOT, other, config="s1_n60")
     assert done.returncode == 1, done.stdout + done.stderr

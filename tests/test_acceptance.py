@@ -57,7 +57,7 @@ def _gap_run(seed: int, fraction: float, feasibility: list):
             for problem in validate_solution(inst, staged):
                 feasibility.append(f"{where} [{stage}]: {problem}")
             for vid, req in inst.required.items():
-                if not req <= staged.targets_of(vid):
+                if not req <= frozenset(staged.tour_for(vid).targets()):
                     feasibility.append(f"{where} [{stage}]: required set of "
                                        f"vehicle {vid} strayed")
     return report

@@ -317,4 +317,4 @@ class TestBuildInitial:
         sol = build_initial_solution(inst, solve_load_balancing(inst, eff))
         assert validate_solution(inst, sol) == []
         for vid, req in inst.required.items():
-            assert req <= sol.targets_of(vid)
+            assert req <= frozenset(sol.tour_for(vid).targets())

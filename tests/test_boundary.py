@@ -3,12 +3,14 @@ builds a valid instance or raises InvalidInstanceError, never another error;
 numbers other than ints, floats and NumPy scalars, anything passed as an
 instance or a solution that is not one and vehicle ids outside the fleet
 raise it too.  Every exported function rejects a wrong object with a
-SolverError before it writes a file; the functions behind them are internal
-and not checked here."""
+SolverError before it writes a file, and every path argument that is no path
+(a file descriptor included) with InvalidConfigError before it opens one; the
+functions behind them are internal and not checked here."""
 
 import copy
 import json
 import math
+import os
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -19,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minmaxtsp
-from minmaxtsp import (DEPOT, EXACT, ExperimentConfig, Instance, InvalidInstanceError, Point,
-                       Solution, SolverConfig, SolverError, Tour, Vehicle, exact_minmax,
-                       generate_instance, instance_from_json, instance_to_json, load_instance,
-                       oracle_feasible, render_tours, run_experiment, save_instance, scenario1,
-                       scenario2, solve, tour_duration, validate_solution, write_report)
+from minmaxtsp import (DEPOT, EXACT, ExperimentConfig, ExperimentReport, Instance,
+                       InvalidConfigError, InvalidInstanceError, Point, Solution, SolverConfig,
+                       SolverError, Tour, Vehicle, exact_minmax, generate_instance,
+                       instance_from_json, instance_to_json, load_instance, oracle_feasible,
+                       render_tours, run_experiment, save_instance, scenario1, scenario2, solve,
+                       tour_duration, validate_solution, write_report)
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 from minmaxtsp.svgplot import render_solution_svg
 
@@ -181,7 +184,6 @@ _PLAN = Solution((_tour_of(1), Tour(2, (DEPOT, 1, DEPOT), 1.0)))
     pytest.param(lambda inst, vid: render_solution_svg(inst, Solution((_tour_of(vid),))),
                  id="render_solution_svg"),
     pytest.param(lambda inst, vid: _PLAN.tour_for(vid), id="Solution.tour_for"),
-    pytest.param(lambda inst, vid: _PLAN.targets_of(vid), id="Solution.targets_of"),
 ])
 @pytest.mark.parametrize("vid", [0, -1, 3, True, 1.0], ids=["0", "-1", "k+1", "True", "1.0"])
 def test_vehicle_ids_outside_the_fleet_raise_invalid_instance(call, vid):
@@ -242,6 +244,36 @@ def test_every_export_rejects_a_wrong_object_with_a_solver_error(name, tmp_path,
     with pytest.raises(SolverError):
         _CALLS[name]()
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]  # no file was written
+
+
+# One call per exported function that takes a path, with valid objects elsewhere.
+_PATH_CALLS = {
+    "load_instance": load_instance,
+    "render_tours": lambda path: render_tours(_VALID, [("plan", Solution((_PARKED,)))], path),
+    "save_instance": lambda path: save_instance(_VALID, path),
+    "write_report": lambda path: write_report(ExperimentReport([]), path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_CALLS))
+@pytest.mark.parametrize("path", [None, True, 1.5, "pipe"], ids=["none", "True", "float", "fd"])
+def test_every_path_argument_rejects_what_is_no_path(name, path, tmp_path, monkeypatch):
+    # open() takes an integer as a file descriptor and closes it when done, so
+    # a descriptor must be refused before open() sees it.
+    assert name in minmaxtsp.__all__, f"{name} is listed here but not exported"
+    monkeypatch.chdir(tmp_path)
+    read_end, write_end = os.pipe()
+    try:
+        with pytest.raises(InvalidConfigError, match="path"):
+            _PATH_CALLS[name](write_end if path == "pipe" else path)
+        os.fstat(write_end)  # still open, else OSError
+        os.set_blocking(read_end, False)
+        with pytest.raises(BlockingIOError):  # nothing written, and not closed
+            os.read(read_end, 1)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert not any(tmp_path.iterdir())  # no file was written
 
 
 @pytest.mark.parametrize("make", [scenario1, scenario2])

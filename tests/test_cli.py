@@ -127,14 +127,21 @@ class TestExitCodes:
         assert "error: n_instances" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", ["nan", "inf", "-1"])
-    def test_bad_grid_is_invalid_input(self, grid, tmp_path, capsys):
-        out = tmp_path / "g.json"
-        assert main(["gen", "--scenario", "1", "--grid", grid, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "error: grid" in err
-        assert "Traceback" not in err
-        assert not out.exists()
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_grid_is_no_option(self, command, tmp_path, capsys):
+        # Instances are drawn on the fixed square of bench.GRID, not a flag.
+        out = tmp_path / "out"
+        args = [command, "--scenario", "1", "--n-targets", "6", "--out", str(out)]
+        assert main(args + ["--grid", "100"]) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --grid" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_negative_seed_is_invalid_input(self, instance_file, capsys):
+        assert main(["solve", "--instance", str(instance_file), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "error: rng must be" in captured.err
+        assert captured.out == ""
 
     def test_negative_index_is_invalid_input(self, tmp_path, capsys):
         out = tmp_path / "g.json"

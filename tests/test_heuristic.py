@@ -276,8 +276,8 @@ class TestLocalSearch:
         assert sol.objective == pytest.approx(18.0)
         out = local_search(inst, sol, SolverConfig())
         assert out.objective == pytest.approx(2.0)
-        assert out.targets_of(1) == frozenset({0})
-        assert out.targets_of(2) == frozenset({1})
+        assert frozenset(out.tour_for(1).targets()) == frozenset({0})
+        assert frozenset(out.tour_for(2).targets()) == frozenset({1})
         assert validate_solution(inst, out) == []
 
     def test_never_worsens_and_stays_feasible(self):
@@ -635,7 +635,7 @@ class TestSolvePipeline:
             sol, _ = solve(inst, rng=3)
             assert validate_solution(inst, sol) == []
             for vid, req in inst.required.items():
-                assert req <= sol.targets_of(vid)
+                assert req <= frozenset(sol.tour_for(vid).targets())
 
     def test_keep_stage_solutions(self):
         rng = np.random.default_rng(79)
@@ -668,7 +668,7 @@ class TestSolvePipeline:
         sol, _ = solve(inst, rng=0)
         opt = exact_minmax(inst)
         assert sol.objective == pytest.approx(opt.objective, abs=1e-9)
-        left, right = sol.targets_of(1), sol.targets_of(2)
+        left, right = frozenset(sol.tour_for(1).targets()), frozenset(sol.tour_for(2).targets())
         assert {frozenset(left), frozenset(right)} == {frozenset(range(4)),
                                                        frozenset(range(4, 8))}
 

@@ -1,7 +1,7 @@
 """Package layout: no module reaches into another module's private names,
 every public export resolves and the README lists exactly those, the package
-runs on numpy alone (scipy serves only the tests), and every distance comes
-from the one kernel."""
+runs on numpy alone (scipy serves only the tests), every distance comes
+from the one kernel, and every file is opened by the one path helper."""
 
 import ast
 import re
@@ -35,19 +35,22 @@ def _imported_top_modules(path: Path) -> list:
     return [(line, name.split(".")[0]) for line, name in found]
 
 
-def _hypot_uses(path: Path) -> list:
-    """(file, owner, enclosing function) of every ``<owner>.hypot`` reference
-    and every import of a name ``hypot``."""
+def _uses(path: Path, name: str) -> list:
+    """(file, owner, enclosing function) of every ``<owner>.<name>`` reference,
+    every import of ``name`` (owner: the module) and every bare ``name``
+    (owner: None)."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, ast.FunctionDef) else func
-            if isinstance(child, ast.Attribute) and child.attr == "hypot":
+            if isinstance(child, ast.Attribute) and child.attr == name:
                 found.append((path.name, ast.unparse(child.value), inner))
             elif isinstance(child, ast.ImportFrom) and any(
-                    alias.name == "hypot" for alias in child.names):
+                    alias.name == name for alias in child.names):
                 found.append((path.name, child.module, inner))
+            elif isinstance(child, ast.Name) and child.id == name:
+                found.append((path.name, None, inner))
             visit(child, inner)
 
     visit(ast.parse(path.read_text(), filename=str(path)), None)
@@ -101,6 +104,17 @@ def test_every_distance_comes_from_the_one_kernel():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules, f"no modules found under {PACKAGE}"
     kernel = ("model.py", "np", "distances")
-    uses = [use for path in modules for use in _hypot_uses(path)]
+    uses = [use for path in modules for use in _uses(path, "hypot")]
     assert kernel in uses
     assert [use for use in uses if use != kernel] == []
+
+
+def test_every_file_is_opened_by_the_path_helper():
+    """The builtin ``open`` only in ``model.open_path``, so every path the
+    package reads or writes passes ``check_path`` first."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules found under {PACKAGE}"
+    helper = ("model.py", None, "open_path")
+    uses = [use for path in modules for use in _uses(path, "open")]
+    assert helper in uses
+    assert [use for use in uses if use != helper] == []

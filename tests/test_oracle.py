@@ -89,8 +89,8 @@ class TestAgreement:
     def test_facing_vehicles_split_the_line(self):
         plan = exact_minmax(line_instance())
         assert plan.objective == pytest.approx(4.0)
-        assert plan.targets_of(1) == frozenset({0, 1})
-        assert plan.targets_of(2) == frozenset({2, 3})
+        assert frozenset(plan.tour_for(1).targets()) == frozenset({0, 1})
+        assert frozenset(plan.tour_for(2).targets()) == frozenset({2, 3})
 
     def test_matches_naive_partition_enumeration(self):
         rng = np.random.default_rng(22)
@@ -111,7 +111,7 @@ class TestAgreement:
         plan = exact_minmax(inst)
         assert plan.tour_for(2).sequence == (DEPOT, DEPOT)
         assert plan.tour_for(2).duration == 0.0
-        assert plan.targets_of(1) == frozenset({0, 1})
+        assert frozenset(plan.tour_for(1).targets()) == frozenset({0, 1})
 
     def test_never_above_the_heuristic(self):
         rng = np.random.default_rng(23)
@@ -128,7 +128,7 @@ class TestAgreement:
             plan = exact_minmax(inst)
             assert validate_solution(inst, plan) == []
             for vid, req in inst.required.items():
-                assert req <= plan.targets_of(vid)
+                assert req <= frozenset(plan.tour_for(vid).targets())
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_oracle_instances())
@@ -143,7 +143,7 @@ class TestAgreement:
                         tuple(Vehicle(j, 1.0, Point(0, 0)) for j in (1, 2, 3)))
         plan = exact_minmax(inst)
         assert plan.objective == 2.0
-        assert [plan.targets_of(j) for j in (1, 2, 3)] == [{2}, {1}, {0}]
+        assert [frozenset(plan.tour_for(j).targets()) for j in (1, 2, 3)] == [{2}, {1}, {0}]
 
     def test_repeat_calls_are_identical(self):
         rng = np.random.default_rng(26)

@@ -5,8 +5,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from minmaxtsp import (DEPOT, InvalidInstanceError, Solution, Tour, render_tours,
-                       tour_duration)
+from minmaxtsp import (DEPOT, InvalidConfigError, InvalidInstanceError, Solution, Tour,
+                       render_tours, tour_duration)
 from minmaxtsp.svgplot import PALETTE, render_solution_svg
 
 from conftest import line_instance
@@ -108,6 +108,15 @@ def test_a_plan_of_another_instance_raises(tmp_path):
 def test_labeled_must_hold_label_solution_pairs(labeled, tmp_path):
     with pytest.raises(InvalidInstanceError, match="labeled must be a list"):
         render_tours(line_instance(), labeled, tmp_path / "x")
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_prefix_must_be_a_str_path(tmp_path, monkeypatch):
+    # The prefix goes into file names: bytes would write "b'x'_plan.svg".
+    monkeypatch.chdir(tmp_path)
+    inst = line_instance()
+    with pytest.raises(InvalidConfigError, match="prefix must be a str path"):
+        render_tours(inst, [("plan", _line_solution(inst))], b"x")
     assert not any(tmp_path.iterdir())
 
 
