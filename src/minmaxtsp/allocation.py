@@ -171,7 +171,7 @@ def build_initial_solution(inst: Instance, alloc: dict, mode: str = HEURISTIC) -
     ``alloc`` maps every vehicle id to its free targets, as
     ``solve_load_balancing`` returns.  Tours always depart from the true
     depots; the effective positions used for allocation costs play no role
-    here.  Exact tours are memoized in ``inst``, as long as it lives.
+    here.
     """
     tours = []
     for v in inst.vehicles:

@@ -9,6 +9,7 @@ reproduced in isolation.
 """
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass, fields
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import heuristic
 from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, Vehicle, is_bool,
-                    is_integer, is_real, is_speed, open_path)
+                    is_integer, is_real, is_speed, write_text)
 from .oracle import exact_minmax, oracle_feasible
 
 GRID = 200.0  # side of the square that targets and depots are drawn on
@@ -196,14 +197,15 @@ def _fmt(name: str, value) -> str:
 
 def write_report(report: ExperimentReport, path) -> None:
     """CSV with one row per instance and aggregate lines prefixed by '#'.
-    ``report`` must be an ExperimentReport and ``path`` pass ``check_path``
-    (else InvalidConfigError, before the file is opened)."""
-    if not isinstance(report, ExperimentReport):
-        raise InvalidConfigError(f"report must be an ExperimentReport, got {report!r}")
-    with open_path(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in report.rows:
-            writer.writerow([_fmt(name, getattr(row, name)) for name in REPORT_COLUMNS])
-        for name, value in report.summary().items():
-            fh.write(f"# {name}={_fmt(name, value)}\n")
+    ``report`` must be an ExperimentReport whose rows are a list or tuple of
+    ReportRows, and ``path`` pass ``check_path`` (else InvalidConfigError,
+    before the file is opened)."""
+    if not (isinstance(report, ExperimentReport) and isinstance(report.rows, (list, tuple))
+            and all(isinstance(row, ReportRow) for row in report.rows)):
+        raise InvalidConfigError(
+            f"report must be an ExperimentReport of ReportRows, got {report!r}")
+    text = io.StringIO()
+    csv.writer(text).writerows([REPORT_COLUMNS] + [
+        [_fmt(name, getattr(row, name)) for name in REPORT_COLUMNS] for row in report.rows])
+    text.writelines(f"# {name}={_fmt(name, value)}\n" for name, value in report.summary().items())
+    write_text(path, text.getvalue())

@@ -5,7 +5,7 @@ import argparse
 import sys
 
 from . import bench, heuristic, io as instance_io, svgplot
-from .model import SolverError, open_path
+from .model import SolverError, write_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,11 +74,10 @@ def _cmd_solve(args) -> int:
 
 
 def _write_trace(path, trace) -> None:
-    with open_path(path, "w") as fh:
-        fh.write("stage,objective,wall_time_s,iterations\n")
-        for stage, sol in trace.stage_solutions.items():
-            iters = trace.iterations if stage == heuristic.STAGE_PERTURBATION else 0
-            fh.write(f"{stage},{sol.objective:.9f},{trace.wall_times[stage]:.3f},{iters}\n")
+    rows = [f"{stage},{sol.objective:.9f},{trace.wall_times[stage]:.3f},"
+            f"{trace.iterations if stage == heuristic.STAGE_PERTURBATION else 0}\n"
+            for stage, sol in trace.stage_solutions.items()]
+    write_text(path, "stage,objective,wall_time_s,iterations\n" + "".join(rows))
 
 
 def _cmd_bench(args) -> int:

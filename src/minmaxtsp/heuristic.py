@@ -221,9 +221,8 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
     exact tours a receiver of fewer than ``EXACT_CAP`` targets is not even
     re-routed when ``_insertion_lower_bound`` already reaches the makespan.
     Savings are recomputed from the new plan after every accepted move; the
-    search stops when every candidate on the maximal tour fails.  Exact
-    tours are memoized in ``inst``, as long as it lives.  A fleet of one
-    vehicle has no receiver, so its plan comes back as given.
+    search stops when every candidate on the maximal tour fails.  A fleet of
+    one vehicle has no receiver, so its plan comes back as given.
 
     Precondition with ``cfg.tour_mode == EXACT``: every tour of ``sol`` of
     fewer than ``EXACT_CAP`` targets is an optimal (Held-Karp) tour on
@@ -292,9 +291,8 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig):
     ``cfg.no_improve_stop`` consecutive rejections end the loop.  Base angles
     are drawn once per vehicle, in id order.  The radius, a travel time, is
     applied directly as a displacement length.  The displaced instances are
-    ``with_depots`` copies, which share ``inst``'s exact-tour memo.  A fleet
-    of one vehicle has no receiver, so its plan comes back after no
-    iteration and no draw from ``rng``.
+    ``with_depots`` copies.  A fleet of one vehicle has no receiver, so its
+    plan comes back after no iteration and no draw from ``rng``.
     """
     if inst.k < 2:
         return sol, 0
@@ -343,8 +341,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0):
     InvalidConfigError.  A given (instance, config, seed) triple always
     reproduces the same plan.  One vehicle takes the same three stages as a
     fleet: its allocation is forced, and stages 2 and 3 return at once.
-    Exact tours are memoized in ``inst`` as long as it lives, so solving it
-    again reuses them, with the same plan.
     """
     check_instance(inst)
     cfg = SolverConfig() if cfg is None else cfg

@@ -21,7 +21,7 @@ import json
 import re
 
 from .model import (Instance, InvalidInstanceError, Point, Vehicle, check_instance, is_integer,
-                    open_path)
+                    read_text, write_text)
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -79,11 +79,8 @@ def _target_index(value) -> int:
 
 
 def save_instance(inst: Instance, path) -> None:
-    text = instance_to_json(inst)  # before open_path() truncates the file
-    with open_path(path, "w") as fh:
-        fh.write(text)
+    write_text(path, instance_to_json(inst))
 
 
 def load_instance(path) -> Instance:
-    with open_path(path, "r") as fh:
-        return instance_from_json(fh.read())
+    return instance_from_json(read_text(path))

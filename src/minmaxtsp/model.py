@@ -173,13 +173,13 @@ class Instance:
               0..n-1 (numpy integers pass, bools and floats do not).
 
     Numpy scalars in targets, vehicles and moved depots are kept as Python numbers.
-    Instances are validated on construction and frozen, since distance data is
-    cached lazily and shared by all solver stages; ``with_depots`` makes a
-    changed copy with its own matrix cache but this instance's exact-tour memo
-    (``tsp.TspCache``); its moved depots need only be finite points of fleet
-    vehicles.  Bad input raises InvalidInstanceError.  Pickling and copying
-    rebuild an instance from its targets, vehicles and required sets, so the
-    copy is validated again and starts with empty caches.
+    Instances are validated on construction and frozen, since what is derived
+    from them is cached lazily in one ``_cache`` and shared by all solver
+    stages; ``with_depots`` makes a changed copy whose moved depots need only
+    be finite points of fleet vehicles.  Bad input raises InvalidInstanceError.
+    Pickling and copying rebuild an instance from its targets, vehicles and
+    required sets, so the copy is validated again; every copy starts with an
+    empty cache.
     """
 
     targets: tuple
@@ -234,8 +234,6 @@ class Instance:
                 required[int(vid)] = frozenset(int(t) for t in ids)
         object.__setattr__(self, "required", _ReadOnlyDict(required))
         object.__setattr__(self, "_cache", {})
-        from .tsp import TspCache  # tsp builds on this module
-        object.__setattr__(self, "_tour_memo", TspCache())
 
     def __reduce__(self):
         return Instance, (self.targets, self.vehicles, self.required)
@@ -312,8 +310,7 @@ class Instance:
             self._check_vid(vid)
             if not is_point(p, sys.float_info.max):
                 raise InvalidInstanceError(f"depot {p!r} of vehicle {vid} is not a finite Point")
-        # Not built through __init__, which would check the depots against
-        # COORD_LIMIT and start a new memo; the copy shares this one.
+        # Not built through __init__, which would check the depots against COORD_LIMIT.
         moved = object.__new__(Instance)
         moved.__dict__.update(self.__dict__, _cache={}, vehicles=tuple(
             Vehicle(v.id, v.speed, _plain(depots.get(v.id, v.depot))) for v in self.vehicles))
@@ -346,6 +343,8 @@ class Solution:
                                     for t in tours):
             raise InvalidInstanceError("every tour of a Solution must be a Tour with an"
                                        f" integer vehicle id, got {self.tours!r}")
+        if not tours:
+            raise InvalidInstanceError("a Solution needs at least one tour")
         object.__setattr__(self, "tours", tuple(sorted(tours, key=lambda t: t.vehicle_id)))
 
     @property
@@ -369,11 +368,7 @@ class Solution:
 
     def maximal_vehicle(self) -> int:
         """Id of a vehicle with maximum tour duration (ties: lowest id)."""
-        best = self.tours[0]
-        for t in self.tours[1:]:
-            if t.duration > best.duration:
-                best = t
-        return best.vehicle_id
+        return max(self.tours, key=lambda t: t.duration).vehicle_id
 
 
 def check_instance(inst) -> None:
@@ -398,31 +393,48 @@ def check_path(path):
                                  f" got {path!r}") from None
 
 
-def open_path(path, mode: str, newline=None):
-    """The one ``open`` of the package: a UTF-8 text file at a path that
-    passes ``check_path``, checked before anything is opened."""
-    return open(check_path(path), mode, encoding="utf-8", newline=newline)
+def read_text(path) -> str:
+    """The text of the UTF-8 file at a path that passes ``check_path``."""
+    with open(check_path(path), encoding="utf-8") as fh:
+        return fh.read()
 
 
-def _depot_framed(seq) -> bool:
-    # At least two vertices, the first and last of them DEPOT as an integer.
-    return (len(seq) >= 2 and is_integer(seq[0]) and seq[0] == DEPOT
-            and is_integer(seq[-1]) and seq[-1] == DEPOT)
+def write_text(path, text: str) -> None:
+    """Write ``text`` as the whole UTF-8 file at a path that passes ``check_path``."""
+    with open(check_path(path), "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _is_depot(v) -> bool:
+    return is_integer(v) and v == DEPOT
+
+
+def _walk(inst: Instance, tour: Tour):
+    # The one judge of a tour's sequence: None unless it is a tuple or list
+    # framed by DEPOT, else per inner vertex, in order, whether it is a target
+    # index of inst (an integer in 0..n-1).
+    seq = tour.sequence
+    if not (isinstance(seq, (tuple, list)) and len(seq) >= 2
+            and _is_depot(seq[0]) and _is_depot(seq[-1])):
+        return None
+    n = inst.n_targets
+    return [is_integer(v) and 0 <= v < n for v in seq[1:-1]]
 
 
 def check_tour(inst: Instance, tour) -> None:
     """Raise InvalidInstanceError unless ``tour`` is a Tour whose sequence
-    starts and ends at DEPOT and in between holds only target indices of
-    ``inst``, each an integer (numpy integers pass; bools, floats and strings
-    do not) in 0..n-1; a plan of another instance may hold others."""
+    (a tuple or list) starts and ends at DEPOT and in between holds only
+    target indices of ``inst``, each an integer (numpy integers pass; bools,
+    floats and strings do not) in 0..n-1."""
     if not isinstance(tour, Tour):
         raise InvalidInstanceError(f"tour must be a Tour, got {tour!r}")
-    if not _depot_framed(tour.sequence):
+    is_target = _walk(inst, tour)
+    if is_target is None:
         raise InvalidInstanceError("tour sequence must start and end at the vehicle's depot")
-    for t in tour.sequence[1:-1]:
-        if not (is_integer(t) and 0 <= t < inst.n_targets):
-            raise InvalidInstanceError(
-                f"tour vertex {t!r} is not a target index in 0..{inst.n_targets - 1}")
+    if not all(is_target):
+        t = tour.sequence[1 + is_target.index(False)]
+        raise InvalidInstanceError(
+            f"tour vertex {t!r} is not a target index in 0..{inst.n_targets - 1}")
 
 
 def tour_duration(inst: Instance, tour: Tour) -> float:
@@ -446,9 +458,10 @@ def validate_solution(inst: Instance, sol: Solution) -> list:
 
     Total over type-correct input: malformed data yields violation entries,
     never an exception (a tour vertex that is not an integer, such as True,
-    1.0 or "1", is an unknown target); an ``inst`` that is not an Instance raises
-    InvalidInstanceError, as does an ``sol`` that is not a Solution.  An empty
-    list means the solution is feasible.
+    1.0 or "1", is an unknown target; a sequence that is no tuple or list has
+    no depot frame); an ``inst`` that is not an Instance, or a ``sol`` that is
+    not a Solution, raises InvalidInstanceError.  An empty list means the
+    solution is feasible.
     """
     check_instance(inst)
     check_solution(sol)
@@ -460,23 +473,19 @@ def validate_solution(inst: Instance, sol: Solution) -> list:
 
     seen = {}
     for tour in sol.tours:
-        seq = tour.sequence
-        if not _depot_framed(seq):
+        is_target = _walk(inst, tour)
+        if is_target is None:
             out.append(f"tour {tour.vehicle_id} does not start and end at its depot")
             continue
-        broken = False
-        for v in seq[1:-1]:
-            if is_integer(v) and v == DEPOT:
-                out.append(f"tour {tour.vehicle_id} visits a depot mid-sequence")
-                broken = True
-            elif not (is_integer(v) and 0 <= v < inst.n_targets):
-                out.append(f"tour {tour.vehicle_id} references unknown target {v!r}")
-                broken = True
+        for v, ok in zip(tour.sequence[1:-1], is_target):
+            if not ok:
+                out.append(f"tour {tour.vehicle_id} visits a depot mid-sequence" if _is_depot(v)
+                           else f"tour {tour.vehicle_id} references unknown target {v!r}")
             elif v in seen:
                 out.append(f"target {v} visited by vehicle {seen[v]} and vehicle {tour.vehicle_id}")
             else:
                 seen[v] = tour.vehicle_id
-        if broken:
+        if not all(is_target):
             continue  # duration is meaningless once the sequence itself is bad
         real = tour_duration(inst, tour)
         if not (is_real(tour.duration)

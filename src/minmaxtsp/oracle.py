@@ -29,15 +29,23 @@ from .tsp import EXACT, EXACT_CAP, TourRequest, best_cycle_lengths, solve_tsp
 MAX_PARTITIONS = 2_000_000
 
 
-def oracle_feasible(inst: Instance) -> bool:
-    """True when the instance fits the partition budget and the Held-Karp cap;
-    anything but an Instance raises InvalidInstanceError."""
+def _refusal(inst: Instance):
+    # Which budget rule refuses the instance, or None when it fits.
     check_instance(inst)
     free = inst.free_targets()
     if inst.k ** len(free) > MAX_PARTITIONS:
-        return False
-    return all(len(free) + len(inst.required_for(v.id)) <= EXACT_CAP
-               for v in inst.vehicles)
+        return f"{inst.k}^{len(free)} partitions, cap {MAX_PARTITIONS}"
+    for v in inst.vehicles:
+        m = len(free) + len(inst.required_for(v.id))
+        if m > EXACT_CAP:
+            return f"vehicle {v.id} may get {m} targets, Held-Karp cap {EXACT_CAP}"
+    return None
+
+
+def oracle_feasible(inst: Instance) -> bool:
+    """True when the instance fits the partition budget and the Held-Karp cap;
+    anything but an Instance raises InvalidInstanceError."""
+    return _refusal(inst) is None
 
 
 def _duration_tables(inst: Instance, free) -> list:
@@ -68,11 +76,11 @@ def _best_split(before, last, subset: int, every):
 
 
 def exact_minmax(inst: Instance) -> Solution:
-    """Optimal min-max plan by the subset-split DP over the duration tables."""
-    if not oracle_feasible(inst):
-        raise OracleBudgetError(
-            f"instance exceeds the oracle budget "
-            f"({inst.k}^{len(inst.free_targets())} partitions, cap {MAX_PARTITIONS})")
+    """Optimal min-max plan by the subset-split DP over the duration tables;
+    an instance past the budget raises OracleBudgetError naming the rule."""
+    reason = _refusal(inst)
+    if reason is not None:
+        raise OracleBudgetError(f"instance exceeds the oracle budget ({reason})")
     free = inst.free_targets()
     tables = _duration_tables(inst, free)
     every = np.arange(1 << len(free))

@@ -3,7 +3,7 @@
 import xml.etree.ElementTree as ET
 
 from .model import (DEPOT, Instance, InvalidConfigError, InvalidInstanceError, Solution,
-                    check_instance, check_path, check_solution, check_tour, open_path)
+                    check_instance, check_path, check_solution, check_tour, write_text)
 
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#17becf")
@@ -93,6 +93,5 @@ def render_tours(inst: Instance, labeled: list, prefix) -> list:
     docs = [(f"{prefix}_{label}.svg", render_solution_svg(inst, sol) + "\n")
             for label, sol in labeled]
     for path, text in docs:
-        with open_path(path, "w") as fh:
-            fh.write(text)
+        write_text(path, text)
     return [path for path, _ in docs]

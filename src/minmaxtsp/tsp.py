@@ -14,29 +14,14 @@ point:
   stages 2 and 3 ask warm, giving an incumbent tour, whole or with one
   target spliced in or out, which is already nearly clean, so the polish
   takes a step or two instead of the eight or so a nearest-neighbor tour
-  needs.  The polish works on the closed tour
-  [DEPOT, *targets, DEPOT] as instance ids of the vehicle's distance matrix.
-  Each step gathers the tour's distance block from that matrix once, prices
-  every 2-opt move from it as one numpy array and applies the first
-  improving one in the order of a plain Python scan; only when there is none
-  does it price the Or-opt moves on the same block.  The tour's length is
-  summed from the last block.  The tests keep the scans as the reference:
-  the two make the same moves with the same float expressions, so every
-  tour, and every plan built from tours, is identical to the scans'.  A move
-  must gain more than _gain_tolerance, which exceeds the rounding error of
-  its price, so the polish always ends; on tours of one or two targets every
-  move gives the same cycle, so those are left in their given order.
-* exact -- Held-Karp dynamic program over target subsets, for a request of
-  at most EXACT_CAP targets, warm or cold; a longer exact request is
-  polished as a heuristic one is, and the oracle holds its subsets to the
-  same cap.  The table fills one subset size at a time, a chunk of its cells
-  per numpy step.  Each cell is written once, from its one predecessor row
-  (the subset one target smaller) plus the distances into its end target,
-  reduced by an elementwise minimum over a block stored one row per end
-  target; so the table equals a loop over single subsets in mask order bit
-  for bit.  No parent table is kept: the tour is read back from the lengths
-  by the first-argmin rule such a loop would have stored.  Only Held-Karp
-  tours are memoized, per instance (``TspCache``).
+  needs.  How a step prices and takes its moves is told at ``_improve``
+  and ``_step``; the tests keep plain scans as the reference, and every
+  tour, and every plan built from tours, is identical to the scans'.
+* exact -- Held-Karp dynamic program over target subsets (``_subset_dp``,
+  ``held_karp_order``), for a request of at most EXACT_CAP targets, warm or
+  cold; a longer exact request is polished as a heuristic one is, and the
+  oracle holds its subsets to the same cap.  Only Held-Karp tours are
+  memoized, per instance (``TspCache``).
 
 All route decisions are made on raw distances; the vehicle speed only divides
 the final length, so the chosen order is invariant under speed scaling.
@@ -82,11 +67,12 @@ class TspCache:
     """Memo for Held-Karp tours, keyed by what they depend on: the depot
     position and the sorted target ids, ``(x, y, targets)``.
 
-    Every ``Instance`` owns one for as long as it lives, shared by its
-    ``with_depots`` copies, which keep its targets; so a hit equals a
-    recompute.  ``solve_tsp`` builds a Held-Karp request's key once, to look
-    it up and to store the solved tour; polished tours, which depend on an
-    order that stages 2 and 3 rarely repeat, are not memoized.
+    ``solve_tsp`` keeps one in the ``_cache`` of the request's instance, so
+    it lives as long as that instance: a second solve, or the oracle run on
+    it, reuses its tours, and since an instance never changes, a hit always
+    equals a recompute.  Pickles, copies and ``with_depots`` copies start
+    with an empty cache.  Polished tours, which depend on an order that
+    stages 2 and 3 rarely repeat, are not memoized.
     """
 
     def __init__(self):
@@ -382,11 +368,14 @@ def solve_tsp(req: TourRequest) -> Tour:
     if req.mode == EXACT and len(targets) <= EXACT_CAP:
         ids = tuple(sorted(targets))
         key = (vehicle.depot.x, vehicle.depot.y, ids)
-        hit = inst._tour_memo.get(key)
+        memo = inst._cache.get(TspCache)
+        if memo is None:
+            memo = inst._cache[TspCache] = TspCache()
+        hit = memo.get(key)
         if hit is None:
             order, length = held_karp_order(inst.distance_block(vid, ids))
             hit = ((DEPOT, *(ids[p] for p in order), DEPOT), length)
-            inst._tour_memo.put(key, *hit)
+            memo.put(key, *hit)
         sequence, length = hit
     else:
         if not req.warm:

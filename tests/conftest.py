@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from minmaxtsp import Instance, Point, Vehicle
+from minmaxtsp.tsp import TspCache
 
 
 def euclid(a, b):
@@ -130,6 +131,11 @@ class FixedAngleRng:
 
     def uniform(self, low=0.0, high=1.0):
         return self.values.pop(0) if self.values else low
+
+
+def memo_size(inst):
+    """Held-Karp tours in the instance's exact-tour memo, 0 before there is one."""
+    return len(inst._cache.get(TspCache, ()))
 
 
 def line_instance():

@@ -1,6 +1,7 @@
 """``tools/ab_plans.py``: a tree against itself gives equal plan hashes and
-exit 0; a tree whose plans differ gives exit 1; an unknown config, or one
-with no instance count, exit 2; ``--out`` writes one record per cell."""
+exit 0; a tree whose plans or stage objectives differ gives exit 1; an
+unknown config, or one with no instance count, exit 2; ``--out`` writes one
+record per cell."""
 
 import json
 import os
@@ -37,6 +38,23 @@ def test_a_tree_with_other_plans_exits_1(tmp_path):
     bench.write_text(text.replace("GRID = 200.0", "GRID = 100.0"),
                      encoding="utf-8")
     done = _run(ROOT, other, config="s1_n60")
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "DIFFER" in done.stdout
+
+
+def test_a_tree_with_other_stage_objectives_exits_1(tmp_path):
+    # The final plans agree, but the StageTrace reports another stage-2
+    # objective: bench would write another ls_obj column.
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    heuristic = other / "src" / "minmaxtsp" / "heuristic.py"
+    text = heuristic.read_text(encoding="utf-8")
+    stage_trace = "StageTrace(initial.objective, improved.objective,"
+    assert text.count(stage_trace) == 1
+    heuristic.write_text(text.replace(stage_trace, "StageTrace(initial.objective, -1.0,"),
+                         encoding="utf-8")
+    done = _run(ROOT, other)
     assert done.returncode == 1, done.stdout + done.stderr
     assert "DIFFER" in done.stdout
 

@@ -172,6 +172,16 @@ class TestReportFile:
             write_report(report, path)
         assert not path.exists()
 
+    def test_a_row_that_is_no_report_row_leaves_the_file_alone(self, tmp_path):
+        # write_report(ExperimentReport([None]), path) once cut an existing
+        # report to its header line, then raised a bare AttributeError.
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"old report\r\n")
+        for rows in ([None], (None,), None):
+            with pytest.raises(InvalidConfigError, match="ExperimentReport of ReportRows"):
+                write_report(ExperimentReport(rows), path)
+        assert path.read_bytes() == b"old report\r\n"
+
     def test_round_trip(self, tmp_path):
         report = run_experiment(scenario1(n_targets=8, n_instances=3, seed=4, oracle=True))
         path = tmp_path / "report.csv"

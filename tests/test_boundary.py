@@ -197,6 +197,29 @@ def test_vehicle_ids_outside_the_fleet_raise_invalid_instance(call, vid):
             call(inst, vid)
 
 
+def test_a_solution_needs_a_tour():
+    # Built empty, its objective raised a bare ValueError and
+    # maximal_vehicle() an IndexError.
+    for tours in ((), [], iter(())):
+        with pytest.raises(InvalidInstanceError, match="at least one tour"):
+            Solution(tours)
+
+
+@pytest.mark.parametrize("seq", [None, 5, np.array([DEPOT, 0, DEPOT])],
+                         ids=["none", "int", "ndarray"])
+def test_a_tour_sequence_that_is_no_tuple_or_list_is_refused(seq, tmp_path, monkeypatch):
+    # None and 5 once ended in a bare TypeError from len() in all three calls.
+    monkeypatch.chdir(tmp_path)
+    bad = Tour(1, seq, 1.0)
+    sol = Solution((bad, Tour(2, (DEPOT, 1, DEPOT), 1.0)))
+    assert validate_solution(_VALID, sol)[0] == "tour 1 does not start and end at its depot"
+    for call in (lambda: tour_duration(_VALID, bad),
+                 lambda: render_tours(_VALID, [("plan", sol)], "tours")):
+        with pytest.raises(InvalidInstanceError, match="start and end at the vehicle's depot"):
+            call()
+    assert not any(tmp_path.iterdir())  # no file was written
+
+
 _BAD = "x"
 
 # One call per exported function, each passing _BAD where an instance,

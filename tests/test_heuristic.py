@@ -22,7 +22,7 @@ from minmaxtsp.heuristic import (PERTURBATION_PERIOD, PERTURBATION_STEP, STAGE_I
                                  best_insertion, compute_savings, local_search,
                                  perturbation_angle, perturbation_loop, perturbation_radius)
 
-from conftest import line_instance, random_instance
+from conftest import line_instance, memo_size, random_instance
 
 
 def _tour(inst, vid, seq):
@@ -422,7 +422,7 @@ class TestWarmStartedTours:
                     generate_instance(exp, index), start, cfg)
             assert solve(inst, cfg, rng=index)[0] == solve(
                 generate_instance(exp, index), cfg, rng=index)[0]
-            assert len(inst._tour_memo) == 0
+            assert memo_size(inst) == 0
 
     def test_only_stage_1_builds_by_nearest_neighbour(self, monkeypatch):
         stage = []
@@ -478,7 +478,7 @@ class TestExactTourMemo:
             tables.clear()
             first, first_trace = solve(inst, cfg, rng=index)
             cold = len(tables)
-            assert cold > 0 and len(inst._tour_memo) > 0
+            assert cold > 0 and memo_size(inst) > 0
             tables.clear()
             second, second_trace = solve(inst, cfg, rng=index)
             assert len(tables) < cold

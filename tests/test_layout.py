@@ -1,7 +1,8 @@
 """Package layout: no module reaches into another module's private names,
 every public export resolves and the README lists exactly those, the package
 runs on numpy alone (scipy serves only the tests), every distance comes
-from the one kernel, and every file is opened by the one path helper."""
+from the one kernel, every file is opened by the one pair of path helpers,
+and ``model`` imports no other module of the package."""
 
 import ast
 import re
@@ -110,11 +111,22 @@ def test_every_distance_comes_from_the_one_kernel():
 
 
 def test_every_file_is_opened_by_the_path_helper():
-    """The builtin ``open`` only in ``model.open_path``, so every path the
-    package reads or writes passes ``check_path`` first."""
+    """The builtin ``open`` only in ``model.read_text`` and ``model.write_text``,
+    so every path the package reads or writes passes ``check_path`` first and
+    every file is written from a text built whole."""
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules, f"no modules found under {PACKAGE}"
-    helper = ("model.py", None, "open_path")
+    helpers = [("model.py", None, "read_text"), ("model.py", None, "write_text")]
     uses = [use for path in modules for use in _uses(path, "open")]
-    assert helper in uses
-    assert [use for use in uses if use != helper] == []
+    assert sorted(uses) == helpers
+
+
+def test_the_model_imports_no_other_module_of_the_package():
+    """``model`` is the base every other module builds on, so it imports none
+    of them, not even lazily inside a function."""
+    tree = ast.parse((PACKAGE / "model.py").read_text(), filename="model.py")
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level > 0]
+    found += [line for line, top in _imported_top_modules(PACKAGE / "model.py")
+              if top == "minmaxtsp"]
+    assert found == []

@@ -16,7 +16,7 @@ from minmaxtsp import (DEPOT, Instance, InvalidInstanceError, Point, Solution,
 from minmaxtsp.allocation import _cost_matrix, perturb_colocated_depots
 from minmaxtsp.model import COORD_LIMIT, SPEED_MIN
 
-from conftest import line_instance
+from conftest import line_instance, memo_size
 
 
 def v(speed, depot=Point(0, 0), vid=1):
@@ -412,11 +412,11 @@ class TestInstanceValidation:
         inst = generate_instance(scenario1(n_targets=10, seed=11 << 20), 0)
         fresh = pickle.dumps(inst)
         solve(inst, SolverConfig(tour_mode="exact"), rng=0)
-        assert len(inst._tour_memo) > 0 and inst._cache
+        assert memo_size(inst) > 0 and inst._cache
         assert len(pickle.dumps(inst)) == len(fresh)
         for twin in (pickle.loads(pickle.dumps(inst)), copy.copy(inst), copy.deepcopy(inst)):
             assert twin == inst
-            assert len(twin._tour_memo) == 0 and not twin._cache
+            assert memo_size(twin) == 0 and not twin._cache
 
 
 def _two_targets():

@@ -169,6 +169,16 @@ class TestBudget:
         toobig = self._fleet(2, 17, {1: list(range(7))})  # 10 free + 7 required
         assert not oracle_feasible(toobig)
 
+    def test_the_refusal_names_the_rule_that_refused(self):
+        # The Held-Karp refusal once reported "1^17 partitions, cap 2000000".
+        with pytest.raises(OracleBudgetError, match=r"\(3\^14 partitions, cap 2000000\)"):
+            exact_minmax(self._fleet(3, 14))
+        with pytest.raises(OracleBudgetError,
+                           match=r"\(vehicle 1 may get 17 targets, Held-Karp cap 16\)"):
+            exact_minmax(self._fleet(1, 17))
+        with pytest.raises(OracleBudgetError, match="vehicle 1 may get 17 targets"):
+            exact_minmax(self._fleet(2, 17, {1: list(range(7))}))  # 10 free + 7
+
     def test_custom_budget_is_honored(self):
         inst = self._fleet(3, 14)                         # 3^14 > MAX_PARTITIONS
         assert not oracle_feasible(inst)

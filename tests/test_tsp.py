@@ -19,7 +19,7 @@ from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, TourRequest, _gain_to
                            _improve, _move_tables, _nearest_neighbor, _subset_dp,
                            _subset_dp_table, best_cycle_lengths, held_karp_order, solve_tsp)
 
-from conftest import brute_cycle_length, euclid
+from conftest import brute_cycle_length, euclid, memo_size
 
 
 def _dist_matrix(depot, pts):
@@ -109,7 +109,7 @@ class TestRequestBoundary:
     def test_target_order_does_not_split_the_memo(self):
         inst = _ten_targets()
         tours = {solve_tsp(TourRequest(inst, 1, order, EXACT)) for order in ((3, 1), (1, 3))}
-        assert len(inst._tour_memo) == 1
+        assert memo_size(inst) == 1
         assert len(tours) == 1
 
 
@@ -147,7 +147,7 @@ class TestHeldKarp:
             polished = solve_tsp(TourRequest(inst, 1, targets, HEURISTIC, warm))
             assert exact == polished
             assert repr(exact.duration) == repr(polished.duration)
-        assert len(inst._tour_memo) == 0
+        assert memo_size(inst) == 0
 
     def test_held_karp_ignores_mode_flag(self):
         inst = _square_instance()
@@ -419,8 +419,8 @@ class TestTwoOptImprove:
 
 
 class TestCache:
-    """Each instance owns one exact-tour memo, shared by its ``with_depots``
-    copies and handed to every request built from them."""
+    """Each instance keeps one exact-tour memo in its cache, used by every
+    request built from it; a ``with_depots`` copy starts its own."""
 
     def test_hit_reproduces_the_solution(self):
         rng = np.random.default_rng(14)
@@ -428,9 +428,9 @@ class TestCache:
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(0, 0)),))
         first = solve_tsp(TourRequest(inst, 1, range(8), EXACT))
-        assert len(inst._tour_memo) == 1
+        assert memo_size(inst) == 1
         second = solve_tsp(TourRequest(inst, 1, range(8), EXACT))
-        assert len(inst._tour_memo) == 1
+        assert memo_size(inst) == 1
         fresh = Instance(inst.targets, inst.vehicles)
         assert second == first == solve_tsp(TourRequest(fresh, 1, range(8), EXACT))
 
@@ -439,17 +439,16 @@ class TestCache:
         inst = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)), Vehicle(2, 4.0, Point(0, 0))))
         a = solve_tsp(TourRequest(inst, 1, range(3), EXACT))
         b = solve_tsp(TourRequest(inst, 2, range(3), EXACT))
-        assert len(inst._tour_memo) == 1
+        assert memo_size(inst) == 1
         assert a.sequence == b.sequence
         assert a.duration == 4.0 * b.duration
 
     def test_depot_is_part_of_the_key(self):
         targets = tuple(Point(*p) for p in ((1, 0), (2, 3), (5, 1)))
-        here = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)),))
-        there = here.with_depots({1: Point(9, 9)})
-        solve_tsp(TourRequest(here, 1, range(3), EXACT))
-        solve_tsp(TourRequest(there, 1, range(3), EXACT))
-        assert len(here._tour_memo) == 2
+        inst = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)), Vehicle(2, 1.0, Point(9, 9))))
+        solve_tsp(TourRequest(inst, 1, range(3), EXACT))
+        solve_tsp(TourRequest(inst, 2, range(3), EXACT))
+        assert memo_size(inst) == 2
 
     def test_exact_starts_share_one_entry(self):
         inst = _square_instance()
@@ -457,7 +456,7 @@ class TestCache:
         for order in ((0, 1, 2), (2, 0, 1)):
             for warm in (False, True):
                 tours.add(solve_tsp(TourRequest(inst, 1, order, EXACT, warm)))
-        assert len(inst._tour_memo) == 1
+        assert memo_size(inst) == 1
         assert len(tours) == 1
 
     def test_a_heuristic_request_leaves_the_cache_empty(self):
@@ -468,7 +467,7 @@ class TestCache:
             TourRequest(inst, 1, tuple(rng.permutation(9).tolist()), warm=True) for _ in range(4)]
         for req in requests + requests:
             assert solve_tsp(req) == solve_tsp(req)
-        assert len(inst._tour_memo) == 0
+        assert memo_size(inst) == 0
 
     def test_instances_with_the_same_ids_keep_their_own_tours(self):
         # Same depot, same target ids, other coordinates: a memo shared by the
@@ -482,25 +481,21 @@ class TestCache:
             assert tour == solve_tsp(TourRequest(Instance(inst.targets, inst.vehicles),
                                                  1, (0, 1), EXACT))
 
-    def test_a_with_depots_copy_shares_the_memo_from_the_start(self):
+    def test_a_with_depots_copy_starts_its_own_memo(self):
         rng = np.random.default_rng(16)
         xy = rng.uniform(0, 100, size=(7, 2))
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(0, 0)), Vehicle(2, 2.0, Point(50, 50))))
+        solve_tsp(TourRequest(inst, 1, range(7), EXACT))
         moved = inst.with_depots({1: Point(30, 70)})
         again = moved.with_depots({2: Point(0, 0)})
-        assert moved._tour_memo is inst._tour_memo is again._tour_memo
-        assert len(inst._tour_memo) == 0
+        assert (memo_size(inst), memo_size(moved), memo_size(again)) == (1, 0, 0)
         stored = solve_tsp(TourRequest(moved, 1, range(7), EXACT))
-        assert len(inst._tour_memo) == 1
-        # ``again`` keeps vehicle 1 where ``moved`` put it, so that request
-        # hits; its vehicle 2, moved to (0, 0), misses.
-        hit = solve_tsp(TourRequest(again, 1, range(7), EXACT))
-        assert len(inst._tour_memo) == 1
+        # ``again`` keeps vehicle 1 where ``moved`` put it, yet solves it anew.
+        solved = solve_tsp(TourRequest(again, 1, range(7), EXACT))
+        assert (memo_size(inst), memo_size(moved), memo_size(again)) == (1, 1, 1)
         fresh = Instance(again.targets, again.vehicles)
-        assert hit == stored == solve_tsp(TourRequest(fresh, 1, range(7), EXACT))
-        solve_tsp(TourRequest(again, 2, range(7), EXACT))
-        assert len(inst._tour_memo) == 2
+        assert solved == stored == solve_tsp(TourRequest(fresh, 1, range(7), EXACT))
 
 
 # Small integer grids make duplicate points and equal-length moves common, so

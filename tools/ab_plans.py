@@ -11,7 +11,11 @@ process.  For every seed, instance i is generated by each tree's own
 with ``rng = default_rng((seed, i))``, the two trees alternating which goes
 first from one instance to the next; only the solves are timed.  Plans are
 hashed per tree with SHA-256 over every plan's tour sequences, the ``repr``
-of its objective and its perturbation iteration count.
+of its objective, its perturbation iteration count and the ``repr`` of the
+objectives after stages 1 and 2 (``StageTrace.after_init`` and
+``after_local_search``, which ``bench`` reports as ``init_obj`` and
+``ls_obj``), so a change that moves a stage's plan but ends on the same
+final plan differs too.
 
 Configs: the workloads of ``perfbench/harness.py`` (``WORKLOADS``, read from
 the checkout this script sits in; instance i of seed s is bench instance i
@@ -111,7 +115,8 @@ class Side:
         self.makespans.append(sol.objective)
         for stage, seconds in trace.wall_times.items():
             self.stages[stage] = self.stages.get(stage, 0.0) + seconds
-        plan = ([list(t.sequence) for t in sol.tours], repr(sol.objective), trace.iterations)
+        plan = ([list(t.sequence) for t in sol.tours], repr(sol.objective), trace.iterations,
+                repr(trace.after_init), repr(trace.after_local_search))
         self.digest.update(repr(plan).encode())
 
     def rate(self) -> float:
