@@ -198,12 +198,18 @@ def _fmt(name: str, value) -> str:
 def write_report(report: ExperimentReport, path) -> None:
     """CSV with one row per instance and aggregate lines prefixed by '#'.
     ``report`` must be an ExperimentReport whose rows are a list or tuple of
-    ReportRows, and ``path`` pass ``check_path`` (else InvalidConfigError,
-    before the file is opened)."""
+    ReportRows, each field a number (``is_real``) or None, and ``path`` pass
+    ``check_path`` (else InvalidConfigError, before the file is opened)."""
     if not (isinstance(report, ExperimentReport) and isinstance(report.rows, (list, tuple))
             and all(isinstance(row, ReportRow) for row in report.rows)):
         raise InvalidConfigError(
             f"report must be an ExperimentReport of ReportRows, got {report!r}")
+    for row in report.rows:
+        for name in REPORT_COLUMNS:
+            value = getattr(row, name)
+            if not (value is None or is_real(value)):
+                raise InvalidConfigError(
+                    f"report row field {name} must be a number or None, got {value!r}")
     text = io.StringIO()
     csv.writer(text).writerows([REPORT_COLUMNS] + [
         [_fmt(name, getattr(row, name)) for name in REPORT_COLUMNS] for row in report.rows])

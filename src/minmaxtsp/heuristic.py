@@ -12,7 +12,10 @@ past ``EXACT_CAP`` targets is polished from the same orders.  With exact
 tours a receiver of fewer than ``EXACT_CAP`` targets is not re-routed when a
 lower bound on its new tour (its optimal tour plus the cheapest detour
 through the target between any two of its vertices) already reaches the
-makespan.  Stage 3 escapes local optima by displacing depots
+makespan.  Every other receiver, whose new tour is polished, is re-routed
+only when its spliced tour (its duration plus the quoted delta) stays below
+the makespan times 1 + ``_SPLICE_MARGIN`` (0.1): a screen, not a bound, so
+it may move plans.  Stage 3 escapes local optima by displacing depots
 (radially, by half the sum of each tour's two depot-edge times) and
 re-optimizing on the displaced geometry; heuristic tours there are polished
 from the incumbent's orders, and the plan rebuilt at the true depots from
@@ -184,6 +187,18 @@ def best_insertion(target: int, reads: list) -> tuple:
 # rejects would also have been rejected by its Held-Karp tour.
 _BOUND_SLACK = 1.0 + 2.0 ** -40
 
+# A receiver whose tour is polished is routed only when its spliced tour (its
+# tour with the target at the quoted edge, duration + delta) stays below the
+# makespan times 1 + _SPLICE_MARGIN.  This is a screen, not a bound: a polish
+# can shorten the spliced tour by more than the margin, so the screen may move
+# plans.  Without the screen, of about 47,000 polished receivers at n = 30-120
+# (two vehicles, scenarios 1 and 2, an 8-vehicle fleet) only 5 accepted moves
+# began from a spliced tour 10% or more over the makespan, the largest at 1.12
+# times it; of 34,416 more at another seed, 2 did, at 1.13 and 1.16 times it.
+# A margin of 0 sped the search 1.6-2.7x for up to +0.62% mean makespan, 0.05
+# up to +0.06%; 0.1 kept plans identical or within +0.03% at 1.3-1.5x.
+_SPLICE_MARGIN = 0.1
+
 
 def _insertion_lower_bound(target: int, read: _TourRead) -> float:
     """Least duration of an optimal tour of ``read.tour``'s targets plus
@@ -219,7 +234,13 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
     makespan after a move is at least the receiver's new tour, so the donor
     is re-routed only when that tour stays below the current makespan.  With
     exact tours a receiver of fewer than ``EXACT_CAP`` targets is not even
-    re-routed when ``_insertion_lower_bound`` already reaches the makespan.
+    re-routed when ``_insertion_lower_bound`` already reaches the makespan;
+    every other receiver, whose new tour is polished, is re-routed only when
+    its spliced tour, duration plus the quoted delta, stays below the
+    makespan times 1 + ``_SPLICE_MARGIN``.  That screen is not a bound: a
+    polish may bring a screened receiver below the makespan, so it can move
+    plans, which the bound never does.  The displaced searches of stage 3
+    run through this function, so the screen holds there too.
     Savings are recomputed from the new plan after every accepted move; the
     search stops when every candidate on the maximal tour fails.  A fleet of
     one vehicle has no receiver, so its plan comes back as given.
@@ -239,15 +260,18 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
         donor_order = current.tour_for(donor).targets()
         objective = current.objective
         hopeless = objective * _BOUND_SLACK
+        screen = objective * (1.0 + _SPLICE_MARGIN)
         reads = _read_tours(current, inst, donor)
         read_of = {read.tour.vehicle_id: read for read in reads}
         accepted = False
         for target, _ in entries:
-            receiver, p, _ = best_insertion(target, reads)
+            receiver, p, delta = best_insertion(target, reads)
             read = read_of[receiver]
             order = read.tour.targets()
-            if (exact and len(order) < EXACT_CAP
-                    and _insertion_lower_bound(target, read) >= hopeless):
+            if exact and len(order) < EXACT_CAP:
+                if _insertion_lower_bound(target, read) >= hopeless:
+                    continue
+            elif read.tour.duration + delta >= screen:
                 continue
             receiver_tour = _rebuild(inst, receiver, order[:p] + (target,) + order[p:], cfg)
             if receiver_tour.duration >= objective:

@@ -25,7 +25,8 @@ def test_the_checkout_against_itself_has_equal_plans():
     done = _run(ROOT, ROOT)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 2 and all(line.endswith(" same") for line in lines), done.stdout
+    assert len(lines) == 2 and all(line.endswith(" same, mean makespan +0.000%")
+                                   for line in lines), done.stdout
 
 
 def test_a_tree_with_other_plans_exits_1(tmp_path):
@@ -37,9 +38,18 @@ def test_a_tree_with_other_plans_exits_1(tmp_path):
     assert "GRID = 200.0" in text
     bench.write_text(text.replace("GRID = 200.0", "GRID = 100.0"),
                      encoding="utf-8")
-    done = _run(ROOT, other, config="s1_n60")
+    out = tmp_path / "ab.json"
+    done = _run(ROOT, other, "s1_n60", "--out", str(out))
     assert done.returncode == 1, done.stdout + done.stderr
     assert "DIFFER" in done.stdout
+    # Targets on half the grid: every tour is half as long, and the change in
+    # mean makespan says so on each line and in each record.
+    for line, record in zip(done.stdout.splitlines(), json.loads(out.read_text(encoding="utf-8"))):
+        change = record["makespan_change_pct"]
+        assert change == 100.0 * (record["new"]["makespan_mean"]
+                                  / record["old"]["makespan_mean"] - 1.0)
+        assert -60.0 < change < -40.0
+        assert line.endswith(f" DIFFER, mean makespan {change:+.3f}%")
 
 
 def test_a_tree_with_other_stage_objectives_exits_1(tmp_path):
@@ -80,8 +90,9 @@ def test_out_writes_one_record_per_cell_and_seed(tmp_path):
         ("s1_n10", 1, 2), ("s1_n10", 2, 2)]
     for record in records:
         assert set(record) == {"config", "seed", "instances", "ratio", "same_plans",
-                               "old", "new"}
+                               "makespan_change_pct", "old", "new"}
         assert record["same_plans"] and record["ratio"] > 0
+        assert record["makespan_change_pct"] == 0.0
         for tree in (record["old"], record["new"]):
             assert set(tree) == {"solve_s_p50", "solve_s_p90", "makespan_mean",
                                  "plan_sha256", "stage_s_mean"}

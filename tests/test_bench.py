@@ -182,6 +182,21 @@ class TestReportFile:
                 write_report(ExperimentReport(rows), path)
         assert path.read_bytes() == b"old report\r\n"
 
+    @pytest.mark.parametrize("field, value", [("init_obj", "x"), ("instance", [0]),
+                                              ("t_oracle_s", Fraction(1, 3)),
+                                              ("gap_final_pct", True)],
+                             ids=["str", "list", "fraction", "bool"])
+    def test_a_field_that_is_no_number_leaves_the_file_alone(self, field, value, tmp_path):
+        # A row with init_obj="x" once ended in a bare ValueError from the
+        # cell formatter.
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"old report\r\n")
+        good = ReportRow(0, 12.5, 11.25, 10.0, None, None, None, None, 0.004, None)
+        row = dataclasses.replace(good, **{field: value})
+        with pytest.raises(InvalidConfigError, match=f"field {field} must be a number or None"):
+            write_report(ExperimentReport([good, row]), path)
+        assert path.read_bytes() == b"old report\r\n"
+
     def test_round_trip(self, tmp_path):
         report = run_experiment(scenario1(n_targets=8, n_instances=3, seed=4, oracle=True))
         path = tmp_path / "report.csv"

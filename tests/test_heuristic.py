@@ -3,6 +3,7 @@ search, the depot-displacement escape loop, and the full pipeline."""
 
 import dataclasses
 import math
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -309,14 +310,28 @@ class TestLocalSearch:
         assert local_search(inst, sol, SolverConfig()) is sol
 
 
+class _Candidate(NamedTuple):
+    """One candidate of ``_eager_local_search``: its donor and quoted receiver,
+    whether the receiver's new tour stayed below the makespan, whether the
+    reference bound certified the receiver hopeless (exact mode, receivers of
+    fewer than EXACT_CAP targets), whether the splice screen drops it (every
+    other receiver: its spliced tour reaches the makespan times
+    1 + _SPLICE_MARGIN), and whether the move was accepted."""
+
+    donor: int
+    receiver: int
+    below: bool
+    certified: bool
+    screened: bool
+    accepted: bool
+
+
 def _eager_local_search(inst, sol, cfg, candidates):
     """``local_search`` routing donor and receiver for every candidate, each
     polished from the same splice: the donor's tour without the target, the
     receiver's with the target at the quoted edge.
 
-    Appends (donor, receiver, receiver tour below the makespan, receiver
-    certified hopeless by the reference bound, which exact mode applies to
-    receivers of fewer than EXACT_CAP targets) per candidate to ``candidates``.
+    Appends a ``_Candidate`` per candidate to ``candidates``.
     """
     current = sol
     while True:
@@ -324,22 +339,24 @@ def _eager_local_search(inst, sol, cfg, candidates):
         objective = current.objective
         accepted = False
         for target, _ in compute_savings(current, inst, donor):
-            receiver, position, _ = _quote(target, current, inst, exclude=donor)
-            receiver_order = list(current.tour_for(receiver).targets())
-            certified = (cfg.tour_mode == EXACT and len(receiver_order) < EXACT_CAP
-                         and _scalar_insertion_bound(
-                             target, current.tour_for(receiver), inst
-                         ) >= objective * (1 + 2 ** -40))
+            receiver, position, delta = _quote(target, current, inst, exclude=donor)
+            host = current.tour_for(receiver)
+            receiver_order = list(host.targets())
+            bounded = cfg.tour_mode == EXACT and len(receiver_order) < EXACT_CAP
+            certified = bounded and _scalar_insertion_bound(
+                target, host, inst) >= objective * (1 + 2 ** -40)
+            screened = not bounded and (host.duration + delta
+                                        >= objective * (1 + heuristic._SPLICE_MARGIN))
             donor_order = [t for t in current.tour_for(donor).targets() if t != target]
             receiver_order.insert(position, target)
             donor_tour = _rebuild(inst, donor, tuple(donor_order), cfg)
             receiver_tour = _rebuild(inst, receiver, tuple(receiver_order), cfg)
-            candidates.append((donor, receiver, receiver_tour.duration < objective,
-                               certified))
             candidate = current.replace(donor_tour, receiver_tour)
-            if candidate.objective < objective:
+            accepted = candidate.objective < objective
+            candidates.append(_Candidate(donor, receiver, receiver_tour.duration < objective,
+                                         certified, screened, accepted))
+            if accepted:
                 current = candidate
-                accepted = True
                 break
         if not accepted:
             return current
@@ -366,13 +383,27 @@ def _starts(inst, cfg, index):
     return trace.stage_solutions[STAGE_INIT], loaded
 
 
-class TestReceiverFirstSearch:
-    """Routing the receiver first skips donors that cannot change the verdict,
-    and with exact tours the insertion bound skips receivers that cannot."""
+def _eager_runs(name, calls):
+    """(instance, start, eager plan, candidates, tour requests of the eager
+    search) for both starts of the first three instances of a search case."""
+    exp, cfg = _SEARCH_CASES[name]
+    for index in range(3):
+        inst = generate_instance(exp, index)
+        for start in _starts(inst, cfg, index):
+            candidates = []
+            calls.clear()
+            eager = _eager_local_search(inst, start, cfg, candidates)
+            yield inst, start, eager, candidates, len(calls)
 
-    @pytest.mark.parametrize("name", sorted(_SEARCH_CASES))
-    def test_same_plan_as_the_eager_search_with_fewer_tour_solves(self, name, monkeypatch):
-        exp, cfg = _SEARCH_CASES[name]
+
+class TestReceiverFirstSearch:
+    """Routing the receiver first skips donors that cannot change the verdict;
+    with exact tours the insertion bound skips receivers that cannot, and
+    every other receiver is screened by its spliced tour."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The vehicle id of every tour request ``heuristic`` makes."""
         calls = []
         real = heuristic.solve_tsp
 
@@ -381,29 +412,48 @@ class TestReceiverFirstSearch:
             return real(req)
 
         monkeypatch.setattr(heuristic, "solve_tsp", counted)
-        eager_total = lazy_total = skips = 0
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(_SEARCH_CASES))
+    def test_same_plan_as_the_eager_search_with_fewer_tour_solves(self, name, calls):
+        cfg = _SEARCH_CASES[name][1]
+        eager_total = lazy_total = skips = screens = 0
         verdicts = set()
-        for index in range(3):
-            inst = generate_instance(exp, index)
-            for start in _starts(inst, cfg, index):
-                candidates = []
-                calls.clear()
-                eager = _eager_local_search(inst, start, cfg, candidates)
-                assert len(calls) == 2 * len(candidates)
-                eager_total += len(calls)
-                calls.clear()
-                assert local_search(inst, start, cfg) == eager
-                assert not any(below and certified for _, _, below, certified in candidates)
-                expected = [vid for donor, receiver, below, certified in candidates
-                            if not certified
-                            for vid in ((receiver, donor) if below else (receiver,))]
-                assert calls == expected
-                lazy_total += len(calls)
-                skips += sum(certified for *_, certified in candidates)
-                verdicts.update(below for _, _, below, _ in candidates)
+        for inst, start, eager, candidates, eager_calls in _eager_runs(name, calls):
+            assert eager_calls == 2 * len(candidates)
+            eager_total += eager_calls
+            calls.clear()
+            assert local_search(inst, start, cfg) == eager
+            assert not any(c.below and c.certified for c in candidates)
+            # Neither a certified nor a screened receiver gets a tour request.
+            expected = [vid for c in candidates if not (c.certified or c.screened)
+                        for vid in ((c.receiver, c.donor) if c.below else (c.receiver,))]
+            assert calls == expected
+            lazy_total += len(calls)
+            skips += sum(c.certified for c in candidates)
+            screens += sum(c.screened for c in candidates)
+            verdicts.update(c.below for c in candidates)
         assert verdicts == {True, False}
         assert lazy_total < eager_total
         assert (skips > 0) == (cfg.tour_mode == EXACT)
+        assert (screens > 0) == (cfg.tour_mode != EXACT)
+
+    @pytest.mark.parametrize("name", sorted(_SEARCH_CASES))
+    def test_the_eager_search_rejects_every_screened_candidate(self, name, calls):
+        dropped = [c for *_, candidates, _ in _eager_runs(name, calls)
+                   for c in candidates if c.screened]
+        assert not any(c.accepted for c in dropped)
+
+    @pytest.mark.parametrize("gap, expected", [(10.5, [2]), (11.5, [])])
+    def test_a_spliced_tour_past_the_margin_gets_no_tour_request(self, gap, expected, calls):
+        # Vehicle 1 holds one target 10 out; vehicle 2 waits gap beyond it, so
+        # the spliced tour is 2 * gap against a makespan of 20: 1.05 times it
+        # is routed and rejected, 1.15 times it is not routed at all.
+        inst = Instance((Point(10, 0),), (Vehicle(1, 1.0, Point(0, 0)),
+                                          Vehicle(2, 1.0, Point(10 + gap, 0))))
+        sol = Solution((_tour(inst, 1, (DEPOT, 0, DEPOT)), _tour(inst, 2, (DEPOT, DEPOT))))
+        assert local_search(inst, sol, SolverConfig()) == sol
+        assert calls == expected
 
 
 class TestWarmStartedTours:

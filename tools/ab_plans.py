@@ -30,11 +30,13 @@ cells.  A size cell solves its own instance count when ``--instances`` is
 not given, about 2 s of solving per tree; every other config needs it.
 
 Prints, per config and seed, the solves/s of each tree, their ratio (new
-over old) and both plan hashes.  ``--out FILE`` also writes a JSON list with
-one record per config and seed: per tree the median and p90 solve time, the
-mean makespan, the plan hash and the mean wall time of each stage
-(``StageTrace.wall_times``); per cell the instance count, the paired speed
-ratio and whether the plans agree.  Exit status: 0 when every hash pair
+over old), both plan hashes and the change in mean makespan (new over old,
+in %), so a change that moves plans shows its quality cost on the same line.
+``--out FILE`` also writes a JSON list with one record per config and seed:
+per tree the median and p90 solve time, the mean makespan, the plan hash and
+the mean wall time of each stage (``StageTrace.wall_times``); per cell the
+instance count, the paired speed ratio, whether the plans agree and the mean
+makespan change in % (``makespan_change_pct``).  Exit status: 0 when every hash pair
 agrees, 1 when any differ, 2 for bad usage.
 """
 
@@ -181,14 +183,15 @@ def main(argv=None) -> int:
                 old_rec, new_rec = old.record(), new.record()
                 old_sha, new_sha = old_rec["plan_sha256"], new_rec["plan_sha256"]
                 ratio = new.rate() / old.rate()
+                change = 100.0 * (new_rec["makespan_mean"] / old_rec["makespan_mean"] - 1.0)
                 records.append({"config": name, "seed": seed, "instances": instances,
                                 "ratio": ratio, "same_plans": old_sha == new_sha,
-                                "old": old_rec, "new": new_rec})
+                                "makespan_change_pct": change, "old": old_rec, "new": new_rec})
                 print(f"{name} seed {seed}, {instances} instances: "
                       f"old {old.rate():.2f} solves/s, new {new.rate():.2f} solves/s, "
                       f"ratio {ratio:.3f}; plans old {old_sha[:16]} "
-                      f"new {new_sha[:16]} {'same' if old_sha == new_sha else 'DIFFER'}",
-                      flush=True)
+                      f"new {new_sha[:16]} {'same' if old_sha == new_sha else 'DIFFER'}, "
+                      f"mean makespan {change:+.3f}%", flush=True)
     if args.out is not None:
         args.out.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     return 0 if all(r["same_plans"] for r in records) else 1
