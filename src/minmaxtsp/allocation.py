@@ -2,25 +2,12 @@
 
 Stage 1 is three calls on plain per-vehicle mappings keyed by vehicle id:
 ``perturb_colocated_depots`` gives each vehicle's effective depot (a Point),
-``solve_load_balancing`` gives each vehicle's free targets (a frozenset), and
-``build_initial_solution`` routes each vehicle through those plus its
-required targets.  They are internal: ``heuristic.solve`` checks the
-instance and the generator once and passes them on.
-
-Free targets are distributed over the fleet at minimum total cost, every
-vehicle receiving at least a speed-proportional share of the work, where
-giving target t to vehicle j costs the depot-to-target travel time.  That is
-a transportation problem with k sinks, solved on the (free targets, k) cost
-matrix by successive shortest paths: every target starts at its cheapest
-vehicle, and each vehicle short of its share then receives targets one at a
-time along a cheapest chain of hand-overs from a vehicle above its share,
-found by Bellman-Ford over the k vehicles.  Each chain raises a short
-vehicle by one, lowers one vehicle above its share by one and leaves the rest
-as they were, so the stage ends after at most the sum of the shares.
-Vehicles parked on the same spot would see identical cost columns, so
-co-located depots are first teased apart on a small circle; the effective
-positions exist only inside the cost matrix and tours are always built from
-the true depots.
+``solve_load_balancing`` gives each vehicle's free targets (a frozenset) at
+minimum total depot-to-target travel time, every vehicle receiving at least
+its share (``min_target_counts``), and ``build_initial_solution`` routes each
+vehicle through those plus its required targets.  Each function's docstring
+states its rule.  They are internal: ``heuristic.solve`` checks the instance
+and the generator once and passes them on.
 """
 
 import math
@@ -53,7 +40,8 @@ def min_target_counts(inst: Instance) -> dict:
 
 
 def perturb_colocated_depots(inst: Instance, rng) -> dict:
-    """Effective depot position per vehicle id, for allocation costs only.
+    """Effective depot position per vehicle id, for allocation costs only:
+    vehicles parked on one spot would see identical cost columns.
 
     A vehicle alone on its depot keeps it.  Each group of m >= 2 vehicles
     sharing an exact depot position gets one random base angle; member i (in
@@ -93,15 +81,15 @@ def solve_load_balancing(inst: Instance, eff: dict) -> dict:
     not listed.  Raises InfeasibleAllocationError when the bounds demand more
     targets than are free.
 
-    Successive shortest paths (Ahuja, Magnanti & Orlin 1993, *Network
-    Flows*, ch. 9): every free target starts at its cheapest vehicle, which
-    is optimal while no bound binds.  Then, while some vehicle holds fewer
-    free targets than its bound, the lowest-id such vehicle receives one
-    along a cheapest path from a vehicle above its bound (``_cheapest_moves``);
-    the first vehicle loses one and stays at or above its bound, the vehicles
-    in between keep their counts, so the loop ends after at most
-    sum(lower_j) moves.  A single vehicle owes every free target and keeps
-    them all.
+    A transportation problem with k sinks, solved by successive shortest
+    paths (Ahuja, Magnanti & Orlin 1993, *Network Flows*, ch. 9): every free
+    target starts at its cheapest vehicle, which is optimal while no bound
+    binds.  Then, while some vehicle holds fewer free targets than its bound,
+    the lowest-id such vehicle receives one along a cheapest path from a
+    vehicle above its bound (``_cheapest_moves``); the first vehicle loses
+    one and stays at or above its bound, the vehicles in between keep their
+    counts, so the loop ends after at most sum(lower_j) moves.  A single
+    vehicle owes every free target and keeps them all.
 
     Tie rule: a target starts at the lowest-id cheapest vehicle, each edge
     moves the lowest-index target among its cheapest, and of equally cheap

@@ -146,20 +146,39 @@ class ExperimentReport:
 
     def summary(self) -> dict:
         """The aggregates by name, in the order the CSV writes them.  Gap and
-        oracle-time aggregates cover oracle rows only; over no rows, None."""
-        checked = [r for r in self.rows if r.oracle_obj is not None]
+        oracle-time aggregates cover oracle rows only; over no rows, None.
+
+        This is the report's one check (else InvalidConfigError): ``rows`` is
+        a list or tuple of ReportRows, each field a number (``is_real``) or
+        None, and a number wherever an aggregate reads it: ``t_heuristic_s``
+        in every row, every gap and ``t_oracle_s`` in an oracle row.
+        """
+        rows = self.rows
+        if not (isinstance(rows, (list, tuple)) and all(isinstance(r, ReportRow) for r in rows)):
+            raise InvalidConfigError(
+                f"report must be an ExperimentReport of ReportRows, got {self!r}")
+        for row in rows:
+            for name in REPORT_COLUMNS:
+                value = getattr(row, name)
+                if not (value is None or is_real(value)):
+                    raise InvalidConfigError(
+                        f"report row field {name} must be a number or None, got {value!r}")
+        checked = [r for r in rows if r.oracle_obj is not None]
 
         def mean(rows, name):
-            return sum(getattr(r, name) for r in rows) / len(rows) if rows else None
+            values = [getattr(r, name) for r in rows]
+            if None in values:
+                raise InvalidConfigError(f"report row field {name} is None where it is averaged")
+            return sum(values) / len(values) if values else None
 
         return {
             "mean_gap_init_pct": mean(checked, "gap_init_pct"),
             "mean_gap_ls_pct": mean(checked, "gap_ls_pct"),
             "mean_gap_final_pct": mean(checked, "gap_final_pct"),
             "max_gap_final_pct": max((r.gap_final_pct for r in checked), default=None),
-            "mean_t_heuristic_s": mean(self.rows, "t_heuristic_s"),
+            "mean_t_heuristic_s": mean(rows, "t_heuristic_s"),
             "mean_t_oracle_s": mean(checked, "t_oracle_s"),
-            "rows_without_oracle": len(self.rows) - len(checked),
+            "rows_without_oracle": len(rows) - len(checked),
         }
 
 
@@ -197,21 +216,14 @@ def _fmt(name: str, value) -> str:
 
 def write_report(report: ExperimentReport, path) -> None:
     """CSV with one row per instance and aggregate lines prefixed by '#'.
-    ``report`` must be an ExperimentReport whose rows are a list or tuple of
-    ReportRows, each field a number (``is_real``) or None, and ``path`` pass
-    ``check_path`` (else InvalidConfigError, before the file is opened)."""
-    if not (isinstance(report, ExperimentReport) and isinstance(report.rows, (list, tuple))
-            and all(isinstance(row, ReportRow) for row in report.rows)):
-        raise InvalidConfigError(
-            f"report must be an ExperimentReport of ReportRows, got {report!r}")
-    for row in report.rows:
-        for name in REPORT_COLUMNS:
-            value = getattr(row, name)
-            if not (value is None or is_real(value)):
-                raise InvalidConfigError(
-                    f"report row field {name} must be a number or None, got {value!r}")
+    ``report`` must be an ExperimentReport that passes ``summary``'s check,
+    and ``path`` pass ``check_path`` (else InvalidConfigError, before the
+    file is opened)."""
+    if not isinstance(report, ExperimentReport):
+        raise InvalidConfigError(f"report must be an ExperimentReport, got {report!r}")
+    summary = report.summary()
     text = io.StringIO()
     csv.writer(text).writerows([REPORT_COLUMNS] + [
         [_fmt(name, getattr(row, name)) for name in REPORT_COLUMNS] for row in report.rows])
-    text.writelines(f"# {name}={_fmt(name, value)}\n" for name, value in report.summary().items())
+    text.writelines(f"# {name}={_fmt(name, value)}\n" for name, value in summary.items())
     write_text(path, text.getvalue())

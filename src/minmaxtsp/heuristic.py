@@ -1,35 +1,14 @@
 """Three-stage min-max routing heuristic.
 
-Stage 1 builds a starting plan by load-balanced allocation plus per-vehicle
-tours.  Stage 2 repeatedly offloads targets from the longest tour: candidates
-are ranked by the time saved on the donor, each is quoted a cheapest insertion
-over the other vehicles, the receiver is re-routed and, only if its new tour
-stays below the makespan, so is the donor; the move sticks only if the fleet
-makespan strictly drops.  With heuristic tours the receiver is polished from
-its incumbent order with the target spliced in at the quoted edge, and the
-donor from its incumbent order with the target spliced out; an exact tour
-past ``EXACT_CAP`` targets is polished from the same orders.  With exact
-tours a receiver of fewer than ``EXACT_CAP`` targets is not re-routed when a
-lower bound on its new tour (its optimal tour plus the cheapest detour
-through the target between any two of its vertices) already reaches the
-makespan.  Every other receiver, whose new tour is polished, is re-routed
-only when its spliced tour (its duration plus the quoted delta) stays below
-the makespan times 1 + ``_SPLICE_MARGIN`` (0.1): a screen, not a bound, so
-it may move plans.  Stage 3 escapes local optima by displacing depots
-(radially, by half the sum of each tour's two depot-edge times) and
-re-optimizing on the displaced geometry; heuristic tours there are polished
-from the incumbent's orders, and the plan rebuilt at the true depots from
-the displaced plan's orders.  That plan is accepted only when strictly
-better, and the loop gives up after ``SolverConfig.no_improve_stop``
-straight rejections (5 by default).  Displacement angles march around the
-circle in 144-degree steps from a random start; five steps revisit the
-starting angle, so ``no_improve_stop`` is at most five.  Stages 2 and 3
-price with the instance's matrices, indexed by tour sequences as they stand
-(``DEPOT`` is the last row and column).  Stage 2 reads every receiver's
-tour once per pass (``_TourRead``); a quote then gathers one matrix row per
-receiver, which the exact symmetry of the matrices makes serve as both
-tm[a, t] and tm[t, b], and prices the edges in Python with the float
-expression and tie rules a numpy array of the same prices would give.
+Stage 1 (``allocation``) builds a starting plan by load-balanced allocation
+plus per-vehicle tours.  Stage 2, ``local_search``, offloads targets from the
+longest tour one at a time; ``_TourRead``, ``best_insertion``,
+``_insertion_lower_bound`` and ``_SPLICE_MARGIN`` tell how it prices and
+screens them.  Stage 3, ``perturbation_loop``, escapes local optima by
+displacing depots and searching again on the displaced geometry.  Every tour
+comes from ``tsp.solve_tsp``.  Stages 2 and 3 price with the instance's
+matrices, indexed by tour sequences as they stand (``DEPOT`` is the last row
+and column).
 
 ``solve`` is the entry point and checks its instance, config and generator
 once.  The stage functions are internal: they trust what ``solve`` hands them
@@ -46,7 +25,7 @@ from .allocation import (build_initial_solution, perturb_colocated_depots,
                          solve_load_balancing)
 from .model import (DEPOT, Instance, InvalidConfigError, Point, Solution, StageCheckError,
                     Tour, check_instance, is_integer, validate_solution)
-from .tsp import EXACT, EXACT_CAP, HEURISTIC, TourRequest, solve_tsp
+from .tsp import EXACT, HEURISTIC, TourRequest, held_karp_routes, solve_tsp
 
 # The displacement angle steps 144 degrees, so the schedule repeats after
 # PERTURBATION_PERIOD steps; no_improve_stop may not exceed it.
@@ -116,7 +95,8 @@ def compute_savings(sol: Solution, inst: Instance, vid: int) -> list:
 
 class _TourRead:
     """One tour as stage 2 prices insertions into it, read from the vehicle's
-    time matrix tm once and reused by every quote of a pass.
+    time matrix tm once and reused by every quote of a pass, so numpy's fixed
+    cost per call is paid once per pass, not once per offer.
 
     ``seq`` is the closed tour as a vertex array and ``hops`` its edge times
     tm[seq[p], seq[p + 1]] as Python floats.  ``row(t)`` lists tm[t, v] for
@@ -155,15 +135,13 @@ def _read_tours(sol: Solution, inst: Instance, exclude: int) -> list:
 
 
 def best_insertion(target: int, reads: list) -> tuple:
-    """Cheapest splice of ``target`` into any of the read tours, as
-    (vehicle id, edge position, delta).
+    """Cheapest splice of ``target`` into any of the read tours
+    (``_read_tours``, at least one), as (vehicle id, edge position, delta).
 
-    ``reads`` is ``_read_tours(sol, inst, exclude)``, at least one tour,
-    which a caller pricing many targets against one plan reads once and
-    passes to every call.  Every consecutive vertex pair (a, b) of every read
-    tour is priced as tm[a, t] + tm[t, b] - tm[a, b], from one row of the
-    matrix per tour; ties break toward the lower vehicle id, then the lower
-    edge position.
+    Every consecutive vertex pair (a, b) of every read tour is priced as
+    tm[a, t] + tm[t, b] - tm[a, b] in Python, with the float expression and
+    tie rules a numpy array of the same prices would give: ties break toward
+    the lower vehicle id, then the lower edge position.
     """
     best = None
     for read in reads:
@@ -182,21 +160,23 @@ def best_insertion(target: int, reads: list) -> tuple:
 # so is at least the triangle's perimeter), with one rounding per addition and
 # one per division by the speed.  Barring travel times that underflow (below
 # 2**-1022 and not zero), the computed bound exceeds the computed duration by
-# under (2 m + 9) 2**-53 relative, below 2**-47 for m up to EXACT_CAP; the
-# slack 2**-40 covers that a hundred times over, so a receiver the bound
-# rejects would also have been rejected by its Held-Karp tour.
+# under (2 m + 9) 2**-53 relative, below 2**-47 for m up to 27, past the
+# Held-Karp cap; the slack 2**-40 covers that a hundred times over, so a
+# receiver the bound rejects would also have been rejected by its Held-Karp
+# tour.
 _BOUND_SLACK = 1.0 + 2.0 ** -40
 
-# A receiver whose tour is polished is routed only when its spliced tour (its
-# tour with the target at the quoted edge, duration + delta) stays below the
-# makespan times 1 + _SPLICE_MARGIN.  This is a screen, not a bound: a polish
-# can shorten the spliced tour by more than the margin, so the screen may move
-# plans.  Without the screen, of about 47,000 polished receivers at n = 30-120
-# (two vehicles, scenarios 1 and 2, an 8-vehicle fleet) only 5 accepted moves
-# began from a spliced tour 10% or more over the makespan, the largest at 1.12
-# times it; of 34,416 more at another seed, 2 did, at 1.13 and 1.16 times it.
-# A margin of 0 sped the search 1.6-2.7x for up to +0.62% mean makespan, 0.05
-# up to +0.06%; 0.1 kept plans identical or within +0.03% at 1.3-1.5x.
+# A receiver whose new tour is polished, not a Held-Karp tour, is routed only
+# when its spliced tour (its tour with the target at the quoted edge, duration
+# + delta) stays below the makespan times 1 + _SPLICE_MARGIN.  This is a
+# screen, not a bound: a polish can shorten the spliced tour by more than the
+# margin, so the screen may move plans.  Without the screen, of about 47,000
+# polished receivers at n = 30-120 (two vehicles, scenarios 1 and 2, an
+# 8-vehicle fleet) only 5 accepted moves began from a spliced tour 10% or
+# more over the makespan, the largest at 1.12 times it; of 34,416 more at
+# another seed, 2 did, at 1.13 and 1.16 times it.  A margin of 0 sped the
+# search 1.6-2.7x for up to +0.62% mean makespan, 0.05 up to +0.06%; 0.1
+# kept plans identical or within +0.03% at 1.3-1.5x.
 _SPLICE_MARGIN = 0.1
 
 
@@ -209,8 +189,8 @@ def _insertion_lower_bound(target: int, read: _TourRead) -> float:
     costs at least the old tour's duration plus tm[a, t] + tm[t, b] - tm[a, b]
     minimised over a, b in the depot and the old targets.  Allowing a = b
     only lowers the minimum, needs no triangle inequality and covers the
-    empty tour, where it gives the exact round trip.  ``local_search``
-    shares ``read`` with the quotes of its pass.
+    empty tour, where it gives the exact round trip.  Stage 2 applies it to
+    a receiver whose current and new tours Held-Karp both routes.
     """
     to_target = read.row(target)[:-1]
     return read.tour.duration + min([a + b - ab for a, row in zip(to_target, read.pairs())
@@ -218,9 +198,13 @@ def _insertion_lower_bound(target: int, read: _TourRead) -> float:
 
 
 def _rebuild(inst: Instance, vid: int, order: tuple, cfg: SolverConfig):
-    """Vehicle vid's tour through ``order``'s targets: a warm request,
-    polished from ``order`` unless it is a Held-Karp tour."""
+    """Vehicle vid's tour through ``order``'s targets, asked warm."""
     return solve_tsp(TourRequest(inst, vid, order, cfg.tour_mode, warm=True))
+
+
+def _reroute(inst: Instance, plan: Solution, cfg: SolverConfig) -> Solution:
+    """Every tour of ``plan`` rebuilt on ``inst``'s geometry from its order."""
+    return Solution(tuple(_rebuild(inst, t.vehicle_id, t.targets(), cfg) for t in plan.tours))
 
 
 def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
@@ -228,47 +212,34 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
 
     Each pass takes the maximal vehicle's savings list in order, quotes the
     best receiver for the candidate, re-routes the receiver, and accepts the
-    first move that strictly lowers the makespan.  Heuristic tours are
-    polished from the incumbent orders: the receiver's with the target
-    spliced in at the quoted edge, the donor's with it spliced out.  The
-    makespan after a move is at least the receiver's new tour, so the donor
-    is re-routed only when that tour stays below the current makespan.  With
-    exact tours a receiver of fewer than ``EXACT_CAP`` targets is not even
-    re-routed when ``_insertion_lower_bound`` already reaches the makespan;
-    every other receiver, whose new tour is polished, is re-routed only when
-    its spliced tour, duration plus the quoted delta, stays below the
-    makespan times 1 + ``_SPLICE_MARGIN``.  That screen is not a bound: a
-    polish may bring a screened receiver below the makespan, so it can move
-    plans, which the bound never does.  The displaced searches of stage 3
-    run through this function, so the screen holds there too.
+    first move that strictly lowers the makespan.  A receiver is routed only
+    when it may help, as judged by ``_insertion_lower_bound`` when Held-Karp
+    routes its new tour and by the screen of ``_SPLICE_MARGIN`` otherwise.
+    The makespan after a move is at least the receiver's new tour, so the
+    donor is re-routed only when that tour stays below the current makespan.
     Savings are recomputed from the new plan after every accepted move; the
     search stops when every candidate on the maximal tour fails.  A fleet of
     one vehicle has no receiver, so its plan comes back as given.
 
-    Precondition with ``cfg.tour_mode == EXACT``: every tour of ``sol`` of
-    fewer than ``EXACT_CAP`` targets is an optimal (Held-Karp) tour on
-    ``inst``'s geometry, as ``solve_tsp`` builds it.  Only such a receiver is
-    bounded, and the bound rests on its new tour being one too.
+    Precondition with exact tours: every tour of ``sol`` that Held-Karp
+    routes is one on ``inst``'s geometry, as ``solve_tsp`` builds it.
     """
     if inst.k < 2:
         return sol
-    exact = cfg.tour_mode == EXACT
     current = sol
     while True:
         donor = current.maximal_vehicle()
-        entries = compute_savings(current, inst, donor)
         donor_order = current.tour_for(donor).targets()
         objective = current.objective
         hopeless = objective * _BOUND_SLACK
         screen = objective * (1.0 + _SPLICE_MARGIN)
         reads = _read_tours(current, inst, donor)
         read_of = {read.tour.vehicle_id: read for read in reads}
-        accepted = False
-        for target, _ in entries:
+        for target, _ in compute_savings(current, inst, donor):
             receiver, p, delta = best_insertion(target, reads)
             read = read_of[receiver]
             order = read.tour.targets()
-            if exact and len(order) < EXACT_CAP:
+            if held_karp_routes(cfg.tour_mode, len(order) + 1):
                 if _insertion_lower_bound(target, read) >= hopeless:
                     continue
             elif read.tour.duration + delta >= screen:
@@ -280,9 +251,8 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
             candidate = current.replace(donor_tour, receiver_tour)
             if candidate.objective < objective:
                 current = candidate
-                accepted = True
                 break
-        if not accepted:
+        else:
             return current
 
 
@@ -290,11 +260,10 @@ def perturbation_radius(sol: Solution, inst: Instance, vid: int) -> float:
     """Half the summed travel times of a tour's two depot edges, read from
     the depot row (index DEPOT) of the vehicle's ``distance_matrix``.
 
-    An empty tour pins its depot in place (radius zero).
+    An empty tour reads the depot's distance to itself twice, +0.0, so its
+    depot stays in place.
     """
     seq = sol.tour_for(vid).sequence
-    if len(seq) < 3:
-        return 0.0
     row = inst.distance_matrix(vid)[DEPOT]
     return float(row[seq[1]] + row[seq[-2]]) / (2.0 * inst.vehicle(vid).speed)
 
@@ -308,15 +277,15 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig):
     """Depot-displacement escape loop.  Returns (best solution, iterations).
 
     Each iteration displaces every depot by that vehicle's current radius at
-    the scheduled angle, rebuilds the incumbent assignment's tours on the
-    displaced geometry from its tour orders, runs the local search there,
-    then re-routes the resulting plan from the true depots, again from its
-    tour orders.  Only a strict makespan improvement is kept;
+    the scheduled angle, re-routes the incumbent's tours on the displaced
+    geometry, runs the local search there, then re-routes the resulting plan
+    at the true depots.  Only a strict makespan improvement is kept;
     ``cfg.no_improve_stop`` consecutive rejections end the loop.  Base angles
-    are drawn once per vehicle, in id order.  The radius, a travel time, is
-    applied directly as a displacement length.  The displaced instances are
-    ``with_depots`` copies.  A fleet of one vehicle has no receiver, so its
-    plan comes back after no iteration and no draw from ``rng``.
+    are drawn once per vehicle, in id order, and advance PERTURBATION_STEP
+    per iteration.  The radius, a travel time, is applied directly as a
+    displacement length.  The displaced instances are ``with_depots``
+    copies.  A fleet of one vehicle has no receiver, so its plan comes back
+    after no iteration and no draw from ``rng``.
     """
     if inst.k < 2:
         return sol, 0
@@ -333,13 +302,8 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig):
                 moved[v.id] = Point(v.depot.x + radius * math.cos(theta),
                                     v.depot.y + radius * math.sin(theta))
         displaced = inst.with_depots(moved)
-        shaken = Solution(tuple(
-            _rebuild(displaced, v.id, best.tour_for(v.id).targets(), cfg)
-            for v in inst.vehicles))
-        shaken = local_search(displaced, shaken, cfg)
-        candidate = Solution(tuple(
-            _rebuild(inst, v.id, shaken.tour_for(v.id).targets(), cfg)
-            for v in inst.vehicles))
+        shaken = local_search(displaced, _reroute(displaced, best, cfg), cfg)
+        candidate = _reroute(inst, shaken, cfg)
         if candidate.objective < best.objective:
             best = candidate
             rejects = 0

@@ -1,27 +1,12 @@
 """Single-vehicle tour sub-solver.
 
-A ``TourRequest`` names an instance, one of its vehicles, its targets in an
-order, a mode and whether it is warm; ``solve_tsp`` reads the vehicle's
-distance matrix and speed, and the exact-tour memo, from the instance.  Both
-are internal: the stages and the oracle build requests from data that
-``solve`` or ``exact_minmax`` has checked.  Two modes share that one entry
-point:
-
-* heuristic -- 2-opt and Or-opt (segment lengths 1..3), both
-  first-improvement with a fixed scan order, polish the order of a warm
-  request's targets, and a nearest-neighbor tour over a cold request's
-  targets in id order.  Stage 1 has no tour to start from and asks cold;
-  stages 2 and 3 ask warm, giving an incumbent tour, whole or with one
-  target spliced in or out, which is already nearly clean, so the polish
-  takes a step or two instead of the eight or so a nearest-neighbor tour
-  needs.  How a step prices and takes its moves is told at ``_improve``
-  and ``_step``; the tests keep plain scans as the reference, and every
-  tour, and every plan built from tours, is identical to the scans'.
-* exact -- Held-Karp dynamic program over target subsets (``_subset_dp``,
-  ``held_karp_order``), for a request of at most EXACT_CAP targets, warm or
-  cold; a longer exact request is polished as a heuristic one is, and the
-  oracle holds its subsets to the same cap.  Only Held-Karp tours are
-  memoized, per instance (``TspCache``).
+``solve_tsp`` routes one vehicle of an instance through the targets of a
+``TourRequest``, which says what a request holds and how a warm or cold one
+starts.  ``held_karp_routes`` decides which requests get a Held-Karp tour
+(``held_karp_order``, memoized per instance by ``TspCache``); every other
+request is polished by 2-opt and Or-opt (``_improve``).  Both are internal:
+the stages and the oracle build requests from data that ``solve`` or
+``exact_minmax`` has checked.
 
 All route decisions are made on raw distances; the vehicle speed only divides
 the final length, so the chosen order is invariant under speed scaling.
@@ -51,9 +36,14 @@ class TourRequest:
     A request holds the instance and what the caller chose, nothing the
     instance already owns, and is not checked: ``vehicle_id`` is one of the
     instance's vehicles, ``targets`` distinct target ids as Python ints and
-    ``mode`` HEURISTIC or EXACT.  A warm request is polished from the order
-    of its targets, a cold one from a nearest-neighbor tour; a Held-Karp
-    tour needs no order, so cold and exact requests may pass a set.
+    ``mode`` HEURISTIC or EXACT.  Unless Held-Karp routes it, a warm request
+    is polished from the order of its targets and a cold one from a
+    nearest-neighbor tour over its targets in id order.  Stage 1 has no tour
+    to start from and asks cold; stages 2 and 3 ask warm, with an incumbent
+    tour, whole or with one target spliced in or out, which is nearly clean,
+    so the polish takes a step or two where a nearest-neighbor tour takes
+    about eight.  A Held-Karp tour needs no order, so cold and exact
+    requests may pass a set.
     """
 
     inst: Instance
@@ -86,6 +76,13 @@ class TspCache:
 
     def __len__(self):
         return len(self._data)
+
+
+def held_karp_routes(mode: str, m: int) -> bool:
+    """Whether a request of m targets in ``mode`` gets its Held-Karp tour:
+    exact mode and at most EXACT_CAP targets.  A longer exact request is
+    polished as a heuristic one is, so exact mode plans every instance."""
+    return mode == EXACT and m <= EXACT_CAP
 
 
 def _nearest_neighbor(dist: np.ndarray) -> list:
@@ -352,20 +349,17 @@ def best_cycle_lengths(dist: np.ndarray) -> np.ndarray:
 def solve_tsp(req: TourRequest) -> Tour:
     """Route one vehicle through its targets per the request's mode.
 
-    An exact request of at most EXACT_CAP targets gets its Held-Karp tour,
-    keyed once, looked up in the instance's memo before any block is
-    gathered and stored there once solved.  Every other request is polished
-    from the order of its targets when it is warm, and from a
-    nearest-neighbor tour when it is cold.  Only the memo key and the
-    nearest-neighbor and Held-Karp blocks take the targets sorted, so their
-    order does not matter there.  The vehicle is looked up once, for the
-    depot, speed and distance matrix.
+    A Held-Karp request is keyed once and looked up in the instance's memo
+    before any block is gathered, and stored there once solved.  Only the
+    memo key and the nearest-neighbor and Held-Karp blocks take the targets
+    sorted, so their order does not matter there.  The vehicle is looked up
+    once, for the depot, speed and distance matrix.
     """
     inst, vid, targets = req.inst, req.vehicle_id, req.targets
     vehicle = inst.vehicles[vid - 1]
     if not targets:
         return Tour(vid, (DEPOT, DEPOT), 0.0)
-    if req.mode == EXACT and len(targets) <= EXACT_CAP:
+    if held_karp_routes(req.mode, len(targets)):
         ids = tuple(sorted(targets))
         key = (vehicle.depot.x, vehicle.depot.y, ids)
         memo = inst._cache.get(TspCache)

@@ -1,7 +1,7 @@
 """``tools/ab_plans.py``: a tree against itself gives equal plan hashes and
-exit 0; a tree whose plans or stage objectives differ gives exit 1; an
-unknown config, or one with no instance count, exit 2; ``--out`` writes one
-record per cell."""
+exit 0; a tree whose plans, stage objectives or stage plans differ gives
+exit 1; an unknown config, or one with no instance count, exit 2; ``--out``
+writes one record per cell."""
 
 import json
 import os
@@ -67,6 +67,26 @@ def test_a_tree_with_other_stage_objectives_exits_1(tmp_path):
     done = _run(ROOT, other)
     assert done.returncode == 1, done.stdout + done.stderr
     assert "DIFFER" in done.stdout
+
+
+def test_a_tree_with_other_stage_plans_exits_1(tmp_path):
+    # The final plans and every stage objective agree, but the StageTrace
+    # records a stage-2 plan whose tours run the other way round.
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    heuristic = other / "src" / "minmaxtsp" / "heuristic.py"
+    text = heuristic.read_text(encoding="utf-8")
+    stage_plan = "STAGE_LOCAL_SEARCH: improved,"
+    assert text.count(stage_plan) == 1
+    reversed_plan = ("STAGE_LOCAL_SEARCH: Solution(tuple(Tour(t.vehicle_id, t.sequence[::-1],"
+                     " t.duration) for t in improved.tours)),")
+    heuristic.write_text(text.replace(stage_plan, reversed_plan), encoding="utf-8")
+    done = _run(ROOT, other)
+    assert done.returncode == 1, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2 and all(line.endswith(" DIFFER, mean makespan +0.000%")
+                                   for line in lines), done.stdout
 
 
 def test_an_unknown_config_exits_2():

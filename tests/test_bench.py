@@ -197,6 +197,28 @@ class TestReportFile:
             write_report(ExperimentReport([good, row]), path)
         assert path.read_bytes() == b"old report\r\n"
 
+    @pytest.mark.parametrize("row, field", [
+        (ReportRow(0, 1.0, 1.0, 1.0, 1.0, None, None, None, 0.1, None), "gap_init_pct"),
+        (ReportRow(0, 1.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 0.1, None), "t_oracle_s"),
+        (ReportRow(0, 1.0, 1.0, 1.0, None, None, None, None, None, None), "t_heuristic_s"),
+    ], ids=["oracle_row_without_gaps", "oracle_row_without_time", "row_without_time"])
+    def test_a_field_an_aggregate_reads_leaves_the_file_alone(self, row, field, tmp_path):
+        # The first row once ended in a bare TypeError from summary's mean.
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"old report\r\n")
+        with pytest.raises(InvalidConfigError, match=f"field {field} is None where it is averaged"):
+            write_report(ExperimentReport([row]), path)
+        assert path.read_bytes() == b"old report\r\n"
+
+    def test_summary_is_the_reports_one_check(self):
+        # ExperimentReport(None).summary() once ended in a bare TypeError.
+        for rows in (None, [None], "rows"):
+            with pytest.raises(InvalidConfigError, match="ExperimentReport of ReportRows"):
+                ExperimentReport(rows).summary()
+        bad = ReportRow(0, "x", 1.0, 1.0, None, None, None, None, 0.1, None)
+        with pytest.raises(InvalidConfigError, match="field init_obj must be a number or None"):
+            ExperimentReport([bad]).summary()
+
     def test_round_trip(self, tmp_path):
         report = run_experiment(scenario1(n_targets=8, n_instances=3, seed=4, oracle=True))
         path = tmp_path / "report.csv"

@@ -579,12 +579,38 @@ class TestExactCap:
         assert validate_solution(inst, sol) == []
         assert max(len(t.targets()) for t in sol.tours) > EXACT_CAP
 
+    @pytest.mark.parametrize("m, bounded", [(EXACT_CAP - 1, True), (EXACT_CAP, False)])
+    def test_the_cap_splits_the_insertion_bound_from_the_splice_screen(self, m, bounded,
+                                                                      monkeypatch):
+        # The receiver's targets lie on a ray from its depot, so its tour out
+        # and back is optimal; either donor target would add about 2,800 to it.
+        targets = (Point(1000, 1010), Point(1010, 1000),
+                   *(Point(0.1 * (i + 1), 0) for i in range(m)))
+        inst = Instance(targets, (Vehicle(1, 1.0, Point(1000, 1000)),
+                                  Vehicle(2, 1.0, Point(0, 0))))
+        sol = Solution((_tour(inst, 1, (DEPOT, 0, 1, DEPOT)),
+                        _tour(inst, 2, (DEPOT, *range(2, m + 2), DEPOT))))
+        bounds, requests = [], []
+        real_bound, real_solve = heuristic._insertion_lower_bound, heuristic.solve_tsp
+        monkeypatch.setattr(heuristic, "_insertion_lower_bound",
+                            lambda t, read: bounds.append(t) or real_bound(t, read))
+        monkeypatch.setattr(heuristic, "solve_tsp",
+                            lambda req: requests.append(req.vehicle_id) or real_solve(req))
+        cfg = SolverConfig(tour_mode=EXACT)
+        assert local_search(inst, sol, cfg) is sol
+        assert (len(bounds), requests) == (2 if bounded else 0, [])
+        # With the screen wide open, only the receiver the bound does not
+        # judge is routed, once per donor target.
+        monkeypatch.setattr(heuristic, "_SPLICE_MARGIN", 1e9)
+        bounds.clear()
+        assert local_search(inst, sol, cfg) is sol
+        assert (len(bounds), requests) == ((2, []) if bounded else (0, [2, 2]))
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_capped_fleets())
     def test_every_plan_past_stage_1_routes_short_tours_exactly(self, case):
         cap, inst, seed = case
-        with mock.patch.object(tsp, "EXACT_CAP", cap), \
-                mock.patch.object(heuristic, "EXACT_CAP", cap):
+        with mock.patch.object(tsp, "EXACT_CAP", cap):
             try:
                 solve_load_balancing(
                     inst, perturb_colocated_depots(inst, np.random.default_rng(seed)))
