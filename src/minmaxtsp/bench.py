@@ -11,6 +11,7 @@ reproduced in isolation.
 import csv
 import io
 import math
+import sys
 import time
 from dataclasses import dataclass, fields
 
@@ -125,19 +126,42 @@ def generate_instance(cfg: ExperimentConfig, index: int) -> Instance:
 
 @dataclass
 class ReportRow:
+    """One instance's measurements: the objective after each stage, the
+    oracle's objective and the wall times.  The oracle's time is present
+    exactly when its objective is.  The gaps are derived from the objectives,
+    never stored, so a row cannot disagree with itself."""
+
     instance: int
     init_obj: float
     ls_obj: float
     final_obj: float
     oracle_obj: float | None
-    gap_init_pct: float | None
-    gap_ls_pct: float | None
-    gap_final_pct: float | None
     t_heuristic_s: float
     t_oracle_s: float | None
 
+    def _gap(self, obj) -> float | None:
+        # In Python floats: a numpy scalar would compute in its own dtype
+        # (float32's digits, int64's wrap-around).
+        if self.oracle_obj is None:
+            return None
+        opt = float(self.oracle_obj)
+        return 100.0 * (float(obj) - opt) / opt
 
-REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+    @property
+    def gap_init_pct(self) -> float | None:
+        return self._gap(self.init_obj)
+
+    @property
+    def gap_ls_pct(self) -> float | None:
+        return self._gap(self.ls_obj)
+
+    @property
+    def gap_final_pct(self) -> float | None:
+        return self._gap(self.final_obj)
+
+
+REPORT_COLUMNS = ("instance", "init_obj", "ls_obj", "final_obj", "oracle_obj",
+                  "gap_init_pct", "gap_ls_pct", "gap_final_pct", "t_heuristic_s", "t_oracle_s")
 
 
 @dataclass
@@ -148,28 +172,40 @@ class ExperimentReport:
         """The aggregates by name, in the order the CSV writes them.  Gap and
         oracle-time aggregates cover oracle rows only; over no rows, None.
 
-        This is the report's one check (else InvalidConfigError): ``rows`` is
-        a list or tuple of ReportRows, each field a number (``is_real``) or
-        None, and a number wherever an aggregate reads it: ``t_heuristic_s``
-        in every row, every gap and ``t_oracle_s`` in an oracle row.
+        This is the report's one check (else InvalidConfigError), made before
+        any gap is derived: ``rows`` is a list or tuple of ReportRows; each
+        field is a number (``is_real``) within +-float max, ``instance`` an
+        integer >= 0; ``oracle_obj`` and ``t_oracle_s`` may be None, but only
+        together, and ``oracle_obj`` is otherwise above 0.
         """
         rows = self.rows
         if not (isinstance(rows, (list, tuple)) and all(isinstance(r, ReportRow) for r in rows)):
             raise InvalidConfigError(
                 f"report must be an ExperimentReport of ReportRows, got {self!r}")
         for row in rows:
-            for name in REPORT_COLUMNS:
-                value = getattr(row, name)
-                if not (value is None or is_real(value)):
+            for field in fields(ReportRow):
+                value = getattr(row, field.name)
+                if value is None and field.name in ("oracle_obj", "t_oracle_s"):
+                    continue
+                # A numpy scalar is compared as the Python number it holds: beside a
+                # float32, the float max would overflow to inf.
+                plain = value.item() if isinstance(value, np.generic) else value
+                if not (is_real(value) and abs(plain) <= sys.float_info.max):
                     raise InvalidConfigError(
-                        f"report row field {name} must be a number or None, got {value!r}")
+                        f"report row field {field.name} must be a finite number, got {value!r}")
+            if not (is_integer(row.instance) and row.instance >= 0):
+                raise InvalidConfigError(
+                    f"report row field instance must be an integer >= 0, got {row.instance!r}")
+            if (row.oracle_obj is None) != (row.t_oracle_s is None) or (
+                    row.oracle_obj is not None and not row.oracle_obj > 0):
+                raise InvalidConfigError(
+                    f"report row fields oracle_obj and t_oracle_s must both be None, or"
+                    f" oracle_obj above 0 and t_oracle_s a number; got {row.oracle_obj!r}"
+                    f" and {row.t_oracle_s!r}")
         checked = [r for r in rows if r.oracle_obj is not None]
 
         def mean(rows, name):
-            values = [getattr(r, name) for r in rows]
-            if None in values:
-                raise InvalidConfigError(f"report row field {name} is None where it is averaged")
-            return sum(values) / len(values) if values else None
+            return sum(getattr(r, name) for r in rows) / len(rows) if rows else None
 
         return {
             "mean_gap_init_pct": mean(checked, "gap_init_pct"),
@@ -195,22 +231,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
         objectives = (trace.after_init, trace.after_local_search, trace.after_perturbation)
         oracle_obj = t_oracle = None
-        gaps = (None,) * len(objectives)
         if cfg.oracle and oracle_feasible(inst):
             t0 = time.perf_counter()
             oracle_obj = exact_minmax(inst).objective
             t_oracle = round(time.perf_counter() - t0, 3)
-            gaps = tuple(100.0 * (obj - oracle_obj) / oracle_obj for obj in objectives)
-        rows.append(ReportRow(index, *objectives, oracle_obj, *gaps, t_heur, t_oracle))
+        rows.append(ReportRow(index, *objectives, oracle_obj, t_heur, t_oracle))
     return ExperimentReport(rows)
 
 
 def _fmt(name: str, value) -> str:
-    """One CSV cell: NA for None, ints as ints, ``*_s`` times to 3 decimals, else 9."""
+    """One CSV cell, formatted by its column: NA for None, ``instance`` and
+    ``rows_without_oracle`` as integers, ``*_s`` times to 3 decimals, else 9."""
     if value is None:
         return "NA"
-    if isinstance(value, int):
-        return str(value)
+    if name in ("instance", "rows_without_oracle"):
+        return f"{value:d}"
     return f"{value:.{3 if name.endswith('_s') else 9}f}"
 
 

@@ -1,15 +1,20 @@
 """Benchmark protocol: seeded generation, experiment runs, and CSV reports."""
 
+import csv
 import dataclasses
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmaxtsp import (ExperimentConfig, ExperimentReport, InvalidConfigError,
                        generate_instance, run_experiment, scenario1, scenario2,
                        write_report)
-from minmaxtsp.bench import GRID, REPORT_COLUMNS, ReportRow
+from minmaxtsp.bench import GRID, REPORT_COLUMNS, ReportRow, _fmt
 from minmaxtsp.model import SPEED_MIN
 
 from conftest import report_records
@@ -184,29 +189,42 @@ class TestReportFile:
 
     @pytest.mark.parametrize("field, value", [("init_obj", "x"), ("instance", [0]),
                                               ("t_oracle_s", Fraction(1, 3)),
-                                              ("gap_final_pct", True)],
-                             ids=["str", "list", "fraction", "bool"])
+                                              ("final_obj", True), ("ls_obj", float("nan")),
+                                              ("oracle_obj", float("inf")),
+                                              ("init_obj", 10 ** 400)],
+                             ids=["str", "list", "fraction", "bool", "nan", "inf", "huge_int"])
     def test_a_field_that_is_no_number_leaves_the_file_alone(self, field, value, tmp_path):
         # A row with init_obj="x" once ended in a bare ValueError from the
-        # cell formatter.
+        # cell formatter; one of 10 ** 400 would end in an OverflowError.
         path = tmp_path / "report.csv"
         path.write_bytes(b"old report\r\n")
-        good = ReportRow(0, 12.5, 11.25, 10.0, None, None, None, None, 0.004, None)
+        good = ReportRow(0, 12.5, 11.25, 10.0, 9.5, 0.004, 0.012)
         row = dataclasses.replace(good, **{field: value})
-        with pytest.raises(InvalidConfigError, match=f"field {field} must be a number or None"):
+        with pytest.raises(InvalidConfigError, match=f"field {field} must be a finite number"):
             write_report(ExperimentReport([good, row]), path)
         assert path.read_bytes() == b"old report\r\n"
 
-    @pytest.mark.parametrize("row, field", [
-        (ReportRow(0, 1.0, 1.0, 1.0, 1.0, None, None, None, 0.1, None), "gap_init_pct"),
-        (ReportRow(0, 1.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 0.1, None), "t_oracle_s"),
-        (ReportRow(0, 1.0, 1.0, 1.0, None, None, None, None, None, None), "t_heuristic_s"),
-    ], ids=["oracle_row_without_gaps", "oracle_row_without_time", "row_without_time"])
-    def test_a_field_an_aggregate_reads_leaves_the_file_alone(self, row, field, tmp_path):
-        # The first row once ended in a bare TypeError from summary's mean.
+    @pytest.mark.parametrize("row, match", [
+        (ReportRow(0, 1.0, 1.0, 1.0, None, 0.1, 0.2), "oracle_obj and t_oracle_s"),
+        (ReportRow(0, 1.0, 1.0, 1.0, 1.0, 0.1, None), "oracle_obj and t_oracle_s"),
+        (ReportRow(0, 1.0, 1.0, 1.0, 0.0, 0.1, 0.2), "oracle_obj above 0"),
+        (ReportRow(0, 1.0, 1.0, 1.0, -2.0, 0.1, 0.2), "oracle_obj above 0"),
+        (ReportRow(0, 1.0, 1.0, 1.0, None, None, None), "field t_heuristic_s must be a finite"),
+        (ReportRow(None, 1.0, 1.0, 1.0, None, 0.1, None), "field instance must be a finite"),
+        (ReportRow(2.5, 1.0, 1.0, 1.0, None, 0.1, None), "instance must be an integer >= 0"),
+        (ReportRow(-2, 1.0, 1.0, 1.0, None, 0.1, None), "instance must be an integer >= 0"),
+        (ReportRow(np.int64(-1), 1.0, 1.0, 1.0, None, 0.1, None),
+         "instance must be an integer >= 0"),
+    ], ids=["time_without_oracle", "oracle_row_without_time", "zero_optimum", "negative_optimum",
+            "row_without_time", "no_instance", "fractional_instance", "negative_instance",
+            "negative_numpy_instance"])
+    def test_a_row_that_contradicts_itself_leaves_the_file_alone(self, row, match, tmp_path):
+        # A row with an oracle time but no oracle objective was once written
+        # with that time while mean_t_oracle_s read NA; a zero optimum would
+        # end in a bare ZeroDivisionError from the derived gap.
         path = tmp_path / "report.csv"
         path.write_bytes(b"old report\r\n")
-        with pytest.raises(InvalidConfigError, match=f"field {field} is None where it is averaged"):
+        with pytest.raises(InvalidConfigError, match=match):
             write_report(ExperimentReport([row]), path)
         assert path.read_bytes() == b"old report\r\n"
 
@@ -215,9 +233,42 @@ class TestReportFile:
         for rows in (None, [None], "rows"):
             with pytest.raises(InvalidConfigError, match="ExperimentReport of ReportRows"):
                 ExperimentReport(rows).summary()
-        bad = ReportRow(0, "x", 1.0, 1.0, None, None, None, None, 0.1, None)
-        with pytest.raises(InvalidConfigError, match="field init_obj must be a number or None"):
+        bad = ReportRow(0, "x", 1.0, 1.0, None, 0.1, None)
+        with pytest.raises(InvalidConfigError, match="field init_obj must be a finite number"):
             ExperimentReport([bad]).summary()
+
+    def test_a_row_stores_only_what_was_measured(self):
+        assert [f.name for f in dataclasses.fields(ReportRow)] == [
+            "instance", "init_obj", "ls_obj", "final_obj", "oracle_obj",
+            "t_heuristic_s", "t_oracle_s"]
+        # Stored gaps once let a row say 7% where its objectives gave -50%.
+        with pytest.raises(TypeError):
+            ReportRow(0, 1.0, 1.0, 1.0, 2.0, -50.0, 7.0, 9.0, 0.1, 0.2)
+        row = ReportRow(0, 1.0, 1.0, 1.0, 2.0, 0.1, 0.2)
+        assert (row.gap_init_pct, row.gap_ls_pct, row.gap_final_pct) == (-50.0,) * 3
+        with pytest.raises(AttributeError):
+            row.gap_final_pct = 7.0
+        no_oracle = ReportRow(0, 1.0, 1.0, 1.0, None, 0.1, None)
+        assert (no_oracle.gap_init_pct, no_oracle.gap_ls_pct, no_oracle.gap_final_pct) == (
+            None, None, None)
+
+    def test_each_column_has_one_format(self, tmp_path):
+        # The format once followed the value's type: a numpy instance index
+        # was written 3.000000000, an int objective 12, and an all-int row's
+        # max_gap_final_pct=25 beside mean_gap_final_pct=25.000000000.
+        path = tmp_path / "report.csv"
+        write_report(ExperimentReport([ReportRow(np.int64(3), 1.0, 1.0, 1.0, None, 0.1, None)]),
+                     path)
+        assert path.read_text().splitlines()[1] == "3,1.000000000,1.000000000,1.000000000," \
+                                                   "NA,NA,NA,NA,0.100,NA"
+        write_report(ExperimentReport([ReportRow(0, 12, 11, 10, 8, 1, 2)]), path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == ("0,12.000000000,11.000000000,10.000000000,8.000000000,"
+                            "50.000000000,37.500000000,25.000000000,1.000,2.000")
+        assert "# mean_gap_final_pct=25.000000000" in lines
+        assert "# max_gap_final_pct=25.000000000" in lines
+        assert "# mean_t_oracle_s=2.000" in lines
+        assert "# rows_without_oracle=0" in lines
 
     def test_round_trip(self, tmp_path):
         report = run_experiment(scenario1(n_targets=8, n_instances=3, seed=4, oracle=True))
@@ -263,10 +314,8 @@ class TestReportFile:
         assert "# mean_t_heuristic_s=NA" in path.read_text()
 
     def test_exact_text(self, tmp_path):
-        oracle, na = (ReportRow(0, 12.5, 11.25, 10.0, 9.5, 100 * 3.0 / 9.5,
-                                100 * 1.75 / 9.5, 100 * 0.5 / 9.5, 0.012, 0.345),
-                      ReportRow(1, 20.0, 19.0, 18.123456789, None, None, None, None,
-                                0.004, None))
+        oracle, na = (ReportRow(0, 12.5, 11.25, 10.0, 9.5, 0.012, 0.345),
+                      ReportRow(1, 20.0, 19.0, 18.123456789, None, 0.004, None))
         header = ",".join(REPORT_COLUMNS) + "\r\n"
         want = {
             "fixed": (header
@@ -287,3 +336,65 @@ class TestReportFile:
             path = tmp_path / f"{name}.csv"
             write_report(ExperimentReport(rows), path)
             assert path.read_bytes().decode("utf-8") == want[name]
+
+
+def _numbers(low, high):
+    """Python and numpy numbers in [low, high]."""
+    floats = st.floats(low, high, allow_nan=False)
+    ints = st.integers(int(np.ceil(low)), int(high))
+    return st.one_of(floats, floats.map(np.float64), floats.map(np.float32),
+                     ints, ints.map(np.int64), ints.map(np.int32))
+
+
+@st.composite
+def _rows(draw):
+    instance = draw(st.integers(0, 10 ** 6).flatmap(
+        lambda i: st.sampled_from([i, np.int64(i), np.uint32(i)])))
+    objectives = [draw(_numbers(-1e6, 1e6)) for _ in range(3)]
+    oracle = draw(st.booleans())
+    oracle_obj = draw(_numbers(1e-3, 1e6)) if oracle else None
+    t_oracle = draw(_numbers(0, 100)) if oracle else None
+    return ReportRow(instance, *objectives, oracle_obj, draw(_numbers(0, 100)), t_oracle)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(_rows(), max_size=6))
+def test_a_written_report_agrees_with_itself(rows):
+    # A row once stored its gaps beside the objectives they came from, so a
+    # file could write gaps that its own objectives and '#' lines contradict.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.csv"
+        write_report(ExperimentReport(rows), path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines()
+    table = list(csv.reader(line for line in lines if not line.startswith("#")))
+    assert tuple(table[0]) == REPORT_COLUMNS
+    checked = []
+    for row, cells in zip(rows, table[1:], strict=True):
+        cells = dict(zip(REPORT_COLUMNS, cells, strict=True))
+        if row.oracle_obj is None:
+            assert [cells[c] for c in ("oracle_obj", "gap_init_pct", "gap_ls_pct",
+                                       "gap_final_pct", "t_oracle_s")] == ["NA"] * 5
+            continue
+        opt = float(row.oracle_obj)
+        gaps = {f"gap_{stage}_pct": 100.0 * (float(getattr(row, f"{stage}_obj")) - opt) / opt
+                for stage in ("init", "ls", "final")}
+        assert {c: cells[c] for c in gaps} == {c: _fmt(c, g) for c, g in gaps.items()}
+        assert cells["t_oracle_s"] != "NA"
+        checked.append((gaps, row.t_oracle_s))
+
+    def mean(values):
+        values = list(values)
+        return sum(values) / len(values) if values else None
+
+    want = {
+        "mean_gap_init_pct": mean(g["gap_init_pct"] for g, _ in checked),
+        "mean_gap_ls_pct": mean(g["gap_ls_pct"] for g, _ in checked),
+        "mean_gap_final_pct": mean(g["gap_final_pct"] for g, _ in checked),
+        "max_gap_final_pct": max((g["gap_final_pct"] for g, _ in checked), default=None),
+        "mean_t_heuristic_s": mean(r.t_heuristic_s for r in rows),
+        "mean_t_oracle_s": mean(t for _, t in checked),
+        "rows_without_oracle": len(rows) - len(checked),
+    }
+    got = [line[2:].split("=", 1) for line in lines if line.startswith("#")]
+    assert got == [[name, _fmt(name, value)] for name, value in want.items()]
