@@ -28,29 +28,30 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--svg", metavar="OUT_PREFIX",
                          help="write per-stage tour drawings OUT_PREFIX_<stage>.svg")
 
-    for name in ("bench", "gen"):
-        p = sub.add_parser(name, help=("run a benchmark and write a report CSV"
-                                       if name == "bench" else
-                                       "generate one benchmark instance file"))
-        p.add_argument("--scenario", type=int, choices=(1, 2), required=True)
-        p.add_argument("--n-targets", type=int, default=30)
-        p.add_argument("--assign-frac", type=float, default=0.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", required=True)
-        if name == "bench":
-            p.add_argument("--instances", type=int, default=20)
-            p.add_argument("--oracle", action="store_true")
-        else:
-            p.add_argument("--index", type=int, default=0,
-                           help="instance index within the seeded run")
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--scenario", type=int, choices=(1, 2), required=True)
+    experiment.add_argument("--n-targets", type=int, default=30)
+    experiment.add_argument("--assign-frac", type=float, default=0.0)
+    experiment.add_argument("--seed", type=int, default=0)
+    experiment.add_argument("--out", required=True)
+
+    p_bench = sub.add_parser("bench", parents=[experiment],
+                             help="run a benchmark and write a report CSV")
+    p_bench.add_argument("--instances", type=int, default=20)
+    p_bench.add_argument("--oracle", action="store_true")
+
+    p_gen = sub.add_parser("gen", parents=[experiment],
+                           help="generate one benchmark instance file")
+    p_gen.add_argument("--index", type=int, default=0,
+                       help="instance index within the seeded run")
     return parser
 
 
-def _experiment_config(args, n_instances: int = 1) -> bench.ExperimentConfig:
+def _experiment_config(args, n_instances: int = 1,
+                       oracle: bool = False) -> bench.ExperimentConfig:
     preset = bench.scenario1 if args.scenario == 1 else bench.scenario2
     return preset(n_targets=args.n_targets, assign_fraction=args.assign_frac,
-                  seed=args.seed, n_instances=n_instances,
-                  oracle=getattr(args, "oracle", False))
+                  seed=args.seed, n_instances=n_instances, oracle=oracle)
 
 
 def _cmd_solve(args) -> int:
@@ -81,7 +82,7 @@ def _write_trace(path, trace) -> None:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _experiment_config(args, n_instances=args.instances)
+    cfg = _experiment_config(args, n_instances=args.instances, oracle=args.oracle)
     report = bench.run_experiment(cfg)
     bench.write_report(report, args.out)
     summary = report.summary()

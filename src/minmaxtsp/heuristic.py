@@ -61,18 +61,28 @@ class SolverConfig:
 
 @dataclass
 class StageTrace:
-    """Objectives, iteration count, wall times and plans per pipeline stage.
+    """Plan and wall time per pipeline stage, plus the perturbation iteration
+    count.
 
     The stage plans are the solutions ``solve`` built, not copies, keyed in
-    the order the stages ran.
+    the order the stages ran.  A stage's objective is read from its plan.
     """
 
-    after_init: float
-    after_local_search: float
-    after_perturbation: float
-    iterations: int
-    wall_times: dict
     stage_solutions: dict
+    wall_times: dict
+    iterations: int
+
+    @property
+    def after_init(self) -> float:
+        return self.stage_solutions[STAGE_INIT].objective
+
+    @property
+    def after_local_search(self) -> float:
+        return self.stage_solutions[STAGE_LOCAL_SEARCH].objective
+
+    @property
+    def after_perturbation(self) -> float:
+        return self.stage_solutions[STAGE_PERTURBATION].objective
 
 
 def compute_savings(sol: Solution, inst: Instance, vid: int) -> list:
@@ -353,9 +363,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None, rng=0):
     _checked(inst, final, STAGE_PERTURBATION)
     t3 = time.perf_counter()
 
-    return final, StageTrace(initial.objective, improved.objective, final.objective,
-                             iterations,
+    return final, StageTrace({STAGE_INIT: initial, STAGE_LOCAL_SEARCH: improved,
+                              STAGE_PERTURBATION: final},
                              {STAGE_INIT: t1 - t0, STAGE_LOCAL_SEARCH: t2 - t1,
                               STAGE_PERTURBATION: t3 - t2},
-                             {STAGE_INIT: initial, STAGE_LOCAL_SEARCH: improved,
-                              STAGE_PERTURBATION: final})
+                             iterations)

@@ -1,7 +1,7 @@
 """``tools/ab_plans.py``: a tree against itself gives equal plan hashes and
-exit 0; a tree whose plans, stage objectives or stage plans differ gives
-exit 1; an unknown config, or one with no instance count, exit 2; ``--out``
-writes one record per cell."""
+exit 0; a tree whose plans, stage plans or stage tour durations differ
+gives exit 1; an unknown config, or one with no instance count, exit 2;
+``--out`` writes one record per cell."""
 
 import json
 import os
@@ -52,21 +52,26 @@ def test_a_tree_with_other_plans_exits_1(tmp_path):
         assert line.endswith(f" DIFFER, mean makespan {change:+.3f}%")
 
 
-def test_a_tree_with_other_stage_objectives_exits_1(tmp_path):
-    # The final plans agree, but the StageTrace reports another stage-2
-    # objective: bench would write another ls_obj column.
+def test_a_tree_with_other_short_tour_durations_exits_1(tmp_path):
+    # The final plans, every stage plan's sequences and every stage objective
+    # agree, but the stage-2 plan records another duration on each tour that
+    # is not the longest.
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src", other / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     heuristic = other / "src" / "minmaxtsp" / "heuristic.py"
     text = heuristic.read_text(encoding="utf-8")
-    stage_trace = "StageTrace(initial.objective, improved.objective,"
-    assert text.count(stage_trace) == 1
-    heuristic.write_text(text.replace(stage_trace, "StageTrace(initial.objective, -1.0,"),
-                         encoding="utf-8")
+    stage_plan = "STAGE_LOCAL_SEARCH: improved,"
+    assert text.count(stage_plan) == 1
+    shortened = ("STAGE_LOCAL_SEARCH: Solution(tuple(Tour(t.vehicle_id, t.sequence,"
+                 " t.duration if t.duration == improved.objective else t.duration / 2)"
+                 " for t in improved.tours)),")
+    heuristic.write_text(text.replace(stage_plan, shortened), encoding="utf-8")
     done = _run(ROOT, other)
     assert done.returncode == 1, done.stdout + done.stderr
-    assert "DIFFER" in done.stdout
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2 and all(line.endswith(" DIFFER, mean makespan +0.000%")
+                                   for line in lines), done.stdout
 
 
 def test_a_tree_with_other_stage_plans_exits_1(tmp_path):

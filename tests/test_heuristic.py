@@ -721,6 +721,17 @@ class TestSolvePipeline:
         assert set(stages) == {STAGE_INIT, STAGE_LOCAL_SEARCH, STAGE_PERTURBATION}
         assert stages[STAGE_PERTURBATION] is sol
         assert stages[STAGE_INIT].objective == trace.after_init
+        # The trace stores each stage once: its objectives are read from the plans.
+        assert [f.name for f in dataclasses.fields(heuristic.StageTrace)] == [
+            "stage_solutions", "wall_times", "iterations"]
+        for k in (1, 3):
+            _, trace = solve(random_instance(rng, n=9, k=k), rng=2)
+            stages = trace.stage_solutions
+            assert trace.after_init == stages[STAGE_INIT].objective
+            assert trace.after_local_search == stages[STAGE_LOCAL_SEARCH].objective
+            assert trace.after_perturbation == stages[STAGE_PERTURBATION].objective
+        with pytest.raises(AttributeError):
+            trace.after_init = 0.0
 
     def test_early_stages_scale_even_without_the_flag(self):
         rng = np.random.default_rng(81)

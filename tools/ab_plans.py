@@ -10,16 +10,14 @@ process.  For every seed, instance i is generated by each tree's own
 ``bench.generate_instance`` and solved by each tree's ``heuristic.solve``
 with ``rng = default_rng((seed, i))``, the two trees alternating which goes
 first from one instance to the next; only the solves are timed.  Plans are
-hashed per tree with SHA-256 over every plan's tour sequences, the ``repr``
-of its objective, its perturbation iteration count, the ``repr`` of the
-objectives after stages 1 and 2 (``StageTrace.after_init`` and
-``after_local_search``, which ``bench`` reports as ``init_obj`` and
-``ls_obj``) and the tour sequences of every stage plan
-(``StageTrace.stage_solutions``), so a change that moves a stage's plan but
-ends on the same final plan differs too, even when that stage's objective
-stays.  Records written before the stage plans' sequences were hashed carry
-other ``plan_sha256`` values for the same plans; compare hashes only within
-one run of this script.
+hashed per tree with SHA-256 over, for each stage plan in order
+(``StageTrace.stage_solutions``), every tour's sequence and the ``repr`` of
+its duration, plus the perturbation iteration count.  The final plan is the
+perturbation stage's plan, and every stage objective is the largest of its
+plan's durations, so a change that moves any stage's tours or durations
+differs, even when the final plan and every objective stay.  Records written
+under another hash recipe carry other ``plan_sha256`` values for the same
+plans; compare hashes only within one run of this script.
 
 Configs: the workloads of ``perfbench/harness.py`` (``WORKLOADS``, read from
 the checkout this script sits in; instance i of seed s is bench instance i
@@ -121,10 +119,8 @@ class Side:
         self.makespans.append(sol.objective)
         for stage, seconds in trace.wall_times.items():
             self.stages[stage] = self.stages.get(stage, 0.0) + seconds
-        plan = ([list(t.sequence) for t in sol.tours], repr(sol.objective), trace.iterations,
-                repr(trace.after_init), repr(trace.after_local_search),
-                [[list(t.sequence) for t in stage.tours]
-                 for stage in trace.stage_solutions.values()])
+        plan = ([[(list(t.sequence), repr(t.duration)) for t in stage.tours]
+                 for stage in trace.stage_solutions.values()], trace.iterations)
         self.digest.update(repr(plan).encode())
 
     def rate(self) -> float:
