@@ -2,7 +2,8 @@
 
 Stage 1 (``allocation``) builds a starting plan by load-balanced allocation
 plus per-vehicle tours.  Stage 2, ``local_search``, offloads targets from the
-longest tour one at a time; ``_TourRead``, ``best_insertion``,
+longest tour one at a time, reading every tour, the donor's too, once per
+pass (``_TourRead``); ``compute_savings``, ``best_insertion``,
 ``_insertion_lower_bound`` and ``_SPLICE_MARGIN`` tell how it prices and
 screens them.  Stage 3, ``perturbation_loop``, escapes local optima by
 displacing depots and searching again on the displaced geometry.  Every tour
@@ -85,52 +86,29 @@ class StageTrace:
         return self.stage_solutions[STAGE_PERTURBATION].objective
 
 
-def compute_savings(sol: Solution, inst: Instance, vid: int) -> list:
-    """Time saved on vehicle vid's tour by splicing out each removable target,
-    as (target, value) pairs.
-
-    Pre-assigned targets are never candidates.  Pairs come back sorted by
-    decreasing value, ties by ascending target index.
-    """
-    tm = inst.time_matrix(vid)
-    pinned = inst.required_for(vid)
-    seq = sol.tour_for(vid).sequence
-    ix = np.array(seq)
-    hops = tm[ix[:-1], ix[1:]]
-    values = (hops[:-1] + hops[1:] - tm[ix[:-2], ix[2:]]).tolist()
-    # Negation is exact, so -(-value) has the bits of value.
-    ranked = sorted([(-value, t) for t, value in zip(seq[1:-1], values) if t not in pinned])
-    return [(t, -neg) for neg, t in ranked]
-
-
 class _TourRead:
-    """One tour as stage 2 prices insertions into it, read from the vehicle's
-    time matrix tm once and reused by every quote of a pass, so numpy's fixed
-    cost per call is paid once per pass, not once per offer.
+    """One tour as stage 2 prices it, read from the vehicle's time matrix tm
+    once per pass, whether it gives or takes, so numpy's fixed cost per call
+    is paid once per tour and pass, not once per offer.
 
     ``seq`` is the closed tour as a vertex array and ``hops`` its edge times
     tm[seq[p], seq[p + 1]] as Python floats.  ``row(t)`` lists tm[t, v] for
-    every vertex v of ``seq``, once per target; the matrix is exactly
-    symmetric (``model.distances``), so the same row gives tm[v, t].
-    ``pairs()`` lists tm[a, b] over every pair of the tour's vertices but
-    the closing depot, once, on first use.
+    every vertex v of ``seq``, which is tm[v, t] too: the matrix is exactly
+    symmetric (``model.distances``).  ``pairs()`` lists tm[a, b] over every
+    pair of the tour's vertices but the closing depot, once, on first use.
     """
 
-    __slots__ = ("tour", "tm", "seq", "hops", "_rows", "_pairs")
+    __slots__ = ("tour", "tm", "seq", "hops", "_pairs")
 
     def __init__(self, inst: Instance, tour: Tour):
         self.tour = tour
         self.tm = inst.time_matrix(tour.vehicle_id)
         self.seq = np.array(tour.sequence)
         self.hops = self.tm[self.seq[:-1], self.seq[1:]].tolist()
-        self._rows = {}
         self._pairs = None
 
     def row(self, target: int) -> list:
-        row = self._rows.get(target)
-        if row is None:
-            row = self._rows[target] = self.tm[target][self.seq].tolist()
-        return row
+        return self.tm[target][self.seq].tolist()
 
     def pairs(self) -> list:
         if self._pairs is None:
@@ -139,19 +117,29 @@ class _TourRead:
         return self._pairs
 
 
-def _read_tours(sol: Solution, inst: Instance, exclude: int) -> list:
-    """A ``_TourRead`` of every tour but the excluded vehicle's, in id order."""
-    return [_TourRead(inst, sol.tour_for(v.id)) for v in inst.vehicles if v.id != exclude]
+def compute_savings(read: _TourRead, inst: Instance) -> list:
+    """Time saved on the read tour by splicing out each removable target, as
+    (target, value) pairs, from the read's ``hops`` and one gather of skip edges.
+
+    Pre-assigned targets are never candidates.  Pairs come back sorted by
+    decreasing value, ties by ascending target index.
+    """
+    hops, seq = read.hops, read.seq
+    values = [a + b - s for a, b, s in zip(hops, hops[1:], read.tm[seq[:-2], seq[2:]].tolist())]
+    pinned = inst.required_for(read.tour.vehicle_id)
+    # Negation is exact, so -(-value) has the bits of value.
+    ranked = sorted([(-v, t) for t, v in zip(read.tour.targets(), values) if t not in pinned])
+    return [(t, -neg) for neg, t in ranked]
 
 
 def best_insertion(target: int, reads: list) -> tuple:
-    """Cheapest splice of ``target`` into any of the read tours
-    (``_read_tours``, at least one), as (vehicle id, edge position, delta).
+    """Cheapest splice of ``target`` into any of the read tours (at least one,
+    in vehicle-id order), as (read, edge position, delta).
 
     Every consecutive vertex pair (a, b) of every read tour is priced as
     tm[a, t] + tm[t, b] - tm[a, b] in Python, with the float expression and
     tie rules a numpy array of the same prices would give: ties break toward
-    the lower vehicle id, then the lower edge position.
+    the earlier read, then the lower edge position.
     """
     best = None
     for read in reads:
@@ -159,7 +147,7 @@ def best_insertion(target: int, reads: list) -> tuple:
         deltas = [a + b - ab for a, b, ab in zip(row, row[1:], read.hops)]
         delta = min(deltas)
         if best is None or delta < best[2]:
-            best = (read.tour.vehicle_id, deltas.index(delta), delta)
+            best = (read, deltas.index(delta), delta)
     return best
 
 
@@ -220,16 +208,17 @@ def _reroute(inst: Instance, plan: Solution, cfg: SolverConfig) -> Solution:
 def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
     """Offload the longest tour until no candidate transfer improves the plan.
 
-    Each pass takes the maximal vehicle's savings list in order, quotes the
-    best receiver for the candidate, re-routes the receiver, and accepts the
-    first move that strictly lowers the makespan.  A receiver is routed only
-    when it may help, as judged by ``_insertion_lower_bound`` when Held-Karp
-    routes its new tour and by the screen of ``_SPLICE_MARGIN`` otherwise.
-    The makespan after a move is at least the receiver's new tour, so the
-    donor is re-routed only when that tour stays below the current makespan.
-    Savings are recomputed from the new plan after every accepted move; the
-    search stops when every candidate on the maximal tour fails.  A fleet of
-    one vehicle has no receiver, so its plan comes back as given.
+    Each pass reads every tour once and takes the maximal vehicle's read out
+    as the donor, the rest as receivers.  It takes the donor's savings list
+    in order, quotes the best receiver for the candidate, re-routes the
+    receiver, and accepts the first move that strictly lowers the makespan.
+    A receiver is routed only when it may help, as judged by
+    ``_insertion_lower_bound`` when Held-Karp routes its new tour and by the
+    screen of ``_SPLICE_MARGIN`` otherwise.  The makespan after a move is at
+    least the receiver's new tour, so the donor is re-routed only when that
+    tour stays below the current makespan.  The search stops when every
+    candidate on the maximal tour fails; a fleet of one vehicle has no
+    receiver, so its plan comes back as given.
 
     Precondition with exact tours: every tour of ``sol`` that Held-Karp
     routes is one on ``inst``'s geometry, as ``solve_tsp`` builds it.
@@ -238,16 +227,15 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
         return sol
     current = sol
     while True:
-        donor = current.maximal_vehicle()
-        donor_order = current.tour_for(donor).targets()
+        receivers = [_TourRead(inst, tour) for tour in current.tours]
+        donor = receivers.pop(current.maximal_vehicle() - 1)
+        donor_id, donor_order = donor.tour.vehicle_id, donor.tour.targets()
         objective = current.objective
         hopeless = objective * _BOUND_SLACK
         screen = objective * (1.0 + _SPLICE_MARGIN)
-        reads = _read_tours(current, inst, donor)
-        read_of = {read.tour.vehicle_id: read for read in reads}
-        for target, _ in compute_savings(current, inst, donor):
-            receiver, p, delta = best_insertion(target, reads)
-            read = read_of[receiver]
+        for target, _ in compute_savings(donor, inst):
+            read, p, delta = best_insertion(target, receivers)
+            receiver = read.tour.vehicle_id
             order = read.tour.targets()
             if held_karp_routes(cfg.tour_mode, len(order) + 1):
                 if _insertion_lower_bound(target, read) >= hopeless:
@@ -257,7 +245,7 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
             receiver_tour = _rebuild(inst, receiver, order[:p] + (target,) + order[p:], cfg)
             if receiver_tour.duration >= objective:
                 continue
-            donor_tour = _rebuild(inst, donor, tuple(t for t in donor_order if t != target), cfg)
+            donor_tour = _rebuild(inst, donor_id, tuple(t for t in donor_order if t != target), cfg)
             candidate = current.replace(donor_tour, receiver_tour)
             if candidate.objective < objective:
                 current = candidate

@@ -10,11 +10,11 @@ Layout::
 
 Vehicle ids are implicit list positions (1-based), written in ``required``
 as decimal keys without leading zeros.  The reader checks only the
-document's shape, and refuses an object that repeats a key; coordinates
-and speeds are passed to ``Instance`` as parsed (JSON integers stay ints)
-and checked there, by ``is_point`` and ``is_speed``.  Floats are written
-with ``repr`` precision and ints as ints, so load(dump(inst)) reproduces the
-instance exactly.
+document's shape, and refuses an object that repeats a key or holds one the
+layout does not name; coordinates and speeds are passed to ``Instance`` as
+parsed (JSON integers stay ints) and checked there, by ``is_point`` and
+``is_speed``.  Floats are written with ``repr`` precision and ints as ints,
+so load(dump(inst)) reproduces the instance exactly.
 """
 
 import json
@@ -40,6 +40,8 @@ def instance_from_json(text: str) -> Instance:
     """Parse an instance document; any malformed part raises InvalidInstanceError."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
+        _known_keys(("targets", "vehicles", "required"), doc)
+        _known_keys(("speed", "depot"), *doc["vehicles"])
         targets = tuple(Point(*xy) for xy in doc["targets"])
         vehicles = tuple(Vehicle(i, v["speed"], Point(*v["depot"]))
                          for i, v in enumerate(doc["vehicles"], start=1))
@@ -61,6 +63,14 @@ def _unique_keys(pairs) -> dict:
             raise ValueError(f"duplicate key {key!r}")
         doc[key] = value
     return doc
+
+
+def _known_keys(keys: tuple, *objects) -> None:
+    # Reading only the named keys would pass over a misspelt one unseen.
+    for obj in objects:
+        for key in obj if isinstance(obj, dict) else ():
+            if key not in keys:
+                raise ValueError(f"unknown key {key!r}; expected {', '.join(keys)}")
 
 
 def _vehicle_key(key: str) -> int:

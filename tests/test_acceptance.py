@@ -18,7 +18,7 @@ from minmaxtsp import (DEPOT, Solution, SolverConfig, Tour, bench, exact_minmax,
 from minmaxtsp.allocation import (min_target_counts, perturb_colocated_depots,
                                   solve_load_balancing)
 from minmaxtsp.cli import main as cli_main
-from minmaxtsp.heuristic import (_read_tours, best_insertion, compute_savings,
+from minmaxtsp.heuristic import (_TourRead, best_insertion, compute_savings,
                                  perturbation_angle, perturbation_loop)
 from minmaxtsp.tsp import TourRequest, held_karp_order, solve_tsp
 
@@ -176,13 +176,14 @@ def test_c6_savings_and_insertion_formulas():
         donor = solve_tsp(TourRequest(inst, 1, range(8)))
         host = solve_tsp(TourRequest(inst, 2, (8, 9, 10)))
         sol = Solution((donor, host))
-        reads = _read_tours(sol, inst, 1)
-        for target, value in compute_savings(sol, inst, 1):
+        donor_read, host_read = (_TourRead(inst, tour) for tour in sol.tours)
+        for target, value in compute_savings(donor_read, inst):
             seq = list(donor.sequence)
             seq.remove(target)
             gain = donor.duration - tour_duration(inst, Tour(1, tuple(seq), 0.0))
-            vid, position, delta = best_insertion(target, reads)
-            into = sol.tour_for(vid)
+            read, position, delta = best_insertion(target, [host_read])
+            into = read.tour
+            vid = into.vehicle_id
             seq2 = list(into.sequence)
             seq2.insert(position + 1, target)
             cost = tour_duration(inst, Tour(vid, tuple(seq2), 0.0)) - into.duration

@@ -39,13 +39,18 @@ def _two_target_line():
     return inst, sol
 
 
+def _savings(sol, inst, vid):
+    """``compute_savings`` of a fresh read of vehicle vid's tour."""
+    return compute_savings(heuristic._TourRead(inst, sol.tour_for(vid)), inst)
+
+
 class TestComputeSavings:
     def test_values_and_ordering(self):
         targets = (Point(3, 4), Point(6, 0))
         inst = Instance(targets, (Vehicle(1, 2.0, Point(0, 0)),
                                   Vehicle(2, 1.0, Point(20, 0))))
         sol = Solution((_tour(inst, 1, (DEPOT, 0, 1, DEPOT)), _tour(inst, 2, (DEPOT, DEPOT))))
-        (first, first_value), (second, second_value) = compute_savings(sol, inst, 1)
+        (first, first_value), (second, second_value) = _savings(sol, inst, 1)
         assert (first, second) == (1, 0)
         assert second_value == pytest.approx(2.0)       # (5 + 5 - 6) / 2
         assert first_value == pytest.approx(3.0)        # (5 + 6 - 5) / 2
@@ -55,14 +60,14 @@ class TestComputeSavings:
         inst = Instance(targets, (Vehicle(1, 2.0, Point(0, 0)),
                                   Vehicle(2, 1.0, Point(20, 0))), {1: [0]})
         sol = Solution((_tour(inst, 1, (DEPOT, 0, 1, DEPOT)), _tour(inst, 2, (DEPOT, DEPOT))))
-        assert [t for t, _ in compute_savings(sol, inst, 1)] == [1]
+        assert [t for t, _ in _savings(sol, inst, 1)] == [1]
 
     def test_fully_pinned_tour_offers_nothing(self):
         targets = (Point(3, 4), Point(6, 0))
         inst = Instance(targets, (Vehicle(1, 2.0, Point(0, 0)),
                                   Vehicle(2, 1.0, Point(20, 0))), {1: [0, 1]})
         sol = Solution((_tour(inst, 1, (DEPOT, 0, 1, DEPOT)), _tour(inst, 2, (DEPOT, DEPOT))))
-        assert compute_savings(sol, inst, 1) == []
+        assert _savings(sol, inst, 1) == []
 
     def test_value_equals_actual_splice_gain(self):
         rng = np.random.default_rng(71)
@@ -70,7 +75,7 @@ class TestComputeSavings:
             inst = random_instance(rng, n=8, k=2)
             tour = solve_tsp(TourRequest(inst, 1, range(8)))
             sol = Solution((tour, _tour(inst, 2, (DEPOT, DEPOT))))
-            for target, value in compute_savings(sol, inst, 1):
+            for target, value in _savings(sol, inst, 1):
                 seq = list(tour.sequence)
                 seq.remove(target)
                 shorter = tour_duration(inst, Tour(1, tuple(seq), 0.0))
@@ -78,9 +83,18 @@ class TestComputeSavings:
                 assert value >= -1e-9
 
 
+def _reads(sol, inst, donor):
+    """A pass's reads as ``local_search`` takes them: every tour's, in
+    vehicle-id order, the donor's taken out.  Returns (donor read, receivers)."""
+    receivers = [heuristic._TourRead(inst, tour) for tour in sol.tours]
+    return receivers.pop(donor - 1), receivers
+
+
 def _quote(target, sol, inst, exclude):
-    """``best_insertion`` priced from a fresh read of every tour but the excluded one."""
-    return best_insertion(target, heuristic._read_tours(sol, inst, exclude))
+    """``best_insertion`` priced from a fresh read of every tour but the
+    excluded one, as (vehicle id, edge position, delta)."""
+    read, position, delta = best_insertion(target, _reads(sol, inst, exclude)[1])
+    return read.tour.vehicle_id, position, delta
 
 
 class TestBestInsertion:
@@ -204,7 +218,7 @@ class TestEdgeGathersMatchScalarLoops:
     def test_savings_and_durations_equal_the_scalar_loops(self, case):
         inst, sol, _, _ = case
         for tour in sol.tours:
-            got = compute_savings(sol, inst, tour.vehicle_id)
+            got = _savings(sol, inst, tour.vehicle_id)
             assert got == _scalar_savings(sol, inst, tour.vehicle_id)
             assert [v.hex() for _, v in got] == [
                 v.hex() for _, v in _scalar_savings(sol, inst, tour.vehicle_id)]
@@ -216,14 +230,17 @@ class TestEdgeGathersMatchScalarLoops:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_insertions())
     def test_one_read_per_pass_quotes_and_bounds_as_calls_alone(self, case):
-        # local_search reads the receivers once and prices every donor target from them.
+        # local_search reads every tour once per pass, the donor included, and
+        # prices the donor's savings and every quote from those reads.
         inst, sol, _, donor = case
-        reads = heuristic._read_tours(sol, inst, donor)
+        donor_read, receivers = _reads(sol, inst, donor)
+        assert compute_savings(donor_read, inst) == _scalar_savings(sol, inst, donor)
         for t in sol.tour_for(donor).targets():
-            quote = best_insertion(t, reads)
+            read, position, delta = best_insertion(t, receivers)
+            quote = (read.tour.vehicle_id, position, delta)
             assert quote == _quote(t, sol, inst, donor)
             assert quote == _scalar_best_insertion(t, sol, inst, donor)
-            for read in reads:
+            for read in receivers:
                 assert (heuristic._insertion_lower_bound(t, read)
                         == _scalar_insertion_bound(t, read.tour, inst))
 
@@ -338,7 +355,7 @@ def _eager_local_search(inst, sol, cfg, candidates):
         donor = current.maximal_vehicle()
         objective = current.objective
         accepted = False
-        for target, _ in compute_savings(current, inst, donor):
+        for target, _ in _savings(current, inst, donor):
             receiver, position, delta = _quote(target, current, inst, exclude=donor)
             host = current.tour_for(receiver)
             receiver_order = list(host.targets())
@@ -394,6 +411,52 @@ def _eager_runs(name, calls):
             calls.clear()
             eager = _eager_local_search(inst, start, cfg, candidates)
             yield inst, start, eager, candidates, len(calls)
+
+
+class TestOneReadPerTourPerPass:
+    """Each pass of ``local_search`` reads every tour once, the donor
+    included, then prices its savings once; nothing else in the pass asks for
+    a time matrix."""
+
+    @pytest.mark.parametrize("mode", [HEURISTIC, EXACT])
+    @pytest.mark.parametrize("speeds, colocated", [
+        ((1.0, 1.0), ()), ((1.0, 1.5, 2.0), ()), (_FLEET8, ((1, 2), (3, 4)))])
+    def test_each_pass_builds_k_reads_and_prices_savings_once(self, speeds, colocated, mode,
+                                                              monkeypatch):
+        events = []
+        real_read, real_savings = heuristic._TourRead, heuristic.compute_savings
+        real_matrix = Instance.time_matrix
+
+        def read(inst, tour):
+            events.append("read")
+            return real_read(inst, tour)
+
+        def savings(donor, inst):
+            events.append("savings")
+            return real_savings(donor, inst)
+
+        def time_matrix(inst, vid):
+            events.append("matrix")
+            return real_matrix(inst, vid)
+
+        monkeypatch.setattr(heuristic, "_TourRead", read)
+        monkeypatch.setattr(heuristic, "compute_savings", savings)
+        monkeypatch.setattr(Instance, "time_matrix", time_matrix)
+        cfg = SolverConfig(tour_mode=mode)
+        exp = ExperimentConfig(n_targets=20, speeds=speeds, colocated=colocated,
+                               assign_fraction=0.1, seed=11)
+        k = len(speeds)
+        moves = 0
+        for index in range(2):
+            inst = generate_instance(exp, index)
+            for start in _starts(inst, cfg, index):
+                events.clear()
+                out = local_search(inst, start, cfg)
+                passes = events.count("savings")
+                assert events == (["read", "matrix"] * k + ["savings"]) * passes
+                assert passes >= 1 and (passes > 1 or out == start)
+                moves += passes - 1
+        assert moves > 0
 
 
 class TestReceiverFirstSearch:

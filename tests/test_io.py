@@ -70,6 +70,14 @@ def _doc(target="[0, 0]", speed="1.0", depot="[0, 0]", required="{}"):
             f' "required": {required}}}')
 
 
+# A misspelt key, top level and in a vehicle: each would otherwise load as
+# another problem, with nothing pinned or with the speed 3 ignored.
+_MISSPELT = {
+    "requried": _doc(required='{"1": [0]}').replace('"required"', '"requried"'),
+    "sped": _doc(depot='[0, 0], "sped": 3'),
+}
+
+
 @pytest.mark.parametrize("text", [
     "not json at all",
     '{"targets": [[0, 0]]}',
@@ -95,9 +103,16 @@ def _doc(target="[0, 0]", speed="1.0", depot="[0, 0]", required="{}"):
     pytest.param('{"targets": [[0, 0]], "targets": [[1, 1]],'
                  ' "vehicles": [{"speed": 1.0, "depot": [0, 0]}]}', id="duplicate targets"),
     pytest.param(_doc(depot='[0, 0], "depot": [1, 1]'), id="duplicate key in a vehicle"),
+    *(pytest.param(text, id=f"unknown key {key}") for key, text in _MISSPELT.items()),
 ])
 def test_malformed_documents_rejected(text):
     with pytest.raises(InvalidInstanceError):
+        instance_from_json(text)
+
+
+@pytest.mark.parametrize("key, text", _MISSPELT.items())
+def test_an_unknown_key_is_named(key, text):
+    with pytest.raises(InvalidInstanceError, match=f"unknown key '{key}'"):
         instance_from_json(text)
 
 

@@ -2,9 +2,11 @@
 every public export resolves and the README lists exactly those, the package
 runs on numpy alone (scipy serves only the tests), every distance comes
 from the one kernel, every file is opened by the one pair of path helpers,
-and ``model`` imports no other module of the package."""
+``model`` imports no other module of the package, and every name the
+benchmark's layer tracer wraps still exists."""
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -144,3 +146,15 @@ def test_the_model_imports_no_other_module_of_the_package():
     found += [line for line, top in _imported_top_modules(PACKAGE / "model.py")
               if top == "minmaxtsp"]
     assert found == []
+
+
+def test_every_name_the_layer_tracer_wraps_exists(monkeypatch):
+    """``perfbench/layertrace.py`` swaps each ``(owner, attr)`` of its
+    ``TARGETS`` for a wrapper and refuses to start when one is gone, so a
+    rename here would otherwise fail only when the benchmark runs.  The
+    tracer is imported, never entered."""
+    monkeypatch.syspath_prepend(str(PACKAGE.parent.parent / "perfbench"))
+    layertrace = importlib.import_module("layertrace")
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in layertrace.TARGETS
+               if attr not in owner.__dict__]
+    assert missing == []

@@ -27,8 +27,9 @@ pinned) with the default solver settings, ``s2_exact_n10`` (scenario 2:
 speeds 1, 1, 2, vehicles 1 and 2 co-located, 10 targets) with exact tours,
 where two vehicles share memoized exact tours at one depot, and the size
 table: ``s1_n10`` ... ``s2_n120``, scenarios 1 and 2 at n = 10, 30, 60 and
-120 with the default solver settings.  ``--config sizes`` names those eight
-cells.  A size cell solves its own instance count when ``--instances`` is
+120, and ``k5_n30``, five vehicles of speeds 1, 1.25, 1.5, 1.75 and 2 on
+separate depots at n = 30, all with the default solver settings.
+``--config sizes`` names those nine cells.  A size cell solves its own instance count when ``--instances`` is
 not given, about 2 s of solving per tree; every other config needs it.
 
 Prints, per config and seed, the solves/s of each tree, their ratio (new
@@ -69,6 +70,8 @@ SIZE_INSTANCES = {1: (500, 200, 60, 14), 2: (400, 120, 45, 18)}
 SIZE_CELLS = {f"s{scenario}_n{n}": (dict(n_targets=n, **SCENARIOS[scenario]), {}, count)
               for scenario, counts in SIZE_INSTANCES.items()
               for n, count in zip((10, 30, 60, 120), counts)}
+# A fleet beyond three vehicles: five speeds on separate depots.
+SIZE_CELLS["k5_n30"] = (dict(n_targets=30, speeds=(1.0, 1.25, 1.5, 1.75, 2.0)), {}, 200)
 
 # name -> (ExperimentConfig fields, SolverConfig fields, default instance count)
 # beside perfbench's workloads.
