@@ -19,7 +19,7 @@ import numpy as np
 
 from . import heuristic
 from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, Vehicle, is_bool,
-                    is_integer, is_real, is_speed, write_text)
+                    is_integer, is_real, is_speed, plain, write_text)
 from .oracle import exact_minmax, oracle_feasible
 
 GRID = 200.0  # side of the square that targets and depots are drawn on
@@ -28,7 +28,8 @@ GRID = 200.0  # side of the square that targets and depots are drawn on
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment settings, checked on construction (``InvalidConfigError``)
-    and frozen; ``dataclasses.replace`` derives a variant and checks it again."""
+    and frozen; ``dataclasses.replace`` derives a variant and checks it again.
+    Numpy scalars are kept as the Python numbers they hold (``model.plain``)."""
 
     n_targets: int = 30
     speeds: tuple = (1.0, 1.5, 2.0)
@@ -39,6 +40,8 @@ class ExperimentConfig:
     oracle: bool = False
 
     def __post_init__(self):
+        for field in fields(self):
+            object.__setattr__(self, field.name, plain(getattr(self, field.name)))
         if not (is_real(self.assign_fraction) and 0.0 <= self.assign_fraction <= 1.0):
             raise InvalidConfigError(
                 f"assign_fraction must be a number in [0, 1], got {self.assign_fraction!r}")
@@ -52,9 +55,9 @@ class ExperimentConfig:
             raise InvalidConfigError(f"speeds must be a non-empty tuple of finite numbers"
                                      f" >= {SPEED_MIN:g}, got {self.speeds!r}")
         if not (isinstance(self.colocated, tuple)
-                and all(isinstance(group, tuple) for group in self.colocated)):
-            raise InvalidConfigError(f"colocated must be a tuple of tuples of vehicle ids,"
-                                     f" got {self.colocated!r}")
+                and all(isinstance(group, tuple) and group for group in self.colocated)):
+            raise InvalidConfigError(f"colocated must be a tuple of non-empty tuples of"
+                                     f" vehicle ids, got {self.colocated!r}")
         if not is_bool(self.oracle):
             raise InvalidConfigError(f"oracle must be a bool, got {self.oracle!r}")
         seen = set()
@@ -101,18 +104,13 @@ def generate_instance(cfg: ExperimentConfig, index: int) -> Instance:
     xy = rng.uniform(0.0, GRID, size=(cfg.n_targets, 2))
     targets = tuple(Point(x, y) for x, y in xy.tolist())
 
-    group_of = {}
-    for group in cfg.colocated:
-        head = min(group)
-        for vid in group:
-            group_of[vid] = head
     depots = {}
     vehicles = []
     for vid, speed in enumerate(cfg.speeds, start=1):
-        head = group_of.get(vid, vid)
-        if head not in depots:
-            depots[head] = Point(rng.uniform(0.0, GRID), rng.uniform(0.0, GRID))
-        vehicles.append(Vehicle(vid, float(speed), depots[head]))
+        group = next((g for g in cfg.colocated if vid in g), (vid,))
+        if group not in depots:
+            depots[group] = Point(rng.uniform(0.0, GRID), rng.uniform(0.0, GRID))
+        vehicles.append(Vehicle(vid, float(speed), depots[group]))
 
     n_assigned = math.floor(cfg.assign_fraction * cfg.n_targets)
     required = {}
@@ -187,10 +185,8 @@ class ExperimentReport:
                 value = getattr(row, field.name)
                 if value is None and field.name in ("oracle_obj", "t_oracle_s"):
                     continue
-                # A numpy scalar is compared as the Python number it holds: beside a
-                # float32, the float max would overflow to inf.
-                plain = value.item() if isinstance(value, np.generic) else value
-                if not (is_real(value) and abs(plain) <= sys.float_info.max):
+                # Beside a float32, the float max would overflow to inf.
+                if not (is_real(value) and abs(plain(value)) <= sys.float_info.max):
                     raise InvalidConfigError(
                         f"report row field {field.name} must be a finite number, got {value!r}")
             if not (is_integer(row.instance) and row.instance >= 0):

@@ -3,13 +3,12 @@
 Stage 1 (``allocation``) builds a starting plan by load-balanced allocation
 plus per-vehicle tours.  Stage 2, ``local_search``, offloads targets from the
 longest tour one at a time, reading every tour, the donor's too, once per
-pass (``_TourRead``); ``compute_savings``, ``best_insertion``,
-``_insertion_lower_bound`` and ``_SPLICE_MARGIN`` tell how it prices and
-screens them.  Stage 3, ``perturbation_loop``, escapes local optima by
-displacing depots and searching again on the displaced geometry.  Every tour
-comes from ``tsp.solve_tsp``.  Stages 2 and 3 price with the instance's
-matrices, indexed by tour sequences as they stand (``DEPOT`` is the last row
-and column).
+pass (``_TourRead``); ``compute_savings`` and ``best_insertion`` tell how it
+prices them, and ``local_search`` which receivers it routes.  Stage 3,
+``perturbation_loop``, escapes local optima by displacing depots and searching
+again on the displaced geometry.  Every tour comes from ``tsp.solve_tsp``.
+Stages 2 and 3 price with the instance's matrices, indexed by tour sequences
+as they stand (``DEPOT`` is the last row and column).
 
 ``solve`` is the entry point and checks its instance, config and generator
 once.  The stage functions are internal: they trust what ``solve`` hands them
@@ -94,27 +93,19 @@ class _TourRead:
     ``seq`` is the closed tour as a vertex array and ``hops`` its edge times
     tm[seq[p], seq[p + 1]] as Python floats.  ``row(t)`` lists tm[t, v] for
     every vertex v of ``seq``, which is tm[v, t] too: the matrix is exactly
-    symmetric (``model.distances``).  ``pairs()`` lists tm[a, b] over every
-    pair of the tour's vertices but the closing depot, once, on first use.
+    symmetric (``model.distances``).
     """
 
-    __slots__ = ("tour", "tm", "seq", "hops", "_pairs")
+    __slots__ = ("tour", "tm", "seq", "hops")
 
     def __init__(self, inst: Instance, tour: Tour):
         self.tour = tour
         self.tm = inst.time_matrix(tour.vehicle_id)
         self.seq = np.array(tour.sequence)
         self.hops = self.tm[self.seq[:-1], self.seq[1:]].tolist()
-        self._pairs = None
 
     def row(self, target: int) -> list:
         return self.tm[target][self.seq].tolist()
-
-    def pairs(self) -> list:
-        if self._pairs is None:
-            ends = self.seq[:-1]
-            self._pairs = self.tm.take(ends, 0).take(ends, 1).tolist()
-        return self._pairs
 
 
 def compute_savings(read: _TourRead, inst: Instance) -> list:
@@ -188,10 +179,14 @@ def _insertion_lower_bound(target: int, read: _TourRead) -> float:
     minimised over a, b in the depot and the old targets.  Allowing a = b
     only lowers the minimum, needs no triangle inequality and covers the
     empty tour, where it gives the exact round trip.  Stage 2 applies it to
-    a receiver whose current and new tours Held-Karp both routes.
+    a receiver whose current and new tours Held-Karp both routes.  The pairs
+    (a, b) include every edge of the tour, priced with ``best_insertion``'s
+    float expression, so the bound is never above the spliced tour.
     """
+    ends = read.seq[:-1]
     to_target = read.row(target)[:-1]
-    return read.tour.duration + min([a + b - ab for a, row in zip(to_target, read.pairs())
+    pairs = read.tm.take(ends, 0).take(ends, 1).tolist()
+    return read.tour.duration + min([a + b - ab for a, row in zip(to_target, pairs)
                                      for b, ab in zip(to_target, row)])
 
 
@@ -212,13 +207,15 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
     as the donor, the rest as receivers.  It takes the donor's savings list
     in order, quotes the best receiver for the candidate, re-routes the
     receiver, and accepts the first move that strictly lowers the makespan.
-    A receiver is routed only when it may help, as judged by
-    ``_insertion_lower_bound`` when Held-Karp routes its new tour and by the
-    screen of ``_SPLICE_MARGIN`` otherwise.  The makespan after a move is at
-    least the receiver's new tour, so the donor is re-routed only when that
-    tour stays below the current makespan.  The search stops when every
-    candidate on the maximal tour fails; a fleet of one vehicle has no
-    receiver, so its plan comes back as given.
+    A receiver is routed only when it may help, judged by its spliced tour
+    (duration + delta, see ``_SPLICE_MARGIN``).  When Held-Karp routes its
+    new tour, a spliced tour below the makespan passes and one at or above
+    it is judged by ``_insertion_lower_bound``; otherwise the screen of
+    ``_SPLICE_MARGIN`` judges it.  The makespan after a move is at least the
+    receiver's new tour, so the donor is re-routed only when that tour stays
+    below the current makespan.  The search stops when every candidate on
+    the maximal tour fails; a fleet of one vehicle has no receiver, so its
+    plan comes back as given.
 
     Precondition with exact tours: every tour of ``sol`` that Held-Karp
     routes is one on ``inst``'s geometry, as ``solve_tsp`` builds it.
@@ -237,10 +234,11 @@ def local_search(inst: Instance, sol: Solution, cfg: SolverConfig) -> Solution:
             read, p, delta = best_insertion(target, receivers)
             receiver = read.tour.vehicle_id
             order = read.tour.targets()
+            spliced = read.tour.duration + delta
             if held_karp_routes(cfg.tour_mode, len(order) + 1):
-                if _insertion_lower_bound(target, read) >= hopeless:
+                if spliced >= objective and _insertion_lower_bound(target, read) >= hopeless:
                     continue
-            elif read.tour.duration + delta >= screen:
+            elif spliced >= screen:
                 continue
             receiver_tour = _rebuild(inst, receiver, order[:p] + (target,) + order[p:], cfg)
             if receiver_tour.duration >= objective:

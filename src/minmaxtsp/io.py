@@ -10,7 +10,8 @@ Layout::
 
 Vehicle ids are implicit list positions (1-based), written in ``required``
 as decimal keys without leading zeros.  The reader checks only the
-document's shape, and refuses an object that repeats a key or holds one the
+document's shape: it refuses by name a document, vehicle or ``required``
+that is not an object, and an object that repeats a key or holds one the
 layout does not name; coordinates and speeds are passed to ``Instance`` as
 parsed (JSON integers stay ints) and checked there, by ``is_point`` and
 ``is_speed``.  Floats are written with ``repr`` precision and ints as ints,
@@ -39,17 +40,15 @@ def instance_to_json(inst: Instance) -> str:
 def instance_from_json(text: str) -> Instance:
     """Parse an instance document; any malformed part raises InvalidInstanceError."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-        _known_keys(("targets", "vehicles", "required"), doc)
-        _known_keys(("speed", "depot"), *doc["vehicles"])
+        doc = _object(json.loads(text, object_pairs_hook=_unique_keys), "the document",
+                      ("targets", "vehicles", "required"))
         targets = tuple(Point(*xy) for xy in doc["targets"])
+        specs = [_object(v, f"vehicle {i}", ("speed", "depot"))
+                 for i, v in enumerate(doc["vehicles"], start=1)]
         vehicles = tuple(Vehicle(i, v["speed"], Point(*v["depot"]))
-                         for i, v in enumerate(doc["vehicles"], start=1))
-        pins = doc.get("required", {})
-        if not isinstance(pins, dict):
-            raise ValueError(f"required must be an object, got {pins!r}")
+                         for i, v in enumerate(specs, start=1))
         required = {_vehicle_key(vid): [_target_index(t) for t in ids]
-                    for vid, ids in pins.items()}
+                    for vid, ids in _object(doc.get("required", {}), "required").items()}
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InvalidInstanceError(f"malformed instance document: {exc}") from exc
     return Instance(targets, vehicles, required)
@@ -65,12 +64,15 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
-def _known_keys(keys: tuple, *objects) -> None:
-    # Reading only the named keys would pass over a misspelt one unseen.
-    for obj in objects:
-        for key in obj if isinstance(obj, dict) else ():
-            if key not in keys:
-                raise ValueError(f"unknown key {key!r}; expected {', '.join(keys)}")
+def _object(value, part: str, keys: tuple | None = None) -> dict:
+    # A JSON object, holding only ``keys`` when they are given: reading only
+    # the named keys would pass over a misspelt one unseen.
+    if not isinstance(value, dict):
+        raise ValueError(f"{part} must be a JSON object, got {value!r}")
+    for key in value if keys else ():
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {part}; expected {', '.join(keys)}")
+    return value
 
 
 def _vehicle_key(key: str) -> int:

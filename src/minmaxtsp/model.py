@@ -103,15 +103,18 @@ def is_real(value) -> bool:
     return type(value) in (int, float) or isinstance(value, (np.integer, np.floating))
 
 
-def _plain(value):
-    # Numpy scalars, also in a Point or Vehicle, as the Python numbers they hold: beside a
-    # Python float, a numpy scalar casts the float to its own dtype (in float32, SPEED_MIN
-    # rounds to 0, the float max overflows and tour durations lose half their digits).
+def plain(value):
+    """``value`` with each numpy scalar in it, also in a Point, Vehicle or tuple, as
+    the Python number it holds.  Beside a Python number, a numpy scalar computes in
+    its own dtype: in float32, SPEED_MIN rounds to 0, the float max overflows and
+    tour durations lose half their digits."""
     if isinstance(value, Point):
-        x, y = _plain(value.x), _plain(value.y)
+        x, y = plain(value.x), plain(value.y)
         return value if x is value.x and y is value.y else Point(x, y)
     if isinstance(value, Vehicle):
-        return Vehicle(_plain(value.id), _plain(value.speed), _plain(value.depot))
+        return Vehicle(plain(value.id), plain(value.speed), plain(value.depot))
+    if isinstance(value, tuple):
+        return tuple(plain(item) for item in value)
     return value.item() if isinstance(value, np.generic) else value
 
 
@@ -120,13 +123,13 @@ def is_point(p, limit=COORD_LIMIT) -> bool:
     ``limit``; NaN fails the comparison, and a huge int compares exactly, never
     overflowing."""
     return (isinstance(p, Point) and is_real(p.x) and is_real(p.y)
-            and abs(_plain(p.x)) <= limit and abs(_plain(p.y)) <= limit)
+            and abs(plain(p.x)) <= limit and abs(plain(p.y)) <= limit)
 
 
 def is_speed(s) -> bool:
     """True for a speed that passes ``is_real`` and lies in [SPEED_MIN, float max]
     (NaN and huge ints fail)."""
-    return is_real(s) and SPEED_MIN <= _plain(s) <= sys.float_info.max
+    return is_real(s) and SPEED_MIN <= plain(s) <= sys.float_info.max
 
 
 class _ReadOnlyDict(Mapping):
@@ -194,7 +197,7 @@ class Instance:
         for name, value in (("targets", self.targets), ("vehicles", self.vehicles)):
             if not isinstance(value, Iterable):
                 raise InvalidInstanceError(f"{name} must be an iterable, got {value!r}")
-            object.__setattr__(self, name, tuple(_plain(item) for item in value))
+            object.__setattr__(self, name, tuple(plain(item) for item in value))
         if len(self.targets) < 1:
             raise InvalidInstanceError("instance needs at least one target")
         if len(self.vehicles) < 1:
@@ -313,7 +316,7 @@ class Instance:
         # Not built through __init__, which would check the depots against COORD_LIMIT.
         moved = object.__new__(Instance)
         moved.__dict__.update(self.__dict__, _cache={}, vehicles=tuple(
-            Vehicle(v.id, v.speed, _plain(depots.get(v.id, v.depot))) for v in self.vehicles))
+            Vehicle(v.id, v.speed, plain(depots.get(v.id, v.depot))) for v in self.vehicles))
         return moved
 
 

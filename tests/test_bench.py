@@ -89,7 +89,7 @@ class TestGeneration:
         for bad in (1.5, True, 2.0):
             with pytest.raises(InvalidConfigError, match="co-location"):
                 ExperimentConfig(speeds=(1.0, 2.0), colocated=((bad, 2),))
-        for bad in ([[1, 2]], ([1, 2],), (1, 2), 5):
+        for bad in ([[1, 2]], ([1, 2],), (1, 2), 5, ((),), ((1, 2), ())):
             with pytest.raises(InvalidConfigError, match="colocated"):
                 ExperimentConfig(speeds=(1.0, 2.0), colocated=bad)
         for bad in ("0.2", True, None, float("nan"), -0.1, Fraction(1, 5)):
@@ -116,6 +116,32 @@ class TestGeneration:
         for bad in ((np.float32(SPEED_MIN / 2),), (np.float64(0.0),)):
             with pytest.raises(InvalidConfigError, match="speeds"):
                 ExperimentConfig(speeds=bad)
+
+    def test_numpy_scalars_are_kept_as_the_python_numbers_they_hold(self):
+        # In float32, 0.7 * 10 rounds up to 7.0; the Python float it holds,
+        # 0.699999988..., times 10 floors to 6.
+        cfg = ExperimentConfig(n_targets=np.int64(10), assign_fraction=np.float32(0.7),
+                               speeds=(np.float32(1.5), 2), colocated=((np.int64(1), 2),),
+                               oracle=np.True_)
+        held = ExperimentConfig(n_targets=10, assign_fraction=float(np.float32(0.7)),
+                                speeds=(1.5, 2), colocated=((1, 2),), oracle=True)
+        assert cfg == held and repr(cfg) == repr(held)
+        assert "np." not in repr(cfg)
+        inst = generate_instance(cfg, 0)
+        assert inst == generate_instance(held, 0)
+        assert sum(len(ids) for ids in inst.required.values()) == 6
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40])
+    def test_groups_listed_out_of_id_order_give_the_same_instance(self, seed):
+        speeds = (1.0, 1.25, 1.5, 1.75, 2.0)
+        shuffled = generate_instance(
+            ExperimentConfig(n_targets=6, speeds=speeds, colocated=((5, 2), (4, 1, 3)),
+                             seed=seed), 0)
+        for groups in (((2, 5), (1, 3, 4)), ((1, 3, 4), (2, 5))):
+            assert shuffled == generate_instance(
+                ExperimentConfig(n_targets=6, speeds=speeds, colocated=groups, seed=seed), 0)
+        depots = [v.depot for v in shuffled.vehicles]
+        assert depots[0] == depots[2] == depots[3] != depots[1] == depots[4]
 
     def test_settings_cannot_be_changed_after_the_check(self):
         cfg = ExperimentConfig()

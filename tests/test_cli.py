@@ -111,6 +111,13 @@ class TestExitCodes:
         assert main(["solve", "--instance", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_document_that_is_a_list_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]")
+        assert main(["solve", "--instance", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "the document must be a JSON object" in err and "Traceback" not in err
+
     def test_missing_file_is_io_failure(self, tmp_path, capsys):
         assert main(["solve", "--instance", str(tmp_path / "nope.json")]) == 2
         assert "i/o error:" in capsys.readouterr().err

@@ -241,8 +241,10 @@ class TestEdgeGathersMatchScalarLoops:
             assert quote == _quote(t, sol, inst, donor)
             assert quote == _scalar_best_insertion(t, sol, inst, donor)
             for read in receivers:
-                assert (heuristic._insertion_lower_bound(t, read)
-                        == _scalar_insertion_bound(t, read.tour, inst))
+                bound = heuristic._insertion_lower_bound(t, read)
+                assert bound == _scalar_insertion_bound(t, read.tour, inst)
+                # never above the spliced tour, which local_search relies on
+                assert bound <= read.tour.duration + best_insertion(t, [read])[2]
 
 
 def _scalar_insertion_bound(target, tour, inst):
@@ -286,6 +288,35 @@ class TestInsertionLowerBound:
         assert bound == _scalar_insertion_bound(target, tour, inst)
         longer = solve_tsp(TourRequest(inst, 1, receiver | {target}, EXACT))
         assert bound <= longer.duration * (1 + 2 ** -40)
+
+    def test_a_read_keeps_no_pair_table(self):
+        assert heuristic._TourRead.__slots__ == ("tour", "tm", "seq", "hops")
+
+    @pytest.mark.parametrize("depot_x, bounded, requests", [
+        (25, [], [2, 1, 2, 1]),   # spliced tours 10 and 30, below the makespan 40
+        (40, [1, 0], [2]),        # 40 and 60: the bound lets target 1 through
+        (100, [1, 0], []),        # 160 and 180: the bound turns both away
+    ])
+    def test_the_bound_is_asked_only_when_the_spliced_tour_reaches_the_makespan(
+            self, depot_x, bounded, requests, monkeypatch):
+        # Vehicles 1 and 3 tie at the makespan 40, so no move can lower it;
+        # vehicle 2, idle on the line of vehicle 1's targets, quotes every
+        # target, and Held-Karp routes its new tour.
+        targets = (Point(10, 0), Point(20, 0), Point(0, 1020))
+        inst = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)),
+                                  Vehicle(2, 1.0, Point(depot_x, 0)),
+                                  Vehicle(3, 1.0, Point(0, 1000))))
+        sol = Solution((_tour(inst, 1, (DEPOT, 0, 1, DEPOT)), _tour(inst, 2, (DEPOT, DEPOT)),
+                        _tour(inst, 3, (DEPOT, 2, DEPOT))))
+        assert [t.duration for t in sol.tours] == [40.0, 0.0, 40.0]
+        bounds, routed = [], []
+        real_bound, real_solve = heuristic._insertion_lower_bound, heuristic.solve_tsp
+        monkeypatch.setattr(heuristic, "_insertion_lower_bound",
+                            lambda t, read: bounds.append(t) or real_bound(t, read))
+        monkeypatch.setattr(heuristic, "solve_tsp",
+                            lambda req: routed.append(req.vehicle_id) or real_solve(req))
+        assert local_search(inst, sol, SolverConfig(tour_mode=EXACT)) is sol
+        assert (bounds, routed) == (bounded, requests)
 
 
 class TestLocalSearch:

@@ -116,6 +116,20 @@ def test_an_unknown_key_is_named(key, text):
         instance_from_json(text)
 
 
+@pytest.mark.parametrize("text, part", [
+    pytest.param("[]", "the document", id="document list"),
+    pytest.param('"x"', "the document", id="document string"),
+    pytest.param('{"targets": [[0, 0]], "vehicles": [[1.0, [0, 0]]]}', "vehicle 1",
+                 id="vehicle list"),
+    pytest.param('{"targets": [[0, 0]], "vehicles": [{"speed": 1.0, "depot": [0, 0]},'
+                 ' [1.0, [0, 0]]]}', "vehicle 2", id="second vehicle list"),
+    pytest.param(_doc(required="[]"), "required", id="required list"),
+])
+def test_a_part_that_is_not_an_object_is_named(text, part):
+    with pytest.raises(InvalidInstanceError, match=f": {part} must be a JSON object, got "):
+        instance_from_json(text)
+
+
 def test_malformed_rows_start_from_a_valid_document():
     assert instance_from_json(_doc()).targets == (Point(0.0, 0.0),)
 

@@ -158,3 +158,13 @@ def test_every_name_the_layer_tracer_wraps_exists(monkeypatch):
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in layertrace.TARGETS
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_one_rule_makes_numpy_scalars_plain():
+    """``np.generic`` and ``.item()`` only in ``model.plain``, so every numpy
+    scalar the package keeps or compares is read as a Python number one way."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules found under {PACKAGE}"
+    uses = [use for path in modules for name in ("generic", "item")
+            for use in _uses(path, name) if use[1] is not None]
+    assert sorted(uses) == [("model.py", "np", "plain"), ("model.py", "value", "plain")]
