@@ -18,8 +18,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import heuristic
-from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, Vehicle, is_bool,
-                    is_integer, is_real, is_speed, plain, write_text)
+from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, Vehicle, is_integer,
+                    is_real, is_speed, plain, write_text)
 from .oracle import exact_minmax, oracle_feasible
 
 GRID = 200.0  # side of the square that targets and depots are drawn on
@@ -58,7 +58,7 @@ class ExperimentConfig:
                 and all(isinstance(group, tuple) and group for group in self.colocated)):
             raise InvalidConfigError(f"colocated must be a tuple of non-empty tuples of"
                                      f" vehicle ids, got {self.colocated!r}")
-        if not is_bool(self.oracle):
+        if type(self.oracle) is not bool:
             raise InvalidConfigError(f"oracle must be a bool, got {self.oracle!r}")
         seen = set()
         for group in self.colocated:

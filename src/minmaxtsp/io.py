@@ -11,18 +11,20 @@ Layout::
 Vehicle ids are implicit list positions (1-based), written in ``required``
 as decimal keys without leading zeros.  The reader checks only the
 document's shape: it refuses by name a document, vehicle or ``required``
-that is not an object, and an object that repeats a key or holds one the
-layout does not name; coordinates and speeds are passed to ``Instance`` as
-parsed (JSON integers stay ints) and checked there, by ``is_point`` and
-``is_speed``.  Floats are written with ``repr`` precision and ints as ints,
-so load(dump(inst)) reproduces the instance exactly.
+that is not an object, an object that repeats a key or holds one the
+layout does not name, and a ``targets``, ``vehicles`` or ``required`` list
+that is not an array, or a point that is not an array of two.  Every value
+in that shape (coordinates, speeds, target indices) is passed to
+``Instance`` as parsed (JSON integers stay ints) and checked there alone.
+Floats are written with ``repr`` precision and ints as ints, so
+load(dump(inst)) reproduces the instance exactly.
 """
 
 import json
 import re
 
-from .model import (Instance, InvalidInstanceError, Point, Vehicle, check_instance, is_integer,
-                    read_text, write_text)
+from .model import (Instance, InvalidInstanceError, Point, Vehicle, check_instance, read_text,
+                    write_text)
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -42,12 +44,14 @@ def instance_from_json(text: str) -> Instance:
     try:
         doc = _object(json.loads(text, object_pairs_hook=_unique_keys), "the document",
                       ("targets", "vehicles", "required"))
-        targets = tuple(Point(*xy) for xy in doc["targets"])
+        targets = tuple(Point(*_array(xy, f"target {i}", 2))
+                        for i, xy in enumerate(_array(doc["targets"], "targets")))
         specs = [_object(v, f"vehicle {i}", ("speed", "depot"))
-                 for i, v in enumerate(doc["vehicles"], start=1)]
-        vehicles = tuple(Vehicle(i, v["speed"], Point(*v["depot"]))
-                         for i, v in enumerate(specs, start=1))
-        required = {_vehicle_key(vid): [_target_index(t) for t in ids]
+                 for i, v in enumerate(_array(doc["vehicles"], "vehicles"), start=1)]
+        vehicles = tuple(
+            Vehicle(i, v["speed"], Point(*_array(v["depot"], f"vehicle {i} depot", 2)))
+            for i, v in enumerate(specs, start=1))
+        required = {_vehicle_key(vid): _array(ids, f"required[{json.dumps(vid)}]")
                     for vid, ids in _object(doc.get("required", {}), "required").items()}
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InvalidInstanceError(f"malformed instance document: {exc}") from exc
@@ -75,19 +79,21 @@ def _object(value, part: str, keys: tuple | None = None) -> dict:
     return value
 
 
+def _array(value, part: str, length: int | None = None) -> list:
+    # A JSON array, of ``length`` items when it is given: Point(*value) would
+    # take a string's characters or an object's keys as coordinates.
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        shape = "a JSON array" + ("" if length is None else f" of {length} values")
+        raise ValueError(f"{part} must be {shape}, got {value!r}")
+    return value
+
+
 def _vehicle_key(key: str) -> int:
     # int() alone would also take " 1", "+1", "0_1" and "01", and "01" would
     # name the same vehicle as "1".
     if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
         raise ValueError(f"vehicle key {key!r} is not an integer")
     return int(key)
-
-
-def _target_index(value) -> int:
-    # int() alone would truncate 0.7 to 0 and take true as 1.
-    if is_integer(value) or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"target index {value!r} is not an integer")
 
 
 def save_instance(inst: Instance, path) -> None:

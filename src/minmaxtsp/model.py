@@ -11,7 +11,8 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -92,11 +93,6 @@ def is_integer(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
-def is_bool(value) -> bool:
-    """True for a bool or a numpy bool scalar; 0, 1, None and strings fail."""
-    return isinstance(value, (bool, np.bool_))
-
-
 def is_real(value) -> bool:
     """True for an int that is not a bool, a float, or a numpy integer or
     floating scalar; any other number (a Fraction, a Decimal) fails."""
@@ -132,34 +128,6 @@ def is_speed(s) -> bool:
     return is_real(s) and SPEED_MIN <= plain(s) <= sys.float_info.max
 
 
-class _ReadOnlyDict(Mapping):
-    """A dict that cannot be changed after construction; pickles, copies and
-    hashes over its items, so a frozen Instance hashes too."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data):
-        self._data = dict(data)
-
-    def __getitem__(self, key):
-        return self._data[key]
-
-    def __iter__(self):
-        return iter(self._data)
-
-    def __len__(self):
-        return len(self._data)
-
-    def __repr__(self):
-        return repr(self._data)
-
-    def __hash__(self):
-        return hash(frozenset(self._data.items()))
-
-    def __reduce__(self):
-        return _ReadOnlyDict, (self._data,)
-
-
 @dataclass(frozen=True)
 class Instance:
     """An immutable routing instance.
@@ -171,9 +139,11 @@ class Instance:
     vehicles: fleet of Vehicles ordered by id (integer ids exactly 1..k),
               each with a speed that passes ``is_speed``.
     required: a mapping of vehicle id to an iterable of target indices,
-              pairwise disjoint; kept as a read-only mapping from vehicle id
-              to a frozenset.  Keys must be integers in 1..k and indices in
-              0..n-1 (numpy integers pass, bools and floats do not).
+              pairwise disjoint; kept as a ``types.MappingProxyType`` from
+              vehicle id to a frozenset, which takes no part in the hash
+              (equal instances still hash equal).  Keys must be integers in
+              1..k and indices in 0..n-1 (numpy integers pass; bools,
+              strings and floats, 1.0 too, do not).
 
     Numpy scalars in targets, vehicles and moved depots are kept as Python numbers.
     Instances are validated on construction and frozen, since what is derived
@@ -187,7 +157,7 @@ class Instance:
 
     targets: tuple
     vehicles: tuple
-    required: dict | None = None
+    required: dict | None = field(default=None, hash=False)
 
     def __post_init__(self):
         raw = {} if self.required is None else self.required
@@ -235,11 +205,11 @@ class Instance:
                     raise InvalidInstanceError(f"target {t} appears in two required sets")
             if ids:
                 required[int(vid)] = frozenset(int(t) for t in ids)
-        object.__setattr__(self, "required", _ReadOnlyDict(required))
+        object.__setattr__(self, "required", MappingProxyType(required))
         object.__setattr__(self, "_cache", {})
 
     def __reduce__(self):
-        return Instance, (self.targets, self.vehicles, self.required)
+        return Instance, (self.targets, self.vehicles, dict(self.required))
 
     # -- accessors ---------------------------------------------------------
 

@@ -308,15 +308,14 @@ def _subset_dp(dist: np.ndarray) -> np.ndarray:
 
 
 def held_karp_order(dist: np.ndarray):
-    """Optimal cycle (depot -> all targets -> depot). Returns (order, length).
+    """Optimal cycle (depot -> all targets -> depot) through at least one
+    target. Returns (order, length).
 
     The tour is read back from the table alone: the target before j on the
     path through ``mask`` is the first argmin over ``last`` of
     dp[mask ^ 1 << j, last] + dist[last, j], the float sum that filled the cell.
     """
     m = dist.shape[0] - 1
-    if m == 0:
-        return [], 0.0
     dp = _subset_dp(dist)
     mask = (1 << m) - 1
     closing = dp[mask] + dist[:m, m]

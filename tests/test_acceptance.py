@@ -262,7 +262,7 @@ def test_c10_perturbation_schedule():
         Tour(1, (DEPOT, 0, 1, DEPOT), tour_duration(inst, Tour(1, (DEPOT, 0, 1, DEPOT), 0.0))),
         Tour(2, (DEPOT, 3, 2, DEPOT), tour_duration(inst, Tour(2, (DEPOT, 3, 2, DEPOT), 0.0)))))
     best, iterations = perturbation_loop(inst, opt, np.random.default_rng(0),
-                                         SolverConfig())
+                                         SolverConfig(no_improve_stop=5))
     detail = f"angle period holds, {iterations} iterations on an optimal input"
     assert _verdict(10, "perturbation schedule",
                     angle_ok and iterations == 5 and

@@ -758,7 +758,7 @@ class TestPerturbationGeometry:
                         _tour(inst, 2, (DEPOT, 3, 2, DEPOT))))
         assert opt.objective == pytest.approx(4.0)  # already optimal
         best, iterations = perturbation_loop(inst, opt, np.random.default_rng(0),
-                                             SolverConfig())
+                                             SolverConfig(no_improve_stop=5))
         assert best.objective == pytest.approx(4.0)
         assert iterations == 5
 
@@ -890,7 +890,7 @@ class TestSolverConfig:
         assert validate_solution(inst, fresh) == []
 
     def test_settings_cannot_be_changed_after_the_check(self):
-        cfg = SolverConfig()
+        cfg = SolverConfig(no_improve_stop=5)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.no_improve_stop = -1
         assert cfg.no_improve_stop == 5

@@ -1,9 +1,15 @@
 """Instance file format: round-trip stability and malformed-input handling."""
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import minmaxtsp.io
+from minmaxtsp.cli import main as cli_main
 from minmaxtsp import (Instance, InvalidInstanceError, Point, Vehicle, instance_from_json,
                        instance_to_json, load_instance, save_instance)
 
@@ -130,6 +136,24 @@ def test_a_part_that_is_not_an_object_is_named(text, part):
         instance_from_json(text)
 
 
+@pytest.mark.parametrize("text, part", [
+    pytest.param('{"targets": "ab", "vehicles": []}', "targets", id="targets string"),
+    pytest.param('{"targets": null, "vehicles": []}', "targets", id="targets null"),
+    pytest.param(_doc(target="[0, 0], [1, 1], [2, 2], [0, 0, 0]"), "target 3",
+                 id="target three values"),
+    pytest.param(_doc(target='{"x": 0, "y": 0}'), "target 0", id="target object"),
+    pytest.param('{"targets": [[0, 0]], "vehicles": {"speed": 1.0, "depot": [0, 0]}}',
+                 "vehicles", id="vehicles object"),
+    pytest.param('{"targets": [[0, 0]], "vehicles": [{"speed": 1.0, "depot": [0, 0]},'
+                 ' {"speed": 1.0, "depot": "ab"}]}', "vehicle 2 depot", id="depot string"),
+    pytest.param(_doc(depot="[0]"), "vehicle 1 depot", id="depot one value"),
+    pytest.param(_doc(required='{"1": null}'), 'required["1"]', id="required set null"),
+])
+def test_a_part_that_is_not_an_array_is_named(text, part):
+    with pytest.raises(InvalidInstanceError, match=f": {re.escape(part)} must be a JSON array"):
+        instance_from_json(text)
+
+
 def test_malformed_rows_start_from_a_valid_document():
     assert instance_from_json(_doc()).targets == (Point(0.0, 0.0),)
 
@@ -153,6 +177,7 @@ def test_structural_violations_rejected():
 
 @pytest.mark.parametrize("required", [
     '{"1": [0.7]}',
+    '{"1": [1.0]}',
     '{"1": [true]}',
     '{"1": ["0"]}',
     '{"1.5": [0]}',
@@ -165,8 +190,100 @@ def test_non_integral_indices_rejected(required):
                            f' "required": {required}}}')
 
 
-def test_integral_float_index_accepted():
-    inst = instance_from_json('{"targets": [[0, 0], [1, 1]],'
-                              ' "vehicles": [{"speed": 1.0, "depot": [0, 0]}],'
-                              ' "required": {"1": [1.0]}}')
-    assert inst.required == {1: frozenset({1})}
+
+# Words that name a part of an instance document: every refusal says which
+# part is wrong, in the reader's terms or in Instance's.
+_PARTS = ("document", "target", "vehicle", "required", "speed", "depot")
+# What a message looks like when Python's own error leaks through instead.
+_PYTHON_WORDS = ("positional argument", "__init__", "()", "NoneType", "not iterable",
+                 "indices must be", "object is not")
+
+_KEYS = st.sampled_from(["targets", "vehicles", "required", "speed", "depot", "1", "a"])
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-1e3, 1e3),
+                     st.sampled_from([10 ** 400, 1e-300, 1e200]), st.text("ab1", max_size=2))
+_JSON = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(_KEYS, inner, max_size=3)), max_leaves=10)
+
+
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
+@st.composite
+def _documents(draw):
+    """A valid document of one to four targets and one to three vehicles."""
+    coord = st.integers(-50, 50) | st.floats(-50, 50)
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    owners = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
+    return {
+        "targets": [[draw(coord), draw(coord)] for _ in range(n)],
+        "vehicles": [{"speed": draw(st.integers(1, 3) | st.floats(0.5, 3)),
+                      "depot": [draw(coord), draw(coord)]} for _ in range(k)],
+        "required": {str(vid): [t for t, owner in enumerate(owners) if owner == vid]
+                     for vid in sorted(set(owners) - {0})},
+    }
+
+
+def _parts(value, path=()):
+    """The path of every part of a parsed document, the document itself first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _parts(item, (*path, key))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid document with one part below the top replaced by a value of
+    another JSON type."""
+    doc = draw(_documents())
+    *above, last = draw(st.sampled_from(list(_parts(doc))[1:]))
+    parent = doc
+    for key in above:
+        parent = parent[key]
+    kind = _JSON_TYPES[type(parent[last])]
+    parent[last] = draw(_JSON.filter(lambda v: _JSON_TYPES[type(v)] != kind))
+    return doc
+
+
+def _read(text):
+    """The instance the reader builds from ``text``, or None when it refuses
+    the text by naming a part; anything else fails the test."""
+    try:
+        inst = instance_from_json(text)
+    except InvalidInstanceError as exc:
+        message = str(exc)
+        assert any(part in message for part in _PARTS), message
+        assert not any(word in message for word in _PYTHON_WORDS), message
+        return None
+    assert instance_from_json(instance_to_json(inst)) == inst
+    return inst
+
+
+_DOCS = {"any JSON value": _JSON, "valid": _documents(),
+         "one part retyped": _mutated_documents()}
+
+
+@pytest.mark.parametrize("docs", _DOCS.values(), ids=_DOCS.keys())
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_document_loads_or_is_refused_by_name(docs, data):
+    doc = data.draw(docs)
+    inst = _read(json.dumps(doc))
+    if docs is _DOCS["valid"]:
+        assert inst is not None
+
+
+@pytest.mark.parametrize("docs", _DOCS.values(), ids=_DOCS.keys())
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_solve_exits_0_or_1_on_every_document(docs, data, tmp_path):
+    # An exception other than the typed ones would escape cli_main and fail
+    # the test.  A document that loads may still exit 1: stage 1 can refuse
+    # a valid instance whose pinned targets outweigh its bounds.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data.draw(docs)))
+    code = cli_main(["solve", "--instance", str(path)])
+    assert code == 1 if _read(path.read_text()) is None else code in (0, 1)

@@ -2,8 +2,9 @@
 every public export resolves and the README lists exactly those, the package
 runs on numpy alone (scipy serves only the tests), every distance comes
 from the one kernel, every file is opened by the one pair of path helpers,
-``model`` imports no other module of the package, and every name the
-benchmark's layer tracer wraps still exists."""
+``model`` imports no other module of the package, the instance reader uses
+none of ``model``'s value rules, and every name the benchmark's layer tracer
+wraps still exists."""
 
 import ast
 import importlib
@@ -146,6 +147,14 @@ def test_the_model_imports_no_other_module_of_the_package():
     found += [line for line, top in _imported_top_modules(PACKAGE / "model.py")
               if top == "minmaxtsp"]
     assert found == []
+
+
+def test_the_instance_reader_checks_shape_and_leaves_values_to_the_instance():
+    """``io`` checks that a document has the layout's objects and arrays;
+    every coordinate, speed and target index is judged by ``Instance`` alone,
+    so no value rule has a second owner in the reader."""
+    rules = ("is_integer", "is_real", "is_point", "is_speed", "plain")
+    assert [use for name in rules for use in _uses(PACKAGE / "io.py", name)] == []
 
 
 def test_every_name_the_layer_tracer_wraps_exists(monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minmaxtsp.tsp
 from minmaxtsp import (DEPOT, EXACT, HEURISTIC, Instance, Point, Tour, Vehicle,
                        generate_instance, scenario1, tour_duration)
 from minmaxtsp.model import COORD_LIMIT, distances
@@ -132,9 +133,15 @@ class TestHeldKarp:
             assert table[mask] == pytest.approx(
                 brute_cycle_length(depot, subset), abs=1e-9), f"mask {mask}"
 
-    def test_no_targets_is_the_empty_cycle(self):
+    def test_no_targets_is_the_empty_cycle(self, monkeypatch):
         assert best_cycle_lengths(np.zeros((1, 1))).tolist() == [0.0]
-        assert held_karp_order(np.zeros((1, 1))) == ([], 0.0)
+        # held_karp_order takes at least one target: solve_tsp answers an
+        # empty exact request before it builds or stores any table.
+        inst = _square_instance()
+        monkeypatch.setattr(minmaxtsp.tsp, "held_karp_order", None)
+        tour = solve_tsp(TourRequest(inst, 1, (), EXACT))
+        assert (tour.sequence, tour.duration) == ((DEPOT, DEPOT), 0.0)
+        assert memo_size(inst) == 0
 
     def test_past_the_cap_an_exact_request_is_polished(self):
         rng = np.random.default_rng(7)
