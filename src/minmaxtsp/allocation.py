@@ -5,9 +5,10 @@ Stage 1 is three calls on plain per-vehicle mappings keyed by vehicle id:
 ``solve_load_balancing`` gives each vehicle's free targets (a frozenset) at
 minimum total depot-to-target travel time, every vehicle receiving at least
 its share (``min_target_counts``), and ``build_initial_solution`` routes each
-vehicle through those plus its required targets.  Each function's docstring
-states its rule.  They are internal: ``heuristic.solve`` checks the instance
-and the generator once and passes them on.
+vehicle through those plus its required targets, from a first order it
+builds by nearest neighbour (``_nearest_neighbor``).  Each function's
+docstring states its rule.  They are internal: ``heuristic.solve`` checks
+the instance and the generator once and passes them on.
 """
 
 import math
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from .model import InfeasibleAllocationError, Instance, Point, Solution, distances
-from .tsp import HEURISTIC, TourRequest, solve_tsp
+from .tsp import TourRequest, solve_tsp
 
 # Radius of the circle on which co-located depots are spread apart.
 COLOCATION_RADIUS = 0.1
@@ -48,17 +49,18 @@ def perturb_colocated_depots(inst: Instance, rng) -> dict:
     vehicle-id order) lands at base + i*2pi/m on a circle of radius
     COLOCATION_RADIUS around the shared point.  Groups are processed in order
     of their lowest vehicle id, so draws are reproducible for a seeded
-    generator.
+    generator: the vehicles come in id order, so a group is first seen at
+    its lowest id and lists its members in id order.
     """
     groups = {}
     for v in inst.vehicles:
         groups.setdefault((v.depot.x, v.depot.y), []).append(v.id)
     pos = {v.id: v.depot for v in inst.vehicles}
-    for (cx, cy), members in sorted(groups.items(), key=lambda kv: kv[1][0]):
+    for (cx, cy), members in groups.items():
         if len(members) < 2:
             continue
         base = rng.uniform(0.0, 2.0 * math.pi)
-        for i, vid in enumerate(sorted(members)):
+        for i, vid in enumerate(members):
             theta = base + 2.0 * math.pi * i / len(members)
             pos[vid] = Point(cx + COLOCATION_RADIUS * math.cos(theta),
                              cy + COLOCATION_RADIUS * math.sin(theta))
@@ -153,16 +155,37 @@ def _cheapest_moves(c: np.ndarray, owner: np.ndarray, sources: list, goal: int) 
     return [(pick[a][b], b) for a, b in zip(path, path[1:])]
 
 
-def build_initial_solution(inst: Instance, alloc: dict, mode: str = HEURISTIC) -> Solution:
+def _nearest_neighbor(dist: np.ndarray) -> list:
+    """Greedy order starting at the depot; ties go to the lowest index.
+
+    Each step is an argmin over the current vertex's row of a copy of the
+    target columns, in which visited targets are set to infinity; argmin
+    returns the first minimum, so ties resolve as in a scan by (distance,
+    index).
+    """
+    m = dist.shape[0] - 1
+    free = dist[:, :m].copy()
+    order = []
+    cur = m
+    for _ in range(m):
+        cur = int(free[cur].argmin())
+        order.append(cur)
+        free[:, cur] = np.inf
+    return order
+
+
+def build_initial_solution(inst: Instance, alloc: dict, mode: str) -> Solution:
     """Route every vehicle through its allocated plus required targets.
 
     ``alloc`` maps every vehicle id to its free targets, as
-    ``solve_load_balancing`` returns.  Tours always depart from the true
-    depots; the effective positions used for allocation costs play no role
-    here.
+    ``solve_load_balancing`` returns.  Each tour starts from the
+    nearest-neighbour order over its targets in id order and is routed in
+    ``mode`` by ``solve_tsp``.  Tours always depart from the true depots;
+    the effective positions used for allocation costs play no role here.
     """
     tours = []
     for v in inst.vehicles:
-        ids = inst.required_for(v.id).union(alloc[v.id])
-        tours.append(solve_tsp(TourRequest(inst, v.id, ids, mode)))
+        ids = sorted(inst.required_for(v.id).union(alloc[v.id]))
+        order = [ids[p] for p in _nearest_neighbor(inst.distance_block(v.id, ids))]
+        tours.append(solve_tsp(TourRequest(inst, v.id, order, mode)))
     return Solution(tuple(tours))

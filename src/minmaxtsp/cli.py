@@ -115,7 +115,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_gen(args)
-    except (SolverError, ValueError) as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -17,14 +17,14 @@ and check nothing themselves.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .allocation import (build_initial_solution, perturb_colocated_depots,
                          solve_load_balancing)
 from .model import (DEPOT, Instance, InvalidConfigError, Point, Solution, StageCheckError,
-                    Tour, check_instance, is_integer, validate_solution)
+                    Tour, check_instance, is_integer, plain, validate_solution)
 from .tsp import EXACT, HEURISTIC, TourRequest, held_karp_routes, solve_tsp
 
 # The displacement angle steps 144 degrees, so the schedule repeats after
@@ -42,13 +42,16 @@ class SolverConfig:
     """Solver settings, checked on construction (``InvalidConfigError``).
 
     Frozen, so a checked config stays checked; derive a variant with
-    ``dataclasses.replace``, which checks it again.
+    ``dataclasses.replace``, which checks it again.  Numpy scalars are kept
+    as the Python values they hold (``model.plain``).
     """
 
     tour_mode: str = HEURISTIC
     no_improve_stop: int = 5
 
     def __post_init__(self):
+        for field in fields(self):
+            object.__setattr__(self, field.name, plain(getattr(self, field.name)))
         if self.tour_mode not in (HEURISTIC, EXACT):
             raise InvalidConfigError(
                 f"tour_mode must be {HEURISTIC!r} or {EXACT!r}, got {self.tour_mode!r}")
@@ -191,8 +194,8 @@ def _insertion_lower_bound(target: int, read: _TourRead) -> float:
 
 
 def _rebuild(inst: Instance, vid: int, order: tuple, cfg: SolverConfig):
-    """Vehicle vid's tour through ``order``'s targets, asked warm."""
-    return solve_tsp(TourRequest(inst, vid, order, cfg.tour_mode, warm=True))
+    """Vehicle vid's tour through ``order``'s targets, from that order."""
+    return solve_tsp(TourRequest(inst, vid, order, cfg.tour_mode))
 
 
 def _reroute(inst: Instance, plan: Solution, cfg: SolverConfig) -> Solution:
@@ -257,7 +260,7 @@ def perturbation_radius(sol: Solution, inst: Instance, vid: int) -> float:
     the depot row (index DEPOT) of the vehicle's ``distance_matrix``.
 
     An empty tour reads the depot's distance to itself twice, +0.0, so its
-    depot stays in place.
+    depot moves by a signed zero, which changes no distance bit.
     """
     seq = sol.tour_for(vid).sequence
     row = inst.distance_matrix(vid)[DEPOT]
@@ -293,10 +296,9 @@ def perturbation_loop(inst: Instance, sol: Solution, rng, cfg: SolverConfig):
         moved = {}
         for v in inst.vehicles:
             radius = perturbation_radius(best, inst, v.id)
-            if radius > 0.0:
-                theta = perturbation_angle(base[v.id], iteration)
-                moved[v.id] = Point(v.depot.x + radius * math.cos(theta),
-                                    v.depot.y + radius * math.sin(theta))
+            theta = perturbation_angle(base[v.id], iteration)
+            moved[v.id] = Point(v.depot.x + radius * math.cos(theta),
+                                v.depot.y + radius * math.sin(theta))
         displaced = inst.with_depots(moved)
         shaken = local_search(displaced, _reroute(displaced, best, cfg), cfg)
         candidate = _reroute(inst, shaken, cfg)

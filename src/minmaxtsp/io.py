@@ -10,13 +10,14 @@ Layout::
 
 Vehicle ids are implicit list positions (1-based), written in ``required``
 as decimal keys without leading zeros.  The reader checks only the
-document's shape: it refuses by name a document, vehicle or ``required``
-that is not an object, an object that repeats a key or holds one the
-layout does not name, and a ``targets``, ``vehicles`` or ``required`` list
-that is not an array, or a point that is not an array of two.  Every value
-in that shape (coordinates, speeds, target indices) is passed to
-``Instance`` as parsed (JSON integers stay ints) and checked there alone.
-Floats are written with ``repr`` precision and ints as ints, so
+document's shape: it refuses by name a file that is not UTF-8 text, a
+document, vehicle or ``required`` that is not an object, an object that
+repeats a key, holds one the layout does not name or lacks one it needs
+(only ``required`` may be left out), and a ``targets``, ``vehicles`` or
+``required`` list that is not an array, or a point that is not an array of
+two.  Every value in that shape (coordinates, speeds, target indices) is
+passed to ``Instance`` as parsed (JSON integers stay ints) and checked there
+alone.  Floats are written with ``repr`` precision and ints as ints, so
 load(dump(inst)) reproduces the instance exactly.
 """
 
@@ -43,7 +44,7 @@ def instance_from_json(text: str) -> Instance:
     """Parse an instance document; any malformed part raises InvalidInstanceError."""
     try:
         doc = _object(json.loads(text, object_pairs_hook=_unique_keys), "the document",
-                      ("targets", "vehicles", "required"))
+                      ("targets", "vehicles", "required"), optional=("required",))
         targets = tuple(Point(*_array(xy, f"target {i}", 2))
                         for i, xy in enumerate(_array(doc["targets"], "targets")))
         specs = [_object(v, f"vehicle {i}", ("speed", "depot"))
@@ -53,7 +54,7 @@ def instance_from_json(text: str) -> Instance:
             for i, v in enumerate(specs, start=1))
         required = {_vehicle_key(vid): _array(ids, f"required[{json.dumps(vid)}]")
                     for vid, ids in _object(doc.get("required", {}), "required").items()}
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise InvalidInstanceError(f"malformed instance document: {exc}") from exc
     return Instance(targets, vehicles, required)
 
@@ -68,14 +69,19 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
-def _object(value, part: str, keys: tuple | None = None) -> dict:
-    # A JSON object, holding only ``keys`` when they are given: reading only
-    # the named keys would pass over a misspelt one unseen.
+def _object(value, part: str, keys: tuple = (), optional: tuple = ()) -> dict:
+    # A JSON object, holding only ``keys`` when they are given, and each of
+    # them but the ``optional`` ones: reading only the named keys would pass
+    # over a misspelt one unseen, and a missing one would be named only by
+    # Python's KeyError.
     if not isinstance(value, dict):
         raise ValueError(f"{part} must be a JSON object, got {value!r}")
     for key in value if keys else ():
         if key not in keys:
             raise ValueError(f"unknown key {key!r} in {part}; expected {', '.join(keys)}")
+    for key in keys:
+        if key not in value and key not in optional:
+            raise ValueError(f"{part} lacks {key!r}")
     return value
 
 
@@ -101,4 +107,8 @@ def save_instance(inst: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    return instance_from_json(read_text(path))
+    try:
+        text = read_text(path)
+    except UnicodeDecodeError as exc:
+        raise InvalidInstanceError(f"instance file is not UTF-8 text: {exc}") from exc
+    return instance_from_json(text)

@@ -101,7 +101,6 @@ def exact_minmax(inst: Instance) -> Solution:
 
     tours = []
     for share, v in zip(shares, inst.vehicles):
-        ids = {t for p, t in enumerate(free) if share >> p & 1}
-        ids |= inst.required_for(v.id)
-        tours.append(solve_tsp(TourRequest(inst, v.id, ids, EXACT)))
+        ids = inst.required_for(v.id).union(t for p, t in enumerate(free) if share >> p & 1)
+        tours.append(solve_tsp(TourRequest(inst, v.id, tuple(sorted(ids)), EXACT)))
     return Solution(tuple(tours))

@@ -1,11 +1,12 @@
 """Single-vehicle tour sub-solver.
 
 ``solve_tsp`` routes one vehicle of an instance through the targets of a
-``TourRequest``, which says what a request holds and how a warm or cold one
-starts.  ``held_karp_routes`` decides which requests get a Held-Karp tour
-(``held_karp_order``, memoized per instance by ``TspCache``); every other
-request is polished by 2-opt and Or-opt (``_improve``).  Both are internal:
-the stages and the oracle build requests from data that ``solve`` or
+``TourRequest`` from the order they are given in.  ``held_karp_routes``
+decides which requests get a Held-Karp tour (``held_karp_order``, memoized
+per instance by ``TspCache``); every other request is polished by 2-opt and
+Or-opt (``_improve``) from its order.  Stage 1 builds the first order of each
+tour itself (``allocation.build_initial_solution``).  Both are internal: the
+stages and the oracle build requests from data that ``solve`` or
 ``exact_minmax`` has checked.
 
 All route decisions are made on raw distances; the vehicle speed only divides
@@ -13,7 +14,7 @@ the final length, so the chosen order is invariant under speed scaling.
 """
 
 import functools
-from collections.abc import Collection
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,22 +36,14 @@ class TourRequest:
 
     A request holds the instance and what the caller chose, nothing the
     instance already owns, and is not checked: ``vehicle_id`` is one of the
-    instance's vehicles, ``targets`` distinct target ids as Python ints and
-    ``mode`` HEURISTIC or EXACT.  Unless Held-Karp routes it, a warm request
-    is polished from the order of its targets and a cold one from a
-    nearest-neighbor tour over its targets in id order.  Stage 1 has no tour
-    to start from and asks cold; stages 2 and 3 ask warm, with an incumbent
-    tour, whole or with one target spliced in or out, which is nearly clean,
-    so the polish takes a step or two where a nearest-neighbor tour takes
-    about eight.  A Held-Karp tour needs no order, so cold and exact
-    requests may pass a set.
+    instance's vehicles, ``targets`` distinct target ids as Python ints in
+    the order to start from and ``mode`` HEURISTIC or EXACT.
     """
 
     inst: Instance
     vehicle_id: int
-    targets: Collection
+    targets: Sequence
     mode: str = HEURISTIC
-    warm: bool = False
 
 
 class TspCache:
@@ -83,25 +76,6 @@ def held_karp_routes(mode: str, m: int) -> bool:
     exact mode and at most EXACT_CAP targets.  A longer exact request is
     polished as a heuristic one is, so exact mode plans every instance."""
     return mode == EXACT and m <= EXACT_CAP
-
-
-def _nearest_neighbor(dist: np.ndarray) -> list:
-    """Greedy order starting at the depot; ties go to the lowest index.
-
-    Each step is an argmin over the current vertex's row of a copy of the
-    target columns, in which visited targets are set to infinity; argmin
-    returns the first minimum, so ties resolve as in a scan by (distance,
-    index).
-    """
-    m = dist.shape[0] - 1
-    free = dist[:, :m].copy()
-    order = []
-    cur = m
-    for _ in range(m):
-        cur = int(free[cur].argmin())
-        order.append(cur)
-        free[:, cur] = np.inf
-    return order
 
 
 def _gain_tolerance(dist: np.ndarray) -> float:
@@ -349,10 +323,12 @@ def solve_tsp(req: TourRequest) -> Tour:
     """Route one vehicle through its targets per the request's mode.
 
     A Held-Karp request is keyed once and looked up in the instance's memo
-    before any block is gathered, and stored there once solved.  Only the
-    memo key and the nearest-neighbor and Held-Karp blocks take the targets
-    sorted, so their order does not matter there.  The vehicle is looked up
-    once, for the depot, speed and distance matrix.
+    before any block is gathered, and stored there once solved; the memo key
+    and the Held-Karp block take the targets sorted, so their order does not
+    matter there.  Any other request is polished from the order given:
+    stage 1 passes a nearest-neighbor order, stages 2 and 3 an incumbent
+    tour, whole or with one target spliced in or out.  The vehicle is looked
+    up once, for the depot, speed and distance matrix.
     """
     inst, vid, targets = req.inst, req.vehicle_id, req.targets
     vehicle = inst.vehicles[vid - 1]
@@ -371,9 +347,6 @@ def solve_tsp(req: TourRequest) -> Tour:
             memo.put(key, *hit)
         sequence, length = hit
     else:
-        if not req.warm:
-            ids = sorted(targets)
-            targets = [ids[p] for p in _nearest_neighbor(inst.distance_block(vid, ids))]
         ext = np.array([DEPOT, *targets, DEPOT])
         length = _improve(ext, inst._matrices(vehicle)[0])
         sequence = tuple(ext.tolist())

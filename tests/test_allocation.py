@@ -1,8 +1,9 @@
-"""Load-balancing initialization: share bounds, depot spreading, and the
+"""Load-balancing initialization: share bounds, depot spreading, the
 successive-shortest-path allocation against brute-force enumeration and
 against a reference that poses stage 1 as one n x n assignment, each
 vehicle's cost column once per target it owes, solved by scipy's
-``linear_sum_assignment``."""
+``linear_sum_assignment``, and each tour's first order by nearest neighbour
+against a scan."""
 
 import math
 from dataclasses import replace
@@ -13,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from minmaxtsp import (DEPOT, InfeasibleAllocationError, Instance, Point, Vehicle,
-                       generate_instance, scenario1, scenario2, validate_solution)
-from minmaxtsp.allocation import (COLOCATION_RADIUS, _cost_matrix, build_initial_solution,
-                                  min_target_counts, perturb_colocated_depots,
-                                  solve_load_balancing)
+from minmaxtsp import (DEPOT, EXACT, HEURISTIC, InfeasibleAllocationError, Instance, Point,
+                       Vehicle, generate_instance, scenario1, scenario2, validate_solution)
+from minmaxtsp.allocation import (COLOCATION_RADIUS, _cost_matrix, _nearest_neighbor,
+                                  build_initial_solution, min_target_counts,
+                                  perturb_colocated_depots, solve_load_balancing)
 from minmaxtsp.bench import ExperimentConfig
+from minmaxtsp.model import distances
+from minmaxtsp.tsp import TourRequest, solve_tsp
 
 from conftest import (FixedAngleRng, allocation_cost, brute_allocation_cost,
                       brute_minmax_objective, line_instance, random_instance)
@@ -298,14 +301,14 @@ class TestBuildInitial:
     def test_unassigned_vehicle_parks_at_its_depot(self):
         inst = line_instance()
         alloc = {1: frozenset({0, 1, 2, 3}), 2: frozenset()}
-        sol = build_initial_solution(inst, alloc)
+        sol = build_initial_solution(inst, alloc, HEURISTIC)
         assert sol.tour_for(2).sequence == (DEPOT, DEPOT)
         assert sol.tour_for(2).duration == 0.0
 
     def test_line_split_gives_balanced_tours(self):
         inst = line_instance()
         eff = perturb_colocated_depots(inst, np.random.default_rng(0))
-        sol = build_initial_solution(inst, solve_load_balancing(inst, eff))
+        sol = build_initial_solution(inst, solve_load_balancing(inst, eff), HEURISTIC)
         assert validate_solution(inst, sol) == []
         assert sol.objective == pytest.approx(4.0)
         assert brute_minmax_objective(inst) == pytest.approx(4.0)
@@ -314,7 +317,51 @@ class TestBuildInitial:
         rng = np.random.default_rng(59)
         inst = random_instance(rng, n=10, k=2, assign_fraction=0.3)
         eff = perturb_colocated_depots(inst, rng)
-        sol = build_initial_solution(inst, solve_load_balancing(inst, eff))
+        sol = build_initial_solution(inst, solve_load_balancing(inst, eff), HEURISTIC)
         assert validate_solution(inst, sol) == []
         for vid, req in inst.required.items():
             assert req <= frozenset(sol.tour_for(vid).targets())
+
+    @pytest.mark.parametrize("mode", [HEURISTIC, EXACT])
+    def test_each_tour_starts_from_nearest_neighbour_in_id_order(self, mode):
+        for index in range(3):
+            inst = generate_instance(scenario2(n_targets=12, seed=5), index)
+            alloc = solve_load_balancing(inst, perturb_colocated_depots(
+                inst, np.random.default_rng(index)))
+            sol = build_initial_solution(inst, alloc, mode)
+            for v in inst.vehicles:
+                ids = sorted(inst.required_for(v.id) | alloc[v.id])
+                start = [ids[p] for p in _nearest_neighbor_scan(inst.distance_block(v.id, ids))]
+                assert sol.tour_for(v.id) == solve_tsp(TourRequest(inst, v.id, start, mode))
+
+
+def _nearest_neighbor_scan(dist):
+    """Nearest neighbour as a scan over the remaining targets by (distance, index)."""
+    m = dist.shape[0] - 1
+    remaining = list(range(m))
+    order = []
+    cur = m
+    while remaining:
+        cur = min(remaining, key=lambda j: (dist[cur, j], j))
+        order.append(cur)
+        remaining.remove(cur)
+    return order
+
+
+@st.composite
+def _grid_matrices(draw):
+    """Distance matrix for 1..40 targets on a 4 x 4 grid, so most targets
+    have duplicates and most steps tie; sometimes the depot sits on a target."""
+    m = draw(st.integers(1, 40))
+    grid = st.integers(0, 3).map(float)
+    xy = np.array(draw(st.lists(st.tuples(grid, grid), min_size=m + 1, max_size=m + 1)))
+    if draw(st.booleans()):
+        xy[m] = xy[draw(st.integers(0, m - 1))]
+    return distances(xy, xy)
+
+
+class TestNearestNeighbor:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_grid_matrices())
+    def test_matches_the_scan_with_ties_to_the_lowest_index(self, dist):
+        assert _nearest_neighbor(dist) == _nearest_neighbor_scan(dist)

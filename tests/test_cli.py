@@ -118,6 +118,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "the document must be a JSON object" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(b'{"targets": [[0, 0]], "vehicles": [{"speed": 1.0, "depot": [0, 0]},'
+                     b' {"depot": [1, 1]}]}', "vehicle 2 lacks 'speed'", id="no speed"),
+        pytest.param(b"\xff\xfe{}", "instance file is not UTF-8 text", id="not UTF-8"),
+    ])
+    def test_an_unreadable_document_is_one_error_line(self, content, message, tmp_path,
+                                                      capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["solve", "--instance", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err and "Traceback" not in captured.err
+
+    def test_a_bug_is_not_reported_as_invalid_input(self, instance_file, monkeypatch):
+        # Only the package's typed errors are invalid input; a ValueError
+        # from a programming error escapes with its traceback.
+        def broken(*args, **kwargs):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr(heuristic, "solve", broken)
+        with pytest.raises(ValueError, match="not an input error"):
+            main(["solve", "--instance", str(instance_file)])
+
     def test_missing_file_is_io_failure(self, tmp_path, capsys):
         assert main(["solve", "--instance", str(tmp_path / "nope.json")]) == 2
         assert "i/o error:" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from minmaxtsp import (DEPOT, EXACT, HEURISTIC, ExperimentConfig, InfeasibleAllo
                        Instance, InvalidConfigError, Point, Solution, SolverConfig, SolverError,
                        Tour, Vehicle, exact_minmax, generate_instance, scenario1, scenario2,
                        solve, tour_duration, validate_solution)
-from minmaxtsp import heuristic, tsp
+from minmaxtsp import allocation, heuristic, tsp
 from minmaxtsp.allocation import perturb_colocated_depots, solve_load_balancing
 from minmaxtsp.tsp import EXACT_CAP, TourRequest, solve_tsp
 from minmaxtsp.heuristic import (PERTURBATION_PERIOD, PERTURBATION_STEP, STAGE_INIT,
@@ -571,9 +571,7 @@ class TestWarmStartedTours:
     def test_only_stage_1_builds_by_nearest_neighbour(self, monkeypatch):
         stage = []
         built = []
-        tours = []
-        real_nn, real_init, real_solve = (tsp._nearest_neighbor, heuristic.build_initial_solution,
-                                          heuristic.solve_tsp)
+        real_nn, real_init = allocation._nearest_neighbor, heuristic.build_initial_solution
 
         def nearest_neighbor(dist):
             built.append(stage == [STAGE_INIT])
@@ -586,19 +584,15 @@ class TestWarmStartedTours:
             finally:
                 stage.pop()
 
-        def started(req):
-            tours.append(req.warm)
-            return real_solve(req)
-
-        monkeypatch.setattr(tsp, "_nearest_neighbor", nearest_neighbor)
+        monkeypatch.setattr(allocation, "_nearest_neighbor", nearest_neighbor)
         monkeypatch.setattr(heuristic, "build_initial_solution", build_initial_solution)
-        monkeypatch.setattr(heuristic, "solve_tsp", started)
         for name in ("k2", "k8"):
             exp, cfg = _SEARCH_CASES[name]
             for index in range(2):
-                solve(generate_instance(exp, index), cfg, rng=index)
-        assert built and all(built)
-        assert tours and all(tours)
+                inst = generate_instance(exp, index)
+                built.clear()
+                solve(inst, cfg, rng=index)
+                assert len(built) == inst.k and all(built)
 
 
 class TestExactTourMemo:
@@ -717,8 +711,7 @@ class TestExactCap:
                 if len(order) <= cap:
                     again = solve_tsp(TourRequest(fresh, tour.vehicle_id, order, EXACT))
                 else:
-                    again = solve_tsp(TourRequest(inst, tour.vehicle_id, order, HEURISTIC,
-                                                  warm=True))
+                    again = solve_tsp(TourRequest(inst, tour.vehicle_id, order, HEURISTIC))
                 assert again == tour
         assert validate_solution(inst, sol) == []
 
@@ -873,6 +866,14 @@ class TestSolverConfig:
         cfg = SolverConfig(**kwargs)
         for field, value in kwargs.items():
             assert getattr(cfg, field) == value
+
+    @pytest.mark.parametrize("field,value", [
+        ("tour_mode", np.str_(EXACT)), ("no_improve_stop", np.int64(3)),
+        ("no_improve_stop", np.uint8(0)),
+    ])
+    def test_a_numpy_scalar_is_kept_as_the_python_value_it_holds(self, field, value):
+        kept = getattr(SolverConfig(**{field: value}), field)
+        assert type(kept) is type(value.item()) and kept == value
 
     @pytest.mark.parametrize("field,value", [
         ("cfg", "exact"), ("cfg", {"tour_mode": EXACT}), ("rng", 1.5), ("rng", "a"),

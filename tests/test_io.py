@@ -154,6 +154,27 @@ def test_a_part_that_is_not_an_array_is_named(text, part):
         instance_from_json(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"vehicles": [{"speed": 1.0, "depot": [0, 0]}]}',
+                 "the document lacks 'targets'", id="no targets"),
+    pytest.param('{"targets": [[0, 0]]}', "the document lacks 'vehicles'", id="no vehicles"),
+    pytest.param('{"targets": [[0, 0]], "vehicles": [{"speed": 1.0, "depot": [0, 0]},'
+                 ' {"depot": [1, 1]}]}', "vehicle 2 lacks 'speed'", id="second vehicle speed"),
+    pytest.param('{"targets": [[0, 0]], "vehicles": [{"speed": 1.0}]}',
+                 "vehicle 1 lacks 'depot'", id="no depot"),
+])
+def test_a_missing_key_is_named(text, message):
+    with pytest.raises(InvalidInstanceError, match=f": {re.escape(message)}$"):
+        instance_from_json(text)
+
+
+def test_a_file_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(InvalidInstanceError, match="not UTF-8 text"):
+        load_instance(path)
+
+
 def test_malformed_rows_start_from_a_valid_document():
     assert instance_from_json(_doc()).targets == (Point(0.0, 0.0),)
 
@@ -261,8 +282,18 @@ def _read(text):
     return inst
 
 
+@st.composite
+def _documents_lacking_a_key(draw):
+    """A valid document without one of the keys it needs: ``targets``,
+    ``vehicles``, or one vehicle's ``speed`` or ``depot``."""
+    doc = draw(_documents())
+    parent = draw(st.sampled_from([doc, *doc["vehicles"]]))
+    del parent[draw(st.sampled_from([key for key in parent if key != "required"]))]
+    return doc
+
+
 _DOCS = {"any JSON value": _JSON, "valid": _documents(),
-         "one part retyped": _mutated_documents()}
+         "one part retyped": _mutated_documents(), "one key dropped": _documents_lacking_a_key()}
 
 
 @pytest.mark.parametrize("docs", _DOCS.values(), ids=_DOCS.keys())
@@ -270,9 +301,14 @@ _DOCS = {"any JSON value": _JSON, "valid": _documents(),
 @given(data=st.data())
 def test_every_document_loads_or_is_refused_by_name(docs, data):
     doc = data.draw(docs)
-    inst = _read(json.dumps(doc))
+    text = json.dumps(doc)
+    inst = _read(text)
     if docs is _DOCS["valid"]:
         assert inst is not None
+    if docs is _DOCS["one key dropped"]:
+        with pytest.raises(InvalidInstanceError,
+                           match=r": (the document|vehicle \d+) lacks '[a-z]+'$"):
+            instance_from_json(text)
 
 
 @pytest.mark.parametrize("docs", _DOCS.values(), ids=_DOCS.keys())

@@ -9,16 +9,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import minmaxtsp.tsp
 from minmaxtsp import (DEPOT, EXACT, HEURISTIC, Instance, Point, Tour, Vehicle,
                        generate_instance, scenario1, tour_duration)
+from minmaxtsp.allocation import _nearest_neighbor
 from minmaxtsp.model import COORD_LIMIT, distances
 from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, TourRequest, _gain_tolerance,
-                           _improve, _move_tables, _nearest_neighbor, _subset_dp,
-                           _subset_dp_table, best_cycle_lengths, held_karp_order, solve_tsp)
+                           _improve, _move_tables, _subset_dp, _subset_dp_table,
+                           best_cycle_lengths, held_karp_order, solve_tsp)
 
 from conftest import brute_cycle_length, euclid, memo_size
 
@@ -101,9 +102,9 @@ class TestRequestBoundary:
     the memo keys them sorted."""
 
     def test_a_built_request_is_frozen(self):
-        req = TourRequest(_ten_targets(), 1, (3, 1), HEURISTIC, warm=True)
-        assert (req.targets, req.warm) == ((3, 1), True)
-        for field, value in (("targets", (99,)), ("warm", False), ("vehicle_id", 0)):
+        req = TourRequest(_ten_targets(), 1, (3, 1), HEURISTIC)
+        assert (req.targets, req.mode) == ((3, 1), HEURISTIC)
+        for field, value in (("targets", (99,)), ("mode", EXACT), ("vehicle_id", 0)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(req, field, value)
 
@@ -149,9 +150,9 @@ class TestHeldKarp:
         inst = Instance(tuple(Point(*p) for p in xy),
                         (Vehicle(1, 1.0, Point(0, 0)),))
         order = tuple(rng.permutation(EXACT_CAP + 1).tolist())
-        for targets, warm in ((range(EXACT_CAP + 1), False), (order, False), (order, True)):
-            exact = solve_tsp(TourRequest(inst, 1, targets, EXACT, warm))
-            polished = solve_tsp(TourRequest(inst, 1, targets, HEURISTIC, warm))
+        for targets in (range(EXACT_CAP + 1), order):
+            exact = solve_tsp(TourRequest(inst, 1, targets, EXACT))
+            polished = solve_tsp(TourRequest(inst, 1, targets, HEURISTIC))
             assert exact == polished
             assert repr(exact.duration) == repr(polished.duration)
         assert memo_size(inst) == 0
@@ -299,15 +300,6 @@ class TestHeuristicQuality:
         a = solve_tsp(TourRequest(inst, 1, range(10)))
         b = solve_tsp(TourRequest(inst, 1, range(10)))
         assert a == b
-
-    def test_target_listing_order_is_irrelevant(self):
-        rng = np.random.default_rng(10)
-        xy = rng.uniform(0, 100, size=(9, 2))
-        inst = Instance(tuple(Point(*p) for p in xy),
-                        (Vehicle(1, 1.0, Point(0, 0)),))
-        forward = solve_tsp(TourRequest(inst, 1, range(9)))
-        shuffled = solve_tsp(TourRequest(inst, 1, (4, 0, 8, 2, 6, 1, 7, 3, 5)))
-        assert forward == shuffled
 
     def test_route_choice_is_speed_invariant(self):
         rng = np.random.default_rng(12)
@@ -460,9 +452,8 @@ class TestCache:
     def test_exact_starts_share_one_entry(self):
         inst = _square_instance()
         tours = set()
-        for order in ((0, 1, 2), (2, 0, 1)):
-            for warm in (False, True):
-                tours.add(solve_tsp(TourRequest(inst, 1, order, EXACT, warm)))
+        for order in ((0, 1, 2), (2, 0, 1), (1, 0, 2)):
+            tours.add(solve_tsp(TourRequest(inst, 1, order, EXACT)))
         assert memo_size(inst) == 1
         assert len(tours) == 1
 
@@ -471,7 +462,7 @@ class TestCache:
         xy = rng.uniform(0, 100, size=(9, 2))
         inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, Point(0, 0)),))
         requests = [TourRequest(inst, 1, range(9))] + [
-            TourRequest(inst, 1, tuple(rng.permutation(9).tolist()), warm=True) for _ in range(4)]
+            TourRequest(inst, 1, tuple(rng.permutation(9).tolist())) for _ in range(4)]
         for req in requests + requests:
             assert solve_tsp(req) == solve_tsp(req)
         assert memo_size(inst) == 0
@@ -516,7 +507,8 @@ _REAL = st.floats(0.0, 100.0)
 @st.composite
 def _tours(draw):
     """(start order, distance matrix) for 2..40 targets, sometimes with the
-    depot on a target and sometimes starting from nearest neighbour."""
+    depot on a target and sometimes starting from nearest neighbour, as
+    stage 1 does."""
     m = draw(st.integers(2, 40))
     kind = draw(st.sampled_from(["grid", "floats", "uniform"]))
     if kind == "uniform":
@@ -533,37 +525,6 @@ def _tours(draw):
     if draw(st.booleans()):
         return _nearest_neighbor(dist), dist
     return list(draw(st.permutations(range(m)))), dist
-
-
-def _nearest_neighbor_scan(dist):
-    """Nearest neighbour as a scan over the remaining targets by (distance, index)."""
-    m = dist.shape[0] - 1
-    remaining = list(range(m))
-    order = []
-    cur = m
-    while remaining:
-        cur = min(remaining, key=lambda j: (dist[cur, j], j))
-        order.append(cur)
-        remaining.remove(cur)
-    return order
-
-
-@st.composite
-def _grid_matrices(draw):
-    """Distance matrix for 1..40 targets on a 4 x 4 grid, so most targets
-    have duplicates and most steps tie; sometimes the depot sits on a target."""
-    m = draw(st.integers(1, 40))
-    xy = np.array(draw(st.lists(st.tuples(_GRID, _GRID), min_size=m + 1, max_size=m + 1)))
-    if draw(st.booleans()):
-        xy[m] = xy[draw(st.integers(0, m - 1))]
-    return distances(xy, xy)
-
-
-class TestNearestNeighbor:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_grid_matrices())
-    def test_matches_the_scan_with_ties_to_the_lowest_index(self, dist):
-        assert _nearest_neighbor(dist) == _nearest_neighbor_scan(dist)
 
 
 def _polish(two_opt, or_opt_once, order, dist):
@@ -671,16 +632,15 @@ def _started_requests(draw):
 
 
 class TestStartOrder:
-    """A warm heuristic request polishes the order of its targets, a cold one
-    a nearest-neighbor tour over them in id order; an exact one of at most
-    EXACT_CAP targets needs no order."""
+    """A heuristic request polishes the order of its targets; an exact one of
+    at most EXACT_CAP targets needs no order."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_started_requests())
     def test_heuristic_tour_is_a_clean_order_of_the_targets(self, case):
         inst, order = case
         targets = sorted(order)
-        tour = solve_tsp(TourRequest(inst, 1, order, warm=True))
+        tour = solve_tsp(TourRequest(inst, 1, order))
         assert tour.sequence[0] == DEPOT and tour.sequence[-1] == DEPOT
         assert sorted(tour.targets()) == targets
         assert tour_duration(inst, tour) == pytest.approx(tour.duration, rel=1e-12, abs=1e-12)
@@ -689,38 +649,39 @@ class TestStartOrder:
         tol = _gain_tolerance(dist)
         assert _two_opt(list(order), dist, tol) == order
         assert _or_opt_once(list(order), dist, tol) == (order, False)
-        again = solve_tsp(TourRequest(inst, 1, tour.targets(), warm=True))
+        again = solve_tsp(TourRequest(inst, 1, tour.targets()))
         assert again == tour
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_started_requests())
     def test_exact_tour_does_not_depend_on_the_start(self, case):
         inst, order = case
-        req = TourRequest(inst, 1, order, EXACT, warm=True)
+        req = TourRequest(inst, 1, order, EXACT)
         assert solve_tsp(req) == solve_tsp(TourRequest(inst, 1, sorted(order), EXACT))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_started_requests())
-    def test_a_cold_tour_does_not_depend_on_the_order(self, case):
+    def test_a_heuristic_tour_is_the_polish_of_its_order(self, case):
         inst, order = case
-        ids = sorted(order)
+        assume(order)
         tour = solve_tsp(TourRequest(inst, 1, order))
-        assert tour == solve_tsp(TourRequest(inst, 1, ids))
-        block = inst.distance_block(1, ids)
-        positions, _ = _kernel(_nearest_neighbor(block), block)
-        assert list(tour.targets()) == [ids[p] for p in positions]
+        block = inst.distance_block(1, order)
+        positions, length = _kernel(range(len(order)), block)
+        assert tour.targets() == tuple(order[p] for p in positions)
+        assert tour.duration == length / inst.vehicles[0].speed
 
     def test_start_is_polished_not_rebuilt(self):
         # A clean start that nearest neighbour would not build is kept.
         rng = np.random.default_rng(16)
         xy = rng.uniform(0, 100, size=(12, 2))
         inst = Instance(tuple(Point(*p) for p in xy), (Vehicle(1, 1.0, Point(50, 50)),))
-        built = solve_tsp(TourRequest(inst, 1, range(12)))
+        start = _nearest_neighbor(inst.distance_block(1, range(12)))
+        built = solve_tsp(TourRequest(inst, 1, start))
         for _ in range(20):
             order = tuple(rng.permutation(12).tolist())
-            tour = solve_tsp(TourRequest(inst, 1, order, warm=True))
+            tour = solve_tsp(TourRequest(inst, 1, order))
             if tour.sequence not in (built.sequence, built.sequence[::-1]):
                 break
         else:
             pytest.fail("every start polished to the nearest-neighbour tour")
-        assert solve_tsp(TourRequest(inst, 1, tour.targets(), warm=True)) == tour
+        assert solve_tsp(TourRequest(inst, 1, tour.targets())) == tour
