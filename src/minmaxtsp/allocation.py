@@ -27,17 +27,22 @@ def min_target_counts(inst: Instance) -> dict:
 
     Vehicle j must serve at least floor(n * v_j / sum(v)) targets; whatever
     its required set already covers is subtracted and the result is clamped
-    at zero.  Note the clamp can push the summed bounds past the number of
-    free targets when one vehicle's required load far exceeds its share;
-    solve_load_balancing then raises InfeasibleAllocationError.
+    at zero.  The floor is exact for every speed ``is_speed`` admits: each
+    speed is an integer over a power of two (``as_integer_ratio``), so over
+    the largest of those denominators every speed is an integer and the
+    share is integer division, which neither overflows nor depends on how
+    a Python version rounds a float sum.  Note the clamp can push the summed
+    bounds past the number of free targets when one vehicle's required load
+    far exceeds its share; solve_load_balancing then raises
+    InfeasibleAllocationError.
     """
-    total_speed = sum(v.speed for v in inst.vehicles)
+    ratios = [v.speed.as_integer_ratio() for v in inst.vehicles]
+    scale = max(q for _, q in ratios)
+    weights = [p * (scale // q) for p, q in ratios]
+    total = sum(weights)
     n = inst.n_targets
-    lower = {}
-    for v in inst.vehicles:
-        share = math.floor(n * v.speed / total_speed)
-        lower[v.id] = max(0, share - len(inst.required_for(v.id)))
-    return lower
+    return {v.id: max(0, n * w // total - len(inst.required_for(v.id)))
+            for v, w in zip(inst.vehicles, weights)}
 
 
 def perturb_colocated_depots(inst: Instance, rng) -> dict:

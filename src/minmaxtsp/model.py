@@ -48,13 +48,13 @@ class InvalidConfigError(SolverError, ValueError):
     """A solver setting names an unknown mode or lies outside its range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     x: float
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vehicle:
     """A vehicle with a 1-based id, a positive speed, and a home depot."""
 
@@ -290,7 +290,7 @@ class Instance:
         return moved
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tour:
     """One vehicle's closed route: (DEPOT, t_1, ..., t_m, DEPOT)."""
 
@@ -304,7 +304,7 @@ class Tour:
         return self.sequence[1:-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Solution:
     """A complete plan, one tour per vehicle, ordered by vehicle id."""
 

@@ -1,12 +1,14 @@
-"""Load-balancing initialization: share bounds, depot spreading, the
-successive-shortest-path allocation against brute-force enumeration and
-against a reference that poses stage 1 as one n x n assignment, each
-vehicle's cost column once per target it owes, solved by scipy's
-``linear_sum_assignment``, and each tour's first order by nearest neighbour
-against a scan."""
+"""Load-balancing initialization: share bounds against exact rational
+floors, depot spreading, the successive-shortest-path allocation against
+brute-force enumeration and against a reference that poses stage 1 as one
+n x n assignment, each vehicle's cost column once per target it owes, solved
+by scipy's ``linear_sum_assignment``, and each tour's first order by nearest
+neighbour against a scan."""
 
 import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +17,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from minmaxtsp import (DEPOT, EXACT, HEURISTIC, InfeasibleAllocationError, Instance, Point,
-                       Vehicle, generate_instance, scenario1, scenario2, validate_solution)
+                       SolverConfig, Vehicle, generate_instance, scenario1, scenario2, solve,
+                       validate_solution)
 from minmaxtsp.allocation import (COLOCATION_RADIUS, _cost_matrix, _nearest_neighbor,
                                   build_initial_solution, min_target_counts,
                                   perturb_colocated_depots, solve_load_balancing)
 from minmaxtsp.bench import ExperimentConfig
-from minmaxtsp.model import distances
+from minmaxtsp.model import SPEED_MIN, distances
 from minmaxtsp.tsp import TourRequest, solve_tsp
 
 from conftest import (FixedAngleRng, allocation_cost, brute_allocation_cost,
@@ -51,6 +54,33 @@ class TestMinTargetCounts:
         targets = _grid_targets(9)
         inst = Instance(targets, (Vehicle(1, 1.0, Point(0, 0)),), {1: [2, 5]})
         assert min_target_counts(inst) == {1: len(inst.free_targets())}
+
+    def test_a_share_does_not_follow_how_the_speed_sum_rounds(self):
+        # Python 3.12's compensated sum() put vehicle 3's float quotient at 14.
+        speeds = (2.86, 1.64, 2.4, 2.7)
+        inst = Instance(_grid_targets(56), tuple(
+            Vehicle(vid, s, Point(0, 0)) for vid, s in enumerate(speeds, start=1)))
+        assert min_target_counts(inst) == {1: 16, 2: 9, 3: 13, 4: 15}
+
+    @settings(max_examples=200, deadline=None)
+    @given(speeds=st.lists(st.floats(SPEED_MIN, sys.float_info.max) | st.integers(1, 10**6),
+                           min_size=1, max_size=6),
+           n=st.integers(1, 400))
+    def test_shares_equal_exact_rational_floors(self, speeds, n):
+        inst = Instance(_grid_targets(n), tuple(
+            Vehicle(vid, s, Point(0, 0)) for vid, s in enumerate(speeds, start=1)))
+        total = sum(Fraction(s) for s in speeds)
+        assert min_target_counts(inst) == {
+            vid: math.floor(n * Fraction(s) / total) for vid, s in enumerate(speeds, start=1)}
+
+    @pytest.mark.parametrize("mode", [EXACT, HEURISTIC])
+    @pytest.mark.parametrize("speeds", [(1e308, 1), (1e308, 1e308)], ids=["one", "both"])
+    def test_speeds_near_the_float_max_get_a_feasible_plan(self, speeds, mode):
+        # The float quotient n * v / sum(v) overflowed to inf, or to NaN.
+        inst = Instance((Point(0, 0), Point(5, 5), Point(9, 1)),
+                        (Vehicle(1, speeds[0], Point(0, 0)), Vehicle(2, speeds[1], Point(9, 9))))
+        sol, _ = solve(inst, SolverConfig(tour_mode=mode), rng=0)
+        assert validate_solution(inst, sol) == []
 
 
 class TestDepotSpreading:

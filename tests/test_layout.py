@@ -1,10 +1,10 @@
 """Package layout: no module reaches into another module's private names,
 every public export resolves and the README lists exactly those, the package
-runs on numpy alone (scipy serves only the tests), every distance comes
-from the one kernel, every file is opened by the one pair of path helpers,
-``model`` imports no other module of the package, the instance reader uses
-none of ``model``'s value rules, and every name the benchmark's layer tracer
-wraps still exists."""
+runs on numpy alone (scipy serves only the tests) and loads XML only to
+draw, every distance comes from the one kernel, every file is opened by the
+one pair of path helpers, ``model`` imports no other module of the package,
+the instance reader uses none of ``model``'s value rules, and every name the
+benchmark's layer tracer wraps still exists."""
 
 import ast
 import importlib
@@ -76,13 +76,24 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
-def test_importing_the_package_and_cli_loads_no_scipy():
+def _loaded_by_importing_the_package_and_cli(top: str) -> str:
+    """The modules under package ``top`` that a fresh interpreter holds after
+    ``import minmaxtsp, minmaxtsp.cli``, as the printed sorted list."""
     code = ("import sys; sys.path.insert(0, {src!r}); import minmaxtsp, minmaxtsp.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-            ).format(src=str(PACKAGE.parent))
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))"
+            ).format(src=str(PACKAGE.parent), top=top)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, check=True)
-    assert done.stdout.strip() == "[]", done.stdout + done.stderr
+    return done.stdout.strip() + done.stderr
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    assert _loaded_by_importing_the_package_and_cli("scipy") == "[]"
+
+
+def test_importing_the_package_and_cli_loads_no_xml():
+    """Only drawing uses ``xml.etree``, so ``svgplot`` imports it on first use."""
+    assert _loaded_by_importing_the_package_and_cli("xml") == "[]"
 
 
 def test_every_export_resolves_once():

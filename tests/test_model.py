@@ -516,3 +516,45 @@ class TestSolution:
         swapped = sol.replace(Tour(2, (DEPOT, DEPOT), 9.0))
         assert swapped.tour_for(2).duration == 9.0
         assert swapped.tour_for(1).duration == 2.0
+
+
+RECORDS = {
+    "Point": (Point(1.5, -2), "x"),
+    "Vehicle": (Vehicle(1, 2.0, Point(0, 0)), "speed"),
+    "Tour": (Tour(1, (DEPOT, 0, DEPOT), 10.0), "duration"),
+    "Solution": (Solution((Tour(1, (DEPOT, DEPOT), 0.0),)), "tours"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestRecords:
+    """The records held per target, vehicle and tour are slotted: no per-object
+    dict, and they still freeze, pickle and copy as before."""
+
+    def test_has_no_instance_dict(self, name):
+        record, _ = RECORDS[name]
+        assert not hasattr(record, "__dict__")
+
+    def test_a_field_is_frozen(self, name):
+        record, field = RECORDS[name]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
+
+    def test_a_name_that_is_no_field_cannot_be_set(self, name):
+        # CPython's frozen __setattr__ on a slotted dataclass raises TypeError
+        # for a name that is no field, where a fix may give AttributeError.
+        record, _ = RECORDS[name]
+        with pytest.raises((TypeError, AttributeError)):
+            record.note = "extra"
+        assert not hasattr(record, "note")
+
+    @pytest.mark.parametrize("clone", [
+        lambda record: pickle.loads(pickle.dumps(record)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_pickles_and_copies_to_an_equal_record(self, name, clone):
+        record, _ = RECORDS[name]
+        twin = clone(record)
+        assert type(twin) is type(record) and twin == record
+        assert hash(twin) == hash(record)
