@@ -46,9 +46,10 @@ class TourRequest:
     mode: str = HEURISTIC
 
 
-class TspCache:
+class TspCache(dict):
     """Memo for Held-Karp tours, keyed by what they depend on: the depot
-    position and the sorted target ids, ``(x, y, targets)``.
+    position and the sorted target ids, ``(x, y, targets)``, each mapped to
+    ``(sequence, length)``.
 
     ``solve_tsp`` keeps one in the ``_cache`` of the request's instance, so
     it lives as long as that instance: a second solve, or the oracle run on
@@ -58,17 +59,10 @@ class TspCache:
     stages 2 and 3 rarely repeat, are not memoized.
     """
 
-    def __init__(self):
-        self._data = {}
-
+    # Defined here, not inherited, so a tracer that swaps ``TspCache.get``
+    # finds it in the class under its own name and sees every lookup.
     def get(self, key: tuple):
-        return self._data.get(key)
-
-    def put(self, key: tuple, sequence: tuple, length: float) -> None:
-        self._data[key] = (sequence, length)
-
-    def __len__(self):
-        return len(self._data)
+        return dict.get(self, key)
 
 
 def held_karp_routes(mode: str, m: int) -> bool:
@@ -91,9 +85,11 @@ def _gain_tolerance(dist: np.ndarray) -> float:
     return max(_EPS, float(dist.max()) * 2.0 ** -48)
 
 
-# The index tables of a tour of m targets take about 130 m^2 bytes; the cache
-# keeps the TABLE_CACHE_LENGTHS most recently used lengths, so memory stays
-# bounded however many tour lengths a process polishes.
+# The index tables of a tour of m targets take about 130 m^2 bytes.  The cache
+# keeps the TABLE_CACHE_LENGTHS most recently used lengths: that bounds the
+# count of lengths, not the bytes, which grow with the tours polished.  k2's
+# lengths 9-23 hold 0.49 MB; six scenario-1 solves in a fresh process grew
+# RSS by 11.1 MB at n = 120 and by 55.2 MB at n = 240.
 TABLE_CACHE_LENGTHS = 64
 
 
@@ -214,12 +210,15 @@ def _improve(ext: np.ndarray, dist: np.ndarray) -> float:
 
 # Held-Karp fills its table one layer of same-size target subsets at a time,
 # one cell per (mask, j outside mask) pair.  A step's (m, chunk) candidate
-# block takes 8 m bytes per cell: chunks of at most _DP_CHUNK cells keep it
-# at 2 MiB for m = 16, where the largest layer (102,960 cells) would take
-# 12.6 MiB at once.  The index tables of a tour of m targets take 17 bytes per
-# cell, m 2^(m-1) cells (8.5 MiB at m = 16), so only the EXACT_CAP most
-# recently used lengths are kept.
-_DP_CHUNK = 1 << 14
+# block takes 8 m bytes per cell: chunks of at most _DP_CHUNK cells keep it at
+# 64 KiB for m = 16, where the largest layer (102,960 cells) would take
+# 12.6 MiB at once, and at 40 KB for m = 10, below its 80 KB table.  Blocks
+# this small stay in cache: from m = 12 up a step runs no slower per cell than
+# one of 2^14 cells, and at m = 10 the extra steps cost 10-15%.  The index
+# tables of a tour of m targets take 17 bytes per cell, m 2^(m-1) cells
+# (8.5 MiB at m = 16), so only the EXACT_CAP most recently used lengths are
+# kept.
+_DP_CHUNK = 1 << 9
 
 
 @functools.lru_cache(maxsize=EXACT_CAP)
@@ -234,14 +233,14 @@ def _subset_dp_table(m: int) -> tuple:
     column of T that the cell is priced from), j as int8 and the flat index
     j 2^m + (mask | 1 << j) of the cell it fills.
     """
-    masks = np.arange(1 << m)
     idx = np.arange(m)
-    outside = (masks[:, None] >> idx) & 1 == 0
-    size = m - outside.sum(axis=1)
+    size = np.zeros(1 << m, dtype=np.int8)  # targets in each mask
+    for b in range(m):  # mask 2^b + x holds the targets of x and b
+        size[1 << b:2 << b] = size[:1 << b] + 1
     steps = []
     for c in range(1, m):
-        layer = masks[size == c]
-        rows, js = np.nonzero(outside[layer])
+        layer = np.flatnonzero(size == c)
+        rows, js = np.nonzero(layer[:, None] & (1 << idx) == 0)
         src = layer[rows]
         cells = js << m | src | 1 << js
         for lo in range(0, src.size, _DP_CHUNK):
@@ -277,7 +276,9 @@ def _subset_dp(dist: np.ndarray) -> np.ndarray:
     flat = table.reshape(-1)
     flat[starts] = dist[m, :m]
     for src, j, cell in steps:
-        flat[cell] = np.minimum.reduce(table.take(src, 1) + C.take(j, 1), 0)
+        block = table.take(src, 1)
+        block += C.take(j, 1)  # in place: no third block for the sum
+        flat[cell] = np.minimum.reduce(block, 0)
     return table.T
 
 
@@ -314,7 +315,12 @@ def best_cycle_lengths(dist: np.ndarray) -> np.ndarray:
     if m == 0:
         return np.zeros(1)
     dp = _subset_dp(dist)
-    out = np.min(dp + dist[:m, m][None, :], axis=1)
+    back = dist[:m, m]
+    # The row minimum of dp + back, one column at a time: min is exact, so
+    # this has the bits of np.min over the (2^m, m) sum without building it.
+    out = dp[:, 0] + back[0]
+    for j in range(1, m):
+        np.minimum(out, dp[:, j] + back[j], out=out)
     out[0] = 0.0
     return out
 
@@ -344,7 +350,7 @@ def solve_tsp(req: TourRequest) -> Tour:
         if hit is None:
             order, length = held_karp_order(inst.distance_block(vid, ids))
             hit = ((DEPOT, *(ids[p] for p in order), DEPOT), length)
-            memo.put(key, *hit)
+            memo[key] = hit
         sequence, length = hit
     else:
         ext = np.array([DEPOT, *targets, DEPOT])

@@ -263,6 +263,13 @@ class TestReportFile:
         with pytest.raises(InvalidConfigError, match="field init_obj must be a finite number"):
             ExperimentReport([bad]).summary()
 
+    def test_means_add_left_to_right_on_every_python(self):
+        # Python 3.12's sum() compensates rounding: it gives 1e16 + 1 - 1e16
+        # as 1.0, where 3.10, 3.11 and a left-to-right loop give 0.0.
+        rows = [ReportRow(i, 1.0, 1.0, 1.0, None, t, None)
+                for i, t in enumerate((1e16, 1.0, -1e16))]
+        assert ExperimentReport(rows).summary()["mean_t_heuristic_s"] == 0.0
+
     def test_a_row_stores_only_what_was_measured(self):
         assert [f.name for f in dataclasses.fields(ReportRow)] == [
             "instance", "init_obj", "ls_obj", "final_obj", "oracle_obj",
@@ -410,8 +417,12 @@ def test_a_written_report_agrees_with_itself(rows):
         checked.append((gaps, row.t_oracle_s))
 
     def mean(values):
+        # Left to right, as the report adds: sum() compensates from 3.12 on.
         values = list(values)
-        return sum(values) / len(values) if values else None
+        total = 0
+        for value in values:
+            total += value
+        return total / len(values) if values else None
 
     want = {
         "mean_gap_init_pct": mean(g["gap_init_pct"] for g, _ in checked),

@@ -1,10 +1,11 @@
 """Package layout: no module reaches into another module's private names,
 every public export resolves and the README lists exactly those, the package
-runs on numpy alone (scipy serves only the tests) and loads XML only to
-draw, every distance comes from the one kernel, every file is opened by the
-one pair of path helpers, ``model`` imports no other module of the package,
-the instance reader uses none of ``model``'s value rules, and every name the
-benchmark's layer tracer wraps still exists."""
+runs on numpy alone (scipy serves only the tests), loads XML only to draw
+and csv only to write a report, every distance comes from the one kernel,
+every file is opened by the one pair of path helpers, ``model`` imports no
+other module of the package, the instance reader uses none of ``model``'s
+value rules, and every name the benchmark's layer tracer wraps still
+exists."""
 
 import ast
 import importlib
@@ -94,6 +95,11 @@ def test_importing_the_package_and_cli_loads_no_scipy():
 def test_importing_the_package_and_cli_loads_no_xml():
     """Only drawing uses ``xml.etree``, so ``svgplot`` imports it on first use."""
     assert _loaded_by_importing_the_package_and_cli("xml") == "[]"
+
+
+def test_importing_the_package_and_cli_loads_no_csv():
+    """Only writing a report uses ``csv``, so ``bench`` imports it on first use."""
+    assert _loaded_by_importing_the_package_and_cli("csv") == "[]"
 
 
 def test_every_export_resolves_once():

@@ -1,7 +1,8 @@
 """Single-vehicle tour solver: the frozen request, exact DP vs.
 permutation enumeration, the layered DP and its tour read-back against the
-per-mask loop and its parent table, heuristic quality, 2-opt behavior, the
-numpy polish loop against the scans, and the instance's exact-tour memo."""
+per-mask loop and its parent table, the memory its tables and the oracle's
+cycle lengths take, heuristic quality, 2-opt behavior, the numpy polish loop
+against the scans, and the instance's exact-tour memo."""
 
 import dataclasses
 import math
@@ -13,13 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import minmaxtsp.tsp
-from minmaxtsp import (DEPOT, EXACT, HEURISTIC, Instance, Point, Tour, Vehicle,
-                       generate_instance, scenario1, tour_duration)
+from minmaxtsp import (DEPOT, EXACT, HEURISTIC, Instance, Point, SolverConfig, Tour,
+                       Vehicle, generate_instance, scenario1, solve, tour_duration)
 from minmaxtsp.allocation import _nearest_neighbor
 from minmaxtsp.model import COORD_LIMIT, distances
-from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, TourRequest, _gain_tolerance,
-                           _improve, _move_tables, _subset_dp, _subset_dp_table,
-                           best_cycle_lengths, held_karp_order, solve_tsp)
+from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, TourRequest, TspCache,
+                           _gain_tolerance, _improve, _move_tables, _subset_dp,
+                           _subset_dp_table, best_cycle_lengths, held_karp_order,
+                           solve_tsp)
 
 from conftest import brute_cycle_length, euclid, memo_size
 
@@ -226,6 +228,15 @@ def _assert_same_table(dist):
     assert held_karp_order(dist) == _walk_parents(dist, dp_ref, parent_ref)
 
 
+def _traced(fn, *args):
+    """``fn(*args)`` and the peak of the bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestLayeredSubsetDp:
     """The layer-at-a-time table must equal the per-mask loop's bit for bit,
     and the tour read back from it must be the one its parent table gives."""
@@ -243,21 +254,52 @@ class TestLayeredSubsetDp:
     def test_table_cache_is_bounded(self):
         assert _subset_dp_table.cache_info().maxsize is not None
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_dp_matrices())
+    def test_cycle_lengths_are_the_row_minimum_of_the_full_sum(self, dist):
+        # The running minimum over columns against np.min over the (2^m, m)
+        # block it replaced, bit for bit; small grids make most entries tie.
+        m = dist.shape[0] - 1
+        full = np.min(_subset_dp(dist) + dist[:m, m][None, :], axis=1)
+        full[0] = 0.0
+        assert best_cycle_lengths(dist).tobytes() == full.tobytes()
+
+    def test_cycle_lengths_at_sixteen_targets_need_no_full_width_sum(self):
+        # dp takes 8 MiB and the index tables 8.5 MiB, kept here since the
+        # cache starts empty; a (2^m, m) sum of dp and the closing edges once
+        # added 8 MiB more (25.0 MiB in all).
+        xy = np.random.default_rng(6).uniform(0.0, 100.0, size=(17, 2))
+        dist = distances(xy, xy)
+        _subset_dp_table.cache_clear()
+        assert _traced(best_cycle_lengths, dist)[1] < 22 * 2**20
+
+    def test_ten_targets_take_about_twice_the_table(self):
+        # The oracle's size in the benchmark.  Blocks of a whole layer (1,260
+        # cells) and a third one for their sum once made the peak 4.7 times
+        # the 80 KB table; two blocks of _DP_CHUNK cells make it 2.1 times.
+        xy = np.random.default_rng(10).uniform(0.0, 100.0, size=(11, 2))
+        dist = distances(xy, xy)
+        best_cycle_lengths(dist)
+        assert _traced(best_cycle_lengths, dist)[1] < 2.5 * (8 * 10 << 10)
+
     def test_memory_stays_within_the_chunk_bound(self):
         # dp takes 8 MiB at 16 targets; an unchunked layer adds 26.
         xy = np.random.default_rng(5).uniform(0.0, 100.0, size=(17, 2))
         dist = distances(xy, xy)
         held_karp_order(dist)
-        tracemalloc.start()
-        try:
-            held_karp_order(dist)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert _traced(held_karp_order, dist)[1] < 24 * 2**20
 
 
 class TestSubsetDpTable:
+    def test_building_the_tables_needs_little_beyond_them(self):
+        # At 16 targets a (2^m, m) mask-bit matrix and its sums once took
+        # 2.9 MiB beside the 8.5 MiB kept; subset sizes by doubling and each
+        # layer's bits from its own masks keep the build near the tables.
+        _subset_dp_table.cache_clear()
+        (starts, steps), peak = _traced(_subset_dp_table, 16)
+        kept = starts.nbytes + sum(arr.nbytes for step in steps for arr in step)
+        assert peak <= kept + 2.5 * 2**20
+
     def test_index_tables_stay_within_their_bound(self):
         # src and cell take 8 bytes per cell and j one (int8): 8.5 MiB at 16
         # targets, where an intp j would take 12 MiB.
@@ -466,6 +508,35 @@ class TestCache:
         for req in requests + requests:
             assert solve_tsp(req) == solve_tsp(req)
         assert memo_size(inst) == 0
+
+    def test_every_memo_lookup_goes_through_get(self, monkeypatch):
+        # The benchmark's tracer counts lookups by swapping TspCache.get, so
+        # an exact solve must look tours up by that name and no other: each
+        # memo, the instance's and its with_depots copies', stores one tour
+        # per lookup that missed.
+        looked = []
+        lookup = TspCache.get
+
+        def counted(memo, key):
+            looked.append((memo, lookup(memo, key)))
+            return looked[-1][1]
+
+        monkeypatch.setattr(TspCache, "get", counted)
+        inst = generate_instance(scenario1(n_targets=8, seed=3), 0)
+        cfg = SolverConfig(tour_mode=EXACT)
+        solve(inst, cfg, rng=1)
+        own = inst._cache[TspCache]
+        memos = {id(memo): memo for memo, _ in looked}
+        assert id(own) in memos and len(memos) > 1
+        for memo in memos.values():
+            assert sum(m is memo and hit is None for m, hit in looked) == len(memo) > 0
+        assert any(hit is not None for _, hit in looked)
+        stored = len(own)
+        del looked[:]
+        solve(inst, cfg, rng=1)
+        again = [hit for memo, hit in looked if memo is own]
+        assert again and None not in again
+        assert len(own) == stored
 
     def test_instances_with_the_same_ids_keep_their_own_tours(self):
         # Same depot, same target ids, other coordinates: a memo shared by the
