@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import heuristic
-from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, Vehicle, is_integer,
-                    is_real, is_speed, plain, write_text)
+from .model import (SPEED_MIN, Instance, InvalidConfigError, Point, SolverError, Vehicle,
+                    is_integer, is_real, is_speed, plain, write_text)
 from .oracle import exact_minmax, oracle_feasible
 
 GRID = 200.0  # side of the square that targets and depots are drawn on
@@ -126,7 +126,8 @@ class ReportRow:
     """One instance's measurements: the objective after each stage, the
     oracle's objective and the wall times.  The oracle's time is present
     exactly when its objective is.  The gaps are derived from the objectives,
-    never stored, so a row cannot disagree with itself."""
+    never stored, so a row cannot disagree with itself.  A failed row names
+    the SolverError class that ``solve`` raised and holds no objective or time."""
 
     instance: int
     init_obj: float
@@ -135,6 +136,7 @@ class ReportRow:
     oracle_obj: float | None
     t_heuristic_s: float
     t_oracle_s: float | None
+    error: str | None = None
 
     def _gap(self, obj) -> float | None:
         # In Python floats: a numpy scalar would compute in its own dtype
@@ -157,8 +159,8 @@ class ReportRow:
         return self._gap(self.final_obj)
 
 
-REPORT_COLUMNS = ("instance", "init_obj", "ls_obj", "final_obj", "oracle_obj",
-                  "gap_init_pct", "gap_ls_pct", "gap_final_pct", "t_heuristic_s", "t_oracle_s")
+REPORT_COLUMNS = ("instance", "init_obj", "ls_obj", "final_obj", "oracle_obj", "gap_init_pct",
+                  "gap_ls_pct", "gap_final_pct", "t_heuristic_s", "t_oracle_s", "error")
 
 
 @dataclass
@@ -166,23 +168,31 @@ class ExperimentReport:
     rows: list
 
     def summary(self) -> dict:
-        """The aggregates by name, in the order the CSV writes them.  Gap and
-        oracle-time aggregates cover oracle rows only; over no rows, None.
+        """The aggregates by name, in the order the CSV writes them.  Failed
+        rows count in ``rows_failed`` alone, gap and oracle-time aggregates
+        cover oracle rows only; over no rows, None.
 
         This is the report's one check (else InvalidConfigError), made before
         any gap is derived: ``rows`` is a list or tuple of ReportRows; each
         field is a number (``is_real``) within +-float max, ``instance`` an
         integer >= 0; ``oracle_obj`` and ``t_oracle_s`` may be None, but only
-        together, and ``oracle_obj`` is otherwise above 0.
+        together, and ``oracle_obj`` is otherwise above 0; or, in a failed
+        row, every field but ``instance`` None and ``error`` an identifier.
         """
         rows = self.rows
         if not (isinstance(rows, (list, tuple)) and all(isinstance(r, ReportRow) for r in rows)):
             raise InvalidConfigError(
                 f"report must be an ExperimentReport of ReportRows, got {self!r}")
         for row in rows:
-            for field in fields(ReportRow):
+            # A failed row holds its instance, the error's class name and no field between.
+            failed = row.error is not None
+            if failed and not (isinstance(row.error, str) and row.error.isidentifier() and all(
+                    getattr(row, field.name) is None for field in fields(ReportRow)[1:-1])):
+                raise InvalidConfigError(f"a failed report row holds an error class name and"
+                                         f" no objective or time, got {row!r}")
+            for field in fields(ReportRow)[:-1]:
                 value = getattr(row, field.name)
-                if value is None and field.name in ("oracle_obj", "t_oracle_s"):
+                if value is None and (failed or field.name in ("oracle_obj", "t_oracle_s")):
                     continue
                 # Beside a float32, the float max would overflow to inf.
                 if not (is_real(value) and abs(plain(value)) <= sys.float_info.max):
@@ -197,7 +207,8 @@ class ExperimentReport:
                     f"report row fields oracle_obj and t_oracle_s must both be None, or"
                     f" oracle_obj above 0 and t_oracle_s a number; got {row.oracle_obj!r}"
                     f" and {row.t_oracle_s!r}")
-        checked = [r for r in rows if r.oracle_obj is not None]
+        solved = [r for r in rows if r.error is None]
+        checked = [r for r in solved if r.oracle_obj is not None]
 
         def mean(rows, name):
             # Added left to right, as a loop: the builtin sum() compensates
@@ -215,21 +226,27 @@ class ExperimentReport:
             "mean_gap_ls_pct": mean(checked, "gap_ls_pct"),
             "mean_gap_final_pct": mean(checked, "gap_final_pct"),
             "max_gap_final_pct": max((r.gap_final_pct for r in checked), default=None),
-            "mean_t_heuristic_s": mean(rows, "t_heuristic_s"),
+            "mean_t_heuristic_s": mean(solved, "t_heuristic_s"),
             "mean_t_oracle_s": mean(checked, "t_oracle_s"),
-            "rows_without_oracle": len(rows) - len(checked),
+            "rows_without_oracle": len(solved) - len(checked),
+            "rows_failed": len(rows) - len(solved),
         }
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Generate, solve, and (optionally) oracle-check every instance of a run.
-    ``cfg`` must be an ExperimentConfig (else InvalidConfigError)."""
+    """Generate, solve, and (optionally) oracle-check every instance of a run;
+    one that ``solve`` refuses with a SolverError gives a failed row.  ``cfg``
+    must be an ExperimentConfig (else InvalidConfigError)."""
     _check_config(cfg)
     rows = []
     for index in range(cfg.n_instances):
         inst = generate_instance(cfg, index)
         t0 = time.perf_counter()
-        _, trace = heuristic.solve(inst, rng=_substream(cfg.seed, index, lane=1))
+        try:
+            _, trace = heuristic.solve(inst, rng=_substream(cfg.seed, index, lane=1))
+        except SolverError as exc:
+            rows.append(ReportRow(index, *[None] * 6, type(exc).__name__))
+            continue
         t_heur = round(time.perf_counter() - t0, 3)
 
         objectives = (trace.after_init, trace.after_local_search, trace.after_perturbation)
@@ -243,11 +260,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _fmt(name: str, value) -> str:
-    """One CSV cell, formatted by its column: NA for None, ``instance`` and
-    ``rows_without_oracle`` as integers, ``*_s`` times to 3 decimals, else 9."""
+    """One CSV cell, formatted by its column: NA for None, ``error`` as is,
+    ``instance`` and row counts as integers, ``*_s`` times to 3 decimals, else 9."""
     if value is None:
         return "NA"
-    if name in ("instance", "rows_without_oracle"):
+    if name == "error":
+        return value
+    if name in ("instance", "rows_without_oracle", "rows_failed"):
         return f"{value:d}"
     return f"{value:.{3 if name.endswith('_s') else 9}f}"
 

@@ -86,12 +86,13 @@ def _cmd_bench(args) -> int:
     report = bench.run_experiment(cfg)
     bench.write_report(report, args.out)
     summary = report.summary()
-    print(f"wrote {args.out} ({len(report.rows)} instances)")
+    print(f"wrote {args.out} ({len(report.rows)} instances, {summary['rows_failed']} failed)")
     if summary["mean_gap_final_pct"] is not None:
         print(f"mean final gap: {summary['mean_gap_final_pct']:.3f}%  "
               f"(max {summary['max_gap_final_pct']:.3f}%, "
               f"{summary['rows_without_oracle']} rows without oracle)")
-    print(f"mean heuristic time: {summary['mean_t_heuristic_s']:.3f}s")
+    if summary["mean_t_heuristic_s"] is not None:
+        print(f"mean heuristic time: {summary['mean_t_heuristic_s']:.3f}s")
     return 0
 
 

@@ -14,6 +14,7 @@ the final length, so the chosen order is invariant under speed scaling.
 """
 
 import functools
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -85,25 +86,40 @@ def _gain_tolerance(dist: np.ndarray) -> float:
     return max(_EPS, float(dist.max()) * 2.0 ** -48)
 
 
-# The index tables of a tour of m targets take about 130 m^2 bytes.  The cache
-# keeps the TABLE_CACHE_LENGTHS most recently used lengths: that bounds the
-# count of lengths, not the bytes, which grow with the tours polished.  k2's
-# lengths 9-23 hold 0.49 MB; six scenario-1 solves in a fresh process grew
-# RSS by 11.1 MB at n = 120 and by 55.2 MB at n = 240.
-TABLE_CACHE_LENGTHS = 64
+# Both builders below return tuples of tuples of arrays, kept read-only in one
+# cache keyed by (builder, m).  Past _TABLE_BUDGET bytes it drops the least
+# recently used entries, never the one it returns, so it holds at most the
+# larger of the budget and that entry.  All EXACT_CAP Held-Karp lengths take
+# 15.9 MiB, k2's polish lengths 9-23 0.49 MB and the 31 lengths of two
+# scenario-1 solves at n = 240 28.5 MB, so no benchmark workload or size-table
+# cell evicts.
+_TABLE_BUDGET = 64 << 20
+_tables = {}  # (builder, m) -> (tables, their nbytes), least recently used first
+_table_bytes = 0
+_table_lock = threading.Lock()  # solves in several threads share the cache
 
 
-def _read_only(*arrays) -> tuple:
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+def _table_cache(build):
+    @functools.wraps(build)
+    def tables(m: int) -> tuple:
+        global _table_bytes
+        with _table_lock:
+            entry = _tables.pop((build, m), None)
+            if entry is None:
+                built = build(m)
+                arrays = [arr for part in built for arr in part]
+                for arr in arrays:
+                    arr.flags.writeable = False
+                entry = built, sum(arr.nbytes for arr in arrays)
+                _table_bytes += entry[1]
+                while _table_bytes > _TABLE_BUDGET and _tables:
+                    _table_bytes -= _tables.pop(next(iter(_tables)))[1]
+            _tables[build, m] = entry  # last: the most recently used
+            return entry[0]
+    return tables
 
 
-def _index_table(columns) -> tuple:
-    return _read_only(*(np.asarray(col, dtype=np.intp) for col in columns))
-
-
-@functools.lru_cache(maxsize=TABLE_CACHE_LENGTHS)
+@_table_cache
 def _move_tables(m: int) -> tuple:
     """The 2-opt and Or-opt index tables for a tour of m targets.
 
@@ -138,7 +154,8 @@ def _move_tables(m: int) -> tuple:
         tail = np.where(rev, s + 1, s + L)
         parts.append((*removal, np.full(n, len(sides) * (n - 1)),
                       e * w + head, tail * w + e + 1, e * w + e + 1))
-    return _index_table(two_opt), _index_table([np.concatenate(c) for c in zip(*parts)])
+    or_opt = [np.concatenate(c) for c in zip(*parts)]
+    return tuple(tuple(np.asarray(c, dtype=np.intp) for c in t) for t in (two_opt, or_opt))
 
 
 def _gather(ext: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -216,17 +233,16 @@ def _improve(ext: np.ndarray, dist: np.ndarray) -> float:
 # this small stay in cache: from m = 12 up a step runs no slower per cell than
 # one of 2^14 cells, and at m = 10 the extra steps cost 10-15%.  The index
 # tables of a tour of m targets take 17 bytes per cell, m 2^(m-1) cells
-# (8.5 MiB at m = 16), so only the EXACT_CAP most recently used lengths are
-# kept.
+# (8.5 MiB at m = 16), and are kept in the one table cache.
 _DP_CHUNK = 1 << 9
 
 
-@functools.lru_cache(maxsize=EXACT_CAP)
+@_table_cache
 def _subset_dp_table(m: int) -> tuple:
     """The subset DP's index tables for m targets, as flat indices into the
-    (m, 2^m) table T[j, mask] = dp[mask, j]: the one-target cells
-    j 2^m + (1 << j) in j order, then the steps in layer order, subset sizes
-    1 to m - 1, at most _DP_CHUNK cells per step.
+    (m, 2^m) table T[j, mask] = dp[mask, j]: a tuple holding the one-target
+    cells j 2^m + (1 << j) in j order, then the steps in layer order, subset
+    sizes 1 to m - 1, at most _DP_CHUNK cells per step.
 
     Per step, one entry per (mask, j) with target j outside the mask, masks
     ascending within a size and j ascending within a mask: the mask (the
@@ -245,8 +261,8 @@ def _subset_dp_table(m: int) -> tuple:
         cells = js << m | src | 1 << js
         for lo in range(0, src.size, _DP_CHUNK):
             part = slice(lo, lo + _DP_CHUNK)
-            steps.append(_read_only(src[part], js[part].astype(np.int8), cells[part]))
-    return _read_only(idx << m | 1 << idx)[0], tuple(steps)
+            steps.append((src[part], js[part].astype(np.int8), cells[part]))
+    return (idx << m | 1 << idx,), *steps
 
 
 def _subset_dp(dist: np.ndarray) -> np.ndarray:
@@ -271,7 +287,7 @@ def _subset_dp(dist: np.ndarray) -> np.ndarray:
     """
     m = dist.shape[0] - 1
     C = dist[:m, :m]
-    starts, steps = _subset_dp_table(m)
+    (starts,), *steps = _subset_dp_table(m)
     table = np.full((m, 1 << m), np.inf)
     flat = table.reshape(-1)
     flat[starts] = dist[m, :m]

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import (ExperimentConfig, ExperimentReport, InvalidConfigError,
-                       generate_instance, run_experiment, scenario1, scenario2,
-                       write_report)
-from minmaxtsp.bench import GRID, REPORT_COLUMNS, ReportRow, _fmt
+from minmaxtsp import (ExperimentConfig, ExperimentReport, InfeasibleAllocationError,
+                       InvalidConfigError, generate_instance, run_experiment, scenario1,
+                       scenario2, solve, write_report)
+from minmaxtsp.bench import GRID, REPORT_COLUMNS, ReportRow, _fmt, _substream
 from minmaxtsp.model import SPEED_MIN
 
 from conftest import report_records
@@ -193,6 +193,32 @@ class TestRunExperiment:
         with pytest.raises(InvalidConfigError, match="must be an ExperimentConfig"):
             run_experiment(cfg)
 
+    def test_a_refused_instance_is_a_failed_row_and_the_run_goes_on(self):
+        # With 80% of 10 targets pinned, stage 1 refuses 10 of these 20
+        # instances ("lower bounds demand 4 free targets, instance has 2");
+        # the first refusal once ended the run with no report.
+        cfg = scenario1(n_targets=10, n_instances=20, assign_fraction=0.8, seed=3, oracle=True)
+        report = run_experiment(cfg)
+        refused = []
+        for row in report.rows:
+            try:
+                solve(generate_instance(cfg, row.instance),
+                      rng=_substream(cfg.seed, row.instance, lane=1))
+            except InfeasibleAllocationError:
+                refused.append(row.instance)
+                assert row.error == "InfeasibleAllocationError"
+                assert {getattr(row, f.name) for f in dataclasses.fields(row)[1:-1]} == {None}
+            else:
+                assert row.error is None and row.oracle_obj is not None
+        assert [r.instance for r in report.rows] == list(range(20))
+        assert refused == [3, 4, 7, 8, 10, 11, 12, 13, 14, 17]
+        summary = report.summary()
+        assert (summary["rows_failed"], summary["rows_without_oracle"]) == (10, 0)
+        solved = [r for r in report.rows if r.error is None]
+        assert summary["max_gap_final_pct"] == max(r.gap_final_pct for r in solved)
+        assert summary["mean_t_heuristic_s"] == pytest.approx(
+            sum(r.t_heuristic_s for r in solved) / 10)
+
 
 class TestReportFile:
     @pytest.mark.parametrize("report", [None, [], "report"], ids=["none", "list", "str"])
@@ -254,6 +280,30 @@ class TestReportFile:
             write_report(ExperimentReport([row]), path)
         assert path.read_bytes() == b"old report\r\n"
 
+    @pytest.mark.parametrize("row", [
+        ReportRow(0, 1.0, None, None, None, None, None, "InfeasibleAllocationError"),
+        ReportRow(0, None, None, None, None, 0.1, None, "InfeasibleAllocationError"),
+        ReportRow(0, None, None, None, 2.0, None, 0.2, "InfeasibleAllocationError"),
+        ReportRow(0, 1.0, 1.0, 1.0, 2.0, 0.1, 0.2, "InfeasibleAllocationError"),
+        ReportRow(0, *[None] * 6, ""),
+        ReportRow(0, *[None] * 6, "no such error"),
+        ReportRow(0, *[None] * 6, 3),
+        ReportRow(0, *[None] * 6, InfeasibleAllocationError),
+    ], ids=["objective", "time", "oracle", "whole_row", "empty_name", "spaces", "int", "class"])
+    def test_a_failed_row_names_its_error_and_holds_nothing_else(self, row, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"old report\r\n")
+        with pytest.raises(InvalidConfigError, match="a failed report row"):
+            write_report(ExperimentReport([row]), path)
+        assert path.read_bytes() == b"old report\r\n"
+        failed = ReportRow(np.int64(7), *[None] * 6, "StageCheckError")
+        assert ExperimentReport([failed]).summary() == {
+            "mean_gap_init_pct": None, "mean_gap_ls_pct": None, "mean_gap_final_pct": None,
+            "max_gap_final_pct": None, "mean_t_heuristic_s": None, "mean_t_oracle_s": None,
+            "rows_without_oracle": 0, "rows_failed": 1}
+        with pytest.raises(InvalidConfigError, match="instance must be an integer >= 0"):
+            ExperimentReport([dataclasses.replace(failed, instance=None)]).summary()
+
     def test_summary_is_the_reports_one_check(self):
         # ExperimentReport(None).summary() once ended in a bare TypeError.
         for rows in (None, [None], "rows"):
@@ -273,7 +323,7 @@ class TestReportFile:
     def test_a_row_stores_only_what_was_measured(self):
         assert [f.name for f in dataclasses.fields(ReportRow)] == [
             "instance", "init_obj", "ls_obj", "final_obj", "oracle_obj",
-            "t_heuristic_s", "t_oracle_s"]
+            "t_heuristic_s", "t_oracle_s", "error"]
         # Stored gaps once let a row say 7% where its objectives gave -50%.
         with pytest.raises(TypeError):
             ReportRow(0, 1.0, 1.0, 1.0, 2.0, -50.0, 7.0, 9.0, 0.1, 0.2)
@@ -293,15 +343,16 @@ class TestReportFile:
         write_report(ExperimentReport([ReportRow(np.int64(3), 1.0, 1.0, 1.0, None, 0.1, None)]),
                      path)
         assert path.read_text().splitlines()[1] == "3,1.000000000,1.000000000,1.000000000," \
-                                                   "NA,NA,NA,NA,0.100,NA"
+                                                   "NA,NA,NA,NA,0.100,NA,NA"
         write_report(ExperimentReport([ReportRow(0, 12, 11, 10, 8, 1, 2)]), path)
         lines = path.read_text().splitlines()
         assert lines[1] == ("0,12.000000000,11.000000000,10.000000000,8.000000000,"
-                            "50.000000000,37.500000000,25.000000000,1.000,2.000")
+                            "50.000000000,37.500000000,25.000000000,1.000,2.000,NA")
         assert "# mean_gap_final_pct=25.000000000" in lines
         assert "# max_gap_final_pct=25.000000000" in lines
         assert "# mean_t_oracle_s=2.000" in lines
         assert "# rows_without_oracle=0" in lines
+        assert "# rows_failed=0" in lines
 
     def test_round_trip(self, tmp_path):
         report = run_experiment(scenario1(n_targets=8, n_instances=3, seed=4, oracle=True))
@@ -336,7 +387,7 @@ class TestReportFile:
         text = path.read_text()
         for key in ("mean_gap_init_pct", "mean_gap_ls_pct", "mean_gap_final_pct",
                     "max_gap_final_pct", "mean_t_heuristic_s", "mean_t_oracle_s",
-                    "rows_without_oracle"):
+                    "rows_without_oracle", "rows_failed"):
             assert f"# {key}=" in text
 
     def test_empty_report_has_no_means(self, tmp_path):
@@ -349,23 +400,29 @@ class TestReportFile:
     def test_exact_text(self, tmp_path):
         oracle, na = (ReportRow(0, 12.5, 11.25, 10.0, 9.5, 0.012, 0.345),
                       ReportRow(1, 20.0, 19.0, 18.123456789, None, 0.004, None))
+        failed = ReportRow(2, *[None] * 6, "InfeasibleAllocationError")
         header = ",".join(REPORT_COLUMNS) + "\r\n"
+        fixed = (header
+                 + "0,12.500000000,11.250000000,10.000000000,9.500000000,"
+                   "31.578947368,18.421052632,5.263157895,0.012,0.345,NA\r\n"
+                 + "1,20.000000000,19.000000000,18.123456789,NA,NA,NA,NA,0.004,NA,NA\r\n")
+        summary = ("# mean_gap_init_pct=31.578947368\n# mean_gap_ls_pct=18.421052632\n"
+                   "# mean_gap_final_pct=5.263157895\n# max_gap_final_pct=5.263157895\n"
+                   "# mean_t_heuristic_s=0.008\n# mean_t_oracle_s=0.345\n"
+                   "# rows_without_oracle=1\n")
         want = {
-            "fixed": (header
-                      + "0,12.500000000,11.250000000,10.000000000,9.500000000,"
-                        "31.578947368,18.421052632,5.263157895,0.012,0.345\r\n"
-                      + "1,20.000000000,19.000000000,18.123456789,NA,NA,NA,NA,0.004,NA\r\n"
-                      + "# mean_gap_init_pct=31.578947368\n# mean_gap_ls_pct=18.421052632\n"
-                        "# mean_gap_final_pct=5.263157895\n# max_gap_final_pct=5.263157895\n"
-                        "# mean_t_heuristic_s=0.008\n# mean_t_oracle_s=0.345\n"
-                        "# rows_without_oracle=1\n"),
+            "fixed": fixed + summary + "# rows_failed=0\n",
+            # A failed row changes no aggregate but its own count.
+            "failed": (fixed + "2,NA,NA,NA,NA,NA,NA,NA,NA,NA,InfeasibleAllocationError\r\n"
+                       + summary + "# rows_failed=1\n"),
             "empty": (header
                       + "# mean_gap_init_pct=NA\n# mean_gap_ls_pct=NA\n"
                         "# mean_gap_final_pct=NA\n# max_gap_final_pct=NA\n"
                         "# mean_t_heuristic_s=NA\n# mean_t_oracle_s=NA\n"
-                        "# rows_without_oracle=0\n"),
+                        "# rows_without_oracle=0\n# rows_failed=0\n"),
         }
-        for name, rows in (("fixed", [oracle, na]), ("empty", [])):
+        for name, rows in (("fixed", [oracle, na]), ("failed", [oracle, na, failed]),
+                           ("empty", [])):
             path = tmp_path / f"{name}.csv"
             write_report(ExperimentReport(rows), path)
             assert path.read_bytes().decode("utf-8") == want[name]
@@ -387,6 +444,9 @@ def _rows(draw):
     oracle = draw(st.booleans())
     oracle_obj = draw(_numbers(1e-3, 1e6)) if oracle else None
     t_oracle = draw(_numbers(0, 100)) if oracle else None
+    if draw(st.integers(0, 4)) == 0:
+        return ReportRow(instance, *[None] * 6, draw(st.sampled_from(
+            ["InfeasibleAllocationError", "StageCheckError"])))
     return ReportRow(instance, *objectives, oracle_obj, draw(_numbers(0, 100)), t_oracle)
 
 
@@ -403,8 +463,13 @@ def test_a_written_report_agrees_with_itself(rows):
     table = list(csv.reader(line for line in lines if not line.startswith("#")))
     assert tuple(table[0]) == REPORT_COLUMNS
     checked = []
+    solved = [row for row in rows if row.error is None]
     for row, cells in zip(rows, table[1:], strict=True):
         cells = dict(zip(REPORT_COLUMNS, cells, strict=True))
+        if row.error is not None:
+            assert list(cells.values())[1:] == ["NA"] * 9 + [row.error]
+            continue
+        assert cells["error"] == "NA"
         if row.oracle_obj is None:
             assert [cells[c] for c in ("oracle_obj", "gap_init_pct", "gap_ls_pct",
                                        "gap_final_pct", "t_oracle_s")] == ["NA"] * 5
@@ -429,9 +494,10 @@ def test_a_written_report_agrees_with_itself(rows):
         "mean_gap_ls_pct": mean(g["gap_ls_pct"] for g, _ in checked),
         "mean_gap_final_pct": mean(g["gap_final_pct"] for g, _ in checked),
         "max_gap_final_pct": max((g["gap_final_pct"] for g, _ in checked), default=None),
-        "mean_t_heuristic_s": mean(r.t_heuristic_s for r in rows),
+        "mean_t_heuristic_s": mean(r.t_heuristic_s for r in solved),
         "mean_t_oracle_s": mean(t for _, t in checked),
-        "rows_without_oracle": len(rows) - len(checked),
+        "rows_without_oracle": len(solved) - len(checked),
+        "rows_failed": len(rows) - len(solved),
     }
     got = [line[2:].split("=", 1) for line in lines if line.startswith("#")]
     assert got == [[name, _fmt(name, value)] for name, value in want.items()]

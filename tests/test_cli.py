@@ -103,6 +103,21 @@ class TestBench:
         assert "mean heuristic time" in stdout
         assert "mean final gap" not in stdout
 
+    def test_refused_instances_are_counted_and_the_run_finishes(self, tmp_path, capsys):
+        # Stage 1 refuses 10 of these 20 pinned instances; the first refusal
+        # once ended the command with exit 1 and no report.
+        out = tmp_path / "report.csv"
+        assert main(["bench", "--scenario", "1", "--n-targets", "10", "--instances", "20",
+                     "--assign-frac", "0.8", "--seed", "3", "--oracle", "--out", str(out)]) == 0
+        assert "# rows_failed=10\n" in out.read_text()
+        assert "(20 instances, 10 failed)" in capsys.readouterr().out
+        # Instance 0 of seed 0 is refused: a run of it alone has no mean to print.
+        assert main(["bench", "--scenario", "1", "--n-targets", "10", "--instances", "1",
+                     "--assign-frac", "0.8", "--seed", "0", "--out", str(out)]) == 0
+        assert [r["error"] for r in report_records(out)] == ["InfeasibleAllocationError"]
+        stdout = capsys.readouterr().out
+        assert "(1 instances, 1 failed)" in stdout and "mean heuristic time" not in stdout
+
 
 class TestExitCodes:
     def test_malformed_instance_is_invalid_input(self, tmp_path, capsys):

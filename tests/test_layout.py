@@ -133,15 +133,14 @@ def test_every_distance_comes_from_the_one_kernel():
 def test_only_the_tour_solver_and_the_oracle_name_the_held_karp_cap():
     """``tsp.held_karp_routes`` alone decides which tour requests Held-Karp
     routes; the oracle holds its subsets to the cap on its own.  In ``tsp``
-    the cap is otherwise named only where it is defined and where it sizes
-    the subset tables' cache."""
+    the cap is otherwise named only where it is defined: no cache is sized
+    by it."""
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules, f"no modules found under {PACKAGE}"
     uses = [use for path in modules for use in _uses(path, "EXACT_CAP")]
     assert {file for file, _, _ in uses} == {"tsp.py", "oracle.py"}
     assert {use for use in uses if use[0] == "tsp.py"} == {
-        ("tsp.py", None, None), ("tsp.py", None, "held_karp_routes"),
-        ("tsp.py", None, "_subset_dp_table")}
+        ("tsp.py", None, None), ("tsp.py", None, "held_karp_routes")}
 
 
 def test_every_file_is_opened_by_the_path_helper():

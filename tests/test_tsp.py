@@ -1,11 +1,14 @@
 """Single-vehicle tour solver: the frozen request, exact DP vs.
 permutation enumeration, the layered DP and its tour read-back against the
 per-mask loop and its parent table, the memory its tables and the oracle's
-cycle lengths take, heuristic quality, 2-opt behavior, the numpy polish loop
-against the scans, and the instance's exact-tour memo."""
+cycle lengths take, the one byte-bounded cache of index tables, heuristic
+quality, 2-opt behavior, the numpy polish loop against the scans, and the
+instance's exact-tour memo."""
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,10 +18,11 @@ from hypothesis import strategies as st
 
 import minmaxtsp.tsp
 from minmaxtsp import (DEPOT, EXACT, HEURISTIC, Instance, Point, SolverConfig, Tour,
-                       Vehicle, generate_instance, scenario1, solve, tour_duration)
+                       Vehicle, generate_instance, scenario1, scenario2, solve,
+                       tour_duration)
 from minmaxtsp.allocation import _nearest_neighbor
 from minmaxtsp.model import COORD_LIMIT, distances
-from minmaxtsp.tsp import (EXACT_CAP, TABLE_CACHE_LENGTHS, TourRequest, TspCache,
+from minmaxtsp.tsp import (EXACT_CAP, TourRequest, TspCache,
                            _gain_tolerance, _improve, _move_tables, _subset_dp,
                            _subset_dp_table, best_cycle_lengths, held_karp_order,
                            solve_tsp)
@@ -237,6 +241,126 @@ def _traced(fn, *args):
         tracemalloc.stop()
 
 
+@pytest.fixture
+def empty_table_cache(monkeypatch):
+    """An empty index-table cache for one test; the module's own comes back after."""
+    monkeypatch.setattr(minmaxtsp.tsp, "_tables", {})
+    monkeypatch.setattr(minmaxtsp.tsp, "_table_bytes", 0)
+
+
+def _arrays_of(tables) -> list:
+    if isinstance(tables, np.ndarray):
+        return [tables]
+    return [arr for part in tables for arr in _arrays_of(part)]
+
+
+def _kept():
+    """Per kept entry, least recently used first: (builder name, m, nbytes),
+    the bytes summed from the arrays themselves."""
+    return [(build.__name__, m, sum(arr.nbytes for arr in _arrays_of(tables)))
+            for (build, m), (tables, _) in minmaxtsp.tsp._tables.items()]
+
+
+@pytest.mark.usefixtures("empty_table_cache")
+class TestTableCache:
+    """Both builders' index tables share one cache bounded in bytes."""
+
+    @pytest.mark.parametrize("budget", [0, 1 << 20, 4 << 20])
+    def test_kept_tables_stay_within_the_budget(self, budget, monkeypatch):
+        # Polish tables take about 134 m^2 bytes (0.48 MB at m = 60) and the
+        # Held-Karp ones 8.5 MiB at 16 targets, alone above the two smaller
+        # budgets: then that one entry is kept and nothing else.
+        monkeypatch.setattr(minmaxtsp.tsp, "_TABLE_BUDGET", budget)
+        calls = [(_move_tables, m) for m in range(3, 61)]
+        calls += [(_subset_dp_table, m) for m in (10, 16, 4)] + [(_move_tables, 5)]
+        for build, m in calls:
+            build(m)
+            kept = _kept()
+            total = sum(nbytes for _, _, nbytes in kept)
+            assert kept[-1][:2] == (build.__name__, m)
+            assert total <= budget or (len(kept) == 1 and total > budget)
+            assert minmaxtsp.tsp._table_bytes == total
+        assert ("_subset_dp_table", 16) not in [(name, m) for name, m, _ in kept]
+
+    def test_a_lookup_keeps_the_length_it_returns(self, monkeypatch):
+        # Lengths drop least recently used first: a hit on m = 3 moves it
+        # behind 4 and 5, so a new length drops 4.
+        for m in (3, 4, 5):
+            _move_tables(m)
+        first = _move_tables(3)
+        sizes = {m: nbytes for _, m, nbytes in _kept()}
+        six = sum(arr.nbytes for arr in _arrays_of(_move_tables.__wrapped__(6)))
+        monkeypatch.setattr(minmaxtsp.tsp, "_TABLE_BUDGET", sizes[3] + sizes[5] + six)
+        _move_tables(6)
+        assert [m for _, m, _ in _kept()] == [5, 3, 6]
+        assert _move_tables(3) is first
+
+    @pytest.mark.parametrize("build, m", [(_move_tables, 3), (_move_tables, 40),
+                                          (_subset_dp_table, 1), (_subset_dp_table, 12)])
+    def test_a_table_rebuilt_after_eviction_equals_the_first(self, build, m, monkeypatch):
+        monkeypatch.setattr(minmaxtsp.tsp, "_TABLE_BUDGET", 0)
+        first = build(m)
+        build(m + 1)  # drops m
+        again = build(m)
+        assert again is not first
+        for old, new in zip(_arrays_of(first), _arrays_of(again), strict=True):
+            assert new.dtype == old.dtype and np.array_equal(new, old)
+            assert not new.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                new[...] = 0
+
+    def test_threads_share_the_cache_without_losing_a_byte(self, monkeypatch):
+        # Lookup, build, store and eviction are one step under the cache's
+        # lock; interleaved, a count of bytes or an eviction could be lost.
+        monkeypatch.setattr(minmaxtsp.tsp, "_TABLE_BUDGET", 200_000)
+        errors = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for m in rng.integers(3, 30, size=150):
+                    _move_tables(int(m))
+            except Exception as exc:  # reported below, with the thread's seed
+                errors.append((seed, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        total = sum(nbytes for _, _, nbytes in _kept())
+        assert minmaxtsp.tsp._table_bytes == total <= 200_000
+
+    @pytest.mark.parametrize("scenario, n, mode", [(scenario1, 60, HEURISTIC),
+                                                   (scenario2, 12, EXACT)])
+    def test_stage_plans_do_not_depend_on_the_budget(self, scenario, n, mode, monkeypatch):
+        # The tables are pure functions of m, so a cache that keeps one
+        # length at a time routes every tour as the default budget does.
+        cfg = scenario(n_targets=n, seed=5 << 20)
+
+        def plans():
+            out = []
+            for i in range(2):
+                _, trace = solve(generate_instance(cfg, i), SolverConfig(tour_mode=mode), rng=i)
+                out.append(repr([(stage, [(t.sequence, t.duration) for t in sol.tours])
+                                 for stage, sol in trace.stage_solutions.items()]))
+            return out
+
+        default = plans()
+        assert len(_kept()) > 1
+        monkeypatch.setattr(minmaxtsp.tsp, "_tables", {})
+        monkeypatch.setattr(minmaxtsp.tsp, "_table_bytes", 0)
+        monkeypatch.setattr(minmaxtsp.tsp, "_TABLE_BUDGET", 1)
+        assert plans() == default
+        assert len(_kept()) == 1
+
+
 class TestLayeredSubsetDp:
     """The layer-at-a-time table must equal the per-mask loop's bit for bit,
     and the tour read back from it must be the one its parent table gives."""
@@ -251,9 +375,6 @@ class TestLayeredSubsetDp:
         xy = np.random.default_rng(16).integers(0, 6, size=(17, 2)).astype(float)
         _assert_same_table(distances(xy, xy))
 
-    def test_table_cache_is_bounded(self):
-        assert _subset_dp_table.cache_info().maxsize is not None
-
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_dp_matrices())
     def test_cycle_lengths_are_the_row_minimum_of_the_full_sum(self, dist):
@@ -264,13 +385,13 @@ class TestLayeredSubsetDp:
         full[0] = 0.0
         assert best_cycle_lengths(dist).tobytes() == full.tobytes()
 
+    @pytest.mark.usefixtures("empty_table_cache")
     def test_cycle_lengths_at_sixteen_targets_need_no_full_width_sum(self):
         # dp takes 8 MiB and the index tables 8.5 MiB, kept here since the
         # cache starts empty; a (2^m, m) sum of dp and the closing edges once
         # added 8 MiB more (25.0 MiB in all).
         xy = np.random.default_rng(6).uniform(0.0, 100.0, size=(17, 2))
         dist = distances(xy, xy)
-        _subset_dp_table.cache_clear()
         assert _traced(best_cycle_lengths, dist)[1] < 22 * 2**20
 
     def test_ten_targets_take_about_twice_the_table(self):
@@ -291,26 +412,26 @@ class TestLayeredSubsetDp:
 
 
 class TestSubsetDpTable:
+    @pytest.mark.usefixtures("empty_table_cache")
     def test_building_the_tables_needs_little_beyond_them(self):
         # At 16 targets a (2^m, m) mask-bit matrix and its sums once took
         # 2.9 MiB beside the 8.5 MiB kept; subset sizes by doubling and each
         # layer's bits from its own masks keep the build near the tables.
-        _subset_dp_table.cache_clear()
-        (starts, steps), peak = _traced(_subset_dp_table, 16)
+        ((starts,), *steps), peak = _traced(_subset_dp_table, 16)
         kept = starts.nbytes + sum(arr.nbytes for step in steps for arr in step)
         assert peak <= kept + 2.5 * 2**20
 
     def test_index_tables_stay_within_their_bound(self):
         # src and cell take 8 bytes per cell and j one (int8): 8.5 MiB at 16
         # targets, where an intp j would take 12 MiB.
-        starts, steps = _subset_dp_table(16)
+        (starts,), *steps = _subset_dp_table(16)
         assert all(j.dtype == np.int8 for _, j, _ in steps)
         used = starts.nbytes + sum(arr.nbytes for step in steps for arr in step)
         assert used <= 8.5 * 2**20
 
     def test_each_step_fills_new_cells_from_earlier_layers(self):
         for m in (1, 2, 5, 9):
-            starts, steps = _subset_dp_table(m)
+            (starts,), *steps = _subset_dp_table(m)
             filled = {int(c) for c in starts}
             for src, j, cell in steps:
                 src, j = src.astype(int), j.astype(int)
@@ -673,14 +794,6 @@ class TestVectorizedPolish:
             for order in ([[0]] if m == 1 else [[0, 1], [1, 0]]):
                 assert _polish(_two_opt, _or_opt_once, list(order), dist) == order
                 assert _kernel(order, dist) == (order, _cycle_length(order, dist))
-
-    def test_index_table_caches_stay_bounded(self):
-        rng = np.random.default_rng(3)
-        for m in range(3, TABLE_CACHE_LENGTHS + 20):
-            xy = rng.uniform(0.0, 100.0, size=(m + 1, 2))
-            dist = distances(xy, xy)
-            _kernel(_nearest_neighbor(dist), dist)
-        assert _move_tables.cache_info().currsize == TABLE_CACHE_LENGTHS
 
 
 @st.composite
