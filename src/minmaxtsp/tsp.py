@@ -14,7 +14,6 @@ the final length, so the chosen order is invariant under speed scaling.
 """
 
 import functools
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -87,35 +86,34 @@ def _gain_tolerance(dist: np.ndarray) -> float:
 
 
 # Both builders below return tuples of tuples of arrays, kept read-only in one
-# cache keyed by (builder, m).  Past _TABLE_BUDGET bytes it drops the least
-# recently used entries, never the one it returns, so it holds at most the
-# larger of the budget and that entry.  All EXACT_CAP Held-Karp lengths take
-# 15.9 MiB, k2's polish lengths 9-23 0.49 MB and the 31 lengths of two
-# scenario-1 solves at n = 240 28.5 MB, so no benchmark workload or size-table
-# cell evicts.
+# cache keyed by (builder, m).  No cache dict changes once published: a miss
+# copies it with the new entry last, drops the oldest builds but that one while
+# the arrays exceed _TABLE_BUDGET bytes, and rebinds _tables.  So threads need
+# no lock (two misses at once cost one rebuild at most), and the cache holds at
+# most the larger of the budget and the entry just built.  All 16 Held-Karp
+# lengths take 15.9 MiB, k2's polish lengths 9-23 0.49 MB and two scenario-1
+# solves' 31 lengths at n = 240 28.5 MB: no benchmark or size cell evicts.
 _TABLE_BUDGET = 64 << 20
-_tables = {}  # (builder, m) -> (tables, their nbytes), least recently used first
-_table_bytes = 0
-_table_lock = threading.Lock()  # solves in several threads share the cache
+_tables = {}  # (builder, m) -> (tables, their nbytes), oldest build first
 
 
 def _table_cache(build):
     @functools.wraps(build)
     def tables(m: int) -> tuple:
-        global _table_bytes
-        with _table_lock:
-            entry = _tables.pop((build, m), None)
-            if entry is None:
-                built = build(m)
-                arrays = [arr for part in built for arr in part]
-                for arr in arrays:
-                    arr.flags.writeable = False
-                entry = built, sum(arr.nbytes for arr in arrays)
-                _table_bytes += entry[1]
-                while _table_bytes > _TABLE_BUDGET and _tables:
-                    _table_bytes -= _tables.pop(next(iter(_tables)))[1]
-            _tables[build, m] = entry  # last: the most recently used
-            return entry[0]
+        global _tables
+        entry = _tables.get((build, m))
+        if entry is None:
+            built = build(m)
+            arrays = [arr for part in built for arr in part]
+            for arr in arrays:
+                arr.flags.writeable = False
+            entry = built, sum(arr.nbytes for arr in arrays)
+            kept = {key: old for key, old in _tables.items() if key != (build, m)}
+            kept[build, m] = entry
+            while len(kept) > 1 and sum(n for _, n in kept.values()) > _TABLE_BUDGET:
+                del kept[next(iter(kept))]
+            _tables = kept
+        return entry[0]
     return tables
 
 
@@ -349,8 +347,9 @@ def solve_tsp(req: TourRequest) -> Tour:
     and the Held-Karp block take the targets sorted, so their order does not
     matter there.  Any other request is polished from the order given:
     stage 1 passes a nearest-neighbor order, stages 2 and 3 an incumbent
-    tour, whole or with one target spliced in or out.  The vehicle is looked
-    up once, for the depot, speed and distance matrix.
+    tour, whole or with one target spliced in or out.  The vehicle is read
+    here for its depot, speed and polish matrix; ``Instance.distance_block``
+    reads it again, through the checked accessor, for the Held-Karp block.
     """
     inst, vid, targets = req.inst, req.vehicle_id, req.targets
     vehicle = inst.vehicles[vid - 1]

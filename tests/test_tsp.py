@@ -245,7 +245,6 @@ def _traced(fn, *args):
 def empty_table_cache(monkeypatch):
     """An empty index-table cache for one test; the module's own comes back after."""
     monkeypatch.setattr(minmaxtsp.tsp, "_tables", {})
-    monkeypatch.setattr(minmaxtsp.tsp, "_table_bytes", 0)
 
 
 def _arrays_of(tables) -> list:
@@ -255,8 +254,8 @@ def _arrays_of(tables) -> list:
 
 
 def _kept():
-    """Per kept entry, least recently used first: (builder name, m, nbytes),
-    the bytes summed from the arrays themselves."""
+    """Per kept entry, oldest build first: (builder name, m, nbytes), the
+    bytes summed from the arrays themselves."""
     return [(build.__name__, m, sum(arr.nbytes for arr in _arrays_of(tables)))
             for (build, m), (tables, _) in minmaxtsp.tsp._tables.items()]
 
@@ -279,21 +278,25 @@ class TestTableCache:
             total = sum(nbytes for _, _, nbytes in kept)
             assert kept[-1][:2] == (build.__name__, m)
             assert total <= budget or (len(kept) == 1 and total > budget)
-            assert minmaxtsp.tsp._table_bytes == total
         assert ("_subset_dp_table", 16) not in [(name, m) for name, m, _ in kept]
 
-    def test_a_lookup_keeps_the_length_it_returns(self, monkeypatch):
-        # Lengths drop least recently used first: a hit on m = 3 moves it
-        # behind 4 and 5, so a new length drops 4.
+    def test_a_hit_leaves_the_cache_as_it_was(self, monkeypatch):
+        # A hit only reads the published dict, and lengths drop oldest build
+        # first: a hit on m = 3 keeps it first, so a new length drops 3.
         for m in (3, 4, 5):
             _move_tables(m)
+        published = minmaxtsp.tsp._tables
         first = _move_tables(3)
+        assert first is published[_move_tables.__wrapped__, 3][0]
+        assert _move_tables(3) is first and minmaxtsp.tsp._tables is published
+        assert [m for _, m, _ in _kept()] == [3, 4, 5]
         sizes = {m: nbytes for _, m, nbytes in _kept()}
         six = sum(arr.nbytes for arr in _arrays_of(_move_tables.__wrapped__(6)))
-        monkeypatch.setattr(minmaxtsp.tsp, "_TABLE_BUDGET", sizes[3] + sizes[5] + six)
+        monkeypatch.setattr(minmaxtsp.tsp, "_TABLE_BUDGET", sizes[4] + sizes[5] + six)
         _move_tables(6)
-        assert [m for _, m, _ in _kept()] == [5, 3, 6]
-        assert _move_tables(3) is first
+        assert [m for _, m, _ in _kept()] == [4, 5, 6]
+        assert [m for _, m in published] == [3, 4, 5]  # the old dict stays as it was
+        assert _move_tables(3) is not first
 
     @pytest.mark.parametrize("build, m", [(_move_tables, 3), (_move_tables, 40),
                                           (_subset_dp_table, 1), (_subset_dp_table, 12)])
@@ -309,9 +312,10 @@ class TestTableCache:
             with pytest.raises(ValueError, match="read-only"):
                 new[...] = 0
 
-    def test_threads_share_the_cache_without_losing_a_byte(self, monkeypatch):
-        # Lookup, build, store and eviction are one step under the cache's
-        # lock; interleaved, a count of bytes or an eviction could be lost.
+    def test_threads_leave_true_tables_within_the_budget(self, monkeypatch):
+        # No lock: each miss publishes a new dict and no published dict is
+        # changed, so interleaved threads may lose a build but never leave an
+        # entry whose bytes or arrays are wrong, nor a cache over the budget.
         monkeypatch.setattr(minmaxtsp.tsp, "_TABLE_BUDGET", 200_000)
         errors = []
 
@@ -334,8 +338,15 @@ class TestTableCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
-        total = sum(nbytes for _, _, nbytes in _kept())
-        assert minmaxtsp.tsp._table_bytes == total <= 200_000
+        kept = minmaxtsp.tsp._tables
+        assert sum(nbytes for _, nbytes in kept.values()) <= 200_000
+        for (build, m), (tables, nbytes) in kept.items():
+            assert build is _move_tables.__wrapped__
+            arrays = _arrays_of(tables)
+            assert nbytes == sum(arr.nbytes for arr in arrays)
+            fresh = _arrays_of(_move_tables.__wrapped__(m))
+            for old, new in zip(arrays, fresh, strict=True):
+                assert new.dtype == old.dtype and np.array_equal(new, old)
 
     @pytest.mark.parametrize("scenario, n, mode", [(scenario1, 60, HEURISTIC),
                                                    (scenario2, 12, EXACT)])
@@ -355,7 +366,6 @@ class TestTableCache:
         default = plans()
         assert len(_kept()) > 1
         monkeypatch.setattr(minmaxtsp.tsp, "_tables", {})
-        monkeypatch.setattr(minmaxtsp.tsp, "_table_bytes", 0)
         monkeypatch.setattr(minmaxtsp.tsp, "_TABLE_BUDGET", 1)
         assert plans() == default
         assert len(_kept()) == 1
