@@ -17,8 +17,10 @@ vehicle k down to vehicle 2; each takes, of the free targets not yet given
 out, the lowest-mask subset that attains the best makespan for itself and the
 vehicles with lower ids, and vehicle 1 takes what is left.
 
-An instance is admitted while its k^n partitions of n free targets stay within
-``MAX_PARTITIONS``.
+An instance is admitted while the split DP's element steps for k vehicles and
+n free targets, max(k - 2, 0) 4^n + (k - 1) 2^n, stay within ``MAX_SPLIT_STEPS``:
+each of the k - 2 middle levels scans 2^n masks for each of 2^n subsets, and
+the read-back scans 2^n masks for each of k - 1 shares.
 """
 
 import numpy as np
@@ -26,24 +28,31 @@ import numpy as np
 from .model import Instance, OracleBudgetError, Solution, check_instance
 from .tsp import EXACT, EXACT_CAP, TourRequest, best_cycle_lengths, solve_tsp
 
-MAX_PARTITIONS = 2_000_000
+# The steps of k = 3 at n = 13, 4^13 + 2 * 2^13, the largest instance that the
+# earlier cap of 2,000,000 partitions (k^n) admitted.  exact_minmax takes about
+# 0.1 s there, as at k = 5, n = 12 and k = 8, n = 11, on a 2-core x86-64 host.
+# Every (k, n) that cap admitted stays admitted; k = 4-5 reach n = 12 and
+# k = 6-10 n = 11.
+MAX_SPLIT_STEPS = 67_125_248
 
 
 def _refusal(inst: Instance):
     # Which budget rule refuses the instance, or None when it fits.
     check_instance(inst)
-    free = inst.free_targets()
-    if inst.k ** len(free) > MAX_PARTITIONS:
-        return f"{inst.k}^{len(free)} partitions, cap {MAX_PARTITIONS}"
+    k, n = inst.k, len(inst.free_targets())
+    steps = max(k - 2, 0) * 4 ** n + (k - 1) * 2 ** n
+    if steps > MAX_SPLIT_STEPS:
+        return (f"{steps} split steps for {k} vehicles and {n} free targets,"
+                f" budget {MAX_SPLIT_STEPS}")
     for v in inst.vehicles:
-        m = len(free) + len(inst.required_for(v.id))
+        m = n + len(inst.required_for(v.id))
         if m > EXACT_CAP:
             return f"vehicle {v.id} may get {m} targets, Held-Karp cap {EXACT_CAP}"
     return None
 
 
 def oracle_feasible(inst: Instance) -> bool:
-    """True when the instance fits the partition budget and the Held-Karp cap;
+    """True when the instance fits the split-step budget and the Held-Karp cap;
     anything but an Instance raises InvalidInstanceError."""
     return _refusal(inst) is None
 

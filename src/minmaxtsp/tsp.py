@@ -67,9 +67,9 @@ class TspCache(dict):
 
 def held_karp_routes(mode: str, m: int) -> bool:
     """Whether a request of m targets in ``mode`` gets its Held-Karp tour:
-    exact mode and at most EXACT_CAP targets.  A longer exact request is
-    polished as a heuristic one is, so exact mode plans every instance."""
-    return mode == EXACT and m <= EXACT_CAP
+    exact mode and 1 to EXACT_CAP targets.  Every other request is polished,
+    so exact mode plans every instance, and an empty one parks the vehicle."""
+    return mode == EXACT and 0 < m <= EXACT_CAP
 
 
 def _gain_tolerance(dist: np.ndarray) -> float:
@@ -211,7 +211,7 @@ def _improve(ext: np.ndarray, dist: np.ndarray) -> float:
     order: the float fold of a plain loop along the tour.
 
     Every move on a tour of one or two targets yields the same cycle or its
-    reverse, which gains nothing, so those are left as given.
+    reverse, which gains nothing, so those and the empty tour stay as given.
     """
     w = ext.size
     block = _gather(ext, dist)
@@ -326,14 +326,12 @@ def best_cycle_lengths(dist: np.ndarray) -> np.ndarray:
     the targets in ``mask`` (0.0 for the empty subset).  Used by the oracle.
     """
     m = dist.shape[0] - 1
-    if m == 0:
-        return np.zeros(1)
     dp = _subset_dp(dist)
     back = dist[:m, m]
     # The row minimum of dp + back, one column at a time: min is exact, so
     # this has the bits of np.min over the (2^m, m) sum without building it.
-    out = dp[:, 0] + back[0]
-    for j in range(1, m):
+    out = np.full(1 << m, np.inf)
+    for j in range(m):
         np.minimum(out, dp[:, j] + back[j], out=out)
     out[0] = 0.0
     return out
@@ -345,16 +343,15 @@ def solve_tsp(req: TourRequest) -> Tour:
     A Held-Karp request is keyed once and looked up in the instance's memo
     before any block is gathered, and stored there once solved; the memo key
     and the Held-Karp block take the targets sorted, so their order does not
-    matter there.  Any other request is polished from the order given:
+    matter there.  Every other request is polished from the order given:
     stage 1 passes a nearest-neighbor order, stages 2 and 3 an incumbent
-    tour, whole or with one target spliced in or out.  The vehicle is read
+    tour, whole or with one target spliced in or out; an empty one, in
+    either mode, polishes to (DEPOT, DEPOT) and +0.0.  The vehicle is read
     here for its depot, speed and polish matrix; ``Instance.distance_block``
     reads it again, through the checked accessor, for the Held-Karp block.
     """
     inst, vid, targets = req.inst, req.vehicle_id, req.targets
     vehicle = inst.vehicles[vid - 1]
-    if not targets:
-        return Tour(vid, (DEPOT, DEPOT), 0.0)
     if held_karp_routes(req.mode, len(targets)):
         ids = tuple(sorted(targets))
         key = (vehicle.depot.x, vehicle.depot.y, ids)

@@ -179,7 +179,7 @@ class TestRunExperiment:
             assert ra.oracle_obj == rb.oracle_obj
 
     def test_oracle_skipped_when_over_budget(self):
-        cfg = scenario1(n_targets=14, n_instances=3, seed=4, oracle=True)  # 3^14 partitions
+        cfg = scenario1(n_targets=14, n_instances=3, seed=4, oracle=True)  # past the step budget
         report = run_experiment(cfg)
         summary = report.summary()
         assert summary["rows_without_oracle"] == 3

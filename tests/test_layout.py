@@ -4,11 +4,12 @@ runs on numpy alone (scipy serves only the tests), loads XML only to draw
 and csv only to write a report, every distance comes from the one kernel,
 every file is opened by the one pair of path helpers, ``model`` imports no
 other module of the package, the instance reader uses none of ``model``'s
-value rules, and every name the benchmark's layer tracer wraps still
-exists."""
+value rules, every name the benchmark's layer tracer wraps still exists, and
+the committed benchmark files form chains through their ``previous`` keys."""
 
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -193,3 +194,29 @@ def test_one_rule_makes_numpy_scalars_plain():
     uses = [use for path in modules for name in ("generic", "item")
             for use in _uses(path, name) if use[1] is not None]
     assert sorted(uses) == [("model.py", "np", "plain"), ("model.py", "value", "plain")]
+
+
+def test_the_benchmark_files_form_two_chains():
+    """Every perf claim cites a committed ``BENCH_*.json`` and the one before
+    it, so each file names its predecessor in ``previous``: a committed file,
+    never one that another file also follows, and no chain loops.  Only the
+    two first files name none."""
+    root = PACKAGE.parent.parent
+    files = {path.name: json.loads(path.read_text(encoding="utf-8"))
+             for path in sorted(root.glob("BENCH_*.json"))}
+    assert [name for name, doc in files.items() if not isinstance(doc, dict)] == []
+    previous = {name: doc.get("previous") for name, doc in files.items()}
+    assert [name for name, prev in previous.items() if prev is not None
+            and prev not in files] == []
+    cited = Counter(prev for prev in previous.values() if prev is not None)
+    assert [name for name, count in cited.items() if count > 1] == []
+    for name in files:
+        seen = {name}
+        while previous[name] is not None:
+            name = previous[name]
+            assert name not in seen, f"{name} is its own predecessor"
+            seen.add(name)
+    firsts = {name: files[name] for name, prev in previous.items() if prev is None}
+    assert sorted(firsts) == ["BENCH_one_read_per_pass.json", "BENCH_sizes_request_order.json"]
+    assert "previous" not in firsts["BENCH_one_read_per_pass.json"]
+    assert "previous" in firsts["BENCH_sizes_request_order.json"]

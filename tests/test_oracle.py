@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmaxtsp import (DEPOT, EXACT, Instance, OracleBudgetError, Point, Solution, Vehicle,
-                       exact_minmax, oracle_feasible, solve, validate_solution)
-from minmaxtsp.tsp import TourRequest, solve_tsp
+from minmaxtsp import (DEPOT, EXACT, ExperimentConfig, Instance, OracleBudgetError, Point,
+                       Solution, Vehicle, exact_minmax, generate_instance, oracle_feasible,
+                       solve, validate_solution)
+from minmaxtsp.tsp import EXACT_CAP, TourRequest, solve_tsp
 from minmaxtsp.oracle import _duration_tables
 
 from conftest import brute_minmax_objective, line_instance, random_instance
@@ -159,9 +160,32 @@ class TestBudget:
         vehicles = tuple(Vehicle(j + 1, 1.0, Point(-1.0 - j, 0.0)) for j in range(k))
         return Instance(targets, vehicles, required)
 
-    def test_partition_count_boundary(self):
-        assert oracle_feasible(self._fleet(3, 13))        # 3^13 = 1,594,323
-        assert not oracle_feasible(self._fleet(3, 14))    # 3^14 = 4,782,969
+    def test_split_step_boundary(self):
+        # max(k - 2, 0) 4^n + (k - 1) 2^n steps against the budget set at k = 3,
+        # n = 13, so three vehicles keep the limit the k^n partition cap gave.
+        assert oracle_feasible(self._fleet(3, 13))        # 67,125,248: the budget
+        assert not oracle_feasible(self._fleet(3, 14))    # 268,468,224
+        assert oracle_feasible(self._fleet(5, 12))        # 50,348,032
+        assert not oracle_feasible(self._fleet(5, 13))    # 201,359,360
+        assert oracle_feasible(self._fleet(10, 11))       # 33,572,864
+        assert not oracle_feasible(self._fleet(6, 12))    # 67,129,344, 4,096 past it
+
+    def test_every_instance_the_partition_cap_admitted_stays_admitted(self):
+        # The cap the step budget replaced: at most 2,000,000 partitions, k^n.
+        for k in range(1, 9):
+            for n in range(1, EXACT_CAP + 1):
+                if k ** n <= 2_000_000:
+                    assert oracle_feasible(self._fleet(k, n)), (k, n)
+
+    @pytest.mark.parametrize("k, n", [(5, 12), (8, 11)])
+    def test_fleets_past_the_partition_cap_are_solved(self, k, n):
+        # k^n is 244,140,625 and 8,589,934,592 here, past the old 2,000,000.
+        cfg = ExperimentConfig(n_targets=n, speeds=tuple(1 + 0.25 * i for i in range(k)),
+                               seed=7 << 20)
+        inst = generate_instance(cfg, 0)
+        plan = exact_minmax(inst)
+        assert validate_solution(inst, plan) == []
+        assert plan.objective <= solve(inst, rng=0)[0].objective
 
     def test_subset_size_boundary(self):
         ok = self._fleet(2, 16, {1: list(range(6))})      # 10 free + 6 required
@@ -171,7 +195,8 @@ class TestBudget:
 
     def test_the_refusal_names_the_rule_that_refused(self):
         # The Held-Karp refusal once reported "1^17 partitions, cap 2000000".
-        with pytest.raises(OracleBudgetError, match=r"\(3\^14 partitions, cap 2000000\)"):
+        with pytest.raises(OracleBudgetError, match=r"\(268468224 split steps for 3 vehicles"
+                           r" and 14 free targets, budget 67125248\)"):
             exact_minmax(self._fleet(3, 14))
         with pytest.raises(OracleBudgetError,
                            match=r"\(vehicle 1 may get 17 targets, Held-Karp cap 16\)"):
@@ -180,7 +205,7 @@ class TestBudget:
             exact_minmax(self._fleet(2, 17, {1: list(range(7))}))  # 10 free + 7
 
     def test_custom_budget_is_honored(self):
-        inst = self._fleet(3, 14)                         # 3^14 > MAX_PARTITIONS
+        inst = self._fleet(3, 14)                         # past MAX_SPLIT_STEPS
         assert not oracle_feasible(inst)
         with pytest.raises(OracleBudgetError):
             exact_minmax(inst)

@@ -25,7 +25,7 @@ from minmaxtsp.model import COORD_LIMIT, distances
 from minmaxtsp.tsp import (EXACT_CAP, TourRequest, TspCache,
                            _gain_tolerance, _improve, _move_tables, _subset_dp,
                            _subset_dp_table, best_cycle_lengths, held_karp_order,
-                           solve_tsp)
+                           held_karp_routes, solve_tsp)
 
 from conftest import brute_cycle_length, euclid, memo_size
 
@@ -48,8 +48,9 @@ class TestSolveBasics:
         inst = _square_instance()
         for mode in (HEURISTIC, EXACT):
             tour = solve_tsp(TourRequest(inst, 1, (), mode=mode))
-            assert tour.sequence == (DEPOT, DEPOT)
-            assert tour.duration == 0.0
+            assert tour == Tour(1, (DEPOT, DEPOT), 0.0)
+            assert type(tour.sequence[0]) is int
+            assert math.copysign(1.0, tour.duration) == 1.0  # +0.0, not -0.0
 
     def test_single_target_is_out_and_back(self):
         inst = Instance((Point(3, 4),), (Vehicle(1, 1.0, Point(0, 0)),))
@@ -142,8 +143,9 @@ class TestHeldKarp:
 
     def test_no_targets_is_the_empty_cycle(self, monkeypatch):
         assert best_cycle_lengths(np.zeros((1, 1))).tolist() == [0.0]
-        # held_karp_order takes at least one target: solve_tsp answers an
-        # empty exact request before it builds or stores any table.
+        # held_karp_order takes at least one target: an empty exact request
+        # is polished, and no Held-Karp table is built or stored for it.
+        assert not held_karp_routes(EXACT, 0)
         inst = _square_instance()
         monkeypatch.setattr(minmaxtsp.tsp, "held_karp_order", None)
         tour = solve_tsp(TourRequest(inst, 1, (), EXACT))
