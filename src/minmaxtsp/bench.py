@@ -1,11 +1,12 @@
 """Benchmark protocol: instance generation, experiment runs, CSV reports.
 
 Targets are drawn i.i.d. uniform on the square [0, GRID]^2; depots are drawn
-the same way, with co-located fleets sharing one draw per group.  A fraction
-of the targets is pre-assigned to uniformly random vehicles.  Instance i of a
-run seeds its own generator with ``seed XOR i`` (PCG64 underneath), split into
-a generation substream and a solver substream, so any instance of a run can be
-reproduced in isolation.
+the same way, with co-located fleets sharing one draw per group.  After the
+depots, floor(assign_fraction * n) targets are drawn without replacement and
+pre-assigned to uniformly random vehicles; a fraction that floors to 0 takes
+the same path and draws none.  Instance i of a run seeds its own generator
+with ``seed XOR i`` (PCG64 underneath), split into a generation substream and
+a solver substream, so any instance of a run can be reproduced in isolation.
 """
 
 import io
@@ -112,12 +113,11 @@ def generate_instance(cfg: ExperimentConfig, index: int) -> Instance:
         vehicles.append(Vehicle(vid, float(speed), depots[group]))
 
     n_assigned = math.floor(cfg.assign_fraction * cfg.n_targets)
+    chosen = rng.choice(cfg.n_targets, size=n_assigned, replace=False)
+    owners = rng.integers(1, cfg.k + 1, size=n_assigned)
     required = {}
-    if n_assigned:
-        chosen = rng.choice(cfg.n_targets, size=n_assigned, replace=False)
-        owners = rng.integers(1, cfg.k + 1, size=n_assigned)
-        for t, vid in zip(chosen, owners):
-            required.setdefault(int(vid), []).append(int(t))
+    for t, vid in zip(chosen, owners):
+        required.setdefault(int(vid), []).append(int(t))
     return Instance(targets, tuple(vehicles), required)
 
 

@@ -235,7 +235,7 @@ class Instance:
 
     def free_targets(self) -> tuple:
         """Indices of targets not pre-assigned to any vehicle, ascending."""
-        taken = set().union(*self.required.values()) if self.required else set()
+        taken = set().union(*self.required.values())
         return tuple(t for t in range(self.n_targets) if t not in taken)
 
     def target_xy(self) -> np.ndarray:

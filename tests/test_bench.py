@@ -56,6 +56,17 @@ class TestGeneration:
     def test_zero_fraction_pins_nothing(self):
         inst = generate_instance(scenario1(n_targets=10, seed=1), 0)
         assert inst.required == {}
+        assert inst.free_targets() == tuple(range(10))
+
+    @pytest.mark.parametrize("scenario", [scenario1, scenario2])
+    def test_a_fraction_that_floors_to_zero_is_the_zero_fraction(self, scenario):
+        # floor(0.01 * 30) = 0: no pin is drawn, so the instances are those
+        # of fraction 0, coordinates and depots included.
+        for index in range(5):
+            floored = generate_instance(scenario(n_targets=30, assign_fraction=0.01, seed=7),
+                                        index)
+            assert floored == generate_instance(scenario(n_targets=30, seed=7), index)
+            assert floored.required == {}
 
     def test_scenario_presets(self):
         c1, c2 = scenario1(), scenario2()

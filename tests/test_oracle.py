@@ -53,12 +53,12 @@ def _odometer_reference(inst: Instance) -> Solution:
 
 
 @st.composite
-def _oracle_instances(draw):
-    """1-4 vehicles and 1-8 targets, 0-100% of them pinned, some depots shared:
-    uniform coordinates and speeds, or a 4 x 4 integer grid with unit speeds
-    (most tours then tie)."""
+def _oracle_instances(draw, max_n=8):
+    """1-4 vehicles and 1-``max_n`` targets, 0-100% of them pinned, some depots
+    shared: uniform coordinates and speeds, or a 4 x 4 integer grid with unit
+    speeds (most tours then tie)."""
     k = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         xy = rng.integers(0, 4, size=(n + k, 2)).astype(float)
@@ -135,6 +135,21 @@ class TestAgreement:
     @given(_oracle_instances())
     def test_objective_equals_the_odometer(self, inst):
         assert exact_minmax(inst).objective == _odometer_reference(inst).objective
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_oracle_instances(max_n=9))
+    def test_each_tour_reads_back_its_tabulated_duration(self, inst):
+        # The plan's tours are routed after the split; each must cost exactly,
+        # to the last bit, what the split read from its vehicle's table.
+        assert oracle_feasible(inst)
+        free = inst.free_targets()
+        tables = _duration_tables(inst, free)
+        plan = exact_minmax(inst)
+        for table, v in zip(tables, inst.vehicles):
+            tour = plan.tour_for(v.id)
+            share = frozenset(tour.targets()) - inst.required_for(v.id)
+            mask = sum(1 << p for p, t in enumerate(free) if t in share)
+            assert tour.duration == float(table[mask]), (v.id, sorted(share))
 
     def test_ties_go_to_the_lowest_mask_from_the_last_vehicle_down(self):
         # Three unit-speed vehicles on one depot, three targets at distance 1:
