@@ -127,7 +127,10 @@ def _cheapest_moves(c: np.ndarray, owner: np.ndarray, sources: list, goal: int) 
 
     Edge a -> b passes one free target from vehicle a to vehicle b and costs
     the least ``c[t, b] - c[t, a]`` over the targets t that ``owner`` puts at
-    a.  Bellman-Ford from every source at once, scanning edges from lower to
+    a; it moves the lowest-index target among those cheapest.  Entry
+    ``[t, a, b]`` of one masked table is that price for target t, or inf
+    unless a holds t, so a vehicle holding no free target has no edge out.
+    Bellman-Ford from every source at once, scanning edges from lower to
     higher vehicle ids and keeping a path only when it is strictly cheaper.
     Each vehicle carries its whole path, and a path is never extended to a
     vehicle it already holds: the current allocation is optimal for its
@@ -137,13 +140,8 @@ def _cheapest_moves(c: np.ndarray, owner: np.ndarray, sources: list, goal: int) 
     """
     k = c.shape[1]
     delta = c - c[np.arange(len(c)), owner][:, None]
-    pick = [None] * k            # pick[a][b]: the target edge a -> b moves
-    weight = [[math.inf] * k for _ in range(k)]
-    for a in range(k):
-        rows = np.flatnonzero(owner == a)
-        if rows.size:
-            pick[a] = rows[delta[rows].argmin(axis=0)]
-            weight[a] = delta[pick[a], np.arange(k)].tolist()
+    table = np.where(owner[:, None, None] == np.arange(k)[:, None], delta[:, None, :], np.inf)
+    pick, weight = table.argmin(0), table.min(0).tolist()
     dist = [0.0 if s else math.inf for s in sources]
     paths = [(a,) for a in range(k)]
     for _ in range(k - 1):

@@ -2,9 +2,10 @@
 floors, depot spreading, the successive-shortest-path allocation against
 brute-force enumeration and against a reference that poses stage 1 as one
 n x n assignment, each vehicle's cost column once per target it owes, solved
-by scipy's ``linear_sum_assignment``, and each tour's first order by nearest
-neighbour against a scan."""
+by scipy's ``linear_sum_assignment``, its move graph against a per-vehicle
+scan, and each tour's first order by nearest neighbour against a scan."""
 
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -19,8 +20,8 @@ from scipy.optimize import linear_sum_assignment
 from minmaxtsp import (DEPOT, EXACT, HEURISTIC, InfeasibleAllocationError, Instance, Point,
                        SolverConfig, Vehicle, generate_instance, scenario1, scenario2, solve,
                        validate_solution)
-from minmaxtsp.allocation import (COLOCATION_RADIUS, _cost_matrix, _nearest_neighbor,
-                                  build_initial_solution, min_target_counts,
+from minmaxtsp.allocation import (COLOCATION_RADIUS, _cheapest_moves, _cost_matrix,
+                                  _nearest_neighbor, build_initial_solution, min_target_counts,
                                   perturb_colocated_depots, solve_load_balancing)
 from minmaxtsp.bench import ExperimentConfig
 from minmaxtsp.model import SPEED_MIN, distances
@@ -325,6 +326,61 @@ class TestAgainstTheSlotReference:
         else:
             assert allocation_cost(inst, eff, got) == pytest.approx(
                 want, rel=TIE_SLACK, abs=0.0)
+
+
+def _cheapest_moves_scan(c, owner, sources, goal):
+    """The move graph built vehicle by vehicle: edge a -> b moves the first of
+    a's targets, in row order, whose ``c[t, b] - c[t, a]`` is least, and a
+    vehicle holding no target has no edge out.  Bellman-Ford as in
+    ``_cheapest_moves``."""
+    k = c.shape[1]
+    delta = c - c[np.arange(len(c)), owner][:, None]
+    pick = [None] * k
+    weight = [[math.inf] * k for _ in range(k)]
+    for a in range(k):
+        rows = np.flatnonzero(owner == a)
+        if rows.size:
+            pick[a] = rows[delta[rows].argmin(axis=0)]
+            weight[a] = delta[pick[a], np.arange(k)].tolist()
+    dist = [0.0 if s else math.inf for s in sources]
+    paths = [(a,) for a in range(k)]
+    for _ in range(k - 1):
+        changed = False
+        for a in range(k):
+            for b in range(k):
+                d = dist[a] + weight[a][b]
+                if d < dist[b] and b not in paths[a]:
+                    dist[b], paths[b] = d, paths[a] + (b,)
+                    changed = True
+        if not changed:
+            break
+    path = paths[goal]
+    return [(int(pick[a][b]), b) for a, b in zip(path, path[1:])]
+
+
+@st.composite
+def _move_graphs(draw):
+    """Costs in 0..3 for 1..12 targets and 1..5 vehicles, so most edge prices
+    tie, and any owner per target, so some vehicles often hold nothing."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 5))
+    cost = st.integers(0, 3).map(float)
+    c = np.array(draw(st.lists(st.lists(cost, min_size=k, max_size=k),
+                               min_size=n, max_size=n)))
+    owner = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    return c, owner
+
+
+class TestMoveGraph:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_move_graphs())
+    def test_moves_match_the_per_vehicle_scan(self, graph):
+        c, owner = graph
+        k = c.shape[1]
+        for sources in itertools.product([False, True], repeat=k):
+            for goal in range(k):
+                got = [(int(t), b) for t, b in _cheapest_moves(c, owner, list(sources), goal)]
+                assert got == _cheapest_moves_scan(c, owner, list(sources), goal)
 
 
 class TestBuildInitial:
